@@ -8,8 +8,9 @@ Subcommands::
     levyham couple      --config CFG --out DIR [--seed N] [--replicas N]
     levyham equilibrium --config CFG --out DIR [--seed N] [--replicas N]
 
-Exit codes: 0 success, 1 usage/config error, 2 completed with flags
-(degenerate constants, failed verification, insufficient decay).
+Exit codes: 0 success, 1 usage/config error or a dimension the command does
+not implement, 2 completed with flags (degenerate constants, failed
+verification, insufficient decay).
 Outputs are bitwise-stable given (config, seed); the manifest additionally
 records wall-clock timings. Worker count comes from LEVYHAM_WORKERS.
 """
@@ -89,17 +90,12 @@ def cmd_constants(cfg: ExperimentConfig, out: str, seed: int, replicas: int | No
     return 2 if degenerate else 0
 
 
-def _verify_b1(cfg):
+def _verify_b1(cfg, seed):
     langevin = cfg.build_langevin()
-    pot = cfg.build_potential()
-    try:
-        cert = md.auto_certificate(pot, cfg.model["dim"], cfg.lyapunov["grid_radius"])
-        source = "auto"
-    except md.GrowthTestFailed:
-        cert = md.PotentialCertificate(lam1=1.0)
-        source = "manual_fallback"
+    pot = langevin.potential
+    cert, source = md.certificate_with_fallback(pot, langevin.dim, cfg.lyapunov["grid_radius"])
     rep = md.verify_certificate(pot, cert, cfg.lyapunov["grid_radius"],
-                                cfg.lyapunov["grid_points"] * 10, cfg.model["dim"],
+                                cfg.lyapunov["grid_points"] * 10, langevin.dim,
                                 langevin.alpha_damp, langevin.beta)
     payload = rep.to_dict()
     payload["certificate"] = {k: getattr(cert, k) for k in
@@ -108,37 +104,19 @@ def _verify_b1(cfg):
     return payload, rep.passed
 
 
-def _verify_f1(cfg):
+def _verify_f1(cfg, seed):
     langevin = cfg.build_langevin()
-    pot = cfg.build_potential()
-    try:
-        cert = md.auto_certificate(pot, cfg.model["dim"], cfg.lyapunov["grid_radius"])
-    except md.GrowthTestFailed:
-        cert = md.PotentialCertificate(lam1=1.0)
-    choice = md.choose_quadratic_form(langevin, cert, cfg.lyapunov["grid_radius"])
-    v0 = md.build_position_weight(langevin, cert)
-    lyap = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross,
-                           theta=cfg.lyapunov["theta"], v0=v0, dim=cfg.model["dim"],
-                           drift_c=choice.c, drift_C=choice.C)
-    rep = md.verify_gamma_drift(lyap, langevin.system(a=cfg.model["a"], b=cfg.model["b"]),
+    setup = md.build_lyapunov(langevin, cfg.lyapunov["grid_radius"], cfg.levy["theta"])
+    rep = md.verify_gamma_drift(setup.lyap, langevin.system(a=cfg.model["a"], b=cfg.model["b"]),
                                 cfg.lyapunov["grid_radius"], cfg.lyapunov["grid_points"])
-    payload = {"choice": choice.to_dict(), **rep}
+    payload = {"choice": setup.choice.to_dict(), **rep}
     return payload, rep["passed"]
 
 
-def _verify_a2(cfg):
+def _verify_a2(cfg, seed):
     levy = cfg.build_levy()
-    langevin = cfg.build_langevin()
-    try:
-        cert = md.auto_certificate(langevin.potential, cfg.model["dim"],
-                                   cfg.lyapunov["grid_radius"])
-    except md.GrowthTestFailed:
-        cert = md.PotentialCertificate(lam1=1.0)
-    choice = md.choose_quadratic_form(langevin, cert, cfg.lyapunov["grid_radius"])
-    v0 = md.build_position_weight(langevin, cert)
-    lyap = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross,
-                           theta=cfg.lyapunov["theta"], v0=v0, dim=cfg.model["dim"])
-    eta, c_star, rep = md.verify_jump_regularity(lyap, levy.slice_part,
+    setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
+    eta, c_star, rep = md.verify_jump_regularity(setup.lyap, levy.slice_part,
                                                  min(cfg.lyapunov["grid_radius"], 10.0), 9)
     moments = levy.measure.moment_pair(levy.theta)
     payload = {"eta": eta, "c_star": c_star, "sup_ratio": rep["sup_ratio"],
@@ -147,7 +125,7 @@ def _verify_a2(cfg):
     return payload, bool(c_star > 0 and not moments.divergent)
 
 
-def _verify_fprops(cfg):
+def _verify_fprops(cfg, seed):
     bundle = _bundle_from(cfg)
     rep = cn.profile_property_report(bundle.profile)
     live = cn.DistanceProfile(log_c1=-0.6 * 10 ** 0.4, c2=1.5, g_coef=0.4,
@@ -192,10 +170,10 @@ def _verify_operator_identities(cfg, seed):
 
 
 _VERIFY = {
-    "B1": lambda cfg, seed: _verify_b1(cfg),
-    "F1": lambda cfg, seed: _verify_f1(cfg),
-    "A2": lambda cfg, seed: _verify_a2(cfg),
-    "f-props": lambda cfg, seed: _verify_fprops(cfg),
+    "B1": _verify_b1,
+    "F1": _verify_f1,
+    "A2": _verify_a2,
+    "f-props": _verify_fprops,
     "operator-identities": _verify_operator_identities,
 }
 
@@ -337,6 +315,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args.out, seed, args.replicas)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except NotImplementedError as exc:
+        print(f"unsupported dimension (levy dim = {cfg.levy['dim']}, "
+              f"model dim = {cfg.model['dim']}): {exc}", file=sys.stderr)
         return 1
     except LevyhamError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -38,9 +38,9 @@ from .errors import ConfigError
 from .generator import QuadratureScheme
 from .simulate import SimConfig
 
-__all__ = ["ExperimentConfig", "RunManifest", "load_config", "benchmark_config", "SCHEMA"]
+__all__ = ["ExperimentConfig", "RunManifest", "load_config", "SCHEMA"]
 
-# section -> key -> (type, default); None default means required
+# section -> key -> (type, default); a None default leaves the key unset
 SCHEMA = {
     "levy": {
         "kind": (str, "slice"),            # slice | stable
@@ -67,7 +67,6 @@ SCHEMA = {
         "dim": (int, 1),
     },
     "lyapunov": {
-        "theta": (float, None),            # defaults to levy theta
         "grid_radius": (float, 20.0),
         "grid_points": (int, 21),
     },
@@ -75,8 +74,7 @@ SCHEMA = {
         "rho_in": (float, 1e-6),
         "rho_out": (float, 1e6),
         "nodes_radial": (int, 12),
-        "nodes_angular": (int, 4),          # panels per decade for 1-d tables
-        "tail_order": (int, 0),
+        "panels_per_decade": (int, 4),      # Gauss-Legendre panels per decade, 1-d tables
     },
     "sim": {
         "h": (float, 0.02),
@@ -85,7 +83,6 @@ SCHEMA = {
         "n_replicas": (int, 200),
         "seed": (int, 0),
         "n_save": (int, 41),
-        "compensator_correction": (bool, True),
         "x0": (float, 2.0),
         "v0": (float, 0.0),
         "x0_prime": (float, -2.0),
@@ -98,8 +95,8 @@ SCHEMA = {
     },
 }
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+# (section, old key) -> new key; the old name is rejected with a pointer to the new one
+_RENAMED = {("quadrature", "nodes_angular"): "panels_per_decade"}
 
 
 @dataclass(frozen=True)
@@ -164,17 +161,15 @@ class ExperimentConfig:
     def build_scheme(self) -> QuadratureScheme:
         q = self.quadrature
         return QuadratureScheme(rho_in=q["rho_in"], rho_out=q["rho_out"],
-                                panels_per_decade=q["nodes_angular"],
-                                nodes_per_panel=q["nodes_radial"],
-                                tail_order=q["tail_order"])
+                                panels_per_decade=q["panels_per_decade"],
+                                nodes_per_panel=q["nodes_radial"])
 
     def build_sim(self, seed: int | None = None, n_replicas: int | None = None) -> SimConfig:
         s = self.sim
         return SimConfig(h=s["h"], delta=s["delta"], horizon=s["horizon"],
                          n_replicas=n_replicas if n_replicas is not None else s["n_replicas"],
                          seed=seed if seed is not None else s["seed"],
-                         n_save=s["n_save"],
-                         compensator_correction=s["compensator_correction"])
+                         n_save=s["n_save"])
 
     def initial_pair(self):
         s = self.sim
@@ -184,16 +179,8 @@ class ExperimentConfig:
 
 
 def _coerce(raw: str, typ, section: str, key: str, line: int):
-    raw = raw.strip()
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return typ(raw)
+        return typ(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}", line=line) from exc
 
@@ -232,6 +219,10 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
         if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}]", line=_line_of(text, section, None))
         for key in parser[section]:
+            if (section, key) in _RENAMED:
+                raise ConfigError(f"key {key!r} in [{section}] is now "
+                                  f"{_RENAMED[section, key]!r}",
+                                  line=_line_of(text, section, key))
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]",
                                   line=_line_of(text, section, key))
@@ -244,8 +235,6 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
             else:
                 table[key] = default
         tables[section] = table
-    if tables["lyapunov"]["theta"] is None:
-        tables["lyapunov"]["theta"] = tables["levy"]["theta"]
     cfg = ExperimentConfig(**tables, source_text=text)
     _validate_physics(cfg)
     return cfg
@@ -267,11 +256,6 @@ def _validate_physics(cfg: ExperimentConfig):
         raise ConfigError("sim horizon must be non-negative")
     if cfg.constants["r0_jump"] <= 0:
         raise ConfigError("constants r0_jump must be positive")
-
-
-def benchmark_config() -> ExperimentConfig:
-    """The double-well slice-noise reference configuration."""
-    return load_config(text="")
 
 
 @dataclass

@@ -574,7 +574,6 @@ def psi_tilde(pair: PairState, profile, lyap, eps: float, alpha: float, alpha0: 
 
 def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureSpec,
                     a: float = 0.0, b: float = 1.0, r0_jump: float = 0.5,
-                    cert: md.PotentialCertificate | None = None,
                     grid_radius: float = 20.0, n_grid: int = 21,
                     position_radius: float | None = None,
                     scheme: gen.QuadratureScheme | None = None) -> ConstantsBundle:
@@ -588,17 +587,10 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     """
     flags: list[str] = []
     notes: list[str] = []
-    if cert is None:
-        try:
-            cert = md.auto_certificate(langevin.potential, langevin.dim, grid_radius)
-        except md.GrowthTestFailed:
-            cert = md.PotentialCertificate(lam1=1.0)
-            notes.append("auto certificate unavailable: fell back to lam1=1")
-
-    choice = md.choose_quadratic_form(langevin, cert, grid_radius)
-    v0 = md.build_position_weight(langevin, cert)
-    lyap = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=levy_spec.theta,
-                           v0=v0, dim=langevin.dim, drift_c=choice.c, drift_C=choice.C)
+    setup = md.build_lyapunov(langevin, grid_radius, levy_spec.theta)
+    if setup.source == "manual_fallback":
+        notes.append("auto certificate unavailable: fell back to lam1=1")
+    lyap = setup.lyap
     system = langevin.system(a=a, b=b)
 
     c0_lyap, C0_lyap, fit_report = fit_lyapunov_drift(system, levy_spec, lyap,

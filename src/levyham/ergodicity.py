@@ -48,7 +48,6 @@ class DecayReport:
     rate_certified: float
     log_rate_certified: float
     monitor_is_fallback: bool
-    correction_magnitude: float = 0.0
 
     def to_dict(self):
         return {
@@ -67,7 +66,6 @@ class DecayReport:
             "rate_certified": self.rate_certified,
             "log_rate_certified": self.log_rate_certified,
             "monitor_is_fallback": self.monitor_is_fallback,
-            "correction_magnitude": self.correction_magnitude,
             "lambda_fit_exceeds_certified": bool(self.lambda_fit >= self.rate_certified),
         }
 
@@ -121,7 +119,7 @@ def fit_exponential_decay(times, means, ses, burn_in_frac: float = 0.1,
     return float(-slope), float(intercept), float(r2), start, stop
 
 
-def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, int, float]:
+def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, int]:
     alive = [tr for tr in trajectories if not tr.blown_up]
     n_blow = len(trajectories) - len(alive)
     if not alive:
@@ -132,8 +130,7 @@ def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, int, flo
     for i, tr in enumerate(alive):
         for k in range(n_t):
             out[i, k] = prod.value(tr.state_at(k))
-    corr = float(np.mean([tr.correction_magnitude for tr in alive]))
-    return out, n_blow, corr
+    return out, n_blow
 
 
 def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: PairState,
@@ -148,7 +145,7 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
     trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, config, pair0,
                                          bundle.report.alpha, bundle.report.kappa, workers)
     hhat_fn, g_fn = bundle.monitor_fns()
-    vals, n_blow, corr = _psi_tilde_matrix(trajectories, hhat_fn, g_fn)
+    vals, n_blow = _psi_tilde_matrix(trajectories, hhat_fn, g_fn)
     times = config.save_times()
     means = vals.mean(axis=0)
     ses = vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0]) if vals.shape[0] > 1 else np.zeros_like(means)
@@ -175,8 +172,7 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
                        fit_start=start, fit_stop=stop,
                        rate_certified=bundle.report.rate,
                        log_rate_certified=bundle.report.log_rate,
-                       monitor_is_fallback=bundle.monitor_is_fallback,
-                       correction_magnitude=corr)
+                       monitor_is_fallback=bundle.monitor_is_fallback)
 
 
 # ---------------------------------------------------------------------------

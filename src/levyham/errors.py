@@ -53,10 +53,6 @@ class QuadratureBudgetExceeded(LevyhamError):
     """The quadrature scheme cannot meet its error target within the node budget."""
 
 
-class DegenerateState(LevyhamError):
-    """A pair-state quantity is undefined on the diagonal."""
-
-
 class InsufficientDecay(LevyhamError):
     """The decay curve has no usable fit window."""
 

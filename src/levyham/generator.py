@@ -70,7 +70,6 @@ class QuadratureScheme:
     rho_out: float = 1e6
     panels_per_decade: int = 4
     nodes_per_panel: int = 12
-    tail_order: int = 0
     node_floor: float = 1e-9
     max_nodes: int = 40_000
 

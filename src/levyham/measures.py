@@ -33,8 +33,6 @@ __all__ = [
     "overlap_density",
     "overlap_ratio",
     "overlap_mass",
-    "overlap_mass_within",
-    "overlap_support_1d",
     "overlap_mass_lower_bound",
     "fit_overlap_floor",
     "sample_large_jumps",
@@ -392,7 +390,6 @@ class LevyMeasureSpec:
     measure: object
     theta: float = 1.0
     slice_part: SliceMeasure | None = None
-    validate: bool = True
     moments: MomentReport = field(init=False)
 
     def __post_init__(self):
@@ -403,8 +400,7 @@ class LevyMeasureSpec:
         if self.slice_part.dim != self.measure.dim:
             raise ValueError("slice dimension differs from the measure dimension")
         object.__setattr__(self, "moments", self.measure.moment_pair(self.theta))
-        if self.validate:
-            self._check_domination()
+        self._check_domination()
 
     @property
     def dim(self) -> int:
@@ -462,18 +458,6 @@ def overlap_ratio(spec: LevyMeasureSpec, shift: np.ndarray, u: np.ndarray) -> np
     return out if out.shape != () else float(out)
 
 
-def overlap_support_1d(slice_m: SliceMeasure, shift: float) -> tuple[float, float]:
-    """Support interval of the one-dimensional overlap measure."""
-    if slice_m.dim != 1:
-        raise ValueError("only defined for dim == 1")
-    s = float(shift)
-    if s == 0.0:
-        raise ShiftIsZero("overlap support needs a nonzero shift")
-    if s > 0:
-        return (s, 1.0) if s < 1.0 else (0.0, 0.0)
-    return (0.0, 1.0 + s) if s > -1.0 else (0.0, 0.0)
-
-
 def overlap_mass(slice_m: SliceMeasure, shift: np.ndarray, rng: np.random.Generator | None = None,
                  n_mc: int = 200_000) -> float:
     """Total mass of the overlap measure at the given shift.
@@ -528,25 +512,6 @@ def overlap_mass(slice_m: SliceMeasure, shift: np.ndarray, rng: np.random.Genera
     ratio2 = np.where(w_prop2 > 0, w_min2 / w_prop2, 0.0)
     est = 0.5 * half * (ratio.mean() + ratio2.mean())
     return float(est)
-
-
-def overlap_mass_within(slice_m: SliceMeasure, shift: np.ndarray, radius: float) -> float:
-    """Mass of the overlap measure restricted to ``{|u| <= radius}`` (dim = 1)."""
-    if slice_m.dim != 1:
-        raise NotImplementedError("restricted overlap mass implemented for dim == 1")
-    s = float(np.asarray(shift).reshape(-1)[0])
-    if s == 0.0:
-        raise ShiftIsZero("overlap mass needs a nonzero shift")
-    lo, hi = overlap_support_1d(slice_m, s)
-    hi = min(hi, radius)
-    if lo >= hi:
-        return 0.0
-    t0 = slice_m.theta0
-    if s > 0:
-        # density c u^(-1-theta0) on (s, 1]
-        return (slice_m.c / t0) * (lo ** -t0 - hi ** -t0)
-    # density c (u+|s|)^(-1-theta0) on (0, 1-|s|]
-    return (slice_m.c / t0) * ((lo - s) ** -t0 - (hi - s) ** -t0)
 
 
 def overlap_mass_lower_bound(slice_m: SliceMeasure, s: float, n_dirs: int = 64,

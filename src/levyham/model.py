@@ -46,6 +46,9 @@ __all__ = [
     "drift",
     "verify_certificate",
     "auto_certificate",
+    "certificate_with_fallback",
+    "LyapunovSetup",
+    "build_lyapunov",
     "gamma_drift",
     "choose_quadratic_form",
     "verify_gamma_drift",
@@ -336,6 +339,18 @@ def auto_certificate(potential, dim: int = 1, grid_radius: float = 20.0,
     return PotentialCertificate(lam1=lam1, lam2=lam2, lam3=lam3, lam4=0.0, lam5=lam5)
 
 
+def certificate_with_fallback(potential, dim: int = 1,
+                              grid_radius: float = 20.0) -> tuple[PotentialCertificate, str]:
+    """``auto_certificate``, or the manual ``lam1 = 1`` certificate when the growth test fails.
+
+    Returns the certificate and its source, ``"auto"`` or ``"manual_fallback"``.
+    """
+    try:
+        return auto_certificate(potential, dim, grid_radius), "auto"
+    except GrowthTestFailed:
+        return PotentialCertificate(lam1=1.0), "manual_fallback"
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov weight
 # ---------------------------------------------------------------------------
@@ -510,6 +525,27 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
     worst = _grid_drift_excess(lyap, langevin.system(), v0, c, grid_radius, n_grid)
     big_c = max(big_c, 1.1 * max(worst, 0.0))
     return QuadraticFormChoice(r0, r, eps, c, big_c, (lo, hi))
+
+
+@dataclass(frozen=True)
+class LyapunovSetup:
+    """The potential certificate, its source, the quadratic form, and the weight built from them."""
+
+    cert: PotentialCertificate
+    source: str
+    choice: QuadraticFormChoice
+    lyap: LyapunovSpec
+
+
+def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0,
+                   theta: float = 1.0) -> LyapunovSetup:
+    """Weight ``W = 1 + V^(theta/2)`` for a damped-gradient system, drift constants filled in."""
+    cert, source = certificate_with_fallback(langevin.potential, langevin.dim, grid_radius)
+    choice = choose_quadratic_form(langevin, cert, grid_radius)
+    lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta,
+                        v0=build_position_weight(langevin, cert), dim=langevin.dim,
+                        drift_c=choice.c, drift_C=choice.C)
+    return LyapunovSetup(cert, source, choice, lyap)
 
 
 def _grid_drift_excess(lyap, spec, v0, c, grid_radius, n_grid):

@@ -50,6 +50,3 @@ class PairState:
 
     def is_diagonal(self) -> bool:
         return bool(np.all(self.x == self.xp) and np.all(self.v == self.vp))
-
-    def swapped(self) -> "PairState":
-        return PairState(self.xp.copy(), self.vp.copy(), self.x.copy(), self.v.copy())

@@ -8,6 +8,11 @@ second component's copy by ``+/- alpha (q)_kappa`` accordingly, using the
 left-limit transformed gap within each window (positions frozen at the
 window start, velocity gap updated jump by jump).
 
+The modified channels carry no compensator term: restricted to the unit
+ball, the two channel masses agree in d = 1 by the reflection identity of
+the one-sided slice, so the term is exactly zero there. For d >= 2 the
+term is non-zero and not implemented; pair runs in d >= 2 omit it.
+
 Determinism: every replica owns a seed-sequence child of the master seed;
 jump times, marks, and classification uniforms all come from the jump
 stream, so runs that differ only in the step size share their noise
@@ -54,7 +59,6 @@ class SimConfig:
     n_replicas: int = 1
     seed: int = 0
     n_save: int = 101
-    compensator_correction: bool = True
     blowup_norm: float = 1e12
     jump_budget: float = 2e7
 
@@ -86,7 +90,6 @@ class PairTrajectory:
     xp: np.ndarray
     vp: np.ndarray
     blown_up: bool = False
-    correction_magnitude: float = 0.0
     stability_indicator: float = 0.0
 
     def state_at(self, k: int) -> PairState:
@@ -159,20 +162,6 @@ def classify_jump(levy, u: np.ndarray, Q: np.ndarray, alpha: float, kappa: float
     return u
 
 
-def _correction_drift(levy, Q: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
-    # compensator of the modification restricted to the unit ball:
-    # -alpha (Q)_kappa * (nu*_{-s}(B_1) - nu*_{+s}(B_1)) / 2 per unit time
-    shift = alpha * ms.truncate(Q, kappa)
-    s = float(np.linalg.norm(shift))
-    if s <= _TINY:
-        return np.zeros_like(Q)
-    if levy.dim != 1:
-        return np.zeros_like(Q)
-    m_minus = ms.overlap_mass_within(levy.slice_part, -shift, 1.0)
-    m_plus = ms.overlap_mass_within(levy.slice_part, shift, 1.0)
-    return -0.5 * (m_minus - m_plus) * shift
-
-
 # ---------------------------------------------------------------------------
 # steppers
 # ---------------------------------------------------------------------------
@@ -196,12 +185,8 @@ def step_single(system, state: tuple, dt: float, jumps: np.ndarray,
 
 def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
               alpha: float, kappa: float, comp: np.ndarray,
-              correction: bool = True, blowup_norm: float = 1e12) -> tuple[PairState, float]:
-    """One Euler window of the coupled pair.
-
-    Returns the new pair and the norm of any modification-compensator
-    correction applied to the second copy.
-    """
+              blowup_norm: float = 1e12) -> PairState:
+    """One Euler window of the coupled pair."""
     x, v, xp, vp = pair.x, pair.v, pair.xp, pair.vp
     z = x - xp
     v_run = v.copy()
@@ -214,17 +199,14 @@ def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
 
     f1 = np.asarray(system.force(x, v), dtype=float)
     f2 = np.asarray(system.force(xp, vp), dtype=float)
-    corr = np.zeros_like(v)
-    if correction:
-        corr = _correction_drift(levy, z + (v - vp) / alpha, alpha, kappa)
     x_new = x + (system.a * x + system.b * v) * dt
     xp_new = xp + (system.a * xp + system.b * vp) * dt
     v_new = v_run + (f1 + comp) * dt
-    vp_new = vp_run + (f2 + comp + corr) * dt
+    vp_new = vp_run + (f2 + comp) * dt
     if max(np.linalg.norm(x_new), np.linalg.norm(v_new),
            np.linalg.norm(xp_new), np.linalg.norm(vp_new)) > blowup_norm:
         raise NonFiniteState("pair trajectory left the finite range")
-    return PairState(x_new, v_new, xp_new, vp_new), float(np.linalg.norm(corr)) * dt
+    return PairState(x_new, v_new, xp_new, vp_new)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +269,7 @@ def _classify_scalar(levy, u: float, Q: float, alpha: float, kappa: float, l: fl
 
 def _simulate_pair_scalar(system, levy, config: SimConfig, pair0: PairState, alpha: float,
                           kappa: float, replica: int) -> PairTrajectory:
-    # float fast path for dim == 1 with a scalar force; the modification
-    # compensator vanishes identically for the one-dimensional slice family
-    # (both restricted masses equal the total by the reflection identity)
+    # float fast path for dim == 1 with a scalar force
     rng = replica_rng(config.seed, replica)
     times = config.save_times()
     batch = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta, rng,
@@ -340,8 +320,7 @@ def _simulate_pair_scalar(system, levy, config: SimConfig, pair0: PairState, alp
             den = abs(x - xp) + abs(v - vp)
             if den > 1e-9:
                 lip_probe = max(lip_probe, abs(f1 - f2) / den)
-    return PairTrajectory(times, *out, blown_up=blown, correction_magnitude=0.0,
-                          stability_indicator=lip_probe * config.h)
+    return PairTrajectory(times, *out, blown_up=blown, stability_indicator=lip_probe * config.h)
 
 
 def simulate_pair(system, levy, config: SimConfig, pair0: PairState, alpha: float,
@@ -361,7 +340,6 @@ def simulate_pair(system, levy, config: SimConfig, pair0: PairState, alpha: floa
     for arr, val in zip(out, (pair.x, pair.v, pair.xp, pair.vp)):
         arr[0] = val
     ptr = 0
-    corr_total = 0.0
     lip_probe = 0.0
     try:
         for save_idx, t0, dt in _window_plan(times, config.h):
@@ -371,9 +349,8 @@ def simulate_pair(system, levy, config: SimConfig, pair0: PairState, alpha: floa
                 jumps.append(batch.marks[ptr])
                 unifs.append(batch.unif[ptr])
                 ptr += 1
-            pair, corr = step_pair(system, levy, pair, dt, jumps, unifs, alpha, kappa,
-                                   comp, config.compensator_correction, config.blowup_norm)
-            corr_total += corr
+            pair = step_pair(system, levy, pair, dt, jumps, unifs, alpha, kappa,
+                             comp, config.blowup_norm)
             if abs(t1 - times[save_idx]) < 1e-9 * max(times[-1], 1.0):
                 for arr, val in zip(out, (pair.x, pair.v, pair.xp, pair.vp)):
                     arr[save_idx] = val
@@ -384,10 +361,8 @@ def simulate_pair(system, levy, config: SimConfig, pair0: PairState, alpha: floa
                     lip_probe = max(lip_probe, float(gap / den))
     except NonFiniteState:
         return PairTrajectory(times, *out, blown_up=True,
-                              correction_magnitude=corr_total,
                               stability_indicator=lip_probe * config.h)
     return PairTrajectory(times, *out, blown_up=False,
-                          correction_magnitude=corr_total,
                           stability_indicator=lip_probe * config.h)
 
 

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from levyham import cli
+from levyham import model as md
 from levyham.config import load_config
 from levyham.errors import ConfigError
+
+BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
 
 QUICK = """
 [sim]
@@ -63,6 +66,15 @@ class TestConfig:
         c = load_config(write(tmp_path, QUICK.replace("seed = 3", "seed = 4"), "c.cfg"))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_renamed_key_points_to_new_name(self, tmp_path):
+        path = write(tmp_path, "[quadrature]\nrho_in = 1e-6\nnodes_angular = 6\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert "line 3" in str(err.value)
+        assert "panels_per_decade" in str(err.value)
+        cfg = load_config(write(tmp_path, "[quadrature]\npanels_per_decade = 6\n", "new.cfg"))
+        assert cfg.build_scheme().panels_per_decade == 6
 
     def test_stable_kind_with_certificate(self):
         cfg = load_config(text="[levy]\nkind = stable\nalpha0 = 1.5\n"
@@ -123,6 +135,57 @@ class TestExitCodes:
         assert payload["lambda_fit"] > 0
         header = (tmp_path / "decay_curve.csv").read_text().splitlines()[0]
         assert header == "t,mean,se,log_mean"
+
+    def test_unsupported_dimension_is_one(self, tmp_path, capsys):
+        path = write(tmp_path, "[levy]\ndim = 2\n[model]\ndim = 2\n")
+        for argv in (["rate", "--replicas", "2"], ["verify", "--which", "A2"]):
+            code = cli.main(argv + ["--config", path, "--out", str(tmp_path)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "dim" in err and len(err.strip().splitlines()) == 1
+        for which in ("B1", "F1"):
+            code = cli.main(["verify", "--which", which, "--config", path,
+                             "--out", str(tmp_path)])
+            assert code == 0
+
+
+class TestLyapunovBuilder:
+    """Verify F1/A2 and the constant chain build one and the same Lyapunov weight."""
+
+    @pytest.mark.parametrize("potential, source", [("double_well_poly", "auto"),
+                                                   ("quadratic", "manual_fallback")])
+    def test_verify_and_constants_share_spec(self, tmp_path, monkeypatch, potential, source):
+        with open(BENCHMARK_CFG, encoding="utf-8") as fh:
+            text = fh.read().replace("potential = double_well_poly",
+                                     f"potential = {potential}")
+        path = write(tmp_path, text)
+        used = {}
+
+        def spy(which, verifier):
+            def record(lyap, *args, **kwargs):
+                used[which] = lyap
+                return verifier(lyap, *args, **kwargs)
+            return record
+
+        monkeypatch.setattr(md, "verify_gamma_drift", spy("F1", md.verify_gamma_drift))
+        monkeypatch.setattr(md, "verify_jump_regularity",
+                            spy("A2", md.verify_jump_regularity))
+        for which in ("B1", "F1", "A2"):
+            assert cli.main(["verify", "--which", which, "--config", path,
+                             "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        assert cli.main(["constants", "--config", path, "--out", str(tmp_path)]) == 0
+
+        bundle = cli._bundle_from(load_config(path))
+        fields = ("r", "r0_cross", "theta", "drift_c", "drift_C")
+        for which in ("F1", "A2"):
+            assert [getattr(used[which], f) for f in fields] == \
+                [getattr(bundle.lyap, f) for f in fields], which
+        b1 = json.loads((tmp_path / "verify_B1.json").read_text())
+        assert b1["certificate_source"] == source
+        notes = json.loads((tmp_path / "constants.json").read_text())["notes"]
+        fell_back = any("fell back" in n for n in notes)
+        assert fell_back == (source == "manual_fallback")
 
 
 class TestDeterminism:

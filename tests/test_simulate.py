@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from levyham import measures as ms
@@ -177,19 +176,6 @@ class TestPairSimulation:
                                PairState([3.0], [3.0], [0.0], [0.0]), 1.0, 0.25)
         assert tr.blown_up
         assert np.isnan(tr.x[-1, 0])
-
-    def test_correction_magnitude_zero_for_slice(self, benchmark_levy, benchmark_langevin):
-        # both restricted overlap masses coincide inside the unit ball
-        sys_ = benchmark_langevin.system()
-        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=3.0, n_save=4, seed=3,
-                            compensator_correction=True)
-        tr = sim.simulate_pair(sys_, benchmark_levy, cfg,
-                               PairState([2.0], [0.0], [-2.0], [0.0]), 1.0, 0.25)
-        assert tr.correction_magnitude == 0.0
-        shift = np.array([0.2])
-        m_plus = ms.overlap_mass_within(benchmark_levy.slice_part, shift, 1.0)
-        m_minus = ms.overlap_mass_within(benchmark_levy.slice_part, -shift, 1.0)
-        assert m_plus == pytest.approx(m_minus, rel=1e-12)
 
 
 class TestWindows:
