@@ -234,11 +234,10 @@ def cmd_couple(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None)
             for k in range(d):
                 names.append(f"{label}{k}" if d > 1 else label)
                 cols.append(arr[:, k])
-        rvals = np.array([tr.state_at(k).r(bundle.report.alpha, bundle.monitor_alpha0)
-                          for k in range(len(tr.times))])
-        psis = np.array([prod.value(tr.state_at(k)) for k in range(len(tr.times))])
+        path_state = PairState(tr.x, tr.v, tr.xp, tr.vp)
         names += ["r", "psi_tilde"]
-        cols += [rvals, psis]
+        cols += [path_state.r(bundle.report.alpha, bundle.monitor_alpha0),
+                 prod.value(path_state)]
         path = os.path.join(out, f"trajectory_{idx:04d}.csv")
         _write_csv(path, names, cols)
         manifest.outputs.append(path)

@@ -42,7 +42,6 @@ __all__ = [
     "fit_lyapunov_drift",
     "build_constants",
     "psi",
-    "psi_tilde",
 ]
 
 
@@ -563,13 +562,6 @@ def psi(pair: PairState, lyap) -> float:
     """Base cost: clipped state distance times the weight sum."""
     dist = float(np.linalg.norm(pair.z) + np.linalg.norm(pair.w))
     return min(dist, 1.0) * float(lyap.W(pair.x, pair.v) + lyap.W(pair.xp, pair.vp))
-
-
-def psi_tilde(pair: PairState, profile, lyap, eps: float, alpha: float, alpha0: float) -> float:
-    """Contraction cost: clamped profile of the blended gap times the tilt."""
-    r = pair.r(alpha, alpha0)
-    return float(profile.value(r)) * (1.0 + eps * float(lyap.W(pair.x, pair.v)
-                                                        + lyap.W(pair.xp, pair.vp)))
 
 
 def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureSpec,

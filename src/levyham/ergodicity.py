@@ -124,13 +124,9 @@ def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, int]:
     n_blow = len(trajectories) - len(alive)
     if not alive:
         raise InsufficientDecay("every replica blew up")
-    n_t = len(alive[0].times)
-    prod = ProductPairFn(hhat_fn, g_fn)
-    out = np.empty((len(alive), n_t))
-    for i, tr in enumerate(alive):
-        for k in range(n_t):
-            out[i, k] = prod.value(tr.state_at(k))
-    return out, n_blow
+    stacked = PairState(*(np.stack([getattr(tr, c) for tr in alive])
+                          for c in ("x", "v", "xp", "vp")))
+    return ProductPairFn(hhat_fn, g_fn).value(stacked), n_blow
 
 
 def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: PairState,

@@ -11,9 +11,9 @@ one shared node table so the residual isolates algebra rather than
 quadrature; cross-validation of the closed-form profile drift uses genuinely
 different evaluation points and is the real discretisation test.
 
-Node tables are one-dimensional; the simulation and measure layers are
-dimension-generic, but the operator quadrature targets the scalar benchmark
-models.
+Node tables are one-dimensional: the operator quadrature targets the
+scalar benchmark models. The measure layer and single-process simulation
+are dimension-generic; coupled pair simulation is one-dimensional.
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ class ProfilePairFn:
     alpha: float
     alpha0: float
 
-    def value(self, pair: PairState) -> float:
-        return float(self.profile.value(pair.r(self.alpha, self.alpha0)))
+    def value(self, pair: PairState):
+        return self.profile.value(pair.r(self.alpha, self.alpha0))
 
     def value_shifted(self, pair: PairState, dv: np.ndarray, dvp: np.ndarray) -> np.ndarray:
         wn = pair.w[None, :] + dv - dvp
@@ -310,8 +310,8 @@ class WeightPairFn:
     lyap: object
     eps: float
 
-    def value(self, pair: PairState) -> float:
-        return float(1.0 + self.eps * (self.lyap.W(pair.x, pair.v) + self.lyap.W(pair.xp, pair.vp)))
+    def value(self, pair: PairState):
+        return 1.0 + self.eps * (self.lyap.W(pair.x, pair.v) + self.lyap.W(pair.xp, pair.vp))
 
     def value_shifted(self, pair, dv, dvp):
         w1 = self.lyap.W(pair.x[None, :], pair.v[None, :] + dv)

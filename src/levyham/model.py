@@ -154,7 +154,9 @@ class HamiltonianSystemSpec:
     """Coefficients ``a >= 0``, ``b > 0`` and the velocity force ``U(x, v)``.
 
     ``force_scalar`` is an optional ``(float, float) -> float`` fast path for
-    one-dimensional simulation loops.
+    the one-dimensional pair simulation loop. When it is None, the loop wraps
+    the array force as ``float(force(np.array([x]), np.array([v]))[0])``,
+    which computes the same floats one call slower.
     """
 
     a: float

@@ -3,7 +3,9 @@
 The contraction analysis works through the transformed difference
 ``q = z + w / alpha`` (``z`` the position gap, ``w`` the velocity gap) and
 the blended radius ``r = alpha0 |z| + |q|``. Derived quantities are always
-recomputed from the four state vectors; nothing is cached.
+recomputed from the four state vectors; nothing is cached. The state
+vectors may carry leading axes (for example replicas and snapshots
+stacked as ``(N, n_save, d)``); norms run over the last axis.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class PairState:
     def q(self, alpha: float) -> np.ndarray:
         return self.z + self.w / alpha
 
-    def r(self, alpha: float, alpha0: float) -> float:
-        return float(alpha0 * np.linalg.norm(self.z) + np.linalg.norm(self.q(alpha)))
+    def r(self, alpha: float, alpha0: float):
+        return alpha0 * np.linalg.norm(self.z, axis=-1) + np.linalg.norm(self.q(alpha), axis=-1)
 
     def is_diagonal(self) -> bool:
         return bool(np.all(self.x == self.xp) and np.all(self.v == self.vp))

@@ -8,10 +8,13 @@ second component's copy by ``+/- alpha (q)_kappa`` accordingly, using the
 left-limit transformed gap within each window (positions frozen at the
 window start, velocity gap updated jump by jump).
 
-The modified channels carry no compensator term: restricted to the unit
-ball, the two channel masses agree in d = 1 by the reflection identity of
-the one-sided slice, so the term is exactly zero there. For d >= 2 the
-term is non-zero and not implemented; pair runs in d >= 2 omit it.
+Single-process runs are dimension-generic. Pair runs are one-dimensional:
+``simulate_pair``, ``step_pair`` and ``run_pair_ensemble`` raise
+NotImplementedError for any other system or noise dimension. The modified
+channels carry no compensator term: restricted to the unit ball, the two
+channel masses agree in d = 1 by the reflection identity of the one-sided
+slice, so the term is exactly zero there; for d >= 2 it is non-zero and not
+implemented.
 
 Determinism: every replica owns a seed-sequence child of the master seed;
 jump times, marks, and classification uniforms all come from the jump
@@ -92,9 +95,6 @@ class PairTrajectory:
     blown_up: bool = False
     stability_indicator: float = 0.0
 
-    def state_at(self, k: int) -> PairState:
-        return PairState(self.x[k], self.v[k], self.xp[k], self.vp[k])
-
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     """Independent, reproducible stream for one replica."""
@@ -116,47 +116,34 @@ def _slice_density_1d(sl, u: float) -> float:
     return 0.0
 
 
-def _overlap_density_1d(sl, shift: float, u: float) -> float:
-    return min(_slice_density_1d(sl, u), _slice_density_1d(sl, u - shift))
-
-
 def _ratio_1d(levy, shift: float, u: float) -> float:
-    num = _overlap_density_1d(levy.slice_part, shift, u)
+    sl = levy.slice_part
+    num = min(_slice_density_1d(sl, u), _slice_density_1d(sl, u - shift))
     if num == 0.0:
         return 0.0
-    if levy.measure is levy.slice_part:
-        den = _slice_density_1d(levy.slice_part, u)
+    if levy.measure is sl:
+        den = _slice_density_1d(sl, u)
     else:
         den = float(levy.measure.density(np.array([u])))
     return min(num / den, 1.0) if den > 0 else 0.0
 
 
-def classify_jump(levy, u: np.ndarray, Q: np.ndarray, alpha: float, kappa: float,
-                  l: float) -> np.ndarray:
+def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float) -> float:
     """Displacement received by the second copy for a jump ``u`` of the first.
 
     Branches: ``u + alpha (Q)_kappa`` with probability ``rho(-shift, u)/2``,
     ``u - alpha (Q)_kappa`` with probability ``rho(shift, u)/2``, else ``u``.
-    A vanishing transformed gap short-circuits to the synchronous branch.
+    A vanishing transformed gap, or ``kappa = 0``, short-circuits to the
+    synchronous branch.
     """
-    shift = alpha * ms.truncate(Q, kappa)
-    s = float(np.linalg.norm(shift))
-    if s <= _TINY:
+    aq = abs(Q)
+    if aq <= _TINY or kappa == 0.0:
         return u
-    if levy.dim == 1:
-        uu = float(u[0])
-        sh = float(shift[0])
-        rho_m = _ratio_1d(levy, -sh, uu)
-        if l <= 0.5 * rho_m:
-            return u + shift
-        rho_p = _ratio_1d(levy, sh, uu)
-        if l <= 0.5 * (rho_m + rho_p):
-            return u - shift
-        return u
-    rho_m = float(ms.overlap_ratio(levy, -shift, u[None, :]))
+    shift = alpha * (Q if aq <= kappa else Q * (kappa / aq))
+    rho_m = _ratio_1d(levy, -shift, u)
     if l <= 0.5 * rho_m:
         return u + shift
-    rho_p = float(ms.overlap_ratio(levy, shift, u[None, :]))
+    rho_p = _ratio_1d(levy, shift, u)
     if l <= 0.5 * (rho_m + rho_p):
         return u - shift
     return u
@@ -183,30 +170,25 @@ def step_single(system, state: tuple, dt: float, jumps: np.ndarray,
     return x_new, v_new
 
 
+def _require_one_dim(system, levy):
+    if system.dim != 1 or levy.dim != 1:
+        raise NotImplementedError(
+            f"coupled pair runs are implemented for dim 1 only, got system dim {system.dim} "
+            f"and noise dim {levy.dim} (the modified-channel compensator is missing in dim >= 2)")
+
+
 def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
               alpha: float, kappa: float, comp: np.ndarray,
               blowup_norm: float = 1e12) -> PairState:
-    """One Euler window of the coupled pair."""
-    x, v, xp, vp = pair.x, pair.v, pair.xp, pair.vp
-    z = x - xp
-    v_run = v.copy()
-    vp_run = vp.copy()
-    for u, l in zip(jumps, unifs):
-        Q = z + (v_run - vp_run) / alpha
-        disp = classify_jump(levy, u, Q, alpha, kappa, float(l))
-        v_run = v_run + u
-        vp_run = vp_run + disp
-
-    f1 = np.asarray(system.force(x, v), dtype=float)
-    f2 = np.asarray(system.force(xp, vp), dtype=float)
-    x_new = x + (system.a * x + system.b * v) * dt
-    xp_new = xp + (system.a * xp + system.b * vp) * dt
-    v_new = v_run + (f1 + comp) * dt
-    vp_new = vp_run + (f2 + comp) * dt
-    if max(np.linalg.norm(x_new), np.linalg.norm(v_new),
-           np.linalg.norm(xp_new), np.linalg.norm(vp_new)) > blowup_norm:
+    """One Euler window of the coupled pair: the pair kernel on the grid ``[0, dt]``."""
+    _require_one_dim(system, levy)
+    marks = np.asarray(jumps, dtype=float).reshape(-1)
+    window_jumps = (np.full(len(marks), -np.inf), marks, np.asarray(unifs, dtype=float))
+    out, blown, _ = _pair_path(system, levy, np.array([0.0, dt]), dt, pair, window_jumps,
+                               alpha, kappa, comp, blowup_norm)
+    if blown:
         raise NonFiniteState("pair trajectory left the finite range")
-    return PairState(x_new, v_new, xp_new, vp_new)
+    return PairState(*(arr[1] for arr in out))
 
 
 # ---------------------------------------------------------------------------
@@ -253,54 +235,45 @@ def simulate_single(system, levy, config: SimConfig, x0, v0,
     return SingleTrajectory(times, out_x, out_v)
 
 
-def _classify_scalar(levy, u: float, Q: float, alpha: float, kappa: float, l: float) -> float:
-    aq = abs(Q)
-    if aq <= _TINY or kappa == 0.0:
-        return u
-    shift = alpha * (Q if aq <= kappa else Q * (kappa / aq))
-    rho_m = _ratio_1d(levy, -shift, u)
-    if l <= 0.5 * rho_m:
-        return u + shift
-    rho_p = _ratio_1d(levy, shift, u)
-    if l <= 0.5 * (rho_m + rho_p):
-        return u - shift
-    return u
+def _scalar_force(system):
+    # (float, float) -> float force; the array force on length-1 arrays if no fast path
+    fs = getattr(system, "force_scalar", None)
+    if fs is not None:
+        return fs
+    force = system.force
+    return lambda x, v: float(force(np.array([x]), np.array([v]))[0])
 
 
-def _simulate_pair_scalar(system, levy, config: SimConfig, pair0: PairState, alpha: float,
-                          kappa: float, replica: int) -> PairTrajectory:
-    # float fast path for dim == 1 with a scalar force
-    rng = replica_rng(config.seed, replica)
-    times = config.save_times()
-    batch = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta, rng,
-                                  config.jump_budget) if times[-1] > 0 else None
-    comp = float(np.asarray(levy.measure.compensation_drift(config.delta))[0])
-    fs = system.force_scalar
+def _pair_path(system, levy, times: np.ndarray, h: float, pair0: PairState, jumps: tuple,
+               alpha: float, kappa: float, comp: np.ndarray, blow: float):
+    """Euler windows of one replica of the pair over the save grid ``times``.
+
+    ``pair0`` is the state at ``times[0]`` and ``jumps`` holds the
+    time-ordered ``(times, marks, uniforms)`` arrays. Returns the four
+    ``(n_save, 1)`` paths (NaN after a blow-up), the blow-up flag, and the
+    largest force Lipschitz quotient seen at a save time.
+    """
+    fs = _scalar_force(system)
     a, b = system.a, system.b
-    blow = config.blowup_norm
-    x, v = float(pair0.x[0]), float(pair0.v[0])
-    xp, vp = float(pair0.xp[0]), float(pair0.vp[0])
+    comp = float(np.asarray(comp, dtype=float)[0])
+    x, v, xp, vp = (float(c[0]) for c in (pair0.x, pair0.v, pair0.xp, pair0.vp))
     n = len(times)
     out = [np.full((n, 1), np.nan) for _ in range(4)]
     for arr, val in zip(out, (x, v, xp, vp)):
         arr[0, 0] = val
-    if batch is not None:
-        j_t, j_u, j_l = batch.times, batch.marks[:, 0], batch.unif
-        n_j = len(j_t)
-    else:
-        j_t = j_u = j_l = None
-        n_j = 0
+    j_t, j_u, j_l = jumps
+    n_j = len(j_t)
     ptr = 0
     lip_probe = 0.0
     blown = False
-    for save_idx, t0, dt in _window_plan(times, config.h):
+    for save_idx, t0, dt in _window_plan(times, h):
         t1 = t0 + dt
         z = x - xp
         v0w, vp0w = v, vp
         while ptr < n_j and j_t[ptr] < t1 - 1e-15:
             u = float(j_u[ptr])
             Q = z + (v - vp) / alpha
-            disp = _classify_scalar(levy, u, Q, alpha, kappa, float(j_l[ptr]))
+            disp = classify_jump(levy, u, Q, alpha, kappa, float(j_l[ptr]))
             v += u
             vp += disp
             ptr += 1
@@ -320,50 +293,25 @@ def _simulate_pair_scalar(system, levy, config: SimConfig, pair0: PairState, alp
             den = abs(x - xp) + abs(v - vp)
             if den > 1e-9:
                 lip_probe = max(lip_probe, abs(f1 - f2) / den)
-    return PairTrajectory(times, *out, blown_up=blown, stability_indicator=lip_probe * config.h)
+    return out, blown, lip_probe
 
 
 def simulate_pair(system, levy, config: SimConfig, pair0: PairState, alpha: float,
                   kappa: float, replica: int = 0) -> PairTrajectory:
-    """Coupled pair path on the save grid; deterministic given the seed."""
-    if (system.dim == 1 and getattr(system, "force_scalar", None) is not None
-            and isinstance(levy.slice_part, ms.SliceMeasure) and levy.slice_part.dim == 1):
-        return _simulate_pair_scalar(system, levy, config, pair0, alpha, kappa, replica)
+    """Coupled pair path on the save grid; deterministic given the seed. Dim 1 only."""
+    _require_one_dim(system, levy)
     rng = replica_rng(config.seed, replica)
     times = config.save_times()
-    batch = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta, rng,
-                                  config.jump_budget) if times[-1] > 0 else None
-    comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
-    pair = PairState(pair0.x.copy(), pair0.v.copy(), pair0.xp.copy(), pair0.vp.copy())
-    n = len(times)
-    out = [np.full((n, system.dim), np.nan) for _ in range(4)]
-    for arr, val in zip(out, (pair.x, pair.v, pair.xp, pair.vp)):
-        arr[0] = val
-    ptr = 0
-    lip_probe = 0.0
-    try:
-        for save_idx, t0, dt in _window_plan(times, config.h):
-            t1 = t0 + dt
-            jumps, unifs = [], []
-            while batch is not None and ptr < len(batch) and batch.times[ptr] < t1 - 1e-15:
-                jumps.append(batch.marks[ptr])
-                unifs.append(batch.unif[ptr])
-                ptr += 1
-            pair = step_pair(system, levy, pair, dt, jumps, unifs, alpha, kappa,
-                             comp, config.blowup_norm)
-            if abs(t1 - times[save_idx]) < 1e-9 * max(times[-1], 1.0):
-                for arr, val in zip(out, (pair.x, pair.v, pair.xp, pair.vp)):
-                    arr[save_idx] = val
-                gap = np.linalg.norm(np.asarray(system.force(pair.x, pair.v)) -
-                                     np.asarray(system.force(pair.xp, pair.vp)))
-                den = np.linalg.norm(pair.z) + np.linalg.norm(pair.w)
-                if den > 1e-9:
-                    lip_probe = max(lip_probe, float(gap / den))
-    except NonFiniteState:
-        return PairTrajectory(times, *out, blown_up=True,
-                              stability_indicator=lip_probe * config.h)
-    return PairTrajectory(times, *out, blown_up=False,
-                          stability_indicator=lip_probe * config.h)
+    if times[-1] > 0:
+        batch = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta, rng,
+                                      config.jump_budget)
+        jumps = (batch.times, batch.marks[:, 0], batch.unif)
+    else:
+        jumps = (np.empty(0),) * 3
+    comp = levy.measure.compensation_drift(config.delta)
+    out, blown, lip_probe = _pair_path(system, levy, times, config.h, pair0, jumps,
+                                       alpha, kappa, comp, config.blowup_norm)
+    return PairTrajectory(times, *out, blown_up=blown, stability_indicator=lip_probe * config.h)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +340,8 @@ def _run_parallel(task, arglist, workers):
 
 def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: float,
                       kappa: float, workers: int | None = None) -> list[PairTrajectory]:
-    """All replicas of the coupled pair, in deterministic replica order."""
+    """All replicas of the coupled pair, in deterministic replica order. Dim 1 only."""
+    _require_one_dim(system, levy)
     workers = worker_count() if workers is None else workers
     args = [(system, levy, config, pair0, alpha, kappa, rep)
             for rep in range(config.n_replicas)]

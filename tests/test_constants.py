@@ -159,12 +159,18 @@ class TestTiltAndRate:
             assert math.exp(t1) < 0.7
 
 
+def psi_tilde_fn(profile, lyap, eps: float, alpha: float, alpha0: float):
+    """Contraction cost: profile of the blended gap times the Lyapunov tilt."""
+    return gen.ProductPairFn(gen.ProfilePairFn(profile, alpha, alpha0),
+                             gen.WeightPairFn(lyap, eps))
+
+
 class TestCostFunctionals:
     def test_vanish_on_diagonal(self, flat_lyap, live_profile):
         pair = PairState([0.3], [0.4], [0.3], [0.4])
         assert cn.psi(pair, flat_lyap) == 0.0
-        assert cn.psi_tilde(pair, cn.ClampedProfile(live_profile, 5.0), flat_lyap,
-                            0.1, 1.0, 2.0) == 0.0
+        cost = psi_tilde_fn(cn.ClampedProfile(live_profile, 5.0), flat_lyap, 0.1, 1.0, 2.0)
+        assert cost.value(pair) == 0.0
 
     def test_distance_clamp(self, flat_lyap):
         pair = PairState([2.0], [0.0], [-2.0], [0.0])
@@ -172,24 +178,24 @@ class TestCostFunctionals:
         assert cn.psi(pair, flat_lyap) == pytest.approx(W_sum)
 
     def test_positive_off_diagonal(self, flat_lyap, live_profile, rng):
-        clamped = cn.ClampedProfile(live_profile, 5.0)
+        cost = psi_tilde_fn(cn.ClampedProfile(live_profile, 5.0), flat_lyap, 0.1, 1.0, 2.0)
         for _ in range(50):
             pair = PairState(rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1), rng.normal(size=1))
             if pair.is_diagonal():
                 continue
             assert cn.psi(pair, flat_lyap) > 0
-            assert cn.psi_tilde(pair, clamped, flat_lyap, 0.1, 1.0, 2.0) > 0
+            assert cost.value(pair) > 0
 
     def test_comparability_on_live_chain(self, flat_lyap, live_profile, rng):
         # fitted two-sided bounds between the base and tilted costs
-        clamped = cn.ClampedProfile(live_profile, 5.0)
+        cost = psi_tilde_fn(cn.ClampedProfile(live_profile, 5.0), flat_lyap, 0.1, 1.0, 2.0)
         ratios = []
         for _ in range(10_000):
             pair = PairState(rng.normal(0, 2, 1), rng.normal(0, 2, 1),
                              rng.normal(0, 2, 1), rng.normal(0, 2, 1))
             p = cn.psi(pair, flat_lyap)
-            pt = cn.psi_tilde(pair, clamped, flat_lyap, 0.1, 1.0, 2.0)
+            pt = cost.value(pair)
             if p > 0:
                 ratios.append(pt / p)
         ratios = np.asarray(ratios)

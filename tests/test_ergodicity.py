@@ -8,6 +8,7 @@ import pytest
 from levyham import ergodicity as erg
 from levyham import simulate as sim
 from levyham.errors import EmptyMeasure, InsufficientDecay
+from levyham.generator import ProductPairFn
 from levyham.pair import PairState
 
 
@@ -144,3 +145,36 @@ class TestEquilibrium:
         assert max(late) <= 3.0 * max(min(late), 1e-9)
         # ensembles from far-apart starts agree within 3x the sampling noise
         assert out["cross_distance"] <= 3.0 * out["noise_floor"]
+
+
+class TestStackedCost:
+    """One cost evaluation over stacked snapshots equals the per-state values."""
+
+    def test_stacked_matches_per_state(self, benchmark_bundle, rng):
+        hhat, g = benchmark_bundle.monitor_fns()
+        prod = ProductPairFn(hhat, g)
+        alpha, alpha0 = benchmark_bundle.report.alpha, benchmark_bundle.monitor_alpha0
+        arrs = [rng.normal(0.0, 2.0, (6, 9, 1)) for _ in range(4)]
+        arrs[2][0], arrs[3][0] = arrs[0][0], arrs[1][0]  # one replica on the diagonal
+        stacked = PairState(*arrs)
+        r, psi = stacked.r(alpha, alpha0), prod.value(stacked)
+        assert r.shape == psi.shape == (6, 9)
+        assert np.all(psi[0] == 0.0) and np.all(psi[1:] > 0.0)
+        for i in range(6):
+            for k in range(9):
+                one = PairState(*(a[i, k] for a in arrs))
+                assert r[i, k] == one.r(alpha, alpha0)
+                assert psi[i, k] == pytest.approx(prod.value(one), rel=1e-15, abs=0.0)
+
+    def test_matrix_skips_blown_runs(self, benchmark_bundle, rng):
+        times = np.linspace(0.0, 1.0, 4)
+        trs = [sim.PairTrajectory(times, *(rng.normal(size=(4, 1)) for _ in range(4)),
+                                  blown_up=blown) for blown in (False, True, False)]
+        hhat, g = benchmark_bundle.monitor_fns()
+        vals, n_blow = erg._psi_tilde_matrix(trs, hhat, g)
+        assert n_blow == 1 and vals.shape == (2, 4)
+        prod = ProductPairFn(hhat, g)
+        for row, tr in zip(vals, (trs[0], trs[2])):
+            for k in range(4):
+                one = PairState(tr.x[k], tr.v[k], tr.xp[k], tr.vp[k])
+                assert row[k] == pytest.approx(prod.value(one), rel=1e-15, abs=0.0)

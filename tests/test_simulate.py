@@ -1,8 +1,10 @@
 """Path simulation: steppers, jump classification, coupling behaviour."""
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from levyham import measures as ms
@@ -19,6 +21,37 @@ def free_system():
 def damping_system():
     return md.HamiltonianSystemSpec(
         0.0, 1.0, lambda x, v: -np.asarray(v, dtype=float), dim=1)
+
+
+def runaway_system():
+    return md.HamiltonianSystemSpec(
+        0.0, 1.0, lambda x, v: np.asarray(x, dtype=float) ** 3, dim=1)
+
+
+def free_scalar_system():
+    # zero force with the scalar fast path, as acceptance criterion 7 uses
+    return md.KineticLangevinSpec(0.0, 0.0, md.Quadratic(1.0), dim=1).system()
+
+
+def assert_same_paths(a, b):
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb, equal_nan=True), f.name
+        else:
+            assert va == vb, f.name
+
+
+BEYOND_SLICE = {
+    "stable": lambda: ms.LevyMeasureSpec(ms.IsotropicStable(0.8), theta=0.5),
+    "slice+stable": lambda: ms.LevyMeasureSpec(
+        ms.SumMeasure((ms.SliceMeasure(1.0, 0.4, 1), ms.IsotropicStable(0.8))), theta=0.5),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BEYOND_SLICE))
+def beyond_slice_levy(request):
+    return BEYOND_SLICE[request.param]()
 
 
 class TestStepSingle:
@@ -42,46 +75,34 @@ class TestStepSingle:
 
 class TestClassify:
     def test_zero_gap_synchronous(self, benchmark_levy):
-        u = np.array([0.5])
-        out = sim.classify_jump(benchmark_levy, u, np.zeros(1), 1.0, 0.25, 0.0)
-        np.testing.assert_array_equal(out, u)
+        assert sim.classify_jump(benchmark_levy, 0.5, 0.0, 1.0, 0.25, 0.0) == 0.5
 
     def test_certain_first_branch(self, benchmark_levy):
         # negative gap makes the first thinning probability one on (|s|, 1]
-        Q = np.array([-0.4])
-        shift = 1.0 * ms.truncate(Q, 0.25)
-        u = np.array([0.5])
-        rho_m = float(ms.overlap_ratio(benchmark_levy, -shift, u[None, :]))
+        Q = -0.4
+        shift = 1.0 * ms.truncate(np.array([Q]), 0.25)
+        u = 0.5
+        rho_m = float(ms.overlap_ratio(benchmark_levy, -shift, np.array([[u]])))
         assert rho_m == 1.0
         out = sim.classify_jump(benchmark_levy, u, Q, 1.0, 0.25, 0.3)
-        np.testing.assert_allclose(out, u + shift)
+        np.testing.assert_allclose(out, u + float(shift[0]))
 
     def test_branch_frequencies(self, benchmark_levy):
-        u = np.array([0.5])
-        Q = np.array([0.4])
+        u = 0.5
+        Q = 0.4
         alpha, kappa = 1.0, 0.25
-        s = float(alpha * ms.truncate(Q, kappa)[0])
-        p_plus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([-s]), u[None, :]))
-        p_minus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([s]), u[None, :]))
+        s = float(alpha * ms.truncate(np.array([Q]), kappa)[0])
+        p_plus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([-s]), np.array([[u]])))
+        p_minus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([s]), np.array([[u]])))
         n = 100_000
         ls = np.random.default_rng(17).uniform(size=n)
-        outs = np.array([float(sim.classify_jump(benchmark_levy, u, Q, alpha, kappa,
-                                                 float(l))[0]) for l in ls])
+        outs = np.array([sim.classify_jump(benchmark_levy, u, Q, alpha, kappa, float(l))
+                         for l in ls])
         f_plus = np.mean(np.isclose(outs, 0.5 + s))
         f_minus = np.mean(np.isclose(outs, 0.5 - s))
         f_sync = np.mean(np.isclose(outs, 0.5))
         for freq, p in ((f_plus, p_plus), (f_minus, p_minus), (f_sync, 1 - p_plus - p_minus)):
             assert abs(freq - p) <= 3.0 * math.sqrt(p * (1 - p) / n) + 1e-9
-
-    def test_scalar_matches_array_path(self, benchmark_levy, rng):
-        for _ in range(200):
-            u = float(rng.uniform(0.01, 1.0))
-            Q = float(rng.uniform(-1.0, 1.0))
-            l = float(rng.uniform())
-            a = sim.classify_jump(benchmark_levy, np.array([u]), np.array([Q]),
-                                  1.0, 0.25, l)
-            b = sim._classify_scalar(benchmark_levy, u, Q, 1.0, 0.25, l)
-            assert float(a[0]) == b
 
 
 class TestPairSimulation:
@@ -122,15 +143,18 @@ class TestPairSimulation:
         for arr_a, arr_b in ((a.x, b.x), (a.v, b.v), (a.xp, b.xp), (a.vp, b.vp)):
             assert np.array_equal(arr_a, arr_b)
 
-    def test_scalar_and_generic_paths_agree(self, benchmark_levy, benchmark_langevin):
+    def test_force_scalar_and_array_force_adapter_agree(self, benchmark_levy,
+                                                         benchmark_langevin):
+        # without force_scalar the kernel wraps the array force; same floats
         fast = benchmark_langevin.system()
         slow = md.HamiltonianSystemSpec(0.0, 1.0, force=benchmark_langevin.force, dim=1)
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=8)
         p0 = PairState([2.0], [0.0], [-2.0], [0.0])
         a = sim.simulate_pair(fast, benchmark_levy, cfg, p0, 1.0, 0.25)
         b = sim.simulate_pair(slow, benchmark_levy, cfg, p0, 1.0, 0.25)
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.vp, b.vp)
+        for arr_a, arr_b in ((a.x, b.x), (a.v, b.v), (a.xp, b.xp), (a.vp, b.vp)):
+            np.testing.assert_array_equal(arr_a, arr_b)
+        assert a.stability_indicator == b.stability_indicator
 
     def test_marginal_law_equality_every_snapshot(self, benchmark_levy):
         # pure noise: both components share the marginal law at every
@@ -168,14 +192,140 @@ class TestPairSimulation:
         assert np.all(np.abs(m1 - m2)[1:] <= 2.0 * joint[1:])
 
     def test_blowup_detected_and_flagged(self, benchmark_levy):
-        runaway = md.HamiltonianSystemSpec(
-            0.0, 1.0, lambda x, v: np.asarray(x, dtype=float) ** 3, dim=1)
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=30.0, n_save=31, seed=2,
                             blowup_norm=1e6)
-        tr = sim.simulate_pair(runaway, benchmark_levy, cfg,
+        tr = sim.simulate_pair(runaway_system(), benchmark_levy, cfg,
                                PairState([3.0], [3.0], [0.0], [0.0]), 1.0, 0.25)
         assert tr.blown_up
         assert np.isnan(tr.x[-1, 0])
+
+    def test_step_pair_is_one_window_of_simulate_pair(self, benchmark_levy,
+                                                      benchmark_langevin):
+        sys_ = benchmark_langevin.system()
+        cfg = sim.SimConfig(h=0.2, delta=1e-3, horizon=0.2, n_save=2, seed=3)
+        p0 = PairState([0.5], [0.2], [-0.5], [0.1])
+        tr = sim.simulate_pair(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
+        batch = ms.sample_large_jumps(benchmark_levy.measure, 0.2, 1e-3, sim.replica_rng(3, 0))
+        assert len(batch) > 0
+        comp = benchmark_levy.measure.compensation_drift(1e-3)
+        st = sim.step_pair(sys_, benchmark_levy, p0, 0.2, list(batch.marks), list(batch.unif),
+                           1.0, 0.25, comp)
+        for got, want in ((st.x, tr.x), (st.v, tr.v), (st.xp, tr.xp), (st.vp, tr.vp)):
+            np.testing.assert_array_equal(got, want[1])
+
+
+class TestSingleBlowup:
+    def test_nan_fill_after_last_finite_snapshot(self, benchmark_levy):
+        cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=30.0, n_save=31, seed=2,
+                            blowup_norm=1e6)
+        tr = sim.simulate_single(runaway_system(), benchmark_levy, cfg, [3.0], [3.0])
+        assert tr.blown_up
+        finite = np.isfinite(tr.x[:, 0]) & np.isfinite(tr.v[:, 0])
+        last = int(np.nonzero(finite)[0][-1])
+        assert last < len(tr.times) - 1
+        assert finite[:last + 1].all()
+        assert np.isnan(tr.x[last + 1:]).all() and np.isnan(tr.v[last + 1:]).all()
+
+
+class TestPairDimension:
+    def test_pair_runs_raise_outside_dim_one(self):
+        levy2 = ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 2), theta=1.0)
+        # a lambda force cannot be pickled: a started worker pool would fail otherwise
+        sys2 = md.HamiltonianSystemSpec(
+            0.0, 1.0, lambda x, v: -np.asarray(v, dtype=float), dim=2)
+        cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=1.0, n_save=3, seed=1, n_replicas=4)
+        p0 = PairState([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(NotImplementedError, match="system dim 2"):
+            sim.simulate_pair(sys2, levy2, cfg, p0, 1.0, 0.25)
+        with pytest.raises(NotImplementedError, match="system dim 2"):
+            sim.run_pair_ensemble(sys2, levy2, cfg, p0, 1.0, 0.25, workers=2)
+        with pytest.raises(NotImplementedError, match="system dim 2"):
+            sim.step_pair(sys2, levy2, p0, 0.05, [], [], 1.0, 0.25, np.zeros(2))
+        with pytest.raises(NotImplementedError, match="noise dim 2"):
+            sim.simulate_pair(free_system(), levy2, cfg,
+                              PairState([1.0], [0.0], [0.0], [0.0]), 1.0, 0.25)
+        tr = sim.simulate_single(sys2, levy2, cfg, [1.0, 0.0], [0.0, 0.0])
+        assert tr.x.shape == (3, 2) and not tr.blown_up
+        assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(tr.v))
+
+
+class TestPairKernelBeyondSlice:
+    """Coupling invariants when the driving measure is more than the slice."""
+
+    def test_marginal_law_per_copy(self, beyond_slice_levy):
+        cfg = sim.SimConfig(h=0.05, delta=2e-2, horizon=1.0, n_save=3, seed=404,
+                            n_replicas=600)
+        trs = sim.run_pair_ensemble(free_scalar_system(), beyond_slice_levy, cfg,
+                                    PairState([1.0], [0.0], [0.0], [0.0]), 1.0, 0.25)
+        assert any(not np.array_equal(t.v, t.vp) for t in trs)  # the coupling acted
+        crit = 1.628 * math.sqrt(2.0 / len(trs))
+        for k in (1, 2):
+            v, vp = (np.array([t.v[k, 0] for t in trs]), np.array([t.vp[k, 0] for t in trs]))
+            dx, dxp = (np.array([t.x[k, 0] - 1.0 for t in trs]),
+                       np.array([t.xp[k, 0] for t in trs]))
+            assert stats.ks_2samp(v, vp).statistic < crit
+            assert stats.ks_2samp(dx, dxp).statistic < crit
+
+    def test_displacement_law_on_the_slab(self, beyond_slice_levy):
+        # the second copy's jumps share the law of the first's: on the slab
+        # 0 < u <= 1 the two modified channels trade equal mass (up to a
+        # cutoff-edge term of order delta), off it every jump is synchronous
+        batch = ms.sample_large_jumps(beyond_slice_levy.measure, 1000.0, 2e-2,
+                                      sim.replica_rng(505, 0))
+        u, l = batch.marks[:, 0], batch.unif
+        disp = np.array([sim.classify_jump(beyond_slice_levy, float(a), 0.4, 1.0, 0.25,
+                                           float(b)) for a, b in zip(u, l)])
+        slab = (u > 0.0) & (u <= 1.0)
+        np.testing.assert_array_equal(disp[~slab], u[~slab])
+        assert np.mean(disp[slab] != u[slab]) > 0.02  # the coupling acted
+        crit = 1.628 * math.sqrt(2.0 / slab.sum())
+        assert stats.ks_2samp(disp[slab], u[slab]).statistic < crit
+
+    def test_diagonal_absorption(self, beyond_slice_levy, benchmark_langevin):
+        # heavy tails blow explicit Euler up on some seeds; both copies are
+        # then flagged and NaN-filled alike
+        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=5)
+        for rep in range(10):
+            tr = sim.simulate_pair(benchmark_langevin.system(), beyond_slice_levy, cfg,
+                                   PairState([1.3], [-0.4], [1.3], [-0.4]), 1.0, 0.25,
+                                   replica=rep)
+            assert np.array_equal(tr.x, tr.xp, equal_nan=True)
+            assert np.array_equal(tr.v, tr.vp, equal_nan=True)
+
+    def test_cutoff_refinement_shares_streams(self, beyond_slice_levy):
+        # the jumps a replica's pair run draws from its stream: halving the
+        # cutoff keeps every coarser jump with its classification uniform
+        for rep in range(3):
+            coarse = ms.sample_large_jumps(beyond_slice_levy.measure, 5.0, 2e-2,
+                                           sim.replica_rng(11, rep))
+            fine = ms.sample_large_jumps(beyond_slice_levy.measure, 5.0, 1e-2,
+                                         sim.replica_rng(11, rep))
+            keep = np.abs(fine.marks[:, 0]) > 2e-2
+            assert 0 < keep.sum() < len(fine)
+            np.testing.assert_array_equal(fine.times[keep], coarse.times)
+            np.testing.assert_array_equal(fine.marks[keep], coarse.marks)
+            np.testing.assert_array_equal(fine.unif[keep], coarse.unif)
+
+
+class TestWorkerInvariance:
+    def test_pair_ensemble(self, benchmark_levy, benchmark_langevin):
+        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=2.0, n_save=5, seed=31, n_replicas=8)
+        p0 = PairState([2.0], [0.0], [-2.0], [0.0])
+        args = (benchmark_langevin.system(), benchmark_levy, cfg, p0, 1.0, 0.25)
+        one = sim.run_pair_ensemble(*args, workers=1)
+        two = sim.run_pair_ensemble(*args, workers=2)
+        assert len(one) == len(two) == 8
+        for a, b in zip(one, two):
+            assert_same_paths(a, b)
+
+    def test_single_ensemble(self, benchmark_levy, benchmark_langevin):
+        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=2.0, n_save=5, seed=31, n_replicas=8)
+        args = (benchmark_langevin.system(), benchmark_levy, cfg, [2.0], [0.0])
+        one = sim.run_single_ensemble(*args, workers=1, replica_offset=8)
+        two = sim.run_single_ensemble(*args, workers=2, replica_offset=8)
+        assert len(one) == len(two) == 8
+        for a, b in zip(one, two):
+            assert_same_paths(a, b)
 
 
 class TestWindows:
