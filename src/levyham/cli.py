@@ -117,7 +117,7 @@ def _verify_a2(cfg, seed):
     levy = cfg.build_levy()
     setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
     eta, c_star, rep = md.verify_jump_regularity(setup.lyap, levy.slice_part,
-                                                 min(cfg.lyapunov["grid_radius"], 10.0), 9)
+                                                 cfg.lyapunov["grid_radius"])
     moments = levy.measure.moment_pair(levy.theta)
     payload = {"eta": eta, "c_star": c_star, "sup_ratio": rep["sup_ratio"],
                "moment_small": moments.small_jump, "moment_theta": moments.theta_moment,

@@ -135,10 +135,7 @@ class ExperimentConfig:
                     dim=t["dim"])
         else:
             raise ConfigError(f"unknown levy kind {t['kind']!r}")
-        try:
-            return ms.LevyMeasureSpec(measure=measure, theta=t["theta"], slice_part=slice_part)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ms.LevyMeasureSpec(measure=measure, theta=t["theta"], slice_part=slice_part)
 
     def build_potential(self):
         t = self.model
@@ -241,19 +238,15 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
 
 
 def _validate_physics(cfg: ExperimentConfig):
-    lv = cfg.levy
-    if lv["kind"] == "slice" and not 0.0 < lv["theta0"] < 2.0:
-        raise ConfigError("levy theta0 must lie in (0, 2)")
-    if not 0.0 < lv["theta"] <= 1.0:
-        raise ConfigError("levy theta must lie in (0, 1]")
-    if cfg.model["b"] <= 0:
-        raise ConfigError("model b must be positive")
-    if cfg.model["a"] < 0:
-        raise ConfigError("model a must be non-negative")
-    if cfg.sim["h"] <= 0 or cfg.sim["delta"] <= 0:
-        raise ConfigError("sim h and delta must be positive")
-    if cfg.sim["horizon"] < 0:
-        raise ConfigError("sim horizon must be non-negative")
+    # build each spec once: its constructor's range checks name the bad value
+    checks = (("levy", cfg.build_levy),
+              ("model", lambda: cfg.build_langevin().system(cfg.model["a"], cfg.model["b"])),
+              ("sim", cfg.build_sim))
+    for section, build in checks:
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
     if cfg.constants["r0_jump"] <= 0:
         raise ConfigError("constants r0_jump must be positive")
 

@@ -352,22 +352,14 @@ def fit_lyapunov_drift(system, levy_spec, lyap, grid_radius: float = 20.0, n_gri
     ``c0`` is 90% of the worst drift-to-weight ratio on the outer shell;
     ``C0`` then covers the full grid with a 10% margin, so the reported fit
     satisfies the inequality on every probed point by construction. The
-    meaningful outputs are ``c0 > 0`` and the worst-point location.
+    meaningful outputs are ``c0 > 0`` and the worst-point location. The
+    generator and the weight are evaluated on the whole ``(x, v)`` grid in
+    one broadcast call each.
     """
-    scheme = scheme or gen.QuadratureScheme()
-    nodes = gen.build_nodes_1d(levy_spec.measure, scheme)
-    f = gen.lyapunov_test_function(lyap)
-    xs = md.ball_grid(grid_radius, n_grid, system.dim, include_origin=True)
-    vs = md.ball_grid(grid_radius, n_grid, system.dim, include_origin=True)
-    LW = np.empty((len(xs), len(vs)))
-    W = np.empty_like(LW)
-    for i, x in enumerate(xs):
-        for j, v in enumerate(vs):
-            LW[i, j], _ = gen.apply_generator(system, levy_spec, f, x, v, scheme, nodes=nodes)
-            W[i, j] = float(lyap.W(x, v))
-    norm_x = np.linalg.norm(xs, axis=-1)
-    norm_v = np.linalg.norm(vs, axis=-1)
-    shell = (norm_x[:, None] >= grid_radius / 2.0) | (norm_v[None, :] >= grid_radius / 2.0)
+    x, v = md.grid_pairs(grid_radius, n_grid, system.dim, include_origin=True)
+    LW, _ = gen.apply_generator(system, levy_spec, gen.lyapunov_test_function(lyap), x, v, scheme)
+    W = lyap.W(x, v)
+    shell = np.maximum(np.linalg.norm(x, axis=-1), np.linalg.norm(v, axis=-1)) >= grid_radius / 2
     ratio = -LW / W
     c0 = 0.9 * float(np.min(ratio[shell]))
     report = {"shell_min_ratio": float(np.min(ratio[shell])),
@@ -378,7 +370,7 @@ def fit_lyapunov_drift(system, levy_spec, lyap, grid_radius: float = 20.0, n_gri
     excess = LW + c0 * W
     C0 = 1.1 * max(float(np.max(excess)), 1e-6)
     iw, jw = np.unravel_index(np.argmax(excess), excess.shape)
-    report.update({"C0_argmax_x": xs[iw].tolist(), "C0_argmax_v": vs[jw].tolist(),
+    report.update({"C0_argmax_x": x[iw, jw].tolist(), "C0_argmax_v": v[iw, jw].tolist(),
                    "worst_excess_after": float(np.max(LW + c0 * W - C0))})
     return c0, C0, report
 
@@ -591,8 +583,7 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
         flags.append("weight_drift_fit_failed")
         c0_lyap = 1e-6
 
-    eta, c_star, _ = md.verify_jump_regularity(lyap, levy_spec.slice_part,
-                                               grid_radius=min(grid_radius, 10.0), n_grid=9)
+    eta, c_star, _ = md.verify_jump_regularity(lyap, levy_spec.slice_part, grid_radius)
     lyap = replace(lyap, eta=eta, c_star=c_star)
 
     c0_sigma, theta0 = ms.fit_overlap_floor(levy_spec.slice_part, r0_jump)

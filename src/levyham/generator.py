@@ -78,9 +78,11 @@ class QuadratureScheme:
 class TestFunction:
     """Scalar observable with the derivatives the generator needs.
 
-    ``value(x, v)`` and ``grad_x``/``grad_v`` are broadcast over leading
-    axes; ``hess_v`` feeds the analytic inner-zone term (without it the
-    zone is dropped and its bound lands in the reported error).
+    ``value(x, v)``, ``grad_x``, ``grad_v`` and ``hess_v`` broadcast over
+    leading axes, so the generator takes a whole grid in one call. ``hess_v``
+    (any shape that reshapes to ``x.shape[:-1]`` in d = 1) feeds the analytic
+    inner-zone term (without it the zone is dropped and its bound lands in
+    the reported error).
     """
 
     value: object
@@ -188,60 +190,65 @@ def build_nodes_1d(measure, scheme: QuadratureScheme, breakpoints=()) -> Measure
 
 
 def apply_generator(system, levy_spec, f: TestFunction, x, v,
-                    scheme: QuadratureScheme | None = None,
-                    nodes: MeasureNodes | None = None) -> tuple[float, float]:
+                    scheme: QuadratureScheme | None = None):
     """Evaluate the full generator on ``f`` at ``(x, v)``.
 
-    Returns ``(value, error_bound)`` where the bound covers the dropped
-    inner zone, the truncated tail, and accumulation noise.
+    ``x`` and ``v`` may carry leading axes (a whole grid in one call).
+    Returns ``(value, error_bound)`` of shape ``x.shape[:-1]``, plain floats
+    for one point, where the bound covers the dropped inner zone, the
+    truncated tail, and accumulation noise.
     """
     scheme = scheme or QuadratureScheme()
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    if nodes is None:
-        nodes = build_nodes_1d(levy_spec.measure, scheme)
+    nodes = build_nodes_1d(levy_spec.measure, scheme)
     xdot = system.a * x + system.b * v
     u_force = np.asarray(system.force(x, v), dtype=float)
-    val = float(np.sum(np.asarray(f.grad_x(x, v)) * xdot)
-                + np.sum(np.asarray(f.grad_v(x, v)) * u_force))
+    val = (np.sum(np.asarray(f.grad_x(x, v)) * xdot, axis=-1)
+           + np.sum(np.asarray(f.grad_v(x, v)) * u_force, axis=-1))
+    jump, integrand, base, hess = _jump_sum(f, x, v, nodes)
+    val, err = val + jump, _error_bound(nodes, integrand, base, hess)
+    return (val, err) if val.ndim else (float(val), float(err))
 
-    du = nodes.points                      # (n, 1)
-    base = float(f.value(x, v))
+
+def _jump_sum(f: TestFunction, x, v, nodes: MeasureNodes):
+    # compensated velocity-jump integral of f, broadcast over leading axes;
+    # returns (value, integrand on the sync nodes, f(x, v), velocity Hessian)
     mask = nodes.sync_mask
-    shifted = np.asarray(f.value(np.broadcast_to(x, du.shape)[mask], v[None, :] + du[mask]),
-                         dtype=float)
-    gv = float(np.asarray(f.grad_v(x, v))[0])
     um = nodes.u[mask]
-    comp = np.where(np.abs(um) <= 1.0, gv * um, 0.0)
-    integrand = shifted - base - comp
-    jump = float(np.sum(nodes.w[mask] * nodes.dens[mask] * integrand))
-
+    base = np.asarray(f.value(x, v), dtype=float)
+    shifted_v = v[..., None, :] + nodes.points[mask]
+    shifted = np.asarray(f.value(np.broadcast_to(x[..., None, :], shifted_v.shape), shifted_v),
+                         dtype=float)
+    gv = np.asarray(f.grad_v(x, v), dtype=float)[..., 0]
+    comp = np.where(np.abs(um) <= 1.0, gv[..., None] * um, 0.0)
+    integrand = shifted - base[..., None] - comp
+    jump = np.sum(nodes.w[mask] * nodes.dens[mask] * integrand, axis=-1)
     hess = 0.0
     if f.hess_v is not None:
-        hess = float(np.asarray(f.hess_v(x, v)).reshape(-1)[0])
-    jump += 0.5 * hess * nodes.inner_moment2
-
-    err = _error_bound(nodes, integrand, base, hess)
-    return val + jump, err
+        hess = np.reshape(f.hess_v(x, v), x.shape[:-1])
+        jump = jump + 0.5 * hess * nodes.inner_moment2
+    return jump, integrand, base, hess
 
 
-def _error_bound(nodes: MeasureNodes, sync_integrand: np.ndarray, scale: float,
-                 hess: float = 0.0) -> float:
-    # Taylor remainder in the inner zone, scaled by the local curvature drift
+def _error_bound(nodes: MeasureNodes, sync_integrand: np.ndarray, scale, hess=0.0):
+    # Taylor remainder in the inner zone, scaled by the local curvature drift;
+    # broadcast over the leading axes of sync_integrand
     mask = nodes.sync_mask
     um = nodes.u[mask]
     small = np.argsort(np.abs(um))[:4]
     err_inner = 0.0
     if small.size:
         with np.errstate(divide="ignore", invalid="ignore"):
-            curv = 2.0 * np.abs(sync_integrand[small]) / np.maximum(um[small] ** 2, 1e-300)
-        err_inner = nodes.inner_moment2 * abs(float(np.max(curv)) - abs(hess))
-        err_inner += nodes.inner_moment3 * float(np.max(curv))
+            curv = 2.0 * np.abs(sync_integrand[..., small]) / np.maximum(um[small] ** 2, 1e-300)
+        curv = np.max(curv, axis=-1)
+        err_inner = nodes.inner_moment2 * np.abs(curv - np.abs(hess))
+        err_inner += nodes.inner_moment3 * curv
     err_tail = 0.0
     if nodes.tail_mass > 0:
         edge = np.argmax(np.abs(um))
-        err_tail = nodes.tail_mass * abs(float(sync_integrand[edge]))
-    err_float = 1e-16 * (abs(scale) + 1.0) * float(np.sum(nodes.w[mask] * nodes.dens[mask]))
+        err_tail = nodes.tail_mass * np.abs(sync_integrand[..., edge])
+    err_float = 1e-16 * (np.abs(scale) + 1.0) * float(np.sum(nodes.w[mask] * nodes.dens[mask]))
     return err_inner + err_tail + err_float
 
 
@@ -572,20 +579,11 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
 # ---------------------------------------------------------------------------
 
 
-def apply_jump_generator_1d(value_fn, grad_fn, v, nodes: MeasureNodes,
-                            hess_fn=None) -> float:
-    """Pure-jump generator of the driving noise on a function of one velocity."""
-    mask = nodes.sync_mask
-    du = nodes.points[mask]
-    base = float(value_fn(v))
-    shifted = np.asarray(value_fn(v[None, :] + du), dtype=float)
-    g = float(np.asarray(grad_fn(v), dtype=float)[0])
-    um = nodes.u[mask]
-    comp = np.where(np.abs(um) <= 1.0, g * um, 0.0)
-    out = float(np.sum(nodes.w[mask] * nodes.dens[mask] * (shifted - base - comp)))
-    if hess_fn is not None:
-        out += 0.5 * float(hess_fn(v)) * nodes.inner_moment2
-    return out
+def _velocity_fn(fn: dict) -> TestFunction:
+    # a {"value", "grad", "hess"} dict of velocity functions as a TestFunction
+    hess = fn.get("hess")
+    return TestFunction(lambda x, v: fn["value"](v), None, lambda x, v: fn["grad"](v),
+                        None if hess is None else lambda x, v: hess(v))
 
 
 def marginal_identity_residual(x, xp, g, h, v, vp, system, levy_spec, alpha: float,
@@ -601,8 +599,8 @@ def marginal_identity_residual(x, xp, g, h, v, vp, system, levy_spec, alpha: flo
                            breakpoints=_pair_breakpoints(float(np.linalg.norm(shift))))
     lhs, _ = apply_coupling_operator(fn, pair, system, levy_spec, alpha, kappa,
                                      scheme, nodes=nodes, drift_part=False)
-    rhs = (apply_jump_generator_1d(g["value"], g["grad"], pair.v, nodes, g.get("hess"))
-           + apply_jump_generator_1d(h["value"], h["grad"], pair.vp, nodes, h.get("hess")))
+    rhs = (float(_jump_sum(_velocity_fn(g), pair.x, pair.v, nodes)[0])
+           + float(_jump_sum(_velocity_fn(h), pair.xp, pair.vp, nodes)[0]))
     return abs(lhs - rhs)
 
 

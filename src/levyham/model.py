@@ -54,6 +54,7 @@ __all__ = [
     "verify_gamma_drift",
     "verify_jump_regularity",
     "ball_grid",
+    "grid_pairs",
 ]
 
 
@@ -263,6 +264,12 @@ class CertificateReport:
         }
 
 
+def grid_pairs(radius: float, n: int, dim: int, include_origin: bool):
+    """Every pair ``(x, v)`` of ``ball_grid`` points, as two arrays of shape ``(m, m, dim)``."""
+    pts = ball_grid(radius, n, dim, include_origin)
+    return np.broadcast_arrays(pts[:, None, :], pts[None, :, :])
+
+
 def ball_grid(radius: float, n: int, dim: int, include_origin: bool = False) -> np.ndarray:
     """Deterministic point grid covering the ball of the given radius.
 
@@ -444,21 +451,24 @@ class LyapunovSpec:
         return fac[..., None] * g if np.ndim(fac) else fac * g
 
     def hess_v_W(self, x, v):
-        V = float(self.V(x, v))
+        """Velocity Hessian of W, shape ``(..., dim, dim)`` over the leading axes."""
+        V = np.asarray(self.V(x, v))[..., None, None]
         g = self.grad_v_V(x, v)
         t2 = self.theta / 2.0
         eye = np.eye(self.dim)
-        return t2 * V ** (t2 - 1.0) * eye + t2 * (t2 - 1.0) * V ** (t2 - 2.0) * np.outer(g, g)
+        return (t2 * V ** (t2 - 1.0) * eye
+                + t2 * (t2 - 1.0) * V ** (t2 - 2.0) * (g[..., :, None] * g[..., None, :]))
 
 
-def gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec, x, v) -> float:
-    """Linear-drift functional ``<grad_x V, ax+bv> + <grad_v V, U(x, v)>``."""
+def gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec, x, v):
+    """``<grad_x V, ax+bv> + <grad_v V, U(x, v)>`` over leading axes (a float for one point)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     xdot, u = drift(spec, x, v)
     gx = lyap.grad_x_V(x, v)
     gv = lyap.grad_v_V(x, v)
-    return float(np.sum(gx * xdot, axis=-1) + np.sum(gv * u, axis=-1))
+    out = np.sum(gx * xdot, axis=-1) + np.sum(gv * u, axis=-1)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -551,18 +561,9 @@ def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0,
 
 
 def _grid_drift_excess(lyap, spec, v0, c, grid_radius, n_grid):
-    xs = ball_grid(grid_radius, n_grid, spec.dim)
-    vs = ball_grid(grid_radius, n_grid, spec.dim)
-    worst = -math.inf
-    for x in xs:
-        xdot_all = spec.a * x + spec.b * vs
-        u_all = np.atleast_2d(spec.force(np.broadcast_to(x, vs.shape), vs))
-        gx = lyap.v0.grad(x) + lyap.r ** 2 * x + lyap.r0_cross * vs
-        gv = vs + lyap.r0_cross * x
-        gamma = np.sum(gx * xdot_all, axis=-1) + np.sum(gv * u_all, axis=-1)
-        bound = c * (v0.value(x) + np.sum(x * x) + np.sum(vs * vs, axis=-1))
-        worst = max(worst, float(np.max(gamma + bound)))
-    return worst
+    x, v = grid_pairs(grid_radius, n_grid, spec.dim, include_origin=False)
+    bound = c * (v0.value(x) + np.sum(x * x, axis=-1) + np.sum(v * v, axis=-1))
+    return float(np.max(gamma_drift(lyap, spec, x, v) + bound))
 
 
 def verify_gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec,
@@ -579,30 +580,37 @@ def verify_gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec,
 # ---------------------------------------------------------------------------
 
 
-def _abs_increment_integral(lyap: LyapunovSpec, slice_m: SliceMeasure, x, v) -> float:
-    # integral of |W(x, v+u) - W(x, v)| against the slice measure, dim = 1
-    u, w = log_gauss_panels(1e-12, 1.0, panels_per_decade=4, nodes_per_panel=12)
-    base = float(lyap.W(x, v))
-    vals = lyap.W(x, v[None, :] + u[:, None]) - base
-    # refine panels once around sign changes of the increment
-    sgn = np.sign(vals)
-    flips = np.nonzero(np.diff(sgn) != 0)[0]
-    breakpoints = [float(0.5 * (u[i] + u[i + 1])) for i in flips[:4]]
-    if breakpoints:
+def _abs_increment_integral(lyap: LyapunovSpec, slice_m: SliceMeasure, x, v):
+    # integral of |W(x, v+u) - W(x, v)| against the slice measure, dim = 1,
+    # broadcast over leading axes (a float for one point)
+    def integral(x, v, base, breakpoints=()):
         u, w = log_gauss_panels(1e-12, 1.0, panels_per_decade=4, nodes_per_panel=12,
                                 breakpoints=breakpoints)
-        vals = lyap.W(x, v[None, :] + u[:, None]) - base
-    dens = slice_m.c * u ** (-1.0 - slice_m.theta0)
-    return float(np.sum(np.abs(vals) * dens * w))
+        vals = lyap.W(x[..., None, :], v[..., None, :] + u[:, None]) - np.expand_dims(base, -1)
+        dens = slice_m.c * u ** (-1.0 - slice_m.theta0)
+        return np.sum(np.abs(vals) * dens * w, axis=-1), u, vals
+
+    base = np.asarray(lyap.W(x, v))
+    out, u, vals = integral(x, v, base)
+    out = np.array(out)
+    # refine the panels once around sign changes of the increment, point by point
+    flips = np.diff(np.sign(vals), axis=-1) != 0
+    for idx in map(tuple, np.argwhere(flips.any(axis=-1))):
+        breakpoints = [float(0.5 * (u[i] + u[i + 1])) for i in np.flatnonzero(flips[idx])[:4]]
+        out[idx] = integral(x[idx], v[idx], base[idx], breakpoints)[0]
+    return out if out.ndim else float(out)
 
 
 def verify_jump_regularity(lyap: LyapunovSpec, slice_m: SliceMeasure,
-                           grid_radius: float = 20.0, n_grid: int = 15) -> tuple:
+                           grid_radius: float = 20.0, n_grid: int = 9) -> tuple:
     """Fit ``c_star`` with integral |W(x, v+u) - W| nu*(du) <= c_star W^(1/2).
 
     The exponent is pinned at 1/2; the returned constant is the grid
-    supremum of the ratio plus a 10% margin. Raises when the half-moment of
-    the slice diverges (requires ``theta0 < theta / 2``).
+    supremum of the ratio plus a 10% margin. The grid pairs every x with
+    every v of a ball grid of radius ``min(grid_radius, 10)`` and ``n_grid``
+    points per axis, and all its points are integrated in one broadcast
+    call. Raises when the half-moment of the slice diverges (requires
+    ``theta0 < theta / 2``).
     """
     if slice_m.theta0 >= lyap.theta / 2.0:
         raise MomentFailure(
@@ -611,18 +619,12 @@ def verify_jump_regularity(lyap: LyapunovSpec, slice_m: SliceMeasure,
     if slice_m.dim != 1:
         raise NotImplementedError("jump regularity quadrature implemented for dim == 1")
     eta = 0.5
-    xs = ball_grid(grid_radius, n_grid, lyap.dim, include_origin=True)
-    vs = ball_grid(grid_radius, n_grid, lyap.dim, include_origin=True)
-    sup = 0.0
-    arg = None
-    for x in xs:
-        for v in vs:
-            val = _abs_increment_integral(lyap, slice_m, x, v)
-            ratio = val / float(lyap.W(x, v)) ** eta
-            if ratio > sup:
-                sup, arg = ratio, (x.copy(), v.copy())
+    x, v = grid_pairs(min(grid_radius, 10.0), n_grid, lyap.dim, include_origin=True)
+    ratio = _abs_increment_integral(lyap, slice_m, x, v) / lyap.W(x, v) ** eta
+    k = np.unravel_index(np.argmax(ratio), ratio.shape)
+    sup = float(ratio[k])
     c_star = 1.1 * sup
     report = {"eta": eta, "sup_ratio": sup, "c_star": c_star,
-              "argmax_x": None if arg is None else arg[0].tolist(),
-              "argmax_v": None if arg is None else arg[1].tolist()}
+              "argmax_x": x[k].tolist() if sup > 0.0 else None,
+              "argmax_v": v[k].tolist() if sup > 0.0 else None}
     return eta, c_star, report

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as ms
-from .errors import NonFiniteState
+from .errors import ConfigError, NonFiniteState
 from .pair import PairState
 
 __all__ = [
@@ -102,7 +102,11 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    return max(int(os.environ.get("LEVYHAM_WORKERS", "1")), 1)
+    """Worker processes from ``LEVYHAM_WORKERS`` (default 1); anything but an integer >= 1 raises."""
+    raw = os.environ.get("LEVYHAM_WORKERS", "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ConfigError(f"LEVYHAM_WORKERS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ def benchmark_bundle(benchmark_langevin, benchmark_levy):
 
 
 @pytest.fixture(scope="session")
+def benchmark_lyap(benchmark_langevin):
+    return md.build_lyapunov(benchmark_langevin).lyap
+
+
+@pytest.fixture(scope="session")
 def half_slice_levy():
     # the theta0 = 0.5 slice used by the closed-form overlap oracles
     return ms.LevyMeasureSpec(measure=ms.SliceMeasure(c=1.0, theta0=0.5, dim=1), theta=1.0)

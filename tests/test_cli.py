@@ -89,6 +89,18 @@ class TestExitCodes:
         code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["[levy]\nc = -1.0\n", "[sim]\nn_save = 0\n",
+                                      "[model]\nalpha_damp = -1.0\n",
+                                      "[levy]\nkind = stable\nalpha0 = 2.5\n"])
+    def test_out_of_range_value_is_one(self, tmp_path, capsys, text):
+        path = write(tmp_path, text)
+        code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error")
+        section = text.split("]")[0] + "]"
+        assert section in err[0]
+
     def test_constants_benchmark(self, tmp_path):
         code = cli.main(["constants", "--out", str(tmp_path)])
         assert code == 0

@@ -105,7 +105,6 @@ class TestApplyGenerator:
 
     def test_linearity(self, half_slice_levy, scheme):
         x, v = np.array([0.4]), np.array([-0.7])
-        nodes = gen.build_nodes_1d(half_slice_levy.measure, scheme)
         sys_ = damping_system()
         f1, f2 = vsq_fn(), linear_fn(1.5)
         combo = gen.TestFunction(
@@ -113,10 +112,33 @@ class TestApplyGenerator:
             grad_x=lambda xx, vv: 2.0 * f1.grad_x(xx, vv) - 3.0 * f2.grad_x(xx, vv),
             grad_v=lambda xx, vv: 2.0 * f1.grad_v(xx, vv) - 3.0 * f2.grad_v(xx, vv),
             hess_v=lambda xx, vv: 2.0 * f1.hess_v(xx, vv) - 3.0 * f2.hess_v(xx, vv))
-        lhs, _ = gen.apply_generator(sys_, half_slice_levy, combo, x, v, scheme, nodes=nodes)
-        a1, _ = gen.apply_generator(sys_, half_slice_levy, f1, x, v, scheme, nodes=nodes)
-        a2, _ = gen.apply_generator(sys_, half_slice_levy, f2, x, v, scheme, nodes=nodes)
+        lhs, _ = gen.apply_generator(sys_, half_slice_levy, combo, x, v, scheme)
+        a1, _ = gen.apply_generator(sys_, half_slice_levy, f1, x, v, scheme)
+        a2, _ = gen.apply_generator(sys_, half_slice_levy, f2, x, v, scheme)
         assert lhs == pytest.approx(2.0 * a1 - 3.0 * a2, rel=1e-10, abs=1e-10)
+
+    def test_grid_call_matches_points(self, benchmark_langevin, benchmark_levy,
+                                      benchmark_lyap, scheme):
+        # one call on an (n, m, 1) grid equals the per-point calls that take the
+        # same numpy array route (one leading axis) exactly; a float call at one
+        # point evaluates W's power with numpy's scalar ** and may differ from
+        # the array ** in the last bits, which the value carries as a few ulps
+        system = benchmark_langevin.system()
+        f = gen.lyapunov_test_function(benchmark_lyap)
+        xs = md.ball_grid(20.0, 5, 1, include_origin=True)
+        vs = md.ball_grid(20.0, 7, 1, include_origin=True)
+        x, v = np.broadcast_arrays(xs[:, None, :], vs[None, :, :])
+        val, err = gen.apply_generator(system, benchmark_levy, f, x, v, scheme)
+        assert val.shape == err.shape == (5, 7)
+        for i, j in np.ndindex(5, 7):
+            one_val, one_err = gen.apply_generator(system, benchmark_levy, f, xs[i][None],
+                                                   vs[j][None], scheme)
+            assert one_val.shape == one_err.shape == (1,)
+            assert one_val[0] == val[i, j] and one_err[0] == err[i, j]
+            point_val, point_err = gen.apply_generator(system, benchmark_levy, f, xs[i], vs[j],
+                                                       scheme)
+            assert isinstance(point_val, float) and isinstance(point_err, float)
+            assert point_val == pytest.approx(val[i, j], rel=8 * np.finfo(float).eps, abs=0.0)
 
     def test_derivative_validation(self, flat_lyap):
         tf = gen.lyapunov_test_function(flat_lyap)

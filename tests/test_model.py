@@ -8,6 +8,7 @@ from scipy import integrate
 
 from levyham import measures as ms
 from levyham import model as md
+from levyham.quadtools import log_gauss_panels
 from levyham.errors import (EmptyWindow, GrowthTestFailed, InvalidCross,
                             MomentFailure, NonFiniteForce)
 
@@ -129,6 +130,26 @@ class TestLyapunovWeight:
                 fd = (ly.V(x, v + h) - ly.V(x, v - h)) / (2 * h)
             assert float(grad(x, v)[0]) == pytest.approx(float(fd), rel=1e-6)
 
+    def test_stacked_hessian_matches_points(self, benchmark_lyap):
+        xs = md.ball_grid(20.0, 5, 1, include_origin=True)
+        vs = md.ball_grid(20.0, 7, 1, include_origin=True)
+        x, v = np.broadcast_arrays(xs[:, None, :], vs[None, :, :])
+        hess = benchmark_lyap.hess_v_W(x, v)
+        assert hess.shape == (5, 7, 1, 1)
+        for i, j in np.ndindex(5, 7):
+            one = benchmark_lyap.hess_v_W(xs[i], vs[j])
+            assert one.shape == (1, 1)
+            assert one[0, 0] == hess[i, j, 0, 0]
+
+    def test_stacked_hessian_2d(self):
+        ly = md.LyapunovSpec(r=1.0, r0_cross=0.3, theta=1.0, v0=zero_potential(), dim=2)
+        x = np.array([[0.5, -1.0], [2.0, 0.0]])
+        v = np.array([[1.0, 2.0], [-0.5, 0.25]])
+        hess = ly.hess_v_W(x, v)
+        assert hess.shape == (2, 2, 2)
+        for k in range(2):
+            assert np.array_equal(ly.hess_v_W(x[k], v[k]), hess[k])
+
 
 class TestGammaDrift:
     def _setup(self):
@@ -146,6 +167,21 @@ class TestGammaDrift:
         kl, ly = self._setup()
         got = md.gamma_drift(ly, kl.system(), np.array([1.0]), np.array([0.0]))
         assert got == pytest.approx(-0.5, rel=1e-14)
+
+    def test_grid_drift_excess_matches_points(self, benchmark_langevin, benchmark_lyap):
+        system = benchmark_langevin.system()
+        c = benchmark_lyap.drift_c
+        xs = md.ball_grid(20.0, 61, 1)
+        worst = max(md.gamma_drift(benchmark_lyap, system, x, v)
+                    + c * float(benchmark_lyap.v0.value(x) + x @ x + v @ v)
+                    for x in xs for v in xs)
+        got = md._grid_drift_excess(benchmark_lyap, system, benchmark_lyap.v0, c, 20.0, 61)
+        assert got == worst
+
+    def test_grid_gamma_rejects_nonfinite_force(self, benchmark_lyap):
+        system = md.HamiltonianSystemSpec(0.0, 1.0, lambda x, v: np.where(x > 5.0, np.inf, -v))
+        with pytest.raises(NonFiniteForce):
+            md._grid_drift_excess(benchmark_lyap, system, benchmark_lyap.v0, 0.1, 20.0, 11)
 
     def test_grid_drift_bound(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
@@ -214,6 +250,23 @@ class TestJumpRegularity:
             v = rng.uniform(-8, 8, 1)
             val = md._abs_increment_integral(ly, benchmark_levy.slice_part, x, v)
             assert val <= c_star * float(ly.W(x, v)) ** eta * (1 + 1e-9)
+
+    def test_grid_integral_matches_points(self, benchmark_levy, benchmark_lyap):
+        # the A2 grid of the constant chain: radius 10, 9 points per axis
+        sl = benchmark_levy.slice_part
+        xs = md.ball_grid(10.0, 9, 1, include_origin=True)
+        x, v = np.broadcast_arrays(xs[:, None, :], xs[None, :, :])
+        got = md._abs_increment_integral(benchmark_lyap, sl, x, v)
+        assert got.shape == (9, 9)
+        u, _ = log_gauss_panels(1e-12, 1.0, panels_per_decade=4, nodes_per_panel=12)
+        increment = benchmark_lyap.W(x[..., None, :], v[..., None, :] + u[:, None]) \
+            - benchmark_lyap.W(x, v)[..., None]
+        changes_sign = np.any(np.diff(np.sign(increment), axis=-1) != 0, axis=-1)
+        assert changes_sign.any() and not changes_sign.all()
+        for i, j in np.ndindex(9, 9):
+            one = md._abs_increment_integral(benchmark_lyap, sl, xs[i], xs[j])
+            assert isinstance(one, float)
+            assert one == got[i, j]
 
     def test_exponent_hypothesis_guard(self):
         ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=zero_potential(), dim=1)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import stats
 from levyham import measures as ms
 from levyham import model as md
 from levyham import simulate as sim
+from levyham.errors import ConfigError
 from levyham.pair import PairState
 
 
@@ -340,3 +342,7 @@ class TestWindows:
         assert sim.worker_count() == 3
         monkeypatch.delenv("LEVYHAM_WORKERS")
         assert sim.worker_count() == 1
+        for bad in ("two", "0", "-2", "1.5", ""):
+            monkeypatch.setenv("LEVYHAM_WORKERS", bad)
+            with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+                sim.worker_count()
