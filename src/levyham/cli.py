@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 usage/config error or a dimension the command does
 not implement, 2 completed with flags (degenerate constants, failed
 verification, insufficient decay).
 Outputs are bitwise-stable given (config, seed); the manifest additionally
-records wall-clock timings. Worker count comes from LEVYHAM_WORKERS.
+records wall-clock timings. LEVYHAM_WORKERS sets the worker processes of
+the pair runs (``rate``, ``couple``); ``equilibrium`` batches in one process.
 """
 
 from __future__ import annotations

@@ -208,8 +208,7 @@ def sliced_wasserstein(A: EmpiricalMeasure, B: EmpiricalMeasure, n_projections: 
 
 def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
                             init_b: tuple, theta: float = 1.0,
-                            n_projections: int = 64, workers: int | None = None,
-                            independent_streams: bool = True) -> dict:
+                            n_projections: int = 64, independent_streams: bool = True) -> dict:
     """Empirical stationarity probe from two initial conditions.
 
     Runs two single-process ensembles to the horizon, compares their
@@ -219,10 +218,9 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
     """
     if config.n_save < 3:
         raise ValueError("need at least three snapshots for the stationarity proxy")
-    ens_a = sim.run_single_ensemble(system, levy, config, *init_a, workers=workers)
+    ens_a = sim.run_single_ensemble(system, levy, config, *init_a)
     offset = config.n_replicas if independent_streams else 0
-    ens_b = sim.run_single_ensemble(system, levy, config, *init_b, workers=workers,
-                                    replica_offset=offset)
+    ens_b = sim.run_single_ensemble(system, levy, config, *init_b, replica_offset=offset)
 
     def cloud(ens, k):
         rows = [np.concatenate([tr.x[k], tr.v[k]]) for tr in ens if not tr.blown_up]

@@ -518,19 +518,18 @@ def overlap_mass_lower_bound(slice_m: SliceMeasure, s: float, n_dirs: int = 64,
                              n_radii: int = 32) -> float:
     """Infimum of the overlap mass over shifts with ``0 < |x| <= s``.
 
-    Minimised over a direction x radius grid with one refinement pass around
-    the argmin. For the slice family the mass decreases in ``|x|`` along any
-    fixed direction (covered by a property test), so the grid search is a
-    thin safety layer over the boundary value.
+    The mass decreases in ``|x|`` along any fixed direction (covered by a
+    property test). In d = 1 both directions agree, so this is the closed
+    form at ``|x| = s``; otherwise a direction x radius grid with one
+    refinement pass around the argmin guards the boundary value.
     """
     if s <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {s}")
     if slice_m.dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        rng = np.random.default_rng(2024)
-        g = rng.standard_normal((n_dirs, slice_m.dim))
-        dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+        return overlap_mass(slice_m, [s])
+    rng = np.random.default_rng(2024)
+    g = rng.standard_normal((n_dirs, slice_m.dim))
+    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
     radii = np.linspace(s / n_radii, s, n_radii)
     best = math.inf
     best_at = (dirs[0], radii[-1])
@@ -602,6 +601,24 @@ def _annulus_edges(cutoff: float, top: float):
     return edges
 
 
+def _merged(batches: list, dim: int) -> JumpBatch:
+    # one time-ordered batch; equal times keep the order of ``batches``
+    if not batches:
+        return JumpBatch(np.empty(0), np.empty((0, dim)), np.empty(0))
+    times = np.concatenate([b.times for b in batches])
+    order = np.argsort(times, kind="stable")
+    return JumpBatch(times[order], np.concatenate([b.marks for b in batches])[order],
+                     np.concatenate([b.unif for b in batches])[order])
+
+
+def _spawned_child(rng: np.random.Generator, k: int) -> np.random.Generator:
+    # child k of the next rng.spawn(...), built alone: same stream, spawn counter untouched
+    seq = rng.bit_generator.seed_seq
+    key = seq.spawn_key + (seq.n_children_spawned + k,)
+    child = np.random.SeedSequence(seq.entropy, spawn_key=key, pool_size=seq.pool_size)
+    return np.random.Generator(type(rng.bit_generator)(child))
+
+
 def sample_large_jumps(measure, horizon: float, cutoff: float,
                        rng: np.random.Generator, budget: float = 2e7) -> JumpBatch:
     """Sample every jump with ``|u| > cutoff`` on ``[0, horizon]``.
@@ -610,20 +627,17 @@ def sample_large_jumps(measure, horizon: float, cutoff: float,
     i.i.d. from the normalised restriction. Sampling is organised on a fixed
     dyadic ladder of annuli, each with its own child stream, so that runs
     that differ only in the cutoff share every jump above the coarser cutoff.
+    Annulus (or ``SumMeasure`` part) ``k`` draws from child ``k`` of the next
+    ``rng.spawn``, built alone: the batch depends only on ``rng``'s seed
+    sequence, which is neither drawn from nor advanced.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if cutoff < _MIN_ANNULUS_EDGE:
         raise CutoffTooSmall(f"cutoff below the sampler floor {_MIN_ANNULUS_EDGE:g}")
     if isinstance(measure, SumMeasure):
-        children = rng.spawn(len(measure.parts))
-        batches = [sample_large_jumps(p, horizon, cutoff, r, budget)
-                   for p, r in zip(measure.parts, children)]
-        times = np.concatenate([b.times for b in batches])
-        marks = np.concatenate([b.marks for b in batches])
-        unif = np.concatenate([b.unif for b in batches])
-        order = np.argsort(times, kind="stable")
-        return JumpBatch(times[order], marks[order], unif[order])
+        return _merged([sample_large_jumps(p, horizon, cutoff, _spawned_child(rng, i), budget)
+                        for i, p in enumerate(measure.parts)], measure.dim)
 
     expected = measure.mass_above(cutoff) * horizon
     if expected > budget:
@@ -631,28 +645,19 @@ def sample_large_jumps(measure, horizon: float, cutoff: float,
             f"expected {expected:.3g} jumps above cutoff {cutoff:g}, budget {budget:.3g}"
         )
     top = measure.support_radius()
-    children = rng.spawn(64 + 1)
-    times_l, marks_l, unif_l = [], [], []
+    parts = []
     for k, lo, hi in _annulus_edges(cutoff, top):
-        child = children[min(k, 64)]
         lo_eff = max(lo, 0.0)
         if hi <= cutoff or lo_eff >= top:
             continue
         mass = measure.annulus_mass(lo_eff, min(hi, math.inf))
         if mass <= 0:
             continue
+        child = _spawned_child(rng, min(k, 64))
         n = int(child.poisson(mass * horizon))
         t = child.uniform(0.0, horizon, size=n)
         m = measure.sample_annulus(lo_eff, hi, n, child)
         u = child.uniform(size=n)
         keep = np.linalg.norm(m, axis=1) > cutoff
-        times_l.append(t[keep])
-        marks_l.append(m[keep])
-        unif_l.append(u[keep])
-    if not times_l:
-        return JumpBatch(np.empty(0), np.empty((0, measure.dim)), np.empty(0))
-    times = np.concatenate(times_l)
-    marks = np.concatenate(marks_l)
-    unif = np.concatenate(unif_l)
-    order = np.argsort(times, kind="stable")
-    return JumpBatch(times[order], marks[order], unif[order])
+        parts.append(JumpBatch(t[keep], m[keep], u[keep]))
+    return _merged(parts, measure.dim)

@@ -8,7 +8,9 @@ second component's copy by ``+/- alpha (q)_kappa`` accordingly, using the
 left-limit transformed gap within each window (positions frozen at the
 window start, velocity gap updated jump by jump).
 
-Single-process runs are dimension-generic. Pair runs are one-dimensional:
+``run_single_ensemble`` steps all replicas of a single-process ensemble
+together as ``(N, d)`` arrays, in any dimension. Pair runs go replica by
+replica (over ``LEVYHAM_WORKERS`` processes) and are one-dimensional:
 ``simulate_pair``, ``step_pair`` and ``run_pair_ensemble`` raise
 NotImplementedError for any other system or noise dimension. The modified
 channels carry no compensator term: restricted to the unit ball, the two
@@ -20,6 +22,8 @@ Determinism: every replica owns a seed-sequence child of the master seed;
 jump times, marks, and classification uniforms all come from the jump
 stream, so runs that differ only in the step size share their noise
 realisation exactly, and runs that halve the cutoff keep every shared jump.
+Replica ``k`` of a single-process batch equals a one-replica run at
+``replica_offset = k``, blow-ups included.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "classify_jump",
     "step_single",
     "step_pair",
-    "simulate_single",
     "simulate_pair",
     "run_pair_ensemble",
     "run_single_ensemble",
@@ -158,19 +161,24 @@ def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float
 # ---------------------------------------------------------------------------
 
 
-def step_single(system, state: tuple, dt: float, jumps: np.ndarray,
-                comp: np.ndarray, blowup_norm: float = 1e12) -> tuple:
-    """One Euler window: drift from the start state, plus the window's jumps."""
+def step_single(system, state: tuple, dt: float, jumps, comp: np.ndarray,
+                rows=None) -> tuple:
+    """One Euler window over leading axes: drift from the start state, plus the window's jumps.
+
+    ``state`` is ``(x, v)`` of shape ``(..., d)``. ``jumps`` holds the
+    window's marks; mark ``i`` kicks the velocity in flat leading-axis row
+    ``rows[i]`` (row 0 of an unbatched state by default). Each row receives
+    its marks one by one, in the order given.
+    """
     x, v = state
     xdot = system.a * x + system.b * v
     force = np.asarray(system.force(x, v), dtype=float)
     x_new = x + xdot * dt
-    v_new = v
-    for u in jumps:
-        v_new = v_new + u
+    v_new = np.array(v, dtype=float)
+    marks = np.asarray(jumps, dtype=float).reshape(-1, v_new.shape[-1])
+    np.add.at(v_new.reshape(-1, marks.shape[1]),
+              np.zeros(len(marks), dtype=int) if rows is None else rows, marks)
     v_new = v_new + (force + comp) * dt
-    if np.linalg.norm(x_new) > blowup_norm or np.linalg.norm(v_new) > blowup_norm:
-        raise NonFiniteState("single trajectory left the finite range")
     return x_new, v_new
 
 
@@ -208,35 +216,6 @@ def _window_plan(save_times: np.ndarray, h: float):
         dt = (t1 - t0) / n_sub
         for j in range(n_sub):
             yield k + 1, t0 + j * dt, dt
-
-
-def simulate_single(system, levy, config: SimConfig, x0, v0,
-                    replica: int = 0) -> SingleTrajectory:
-    """Euler path of the single process, sampled on the save grid."""
-    rng = replica_rng(config.seed, replica)
-    times = config.save_times()
-    batch = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta, rng,
-                                  config.jump_budget) if times[-1] > 0 else None
-    comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    out_x = np.full((len(times), system.dim), np.nan)
-    out_v = np.full_like(out_x, np.nan)
-    out_x[0], out_v[0] = x, v
-    ptr = 0
-    try:
-        for save_idx, t0, dt in _window_plan(times, config.h):
-            t1 = t0 + dt
-            jumps = []
-            while batch is not None and ptr < len(batch) and batch.times[ptr] < t1 - 1e-15:
-                jumps.append(batch.marks[ptr])
-                ptr += 1
-            x, v = step_single(system, (x, v), dt, jumps, comp, config.blowup_norm)
-            if abs(t1 - times[save_idx]) < 1e-9 * max(times[-1], 1.0):
-                out_x[save_idx], out_v[save_idx] = x, v
-    except NonFiniteState:
-        return SingleTrajectory(times, out_x, out_v, blown_up=True)
-    return SingleTrajectory(times, out_x, out_v)
 
 
 def _scalar_force(system):
@@ -323,25 +302,6 @@ def simulate_pair(system, levy, config: SimConfig, pair0: PairState, alpha: floa
 # ---------------------------------------------------------------------------
 
 
-def _pair_task(args):
-    system, levy, config, pair0, alpha, kappa, replica = args
-    return simulate_pair(system, levy, config, pair0, alpha, kappa, replica)
-
-
-def _single_task(args):
-    system, levy, config, x0, v0, replica = args
-    return simulate_single(system, levy, config, x0, v0, replica)
-
-
-def _run_parallel(task, arglist, workers):
-    if workers <= 1:
-        return [task(a) for a in arglist]
-    import multiprocessing as mp
-
-    with mp.Pool(workers) as pool:
-        return pool.map(task, arglist)
-
-
 def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: float,
                       kappa: float, workers: int | None = None) -> list[PairTrajectory]:
     """All replicas of the coupled pair, in deterministic replica order. Dim 1 only."""
@@ -349,13 +309,49 @@ def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: 
     workers = worker_count() if workers is None else workers
     args = [(system, levy, config, pair0, alpha, kappa, rep)
             for rep in range(config.n_replicas)]
-    return _run_parallel(_pair_task, args, workers)
+    if workers <= 1:
+        return [simulate_pair(*a) for a in args]
+    import multiprocessing as mp
+
+    with mp.Pool(workers) as pool:
+        return pool.starmap(simulate_pair, args)
 
 
 def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
-                        workers: int | None = None, replica_offset: int = 0) -> list[SingleTrajectory]:
-    """All replicas of the single process, in deterministic replica order."""
-    workers = worker_count() if workers is None else workers
-    args = [(system, levy, config, x0, v0, rep + replica_offset)
-            for rep in range(config.n_replicas)]
-    return _run_parallel(_single_task, args, workers)
+                        replica_offset: int = 0) -> list[SingleTrajectory]:
+    """All replicas of the single process, stepped together window by window.
+
+    Replica ``k`` draws its jumps from ``replica_rng(seed, k + replica_offset)``.
+    A replica whose position or velocity norm exceeds ``blowup_norm`` is
+    flagged and frozen; its later snapshots stay NaN.
+    """
+    times = config.save_times()
+    n, d = config.n_replicas, system.dim
+    plan = list(_window_plan(times, config.h))
+    ends = np.array([t0 + dt for _, t0, dt in plan])
+    batches = [ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
+                                     replica_rng(config.seed, rep + replica_offset),
+                                     config.jump_budget) for rep in range(n) if times[-1] > 0]
+    # a jump at t kicks the first window with t < end - 1e-15, as in the pair path;
+    # sorted in (window, replica, time) order, jumps past the last window are dropped
+    jump_times = np.concatenate([b.times for b in batches] + [np.empty(0)])
+    wins = np.searchsorted(ends - 1e-15, jump_times, side="right")
+    order = np.argsort(wins, kind="stable")
+    rows = np.repeat(np.arange(len(batches)), [len(b) for b in batches])[order]
+    marks = np.concatenate([b.marks for b in batches] + [np.empty((0, d))])[order]
+    bounds = np.searchsorted(wins[order], np.arange(len(plan) + 1))
+    comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
+    x, v = (np.tile(np.asarray(z, dtype=float), (n, 1)) for z in (x0, v0))
+    out_x, out_v = np.full((2, n, len(times), d), np.nan)
+    out_x[:, 0], out_v[:, 0] = x, v
+    alive = np.ones(n, dtype=bool)
+    for w, (save_idx, _, dt) in enumerate(plan):
+        jumps = slice(bounds[w], bounds[w + 1])
+        x_new, v_new = step_single(system, (x, v), dt, marks[jumps], comp, rows[jumps])
+        alive &= ~((np.linalg.norm(x_new, axis=-1) > config.blowup_norm)
+                   | (np.linalg.norm(v_new, axis=-1) > config.blowup_norm))
+        x, v = np.where(alive[:, None], x_new, x), np.where(alive[:, None], v_new, v)
+        if abs(ends[w] - times[save_idx]) < 1e-9 * max(times[-1], 1.0):
+            out_x[alive, save_idx], out_v[alive, save_idx] = x[alive], v[alive]
+    return [SingleTrajectory(times, out_x[k], out_v[k], blown_up=not alive[k])
+            for k in range(n)]

@@ -142,6 +142,14 @@ class TestOverlapFloor:
         with pytest.raises(NonPositiveRadius):
             ms.overlap_mass_lower_bound(SL, 0.0)
 
+    @pytest.mark.parametrize("s", [1e-4, 0.04, 0.25, 0.9, 1.5])
+    def test_one_dim_bound_is_the_grid_minimum(self, s):
+        # the direction x radius grid (both signs, 32 radii up to s) that the
+        # closed form replaces in d = 1 finds its minimum at |x| = s
+        grid = [ms.overlap_mass(SL, [r * e]) for e in (1.0, -1.0)
+                for r in np.linspace(s / 32, s, 32)]
+        assert ms.overlap_mass_lower_bound(SL, s) == min(grid)
+
     def test_floor_fit_bounds_everywhere(self):
         c0, theta0 = ms.fit_overlap_floor(SL, 0.5)
         assert theta0 == 0.5
@@ -239,6 +247,46 @@ class TestSampling:
         assert np.all(np.diff(batch.times) >= 0)
         assert total.mass_above(0.2) == pytest.approx(
             SL.mass_above(0.2) + ms.IsotropicStable(1.2, 0.5, 1).mass_above(0.2), rel=1e-12)
+
+
+def spawn_children():
+    # a sampler child rule that takes every generator's children from one real
+    # rng.spawn(65); the generator is kept so that its id stays unique
+    spawned = {}
+
+    def child(rng, k):
+        if id(rng) not in spawned:
+            spawned[id(rng)] = (rng, rng.spawn(65))
+        return spawned[id(rng)][1][k]
+    return child
+
+
+SAMPLED = {
+    "slice": ms.SliceMeasure(1.0, 0.4, 1),
+    "slice+stable": ms.SumMeasure((ms.SliceMeasure(1.0, 0.4, 1), ms.IsotropicStable(0.8))),
+}
+
+
+class TestSamplerStreams:
+    """Building only the used child streams changes no jump."""
+
+    @pytest.mark.parametrize("spawned_before", [0, 3])
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_equal_to_spawn_construction(self, name, spawned_before, monkeypatch):
+        def fresh():
+            rng = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(4,)))
+            rng.spawn(spawned_before)
+            return rng
+
+        rng = fresh()
+        direct = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == spawned_before
+        monkeypatch.setattr(ms, "_spawned_child", spawn_children())
+        spawned = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, fresh())
+        assert len(direct) > 100
+        np.testing.assert_array_equal(direct.times, spawned.times)
+        np.testing.assert_array_equal(direct.marks, spawned.marks)
+        np.testing.assert_array_equal(direct.unif, spawned.unif)
 
 
 class TestLevySpec:

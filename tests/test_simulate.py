@@ -30,9 +30,26 @@ def runaway_system():
         0.0, 1.0, lambda x, v: np.asarray(x, dtype=float) ** 3, dim=1)
 
 
+def well_runaway_system():
+    # x**3 - 4x - 3v: replicas kicked past the unstable point x = 2 run away,
+    # the others settle in the well at 0
+    def force(x, v):
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        return x ** 3 - 4.0 * x - 3.0 * v
+    return md.HamiltonianSystemSpec(0.0, 1.0, force, dim=1)
+
+
 def free_scalar_system():
     # zero force with the scalar fast path, as acceptance criterion 7 uses
     return md.KineticLangevinSpec(0.0, 0.0, md.Quadratic(1.0), dim=1).system()
+
+
+def solo_runs(system, levy, cfg, x0, v0, replica_offset=0):
+    # one one-replica ensemble per replica of cfg
+    one = dataclasses.replace(cfg, n_replicas=1)
+    return [sim.run_single_ensemble(system, levy, one, x0, v0,
+                                    replica_offset=replica_offset + k)[0]
+            for k in range(cfg.n_replicas)]
 
 
 def assert_same_paths(a, b):
@@ -73,6 +90,18 @@ class TestStepSingle:
                                0.1, [], np.zeros(1))
         np.testing.assert_allclose(x, [1.2])
         np.testing.assert_allclose(v, [1.8])
+
+    def test_rows_step_like_unbatched_states(self):
+        # one batched window equals each row stepped alone with its own marks
+        xs, vs = np.array([[1.0], [-0.5], [2.0]]), np.array([[0.3], [0.0], [-1.0]])
+        rows, marks = np.array([2, 0, 2, 2]), np.array([[0.7], [0.1], [-0.2], [0.05]])
+        comp = np.array([0.4])
+        x, v = sim.step_single(damping_system(), (xs, vs), 0.1, marks, comp, rows)
+        for k in range(3):
+            xk, vk = sim.step_single(damping_system(), (xs[k], vs[k]), 0.1,
+                                     marks[rows == k], comp)
+            np.testing.assert_array_equal(x[k], xk)
+            np.testing.assert_array_equal(v[k], vk)
 
 
 class TestClassify:
@@ -132,7 +161,7 @@ class TestPairSimulation:
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=4.0, n_save=9, seed=21)
         tr = sim.simulate_pair(sys_, benchmark_levy, cfg,
                                PairState([1.0], [2.0], [0.0], [0.0]), 1.0, 0.0)
-        single = sim.simulate_single(sys_, benchmark_levy, cfg, [1.0], [2.0])
+        single, = sim.run_single_ensemble(sys_, benchmark_levy, cfg, [1.0], [2.0])
         assert np.array_equal(tr.x, single.x)
         assert np.array_equal(tr.v, single.v)
 
@@ -220,7 +249,7 @@ class TestSingleBlowup:
     def test_nan_fill_after_last_finite_snapshot(self, benchmark_levy):
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=30.0, n_save=31, seed=2,
                             blowup_norm=1e6)
-        tr = sim.simulate_single(runaway_system(), benchmark_levy, cfg, [3.0], [3.0])
+        tr, = sim.run_single_ensemble(runaway_system(), benchmark_levy, cfg, [3.0], [3.0])
         assert tr.blown_up
         finite = np.isfinite(tr.x[:, 0]) & np.isfinite(tr.v[:, 0])
         last = int(np.nonzero(finite)[0][-1])
@@ -246,9 +275,9 @@ class TestPairDimension:
         with pytest.raises(NotImplementedError, match="noise dim 2"):
             sim.simulate_pair(free_system(), levy2, cfg,
                               PairState([1.0], [0.0], [0.0], [0.0]), 1.0, 0.25)
-        tr = sim.simulate_single(sys2, levy2, cfg, [1.0, 0.0], [0.0, 0.0])
-        assert tr.x.shape == (3, 2) and not tr.blown_up
-        assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(tr.v))
+        for tr in sim.run_single_ensemble(sys2, levy2, cfg, [1.0, 0.0], [0.0, 0.0]):
+            assert tr.x.shape == (3, 2) and not tr.blown_up
+            assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(tr.v))
 
 
 class TestPairKernelBeyondSlice:
@@ -320,14 +349,65 @@ class TestWorkerInvariance:
         for a, b in zip(one, two):
             assert_same_paths(a, b)
 
-    def test_single_ensemble(self, benchmark_levy, benchmark_langevin):
-        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=2.0, n_save=5, seed=31, n_replicas=8)
-        args = (benchmark_langevin.system(), benchmark_levy, cfg, [2.0], [0.0])
-        one = sim.run_single_ensemble(*args, workers=1, replica_offset=8)
-        two = sim.run_single_ensemble(*args, workers=2, replica_offset=8)
-        assert len(one) == len(two) == 8
-        for a, b in zip(one, two):
+
+SINGLE_BATCHES = {
+    # (system, levy, x0, v0) factories; the second blows some replicas up
+    "benchmark": lambda: (
+        md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1).system(),
+        ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 1), theta=1.0), [2.0], [0.0]),
+    "stable-2d": lambda: (
+        md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=2).system(),
+        ms.LevyMeasureSpec(ms.IsotropicStable(0.8, dim=2), theta=0.5), [1.0, -0.5], [0.0, 0.2]),
+}
+
+
+class TestSingleBatch:
+    """Replicas of one batch never mix: each equals its own one-replica run."""
+
+    @pytest.mark.parametrize("case", sorted(SINGLE_BATCHES))
+    def test_replica_equals_solo_run(self, case):
+        system, levy, x0, v0 = SINGLE_BATCHES[case]()
+        cfg = sim.SimConfig(h=0.02, delta=1e-2, horizon=3.0, n_save=7, seed=4, n_replicas=12)
+        batch = sim.run_single_ensemble(system, levy, cfg, x0, v0, replica_offset=8)
+        assert len(batch) == 12
+        for a, b in zip(batch, solo_runs(system, levy, cfg, x0, v0, replica_offset=8)):
             assert_same_paths(a, b)
+        if case == "stable-2d":
+            assert 0 < sum(tr.blown_up for tr in batch) < len(batch)
+
+    def test_window_rule_matches_pair_path_at_window_ends(self, benchmark_levy, monkeypatch):
+        # jumps within 1e-15 of a window end kick the next window (or none after
+        # the last), as in the pair path; its first copy is the single path at kappa 0
+        cfg = sim.SimConfig(h=0.1, delta=1e-2, horizon=0.3, n_save=4, seed=1)
+        ends = [t0 + dt for _, t0, dt in sim._window_plan(cfg.save_times(), cfg.h)]
+        times = np.array([ends[0] - 2e-15, ends[0], ends[1] - 1e-15, ends[2] - 1e-16])
+        batch = ms.JumpBatch(times, np.array([[0.5], [0.25], [0.125], [0.0625]]),
+                             np.full(4, 0.5))
+        monkeypatch.setattr(ms, "sample_large_jumps", lambda *args: batch)
+        single, = sim.run_single_ensemble(free_system(), benchmark_levy, cfg, [0.0], [0.0])
+        pair = sim.simulate_pair(free_scalar_system(), benchmark_levy, cfg,
+                                 PairState([0.0], [0.0], [0.0], [0.0]), 1.0, 0.0)
+        np.testing.assert_array_equal(single.x, pair.x)
+        np.testing.assert_array_equal(single.v, pair.v)
+
+    def test_mixed_blowups_leave_survivors_alone(self, benchmark_levy):
+        cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=5.0, n_save=11, seed=2, n_replicas=20,
+                            blowup_norm=1e6)
+        batch = sim.run_single_ensemble(well_runaway_system(), benchmark_levy, cfg, [2.0], [0.0])
+        blown = np.array([tr.blown_up for tr in batch])
+        assert 0 < blown.sum() < len(batch)
+        solos = solo_runs(well_runaway_system(), benchmark_levy, cfg, [2.0], [0.0])
+        for k, (tr, solo) in enumerate(zip(batch, solos)):
+            assert_same_paths(tr, solo)
+            assert np.isnan(tr.x[-1]).all() == tr.blown_up
+            if not tr.blown_up:
+                assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(tr.v))
+            # the per-replica float loop of the pair path at kappa 0 as the reference
+            ref = sim.simulate_pair(well_runaway_system(), benchmark_levy, cfg,
+                                    PairState([2.0], [0.0], [2.0], [0.0]), 1.0, 0.0, replica=k)
+            assert ref.blown_up == tr.blown_up
+            assert np.array_equal(ref.x, tr.x, equal_nan=True)
+            assert np.array_equal(ref.v, tr.v, equal_nan=True)
 
 
 class TestWindows:
