@@ -10,10 +10,10 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage/config error or a dimension the command does
 not implement, 2 completed with flags (degenerate constants, failed
-verification, insufficient decay).
+verification, insufficient decay, an ensemble with no surviving replica).
 Outputs are bitwise-stable given (config, seed); the manifest additionally
-records wall-clock timings. LEVYHAM_WORKERS sets the worker processes of
-the pair runs (``rate``, ``couple``); ``equilibrium`` batches in one process.
+records wall-clock timings. Every command runs in one process and steps
+its replicas together, window by window.
 """
 
 from __future__ import annotations

@@ -79,9 +79,10 @@ class EmpiricalMeasure:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.atleast_2d(np.asarray(self.samples, dtype=float)))
-        if self.samples.shape[0] == 0:
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.size == 0:
             raise EmptyMeasure("empirical measure needs at least one sample")
+        object.__setattr__(self, "samples", np.atleast_2d(samples))
 
 
 def fit_exponential_decay(times, means, ses, burn_in_frac: float = 0.1,
@@ -130,8 +131,7 @@ def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, int]:
 
 
 def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: PairState,
-                   workers: int | None = None, n_boot: int = 200,
-                   boot_seed: int = 424242) -> DecayReport:
+                   n_boot: int = 200, boot_seed: int = 424242) -> DecayReport:
     """Ensemble decay of the tilted distance cost, with a bootstrap CI.
 
     The monitored functional uses the bundle's monitor profile (identical to
@@ -139,7 +139,7 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
     the linear member of the family substitutes and the report says so).
     """
     trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, config, pair0,
-                                         bundle.report.alpha, bundle.report.kappa, workers)
+                                         bundle.report.alpha, bundle.report.kappa)
     hhat_fn, g_fn = bundle.monitor_fns()
     vals, n_blow = _psi_tilde_matrix(trajectories, hhat_fn, g_fn)
     times = config.save_times()
@@ -224,7 +224,8 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
 
     def cloud(ens, k):
         rows = [np.concatenate([tr.x[k], tr.v[k]]) for tr in ens if not tr.blown_up]
-        return EmpiricalMeasure(np.array(rows), time=float(ens[0].times[k]), seed=config.seed)
+        return EmpiricalMeasure(np.reshape(rows, (-1, 2 * system.dim)),
+                                time=float(ens[0].times[k]), seed=config.seed)
 
     times = config.save_times()
     mid = len(times) // 2

@@ -21,10 +21,6 @@ class NonFiniteForce(LevyhamError):
     """The force evaluator returned NaN or infinity."""
 
 
-class NonFiniteState(LevyhamError):
-    """A simulated state left the finite range (blow-up detection)."""
-
-
 class GrowthTestFailed(LevyhamError):
     """The potential does not pass the superquadratic-growth proxy test."""
 

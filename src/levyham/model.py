@@ -82,10 +82,6 @@ class DoubleWellPoly:
         coef = 2.0 * self.c1 * self.l * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2
         return coef[..., None] * x if x.ndim > 1 else coef * x
 
-    def grad_scalar(self, x: float) -> float:
-        s = x * x
-        return (2.0 * self.c1 * self.l * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2) * x
-
 
 @dataclass(frozen=True)
 class DoubleWellExp:
@@ -107,12 +103,6 @@ class DoubleWellExp:
         coef = 2.0 * self.c1 * self.l * np.exp(p) * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2
         return coef[..., None] * x if x.ndim > 1 else coef * x
 
-    def grad_scalar(self, x: float) -> float:
-        s = x * x
-        p = (1.0 + s) ** self.l
-        return (2.0 * self.c1 * self.l * math.exp(p) * (1.0 + s) ** (self.l - 1.0)
-                - 2.0 * self.c2) * x
-
 
 @dataclass(frozen=True)
 class Quadratic:
@@ -126,9 +116,6 @@ class Quadratic:
 
     def grad(self, x):
         return self.k * np.asarray(x, dtype=float)
-
-    def grad_scalar(self, x: float) -> float:
-        return self.k * x
 
 
 @dataclass(frozen=True)
@@ -154,17 +141,15 @@ class CustomPotential:
 class HamiltonianSystemSpec:
     """Coefficients ``a >= 0``, ``b > 0`` and the velocity force ``U(x, v)``.
 
-    ``force_scalar`` is an optional ``(float, float) -> float`` fast path for
-    the one-dimensional pair simulation loop. When it is None, the loop wraps
-    the array force as ``float(force(np.array([x]), np.array([v]))[0])``,
-    which computes the same floats one call slower.
+    ``force`` maps position and velocity arrays of shape ``(..., dim)`` to the
+    force at every leading index; both ensembles evaluate it once per Euler
+    window over all replicas (and both copies of the pair).
     """
 
     a: float
     b: float
     force: object
     dim: int = 1
-    force_scalar: object = None
 
     def __post_init__(self):
         if self.b <= 0:
@@ -189,14 +174,8 @@ class KineticLangevinSpec:
     def force(self, x, v):
         return -self.alpha_damp * np.asarray(v, dtype=float) - self.beta * self.potential.grad(x)
 
-    def force_scalar(self, x: float, v: float) -> float:
-        return -self.alpha_damp * v - self.beta * self.potential.grad_scalar(x)
-
     def system(self, a: float = 0.0, b: float = 1.0) -> HamiltonianSystemSpec:
-        scalar = self.force_scalar if (self.dim == 1
-                                       and hasattr(self.potential, "grad_scalar")) else None
-        return HamiltonianSystemSpec(a=a, b=b, force=self.force, dim=self.dim,
-                                     force_scalar=scalar)
+        return HamiltonianSystemSpec(a=a, b=b, force=self.force, dim=self.dim)
 
 
 def drift(spec: HamiltonianSystemSpec, x, v):

@@ -2,16 +2,17 @@
 
 Time stepping is explicit Euler for the drift; jumps above the cutoff are
 injected raw at their sampled times, with the compensated small-jump region
-replaced by its mean drift. The pair simulator classifies every jump of the
-first component through the overlap-ratio thinning rule and displaces the
-second component's copy by ``+/- alpha (q)_kappa`` accordingly, using the
-left-limit transformed gap within each window (positions frozen at the
-window start, velocity gap updated jump by jump).
+replaced by its mean drift. Both ensembles run through one window loop that
+steps all replicas together as ``(copies, N, d)`` arrays through
+``step_single``: one copy per replica for the single process, two for the
+coupled pair (first copies in flat rows ``r``, second copies in ``N + r``).
+For the pair, each window classifies every jump of the first copy through
+the overlap-ratio thinning rule and displaces the second copy's velocity by
+``+/- alpha (q)_kappa`` accordingly, using the left-limit transformed gap
+(positions frozen at the window start, velocity gap updated jump by jump);
+both copies then share one array force evaluation.
 
-``run_single_ensemble`` steps all replicas of a single-process ensemble
-together as ``(N, d)`` arrays, in any dimension. Pair runs go replica by
-replica (over ``LEVYHAM_WORKERS`` processes) and are one-dimensional:
-``simulate_pair``, ``step_pair`` and ``run_pair_ensemble`` raise
+Pair runs are one-dimensional: ``step_pair`` and ``run_pair_ensemble`` raise
 NotImplementedError for any other system or noise dimension. The modified
 channels carry no compensator term: restricted to the unit ball, the two
 channel masses agree in d = 1 by the reflection identity of the one-sided
@@ -22,20 +23,19 @@ Determinism: every replica owns a seed-sequence child of the master seed;
 jump times, marks, and classification uniforms all come from the jump
 stream, so runs that differ only in the step size share their noise
 realisation exactly, and runs that halve the cutoff keep every shared jump.
-Replica ``k`` of a single-process batch equals a one-replica run at
-``replica_offset = k``, blow-ups included.
+Replicas of one batch never mix: replica ``k`` of a single-process batch
+equals a one-replica run at ``replica_offset = k``, and the first ``n``
+replicas of a pair ensemble equal an ``n``-replica run, blow-ups included.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures as ms
-from .errors import ConfigError, NonFiniteState
 from .pair import PairState
 
 __all__ = [
@@ -46,10 +46,8 @@ __all__ = [
     "classify_jump",
     "step_single",
     "step_pair",
-    "simulate_pair",
     "run_pair_ensemble",
     "run_single_ensemble",
-    "worker_count",
 ]
 
 _TINY = 1e-12
@@ -104,53 +102,38 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(replica,)))
 
 
-def worker_count() -> int:
-    """Worker processes from ``LEVYHAM_WORKERS`` (default 1); anything but an integer >= 1 raises."""
-    raw = os.environ.get("LEVYHAM_WORKERS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ConfigError(f"LEVYHAM_WORKERS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 # ---------------------------------------------------------------------------
 # jump classification
 # ---------------------------------------------------------------------------
 
 
-def _slice_density_1d(sl, u: float) -> float:
-    if 0.0 < u <= 1.0:
-        return sl.c * u ** (-1.0 - sl.theta0)
-    return 0.0
-
-
-def _ratio_1d(levy, shift: float, u: float) -> float:
-    sl = levy.slice_part
-    num = min(_slice_density_1d(sl, u), _slice_density_1d(sl, u - shift))
-    if num == 0.0:
+def _ratio_1d(sl, shift: float, u: float, den: float) -> float:
+    # min(q(u), q(u - shift)) / den for the slice density q, capped at 1; q
+    # decreases on its support (0, 1], so the minimum sits at the larger point
+    w = u - shift
+    if not (0.0 < u <= 1.0 and 0.0 < w <= 1.0 and den > 0.0):
         return 0.0
-    if levy.measure is sl:
-        den = _slice_density_1d(sl, u)
-    else:
-        den = float(levy.measure.density(np.array([u])))
-    return min(num / den, 1.0) if den > 0 else 0.0
+    return min(sl.c * max(u, w) ** (-1.0 - sl.theta0) / den, 1.0)
 
 
-def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float) -> float:
+def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float,
+                  den: float) -> float:
     """Displacement received by the second copy for a jump ``u`` of the first.
 
     Branches: ``u + alpha (Q)_kappa`` with probability ``rho(-shift, u)/2``,
     ``u - alpha (Q)_kappa`` with probability ``rho(shift, u)/2``, else ``u``.
-    A vanishing transformed gap, or ``kappa = 0``, short-circuits to the
-    synchronous branch.
+    ``den`` is the driving measure's density at ``u``, the denominator of
+    both thinning ratios. A vanishing transformed gap, or ``kappa = 0``,
+    short-circuits to the synchronous branch.
     """
     aq = abs(Q)
     if aq <= _TINY or kappa == 0.0:
         return u
     shift = alpha * (Q if aq <= kappa else Q * (kappa / aq))
-    rho_m = _ratio_1d(levy, -shift, u)
+    rho_m = _ratio_1d(levy.slice_part, -shift, u, den)
     if l <= 0.5 * rho_m:
         return u + shift
-    rho_p = _ratio_1d(levy, shift, u)
+    rho_p = _ratio_1d(levy.slice_part, shift, u, den)
     if l <= 0.5 * (rho_m + rho_p):
         return u - shift
     return u
@@ -189,22 +172,52 @@ def _require_one_dim(system, levy):
             f"and noise dim {levy.dim} (the modified-channel compensator is missing in dim >= 2)")
 
 
+def _pair_window(system, levy, state: tuple, dt: float, marks, unif, dens, rows,
+                 alpha: float, kappa: float, comp: np.ndarray) -> tuple:
+    # one window of the pair state (x, v), each of shape (2, N, 1) with the copy
+    # axis first; the jumps come grouped by replica, each replica's in time
+    # order, and each is classified at its replica's left-limit gap
+    x, v = state
+    disp = []
+    last = -1
+    for r, u, l, den, z, v_r, vp_r in zip(rows.tolist(), marks[:, 0].tolist(), unif.tolist(),
+                                          dens.tolist(), (x[0, rows, 0] - x[1, rows, 0]).tolist(),
+                                          v[0, rows, 0].tolist(), v[1, rows, 0].tolist()):
+        if r != last:
+            last, v_now, vp_now = r, v_r, vp_r
+        d = classify_jump(levy, u, z + (v_now - vp_now) / alpha, alpha, kappa, l, den)
+        v_now += u
+        vp_now += d
+        disp.append(d)
+    return step_single(system, state, dt, np.concatenate([marks[:, 0], disp]), comp,
+                       np.concatenate([rows, rows + x.shape[1]]))
+
+
 def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
-              alpha: float, kappa: float, comp: np.ndarray,
-              blowup_norm: float = 1e12) -> PairState:
-    """One Euler window of the coupled pair: the pair kernel on the grid ``[0, dt]``."""
+              alpha: float, kappa: float, comp: np.ndarray, rows=None) -> PairState:
+    """One Euler window of the coupled pair, the window step of ``run_pair_ensemble``.
+
+    ``pair`` holds states of shape ``(..., 1)``. Mark ``i`` of ``jumps``, with
+    classification uniform ``unifs[i]``, kicks the first copy in flat
+    leading-axis row ``rows[i]`` (row 0 of an unbatched state by default);
+    each row's marks are classified and applied in the order given. Blow-up
+    is not checked here.
+    """
     _require_one_dim(system, levy)
-    marks = np.asarray(jumps, dtype=float).reshape(-1)
-    window_jumps = (np.full(len(marks), -np.inf), marks, np.asarray(unifs, dtype=float))
-    out, blown, _ = _pair_path(system, levy, np.array([0.0, dt]), dt, pair, window_jumps,
-                               alpha, kappa, comp, blowup_norm)
-    if blown:
-        raise NonFiniteState("pair trajectory left the finite range")
-    return PairState(*(arr[1] for arr in out))
+    x, v = (np.stack([a.reshape(-1, 1), b.reshape(-1, 1)])
+            for a, b in ((pair.x, pair.xp), (pair.v, pair.vp)))
+    marks = np.asarray(jumps, dtype=float).reshape(-1, 1)
+    rows = np.zeros(len(marks), dtype=int) if rows is None else np.asarray(rows, dtype=int)
+    order = np.argsort(rows, kind="stable")
+    dens = np.reshape(levy.measure.density(marks), -1)
+    x, v = _pair_window(system, levy, (x, v), dt, marks[order],
+                        np.asarray(unifs, dtype=float)[order], dens[order], rows[order],
+                        alpha, kappa, comp)
+    return PairState(*(a.reshape(pair.x.shape) for a in (x[0], v[0], x[1], v[1])))
 
 
 # ---------------------------------------------------------------------------
-# trajectories
+# ensembles
 # ---------------------------------------------------------------------------
 
 
@@ -218,103 +231,91 @@ def _window_plan(save_times: np.ndarray, h: float):
             yield k + 1, t0 + j * dt, dt
 
 
-def _scalar_force(system):
-    # (float, float) -> float force; the array force on length-1 arrays if no fast path
-    fs = getattr(system, "force_scalar", None)
-    if fs is not None:
-        return fs
-    force = system.force
-    return lambda x, v: float(force(np.array([x]), np.array([v]))[0])
+def _norm(a: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(a, axis=-1) bit for bit, without its per-call overhead
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
-def _pair_path(system, levy, times: np.ndarray, h: float, pair0: PairState, jumps: tuple,
-               alpha: float, kappa: float, comp: np.ndarray, blow: float):
-    """Euler windows of one replica of the pair over the save grid ``times``.
+def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int = 0,
+                   coupling=None):
+    """The Euler window loop of both ensembles.
 
-    ``pair0`` is the state at ``times[0]`` and ``jumps`` holds the
-    time-ordered ``(times, marks, uniforms)`` arrays. Returns the four
-    ``(n_save, 1)`` paths (NaN after a blow-up), the blow-up flag, and the
-    largest force Lipschitz quotient seen at a save time.
+    ``starts`` holds one ``(x0, v0)`` per copy, and the state is stepped as
+    ``(copies, N, d)`` arrays. Replica ``r`` draws its jumps from
+    ``replica_rng(seed, r + replica_offset)``. With ``coupling = (alpha,
+    kappa)`` the two copies form the pair and each window is a pair window.
+    A replica with a copy whose position or velocity norm exceeds
+    ``blowup_norm`` is flagged and frozen; its later snapshots stay NaN.
+    Returns the ``(copies, N, n_save, d)`` position and velocity paths, the
+    survivor mask and, per replica, the largest force Lipschitz quotient
+    between copies 0 and 1 seen at a save time (zeros for one copy).
     """
-    fs = _scalar_force(system)
-    a, b = system.a, system.b
-    comp = float(np.asarray(comp, dtype=float)[0])
-    x, v, xp, vp = (float(c[0]) for c in (pair0.x, pair0.v, pair0.xp, pair0.vp))
-    n = len(times)
-    out = [np.full((n, 1), np.nan) for _ in range(4)]
-    for arr, val in zip(out, (x, v, xp, vp)):
-        arr[0, 0] = val
-    j_t, j_u, j_l = jumps
-    n_j = len(j_t)
-    ptr = 0
-    lip_probe = 0.0
-    blown = False
-    for save_idx, t0, dt in _window_plan(times, h):
-        t1 = t0 + dt
-        z = x - xp
-        v0w, vp0w = v, vp
-        while ptr < n_j and j_t[ptr] < t1 - 1e-15:
-            u = float(j_u[ptr])
-            Q = z + (v - vp) / alpha
-            disp = classify_jump(levy, u, Q, alpha, kappa, float(j_l[ptr]))
-            v += u
-            vp += disp
-            ptr += 1
-        f1 = fs(x, v0w)
-        f2 = fs(xp, vp0w)
-        x_new = x + (a * x + b * v0w) * dt
-        xp_new = xp + (a * xp + b * vp0w) * dt
-        v = v + (f1 + comp) * dt
-        vp = vp + (f2 + comp) * dt
-        x, xp = x_new, xp_new
-        if abs(x) > blow or abs(v) > blow or abs(xp) > blow or abs(vp) > blow:
-            blown = True
-            break
-        if abs(t1 - times[save_idx]) < 1e-9 * max(times[-1], 1.0):
-            for arr, val in zip(out, (x, v, xp, vp)):
-                arr[save_idx, 0] = val
-            den = abs(x - xp) + abs(v - vp)
-            if den > 1e-9:
-                lip_probe = max(lip_probe, abs(f1 - f2) / den)
-    return out, blown, lip_probe
-
-
-def simulate_pair(system, levy, config: SimConfig, pair0: PairState, alpha: float,
-                  kappa: float, replica: int = 0) -> PairTrajectory:
-    """Coupled pair path on the save grid; deterministic given the seed. Dim 1 only."""
-    _require_one_dim(system, levy)
-    rng = replica_rng(config.seed, replica)
     times = config.save_times()
-    if times[-1] > 0:
-        batch = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta, rng,
-                                      config.jump_budget)
-        jumps = (batch.times, batch.marks[:, 0], batch.unif)
-    else:
-        jumps = (np.empty(0),) * 3
-    comp = levy.measure.compensation_drift(config.delta)
-    out, blown, lip_probe = _pair_path(system, levy, times, config.h, pair0, jumps,
-                                       alpha, kappa, comp, config.blowup_norm)
-    return PairTrajectory(times, *out, blown_up=blown, stability_indicator=lip_probe * config.h)
-
-
-# ---------------------------------------------------------------------------
-# ensembles
-# ---------------------------------------------------------------------------
+    n, d = config.n_replicas, system.dim
+    plan = list(_window_plan(times, config.h))
+    ends = np.array([t0 + dt for _, t0, dt in plan])
+    saves = (np.abs(ends - times[[k for k, _, _ in plan]])
+             < 1e-9 * max(times[-1], 1.0)).tolist()
+    batches = [ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
+                                     replica_rng(config.seed, rep + replica_offset),
+                                     config.jump_budget) for rep in range(n) if times[-1] > 0]
+    # a jump at t kicks the first window with t < end - 1e-15; sorted in
+    # (window, replica, time) order, jumps past the last window are dropped
+    jump_times = np.concatenate([b.times for b in batches] + [np.empty(0)])
+    wins = np.searchsorted(ends - 1e-15, jump_times, side="right")
+    order = np.argsort(wins, kind="stable")
+    rows = np.repeat(np.arange(len(batches)), [len(b) for b in batches])[order]
+    marks = np.concatenate([b.marks for b in batches] + [np.empty((0, d))])[order]
+    unif = np.concatenate([b.unif for b in batches] + [np.empty(0)])[order]
+    bounds = np.searchsorted(wins[order], np.arange(len(plan) + 1)).tolist()
+    comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
+    if coupling is not None:
+        dens = np.reshape(levy.measure.density(marks), -1)
+    x, v = (np.repeat(np.asarray([s[i] for s in starts], dtype=float)[:, None], n, axis=1)
+            for i in (0, 1))
+    out_x, out_v = np.full((2, len(starts), n, len(times), d), np.nan)
+    out_x[:, :, 0], out_v[:, :, 0] = x, v
+    alive = np.ones(n, dtype=bool)
+    lip = np.zeros(n)
+    for w, (save_idx, _, dt) in enumerate(plan):
+        jumps = slice(bounds[w], bounds[w + 1])
+        if coupling is None:
+            x_new, v_new = step_single(system, (x, v), dt, marks[jumps], comp, rows[jumps])
+        else:
+            x_new, v_new = _pair_window(system, levy, (x, v), dt, marks[jumps], unif[jumps],
+                                        dens[jumps], rows[jumps], *coupling, comp)
+        with np.errstate(over="ignore"):  # a norm that overflows is a blow-up
+            alive &= ~((_norm(x_new) > config.blowup_norm)
+                       | (_norm(v_new) > config.blowup_norm)).any(axis=0)
+        x_start, v_start = x, v
+        x, v = np.where(alive[:, None], x_new, x), np.where(alive[:, None], v_new, v)
+        if saves[w]:
+            out_x[:, alive, save_idx], out_v[:, alive, save_idx] = x[:, alive], v[:, alive]
+            if coupling is not None:
+                # force gap at the window start over the state gap at its end
+                f = np.asarray(system.force(x_start, v_start), dtype=float)
+                gap = np.abs(x[0] - x[1]).sum(-1) + np.abs(v[0] - v[1]).sum(-1)
+                lip = np.maximum(lip, np.divide(np.abs(f[0] - f[1]).sum(-1), gap,
+                                                out=np.zeros(n), where=alive & (gap > 1e-9)))
+    return out_x, out_v, alive, lip
 
 
 def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: float,
-                      kappa: float, workers: int | None = None) -> list[PairTrajectory]:
-    """All replicas of the coupled pair, in deterministic replica order. Dim 1 only."""
-    _require_one_dim(system, levy)
-    workers = worker_count() if workers is None else workers
-    args = [(system, levy, config, pair0, alpha, kappa, rep)
-            for rep in range(config.n_replicas)]
-    if workers <= 1:
-        return [simulate_pair(*a) for a in args]
-    import multiprocessing as mp
+                      kappa: float) -> list[PairTrajectory]:
+    """All replicas of the coupled pair, stepped together window by window. Dim 1 only.
 
-    with mp.Pool(workers) as pool:
-        return pool.starmap(simulate_pair, args)
+    Replica ``k`` draws its jumps from ``replica_rng(seed, k)``. Its
+    ``stability_indicator`` is ``h`` times the largest force Lipschitz
+    quotient between the copies seen at a save time.
+    """
+    _require_one_dim(system, levy)
+    xs, vs, alive, lip = _euler_windows(system, levy, config,
+                                        ((pair0.x, pair0.v), (pair0.xp, pair0.vp)),
+                                        coupling=(alpha, kappa))
+    times = config.save_times()
+    return [PairTrajectory(times, xs[0, k], vs[0, k], xs[1, k], vs[1, k],
+                           blown_up=not alive[k], stability_indicator=float(lip[k]) * config.h)
+            for k in range(config.n_replicas)]
 
 
 def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
@@ -325,33 +326,7 @@ def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
     A replica whose position or velocity norm exceeds ``blowup_norm`` is
     flagged and frozen; its later snapshots stay NaN.
     """
+    xs, vs, alive, _ = _euler_windows(system, levy, config, ((x0, v0),), replica_offset)
     times = config.save_times()
-    n, d = config.n_replicas, system.dim
-    plan = list(_window_plan(times, config.h))
-    ends = np.array([t0 + dt for _, t0, dt in plan])
-    batches = [ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
-                                     replica_rng(config.seed, rep + replica_offset),
-                                     config.jump_budget) for rep in range(n) if times[-1] > 0]
-    # a jump at t kicks the first window with t < end - 1e-15, as in the pair path;
-    # sorted in (window, replica, time) order, jumps past the last window are dropped
-    jump_times = np.concatenate([b.times for b in batches] + [np.empty(0)])
-    wins = np.searchsorted(ends - 1e-15, jump_times, side="right")
-    order = np.argsort(wins, kind="stable")
-    rows = np.repeat(np.arange(len(batches)), [len(b) for b in batches])[order]
-    marks = np.concatenate([b.marks for b in batches] + [np.empty((0, d))])[order]
-    bounds = np.searchsorted(wins[order], np.arange(len(plan) + 1))
-    comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
-    x, v = (np.tile(np.asarray(z, dtype=float), (n, 1)) for z in (x0, v0))
-    out_x, out_v = np.full((2, n, len(times), d), np.nan)
-    out_x[:, 0], out_v[:, 0] = x, v
-    alive = np.ones(n, dtype=bool)
-    for w, (save_idx, _, dt) in enumerate(plan):
-        jumps = slice(bounds[w], bounds[w + 1])
-        x_new, v_new = step_single(system, (x, v), dt, marks[jumps], comp, rows[jumps])
-        alive &= ~((np.linalg.norm(x_new, axis=-1) > config.blowup_norm)
-                   | (np.linalg.norm(v_new, axis=-1) > config.blowup_norm))
-        x, v = np.where(alive[:, None], x_new, x), np.where(alive[:, None], v_new, v)
-        if abs(ends[w] - times[save_idx]) < 1e-9 * max(times[-1], 1.0):
-            out_x[alive, save_idx], out_v[alive, save_idx] = x[alive], v[alive]
-    return [SingleTrajectory(times, out_x[k], out_v[k], blown_up=not alive[k])
-            for k in range(n)]
+    return [SingleTrajectory(times, xs[0, k], vs[0, k], blown_up=not alive[k])
+            for k in range(config.n_replicas)]

@@ -197,9 +197,9 @@ def test_criterion_08_diagonal_absorption(bench):
     ok = True
     for seed in range(100):
         cfg = sim.SimConfig(seed=seed, **cfg_base)
-        tr = sim.simulate_pair(bench.system, bench.levy, cfg,
-                               PairState([1.5], [-0.5], [1.5], [-0.5]),
-                               bench.report.alpha, bench.report.kappa)
+        tr, = sim.run_pair_ensemble(bench.system, bench.levy, cfg,
+                                    PairState([1.5], [-0.5], [1.5], [-0.5]),
+                                    bench.report.alpha, bench.report.kappa)
         ok &= bool(np.array_equal(tr.x, tr.xp) and np.array_equal(tr.v, tr.vp))
         if not ok:
             break

@@ -244,3 +244,27 @@ class TestEquilibriumCmd:
         assert code == 0
         payload = json.loads((tmp_path / "equilibrium.json").read_text())
         assert "cross_distance" in payload and "stationarity_distance" in payload
+
+    def test_every_replica_blown_exits_two(self, tmp_path, capsys):
+        # a steep well that blows explicit Euler up at h = 0.01 on every replica
+        path = write(tmp_path, """
+[model]
+potential = double_well_exp
+pot_c1 = 0.1
+pot_c2 = 1.0
+pot_l = 1.5
+
+[sim]
+h = 0.01
+horizon = 10.0
+n_save = 11
+
+[constants]
+decay_threshold = 0.5
+""")
+        code = cli.main(["equilibrium", "--config", path, "--replicas", "20",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("EmptyMeasure:")
+        assert not (tmp_path / "equilibrium.json").exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from levyham import ergodicity as erg
+from levyham import model as md
 from levyham import simulate as sim
 from levyham.errors import EmptyMeasure, InsufficientDecay
 from levyham.generator import ProductPairFn
@@ -89,6 +90,9 @@ class TestSlicedDistance:
     def test_empty_measure(self):
         with pytest.raises(EmptyMeasure):
             erg.EmpiricalMeasure(np.empty((0, 1)))
+        # np.atleast_2d turns an empty list into shape (1, 0): still no sample
+        with pytest.raises(EmptyMeasure):
+            erg.EmpiricalMeasure([])
 
 
 class TestEstimateDecay:
@@ -129,6 +133,16 @@ class TestEquilibrium:
                                           ([0.5], [0.0]), ([0.5], [0.0]),
                                           independent_streams=False)
         assert out["cross_distance"] == 0.0
+
+    def test_every_replica_blown_raises(self, benchmark_levy):
+        # no survivor leaves no cloud to compare: fail, never report zero distances
+        runaway = md.HamiltonianSystemSpec(
+            0.0, 1.0, lambda x, v: np.asarray(x, dtype=float) ** 3, dim=1)
+        cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=30.0, n_save=7, seed=2,
+                            n_replicas=4, blowup_norm=1e6)
+        with pytest.raises(EmptyMeasure):
+            erg.equilibrium_diagnostics(runaway, benchmark_levy, cfg,
+                                        ([3.0], [3.0]), ([3.0], [3.0]))
 
     def test_benchmark_probe(self, benchmark_levy, benchmark_langevin):
         sys_ = benchmark_langevin.system()

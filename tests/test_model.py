@@ -39,13 +39,6 @@ class TestDrift:
         _, vdot = md.drift(kl.system(), np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(vdot, [-4.0], rtol=1e-14)
 
-    def test_scalar_gradients_match_array(self):
-        for pot in (md.DoubleWellPoly(1.3, 0.7, 2.5), md.DoubleWellExp(0.5, 1.1, 1.0),
-                    md.Quadratic(2.2)):
-            for x in (-1.7, 0.0, 0.4, 2.2):
-                assert pot.grad_scalar(x) == pytest.approx(
-                    float(pot.grad(np.array([x]))[0]), rel=1e-14, abs=1e-300)
-
     def test_non_finite_force(self):
         bad = md.HamiltonianSystemSpec(0.0, 1.0, lambda x, v: np.array([np.nan]), dim=1)
         with pytest.raises(NonFiniteForce):

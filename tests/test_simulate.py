@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from scipy import stats
 from levyham import measures as ms
 from levyham import model as md
 from levyham import simulate as sim
-from levyham.errors import ConfigError
 from levyham.pair import PairState
 
 
@@ -40,8 +38,13 @@ def well_runaway_system():
 
 
 def free_scalar_system():
-    # zero force with the scalar fast path, as acceptance criterion 7 uses
+    # zero force built from a potential, as acceptance criterion 7 uses
     return md.KineticLangevinSpec(0.0, 0.0, md.Quadratic(1.0), dim=1).system()
+
+
+def density_at(levy, u):
+    # the driving measure's density at one scalar mark
+    return float(levy.measure.density(np.array([[u]])))
 
 
 def solo_runs(system, levy, cfg, x0, v0, replica_offset=0):
@@ -106,7 +109,8 @@ class TestStepSingle:
 
 class TestClassify:
     def test_zero_gap_synchronous(self, benchmark_levy):
-        assert sim.classify_jump(benchmark_levy, 0.5, 0.0, 1.0, 0.25, 0.0) == 0.5
+        assert sim.classify_jump(benchmark_levy, 0.5, 0.0, 1.0, 0.25, 0.0,
+                                 density_at(benchmark_levy, 0.5)) == 0.5
 
     def test_certain_first_branch(self, benchmark_levy):
         # negative gap makes the first thinning probability one on (|s|, 1]
@@ -115,7 +119,8 @@ class TestClassify:
         u = 0.5
         rho_m = float(ms.overlap_ratio(benchmark_levy, -shift, np.array([[u]])))
         assert rho_m == 1.0
-        out = sim.classify_jump(benchmark_levy, u, Q, 1.0, 0.25, 0.3)
+        out = sim.classify_jump(benchmark_levy, u, Q, 1.0, 0.25, 0.3,
+                                density_at(benchmark_levy, u))
         np.testing.assert_allclose(out, u + float(shift[0]))
 
     def test_branch_frequencies(self, benchmark_levy):
@@ -127,7 +132,8 @@ class TestClassify:
         p_minus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([s]), np.array([[u]])))
         n = 100_000
         ls = np.random.default_rng(17).uniform(size=n)
-        outs = np.array([sim.classify_jump(benchmark_levy, u, Q, alpha, kappa, float(l))
+        den = density_at(benchmark_levy, u)
+        outs = np.array([sim.classify_jump(benchmark_levy, u, Q, alpha, kappa, float(l), den)
                          for l in ls])
         f_plus = np.mean(np.isclose(outs, 0.5 + s))
         f_minus = np.mean(np.isclose(outs, 0.5 - s))
@@ -138,54 +144,43 @@ class TestClassify:
 
 class TestPairSimulation:
     def test_diagonal_absorption(self, benchmark_levy, benchmark_langevin):
-        sys_ = benchmark_langevin.system()
-        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=5)
-        for rep in range(5):
-            tr = sim.simulate_pair(sys_, benchmark_levy, cfg,
-                                   PairState([1.3], [-0.4], [1.3], [-0.4]),
-                                   1.0, 0.25, replica=rep)
+        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=5, n_replicas=5)
+        for tr in sim.run_pair_ensemble(benchmark_langevin.system(), benchmark_levy, cfg,
+                                        PairState([1.3], [-0.4], [1.3], [-0.4]), 1.0, 0.25):
             assert np.array_equal(tr.x, tr.xp)
             assert np.array_equal(tr.v, tr.vp)
 
     def test_zero_horizon(self, benchmark_levy, benchmark_langevin):
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=0.0, n_save=1, seed=5)
-        tr = sim.simulate_pair(benchmark_langevin.system(), benchmark_levy, cfg,
-                               PairState([1.0], [0.0], [0.0], [0.0]), 1.0, 0.25)
+        tr, = sim.run_pair_ensemble(benchmark_langevin.system(), benchmark_levy, cfg,
+                                    PairState([1.0], [0.0], [0.0], [0.0]), 1.0, 0.25)
         assert len(tr.times) == 1
         np.testing.assert_array_equal(tr.x[0], [1.0])
 
-    def test_synchronous_limit(self, benchmark_levy, benchmark_langevin):
-        # kappa -> 0: both copies receive identical kicks; the first marginal
-        # reproduces the single-process path bitwise on the shared stream
-        sys_ = benchmark_langevin.system()
-        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=4.0, n_save=9, seed=21)
-        tr = sim.simulate_pair(sys_, benchmark_levy, cfg,
-                               PairState([1.0], [2.0], [0.0], [0.0]), 1.0, 0.0)
-        single, = sim.run_single_ensemble(sys_, benchmark_levy, cfg, [1.0], [2.0])
-        assert np.array_equal(tr.x, single.x)
-        assert np.array_equal(tr.v, single.v)
+    def test_synchronous_limit(self, benchmark_levy):
+        # kappa -> 0: both copies receive identical kicks; the first copy
+        # reproduces the single-process path bitwise on the shared stream. Both
+        # ensembles evaluate one array force, so this holds on every potential,
+        # also where libm and numpy powers differ in the last bit (l = 1.7, exp)
+        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=4.0, n_save=9, seed=21, n_replicas=10)
+        for potential in (md.DoubleWellPoly(1.0, 2.0, 2.0), md.DoubleWellPoly(1.0, 2.0, 1.7),
+                          md.DoubleWellExp(0.5, 1.1, 1.0)):
+            sys_ = md.KineticLangevinSpec(1.0, 1.0, potential, dim=1).system()
+            pairs = sim.run_pair_ensemble(sys_, benchmark_levy, cfg,
+                                          PairState([1.0], [0.5], [0.0], [0.0]), 1.0, 0.0)
+            singles = sim.run_single_ensemble(sys_, benchmark_levy, cfg, [1.0], [0.5])
+            for tr, single in zip(pairs, singles):
+                assert np.array_equal(tr.x, single.x), potential
+                assert np.array_equal(tr.v, single.v), potential
 
     def test_determinism(self, benchmark_levy, benchmark_langevin):
         sys_ = benchmark_langevin.system()
-        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=33)
+        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=33, n_replicas=3)
         p0 = PairState([2.0], [0.0], [-2.0], [0.0])
-        a = sim.simulate_pair(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
-        b = sim.simulate_pair(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
-        for arr_a, arr_b in ((a.x, b.x), (a.v, b.v), (a.xp, b.xp), (a.vp, b.vp)):
-            assert np.array_equal(arr_a, arr_b)
-
-    def test_force_scalar_and_array_force_adapter_agree(self, benchmark_levy,
-                                                         benchmark_langevin):
-        # without force_scalar the kernel wraps the array force; same floats
-        fast = benchmark_langevin.system()
-        slow = md.HamiltonianSystemSpec(0.0, 1.0, force=benchmark_langevin.force, dim=1)
-        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=8)
-        p0 = PairState([2.0], [0.0], [-2.0], [0.0])
-        a = sim.simulate_pair(fast, benchmark_levy, cfg, p0, 1.0, 0.25)
-        b = sim.simulate_pair(slow, benchmark_levy, cfg, p0, 1.0, 0.25)
-        for arr_a, arr_b in ((a.x, b.x), (a.v, b.v), (a.xp, b.xp), (a.vp, b.vp)):
-            np.testing.assert_array_equal(arr_a, arr_b)
-        assert a.stability_indicator == b.stability_indicator
+        a = sim.run_pair_ensemble(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
+        b = sim.run_pair_ensemble(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
+        for tr_a, tr_b in zip(a, b):
+            assert_same_paths(tr_a, tr_b)
 
     def test_marginal_law_equality_every_snapshot(self, benchmark_levy):
         # pure noise: both components share the marginal law at every
@@ -225,24 +220,58 @@ class TestPairSimulation:
     def test_blowup_detected_and_flagged(self, benchmark_levy):
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=30.0, n_save=31, seed=2,
                             blowup_norm=1e6)
-        tr = sim.simulate_pair(runaway_system(), benchmark_levy, cfg,
-                               PairState([3.0], [3.0], [0.0], [0.0]), 1.0, 0.25)
+        tr, = sim.run_pair_ensemble(runaway_system(), benchmark_levy, cfg,
+                                    PairState([3.0], [3.0], [0.0], [0.0]), 1.0, 0.25)
         assert tr.blown_up
         assert np.isnan(tr.x[-1, 0])
 
-    def test_step_pair_is_one_window_of_simulate_pair(self, benchmark_levy,
-                                                      benchmark_langevin):
+    def test_step_pair_is_one_window_of_the_ensemble(self, benchmark_levy, benchmark_langevin):
         sys_ = benchmark_langevin.system()
-        cfg = sim.SimConfig(h=0.2, delta=1e-3, horizon=0.2, n_save=2, seed=3)
+        cfg = sim.SimConfig(h=0.2, delta=1e-3, horizon=0.2, n_save=2, seed=3, n_replicas=3)
         p0 = PairState([0.5], [0.2], [-0.5], [0.1])
-        tr = sim.simulate_pair(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
-        batch = ms.sample_large_jumps(benchmark_levy.measure, 0.2, 1e-3, sim.replica_rng(3, 0))
-        assert len(batch) > 0
+        trs = sim.run_pair_ensemble(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
         comp = benchmark_levy.measure.compensation_drift(1e-3)
-        st = sim.step_pair(sys_, benchmark_levy, p0, 0.2, list(batch.marks), list(batch.unif),
-                           1.0, 0.25, comp)
-        for got, want in ((st.x, tr.x), (st.v, tr.v), (st.xp, tr.xp), (st.vp, tr.vp)):
+        batches = [ms.sample_large_jumps(benchmark_levy.measure, 0.2, 1e-3,
+                                         sim.replica_rng(3, k)) for k in range(3)]
+        assert all(len(b) > 0 for b in batches)
+        # unbatched: replica 0 alone
+        st = sim.step_pair(sys_, benchmark_levy, p0, 0.2, list(batches[0].marks),
+                           list(batches[0].unif), 1.0, 0.25, comp)
+        for got, want in ((st.x, trs[0].x), (st.v, trs[0].v), (st.xp, trs[0].xp),
+                          (st.vp, trs[0].vp)):
             np.testing.assert_array_equal(got, want[1])
+        # batched: all three replicas, their jumps interleaved in time order
+        times = np.concatenate([b.times for b in batches])
+        order = np.argsort(times, kind="stable")
+        rows = np.repeat(np.arange(3), [len(b) for b in batches])[order]
+        marks = np.concatenate([b.marks for b in batches])[order]
+        unif = np.concatenate([b.unif for b in batches])[order]
+        p3 = PairState(*(np.tile(a, (3, 1)) for a in (p0.x, p0.v, p0.xp, p0.vp)))
+        st3 = sim.step_pair(sys_, benchmark_levy, p3, 0.2, marks, unif, 1.0, 0.25, comp, rows)
+        for k, tr in enumerate(trs):
+            for got, want in ((st3.x, tr.x), (st3.v, tr.v), (st3.xp, tr.xp), (st3.vp, tr.vp)):
+                np.testing.assert_array_equal(got[k], want[1])
+
+    def test_second_jump_sees_the_gap_left_by_the_first(self, benchmark_levy, monkeypatch):
+        # two jumps of one replica in one window: the first takes the +shift
+        # branch, so the second is classified at the velocity gap it left, with
+        # positions frozen at the window start
+        cfg = sim.SimConfig(h=0.1, delta=1e-2, horizon=0.1, n_save=2, seed=1)
+        u, l = [0.4, 0.5], [0.01, 0.01]
+        batch = ms.JumpBatch(np.array([0.02, 0.05]), np.array([[u[0]], [u[1]]]), np.array(l))
+        monkeypatch.setattr(ms, "sample_large_jumps", lambda *args: batch)
+        tr, = sim.run_pair_ensemble(free_scalar_system(), benchmark_levy, cfg,
+                                    PairState([0.0], [0.0], [-0.3], [0.0]), 1.0, 0.25)
+        den = [density_at(benchmark_levy, a) for a in u]
+        q1 = 0.0 - (-0.3)
+        d1 = sim.classify_jump(benchmark_levy, u[0], q1, 1.0, 0.25, l[0], den[0])
+        assert d1 == u[0] + 0.25  # the +shift branch at the truncated shift kappa
+        q2 = q1 + (u[0] - d1) / 1.0
+        d2 = sim.classify_jump(benchmark_levy, u[1], q2, 1.0, 0.25, l[1], den[1])
+        assert d2 != sim.classify_jump(benchmark_levy, u[1], q1, 1.0, 0.25, l[1], den[1])
+        comp = benchmark_levy.measure.compensation_drift(1e-2)
+        np.testing.assert_array_equal(tr.v[1], (0.0 + u[0] + u[1]) + comp * 0.1)
+        np.testing.assert_array_equal(tr.vp[1], (0.0 + d1 + d2) + comp * 0.1)
 
 
 class TestSingleBlowup:
@@ -261,20 +290,17 @@ class TestSingleBlowup:
 class TestPairDimension:
     def test_pair_runs_raise_outside_dim_one(self):
         levy2 = ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 2), theta=1.0)
-        # a lambda force cannot be pickled: a started worker pool would fail otherwise
         sys2 = md.HamiltonianSystemSpec(
             0.0, 1.0, lambda x, v: -np.asarray(v, dtype=float), dim=2)
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=1.0, n_save=3, seed=1, n_replicas=4)
         p0 = PairState([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(NotImplementedError, match="system dim 2"):
-            sim.simulate_pair(sys2, levy2, cfg, p0, 1.0, 0.25)
-        with pytest.raises(NotImplementedError, match="system dim 2"):
-            sim.run_pair_ensemble(sys2, levy2, cfg, p0, 1.0, 0.25, workers=2)
+            sim.run_pair_ensemble(sys2, levy2, cfg, p0, 1.0, 0.25)
         with pytest.raises(NotImplementedError, match="system dim 2"):
             sim.step_pair(sys2, levy2, p0, 0.05, [], [], 1.0, 0.25, np.zeros(2))
         with pytest.raises(NotImplementedError, match="noise dim 2"):
-            sim.simulate_pair(free_system(), levy2, cfg,
-                              PairState([1.0], [0.0], [0.0], [0.0]), 1.0, 0.25)
+            sim.run_pair_ensemble(free_system(), levy2, cfg,
+                                  PairState([1.0], [0.0], [0.0], [0.0]), 1.0, 0.25)
         for tr in sim.run_single_ensemble(sys2, levy2, cfg, [1.0, 0.0], [0.0, 0.0]):
             assert tr.x.shape == (3, 2) and not tr.blown_up
             assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(tr.v))
@@ -304,8 +330,9 @@ class TestPairKernelBeyondSlice:
         batch = ms.sample_large_jumps(beyond_slice_levy.measure, 1000.0, 2e-2,
                                       sim.replica_rng(505, 0))
         u, l = batch.marks[:, 0], batch.unif
+        den = beyond_slice_levy.measure.density(batch.marks)
         disp = np.array([sim.classify_jump(beyond_slice_levy, float(a), 0.4, 1.0, 0.25,
-                                           float(b)) for a, b in zip(u, l)])
+                                           float(b), float(c)) for a, b, c in zip(u, l, den)])
         slab = (u > 0.0) & (u <= 1.0)
         np.testing.assert_array_equal(disp[~slab], u[~slab])
         assert np.mean(disp[slab] != u[slab]) > 0.02  # the coupling acted
@@ -315,11 +342,9 @@ class TestPairKernelBeyondSlice:
     def test_diagonal_absorption(self, beyond_slice_levy, benchmark_langevin):
         # heavy tails blow explicit Euler up on some seeds; both copies are
         # then flagged and NaN-filled alike
-        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=5)
-        for rep in range(10):
-            tr = sim.simulate_pair(benchmark_langevin.system(), beyond_slice_levy, cfg,
-                                   PairState([1.3], [-0.4], [1.3], [-0.4]), 1.0, 0.25,
-                                   replica=rep)
+        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=5, n_replicas=10)
+        for tr in sim.run_pair_ensemble(benchmark_langevin.system(), beyond_slice_levy, cfg,
+                                        PairState([1.3], [-0.4], [1.3], [-0.4]), 1.0, 0.25):
             assert np.array_equal(tr.x, tr.xp, equal_nan=True)
             assert np.array_equal(tr.v, tr.vp, equal_nan=True)
 
@@ -338,15 +363,21 @@ class TestPairKernelBeyondSlice:
             np.testing.assert_array_equal(fine.unif[keep], coarse.unif)
 
 
-class TestWorkerInvariance:
-    def test_pair_ensemble(self, benchmark_levy, benchmark_langevin):
-        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=2.0, n_save=5, seed=31, n_replicas=8)
+class TestPairBatch:
+    """Replicas of one pair batch never mix, blow-ups included."""
+
+    def test_first_replicas_equal_a_smaller_run(self, benchmark_langevin):
+        levy = BEYOND_SLICE["stable"]()
+        cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=3, n_replicas=12)
+        args = (benchmark_langevin.system(), levy)
         p0 = PairState([2.0], [0.0], [-2.0], [0.0])
-        args = (benchmark_langevin.system(), benchmark_levy, cfg, p0, 1.0, 0.25)
-        one = sim.run_pair_ensemble(*args, workers=1)
-        two = sim.run_pair_ensemble(*args, workers=2)
-        assert len(one) == len(two) == 8
-        for a, b in zip(one, two):
+        big = sim.run_pair_ensemble(*args, cfg, p0, 1.0, 0.25)
+        small = sim.run_pair_ensemble(*args, dataclasses.replace(cfg, n_replicas=5), p0,
+                                      1.0, 0.25)
+        assert len(big) == 12 and len(small) == 5
+        assert 0 < sum(tr.blown_up for tr in small) < 5
+        assert any(tr.stability_indicator > 0 for tr in small)
+        for a, b in zip(big, small):
             assert_same_paths(a, b)
 
 
@@ -385,8 +416,8 @@ class TestSingleBatch:
                              np.full(4, 0.5))
         monkeypatch.setattr(ms, "sample_large_jumps", lambda *args: batch)
         single, = sim.run_single_ensemble(free_system(), benchmark_levy, cfg, [0.0], [0.0])
-        pair = sim.simulate_pair(free_scalar_system(), benchmark_levy, cfg,
-                                 PairState([0.0], [0.0], [0.0], [0.0]), 1.0, 0.0)
+        pair, = sim.run_pair_ensemble(free_scalar_system(), benchmark_levy, cfg,
+                                      PairState([0.0], [0.0], [0.0], [0.0]), 1.0, 0.0)
         np.testing.assert_array_equal(single.x, pair.x)
         np.testing.assert_array_equal(single.v, pair.v)
 
@@ -397,14 +428,14 @@ class TestSingleBatch:
         blown = np.array([tr.blown_up for tr in batch])
         assert 0 < blown.sum() < len(batch)
         solos = solo_runs(well_runaway_system(), benchmark_levy, cfg, [2.0], [0.0])
-        for k, (tr, solo) in enumerate(zip(batch, solos)):
+        # the first copy of the pair at kappa 0 as a second reference
+        refs = sim.run_pair_ensemble(well_runaway_system(), benchmark_levy, cfg,
+                                     PairState([2.0], [0.0], [2.0], [0.0]), 1.0, 0.0)
+        for tr, solo, ref in zip(batch, solos, refs):
             assert_same_paths(tr, solo)
             assert np.isnan(tr.x[-1]).all() == tr.blown_up
             if not tr.blown_up:
                 assert np.all(np.isfinite(tr.x)) and np.all(np.isfinite(tr.v))
-            # the per-replica float loop of the pair path at kappa 0 as the reference
-            ref = sim.simulate_pair(well_runaway_system(), benchmark_levy, cfg,
-                                    PairState([2.0], [0.0], [2.0], [0.0]), 1.0, 0.0, replica=k)
             assert ref.blown_up == tr.blown_up
             assert np.array_equal(ref.x, tr.x, equal_nan=True)
             assert np.array_equal(ref.v, tr.v, equal_nan=True)
@@ -416,13 +447,3 @@ class TestWindows:
         ends = [t0 + dt for _, t0, dt in sim._window_plan(times, 0.075)]
         for t in times[1:]:
             assert any(abs(e - t) < 1e-12 for e in ends)
-
-    def test_worker_env(self, monkeypatch):
-        monkeypatch.setenv("LEVYHAM_WORKERS", "3")
-        assert sim.worker_count() == 3
-        monkeypatch.delenv("LEVYHAM_WORKERS")
-        assert sim.worker_count() == 1
-        for bad in ("two", "0", "-2", "1.5", ""):
-            monkeypatch.setenv("LEVYHAM_WORKERS", bad)
-            with pytest.raises(ConfigError, match=re.escape(repr(bad))):
-                sim.worker_count()
