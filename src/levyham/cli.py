@@ -119,7 +119,7 @@ def _verify_a2(cfg, seed):
     setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
     eta, c_star, rep = md.verify_jump_regularity(setup.lyap, levy.slice_part,
                                                  cfg.lyapunov["grid_radius"])
-    moments = levy.measure.moment_pair(levy.theta)
+    moments = levy.moments
     payload = {"eta": eta, "c_star": c_star, "sup_ratio": rep["sup_ratio"],
                "moment_small": moments.small_jump, "moment_theta": moments.theta_moment,
                "moment_divergent": moments.divergent}

@@ -109,13 +109,9 @@ class ExperimentConfig:
     quadrature: dict
     sim: dict
     constants: dict
-    source_text: str = ""
 
     def config_hash(self) -> str:
-        body = json.dumps(
-            {k: getattr(self, k) for k in ("levy", "model", "lyapunov", "quadrature",
-                                           "sim", "constants")},
-            sort_keys=True, default=str)
+        body = json.dumps(vars(self), sort_keys=True, default=str)
         return hashlib.sha256(body.encode()).hexdigest()
 
     # -- builders ---------------------------------------------------------
@@ -232,7 +228,7 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
             else:
                 table[key] = default
         tables[section] = table
-    cfg = ExperimentConfig(**tables, source_text=text)
+    cfg = ExperimentConfig(**tables)
     _validate_physics(cfg)
     return cfg
 
@@ -249,6 +245,9 @@ def _validate_physics(cfg: ExperimentConfig):
             raise ConfigError(f"[{section}] {exc}") from exc
     if cfg.constants["r0_jump"] <= 0:
         raise ConfigError("constants r0_jump must be positive")
+    if cfg.levy["dim"] != cfg.model["dim"]:
+        raise ConfigError(f"[levy] dim = {cfg.levy['dim']} and [model] dim = "
+                          f"{cfg.model['dim']} must be equal")
 
 
 @dataclass

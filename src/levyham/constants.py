@@ -259,25 +259,23 @@ def compute_R0(geom: FarFieldGeometry, alpha: float, alpha0: float, kappa: float
     return float(np.ceil(r_sup + (1.0 + alpha) * kappa + 1.0))
 
 
-def compute_lipschitz(system, position_radius: float, velocity_radius: float | None = None,
-                      n_pairs: int = 100_000, seed: int = 777, refine_rounds: int = 3,
+def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
                       inflate: float = 1.05) -> float:
     """Sampled force Lipschitz quotient over a position ball.
 
-    Uses scrambled Sobol pairs plus axis-aligned pairs (one coordinate gap
-    zero), then locally shrinks the gap around the argmax; the result is
-    inflated 5% as a conservative over-estimate.
+    Uses scrambled Sobol pairs (velocities on the same radius) plus
+    axis-aligned pairs (one coordinate gap zero), then shrinks the gap around
+    the argmax three times; the result is inflated 5% as a conservative
+    over-estimate.
     """
-    if velocity_radius is None:
-        velocity_radius = position_radius
     d = system.dim
-    sob = qmc.Sobol(4 * d, scramble=True, seed=seed)
+    sob = qmc.Sobol(4 * d, scramble=True, seed=777)
     pts = sob.random_base2(max(int(math.ceil(math.log2(max(n_pairs, 2)))), 1))
     n_pairs = pts.shape[0]
     x = (2 * pts[:, 0:d] - 1) * position_radius
     xp = (2 * pts[:, d:2 * d] - 1) * position_radius
-    v = (2 * pts[:, 2 * d:3 * d] - 1) * velocity_radius
-    vp = (2 * pts[:, 3 * d:4 * d] - 1) * velocity_radius
+    v = (2 * pts[:, 2 * d:3 * d] - 1) * position_radius
+    vp = (2 * pts[:, 3 * d:4 * d] - 1) * position_radius
     # axis-aligned pairs reach the one-sided suprema exactly
     k = max(n_pairs // 10, 1)
     x = np.vstack([x, x[:k], x[:k]])
@@ -302,7 +300,7 @@ def compute_lipschitz(system, position_radius: float, velocity_radius: float | N
     best = float(np.max(qs))
     i = int(np.argmax(qs))
     bx, bv, bxp, bvp = x[i], v[i], xp[i], vp[i]
-    for _ in range(refine_rounds):
+    for _ in range(3):
         mid_x, mid_v = 0.5 * (bx + bxp), 0.5 * (bv + bvp)
         shrink = [(bx, bv, mid_x + 0.5 * (bxp - mid_x), mid_v + 0.5 * (bvp - mid_v)),
                   (mid_x + 0.5 * (bx - mid_x), mid_v + 0.5 * (bv - mid_v), bxp, bvp)]
@@ -462,12 +460,16 @@ class ConstantsBundle:
         return gen.ProfilePairFn(self.clamped, self.report.alpha, self.report.alpha0)
 
     def g_fn(self):
-        return gen.WeightPairFn(self.lyap, self.report.eps)
+        return self._tilt(self.report.eps)
 
     def monitor_fns(self):
         prof = ClampedProfile(self.monitor_profile, self.report.R0)
         return (gen.ProfilePairFn(prof, self.report.alpha, self.monitor_alpha0),
-                gen.WeightPairFn(self.lyap, self.monitor_eps))
+                self._tilt(self.monitor_eps))
+
+    def _tilt(self, eps):
+        w = gen.lyapunov_test_function(self.lyap)
+        return gen.SeparablePairFn(w, w, eps, 1.0)
 
 
 def profile_property_report(profile: DistanceProfile, n_grid: int = 10_000,

@@ -208,7 +208,7 @@ def sliced_wasserstein(A: EmpiricalMeasure, B: EmpiricalMeasure, n_projections: 
 
 def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
                             init_b: tuple, theta: float = 1.0,
-                            n_projections: int = 64, independent_streams: bool = True) -> dict:
+                            independent_streams: bool = True) -> dict:
     """Empirical stationarity probe from two initial conditions.
 
     Runs two single-process ensembles to the horizon, compares their
@@ -230,10 +230,8 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
     times = config.save_times()
     mid = len(times) // 2
     last = len(times) - 1
-    cross = sliced_wasserstein(cloud(ens_a, last), cloud(ens_b, last), n_projections,
-                               seed=config.seed)
-    within = sliced_wasserstein(cloud(ens_a, mid), cloud(ens_a, last), n_projections,
-                                seed=config.seed + 1)
+    cross = sliced_wasserstein(cloud(ens_a, last), cloud(ens_b, last), seed=config.seed)
+    within = sliced_wasserstein(cloud(ens_a, mid), cloud(ens_a, last), seed=config.seed + 1)
     # sampling noise floor: distance between two halves of one ensemble
     terminal = cloud(ens_a, last).samples
     half = terminal.shape[0] // 2
@@ -241,7 +239,7 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
     if half >= 2:
         noise_floor = sliced_wasserstein(EmpiricalMeasure(terminal[:half]),
                                          EmpiricalMeasure(terminal[half:2 * half]),
-                                         n_projections, seed=config.seed + 2)
+                                         seed=config.seed + 2)
     checkpoints = sorted({mid // 2, mid, (mid + last) // 2, last})
     moments = {}
     for k in checkpoints:

@@ -6,6 +6,14 @@ jump through three channels: a synchronous copy, and two modified channels
 where the second velocity is displaced by ``+/- alpha (q)_kappa`` with
 thinning probabilities read off the overlap density ratio.
 
+The pair operator acts on pair observables with three methods:
+``value(pair)`` broadcasts over leading axes (one row per jump node),
+``grads(pair)`` returns ``(d/dx, d/dv, d/dxp, d/dvp)`` at one pair state,
+and ``sync_hess(pair)`` is the second derivative along the synchronous
+move ``(v, vp) -> (v + u, vp + u)``. Three observables implement it: the
+distance ``ProfilePairFn``, the separable ``SeparablePairFn`` (the Lyapunov
+tilt, and the marginal identity's ``g(v) + h(vp)``) and ``ProductPairFn``.
+
 Identity checks (marginal consistency, product rule) evaluate both sides on
 one shared node table so the residual isolates algebra rather than
 quadrature; cross-validation of the closed-form profile drift uses genuinely
@@ -36,9 +44,8 @@ __all__ = [
     "apply_generator",
     "lyapunov_test_function",
     "ProfilePairFn",
-    "WeightPairFn",
+    "SeparablePairFn",
     "ProductPairFn",
-    "MarginalSumFn",
     "apply_coupling_operator",
     "coupling_profile_drift",
     "marginal_identity_residual",
@@ -253,13 +260,18 @@ def _error_bound(nodes: MeasureNodes, sync_integrand: np.ndarray, scale, hess=0.
 
 
 # ---------------------------------------------------------------------------
-# pair functions
+# pair observables
 # ---------------------------------------------------------------------------
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(vec))
     return vec / n if n > _DEGENERATE_NORM else np.zeros_like(vec)
+
+
+def _hess(f: TestFunction, x, v) -> float:
+    # velocity Hessian of a 1-d test function at one point (0 without one)
+    return 0.0 if f.hess_v is None else float(np.reshape(f.hess_v(x, v), ()))
 
 
 @dataclass(frozen=True)
@@ -277,72 +289,43 @@ class ProfilePairFn:
     def value(self, pair: PairState):
         return self.profile.value(pair.r(self.alpha, self.alpha0))
 
-    def value_shifted(self, pair: PairState, dv: np.ndarray, dvp: np.ndarray) -> np.ndarray:
-        wn = pair.w[None, :] + dv - dvp
-        qn = pair.z[None, :] + wn / self.alpha
-        rn = self.alpha0 * np.linalg.norm(pair.z) + np.linalg.norm(qn, axis=-1)
-        return np.asarray(self.profile.value(rn), dtype=float)
-
-    def _fp_qhat(self, pair):
-        q = pair.q(self.alpha)
+    def grads(self, pair: PairState):
         fp = float(self.profile.slope(pair.r(self.alpha, self.alpha0)))
-        return fp, _unit(q)
+        qh = _unit(pair.q(self.alpha))
+        gx = fp * (self.alpha0 * _unit(pair.z) + qh)
+        gv = fp * qh / self.alpha
+        return gx, gv, -gx, -gv
 
-    def grad_v(self, pair):
-        fp, qh = self._fp_qhat(pair)
-        return fp * qh / self.alpha
-
-    def grad_vp(self, pair):
-        return -self.grad_v(pair)
-
-    def grad_x(self, pair):
-        fp, qh = self._fp_qhat(pair)
-        return fp * (self.alpha0 * _unit(pair.z) + qh)
-
-    def grad_xp(self, pair):
-        return -self.grad_x(pair)
-
-    def sync_slope(self, pair):
+    def sync_hess(self, pair: PairState):
         # synchronous moves leave the pair distance invariant
-        return 0.0
-
-    def sync_hess(self, pair):
         return 0.0
 
 
 @dataclass(frozen=True)
-class WeightPairFn:
-    """Lyapunov tilt ``1 + eps (W(x, v) + W(xp, vp))``."""
+class SeparablePairFn:
+    """Separable observable ``offset + eps (f(x, v) + g(xp, vp))``.
 
-    lyap: object
-    eps: float
+    With ``f = g = lyapunov_test_function(lyap)`` and offset 1 it is the
+    Lyapunov tilt ``1 + eps (W + W')``; with two velocity functions, eps 1
+    and offset 0 it is the marginal identity's ``g(v) + h(vp)``.
+    """
+
+    f: TestFunction
+    g: TestFunction
+    eps: float = 1.0
+    offset: float = 0.0
 
     def value(self, pair: PairState):
-        return 1.0 + self.eps * (self.lyap.W(pair.x, pair.v) + self.lyap.W(pair.xp, pair.vp))
+        return self.offset + self.eps * (self.f.value(pair.x, pair.v)
+                                         + self.g.value(pair.xp, pair.vp))
 
-    def value_shifted(self, pair, dv, dvp):
-        w1 = self.lyap.W(pair.x[None, :], pair.v[None, :] + dv)
-        w2 = self.lyap.W(pair.xp[None, :], pair.vp[None, :] + dvp)
-        return 1.0 + self.eps * (w1 + w2)
+    def grads(self, pair: PairState):
+        f, g, eps = self.f, self.g, self.eps
+        return (eps * f.grad_x(pair.x, pair.v), eps * f.grad_v(pair.x, pair.v),
+                eps * g.grad_x(pair.xp, pair.vp), eps * g.grad_v(pair.xp, pair.vp))
 
-    def grad_v(self, pair):
-        return self.eps * self.lyap.grad_v_W(pair.x, pair.v)
-
-    def grad_vp(self, pair):
-        return self.eps * self.lyap.grad_v_W(pair.xp, pair.vp)
-
-    def grad_x(self, pair):
-        return self.eps * self.lyap.grad_x_W(pair.x, pair.v)
-
-    def grad_xp(self, pair):
-        return self.eps * self.lyap.grad_x_W(pair.xp, pair.vp)
-
-    def sync_slope(self, pair):
-        return float(self.grad_v(pair)[0] + self.grad_vp(pair)[0])
-
-    def sync_hess(self, pair):
-        return self.eps * float(self.lyap.hess_v_W(pair.x, pair.v)[0, 0]
-                                + self.lyap.hess_v_W(pair.xp, pair.vp)[0, 0])
+    def sync_hess(self, pair: PairState):
+        return self.eps * (_hess(self.f, pair.x, pair.v) + _hess(self.g, pair.xp, pair.vp))
 
 
 @dataclass(frozen=True)
@@ -355,72 +338,17 @@ class ProductPairFn:
     def value(self, pair):
         return self.left.value(pair) * self.right.value(pair)
 
-    def value_shifted(self, pair, dv, dvp):
-        return self.left.value_shifted(pair, dv, dvp) * self.right.value_shifted(pair, dv, dvp)
-
-    def grad_v(self, pair):
-        return (self.left.value(pair) * self.right.grad_v(pair)
-                + self.right.value(pair) * self.left.grad_v(pair))
-
-    def grad_vp(self, pair):
-        return (self.left.value(pair) * self.right.grad_vp(pair)
-                + self.right.value(pair) * self.left.grad_vp(pair))
-
-    def grad_x(self, pair):
-        return (self.left.value(pair) * self.right.grad_x(pair)
-                + self.right.value(pair) * self.left.grad_x(pair))
-
-    def grad_xp(self, pair):
-        return (self.left.value(pair) * self.right.grad_xp(pair)
-                + self.right.value(pair) * self.left.grad_xp(pair))
-
-    def sync_slope(self, pair):
-        return (self.left.value(pair) * self.right.sync_slope(pair)
-                + self.right.value(pair) * self.left.sync_slope(pair))
+    def grads(self, pair):
+        lv, rv = self.left.value(pair), self.right.value(pair)
+        return tuple(lv * rg + rv * lg
+                     for lg, rg in zip(self.left.grads(pair), self.right.grads(pair)))
 
     def sync_hess(self, pair):
-        return (self.left.value(pair) * self.right.sync_hess(pair)
-                + self.right.value(pair) * self.left.sync_hess(pair)
-                + 2.0 * self.left.sync_slope(pair) * self.right.sync_slope(pair))
-
-
-@dataclass(frozen=True)
-class MarginalSumFn:
-    """Separable observable ``g(v) + h(vp)`` used by the marginal identity."""
-
-    g_value: object
-    g_grad: object
-    h_value: object
-    h_grad: object
-    g_hess: object = None
-    h_hess: object = None
-
-    def value(self, pair):
-        return float(self.g_value(pair.v) + self.h_value(pair.vp))
-
-    def value_shifted(self, pair, dv, dvp):
-        return (np.asarray(self.g_value(pair.v[None, :] + dv), dtype=float)
-                + np.asarray(self.h_value(pair.vp[None, :] + dvp), dtype=float))
-
-    def grad_v(self, pair):
-        return np.asarray(self.g_grad(pair.v), dtype=float)
-
-    def grad_vp(self, pair):
-        return np.asarray(self.h_grad(pair.vp), dtype=float)
-
-    def grad_x(self, pair):
-        return np.zeros_like(pair.x)
-
-    def grad_xp(self, pair):
-        return np.zeros_like(pair.x)
-
-    def sync_slope(self, pair):
-        return float(self.grad_v(pair)[0] + self.grad_vp(pair)[0])
-
-    def sync_hess(self, pair):
-        gh = float(self.g_hess(pair.v)) if self.g_hess is not None else 0.0
-        hh = float(self.h_hess(pair.vp)) if self.h_hess is not None else 0.0
-        return gh + hh
+        lv, rv = self.left.value(pair), self.right.value(pair)
+        _, lgv, _, lgvp = self.left.grads(pair)
+        _, rgv, _, rgvp = self.right.grads(pair)
+        return (lv * self.right.sync_hess(pair) + rv * self.left.sync_hess(pair)
+                + 2.0 * float((lgv + lgvp)[0]) * float((rgv + rgvp)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +366,21 @@ def _branch_weights(levy_spec, shift: np.ndarray, u_pts: np.ndarray):
     return rho_minus, rho_plus
 
 
-def _pair_breakpoints(shift_norm: float) -> tuple:
-    if shift_norm <= _DEGENERATE_NORM:
-        return ()
-    s = shift_norm
-    return (s, 1.0 - s, 1.0 + s, abs(1.0 - s))
+def _shifted(pair: PairState, dv: np.ndarray, dvp: np.ndarray) -> PairState:
+    # the pair after velocity jumps dv and dvp, one row per jump
+    return PairState(*np.broadcast_arrays(pair.x, pair.v + dv, pair.xp, pair.vp + dvp))
+
+
+def _pair_nodes(pair: PairState, levy_spec, alpha: float, kappa: float,
+                scheme: QuadratureScheme | None, nodes: MeasureNodes | None = None):
+    # the coupling shift, its norm, and (unless given) a node table with
+    # breakpoints where the shifted channels change shape
+    shift = coupling_shift(pair, alpha, kappa)
+    s = float(np.linalg.norm(shift))
+    if nodes is None:
+        bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s)) if s > _DEGENERATE_NORM else ()
+        nodes = build_nodes_1d(levy_spec.measure, scheme or QuadratureScheme(), breakpoints=bp)
+    return shift, s, nodes
 
 
 def coupling_shift(pair: PairState, alpha: float, kappa: float) -> np.ndarray:
@@ -459,26 +397,20 @@ def apply_coupling_operator(fn, pair: PairState, system, levy_spec, alpha: float
     Returns ``(value, error_bound)``. Pass ``drift_part=False`` for the pure
     jump component (used by the marginal identity).
     """
-    scheme = scheme or QuadratureScheme()
-    shift = coupling_shift(pair, alpha, kappa)
-    s = float(np.linalg.norm(shift))
-    if nodes is None:
-        nodes = build_nodes_1d(levy_spec.measure, scheme, breakpoints=_pair_breakpoints(s))
-
+    shift, s, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
     base = float(fn.value(pair))
+    gx, gv, gxp, gvp = (np.asarray(g, dtype=float) for g in fn.grads(pair))
     val = 0.0
     if drift_part:
         xdot = system.a * pair.x + system.b * pair.v
         xpdot = system.a * pair.xp + system.b * pair.vp
         u1 = np.asarray(system.force(pair.x, pair.v), dtype=float)
         u2 = np.asarray(system.force(pair.xp, pair.vp), dtype=float)
-        val += float(np.sum(fn.grad_x(pair) * xdot) + np.sum(fn.grad_xp(pair) * xpdot)
-                     + np.sum(fn.grad_v(pair) * u1) + np.sum(fn.grad_vp(pair) * u2))
+        val += float(np.sum(gx * xdot) + np.sum(gxp * xpdot)
+                     + np.sum(gv * u1) + np.sum(gvp * u2))
 
     du = nodes.points
     mask = nodes.sync_mask
-    gv = np.asarray(fn.grad_v(pair), dtype=float)
-    gvp = np.asarray(fn.grad_vp(pair), dtype=float)
     ind = (np.abs(nodes.u) <= 1.0)
     comp_v = np.where(ind, du[:, 0] * gv[0], 0.0)
     comp_both = comp_v + np.where(ind, du[:, 0] * gvp[0], 0.0)
@@ -487,20 +419,20 @@ def apply_coupling_operator(fn, pair: PairState, system, levy_spec, alpha: float
     sync_w = 1.0 - 0.5 * rho_minus - 0.5 * rho_plus
 
     # synchronous channel: evaluated outside the Taylor zone, analytic inside
-    sync_vals = fn.value_shifted(pair, du[mask], du[mask]) - base
+    sync_vals = fn.value(_shifted(pair, du[mask], du[mask])) - base
     sync_int = sync_vals - comp_both[mask]
     total = np.sum(nodes.w[mask] * nodes.dens[mask] * sync_w[mask] * sync_int)
     hess = float(fn.sync_hess(pair))
     total += 0.5 * hess * nodes.inner_moment2
 
     if s > _DEGENERATE_NORM:
-        shift_row = shift[None, :]
-        plus_vals = fn.value_shifted(pair, du, du + shift_row) - base
-        ind_p = np.linalg.norm(du + shift_row, axis=-1) <= 1.0
-        plus_int = plus_vals - comp_v - np.where(ind_p, (du + shift_row) @ gvp, 0.0)
-        minus_vals = fn.value_shifted(pair, du, du - shift_row) - base
-        ind_m = np.linalg.norm(du - shift_row, axis=-1) <= 1.0
-        minus_int = minus_vals - comp_v - np.where(ind_m, (du - shift_row) @ gvp, 0.0)
+        up, down = du + shift, du - shift
+        plus_vals = fn.value(_shifted(pair, du, up)) - base
+        ind_p = np.linalg.norm(up, axis=-1) <= 1.0
+        plus_int = plus_vals - comp_v - np.where(ind_p, up @ gvp, 0.0)
+        minus_vals = fn.value(_shifted(pair, du, down)) - base
+        ind_m = np.linalg.norm(down, axis=-1) <= 1.0
+        minus_int = minus_vals - comp_v - np.where(ind_m, down @ gvp, 0.0)
         total += np.sum(nodes.w * nodes.dens * 0.5 * rho_minus * plus_int)
         total += np.sum(nodes.w * nodes.dens * 0.5 * rho_plus * minus_int)
         err_mod = _modified_inner_error(levy_spec, s, nodes, plus_int, minus_int)
@@ -582,25 +514,21 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
 def _velocity_fn(fn: dict) -> TestFunction:
     # a {"value", "grad", "hess"} dict of velocity functions as a TestFunction
     hess = fn.get("hess")
-    return TestFunction(lambda x, v: fn["value"](v), None, lambda x, v: fn["grad"](v),
-                        None if hess is None else lambda x, v: hess(v))
+    return TestFunction(lambda x, v: fn["value"](v), lambda x, v: np.zeros_like(x),
+                        lambda x, v: fn["grad"](v), None if hess is None else lambda x, v: hess(v))
 
 
 def marginal_identity_residual(x, xp, g, h, v, vp, system, levy_spec, alpha: float,
                                kappa: float, scheme: QuadratureScheme | None = None) -> float:
     """Absolute gap between the pair jump operator on ``g(v) + h(vp)`` and the
     sum of single-process jump generators, on shared nodes."""
-    scheme = scheme or QuadratureScheme()
     pair = PairState(x, v, xp, vp)
-    fn = MarginalSumFn(g["value"], g["grad"], h["value"], h["grad"],
-                       g.get("hess"), h.get("hess"))
-    shift = coupling_shift(pair, alpha, kappa)
-    nodes = build_nodes_1d(levy_spec.measure, scheme,
-                           breakpoints=_pair_breakpoints(float(np.linalg.norm(shift))))
+    fn = SeparablePairFn(_velocity_fn(g), _velocity_fn(h))
+    _, _, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme)
     lhs, _ = apply_coupling_operator(fn, pair, system, levy_spec, alpha, kappa,
-                                     scheme, nodes=nodes, drift_part=False)
-    rhs = (float(_jump_sum(_velocity_fn(g), pair.x, pair.v, nodes)[0])
-           + float(_jump_sum(_velocity_fn(h), pair.xp, pair.vp, nodes)[0]))
+                                     nodes=nodes, drift_part=False)
+    rhs = (float(_jump_sum(fn.f, pair.x, pair.v, nodes)[0])
+           + float(_jump_sum(fn.g, pair.xp, pair.vp, nodes)[0]))
     return abs(lhs - rhs)
 
 
@@ -608,22 +536,18 @@ def product_correction_term(pair: PairState, h_fn, g_fn, levy_spec, alpha: float
                             kappa: float, scheme: QuadratureScheme | None = None,
                             nodes: MeasureNodes | None = None) -> float:
     """Cross term of the product rule: both channels of jump covariation."""
-    scheme = scheme or QuadratureScheme()
-    shift = coupling_shift(pair, alpha, kappa)
-    s = float(np.linalg.norm(shift))
+    shift, s, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
     if s <= _DEGENERATE_NORM:
         return 0.0
-    if nodes is None:
-        nodes = build_nodes_1d(levy_spec.measure, scheme, breakpoints=_pair_breakpoints(s))
     du = nodes.points
     rho_minus, rho_plus = _branch_weights(levy_spec, shift, du)
     hb = h_fn.value(pair)
     gb = g_fn.value(pair)
-    sr = shift[None, :]
-    dh_p = h_fn.value_shifted(pair, du, du + sr) - hb
-    dg_p = g_fn.value_shifted(pair, du, du + sr) - gb
-    dh_m = h_fn.value_shifted(pair, du, du - sr) - hb
-    dg_m = g_fn.value_shifted(pair, du, du - sr) - gb
+    plus, minus = _shifted(pair, du, du + shift), _shifted(pair, du, du - shift)
+    dh_p = h_fn.value(plus) - hb
+    dg_p = g_fn.value(plus) - gb
+    dh_m = h_fn.value(minus) - hb
+    dg_m = g_fn.value(minus) - gb
     return float(np.sum(nodes.w * nodes.dens * 0.5 * (rho_minus * dh_p * dg_p
                                                       + rho_plus * dh_m * dg_m)))
 
@@ -639,19 +563,12 @@ def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float,
 def product_rule_residual(pair: PairState, h_fn, g_fn, system, levy_spec, alpha: float,
                           kappa: float, scheme: QuadratureScheme | None = None) -> float:
     """Relative gap of ``L(HG) = H LG + G LH + Pi`` on shared nodes."""
-    scheme = scheme or QuadratureScheme()
-    shift = coupling_shift(pair, alpha, kappa)
-    nodes = build_nodes_1d(levy_spec.measure, scheme,
-                           breakpoints=_pair_breakpoints(float(np.linalg.norm(shift))))
-    prod = ProductPairFn(h_fn, g_fn)
-    lhs, _ = apply_coupling_operator(prod, pair, system, levy_spec, alpha, kappa,
-                                     scheme, nodes=nodes)
-    lh, _ = apply_coupling_operator(h_fn, pair, system, levy_spec, alpha, kappa,
-                                    scheme, nodes=nodes)
-    lg, _ = apply_coupling_operator(g_fn, pair, system, levy_spec, alpha, kappa,
-                                    scheme, nodes=nodes)
-    pi = product_correction_term(pair, h_fn, g_fn, levy_spec, alpha, kappa,
-                                 scheme, nodes=nodes)
+    _, _, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme)
+    lhs, _ = apply_coupling_operator(ProductPairFn(h_fn, g_fn), pair, system, levy_spec,
+                                     alpha, kappa, nodes=nodes)
+    lh, _ = apply_coupling_operator(h_fn, pair, system, levy_spec, alpha, kappa, nodes=nodes)
+    lg, _ = apply_coupling_operator(g_fn, pair, system, levy_spec, alpha, kappa, nodes=nodes)
+    pi = product_correction_term(pair, h_fn, g_fn, levy_spec, alpha, kappa, nodes=nodes)
     rhs = h_fn.value(pair) * lg + g_fn.value(pair) * lh + pi
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return abs(lhs - rhs) / scale
@@ -677,7 +594,6 @@ def contraction_inequality_check(pair: PairState, hhat_fn, g_fn, rate: float, sy
 
     Constants are inputs; a failure is reported, not raised.
     """
-    scheme = scheme or QuadratureScheme()
     prod = ProductPairFn(hhat_fn, g_fn)
     lhs, err = apply_coupling_operator(prod, pair, system, levy_spec, alpha, kappa, scheme)
     rhs = -rate * prod.value(pair)

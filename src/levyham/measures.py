@@ -458,13 +458,11 @@ def overlap_ratio(spec: LevyMeasureSpec, shift: np.ndarray, u: np.ndarray) -> np
     return out if out.shape != () else float(out)
 
 
-def overlap_mass(slice_m: SliceMeasure, shift: np.ndarray, rng: np.random.Generator | None = None,
-                 n_mc: int = 200_000) -> float:
+def overlap_mass(slice_m: SliceMeasure, shift: np.ndarray) -> float:
     """Total mass of the overlap measure at the given shift.
 
-    Closed form for dim = 1, deterministic quadrature for dim in {2, 3};
-    Monte Carlo for larger dimensions (standard error ~ value/sqrt(n_mc),
-    pass ``rng`` to control the stream).
+    Closed form for dim = 1, deterministic quadrature for dim = 2; larger
+    dimensions raise ``NotImplementedError``.
     """
     shift = np.asarray(shift, dtype=float).reshape(-1)
     s = float(np.linalg.norm(shift))
@@ -494,28 +492,10 @@ def overlap_mass(slice_m: SliceMeasure, shift: np.ndarray, rng: np.random.Genera
 
         val = integrate.quad(inner, lo, hi, limit=100)[0]
         return slice_m.c * val
-    # dim >= 3: importance sampling from the shifted slab mixture
-    if rng is None:
-        rng = np.random.default_rng(12345)
-    # propose from nu* restricted above s/2 (where the min is supported in norm)
-    a = s / 2.0
-    half = slice_m.mass_above(a)
-    pts = slice_m.sample_annulus(a, math.inf, n_mc, rng)
-    w_min = overlap_density(slice_m, shift, pts)
-    w_prop = slice_m.density(pts)
-    ratio = np.where(w_prop > 0, w_min / w_prop, 0.0)
-    # the proposal misses overlap mass where |u| <= s/2 but |u - shift| > s/2;
-    # add the mirrored estimate and halve (both halves cover the kink set)
-    pts2 = pts + shift
-    w_min2 = overlap_density(slice_m, shift, pts2)
-    w_prop2 = slice_m.density(pts2 - shift)
-    ratio2 = np.where(w_prop2 > 0, w_min2 / w_prop2, 0.0)
-    est = 0.5 * half * (ratio.mean() + ratio2.mean())
-    return float(est)
+    raise NotImplementedError(f"overlap mass implemented for dim <= 2, got dim = {slice_m.dim}")
 
 
-def overlap_mass_lower_bound(slice_m: SliceMeasure, s: float, n_dirs: int = 64,
-                             n_radii: int = 32) -> float:
+def overlap_mass_lower_bound(slice_m: SliceMeasure, s: float) -> float:
     """Infimum of the overlap mass over shifts with ``0 < |x| <= s``.
 
     The mass decreases in ``|x|`` along any fixed direction (covered by a
@@ -527,6 +507,7 @@ def overlap_mass_lower_bound(slice_m: SliceMeasure, s: float, n_dirs: int = 64,
         raise NonPositiveRadius(f"radius must be positive, got {s}")
     if slice_m.dim == 1:
         return overlap_mass(slice_m, [s])
+    n_dirs, n_radii = 64, 32
     rng = np.random.default_rng(2024)
     g = rng.standard_normal((n_dirs, slice_m.dim))
     dirs = g / np.linalg.norm(g, axis=1, keepdims=True)

@@ -64,7 +64,6 @@ class SimConfig:
     seed: int = 0
     n_save: int = 101
     blowup_norm: float = 1e12
-    jump_budget: float = 2e7
 
     def __post_init__(self):
         if self.h <= 0 or self.delta <= 0 or self.horizon < 0:
@@ -257,8 +256,8 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     saves = (np.abs(ends - times[[k for k, _, _ in plan]])
              < 1e-9 * max(times[-1], 1.0)).tolist()
     batches = [ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
-                                     replica_rng(config.seed, rep + replica_offset),
-                                     config.jump_budget) for rep in range(n) if times[-1] > 0]
+                                     replica_rng(config.seed, rep + replica_offset))
+               for rep in range(n) if times[-1] > 0]
     # a jump at t kicks the first window with t < end - 1e-15; sorted in
     # (window, replica, time) order, jumps past the last window are dropped
     jump_times = np.concatenate([b.times for b in batches] + [np.empty(0)])

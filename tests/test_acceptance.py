@@ -125,7 +125,8 @@ def test_criterion_04_operator_identities(bench, scheme):
     alpha, kappa = bench.report.alpha, bench.report.kappa
     live = LiveProfile()
     hfn = gen.ProfilePairFn(live, alpha, 2.0)
-    gfn = gen.WeightPairFn(bench.lyap, bench.monitor_eps)
+    w = gen.lyapunov_test_function(bench.lyap)
+    gfn = gen.SeparablePairFn(w, w, bench.monitor_eps, 1.0)
     worst_marg, worst_prod = 0.0, 0.0
     for _ in range(20):
         x, xp, v, vp = rng.normal(0, 1, (4, 1))

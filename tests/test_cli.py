@@ -160,6 +160,19 @@ class TestExitCodes:
                              "--out", str(tmp_path)])
             assert code == 0
 
+    @pytest.mark.parametrize("levy_dim, model_dim", [(2, 1), (1, 2)])
+    def test_mismatched_dimensions_are_one_config_line(self, tmp_path, capsys,
+                                                       levy_dim, model_dim):
+        path = write(tmp_path, f"[levy]\ndim = {levy_dim}\n[model]\ndim = {model_dim}\n")
+        for argv in (["constants"], ["verify", "--which", "B1"], ["rate"], ["couple"],
+                     ["equilibrium"]):
+            code = cli.main(argv + ["--config", path, "--out", str(tmp_path)])
+            assert code == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error:")
+            assert f"[levy] dim = {levy_dim}" in lines[0]
+            assert f"[model] dim = {model_dim}" in lines[0]
+
 
 class TestLyapunovBuilder:
     """Verify F1/A2 and the constant chain build one and the same Lyapunov weight."""

@@ -161,8 +161,9 @@ class TestTiltAndRate:
 
 def psi_tilde_fn(profile, lyap, eps: float, alpha: float, alpha0: float):
     """Contraction cost: profile of the blended gap times the Lyapunov tilt."""
+    w = gen.lyapunov_test_function(lyap)
     return gen.ProductPairFn(gen.ProfilePairFn(profile, alpha, alpha0),
-                             gen.WeightPairFn(lyap, eps))
+                             gen.SeparablePairFn(w, w, eps, 1.0))
 
 
 class TestCostFunctionals:

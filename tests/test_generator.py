@@ -80,6 +80,12 @@ class LinearProfile:
         return 2.0 * np.ones_like(s)
 
 
+def tilt(lyap, eps):
+    """The Lyapunov tilt ``1 + eps (W + W')`` as a pair observable."""
+    w = gen.lyapunov_test_function(lyap)
+    return gen.SeparablePairFn(w, w, eps, 1.0)
+
+
 ALPHA, ALPHA0, KAPPA = 1.0, 2.0, 0.25
 
 
@@ -143,6 +149,62 @@ class TestApplyGenerator:
     def test_derivative_validation(self, flat_lyap):
         tf = gen.lyapunov_test_function(flat_lyap)
         assert tf.check_derivatives(np.array([0.7]), np.array([-0.9]))
+
+
+def fd_grads(fn, pair, step=1e-6):
+    """Central differences of ``fn.value`` in x, v, xp and vp."""
+    parts = {k: getattr(pair, k) for k in ("x", "v", "xp", "vp")}
+    out = []
+    for name in parts:
+        up = PairState(**dict(parts, **{name: parts[name] + step}))
+        down = PairState(**dict(parts, **{name: parts[name] - step}))
+        out.append((float(fn.value(up)) - float(fn.value(down))) / (2 * step))
+    return out
+
+
+def fd_sync_hess(fn, pair, step=1e-3):
+    """Second central difference along the synchronous move (v + u, vp + u)."""
+    def at(u):
+        return float(fn.value(PairState(pair.x, pair.v + u, pair.xp, pair.vp + u)))
+    return (at(step) + at(-step) - 2.0 * at(0.0)) / step ** 2
+
+
+class TestPairObservables:
+    """``grads`` and ``sync_hess`` of every pair observable against finite differences."""
+
+    def observables(self, lyap):
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        g = tilt(lyap, 0.07)
+        bumps = gen.SeparablePairFn(gen._velocity_fn(bump_dict(0.3)),
+                                    gen._velocity_fn(bump_dict(-0.5)))
+        # the profile's synchronous slope is 0, so only the second product
+        # exercises the cross term of sync_hess
+        return {"profile": h, "tilt": g, "bumps": bumps, "product": gen.ProductPairFn(h, g),
+                "tilt_bumps": gen.ProductPairFn(g, bumps)}
+
+    def test_grads_match_finite_differences(self, benchmark_lyap, rng):
+        fns = self.observables(benchmark_lyap)
+        for _ in range(10):
+            pair = PairState(*rng.normal(0, 1.5, (4, 1)))
+            for name, fn in fns.items():
+                got = [float(np.asarray(g)[0]) for g in fn.grads(pair)]
+                want = fd_grads(fn, pair)
+                assert got == pytest.approx(want, rel=1e-6, abs=1e-7), name
+
+    def test_sync_hess_matches_finite_differences(self, benchmark_lyap, rng):
+        fns = self.observables(benchmark_lyap)
+        for _ in range(10):
+            pair = PairState(*rng.normal(0, 1.5, (4, 1)))
+            assert fns["profile"].sync_hess(pair) == 0.0
+            for name, fn in fns.items():
+                assert float(fn.sync_hess(pair)) == pytest.approx(
+                    fd_sync_hess(fn, pair), rel=1e-5, abs=1e-6), name
+
+    def test_profile_sync_slope_is_exactly_zero(self, rng):
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        for _ in range(10):
+            _, gv, _, gvp = h.grads(PairState(*rng.normal(0, 1.5, (4, 1))))
+            assert (gv + gvp)[0] == 0.0
 
 
 class TestClosedFormCrossValidation:
@@ -235,7 +297,7 @@ class TestProductRule:
     def test_equal_states_zero(self, half_slice_levy, scheme, flat_lyap):
         pair = PairState([0.4], [0.1], [0.4], [0.1])
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
-        g = gen.WeightPairFn(flat_lyap, 0.05)
+        g = tilt(flat_lyap, 0.05)
         lhs, _ = gen.apply_coupling_operator(gen.ProductPairFn(h, g), pair,
                                              damping_system(), half_slice_levy,
                                              ALPHA, KAPPA, scheme)
@@ -245,7 +307,7 @@ class TestProductRule:
         pair = PairState(rng.normal(size=1), rng.normal(size=1),
                          rng.normal(size=1), rng.normal(size=1))
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
-        g0 = gen.WeightPairFn(flat_lyap, 0.0)
+        g0 = tilt(flat_lyap, 0.0)
         pi = gen.product_correction_term(pair, h, g0, half_slice_levy, ALPHA, KAPPA, scheme)
         assert pi == 0.0
         res = gen.product_rule_residual(pair, h, g0, damping_system(), half_slice_levy,
@@ -254,7 +316,7 @@ class TestProductRule:
 
     def test_twenty_random_states(self, half_slice_levy, scheme, flat_lyap, rng):
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
-        g = gen.WeightPairFn(flat_lyap, 0.07)
+        g = tilt(flat_lyap, 0.07)
         for _ in range(20):
             pair = PairState(rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1), rng.normal(size=1))
@@ -267,7 +329,7 @@ class TestProductRule:
                                                    grid_radius=8.0, n_grid=7)
         eps = 0.05
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
-        g = gen.WeightPairFn(flat_lyap, eps)
+        g = tilt(flat_lyap, eps)
         for _ in range(15):
             pair = PairState(rng.uniform(-4, 4, 1), rng.uniform(-4, 4, 1),
                              rng.uniform(-4, 4, 1), rng.uniform(-4, 4, 1))
@@ -281,7 +343,7 @@ class TestContractionCheck:
     def test_equal_states_pass(self, half_slice_levy, scheme, flat_lyap):
         pair = PairState([1.0], [0.5], [1.0], [0.5])
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
-        g = gen.WeightPairFn(flat_lyap, 0.05)
+        g = tilt(flat_lyap, 0.05)
         chk = gen.contraction_inequality_check(pair, h, g, rate=0.1,
                                                system=damping_system(),
                                                levy_spec=half_slice_levy,

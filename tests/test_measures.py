@@ -112,6 +112,11 @@ class TestOverlapMass:
         small = sl2.moment_pair(1.0).small_jump
         assert m1 <= 8.0 * small * min(1.0, math.hypot(0.3, 0.1)) ** -2
 
+    def test_three_dims_raise(self):
+        sl3 = ms.SliceMeasure(c=1.0, theta0=0.5, dim=3)
+        with pytest.raises(NotImplementedError, match="dim = 3"):
+            ms.overlap_mass(sl3, [0.3, 0.1, 0.2])
+
 
 class TestReflectionIdentity:
     def test_pointwise_100_random(self, rng):
