@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -148,20 +147,20 @@ def _verify_operator_identities(cfg, seed):
     gfn = bundle.g_fn()
 
     def bump(c):
-        return {"value": lambda v, c=c: np.exp(-np.sum((np.asarray(v, dtype=float) - c) ** 2,
-                                                       axis=-1)),
-                "grad": lambda v, c=c: -2.0 * (np.asarray(v, dtype=float) - c)
-                * np.exp(-np.sum((np.asarray(v, dtype=float) - c) ** 2, axis=-1)),
-                "hess": lambda v, c=c: (-2.0 + 4.0 * (float(v[0]) - c) ** 2)
-                * math.exp(-(float(v[0]) - c) ** 2)}
+        # the velocity bump exp(-(v - c)^2)
+        return gen.TestFunction(
+            lambda x, v: np.exp(-np.sum((v - c) ** 2, axis=-1)),
+            lambda x, v: np.zeros_like(x),
+            lambda x, v: -2.0 * (v - c) * np.exp(-np.sum((v - c) ** 2, axis=-1))[..., None],
+            lambda x, v: (-2.0 + 4.0 * (v[..., 0] - c) ** 2) * np.exp(-(v[..., 0] - c) ** 2))
 
     marg, prod = [], []
     for _ in range(20):
         x, xp, v, vp = rng.normal(0, 1, size=(4, 1))
-        marg.append(gen.marginal_identity_residual(
-            x, xp, bump(float(rng.normal())), bump(float(rng.normal())), v, vp,
-            bundle.system, levy, alpha, kappa, scheme))
         pair = PairState(x, v, xp, vp)
+        marg.append(gen.marginal_identity_residual(
+            pair, bump(float(rng.normal())), bump(float(rng.normal())),
+            bundle.system, levy, alpha, kappa, scheme))
         prod.append(gen.product_rule_residual(pair, hfn, gfn, bundle.system, levy,
                                               alpha, kappa, scheme))
     payload = {"marginal_residual_max": float(max(marg)),
@@ -201,8 +200,9 @@ def cmd_rate(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -
     try:
         report = erg.estimate_decay(bundle, sim_cfg, PairState(x0, v0, xp0, vp0))
     except InsufficientDecay as exc:
-        _write_json(os.path.join(out, "rate.json"),
-                    {"error": "InsufficientDecay", "detail": str(exc)})
+        path = os.path.join(out, "rate.json")
+        _write_json(path, {"error": "InsufficientDecay", "detail": str(exc)})
+        manifest.outputs.append(path)
         manifest.finish(os.path.join(out, "run_manifest.json"))
         return 2
     path = os.path.join(out, "rate.json")
@@ -255,8 +255,7 @@ def cmd_equilibrium(cfg: ExperimentConfig, out: str, seed: int, replicas: int | 
     if sim_cfg.n_save < 3:
         raise ConfigError("equilibrium diagnostics need sim n_save >= 3")
     x0, v0, xp0, vp0 = cfg.initial_pair()
-    payload = erg.equilibrium_diagnostics(system, levy, sim_cfg, (x0, v0), (xp0, vp0),
-                                          theta=levy.theta)
+    payload = erg.equilibrium_diagnostics(system, levy, sim_cfg, (x0, v0), (xp0, vp0))
     threshold = cfg.constants["decay_threshold"]
     if threshold is not None:
         payload["threshold"] = threshold

@@ -14,7 +14,8 @@ A config file has flat ``key = value`` tables, one nesting level::
     potential = double_well_poly
     ...
 
-Unknown sections or keys are rejected with the offending line number.
+Unknown sections or keys are rejected with the offending line number, and
+so is a ``[levy]`` key that only the other ``kind`` reads.
 Every run emits a manifest with the config hash, seed, library versions,
 and produced files; data outputs are bitwise-stable for a fixed
 (config, seed) pair, while the manifest additionally records wall times.
@@ -97,6 +98,9 @@ SCHEMA = {
 
 # (section, old key) -> new key; the old name is rejected with a pointer to the new one
 _RENAMED = {("quadrature", "nodes_angular"): "panels_per_decade"}
+
+# [levy] kind -> the keys only that kind reads
+_KIND_KEYS = {"slice": ("c", "theta0"), "stable": ("alpha0", "scale", "slice_c", "slice_theta0")}
 
 
 @dataclass(frozen=True)
@@ -219,6 +223,12 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]",
                                   line=_line_of(text, section, key))
+    kind = parser.get("levy", "kind", fallback=SCHEMA["levy"]["kind"][1]).strip()
+    for other, keys in _KIND_KEYS.items():
+        stray = [key for key in keys if parser.has_option("levy", key)]
+        if kind in _KIND_KEYS and other != kind and stray:
+            raise ConfigError(f"[levy] {stray[0]} applies to kind = {other}, not kind = {kind}",
+                              line=_line_of(text, "levy", stray[0]))
     for section, keys in SCHEMA.items():
         table = {}
         for key, (typ, default) in keys.items():

@@ -14,7 +14,7 @@ true decay; Monte Carlo estimates typically sit many orders above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
@@ -130,20 +130,14 @@ class DistanceProfile:
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        inside = np.minimum(s, self.cap)
-        out = self._core_value(inside)
+        out = self._core_value(np.minimum(s, self.cap))
         over = s > self.cap
         if np.any(over):
             f_cap = float(self._core_value(self.cap))
             fp_cap = float(self._core_slope(self.cap))
-            ds = s[over] - self.cap if s.ndim else s - self.cap
-            ext = f_cap + fp_cap * ds / (1.0 + ds)
-            if s.ndim:
-                out = out.copy()
-                out[over] = ext
-            else:
-                out = ext
-        return out if s.ndim else float(out)
+            ds = np.maximum(s - self.cap, 0.0)
+            out = np.where(over, f_cap + fp_cap * ds / (1.0 + ds), out)
+        return out[()]
 
     def slope(self, s):
         s = np.asarray(s, dtype=float)
@@ -151,10 +145,8 @@ class DistanceProfile:
         over = s > self.cap
         if np.any(over):
             fp_cap = float(self._core_slope(self.cap))
-            ds = np.asarray(s - self.cap, dtype=float)
-            ext = fp_cap / (1.0 + ds) ** 2
-            core = np.where(over, ext, core)
-        return core if s.ndim else float(core)
+            core = np.where(over, fp_cap / (1.0 + np.maximum(s - self.cap, 0.0)) ** 2, core)
+        return core[()]
 
     def second(self, s):
         s = np.asarray(s, dtype=float)
@@ -175,8 +167,7 @@ class ClampedProfile:
 
     def slope(self, s):
         s = np.asarray(s, dtype=float)
-        out = np.where(s >= self.clamp, 0.0, self.base.slope(np.minimum(s, self.clamp)))
-        return out if s.ndim else float(out)
+        return np.where(s >= self.clamp, 0.0, self.base.slope(np.minimum(s, self.clamp)))[()]
 
 
 def build_profile(sigma: SigmaFn, c_star_profile: float, k0: float, alpha0: float,
@@ -214,7 +205,6 @@ def compute_alpha_alpha0(a: float, b: float, lam_star: float) -> tuple[float, fl
 @dataclass(frozen=True)
 class FarFieldGeometry:
     S_star: float
-    V_max: float
     x_max: float
     v_max: float
 
@@ -247,7 +237,7 @@ def far_field_sublevel(c0: float, C0: float, c_star: float, eta: float, theta: f
     gap = r_scale ** 2 - r0_cross ** 2
     x_max = 2.0 * math.sqrt(max(V_max - 1.0, 0.0) / gap)
     v_max = r_scale * x_max
-    return FarFieldGeometry(S_star, V_max, x_max, v_max)
+    return FarFieldGeometry(S_star, x_max, v_max)
 
 
 def compute_R0(geom: FarFieldGeometry, alpha: float, alpha0: float, kappa: float) -> float:
@@ -286,9 +276,8 @@ def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
     def quotient(x, v, xp, vp):
         with np.errstate(over="ignore", invalid="ignore"):
             du = np.asarray(system.force(x, v), dtype=float) - np.asarray(system.force(xp, vp), dtype=float)
-        gap = (np.linalg.norm(np.atleast_2d(x - xp), axis=-1)
-               + np.linalg.norm(np.atleast_2d(v - vp), axis=-1))
-        num = np.linalg.norm(np.atleast_2d(du), axis=-1)
+        gap = np.linalg.norm(x - xp, axis=-1) + np.linalg.norm(v - vp, axis=-1)
+        num = np.linalg.norm(du, axis=-1)
         good = gap > 1e-12
         out = np.zeros_like(gap)
         out[good] = num[good] / gap[good]
@@ -586,7 +575,6 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
         c0_lyap = 1e-6
 
     eta, c_star, _ = md.verify_jump_regularity(lyap, levy_spec.slice_part, grid_radius)
-    lyap = replace(lyap, eta=eta, c_star=c_star)
 
     c0_sigma, theta0 = ms.fit_overlap_floor(levy_spec.slice_part, r0_jump)
     alpha, alpha0_prov = compute_alpha_alpha0(a, b, 0.0)

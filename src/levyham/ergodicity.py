@@ -72,11 +72,9 @@ class DecayReport:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Uniformly weighted sample cloud with its provenance."""
+    """Uniformly weighted sample cloud."""
 
     samples: np.ndarray
-    time: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -207,14 +205,14 @@ def sliced_wasserstein(A: EmpiricalMeasure, B: EmpiricalMeasure, n_projections: 
 
 
 def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
-                            init_b: tuple, theta: float = 1.0,
-                            independent_streams: bool = True) -> dict:
+                            init_b: tuple, independent_streams: bool = True) -> dict:
     """Empirical stationarity probe from two initial conditions.
 
     Runs two single-process ensembles to the horizon, compares their
     terminal clouds, and compares the mid-horizon and terminal clouds of the
     first ensemble as a stationarity proxy; also tracks the fractional
-    velocity moment across checkpoints (heavy tails rule out variances).
+    velocity moment of order ``levy.theta`` across checkpoints (heavy tails
+    rule out variances).
     """
     if config.n_save < 3:
         raise ValueError("need at least three snapshots for the stationarity proxy")
@@ -224,8 +222,7 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
 
     def cloud(ens, k):
         rows = [np.concatenate([tr.x[k], tr.v[k]]) for tr in ens if not tr.blown_up]
-        return EmpiricalMeasure(np.reshape(rows, (-1, 2 * system.dim)),
-                                time=float(ens[0].times[k]), seed=config.seed)
+        return EmpiricalMeasure(np.reshape(rows, (-1, 2 * system.dim)))
 
     times = config.save_times()
     mid = len(times) // 2
@@ -244,7 +241,7 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
     moments = {}
     for k in checkpoints:
         vs = np.array([np.linalg.norm(tr.v[k]) for tr in ens_a if not tr.blown_up])
-        moments[float(times[k])] = float(np.mean(vs ** theta))
+        moments[float(times[k])] = float(np.mean(vs ** levy.theta))
     blow = sum(tr.blown_up for tr in ens_a) + sum(tr.blown_up for tr in ens_b)
     return {
         "cross_distance": cross,

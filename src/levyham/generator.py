@@ -6,13 +6,18 @@ jump through three channels: a synchronous copy, and two modified channels
 where the second velocity is displaced by ``+/- alpha (q)_kappa`` with
 thinning probabilities read off the overlap density ratio.
 
-The pair operator acts on pair observables with three methods:
-``value(pair)`` broadcasts over leading axes (one row per jump node),
-``grads(pair)`` returns ``(d/dx, d/dv, d/dxp, d/dvp)`` at one pair state,
-and ``sync_hess(pair)`` is the second derivative along the synchronous
-move ``(v, vp) -> (v + u, vp + u)``. Three observables implement it: the
-distance ``ProfilePairFn``, the separable ``SeparablePairFn`` (the Lyapunov
-tilt, and the marginal identity's ``g(v) + h(vp)``) and ``ProductPairFn``.
+Every evaluator takes arrays of shape ``(..., d)`` and returns results over
+the same leading axes; one point is the 0-d case. A ``TestFunction``
+carries ``value``, ``grad_x``, ``grad_v`` and the required ``hess_v``. The
+pair operator acts on pair observables with three methods, all of which
+broadcast over leading axes: ``value(pair)``, ``grads(pair)`` (the tuple
+``(d/dx, d/dv, d/dxp, d/dvp)``) and ``sync_hess(pair)``, the second
+derivative along the synchronous move ``(v, vp) -> (v + u, vp + u)``. Three
+observables implement it: the distance ``ProfilePairFn``, the separable
+``SeparablePairFn`` (the Lyapunov tilt, and the marginal identity's
+``g(v) + h(vp)``) and ``ProductPairFn``. The operator itself is evaluated
+at one pair state at a time, because its node table depends on the
+state's coupling shift.
 
 Identity checks (marginal consistency, product rule) evaluate both sides on
 one shared node table so the residual isolates algebra rather than
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import measures as ms
 from .errors import QuadratureBudgetExceeded
-from .pair import PairState
+from .pair import DEGENERATE_GAP, PairState, gap_is_degenerate
 from .quadtools import log_gauss_panels
 
 __all__ = [
@@ -55,9 +60,6 @@ __all__ = [
     "contraction_inequality_check",
     "ContractionCheck",
 ]
-
-_DEGENERATE_NORM = 1e-12
-
 
 @dataclass(frozen=True)
 class QuadratureScheme:
@@ -88,14 +90,13 @@ class TestFunction:
     ``value(x, v)``, ``grad_x``, ``grad_v`` and ``hess_v`` broadcast over
     leading axes, so the generator takes a whole grid in one call. ``hess_v``
     (any shape that reshapes to ``x.shape[:-1]`` in d = 1) feeds the analytic
-    inner-zone term (without it the zone is dropped and its bound lands in
-    the reported error).
+    inner-zone term.
     """
 
     value: object
     grad_x: object
     grad_v: object
-    hess_v: object = None
+    hess_v: object
 
     def check_derivatives(self, x, v, step: float = 1e-6, rtol: float = 1e-5) -> bool:
         """Finite-difference consistency probe of both gradients."""
@@ -201,9 +202,9 @@ def apply_generator(system, levy_spec, f: TestFunction, x, v,
     """Evaluate the full generator on ``f`` at ``(x, v)``.
 
     ``x`` and ``v`` may carry leading axes (a whole grid in one call).
-    Returns ``(value, error_bound)`` of shape ``x.shape[:-1]``, plain floats
-    for one point, where the bound covers the dropped inner zone, the
-    truncated tail, and accumulation noise.
+    Returns ``(value, error_bound)`` of shape ``x.shape[:-1]``, where the
+    bound covers the inner-zone Taylor remainder, the truncated tail, and
+    accumulation noise.
     """
     scheme = scheme or QuadratureScheme()
     x = np.asarray(x, dtype=float)
@@ -214,8 +215,7 @@ def apply_generator(system, levy_spec, f: TestFunction, x, v,
     val = (np.sum(np.asarray(f.grad_x(x, v)) * xdot, axis=-1)
            + np.sum(np.asarray(f.grad_v(x, v)) * u_force, axis=-1))
     jump, integrand, base, hess = _jump_sum(f, x, v, nodes)
-    val, err = val + jump, _error_bound(nodes, integrand, base, hess)
-    return (val, err) if val.ndim else (float(val), float(err))
+    return val + jump, _error_bound(nodes, integrand, base, hess)
 
 
 def _jump_sum(f: TestFunction, x, v, nodes: MeasureNodes):
@@ -231,14 +231,16 @@ def _jump_sum(f: TestFunction, x, v, nodes: MeasureNodes):
     comp = np.where(np.abs(um) <= 1.0, gv[..., None] * um, 0.0)
     integrand = shifted - base[..., None] - comp
     jump = np.sum(nodes.w[mask] * nodes.dens[mask] * integrand, axis=-1)
-    hess = 0.0
-    if f.hess_v is not None:
-        hess = np.reshape(f.hess_v(x, v), x.shape[:-1])
-        jump = jump + 0.5 * hess * nodes.inner_moment2
-    return jump, integrand, base, hess
+    hess = _hess(f, x, v)
+    return jump + 0.5 * hess * nodes.inner_moment2, integrand, base, hess
 
 
-def _error_bound(nodes: MeasureNodes, sync_integrand: np.ndarray, scale, hess=0.0):
+def _hess(f: TestFunction, x, v):
+    # velocity Hessian of a 1-d test function over the leading axes
+    return np.reshape(f.hess_v(x, v), np.shape(x)[:-1])
+
+
+def _error_bound(nodes: MeasureNodes, sync_integrand: np.ndarray, scale, hess):
     # Taylor remainder in the inner zone, scaled by the local curvature drift;
     # broadcast over the leading axes of sync_integrand
     mask = nodes.sync_mask
@@ -265,13 +267,9 @@ def _error_bound(nodes: MeasureNodes, sync_integrand: np.ndarray, scale, hess=0.
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(vec))
-    return vec / n if n > _DEGENERATE_NORM else np.zeros_like(vec)
-
-
-def _hess(f: TestFunction, x, v) -> float:
-    # velocity Hessian of a 1-d test function at one point (0 without one)
-    return 0.0 if f.hess_v is None else float(np.reshape(f.hess_v(x, v), ()))
+    # vec / |vec| over the leading axes, zero at degenerate norms
+    n = np.linalg.norm(vec, axis=-1, keepdims=True)
+    return np.divide(vec, n, out=np.zeros_like(vec), where=n > DEGENERATE_GAP)
 
 
 @dataclass(frozen=True)
@@ -290,7 +288,7 @@ class ProfilePairFn:
         return self.profile.value(pair.r(self.alpha, self.alpha0))
 
     def grads(self, pair: PairState):
-        fp = float(self.profile.slope(pair.r(self.alpha, self.alpha0)))
+        fp = np.asarray(self.profile.slope(pair.r(self.alpha, self.alpha0)))[..., None]
         qh = _unit(pair.q(self.alpha))
         gx = fp * (self.alpha0 * _unit(pair.z) + qh)
         gv = fp * qh / self.alpha
@@ -298,7 +296,7 @@ class ProfilePairFn:
 
     def sync_hess(self, pair: PairState):
         # synchronous moves leave the pair distance invariant
-        return 0.0
+        return np.zeros(pair.x.shape[:-1])[()]
 
 
 @dataclass(frozen=True)
@@ -339,7 +337,7 @@ class ProductPairFn:
         return self.left.value(pair) * self.right.value(pair)
 
     def grads(self, pair):
-        lv, rv = self.left.value(pair), self.right.value(pair)
+        lv, rv = (np.asarray(f.value(pair))[..., None] for f in (self.left, self.right))
         return tuple(lv * rg + rv * lg
                      for lg, rg in zip(self.left.grads(pair), self.right.grads(pair)))
 
@@ -348,7 +346,7 @@ class ProductPairFn:
         _, lgv, _, lgvp = self.left.grads(pair)
         _, rgv, _, rgvp = self.right.grads(pair)
         return (lv * self.right.sync_hess(pair) + rv * self.left.sync_hess(pair)
-                + 2.0 * float((lgv + lgvp)[0]) * float((rgv + rgvp)[0]))
+                + 2.0 * (lgv + lgvp)[..., 0] * (rgv + rgvp)[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +354,12 @@ class ProductPairFn:
 # ---------------------------------------------------------------------------
 
 
-def _branch_weights(levy_spec, shift: np.ndarray, u_pts: np.ndarray):
-    s = float(np.linalg.norm(shift))
-    if s <= _DEGENERATE_NORM:
+def _branch_weights(levy_spec, shift: np.ndarray | None, u_pts: np.ndarray):
+    # thinning probabilities of the two modified channels (zero without a shift)
+    if shift is None:
         zeros = np.zeros(u_pts.shape[0])
         return zeros, zeros
-    rho_minus = np.asarray(ms.overlap_ratio(levy_spec, -shift, u_pts), dtype=float)
-    rho_plus = np.asarray(ms.overlap_ratio(levy_spec, shift, u_pts), dtype=float)
-    return rho_minus, rho_plus
+    return ms.overlap_ratio(levy_spec, -shift, u_pts), ms.overlap_ratio(levy_spec, shift, u_pts)
 
 
 def _shifted(pair: PairState, dv: np.ndarray, dvp: np.ndarray) -> PairState:
@@ -373,14 +369,19 @@ def _shifted(pair: PairState, dv: np.ndarray, dvp: np.ndarray) -> PairState:
 
 def _pair_nodes(pair: PairState, levy_spec, alpha: float, kappa: float,
                 scheme: QuadratureScheme | None, nodes: MeasureNodes | None = None):
-    # the coupling shift, its norm, and (unless given) a node table with
-    # breakpoints where the shifted channels change shape
-    shift = coupling_shift(pair, alpha, kappa)
-    s = float(np.linalg.norm(shift))
+    # the coupling shift (None at a degenerate gap, where every jump is
+    # synchronous) and, unless given, a node table with breakpoints where the
+    # shifted channels change shape
+    shift = None
+    if not gap_is_degenerate(float(np.linalg.norm(pair.q(alpha)))):
+        shift = coupling_shift(pair, alpha, kappa)
     if nodes is None:
-        bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s)) if s > _DEGENERATE_NORM else ()
+        bp = ()
+        if shift is not None:
+            s = float(np.linalg.norm(shift))
+            bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s))
         nodes = build_nodes_1d(levy_spec.measure, scheme or QuadratureScheme(), breakpoints=bp)
-    return shift, s, nodes
+    return shift, nodes
 
 
 def coupling_shift(pair: PairState, alpha: float, kappa: float) -> np.ndarray:
@@ -397,7 +398,7 @@ def apply_coupling_operator(fn, pair: PairState, system, levy_spec, alpha: float
     Returns ``(value, error_bound)``. Pass ``drift_part=False`` for the pure
     jump component (used by the marginal identity).
     """
-    shift, s, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
+    shift, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
     base = float(fn.value(pair))
     gx, gv, gxp, gvp = (np.asarray(g, dtype=float) for g in fn.grads(pair))
     val = 0.0
@@ -425,7 +426,7 @@ def apply_coupling_operator(fn, pair: PairState, system, levy_spec, alpha: float
     hess = float(fn.sync_hess(pair))
     total += 0.5 * hess * nodes.inner_moment2
 
-    if s > _DEGENERATE_NORM:
+    if shift is not None:
         up, down = du + shift, du - shift
         plus_vals = fn.value(_shifted(pair, du, up)) - base
         ind_p = np.linalg.norm(up, axis=-1) <= 1.0
@@ -435,7 +436,8 @@ def apply_coupling_operator(fn, pair: PairState, system, levy_spec, alpha: float
         minus_int = minus_vals - comp_v - np.where(ind_m, down @ gvp, 0.0)
         total += np.sum(nodes.w * nodes.dens * 0.5 * rho_minus * plus_int)
         total += np.sum(nodes.w * nodes.dens * 0.5 * rho_plus * minus_int)
-        err_mod = _modified_inner_error(levy_spec, s, nodes, plus_int, minus_int)
+        err_mod = _modified_inner_error(levy_spec, float(np.linalg.norm(shift)), nodes,
+                                        plus_int, minus_int)
         # the analytic inner term ignores the thinning weight deficit there
         err_mod += 0.5 * abs(hess) * nodes.inner_moment2 * float(
             np.max((rho_minus + rho_plus)[~mask], initial=0.0))
@@ -450,8 +452,6 @@ def _modified_inner_error(levy_spec, s, nodes, plus_int, minus_int):
     # the modified channels keep O(1) integrands down to u = 0; bound the
     # contribution dropped below the node floor by sup-density x width x size
     sl = levy_spec.slice_part
-    if sl.dim != 1:
-        return 0.0
     sup_dens = sl.c * max(s, 1e-6) ** (-1.0 - sl.theta0)
     floor = float(np.min(np.abs(nodes.u)))
     small = np.argsort(np.abs(nodes.u))[:2]
@@ -466,15 +466,15 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
     Drift part through the left slope of the profile; jump part through the
     symmetric second difference of the profile times the overlap mass at the
     current displacement. Degenerate gaps use their one-sided limits, with
-    the convention that a vanishing transformed gap disables the modified
-    channel entirely.
+    the convention that a degenerate transformed gap (``gap_is_degenerate``)
+    disables the modified channels entirely.
     """
     z = pair.z
     w = pair.w
     q = pair.q(alpha)
     nz = float(np.linalg.norm(z))
     nq = float(np.linalg.norm(q))
-    if nz <= _DEGENERATE_NORM and nq <= _DEGENERATE_NORM:
+    if nz <= DEGENERATE_GAP and gap_is_degenerate(nq):
         return 0.0
     r = alpha0 * nz + nq
     fp = float(profile.slope(r))
@@ -485,25 +485,19 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
           - np.asarray(system.force(pair.xp, pair.vp), dtype=float))
     qdot = zdot + du / alpha
 
-    if nz > _DEGENERATE_NORM:
+    if nz > DEGENERATE_GAP:
         zterm = alpha0 * (a - b * alpha) * nz + (b * alpha * alpha0 / nz) * float(z @ q)
     else:
         zterm = alpha0 * float(np.linalg.norm(zdot))
-    if nq > _DEGENERATE_NORM:
-        qterm = float(q @ qdot) / nq
-    else:
-        qterm = float(np.linalg.norm(qdot))
-    value = fp * (zterm + qterm)
+    if gap_is_degenerate(nq):
+        return fp * (zterm + float(np.linalg.norm(qdot)))
+    value = fp * (zterm + float(q @ qdot) / nq)
 
-    shift = alpha * ms.truncate(q, kappa)
-    s = float(np.linalg.norm(shift))
-    if s > _DEGENERATE_NORM:
-        step = min(kappa, nq)
-        second_diff = (float(profile.value(r + step)) + float(profile.value(r - step))
-                       - 2.0 * float(profile.value(r)))
-        mass = ms.overlap_mass(levy_spec.slice_part, shift)
-        value += 0.5 * second_diff * mass
-    return value
+    step = min(kappa, nq)
+    second_diff = (float(profile.value(r + step)) + float(profile.value(r - step))
+                   - 2.0 * float(profile.value(r)))
+    mass = ms.overlap_mass(levy_spec.slice_part, alpha * ms.truncate(q, kappa))
+    return value + 0.5 * second_diff * mass
 
 
 # ---------------------------------------------------------------------------
@@ -511,24 +505,15 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
 # ---------------------------------------------------------------------------
 
 
-def _velocity_fn(fn: dict) -> TestFunction:
-    # a {"value", "grad", "hess"} dict of velocity functions as a TestFunction
-    hess = fn.get("hess")
-    return TestFunction(lambda x, v: fn["value"](v), lambda x, v: np.zeros_like(x),
-                        lambda x, v: fn["grad"](v), None if hess is None else lambda x, v: hess(v))
-
-
-def marginal_identity_residual(x, xp, g, h, v, vp, system, levy_spec, alpha: float,
-                               kappa: float, scheme: QuadratureScheme | None = None) -> float:
-    """Absolute gap between the pair jump operator on ``g(v) + h(vp)`` and the
-    sum of single-process jump generators, on shared nodes."""
-    pair = PairState(x, v, xp, vp)
-    fn = SeparablePairFn(_velocity_fn(g), _velocity_fn(h))
-    _, _, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme)
-    lhs, _ = apply_coupling_operator(fn, pair, system, levy_spec, alpha, kappa,
-                                     nodes=nodes, drift_part=False)
-    rhs = (float(_jump_sum(fn.f, pair.x, pair.v, nodes)[0])
-           + float(_jump_sum(fn.g, pair.xp, pair.vp, nodes)[0]))
+def marginal_identity_residual(pair: PairState, g: TestFunction, h: TestFunction, system,
+                               levy_spec, alpha: float, kappa: float,
+                               scheme: QuadratureScheme | None = None) -> float:
+    """Absolute gap between the pair jump operator on ``g(x, v) + h(xp, vp)``
+    and the sum of single-process jump generators, on shared nodes."""
+    _, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme)
+    lhs, _ = apply_coupling_operator(SeparablePairFn(g, h), pair, system, levy_spec, alpha,
+                                     kappa, nodes=nodes, drift_part=False)
+    rhs = _jump_sum(g, pair.x, pair.v, nodes)[0] + _jump_sum(h, pair.xp, pair.vp, nodes)[0]
     return abs(lhs - rhs)
 
 
@@ -536,8 +521,8 @@ def product_correction_term(pair: PairState, h_fn, g_fn, levy_spec, alpha: float
                             kappa: float, scheme: QuadratureScheme | None = None,
                             nodes: MeasureNodes | None = None) -> float:
     """Cross term of the product rule: both channels of jump covariation."""
-    shift, s, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
-    if s <= _DEGENERATE_NORM:
+    shift, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
+    if shift is None:
         return 0.0
     du = nodes.points
     rho_minus, rho_plus = _branch_weights(levy_spec, shift, du)
@@ -563,7 +548,7 @@ def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float,
 def product_rule_residual(pair: PairState, h_fn, g_fn, system, levy_spec, alpha: float,
                           kappa: float, scheme: QuadratureScheme | None = None) -> float:
     """Relative gap of ``L(HG) = H LG + G LH + Pi`` on shared nodes."""
-    _, _, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme)
+    _, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme)
     lhs, _ = apply_coupling_operator(ProductPairFn(h_fn, g_fn), pair, system, levy_spec,
                                      alpha, kappa, nodes=nodes)
     lh, _ = apply_coupling_operator(h_fn, pair, system, levy_spec, alpha, kappa, nodes=nodes)

@@ -48,19 +48,14 @@ def sphere_area(dim: int) -> float:
 
 
 def truncate(x: np.ndarray, kappa: float) -> np.ndarray:
-    """Rescale ``x`` to norm at most ``kappa``, preserving direction.
+    """Rescale each ``x[..., :]`` to norm at most ``kappa > 0``, preserving direction.
 
-    The zero vector maps to itself. ``kappa`` must be positive, except that
-    ``kappa = 0`` is accepted and maps everything to zero (used by the
-    synchronous-coupling limit of the simulator).
+    The zero vector maps to itself.
     """
-    if kappa < 0:
-        raise NonPositiveRadius(f"kappa must be >= 0, got {kappa}")
+    if kappa <= 0:
+        raise NonPositiveRadius(f"kappa must be positive, got {kappa}")
     x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0 or kappa == 0.0:
-        return np.zeros_like(x)
-    return min(1.0, kappa / norm) * x
+    return x * (kappa / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), kappa))
 
 
 @dataclass(frozen=True)
@@ -117,13 +112,13 @@ class SliceMeasure:
 
     def density(self, u: np.ndarray) -> np.ndarray:
         """Density at points ``u`` (shape (..., dim)); zero off the slab."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
         norm = np.linalg.norm(u, axis=-1)
         first = u[..., 0]
         on = (first > 0.0) & (first <= 1.0) & (norm > 0.0)
         out = np.zeros_like(norm)
         out[on] = self.c * norm[on] ** (-(self.dim + self.theta0))
-        return out if out.shape != (1,) else out[0]
+        return out[()]
 
     # -- masses and moments ----------------------------------------------
 
@@ -277,12 +272,11 @@ class IsotropicStable:
             raise ValueError("scale must be positive")
 
     def density(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        norm = np.linalg.norm(u, axis=-1)
+        norm = np.linalg.norm(np.asarray(u, dtype=float), axis=-1)
         out = np.zeros_like(norm)
         pos = norm > 0
         out[pos] = self.scale * norm[pos] ** (-(self.dim + self.alpha0))
-        return out if out.shape != (1,) else out[0]
+        return out[()]
 
     def support_radius(self) -> float:
         return math.inf
@@ -426,7 +420,7 @@ class LevyMeasureSpec:
         if np.any(bad):
             raise ValueError(
                 "coupling slice is not dominated by the driving measure "
-                f"(first violation at |u|={np.linalg.norm(np.atleast_2d(pts)[np.argmax(bad)]):.3g})"
+                f"(first violation at |u|={np.linalg.norm(pts[np.argmax(bad)]):.3g})"
             )
 
 
@@ -455,7 +449,7 @@ def overlap_ratio(spec: LevyMeasureSpec, shift: np.ndarray, u: np.ndarray) -> np
     out = np.zeros_like(num)
     pos = den > 0
     out[pos] = np.clip(num[pos] / den[pos], 0.0, 1.0)
-    return out if out.shape != () else float(out)
+    return out[()]
 
 
 def overlap_mass(slice_m: SliceMeasure, shift: np.ndarray) -> float:

@@ -80,7 +80,7 @@ class DoubleWellPoly:
         x = np.asarray(x, dtype=float)
         s = np.sum(x * x, axis=-1)
         coef = 2.0 * self.c1 * self.l * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2
-        return coef[..., None] * x if x.ndim > 1 else coef * x
+        return coef[..., None] * x
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class DoubleWellExp:
         s = np.sum(x * x, axis=-1)
         p = (1.0 + s) ** self.l
         coef = 2.0 * self.c1 * self.l * np.exp(p) * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2
-        return coef[..., None] * x if x.ndim > 1 else coef * x
+        return coef[..., None] * x
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,7 @@ def verify_certificate(potential, cert: PotentialCertificate, grid_radius: float
     """
     pts = ball_grid(grid_radius, n_grid, dim, include_origin=True)
     u0 = potential.value(pts)
-    grad = np.atleast_2d(potential.grad(pts))
-    xdg = np.sum(pts * grad, axis=-1)
+    xdg = np.sum(pts * potential.grad(pts), axis=-1)
     sq = np.sum(pts * pts, axis=-1)
     growth = xdg - (cert.lam1 * sq + cert.lam2 * u0 - cert.lam3)
     lower = u0 - (-cert.lam4 * sq - cert.lam5)
@@ -313,8 +312,7 @@ def auto_certificate(potential, dim: int = 1, grid_radius: float = 20.0,
     if ratio_outer.min() < 1.5 * max(ratio_mid.max(), 1e-12):
         raise GrowthTestFailed("potential does not grow superquadratically on the probe grid")
 
-    grad = np.atleast_2d(potential.grad(pts))
-    xdg = np.sum(pts * grad, axis=-1)
+    xdg = np.sum(pts * potential.grad(pts), axis=-1)
     outer = norms >= grid_radius * 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = xdg[outer] / np.maximum(u0[outer], 1e-12)
@@ -367,8 +365,7 @@ class LyapunovSpec:
 
     ``V = 1 + V0(x) + r^2 |x|^2 / 2 + |v|^2 / 2 + r0_cross <x, v>`` with
     ``|r0_cross| < r`` so the cross term stays dominated. ``drift_c`` and
-    ``drift_C`` hold the fitted linear-drift constants, ``eta``/``c_star``
-    the jump-regularity constants, once known.
+    ``drift_C`` hold the fitted linear-drift constants, once known.
     """
 
     r: float
@@ -378,8 +375,6 @@ class LyapunovSpec:
     dim: int = 1
     drift_c: float | None = None
     drift_C: float | None = None
-    eta: float | None = None
-    c_star: float | None = None
 
     def __post_init__(self):
         if abs(self.r0_cross) >= self.r:
@@ -417,17 +412,16 @@ class LyapunovSpec:
     def grad_v_V(self, x, v):
         return np.asarray(v, dtype=float) + self.r0_cross * np.asarray(x, dtype=float)
 
+    def _dW_dV(self, x, v):
+        # dW/dV with a trailing axis, to scale a gradient of V; the power acts
+        # on V itself, so one point keeps numpy's scalar ** and its bits
+        return np.asarray(0.5 * self.theta * self.V(x, v) ** (self.theta / 2.0 - 1.0))[..., None]
+
     def grad_v_W(self, x, v):
-        V = self.V(x, v)
-        fac = 0.5 * self.theta * V ** (self.theta / 2.0 - 1.0)
-        g = self.grad_v_V(x, v)
-        return fac[..., None] * g if np.ndim(fac) else fac * g
+        return self._dW_dV(x, v) * self.grad_v_V(x, v)
 
     def grad_x_W(self, x, v):
-        V = self.V(x, v)
-        fac = 0.5 * self.theta * V ** (self.theta / 2.0 - 1.0)
-        g = self.grad_x_V(x, v)
-        return fac[..., None] * g if np.ndim(fac) else fac * g
+        return self._dW_dV(x, v) * self.grad_x_V(x, v)
 
     def hess_v_W(self, x, v):
         """Velocity Hessian of W, shape ``(..., dim, dim)`` over the leading axes."""
@@ -440,14 +434,13 @@ class LyapunovSpec:
 
 
 def gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec, x, v):
-    """``<grad_x V, ax+bv> + <grad_v V, U(x, v)>`` over leading axes (a float for one point)."""
+    """``<grad_x V, ax+bv> + <grad_v V, U(x, v)>`` over leading axes."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     xdot, u = drift(spec, x, v)
     gx = lyap.grad_x_V(x, v)
     gv = lyap.grad_v_V(x, v)
-    out = np.sum(gx * xdot, axis=-1) + np.sum(gv * u, axis=-1)
-    return out if out.ndim else float(out)
+    return (np.sum(gx * xdot, axis=-1) + np.sum(gv * u, axis=-1))[()]
 
 
 @dataclass(frozen=True)
@@ -520,9 +513,8 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
 
 @dataclass(frozen=True)
 class LyapunovSetup:
-    """The potential certificate, its source, the quadratic form, and the weight built from them."""
+    """The potential certificate's source, the quadratic form, and the weight built from them."""
 
-    cert: PotentialCertificate
     source: str
     choice: QuadraticFormChoice
     lyap: LyapunovSpec
@@ -536,7 +528,7 @@ def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0,
     lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta,
                         v0=build_position_weight(langevin, cert), dim=langevin.dim,
                         drift_c=choice.c, drift_C=choice.C)
-    return LyapunovSetup(cert, source, choice, lyap)
+    return LyapunovSetup(source, choice, lyap)
 
 
 def _grid_drift_excess(lyap, spec, v0, c, grid_radius, n_grid):
@@ -561,7 +553,7 @@ def verify_gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec,
 
 def _abs_increment_integral(lyap: LyapunovSpec, slice_m: SliceMeasure, x, v):
     # integral of |W(x, v+u) - W(x, v)| against the slice measure, dim = 1,
-    # broadcast over leading axes (a float for one point)
+    # broadcast over leading axes
     def integral(x, v, base, breakpoints=()):
         u, w = log_gauss_panels(1e-12, 1.0, panels_per_decade=4, nodes_per_panel=12,
                                 breakpoints=breakpoints)
@@ -577,7 +569,7 @@ def _abs_increment_integral(lyap: LyapunovSpec, slice_m: SliceMeasure, x, v):
     for idx in map(tuple, np.argwhere(flips.any(axis=-1))):
         breakpoints = [float(0.5 * (u[i] + u[i + 1])) for i in np.flatnonzero(flips[idx])[:4]]
         out[idx] = integral(x[idx], v[idx], base[idx], breakpoints)[0]
-    return out if out.ndim else float(out)
+    return out[()]
 
 
 def verify_jump_regularity(lyap: LyapunovSpec, slice_m: SliceMeasure,

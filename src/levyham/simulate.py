@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as ms
-from .pair import PairState
+from .pair import PairState, gap_is_degenerate
 
 __all__ = [
     "SimConfig",
@@ -49,8 +49,6 @@ __all__ = [
     "run_pair_ensemble",
     "run_single_ensemble",
 ]
-
-_TINY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,11 +120,12 @@ def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float
     Branches: ``u + alpha (Q)_kappa`` with probability ``rho(-shift, u)/2``,
     ``u - alpha (Q)_kappa`` with probability ``rho(shift, u)/2``, else ``u``.
     ``den`` is the driving measure's density at ``u``, the denominator of
-    both thinning ratios. A vanishing transformed gap, or ``kappa = 0``,
-    short-circuits to the synchronous branch.
+    both thinning ratios. A degenerate transformed gap (``gap_is_degenerate``,
+    the rule the pair operator uses too) short-circuits to the synchronous
+    branch.
     """
     aq = abs(Q)
-    if aq <= _TINY or kappa == 0.0:
+    if gap_is_degenerate(aq):
         return u
     shift = alpha * (Q if aq <= kappa else Q * (kappa / aq))
     rho_m = _ratio_1d(levy.slice_part, -shift, u, den)
@@ -208,7 +207,7 @@ def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
     marks = np.asarray(jumps, dtype=float).reshape(-1, 1)
     rows = np.zeros(len(marks), dtype=int) if rows is None else np.asarray(rows, dtype=int)
     order = np.argsort(rows, kind="stable")
-    dens = np.reshape(levy.measure.density(marks), -1)
+    dens = levy.measure.density(marks)
     x, v = _pair_window(system, levy, (x, v), dt, marks[order],
                         np.asarray(unifs, dtype=float)[order], dens[order], rows[order],
                         alpha, kappa, comp)
@@ -269,7 +268,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     bounds = np.searchsorted(wins[order], np.arange(len(plan) + 1)).tolist()
     comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
     if coupling is not None:
-        dens = np.reshape(levy.measure.density(marks), -1)
+        dens = levy.measure.density(marks)
     x, v = (np.repeat(np.asarray([s[i] for s in starts], dtype=float)[:, None], n, axis=1)
             for i in (0, 1))
     out_x, out_v = np.full((2, len(starts), n, len(times), d), np.nan)

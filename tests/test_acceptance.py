@@ -111,12 +111,12 @@ def test_criterion_03_overlap_floor(bench):
 
 
 def _bump(c):
-    return {"value": lambda v, c=c: np.exp(-np.sum((np.asarray(v, dtype=float) - c) ** 2,
-                                                   axis=-1)),
-            "grad": lambda v, c=c: -2.0 * (np.asarray(v, dtype=float) - c)
-            * np.exp(-np.sum((np.asarray(v, dtype=float) - c) ** 2, axis=-1)),
-            "hess": lambda v, c=c: (-2.0 + 4.0 * (float(v[0]) - c) ** 2)
-            * math.exp(-(float(v[0]) - c) ** 2)}
+    # the velocity bump exp(-(v - c)^2)
+    return gen.TestFunction(
+        lambda x, v: np.exp(-np.sum((v - c) ** 2, axis=-1)),
+        lambda x, v: np.zeros_like(x),
+        lambda x, v: -2.0 * (v - c) * np.exp(-np.sum((v - c) ** 2, axis=-1))[..., None],
+        lambda x, v: (-2.0 + 4.0 * (v[..., 0] - c) ** 2) * np.exp(-(v[..., 0] - c) ** 2))
 
 
 def test_criterion_04_operator_identities(bench, scheme):
@@ -130,10 +130,10 @@ def test_criterion_04_operator_identities(bench, scheme):
     worst_marg, worst_prod = 0.0, 0.0
     for _ in range(20):
         x, xp, v, vp = rng.normal(0, 1, (4, 1))
-        worst_marg = max(worst_marg, gen.marginal_identity_residual(
-            x, xp, _bump(float(rng.normal())), _bump(float(rng.normal())), v, vp,
-            bench.system, bench.levy, alpha, kappa, scheme))
         pair = PairState(x, v, xp, vp)
+        worst_marg = max(worst_marg, gen.marginal_identity_residual(
+            pair, _bump(float(rng.normal())), _bump(float(rng.normal())),
+            bench.system, bench.levy, alpha, kappa, scheme))
         worst_prod = max(worst_prod, gen.product_rule_residual(
             pair, hfn, gfn, bench.system, bench.levy, alpha, kappa, scheme))
     elapsed = time.monotonic() - t0

@@ -138,6 +138,8 @@ class TestExitCodes:
         assert code == 2
         payload = json.loads((tmp_path / "rate.json").read_text())
         assert payload["error"] == "InsufficientDecay"
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["outputs"] == [str(tmp_path / "rate.json")]
 
     def test_rate_quick_run(self, tmp_path):
         path = write(tmp_path, QUICK)
@@ -159,6 +161,18 @@ class TestExitCodes:
             code = cli.main(["verify", "--which", which, "--config", path,
                              "--out", str(tmp_path)])
             assert code == 0
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("slice", "alpha0", "1.2"), ("slice", "scale", "2.0"), ("slice", "slice_c", "0.5"),
+        ("slice", "slice_theta0", "0.3"), ("stable", "c", "1.0"), ("stable", "theta0", "0.4")])
+    def test_key_of_the_other_kind_is_one_config_line(self, tmp_path, capsys, kind, key,
+                                                      value):
+        path = write(tmp_path, f"[levy]\nkind = {kind}\ndim = 1\n{key} = {value}\n")
+        code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: line 4:")
+        assert f"[levy] {key}" in lines[0]
 
     @pytest.mark.parametrize("levy_dim, model_dim", [(2, 1), (1, 2)])
     def test_mismatched_dimensions_are_one_config_line(self, tmp_path, capsys,

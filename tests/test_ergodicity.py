@@ -149,8 +149,7 @@ class TestEquilibrium:
         cfg = sim.SimConfig(h=0.02, delta=5e-3, horizon=40.0, n_save=21, seed=19,
                             n_replicas=300)
         out = erg.equilibrium_diagnostics(sys_, benchmark_levy, cfg,
-                                          ([2.0], [0.0]), ([-2.0], [0.0]),
-                                          theta=benchmark_levy.theta)
+                                          ([2.0], [0.0]), ([-2.0], [0.0]))
         assert out["n_blowups"] == 0
         moments = list(out["velocity_moment_theta"].values())
         assert all(math.isfinite(m) for m in moments)

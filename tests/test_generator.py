@@ -8,6 +8,7 @@ import pytest
 from levyham import generator as gen
 from levyham import measures as ms
 from levyham import model as md
+from levyham import simulate as sim
 from levyham.pair import PairState
 
 
@@ -46,13 +47,13 @@ def linear_fn(c):
         hess_v=lambda x, v: np.zeros((1, 1)))
 
 
-def bump_dict(c):
-    return {"value": lambda v, c=c: np.exp(-np.sum((np.asarray(v, dtype=float) - c) ** 2,
-                                                   axis=-1)),
-            "grad": lambda v, c=c: -2.0 * (np.asarray(v, dtype=float) - c)
-            * np.exp(-np.sum((np.asarray(v, dtype=float) - c) ** 2, axis=-1)),
-            "hess": lambda v, c=c: (-2.0 + 4.0 * (float(v[0]) - c) ** 2)
-            * math.exp(-(float(v[0]) - c) ** 2)}
+def bump(c):
+    """The velocity bump ``exp(-(v - c)^2)``."""
+    return gen.TestFunction(
+        lambda x, v: np.exp(-np.sum((v - c) ** 2, axis=-1)),
+        lambda x, v: np.zeros_like(x),
+        lambda x, v: -2.0 * (v - c) * np.exp(-np.sum((v - c) ** 2, axis=-1))[..., None],
+        lambda x, v: (-2.0 + 4.0 * (v[..., 0] - c) ** 2) * np.exp(-(v[..., 0] - c) ** 2))
 
 
 class ConcaveProfile:
@@ -175,8 +176,7 @@ class TestPairObservables:
     def observables(self, lyap):
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
         g = tilt(lyap, 0.07)
-        bumps = gen.SeparablePairFn(gen._velocity_fn(bump_dict(0.3)),
-                                    gen._velocity_fn(bump_dict(-0.5)))
+        bumps = gen.SeparablePairFn(bump(0.3), bump(-0.5))
         # the profile's synchronous slope is 0, so only the second product
         # exercises the cross term of sync_hess
         return {"profile": h, "tilt": g, "bumps": bumps, "product": gen.ProductPairFn(h, g),
@@ -199,6 +199,30 @@ class TestPairObservables:
             for name, fn in fns.items():
                 assert float(fn.sync_hess(pair)) == pytest.approx(
                     fd_sync_hess(fn, pair), rel=1e-5, abs=1e-6), name
+
+    def test_stacked_states_match_per_state_calls(self, benchmark_bundle, benchmark_lyap, rng):
+        # one call on 7 stacked states equals, bit for bit, the per-state calls
+        # that take the same numpy array route (a leading axis of length 1); a
+        # call at one 0-d point evaluates W's power with numpy's scalar ** and
+        # may differ from the array ** in the last bits
+        fns = self.observables(benchmark_lyap)
+        monitor, monitor_tilt = benchmark_bundle.monitor_fns()
+        fns.update(monitor=monitor, monitor_product=gen.ProductPairFn(monitor, monitor_tilt))
+        parts = rng.normal(0, 1.5, (4, 7, 1))
+        stacked = PairState(*parts)
+        for name, fn in fns.items():
+            grads, hess = fn.grads(stacked), fn.sync_hess(stacked)
+            assert [np.shape(g) for g in grads] == [(7, 1)] * 4, name
+            assert np.shape(hess) == (7,), name
+            for k in range(7):
+                row = PairState(*parts[:, k:k + 1])
+                for g, g_row in zip(grads, fn.grads(row)):
+                    assert np.array_equal(g[k:k + 1], g_row), name
+                assert np.array_equal(hess[k:k + 1], fn.sync_hess(row)), name
+                point = PairState(*parts[:, k])
+                for g, g_point in zip(grads, fn.grads(point)):
+                    np.testing.assert_allclose(g_point, g[k], rtol=1e-13, atol=1e-300)
+                assert fn.sync_hess(point) == pytest.approx(hess[k], rel=1e-13, abs=1e-300)
 
     def test_profile_sync_slope_is_exactly_zero(self, rng):
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
@@ -261,22 +285,38 @@ class TestClosedFormCrossValidation:
             assert closed == pytest.approx(fd + jump, rel=1e-6, abs=1e-8)
 
 
+class TestDegenerateGap:
+    """The simulator and the pair operator share one degenerate-gap rule on ``|q|``."""
+
+    def test_tiny_gap_is_synchronous_in_both(self, benchmark_levy, scheme):
+        # alpha = 2 puts the shift alpha |q| = 1.5e-12 above the gap |q| = 0.75e-12
+        alpha, kappa = 2.0, 0.25
+        diagonal = PairState([0.0], [0.1], [0.0], [0.1])
+        tiny = PairState([0.75e-12], [0.1], [0.0], [0.1])
+        q = float(tiny.q(alpha)[0])
+        assert q == 0.75e-12
+        for u in (0.05, 0.5):
+            den = benchmark_levy.measure.density(np.array([u]))
+            assert sim.classify_jump(benchmark_levy, u, q, alpha, kappa, 0.0, den) == u
+        fn = gen.SeparablePairFn(bump(0.2), bump(-0.3))
+        on_diagonal, near_diagonal = (
+            gen.apply_coupling_operator(fn, pair, zero_force_system(), benchmark_levy, alpha,
+                                        kappa, scheme, drift_part=False)[0]
+            for pair in (diagonal, tiny))
+        assert on_diagonal == near_diagonal
+
+
 class TestMarginalIdentity:
     def test_constants_give_zero(self, half_slice_levy, scheme):
-        zero = {"value": lambda v: (np.zeros(np.asarray(v).shape[:-1])
-                                    if np.asarray(v).ndim > 1 else 0.0),
-                "grad": lambda v: np.zeros_like(np.asarray(v, dtype=float)),
-                "hess": lambda v: 0.0}
-        res = gen.marginal_identity_residual(np.array([0.5]), np.array([-0.3]), zero, zero,
-                                             np.array([0.1]), np.array([0.9]),
+        pair = PairState([0.5], [0.1], [-0.3], [0.9])
+        res = gen.marginal_identity_residual(pair, const_fn(), const_fn(),
                                              zero_force_system(), half_slice_levy,
                                              ALPHA, KAPPA, scheme)
         assert res == pytest.approx(0.0, abs=1e-14)
 
     def test_synchronous_regime(self, half_slice_levy, scheme):
-        res = gen.marginal_identity_residual(np.array([0.5]), np.array([0.5]),
-                                             bump_dict(0.2), bump_dict(-0.4),
-                                             np.array([0.1]), np.array([0.1]),
+        pair = PairState([0.5], [0.1], [0.5], [0.1])
+        res = gen.marginal_identity_residual(pair, bump(0.2), bump(-0.4),
                                              zero_force_system(), half_slice_levy,
                                              ALPHA, KAPPA, scheme)
         assert res <= 1e-10
@@ -287,8 +327,9 @@ class TestMarginalIdentity:
         for k in range(20):
             spec = half_slice_levy if k % 2 == 0 else stable
             x, xp, v, vp = rng.normal(0, 1, (4, 1))
-            res = gen.marginal_identity_residual(x, xp, bump_dict(float(rng.normal())),
-                                                 bump_dict(float(rng.normal())), v, vp,
+            res = gen.marginal_identity_residual(PairState(x, v, xp, vp),
+                                                 bump(float(rng.normal())),
+                                                 bump(float(rng.normal())),
                                                  damping_system(), spec, ALPHA, KAPPA, scheme)
             assert res <= 1e-4
 

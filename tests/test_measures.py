@@ -36,8 +36,40 @@ class TestTruncate:
             assert np.linalg.norm(cross) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(NonPositiveRadius):
-            ms.truncate(np.array([1.0]), -1.0)
+        for kappa in (-1.0, 0.0):
+            with pytest.raises(NonPositiveRadius):
+                ms.truncate(np.array([1.0]), kappa)
+
+    def test_leading_axes_are_rows(self):
+        x = np.array([[[3.0, 4.0], [0.3, 0.4]], [[0.0, 0.0], [-6.0, 8.0]]])
+        got = ms.truncate(x, 1.0)
+        assert got.shape == x.shape
+        for idx in np.ndindex(x.shape[:-1]):
+            assert np.array_equal(got[idx], ms.truncate(x[idx], 1.0))
+
+
+class TestLeadingAxes:
+    """Densities and overlap ratios keep the leading axes, one point included."""
+
+    STABLE = ms.LevyMeasureSpec(measure=ms.IsotropicStable(1.5, 1.0, 1), theta=1.0,
+                                slice_part=ms.SliceMeasure(0.8, 0.4, 1))
+
+    @pytest.mark.parametrize("measure", [SL, STABLE.measure,
+                                         ms.SumMeasure((SL, STABLE.measure))])
+    def test_density_shapes(self, measure):
+        assert measure.density(np.array([[0.5]])).shape == (1,)
+        assert measure.density(np.full((2, 3, 1), 0.5)).shape == (2, 3)
+        one = measure.density(np.array([0.5]))
+        assert isinstance(one, float) and np.ndim(one) == 0
+        assert one == measure.density(np.array([[0.5]]))[0]
+
+    def test_overlap_ratio_shapes(self):
+        shift = np.array([0.3])
+        for spec in (ms.LevyMeasureSpec(measure=SL, theta=1.0), self.STABLE):
+            assert ms.overlap_ratio(spec, shift, np.array([[0.5]])).shape == (1,)
+            assert ms.overlap_ratio(spec, shift, np.full((2, 3, 1), 0.5)).shape == (2, 3)
+            one = ms.overlap_ratio(spec, shift, np.array([0.5]))
+            assert isinstance(one, float) and np.ndim(one) == 0
 
 
 class TestOverlapRatio:

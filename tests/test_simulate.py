@@ -44,7 +44,7 @@ def free_scalar_system():
 
 def density_at(levy, u):
     # the driving measure's density at one scalar mark
-    return float(levy.measure.density(np.array([[u]])))
+    return float(levy.measure.density(np.array([u])))
 
 
 def solo_runs(system, levy, cfg, x0, v0, replica_offset=0):
@@ -117,7 +117,7 @@ class TestClassify:
         Q = -0.4
         shift = 1.0 * ms.truncate(np.array([Q]), 0.25)
         u = 0.5
-        rho_m = float(ms.overlap_ratio(benchmark_levy, -shift, np.array([[u]])))
+        rho_m = float(ms.overlap_ratio(benchmark_levy, -shift, np.array([u])))
         assert rho_m == 1.0
         out = sim.classify_jump(benchmark_levy, u, Q, 1.0, 0.25, 0.3,
                                 density_at(benchmark_levy, u))
@@ -128,8 +128,8 @@ class TestClassify:
         Q = 0.4
         alpha, kappa = 1.0, 0.25
         s = float(alpha * ms.truncate(np.array([Q]), kappa)[0])
-        p_plus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([-s]), np.array([[u]])))
-        p_minus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([s]), np.array([[u]])))
+        p_plus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([-s]), np.array([u])))
+        p_minus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([s]), np.array([u])))
         n = 100_000
         ls = np.random.default_rng(17).uniform(size=n)
         den = density_at(benchmark_levy, u)
