@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 usage/config error or a dimension the command does
 not implement, 2 completed with flags (degenerate constants, failed
 verification, insufficient decay, an ensemble with no surviving replica).
 Outputs are bitwise-stable given (config, seed); the manifest additionally
-records wall-clock timings. Every command runs in one process and steps
-its replicas together, window by window.
+records wall-clock timings (for ``rate``, also per stage: ``constants_s``,
+``ensemble_s``, ``decay_fit_s`` for the cost, fit and bootstrap, and
+``io_s``). Every command runs in one process and steps its replicas
+together, window by window.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -194,7 +197,9 @@ def cmd_verify(cfg: ExperimentConfig, out: str, seed: int, which: str) -> int:
 
 def cmd_rate(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -> int:
     manifest = RunManifest(cfg.config_hash(), seed, "rate")
+    t0 = time.monotonic()
     bundle = _bundle_from(cfg)
+    manifest.timings["constants_s"] = time.monotonic() - t0
     sim_cfg = cfg.build_sim(seed=seed, n_replicas=replicas)
     x0, v0, xp0, vp0 = cfg.initial_pair()
     try:
@@ -205,6 +210,8 @@ def cmd_rate(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -
         manifest.outputs.append(path)
         manifest.finish(os.path.join(out, "run_manifest.json"))
         return 2
+    manifest.timings.update(report.timings)
+    t0 = time.monotonic()
     path = os.path.join(out, "rate.json")
     _write_json(path, report.to_dict())
     manifest.outputs.append(path)
@@ -213,6 +220,7 @@ def cmd_rate(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -
     _write_csv(path_csv, ["t", "mean", "se", "log_mean"],
                [report.times, report.means, report.ses, safe_log])
     manifest.outputs.append(path_csv)
+    manifest.timings["io_s"] = time.monotonic() - t0
     manifest.finish(os.path.join(out, "run_manifest.json"))
     return 0
 

@@ -270,10 +270,10 @@ class RunManifest:
     versions: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
-    started: float = field(default_factory=time.time)
+    started: float = field(default_factory=time.monotonic)
 
     def finish(self, path):
-        self.timings["total_s"] = time.time() - self.started
+        self.timings["total_s"] = time.monotonic() - self.started
         self.versions = {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -11,7 +11,8 @@ fit: conservative chains sit many orders below observed decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,9 @@ class DecayReport:
     rate_certified: float
     log_rate_certified: float
     monitor_is_fallback: bool
+    # seconds spent in the pair ensemble and in the cost, fit and bootstrap;
+    # not part of to_dict, the run manifest reports them
+    timings: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self):
         return {
@@ -136,8 +140,10 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
     the certified profile unless that one is numerically flat, in which case
     the linear member of the family substitutes and the report says so).
     """
+    t0 = time.monotonic()
     trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, config, pair0,
                                          bundle.report.alpha, bundle.report.kappa)
+    t1 = time.monotonic()
     hhat_fn, g_fn = bundle.monitor_fns()
     vals, n_blow = _psi_tilde_matrix(trajectories, hhat_fn, g_fn)
     times = config.save_times()
@@ -166,7 +172,8 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
                        fit_start=start, fit_stop=stop,
                        rate_certified=bundle.report.rate,
                        log_rate_certified=bundle.report.log_rate,
-                       monitor_is_fallback=bundle.monitor_is_fallback)
+                       monitor_is_fallback=bundle.monitor_is_fallback,
+                       timings={"ensemble_s": t1 - t0, "decay_fit_s": time.monotonic() - t1})
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 Time stepping is explicit Euler for the drift; jumps above the cutoff are
 injected raw at their sampled times, with the compensated small-jump region
 replaced by its mean drift. Both ensembles run through one window loop that
-steps all replicas together as ``(copies, N, d)`` arrays through
-``step_single``: one copy per replica for the single process, two for the
-coupled pair (first copies in flat rows ``r``, second copies in ``N + r``).
-For the pair, each window classifies every jump of the first copy through
-the overlap-ratio thinning rule and displaces the second copy's velocity by
+steps all replicas together as ``(copies, N, d)`` arrays: one copy per
+replica for the single process, whose windows go through ``step_single``,
+and two for the coupled pair. A pair window walks the window's jumps of the
+first copy on Python floats, in (replica, time) order, through the
+overlap-ratio thinning rule, and displaces the second copy's velocity by
 ``+/- alpha (q)_kappa`` accordingly, using the left-limit transformed gap
 (positions frozen at the window start, velocity gap updated jump by jump);
-both copies then share one array force evaluation.
+both copies then take one array drift step with one force evaluation.
 
 Pair runs are one-dimensional: ``step_pair`` and ``run_pair_ensemble`` raise
 NotImplementedError for any other system or noise dimension. The modified
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as ms
-from .pair import PairState, gap_is_degenerate
+from .pair import DEGENERATE_GAP, PairState
 
 __all__ = [
     "SimConfig",
@@ -100,17 +100,42 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# jump classification
+# jump classification and steppers
 # ---------------------------------------------------------------------------
 
 
-def _ratio_1d(sl, shift: float, u: float, den: float) -> float:
-    # min(q(u), q(u - shift)) / den for the slice density q, capped at 1; q
-    # decreases on its support (0, 1], so the minimum sits at the larger point
-    w = u - shift
-    if not (0.0 < u <= 1.0 and 0.0 < w <= 1.0 and den > 0.0):
-        return 0.0
-    return min(sl.c * max(u, w) ** (-1.0 - sl.theta0) / den, 1.0)
+def _thin(rows, marks, unifs, dens, z, v, vp, alpha: float, kappa: float, slab) -> tuple:
+    # The thinning rule of classify_jump over one window's jumps, on Python
+    # floats. The jumps come grouped by replica, each replica's in time order;
+    # jump i kicks replica rows[i], whose position gap and velocities at the
+    # window start are z[i], v[i], vp[i], and is classified at that replica's
+    # left-limit gap. A ratio min(q*(u), q*(w)) / den of the slice density q*
+    # sits at the larger point, as q* decreases on the slab (0, 1]. Returns the
+    # replicas jumped and their velocities after their last jump.
+    c, e = slab.c, -1.0 - slab.theta0
+    jumped, v_end, vp_end = [], [], []
+    for r, u, l, den, zr, vr, vpr in zip(rows, marks, unifs, dens, z, v, vp):
+        if jumped and jumped[-1] == r:  # carry the gap the replica's last jump left
+            vr, vpr = v_end.pop(), vp_end.pop()
+        else:
+            jumped.append(r)
+        q = zr + (vr - vpr) / alpha
+        aq = abs(q)
+        if aq <= DEGENERATE_GAP:
+            d = u
+        else:
+            shift = alpha * (q if aq <= kappa else q * (kappa / aq))
+            on = 0.0 < u <= 1.0 and den > 0.0
+            d = u + shift
+            rho_m = min(c * max(u, d) ** e / den, 1.0) if on and 0.0 < d <= 1.0 else 0.0
+            if not l <= 0.5 * rho_m:
+                d = u - shift
+                rho_p = min(c * max(u, d) ** e / den, 1.0) if on and 0.0 < d <= 1.0 else 0.0
+                if not l <= 0.5 * (rho_m + rho_p):
+                    d = u
+        v_end.append(vr + u)
+        vp_end.append(vpr + d)
+    return jumped, v_end, vp_end
 
 
 def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float,
@@ -120,26 +145,19 @@ def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float
     Branches: ``u + alpha (Q)_kappa`` with probability ``rho(-shift, u)/2``,
     ``u - alpha (Q)_kappa`` with probability ``rho(shift, u)/2``, else ``u``.
     ``den`` is the driving measure's density at ``u``, the denominator of
-    both thinning ratios. A degenerate transformed gap (``gap_is_degenerate``,
-    the rule the pair operator uses too) short-circuits to the synchronous
-    branch.
+    both thinning ratios. A degenerate transformed gap (``|Q| <=
+    DEGENERATE_GAP``, the rule the pair operator uses too) short-circuits to
+    the synchronous branch. This is the pair window's rule applied to one
+    jump at position gap ``Q`` and zero velocities.
     """
-    aq = abs(Q)
-    if gap_is_degenerate(aq):
-        return u
-    shift = alpha * (Q if aq <= kappa else Q * (kappa / aq))
-    rho_m = _ratio_1d(levy.slice_part, -shift, u, den)
-    if l <= 0.5 * rho_m:
-        return u + shift
-    rho_p = _ratio_1d(levy.slice_part, shift, u, den)
-    if l <= 0.5 * (rho_m + rho_p):
-        return u - shift
-    return u
+    _, _, vp = _thin([0], [u], [l], [den], [Q], [0.0], [0.0], alpha, kappa, levy.slice_part)
+    return vp[0]
 
 
-# ---------------------------------------------------------------------------
-# steppers
-# ---------------------------------------------------------------------------
+def _drift(system, x, v, v_kicked, dt: float, comp: np.ndarray) -> tuple:
+    # the Euler drift from the window start (x, v), added to the kicked velocities
+    force = np.asarray(system.force(x, v), dtype=float)
+    return x + (system.a * x + system.b * v) * dt, v_kicked + (force + comp) * dt
 
 
 def step_single(system, state: tuple, dt: float, jumps, comp: np.ndarray,
@@ -152,15 +170,12 @@ def step_single(system, state: tuple, dt: float, jumps, comp: np.ndarray,
     its marks one by one, in the order given.
     """
     x, v = state
-    xdot = system.a * x + system.b * v
-    force = np.asarray(system.force(x, v), dtype=float)
-    x_new = x + xdot * dt
     v_new = np.array(v, dtype=float)
     marks = np.asarray(jumps, dtype=float).reshape(-1, v_new.shape[-1])
-    np.add.at(v_new.reshape(-1, marks.shape[1]),
-              np.zeros(len(marks), dtype=int) if rows is None else rows, marks)
-    v_new = v_new + (force + comp) * dt
-    return x_new, v_new
+    if len(marks):
+        np.add.at(v_new.reshape(-1, marks.shape[1]),
+                  np.zeros(len(marks), dtype=int) if rows is None else rows, marks)
+    return _drift(system, x, v, v_new, dt, comp)
 
 
 def _require_one_dim(system, levy):
@@ -170,25 +185,24 @@ def _require_one_dim(system, levy):
             f"and noise dim {levy.dim} (the modified-channel compensator is missing in dim >= 2)")
 
 
-def _pair_window(system, levy, state: tuple, dt: float, marks, unif, dens, rows,
-                 alpha: float, kappa: float, comp: np.ndarray) -> tuple:
+def _pair_window(system, state: tuple, dt: float, rows: np.ndarray, marks: np.ndarray,
+                 unifs: np.ndarray, dens: np.ndarray, alpha: float, kappa: float, slab,
+                 comp: np.ndarray) -> tuple:
     # one window of the pair state (x, v), each of shape (2, N, 1) with the copy
-    # axis first; the jumps come grouped by replica, each replica's in time
-    # order, and each is classified at its replica's left-limit gap
+    # axis first; jump i kicks replica rows[i] with mark marks[i], uniform
+    # unifs[i] and driving density dens[i], grouped by replica and each
+    # replica's in time order, and is classified with positions frozen at the
+    # window start
     x, v = state
-    disp = []
-    last = -1
-    for r, u, l, den, z, v_r, vp_r in zip(rows.tolist(), marks[:, 0].tolist(), unif.tolist(),
-                                          dens.tolist(), (x[0, rows, 0] - x[1, rows, 0]).tolist(),
-                                          v[0, rows, 0].tolist(), v[1, rows, 0].tolist()):
-        if r != last:
-            last, v_now, vp_now = r, v_r, vp_r
-        d = classify_jump(levy, u, z + (v_now - vp_now) / alpha, alpha, kappa, l, den)
-        v_now += u
-        vp_now += d
-        disp.append(d)
-    return step_single(system, state, dt, np.concatenate([marks[:, 0], disp]), comp,
-                       np.concatenate([rows, rows + x.shape[1]]))
+    v_kicked = v
+    if len(rows):
+        xs, vs = x.take(rows, axis=1)[..., 0], v.take(rows, axis=1)[..., 0]
+        jumped, v_end, vp_end = _thin(rows.tolist(), marks.tolist(), unifs.tolist(),
+                                      dens.tolist(), (xs[0] - xs[1]).tolist(), *vs.tolist(),
+                                      alpha, kappa, slab)
+        v_kicked = v.copy()  # C order: flat index r is (0, r, 0), N + r is (1, r, 0)
+        v_kicked.put(jumped + [r + v.shape[1] for r in jumped], v_end + vp_end)
+    return _drift(system, x, v, v_kicked, dt, comp)
 
 
 def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
@@ -207,10 +221,9 @@ def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
     marks = np.asarray(jumps, dtype=float).reshape(-1, 1)
     rows = np.zeros(len(marks), dtype=int) if rows is None else np.asarray(rows, dtype=int)
     order = np.argsort(rows, kind="stable")
-    dens = levy.measure.density(marks)
-    x, v = _pair_window(system, levy, (x, v), dt, marks[order],
-                        np.asarray(unifs, dtype=float)[order], dens[order], rows[order],
-                        alpha, kappa, comp)
+    x, v = _pair_window(system, (x, v), dt, rows[order], marks[order, 0],
+                        np.asarray(unifs, dtype=float)[order], levy.measure.density(marks)[order],
+                        alpha, kappa, levy.slice_part, comp)
     return PairState(*(a.reshape(pair.x.shape) for a in (x[0], v[0], x[1], v[1])))
 
 
@@ -243,7 +256,10 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     ``replica_rng(seed, r + replica_offset)``. With ``coupling = (alpha,
     kappa)`` the two copies form the pair and each window is a pair window.
     A replica with a copy whose position or velocity norm exceeds
-    ``blowup_norm`` is flagged and frozen; its later snapshots stay NaN.
+    ``blowup_norm`` is flagged and frozen; its later snapshots stay NaN. The
+    exact norm test runs only in windows where some component exceeds
+    ``blowup_norm / (2 sqrt(d))`` (or 1e150) or is NaN, and once a replica
+    is frozen.
     Returns the ``(copies, N, n_save, d)`` position and velocity paths, the
     survivor mask and, per replica, the largest force Lipschitz quotient
     between copies 0 and 1 seen at a save time (zeros for one copy).
@@ -274,19 +290,25 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     out_x, out_v = np.full((2, len(starts), n, len(times), d), np.nan)
     out_x[:, :, 0], out_v[:, :, 0] = x, v
     alive = np.ones(n, dtype=bool)
+    # components within `screen` keep every norm below blowup_norm / 2, and the
+    # cap keeps the squares in the exact norm from overflowing
+    all_alive, screen = True, min(0.5 * config.blowup_norm / math.sqrt(d), 1e150)
     lip = np.zeros(n)
     for w, (save_idx, _, dt) in enumerate(plan):
-        jumps = slice(bounds[w], bounds[w + 1])
-        if coupling is None:
-            x_new, v_new = step_single(system, (x, v), dt, marks[jumps], comp, rows[jumps])
-        else:
-            x_new, v_new = _pair_window(system, levy, (x, v), dt, marks[jumps], unif[jumps],
-                                        dens[jumps], rows[jumps], *coupling, comp)
-        with np.errstate(over="ignore"):  # a norm that overflows is a blow-up
-            alive &= ~((_norm(x_new) > config.blowup_norm)
-                       | (_norm(v_new) > config.blowup_norm)).any(axis=0)
+        lo, hi = bounds[w], bounds[w + 1]
         x_start, v_start = x, v
-        x, v = np.where(alive[:, None], x_new, x), np.where(alive[:, None], v_new, v)
+        if coupling is None:
+            x, v = step_single(system, (x, v), dt, marks[lo:hi], comp, rows[lo:hi])
+        else:
+            x, v = _pair_window(system, (x, v), dt, rows[lo:hi], marks[lo:hi, 0], unif[lo:hi],
+                                dens[lo:hi], *coupling, levy.slice_part, comp)
+        if not (all_alive and np.maximum.reduce(np.abs(x), None) <= screen
+                and np.maximum.reduce(np.abs(v), None) <= screen):
+            with np.errstate(over="ignore"):  # a norm that overflows is a blow-up
+                alive &= ~((_norm(x) > config.blowup_norm)
+                           | (_norm(v) > config.blowup_norm)).any(axis=0)
+            x, v = np.where(alive[:, None], x, x_start), np.where(alive[:, None], v, v_start)
+            all_alive = bool(alive.all())
         if saves[w]:
             out_x[:, alive, save_idx], out_v[:, alive, save_idx] = x[:, alive], v[:, alive]
             if coupling is not None:

@@ -149,6 +149,11 @@ class TestExitCodes:
         assert payload["lambda_fit"] > 0
         header = (tmp_path / "decay_curve.csv").read_text().splitlines()[0]
         assert header == "t,mean,se,log_mean"
+        timings = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]
+        stages = ("constants_s", "ensemble_s", "decay_fit_s", "io_s")
+        assert set(timings) == {*stages, "total_s"}
+        assert all(timings[k] >= 0.0 for k in stages)
+        assert sum(timings[k] for k in stages) <= timings["total_s"]
 
     def test_unsupported_dimension_is_one(self, tmp_path, capsys):
         path = write(tmp_path, "[levy]\ndim = 2\n[model]\ndim = 2\n")

@@ -10,7 +10,7 @@ from scipy import stats
 from levyham import measures as ms
 from levyham import model as md
 from levyham import simulate as sim
-from levyham.pair import PairState
+from levyham.pair import PairState, gap_is_degenerate
 
 
 def free_system():
@@ -74,6 +74,139 @@ BEYOND_SLICE = {
 @pytest.fixture(scope="module", params=sorted(BEYOND_SLICE))
 def beyond_slice_levy(request):
     return BEYOND_SLICE[request.param]()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-jump thinning rule and pair window of the earlier
+# implementation (one helper call per ratio, np.add.at kicks), kept verbatim
+# as the oracle for the float walk of the pair window.
+# ---------------------------------------------------------------------------
+
+
+def _ratio_1d(sl, shift: float, u: float, den: float) -> float:
+    # min(q(u), q(u - shift)) / den for the slice density q, capped at 1; q
+    # decreases on its support (0, 1], so the minimum sits at the larger point
+    w = u - shift
+    if not (0.0 < u <= 1.0 and 0.0 < w <= 1.0 and den > 0.0):
+        return 0.0
+    return min(sl.c * max(u, w) ** (-1.0 - sl.theta0) / den, 1.0)
+
+
+def ref_classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float,
+                      den: float) -> float:
+    aq = abs(Q)
+    if gap_is_degenerate(aq):
+        return u
+    shift = alpha * (Q if aq <= kappa else Q * (kappa / aq))
+    rho_m = _ratio_1d(levy.slice_part, -shift, u, den)
+    if l <= 0.5 * rho_m:
+        return u + shift
+    rho_p = _ratio_1d(levy.slice_part, shift, u, den)
+    if l <= 0.5 * (rho_m + rho_p):
+        return u - shift
+    return u
+
+
+def ref_step_single(system, state: tuple, dt: float, jumps, comp: np.ndarray,
+                    rows=None) -> tuple:
+    x, v = state
+    xdot = system.a * x + system.b * v
+    force = np.asarray(system.force(x, v), dtype=float)
+    x_new = x + xdot * dt
+    v_new = np.array(v, dtype=float)
+    marks = np.asarray(jumps, dtype=float).reshape(-1, v_new.shape[-1])
+    np.add.at(v_new.reshape(-1, marks.shape[1]),
+              np.zeros(len(marks), dtype=int) if rows is None else rows, marks)
+    v_new = v_new + (force + comp) * dt
+    return x_new, v_new
+
+
+def ref_pair_window(system, levy, state: tuple, dt: float, marks, unif, dens, rows,
+                    alpha: float, kappa: float, comp: np.ndarray) -> tuple:
+    x, v = state
+    disp = []
+    last = -1
+    for r, u, l, den, z, v_r, vp_r in zip(rows.tolist(), marks[:, 0].tolist(), unif.tolist(),
+                                          dens.tolist(), (x[0, rows, 0] - x[1, rows, 0]).tolist(),
+                                          v[0, rows, 0].tolist(), v[1, rows, 0].tolist()):
+        if r != last:
+            last, v_now, vp_now = r, v_r, vp_r
+        d = ref_classify_jump(levy, u, z + (v_now - vp_now) / alpha, alpha, kappa, l, den)
+        v_now += u
+        vp_now += d
+        disp.append(d)
+    return ref_step_single(system, state, dt, np.concatenate([marks[:, 0], disp]), comp,
+                           np.concatenate([rows, rows + x.shape[1]]))
+
+
+def ref_step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
+                  alpha: float, kappa: float, comp: np.ndarray, rows=None) -> PairState:
+    x, v = (np.stack([a.reshape(-1, 1), b.reshape(-1, 1)])
+            for a, b in ((pair.x, pair.xp), (pair.v, pair.vp)))
+    marks = np.asarray(jumps, dtype=float).reshape(-1, 1)
+    rows = np.zeros(len(marks), dtype=int) if rows is None else np.asarray(rows, dtype=int)
+    order = np.argsort(rows, kind="stable")
+    dens = levy.measure.density(marks)
+    x, v = ref_pair_window(system, levy, (x, v), dt, marks[order],
+                           np.asarray(unifs, dtype=float)[order], dens[order], rows[order],
+                           alpha, kappa, comp)
+    return PairState(*(a.reshape(pair.x.shape) for a in (x[0], v[0], x[1], v[1])))
+
+
+LEVIES = {"slice": lambda: ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 1), theta=1.0),
+          **BEYOND_SLICE}
+
+
+def random_window(rng, n_rep: int, n_jumps: int):
+    """Pair states and one window of jumps that reach every branch of the rule.
+
+    Gaps: exactly zero, at most DEGENERATE_GAP, inside and beyond kappa.
+    Marks: on the slab, at its edge 1.0, negative and above 1. Uniforms:
+    some exactly 0.0. Replicas' jumps come interleaved.
+    """
+    x, v = rng.normal(size=(2, n_rep, 1))
+    gap = rng.choice([0.0, 1e-13, -4e-13, 0.05, -0.1, 0.3, -2.0, 5.0], size=(n_rep, 1))
+    xp = x - gap * rng.choice([0.0, 0.5, 1.0], size=(n_rep, 1))
+    vp = v - (gap - (x - xp))
+    marks = np.where(rng.uniform(size=n_jumps) < 0.7, rng.uniform(0.0, 1.0, n_jumps),
+                     rng.choice([1.0, -0.3, -1.5, 1.2, 2.5], size=n_jumps))
+    unif = np.where(rng.uniform(size=n_jumps) < 0.2, 0.0, rng.uniform(size=n_jumps))
+    rows = rng.integers(0, n_rep, n_jumps)
+    return PairState(x, v, xp, vp), marks, unif, rows
+
+
+class TestFloatWalkParity:
+    """The pair window's float walk against the earlier per-jump implementation."""
+
+    @pytest.mark.parametrize("name", sorted(LEVIES))
+    def test_window_bitwise_equal_to_reference(self, name, benchmark_langevin):
+        levy = LEVIES[name]()
+        system = benchmark_langevin.system()
+        comp = levy.measure.compensation_drift(1e-3)
+        rng = np.random.default_rng(sorted(LEVIES).index(name))
+        branches = set()
+        for trial in range(60):
+            alpha, kappa = [(1.0, 0.25), (2.5, 0.7), (0.3, 0.1)][trial % 3]
+            pair, marks, unif, rows = random_window(rng, 6, 20)
+            got = sim.step_pair(system, levy, pair, 0.01, marks, unif, alpha, kappa, comp, rows)
+            want = ref_step_pair(system, levy, pair, 0.01, marks, unif, alpha, kappa, comp, rows)
+            for f in ("x", "v", "xp", "vp"):
+                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), (trial, f)
+            dens = levy.measure.density(marks[:, None])
+            for u, l, den, q in zip(marks, unif, dens, pair.q(alpha)[rows, 0]):
+                d = ref_classify_jump(levy, float(u), float(q), alpha, kappa, float(l), float(den))
+                assert sim.classify_jump(levy, float(u), float(q), alpha, kappa, float(l),
+                                         float(den)) == d
+                branches.add("sync" if d == u else "plus" if d > u else "minus")
+        assert branches == {"sync", "plus", "minus"}
+
+    def test_zero_uniform_takes_the_plus_branch_at_zero_ratio(self, benchmark_levy):
+        # rho = 0 off the slab and where den <= 0, and l = 0.0 still passes
+        # l <= 0.5 * rho
+        for u, den in ((-0.5, 0.0), (1.5, 0.0), (0.5, 0.0), (0.5, -1.0)):
+            for l, want in ((0.0, u + 0.1), (1e-300, u)):
+                assert sim.classify_jump(benchmark_levy, u, 0.1, 1.0, 0.25, l, den) == want
+                assert ref_classify_jump(benchmark_levy, u, 0.1, 1.0, 0.25, l, den) == want
 
 
 class TestStepSingle:
@@ -285,6 +418,80 @@ class TestSingleBlowup:
         assert last < len(tr.times) - 1
         assert finite[:last + 1].all()
         assert np.isnan(tr.x[last + 1:]).all() and np.isnan(tr.v[last + 1:]).all()
+
+
+def zero_force_system(dim):
+    return md.HamiltonianSystemSpec(
+        0.0, 1.0, lambda x, v: np.zeros_like(np.asarray(v, dtype=float)), dim=dim)
+
+
+def nan_force_system(dim):
+    # zero force that turns NaN once a position passes 10
+    return md.HamiltonianSystemSpec(
+        0.0, 1.0, lambda x, v: np.where(np.asarray(x, dtype=float) > 10.0, np.nan, 0.0),
+        dim=dim)
+
+
+def exact_blowup_path(system, levy, cfg, x0, v0):
+    # one copy stepped window by window with no jumps under the exact rule: a
+    # state whose position or velocity norm exceeds blowup_norm is flagged,
+    # and its snapshots from that window on are NaN; every window is a save
+    comp = levy.measure.compensation_drift(cfg.delta)
+    x, v = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
+    xs, vs = np.full((2, cfg.n_save, len(x)), np.nan)
+    xs[0], vs[0] = x, v
+    for k, (_, _, dt) in enumerate(sim._window_plan(cfg.save_times(), cfg.h), start=1):
+        x, v = sim.step_single(system, (x, v), dt, [], comp)
+        with np.errstate(over="ignore"):
+            if np.linalg.norm(x) > cfg.blowup_norm or np.linalg.norm(v) > cfg.blowup_norm:
+                return xs, vs, True, k
+        xs[k], vs[k] = x, v
+    return xs, vs, False, None
+
+
+BLOWUP_CASES = {
+    # name: (blowup_norm, force, (x0, v0) in d = 1, (x0, v0) in d = 2, flagged at)
+    "component-above-screen": (1e6, zero_force_system, ([7e5], [0.0]),
+                               ([6e5, 6e5], [0.0, 0.0]), None),
+    # in d = 2 every component stays below the norm bound
+    "just-above-norm": (1e6, zero_force_system, ([1e6 - 12.5], [100.0]),
+                        ([707095.0, 707095.0], [100.0, 100.0]), 3),
+    "norm-overflows": (1e300, zero_force_system, ([1e200], [0.0]),
+                       ([1e200, 0.0], [0.0, 0.0]), 1),
+    "nan-state": (1e6, nan_force_system, ([0.0], [100.0]), ([0.0, 0.0], [100.0, 0.0]), None),
+}
+
+
+class TestBlowupScreen:
+    """The per-window screen flags exactly what the exact norm test flags."""
+
+    @pytest.mark.parametrize("kind", ["pair-1d", "single-2d"])
+    @pytest.mark.parametrize("case", sorted(BLOWUP_CASES))
+    def test_screen_keeps_the_exact_rule(self, case, kind, monkeypatch):
+        norm, force, start1, start2, flagged_at = BLOWUP_CASES[case]
+        d = 1 if kind == "pair-1d" else 2
+        x0, v0 = start1 if d == 1 else start2
+        levy = ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, d), theta=1.0)
+        system = force(d)
+        cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=0.5, n_save=11, seed=1,
+                            blowup_norm=norm)
+        batch = ms.JumpBatch(np.empty(0), np.empty((0, d)), np.empty(0))
+        monkeypatch.setattr(ms, "sample_large_jumps", lambda *args: batch)
+        if kind == "pair-1d":
+            tr, = sim.run_pair_ensemble(system, levy, cfg, PairState(x0, v0, [0.0], [0.0]),
+                                        1.0, 0.25)
+        else:
+            tr, = sim.run_single_ensemble(system, levy, cfg, x0, v0)
+        xs, vs, blown, at = exact_blowup_path(system, levy, cfg, x0, v0)
+        assert (tr.blown_up, blown, at) == (flagged_at is not None, flagged_at is not None,
+                                            flagged_at)
+        assert np.array_equal(tr.x, xs, equal_nan=True)
+        assert np.array_equal(tr.v, vs, equal_nan=True)
+        if case == "component-above-screen":
+            assert np.all(np.abs(tr.x) > 0.5 * norm / math.sqrt(d))
+        if case == "nan-state":
+            # a NaN state is not a blow-up under the exact rule either
+            assert np.isnan(tr.v[-1]).any()
 
 
 class TestPairDimension:
