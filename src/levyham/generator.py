@@ -15,9 +15,10 @@ broadcast over leading axes: ``value(pair)``, ``grads(pair)`` (the tuple
 derivative along the synchronous move ``(v, vp) -> (v + u, vp + u)``. Three
 observables implement it: the distance ``ProfilePairFn``, the separable
 ``SeparablePairFn`` (the Lyapunov tilt, and the marginal identity's
-``g(v) + h(vp)``) and ``ProductPairFn``. The operator itself is evaluated
-at one pair state at a time, because its node table depends on the
-state's coupling shift.
+``g(v) + h(vp)``) and ``ProductPairFn``. The operator and the identity
+checks take a ``PairState`` with leading axes and evaluate every state in
+one call. Each state keeps its own node table, with breakpoints at its
+coupling shift; ``pair_nodes`` stacks the tables into rows of one length.
 
 Identity checks (marginal consistency, product rule) evaluate both sides on
 one shared node table so the residual isolates algebra rather than
@@ -31,6 +32,7 @@ are dimension-generic; coupled pair simulation is one-dimensional.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -51,6 +53,7 @@ __all__ = [
     "ProfilePairFn",
     "SeparablePairFn",
     "ProductPairFn",
+    "pair_nodes",
     "apply_coupling_operator",
     "coupling_profile_drift",
     "marginal_identity_residual",
@@ -125,6 +128,22 @@ def lyapunov_test_function(lyap) -> TestFunction:
     )
 
 
+def _velocity_bump(c) -> TestFunction:
+    """The velocity bump ``exp(-|v - c|^2)`` in d = 1. An array of centres
+    gives each state along the leading axes of ``v`` its own centre."""
+    c = np.asarray(c, dtype=float)
+
+    def gap(v):
+        return v - c.reshape(c.shape + (1,) * (np.ndim(v) - c.ndim))
+
+    def value(x, v):
+        return np.exp(-np.sum(gap(v) ** 2, axis=-1))
+
+    return TestFunction(value, lambda x, v: np.zeros_like(x),
+                        lambda x, v: -2.0 * gap(v) * value(x, v)[..., None],
+                        lambda x, v: (-2.0 + 4.0 * gap(v)[..., 0] ** 2) * value(x, v))
+
+
 # ---------------------------------------------------------------------------
 # node tables
 # ---------------------------------------------------------------------------
@@ -135,23 +154,22 @@ class MeasureNodes:
     """Signed 1-d nodes ``u``, Lebesgue weights ``w``, and density values.
 
     ``sync_mask`` marks nodes outside the Taylor zone: the compensated
-    integrand is only evaluated there, while ``inner_moment2`` carries the
+    integrand is only counted there, while ``inner_moment2`` carries the
     measure's second moment below ``rho_in`` for the analytic inner term.
+    A stacked table (``pair_nodes``) has one row per pair state.
     """
 
-    u: np.ndarray          # (n,) signed positions
-    w: np.ndarray          # (n,) panel weights
-    dens: np.ndarray       # (n,) driving density at u
-    sync_mask: np.ndarray  # (n,) bool: participates in compensated sums
+    u: np.ndarray          # (..., n) signed positions
+    w: np.ndarray          # (..., n) panel weights
+    dens: np.ndarray       # (..., n) driving density at u
+    sync_mask: np.ndarray  # (..., n) bool: participates in compensated sums
     inner_moment2: float   # second moment of the measure below rho_in
     inner_moment3: float   # third absolute moment below rho_in (error term)
     tail_mass: float       # measure mass beyond rho_out
-    rho_in: float
-    rho_out: float
 
     @property
     def points(self) -> np.ndarray:
-        return self.u[:, None]
+        return self.u[..., None]
 
 
 def _side_support(measure) -> tuple[bool, float]:
@@ -189,7 +207,7 @@ def build_nodes_1d(measure, scheme: QuadratureScheme, breakpoints=()) -> Measure
     # crude third-moment bound: m3 <= rho_in * m2
     m3 = scheme.rho_in * m2
     tail = measure.mass_above(scheme.rho_out) if math.isinf(sup) else 0.0
-    return MeasureNodes(u, wts, dens, mask, m2, m3, tail, scheme.rho_in, hi)
+    return MeasureNodes(u, wts, dens, mask, m2, m3, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +237,37 @@ def apply_generator(system, levy_spec, f: TestFunction, x, v,
 
 
 def _jump_sum(f: TestFunction, x, v, nodes: MeasureNodes):
-    # compensated velocity-jump integral of f, broadcast over leading axes;
-    # returns (value, integrand on the sync nodes, f(x, v), velocity Hessian)
-    mask = nodes.sync_mask
-    um = nodes.u[mask]
+    # compensated velocity-jump integral of f, broadcast over leading axes (a
+    # stacked table's rows over the states); returns (value, integrand on
+    # _sync_nodes, f(x, v), velocity Hessian)
+    um, _, wd = _sync_nodes(nodes)
     base = np.asarray(f.value(x, v), dtype=float)
-    shifted_v = v[..., None, :] + nodes.points[mask]
+    shifted_v = v[..., None, :] + um[..., None]
     shifted = np.asarray(f.value(np.broadcast_to(x[..., None, :], shifted_v.shape), shifted_v),
                          dtype=float)
     gv = np.asarray(f.grad_v(x, v), dtype=float)[..., 0]
     comp = np.where(np.abs(um) <= 1.0, gv[..., None] * um, 0.0)
     integrand = shifted - base[..., None] - comp
-    jump = np.sum(nodes.w[mask] * nodes.dens[mask] * integrand, axis=-1)
+    jump = np.sum(wd * integrand, axis=-1)
     hess = _hess(f, x, v)
     return jump + 0.5 * hess * nodes.inner_moment2, integrand, base, hess
+
+
+def _sync_nodes(nodes: MeasureNodes):
+    # the nodes a compensated integrand runs over: positions, |u| (NaN off the
+    # sync mask) and weight x density (zero off it). A 1-d table keeps only
+    # the masked nodes; a stacked table keeps every node, so rows stay aligned
+    mask = nodes.sync_mask
+    if nodes.u.ndim == 1:
+        um = nodes.u[mask]
+        return um, np.abs(um), (nodes.w * nodes.dens)[mask]
+    return (nodes.u, np.where(mask, np.abs(nodes.u), np.nan),
+            np.where(mask, nodes.w * nodes.dens, 0.0))
+
+
+def _pick(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # a[..., idx] for one index row, or one row per leading state
+    return np.take_along_axis(a, np.broadcast_to(idx, a.shape[:-1] + idx.shape[-1:]), axis=-1)
 
 
 def _hess(f: TestFunction, x, v):
@@ -242,22 +277,23 @@ def _hess(f: TestFunction, x, v):
 
 def _error_bound(nodes: MeasureNodes, sync_integrand: np.ndarray, scale, hess):
     # Taylor remainder in the inner zone, scaled by the local curvature drift;
-    # broadcast over the leading axes of sync_integrand
-    mask = nodes.sync_mask
-    um = nodes.u[mask]
-    small = np.argsort(np.abs(um))[:4]
+    # broadcast over the leading axes of sync_integrand, which runs over
+    # _sync_nodes(nodes) on its last axis
+    _, au, wd = _sync_nodes(nodes)
     err_inner = 0.0
-    if small.size:
+    if nodes.sync_mask.any():
+        small = np.argsort(au, axis=-1)[..., :4]  # NaN, off the mask, sorts last
         with np.errstate(divide="ignore", invalid="ignore"):
-            curv = 2.0 * np.abs(sync_integrand[..., small]) / np.maximum(um[small] ** 2, 1e-300)
+            curv = (2.0 * np.abs(_pick(sync_integrand, small))
+                    / np.maximum(np.take_along_axis(au, small, axis=-1) ** 2, 1e-300))
         curv = np.max(curv, axis=-1)
         err_inner = nodes.inner_moment2 * np.abs(curv - np.abs(hess))
         err_inner += nodes.inner_moment3 * curv
     err_tail = 0.0
     if nodes.tail_mass > 0:
-        edge = np.argmax(np.abs(um))
-        err_tail = nodes.tail_mass * np.abs(sync_integrand[..., edge])
-    err_float = 1e-16 * (np.abs(scale) + 1.0) * float(np.sum(nodes.w[mask] * nodes.dens[mask]))
+        edge = np.nanargmax(au, axis=-1)
+        err_tail = nodes.tail_mass * np.abs(_pick(sync_integrand, edge[..., None])[..., 0])
+    err_float = 1e-16 * (np.abs(scale) + 1.0) * np.sum(wd, axis=-1)
     return err_inner + err_tail + err_float
 
 
@@ -354,34 +390,64 @@ class ProductPairFn:
 # ---------------------------------------------------------------------------
 
 
-def _branch_weights(levy_spec, shift: np.ndarray | None, u_pts: np.ndarray):
-    # thinning probabilities of the two modified channels (zero without a shift)
-    if shift is None:
-        zeros = np.zeros(u_pts.shape[0])
+def _stack(pair: PairState) -> tuple[PairState, tuple]:
+    # the states as one (S, d) stack, and their leading shape: results over
+    # the stack are reshaped to it, a 0-d value for one state
+    lead = pair.x.shape[:-1]
+    return PairState(*(a.reshape(-1, pair.dim) for a in (pair.x, pair.v, pair.xp, pair.vp))), lead
+
+
+def _live(pair: PairState, alpha: float) -> np.ndarray:
+    # states whose transformed gap is not degenerate: only they feed the
+    # modified channels
+    return ~gap_is_degenerate(np.linalg.norm(pair.q(alpha), axis=-1))
+
+
+def _branch_weights(levy_spec, shift: np.ndarray, live: np.ndarray, u_pts: np.ndarray):
+    # thinning probabilities of the two modified channels over (S, n) nodes,
+    # zero at states with a degenerate gap
+    if not live.any():
+        zeros = np.zeros(u_pts.shape[:-1])
         return zeros, zeros
-    return ms.overlap_ratio(levy_spec, -shift, u_pts), ms.overlap_ratio(levy_spec, shift, u_pts)
+    s, on = shift[:, None, :], live[:, None]
+    return (np.where(on, ms.overlap_ratio(levy_spec, -s, u_pts), 0.0),
+            np.where(on, ms.overlap_ratio(levy_spec, s, u_pts), 0.0))
 
 
 def _shifted(pair: PairState, dv: np.ndarray, dvp: np.ndarray) -> PairState:
-    # the pair after velocity jumps dv and dvp, one row per jump
-    return PairState(*np.broadcast_arrays(pair.x, pair.v + dv, pair.xp, pair.vp + dvp))
+    # the (S, d) pair after velocity jumps dv and dvp, one (n, d) row per state
+    return PairState(*np.broadcast_arrays(pair.x[:, None], pair.v[:, None] + dv,
+                                          pair.xp[:, None], pair.vp[:, None] + dvp))
 
 
-def _pair_nodes(pair: PairState, levy_spec, alpha: float, kappa: float,
-                scheme: QuadratureScheme | None, nodes: MeasureNodes | None = None):
-    # the coupling shift (None at a degenerate gap, where every jump is
-    # synchronous) and, unless given, a node table with breakpoints where the
-    # shifted channels change shape
-    shift = None
-    if not gap_is_degenerate(float(np.linalg.norm(pair.q(alpha)))):
-        shift = coupling_shift(pair, alpha, kappa)
-    if nodes is None:
-        bp = ()
-        if shift is not None:
-            s = float(np.linalg.norm(shift))
-            bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s))
-        nodes = build_nodes_1d(levy_spec.measure, scheme or QuadratureScheme(), breakpoints=bp)
-    return shift, nodes
+def pair_nodes(pair: PairState, levy_spec, alpha: float, kappa: float,
+               scheme: QuadratureScheme | None = None) -> MeasureNodes:
+    """The pair operator's node table: one row per state of ``pair``, the
+    leading axes flattened in C order.
+
+    Each state gets the 1-d table with breakpoints where its shifted channels
+    change shape (none at a degenerate gap, where every jump is synchronous).
+    States with equal breakpoints share one build, as do most states with
+    ``|q| >= kappa``: their shifts are ``alpha kappa`` up to rounding.
+    Shorter rows are padded by repeating their last node with weight zero: a
+    pad adds nothing to any sum, and as its ``|u|`` equals the last node's it
+    is never a smallest-``|u|`` node nor the first-occurrence tail edge of
+    the error bounds.
+    """
+    pair, _ = _stack(pair)
+    scheme = scheme or QuadratureScheme()
+    shifts = np.linalg.norm(coupling_shift(pair, alpha, kappa), axis=-1).tolist()
+    built, rows = {}, []
+    for s, live in zip(shifts, _live(pair, alpha).tolist()):
+        bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s)) if live else ()
+        if bp not in built:
+            built[bp] = build_nodes_1d(levy_spec.measure, scheme, breakpoints=bp)
+        rows.append(built[bp])
+    n = max(t.u.size for t in rows)
+    u, w, dens, mask = (np.stack([np.pad(getattr(t, k), (0, n - t.u.size), mode=m) for t in rows])
+                        for k, m in (("u", "edge"), ("w", "constant"), ("dens", "edge"),
+                                     ("sync_mask", "edge")))
+    return dataclasses.replace(rows[0], u=u, w=w, dens=dens, sync_mask=mask)
 
 
 def coupling_shift(pair: PairState, alpha: float, kappa: float) -> np.ndarray:
@@ -391,15 +457,18 @@ def coupling_shift(pair: PairState, alpha: float, kappa: float) -> np.ndarray:
 
 def apply_coupling_operator(fn, pair: PairState, system, levy_spec, alpha: float,
                             kappa: float, scheme: QuadratureScheme | None = None,
-                            nodes: MeasureNodes | None = None,
-                            drift_part: bool = True) -> tuple[float, float]:
+                            nodes: MeasureNodes | None = None, drift_part: bool = True):
     """Full pair operator on a pair observable: drift plus three jump channels.
 
-    Returns ``(value, error_bound)``. Pass ``drift_part=False`` for the pure
-    jump component (used by the marginal identity).
+    ``pair`` may carry leading axes; returns ``(value, error_bound)`` over
+    them, 0-d for one state. ``nodes`` is a ``pair_nodes`` table of the same
+    states, built when not given. Pass ``drift_part=False`` for the pure jump
+    component (used by the marginal identity).
     """
-    shift, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
-    base = float(fn.value(pair))
+    pair, lead = _stack(pair)
+    nodes = nodes or pair_nodes(pair, levy_spec, alpha, kappa, scheme)
+    shift, live = coupling_shift(pair, alpha, kappa), _live(pair, alpha)
+    base = np.asarray(fn.value(pair), dtype=float)[:, None]
     gx, gv, gxp, gvp = (np.asarray(g, dtype=float) for g in fn.grads(pair))
     val = 0.0
     if drift_part:
@@ -407,55 +476,52 @@ def apply_coupling_operator(fn, pair: PairState, system, levy_spec, alpha: float
         xpdot = system.a * pair.xp + system.b * pair.vp
         u1 = np.asarray(system.force(pair.x, pair.v), dtype=float)
         u2 = np.asarray(system.force(pair.xp, pair.vp), dtype=float)
-        val += float(np.sum(gx * xdot) + np.sum(gxp * xpdot)
-                     + np.sum(gv * u1) + np.sum(gvp * u2))
+        val = (np.sum(gx * xdot, axis=-1) + np.sum(gxp * xpdot, axis=-1)
+               + np.sum(gv * u1, axis=-1) + np.sum(gvp * u2, axis=-1))
 
     du = nodes.points
-    mask = nodes.sync_mask
-    ind = (np.abs(nodes.u) <= 1.0)
-    comp_v = np.where(ind, du[:, 0] * gv[0], 0.0)
-    comp_both = comp_v + np.where(ind, du[:, 0] * gvp[0], 0.0)
+    wd = nodes.w * nodes.dens
+    ind = np.abs(nodes.u) <= 1.0
+    comp_v = np.where(ind, nodes.u * gv[:, :1], 0.0)
+    comp_both = comp_v + np.where(ind, nodes.u * gvp[:, :1], 0.0)
 
-    rho_minus, rho_plus = _branch_weights(levy_spec, shift, du)
+    rho_minus, rho_plus = _branch_weights(levy_spec, shift, live, du)
     sync_w = 1.0 - 0.5 * rho_minus - 0.5 * rho_plus
 
-    # synchronous channel: evaluated outside the Taylor zone, analytic inside
-    sync_vals = fn.value(_shifted(pair, du[mask], du[mask])) - base
-    sync_int = sync_vals - comp_both[mask]
-    total = np.sum(nodes.w[mask] * nodes.dens[mask] * sync_w[mask] * sync_int)
-    hess = float(fn.sync_hess(pair))
+    # synchronous channel: counted outside the Taylor zone, analytic inside
+    sync_int = fn.value(_shifted(pair, du, du)) - base - comp_both
+    total = np.sum(_sync_nodes(nodes)[2] * sync_w * sync_int, axis=-1)
+    hess = np.asarray(fn.sync_hess(pair), dtype=float)
     total += 0.5 * hess * nodes.inner_moment2
+    err = _error_bound(nodes, sync_int, base[:, 0], hess)
 
-    if shift is not None:
-        up, down = du + shift, du - shift
-        plus_vals = fn.value(_shifted(pair, du, up)) - base
-        ind_p = np.linalg.norm(up, axis=-1) <= 1.0
-        plus_int = plus_vals - comp_v - np.where(ind_p, up @ gvp, 0.0)
-        minus_vals = fn.value(_shifted(pair, du, down)) - base
-        ind_m = np.linalg.norm(down, axis=-1) <= 1.0
-        minus_int = minus_vals - comp_v - np.where(ind_m, down @ gvp, 0.0)
-        total += np.sum(nodes.w * nodes.dens * 0.5 * rho_minus * plus_int)
-        total += np.sum(nodes.w * nodes.dens * 0.5 * rho_plus * minus_int)
-        err_mod = _modified_inner_error(levy_spec, float(np.linalg.norm(shift)), nodes,
+    if live.any():
+        up, down = du + shift[:, None], du - shift[:, None]
+        plus_int = (fn.value(_shifted(pair, du, up)) - base - comp_v - np.where(
+            np.linalg.norm(up, axis=-1) <= 1.0, np.sum(up * gvp[:, None], axis=-1), 0.0))
+        minus_int = (fn.value(_shifted(pair, du, down)) - base - comp_v - np.where(
+            np.linalg.norm(down, axis=-1) <= 1.0, np.sum(down * gvp[:, None], axis=-1), 0.0))
+        total += np.sum(wd * 0.5 * rho_minus * plus_int, axis=-1)
+        total += np.sum(wd * 0.5 * rho_plus * minus_int, axis=-1)
+        err_mod = _modified_inner_error(levy_spec, np.linalg.norm(shift, axis=-1), nodes,
                                         plus_int, minus_int)
         # the analytic inner term ignores the thinning weight deficit there
-        err_mod += 0.5 * abs(hess) * nodes.inner_moment2 * float(
-            np.max((rho_minus + rho_plus)[~mask], initial=0.0))
-    else:
-        err_mod = 0.0
-
-    err = _error_bound(nodes, sync_int, base, hess) + err_mod
-    return val + float(total), err
+        err_mod += 0.5 * np.abs(hess) * nodes.inner_moment2 * np.max(
+            np.where(nodes.sync_mask, 0.0, rho_minus + rho_plus), axis=-1, initial=0.0)
+        err += np.where(live, err_mod, 0.0)
+    return np.reshape(val + total, lead)[()], np.reshape(err, lead)[()]
 
 
 def _modified_inner_error(levy_spec, s, nodes, plus_int, minus_int):
     # the modified channels keep O(1) integrands down to u = 0; bound the
     # contribution dropped below the node floor by sup-density x width x size
     sl = levy_spec.slice_part
-    sup_dens = sl.c * max(s, 1e-6) ** (-1.0 - sl.theta0)
-    floor = float(np.min(np.abs(nodes.u)))
-    small = np.argsort(np.abs(nodes.u))[:2]
-    scale = max(float(np.max(np.abs(plus_int[small]))), float(np.max(np.abs(minus_int[small]))))
+    sup_dens = sl.c * np.maximum(s, 1e-6) ** (-1.0 - sl.theta0)
+    au = np.abs(nodes.u)
+    floor = np.min(au, axis=-1)
+    small = np.argsort(au, axis=-1)[..., :2]
+    scale = np.maximum(np.max(np.abs(_pick(plus_int, small)), axis=-1),
+                       np.max(np.abs(_pick(minus_int, small)), axis=-1))
     return sup_dens * 2.0 * floor * scale
 
 
@@ -507,34 +573,40 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
 
 def marginal_identity_residual(pair: PairState, g: TestFunction, h: TestFunction, system,
                                levy_spec, alpha: float, kappa: float,
-                               scheme: QuadratureScheme | None = None) -> float:
+                               scheme: QuadratureScheme | None = None,
+                               nodes: MeasureNodes | None = None):
     """Absolute gap between the pair jump operator on ``g(x, v) + h(xp, vp)``
-    and the sum of single-process jump generators, on shared nodes."""
-    _, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme)
+    and the sum of single-process jump generators, on shared nodes, over the
+    leading axes of ``pair``."""
+    pair, lead = _stack(pair)
+    nodes = nodes or pair_nodes(pair, levy_spec, alpha, kappa, scheme)
     lhs, _ = apply_coupling_operator(SeparablePairFn(g, h), pair, system, levy_spec, alpha,
                                      kappa, nodes=nodes, drift_part=False)
     rhs = _jump_sum(g, pair.x, pair.v, nodes)[0] + _jump_sum(h, pair.xp, pair.vp, nodes)[0]
-    return abs(lhs - rhs)
+    return np.reshape(np.abs(lhs - rhs), lead)[()]
 
 
 def product_correction_term(pair: PairState, h_fn, g_fn, levy_spec, alpha: float,
                             kappa: float, scheme: QuadratureScheme | None = None,
-                            nodes: MeasureNodes | None = None) -> float:
-    """Cross term of the product rule: both channels of jump covariation."""
-    shift, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
-    if shift is None:
-        return 0.0
+                            nodes: MeasureNodes | None = None):
+    """Cross term of the product rule: both channels of jump covariation,
+    over the leading axes of ``pair`` (zero at a degenerate gap)."""
+    pair, lead = _stack(pair)
+    nodes = nodes or pair_nodes(pair, levy_spec, alpha, kappa, scheme)
+    shift = coupling_shift(pair, alpha, kappa)
     du = nodes.points
-    rho_minus, rho_plus = _branch_weights(levy_spec, shift, du)
-    hb = h_fn.value(pair)
-    gb = g_fn.value(pair)
-    plus, minus = _shifted(pair, du, du + shift), _shifted(pair, du, du - shift)
+    rho_minus, rho_plus = _branch_weights(levy_spec, shift, _live(pair, alpha), du)
+    hb = np.asarray(h_fn.value(pair), dtype=float)[:, None]
+    gb = np.asarray(g_fn.value(pair), dtype=float)[:, None]
+    s = shift[:, None]
+    plus, minus = _shifted(pair, du, du + s), _shifted(pair, du, du - s)
     dh_p = h_fn.value(plus) - hb
     dg_p = g_fn.value(plus) - gb
     dh_m = h_fn.value(minus) - hb
     dg_m = g_fn.value(minus) - gb
-    return float(np.sum(nodes.w * nodes.dens * 0.5 * (rho_minus * dh_p * dg_p
-                                                      + rho_plus * dh_m * dg_m)))
+    pi = np.sum(nodes.w * nodes.dens * 0.5 * (rho_minus * dh_p * dg_p + rho_plus * dh_m * dg_m),
+                axis=-1)
+    return np.reshape(pi, lead)[()]
 
 
 def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float,
@@ -546,17 +618,18 @@ def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float,
 
 
 def product_rule_residual(pair: PairState, h_fn, g_fn, system, levy_spec, alpha: float,
-                          kappa: float, scheme: QuadratureScheme | None = None) -> float:
-    """Relative gap of ``L(HG) = H LG + G LH + Pi`` on shared nodes."""
-    _, nodes = _pair_nodes(pair, levy_spec, alpha, kappa, scheme)
-    lhs, _ = apply_coupling_operator(ProductPairFn(h_fn, g_fn), pair, system, levy_spec,
-                                     alpha, kappa, nodes=nodes)
-    lh, _ = apply_coupling_operator(h_fn, pair, system, levy_spec, alpha, kappa, nodes=nodes)
-    lg, _ = apply_coupling_operator(g_fn, pair, system, levy_spec, alpha, kappa, nodes=nodes)
+                          kappa: float, scheme: QuadratureScheme | None = None,
+                          nodes: MeasureNodes | None = None):
+    """Relative gap of ``L(HG) = H LG + G LH + Pi`` on shared nodes, over
+    the leading axes of ``pair``."""
+    nodes = nodes or pair_nodes(pair, levy_spec, alpha, kappa, scheme)
+    args = (system, levy_spec, alpha, kappa)
+    lhs, _ = apply_coupling_operator(ProductPairFn(h_fn, g_fn), pair, *args, nodes=nodes)
+    lh, _ = apply_coupling_operator(h_fn, pair, *args, nodes=nodes)
+    lg, _ = apply_coupling_operator(g_fn, pair, *args, nodes=nodes)
     pi = product_correction_term(pair, h_fn, g_fn, levy_spec, alpha, kappa, nodes=nodes)
     rhs = h_fn.value(pair) * lg + g_fn.value(pair) * lh + pi
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    return abs(lhs - rhs) / scale
+    return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ power-singular at the origin; breakpoints force panel edges onto known kinks
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["log_gauss_panels", "insert_breakpoints"]
@@ -21,6 +23,15 @@ def insert_breakpoints(edges: np.ndarray, breakpoints) -> np.ndarray:
     return np.unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the n-point rule on [-1, 1], computed once per n; read-only as it is shared
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def log_gauss_panels(lo: float, hi: float, panels_per_decade: int = 4,
                      nodes_per_panel: int = 12, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on log-spaced panels covering ``(lo, hi]``.
@@ -33,7 +44,7 @@ def log_gauss_panels(lo: float, hi: float, panels_per_decade: int = 4,
     n_panels = max(int(np.ceil(decades * panels_per_decade)), 1)
     edges = np.geomspace(lo, hi, n_panels + 1)
     edges = insert_breakpoints(edges, breakpoints)
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
+    gx, gw = _gauss_legendre(nodes_per_panel)
     a = edges[:-1]
     b = edges[1:]
     mid = 0.5 * (a + b)

@@ -256,10 +256,10 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     ``replica_rng(seed, r + replica_offset)``. With ``coupling = (alpha,
     kappa)`` the two copies form the pair and each window is a pair window.
     A replica with a copy whose position or velocity norm exceeds
-    ``blowup_norm`` is flagged and frozen; its later snapshots stay NaN. The
-    exact norm test runs only in windows where some component exceeds
-    ``blowup_norm / (2 sqrt(d))`` (or 1e150) or is NaN, and once a replica
-    is frozen.
+    ``blowup_norm`` or is NaN is flagged and frozen; its later snapshots stay
+    NaN. The exact norm test runs only in windows where some component
+    exceeds ``blowup_norm / (2 sqrt(d))`` (or 1e150) or is NaN, and once a
+    replica is frozen.
     Returns the ``(copies, N, n_save, d)`` position and velocity paths, the
     survivor mask and, per replica, the largest force Lipschitz quotient
     between copies 0 and 1 seen at a save time (zeros for one copy).
@@ -304,9 +304,9 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
                                 dens[lo:hi], *coupling, levy.slice_part, comp)
         if not (all_alive and np.maximum.reduce(np.abs(x), None) <= screen
                 and np.maximum.reduce(np.abs(v), None) <= screen):
-            with np.errstate(over="ignore"):  # a norm that overflows is a blow-up
-                alive &= ~((_norm(x) > config.blowup_norm)
-                           | (_norm(v) > config.blowup_norm)).any(axis=0)
+            with np.errstate(over="ignore"):  # a norm that overflows or is NaN is a blow-up
+                alive &= ((_norm(x) <= config.blowup_norm)
+                          & (_norm(v) <= config.blowup_norm)).all(axis=0)
             x, v = np.where(alive[:, None], x, x_start), np.where(alive[:, None], v, v_start)
             all_alive = bool(alive.all())
         if saves[w]:
@@ -343,8 +343,8 @@ def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
     """All replicas of the single process, stepped together window by window.
 
     Replica ``k`` draws its jumps from ``replica_rng(seed, k + replica_offset)``.
-    A replica whose position or velocity norm exceeds ``blowup_norm`` is
-    flagged and frozen; its later snapshots stay NaN.
+    A replica whose position or velocity norm exceeds ``blowup_norm`` or is
+    NaN is flagged and frozen; its later snapshots stay NaN.
     """
     xs, vs, alive, _ = _euler_windows(system, levy, config, ((x0, v0),), replica_offset)
     times = config.save_times()

@@ -9,7 +9,7 @@ from levyham import generator as gen
 from levyham import measures as ms
 from levyham import model as md
 from levyham import simulate as sim
-from levyham.pair import PairState
+from levyham.pair import PairState, gap_is_degenerate
 
 
 def zero_force_system():
@@ -47,13 +47,7 @@ def linear_fn(c):
         hess_v=lambda x, v: np.zeros((1, 1)))
 
 
-def bump(c):
-    """The velocity bump ``exp(-(v - c)^2)``."""
-    return gen.TestFunction(
-        lambda x, v: np.exp(-np.sum((v - c) ** 2, axis=-1)),
-        lambda x, v: np.zeros_like(x),
-        lambda x, v: -2.0 * (v - c) * np.exp(-np.sum((v - c) ** 2, axis=-1))[..., None],
-        lambda x, v: (-2.0 + 4.0 * (v[..., 0] - c) ** 2) * np.exp(-(v[..., 0] - c) ** 2))
+bump = gen._velocity_bump
 
 
 class ConcaveProfile:
@@ -391,3 +385,266 @@ class TestContractionCheck:
                                                alpha=ALPHA, kappa=KAPPA, scheme=scheme)
         assert chk.passed
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-state pair operator of the earlier implementation (one
+# state per call, each with its own node table), kept verbatim as the oracle
+# for the broadcast operator.
+# ---------------------------------------------------------------------------
+
+
+def _ref_branch_weights(levy_spec, shift, u_pts):
+    if shift is None:
+        zeros = np.zeros(u_pts.shape[0])
+        return zeros, zeros
+    return ms.overlap_ratio(levy_spec, -shift, u_pts), ms.overlap_ratio(levy_spec, shift, u_pts)
+
+
+def _ref_shifted(pair, dv, dvp):
+    return PairState(*np.broadcast_arrays(pair.x, pair.v + dv, pair.xp, pair.vp + dvp))
+
+
+def _ref_pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes=None):
+    shift = None
+    if not gap_is_degenerate(float(np.linalg.norm(pair.q(alpha)))):
+        shift = gen.coupling_shift(pair, alpha, kappa)
+    if nodes is None:
+        bp = ()
+        if shift is not None:
+            s = float(np.linalg.norm(shift))
+            bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s))
+        nodes = gen.build_nodes_1d(levy_spec.measure, scheme or gen.QuadratureScheme(),
+                                   breakpoints=bp)
+    return shift, nodes
+
+
+def _ref_error_bound(nodes, sync_integrand, scale, hess):
+    mask = nodes.sync_mask
+    um = nodes.u[mask]
+    small = np.argsort(np.abs(um))[:4]
+    err_inner = 0.0
+    if small.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = 2.0 * np.abs(sync_integrand[..., small]) / np.maximum(um[small] ** 2, 1e-300)
+        curv = np.max(curv, axis=-1)
+        err_inner = nodes.inner_moment2 * np.abs(curv - np.abs(hess))
+        err_inner += nodes.inner_moment3 * curv
+    err_tail = 0.0
+    if nodes.tail_mass > 0:
+        edge = np.argmax(np.abs(um))
+        err_tail = nodes.tail_mass * np.abs(sync_integrand[..., edge])
+    err_float = 1e-16 * (np.abs(scale) + 1.0) * float(np.sum(nodes.w[mask] * nodes.dens[mask]))
+    return err_inner + err_tail + err_float
+
+
+def _ref_modified_inner_error(levy_spec, s, nodes, plus_int, minus_int):
+    sl = levy_spec.slice_part
+    sup_dens = sl.c * max(s, 1e-6) ** (-1.0 - sl.theta0)
+    floor = float(np.min(np.abs(nodes.u)))
+    small = np.argsort(np.abs(nodes.u))[:2]
+    scale = max(float(np.max(np.abs(plus_int[small]))), float(np.max(np.abs(minus_int[small]))))
+    return sup_dens * 2.0 * floor * scale
+
+
+def ref_apply_coupling_operator(fn, pair, system, levy_spec, alpha, kappa, scheme=None,
+                                nodes=None, drift_part=True):
+    shift, nodes = _ref_pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
+    base = float(fn.value(pair))
+    gx, gv, gxp, gvp = (np.asarray(g, dtype=float) for g in fn.grads(pair))
+    val = 0.0
+    if drift_part:
+        xdot = system.a * pair.x + system.b * pair.v
+        xpdot = system.a * pair.xp + system.b * pair.vp
+        u1 = np.asarray(system.force(pair.x, pair.v), dtype=float)
+        u2 = np.asarray(system.force(pair.xp, pair.vp), dtype=float)
+        val += float(np.sum(gx * xdot) + np.sum(gxp * xpdot)
+                     + np.sum(gv * u1) + np.sum(gvp * u2))
+
+    du = nodes.points
+    mask = nodes.sync_mask
+    ind = (np.abs(nodes.u) <= 1.0)
+    comp_v = np.where(ind, du[:, 0] * gv[0], 0.0)
+    comp_both = comp_v + np.where(ind, du[:, 0] * gvp[0], 0.0)
+
+    rho_minus, rho_plus = _ref_branch_weights(levy_spec, shift, du)
+    sync_w = 1.0 - 0.5 * rho_minus - 0.5 * rho_plus
+
+    sync_vals = fn.value(_ref_shifted(pair, du[mask], du[mask])) - base
+    sync_int = sync_vals - comp_both[mask]
+    total = np.sum(nodes.w[mask] * nodes.dens[mask] * sync_w[mask] * sync_int)
+    hess = float(fn.sync_hess(pair))
+    total += 0.5 * hess * nodes.inner_moment2
+
+    if shift is not None:
+        up, down = du + shift, du - shift
+        plus_vals = fn.value(_ref_shifted(pair, du, up)) - base
+        ind_p = np.linalg.norm(up, axis=-1) <= 1.0
+        plus_int = plus_vals - comp_v - np.where(ind_p, up @ gvp, 0.0)
+        minus_vals = fn.value(_ref_shifted(pair, du, down)) - base
+        ind_m = np.linalg.norm(down, axis=-1) <= 1.0
+        minus_int = minus_vals - comp_v - np.where(ind_m, down @ gvp, 0.0)
+        total += np.sum(nodes.w * nodes.dens * 0.5 * rho_minus * plus_int)
+        total += np.sum(nodes.w * nodes.dens * 0.5 * rho_plus * minus_int)
+        err_mod = _ref_modified_inner_error(levy_spec, float(np.linalg.norm(shift)), nodes,
+                                            plus_int, minus_int)
+        err_mod += 0.5 * abs(hess) * nodes.inner_moment2 * float(
+            np.max((rho_minus + rho_plus)[~mask], initial=0.0))
+    else:
+        err_mod = 0.0
+
+    err = _ref_error_bound(nodes, sync_int, base, hess) + err_mod
+    return val + float(total), err
+
+
+def ref_product_correction_term(pair, h_fn, g_fn, levy_spec, alpha, kappa, scheme=None,
+                                nodes=None):
+    shift, nodes = _ref_pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes)
+    if shift is None:
+        return 0.0
+    du = nodes.points
+    rho_minus, rho_plus = _ref_branch_weights(levy_spec, shift, du)
+    hb = h_fn.value(pair)
+    gb = g_fn.value(pair)
+    plus, minus = _ref_shifted(pair, du, du + shift), _ref_shifted(pair, du, du - shift)
+    dh_p = h_fn.value(plus) - hb
+    dg_p = g_fn.value(plus) - gb
+    dh_m = h_fn.value(minus) - hb
+    dg_m = g_fn.value(minus) - gb
+    return float(np.sum(nodes.w * nodes.dens * 0.5 * (rho_minus * dh_p * dg_p
+                                                      + rho_plus * dh_m * dg_m)))
+
+
+class OneRow:
+    """A pair observable that evaluates a 0-d state as a one-row stack.
+
+    A 0-d state takes numpy's scalar ``**`` and a stack its array ``**``;
+    the two differ in the last bit on some inputs, and the error bound
+    amplifies that through the cancellation at its smallest nodes. Through
+    this wrapper the oracle sees the values a stacked call sees.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def _at(self, method, pair):
+        if pair.x.ndim > 1:
+            return getattr(self.fn, method)(pair)
+        out = getattr(self.fn, method)(PairState(pair.x[None], pair.v[None], pair.xp[None],
+                                                 pair.vp[None]))
+        return tuple(g[0] for g in out) if method == "grads" else out[0]
+
+    def value(self, pair):
+        return self._at("value", pair)
+
+    def grads(self, pair):
+        return self._at("grads", pair)
+
+    def sync_hess(self, pair):
+        return self._at("sync_hess", pair)
+
+
+PARITY_MEASURES = {
+    "slice": lambda: ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 1), theta=1.0),
+    "stable": lambda: ms.LevyMeasureSpec(ms.IsotropicStable(0.8), theta=0.5),
+    "slice+stable": lambda: ms.LevyMeasureSpec(
+        ms.SumMeasure((ms.SliceMeasure(1.0, 0.4, 1), ms.IsotropicStable(0.8))), theta=0.5),
+}
+
+# transformed gaps q: the diagonal, a degenerate gap, 0 < |q| < KAPPA (each
+# with its own breakpoints, so tables of different lengths) and |q| > KAPPA
+PARITY_GAPS = (0.0, 0.75e-12, 0.03, -0.11, 0.2, -0.24, 0.9, 1.6, -2.5)
+# the stack matches the per-state oracle in the last bits only: rows of
+# different lengths are padded with zero-weight nodes, and the off-mask nodes
+# of the synchronous channel count with weight zero, so numpy's pairwise sums
+# group their terms differently. Over 100 random stacks the error bounds
+# differed by at most 4.4e-16 relative and the values by at most 1.6e-13
+# relative, the latter where drift and jump parts cancel to 1e-3 of their
+# size (0.8128 - 0.8121); against the larger of the value and its jump part
+# every value differed by under 1.5e-15. The tolerance is relative to that
+# scale.
+PARITY_RTOL = 1e-13
+
+
+def parity_stack(rng):
+    """Nine pair states with the gaps PARITY_GAPS, as a (3, 3) stack."""
+    x, v, xp = rng.normal(0, 1.5, (3, len(PARITY_GAPS), 1))
+    q = np.array(PARITY_GAPS)[:, None]
+    vp = v - ALPHA * (q - (x - xp))
+    xp[0], vp[0] = x[0], v[0]
+    pair = PairState(*(a.reshape(3, 3, 1) for a in (x, v, xp, vp)))
+    gaps = np.linalg.norm(pair.q(ALPHA), axis=-1).ravel()
+    assert gaps[0] == 0.0 and gap_is_degenerate(gaps[1])
+    assert np.all((gaps[2:6] > 0) & (gaps[2:6] < KAPPA)) and np.all(gaps[6:] > KAPPA)
+    return pair
+
+
+def state(pair, k):
+    """State ``k`` of a stack as a 0-d pair."""
+    return PairState(*(a.reshape(-1, pair.dim)[k] for a in (pair.x, pair.v, pair.xp, pair.vp)))
+
+
+class TestBroadcastOperatorParity:
+    """One stacked call equals the per-state oracle at every state."""
+
+    def observables(self, lyap, centres):
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        g = tilt(lyap, 0.07)
+        return {"profile": (h, lambda k: h), "tilt": (g, lambda k: g),
+                "product": (gen.ProductPairFn(h, g), lambda k: gen.ProductPairFn(h, g)),
+                "bumps": (gen.SeparablePairFn(bump(centres[0]), bump(centres[1])),
+                          lambda k: gen.SeparablePairFn(bump(centres[0, k]),
+                                                        bump(centres[1, k])))}
+
+    @pytest.mark.parametrize("measure", sorted(PARITY_MEASURES))
+    def test_stack_matches_per_state_oracle(self, measure, benchmark_lyap, scheme, rng):
+        levy = PARITY_MEASURES[measure]()
+        pair = parity_stack(rng)
+        centres = rng.normal(0, 1, (2, len(PARITY_GAPS)))
+        args = (damping_system(), levy, ALPHA, KAPPA, scheme)
+        for name, (fn, fn_at) in self.observables(benchmark_lyap, centres).items():
+            val, err = gen.apply_coupling_operator(fn, pair, *args)
+            assert val.shape == err.shape == (3, 3), name
+            for k in range(len(PARITY_GAPS)):
+                ref_fn = OneRow(fn_at(k))
+                want, want_err = ref_apply_coupling_operator(ref_fn, state(pair, k), *args)
+                jump, _ = ref_apply_coupling_operator(ref_fn, state(pair, k), *args,
+                                                      drift_part=False)
+                tol = PARITY_RTOL * max(abs(want), abs(jump))
+                one, one_err = gen.apply_coupling_operator(fn_at(k), state(pair, k), *args)
+                assert np.ndim(one) == np.ndim(one_err) == 0
+                for got, got_err in ((val.flat[k], err.flat[k]), (one, one_err)):
+                    assert abs(got - want) <= tol, (name, k)
+                    assert got_err == pytest.approx(want_err, rel=PARITY_RTOL, abs=0.0), (name, k)
+
+    @pytest.mark.parametrize("measure", sorted(PARITY_MEASURES))
+    def test_correction_term_matches_per_state_oracle(self, measure, benchmark_lyap, scheme,
+                                                      rng):
+        levy = PARITY_MEASURES[measure]()
+        pair = parity_stack(rng)
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        g = tilt(benchmark_lyap, 0.07)
+        pi = gen.product_correction_term(pair, h, g, levy, ALPHA, KAPPA, scheme)
+        assert pi.shape == (3, 3)
+        for k in range(len(PARITY_GAPS)):
+            want = ref_product_correction_term(state(pair, k), OneRow(h), OneRow(g), levy,
+                                               ALPHA, KAPPA, scheme)
+            assert pi.flat[k] == pytest.approx(want, rel=PARITY_RTOL, abs=0.0), k
+        assert pi.flat[0] == pi.flat[1] == 0.0
+
+    def test_pads_are_inert(self, scheme, rng):
+        # rows of different lengths: each state's row is its own table followed
+        # by zero-weight copies of the last node
+        levy = PARITY_MEASURES["slice+stable"]()
+        pair = parity_stack(rng)
+        nodes = gen.pair_nodes(pair, levy, ALPHA, KAPPA, scheme)
+        assert nodes.u.shape[0] == len(PARITY_GAPS)
+        sizes = set()
+        for k in range(len(PARITY_GAPS)):
+            own = _ref_pair_nodes(state(pair, k), levy, ALPHA, KAPPA, scheme)[1]
+            n = own.u.size
+            sizes.add(n)
+            row = (nodes.u[k], nodes.w[k])
+            assert np.array_equal(row[0][:n], own.u) and np.array_equal(row[1][:n], own.w)
+            assert np.all(row[0][n:] == own.u[-1]) and np.all(row[1][n:] == 0.0)
+        assert len(sizes) > 1

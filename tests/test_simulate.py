@@ -434,16 +434,17 @@ def nan_force_system(dim):
 
 def exact_blowup_path(system, levy, cfg, x0, v0):
     # one copy stepped window by window with no jumps under the exact rule: a
-    # state whose position or velocity norm exceeds blowup_norm is flagged,
-    # and its snapshots from that window on are NaN; every window is a save
+    # state whose position or velocity norm exceeds blowup_norm or is NaN is
+    # flagged, and its snapshots from that window on are NaN; every window is
+    # a save
     comp = levy.measure.compensation_drift(cfg.delta)
     x, v = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
     xs, vs = np.full((2, cfg.n_save, len(x)), np.nan)
     xs[0], vs[0] = x, v
     for k, (_, _, dt) in enumerate(sim._window_plan(cfg.save_times(), cfg.h), start=1):
         x, v = sim.step_single(system, (x, v), dt, [], comp)
-        with np.errstate(over="ignore"):
-            if np.linalg.norm(x) > cfg.blowup_norm or np.linalg.norm(v) > cfg.blowup_norm:
+        with np.errstate(over="ignore"):  # an overflowing or NaN norm is a blow-up
+            if not (np.linalg.norm(x) <= cfg.blowup_norm and np.linalg.norm(v) <= cfg.blowup_norm):
                 return xs, vs, True, k
         xs[k], vs[k] = x, v
     return xs, vs, False, None
@@ -458,7 +459,8 @@ BLOWUP_CASES = {
                         ([707095.0, 707095.0], [100.0, 100.0]), 3),
     "norm-overflows": (1e300, zero_force_system, ([1e200], [0.0]),
                        ([1e200, 0.0], [0.0, 0.0]), 1),
-    "nan-state": (1e6, nan_force_system, ([0.0], [100.0]), ([0.0, 0.0], [100.0, 0.0]), None),
+    # the force turns NaN in window 4, which the rule flags like a blow-up
+    "nan-state": (1e6, nan_force_system, ([0.0], [100.0]), ([0.0, 0.0], [100.0, 0.0]), 4),
 }
 
 
@@ -490,8 +492,8 @@ class TestBlowupScreen:
         if case == "component-above-screen":
             assert np.all(np.abs(tr.x) > 0.5 * norm / math.sqrt(d))
         if case == "nan-state":
-            # a NaN state is not a blow-up under the exact rule either
-            assert np.isnan(tr.v[-1]).any()
+            # flagged, not stepped on with NaN: the snapshots before are finite
+            assert np.isfinite(tr.v[:flagged_at]).all() and np.isnan(tr.v[flagged_at:]).all()
 
 
 class TestPairDimension:
