@@ -54,6 +54,15 @@ def _write_csv(path, header, columns):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _chain_exit(rep: cn.ConstantsReport) -> int:
+    # 2, after one stderr line naming the flags, when the constant chain is
+    # degenerate or a step of it failed; the data outputs are written first
+    if not any("degenerate" in f or "failed" in f for f in rep.flags):
+        return 0
+    print(f"degenerate constant chain: flags {', '.join(rep.flags)}", file=sys.stderr)
+    return 2
+
+
 def _bundle_from(cfg: ExperimentConfig) -> cn.ConstantsBundle:
     levy = cfg.build_levy()
     langevin = cfg.build_langevin()
@@ -89,8 +98,7 @@ def cmd_constants(cfg: ExperimentConfig, out: str, seed: int, replicas: int | No
                 bundle.profile.g(s_grid)])
     manifest.outputs.append(path_csv)
     manifest.finish(os.path.join(out, "run_manifest.json"))
-    degenerate = [f for f in rep.flags if "degenerate" in f or "failed" in f]
-    return 2 if degenerate else 0
+    return _chain_exit(rep)
 
 
 def _verify_b1(cfg, seed):
@@ -219,7 +227,7 @@ def cmd_rate(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -
     manifest.outputs.append(path_csv)
     manifest.timings["io_s"] = time.monotonic() - t0
     manifest.finish(os.path.join(out, "run_manifest.json"))
-    return 0
+    return _chain_exit(bundle.report)
 
 
 def cmd_couple(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -> int:
@@ -248,7 +256,7 @@ def cmd_couple(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None)
         _write_csv(path, names, cols)
         manifest.outputs.append(path)
     manifest.finish(os.path.join(out, "run_manifest.json"))
-    return 0
+    return _chain_exit(bundle.report)
 
 
 def cmd_equilibrium(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -> int:

@@ -274,10 +274,12 @@ def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
     vp = np.vstack([vp, vp[:k], v[:k]])          # block 2: zero velocity gap
 
     def quotient(x, v, xp, vp):
+        # a force that overflows on the ball gives an inf quotient, which the
+        # caller reports as an unbounded constant
         with np.errstate(over="ignore", invalid="ignore"):
             du = np.asarray(system.force(x, v), dtype=float) - np.asarray(system.force(xp, vp), dtype=float)
-        gap = np.linalg.norm(x - xp, axis=-1) + np.linalg.norm(v - vp, axis=-1)
-        num = np.linalg.norm(du, axis=-1)
+            gap = np.linalg.norm(x - xp, axis=-1) + np.linalg.norm(v - vp, axis=-1)
+            num = np.linalg.norm(du, axis=-1)
         good = gap > 1e-12
         out = np.zeros_like(gap)
         out[good] = num[good] / gap[good]
@@ -344,7 +346,7 @@ def fit_lyapunov_drift(system, levy_spec, lyap, grid_radius: float = 20.0, n_gri
     one broadcast call each.
     """
     x, v = md.grid_pairs(grid_radius, n_grid, system.dim, include_origin=True)
-    LW, _ = gen.apply_generator(system, levy_spec, gen.lyapunov_test_function(lyap), x, v, scheme)
+    LW = gen.apply_generator(system, levy_spec, gen.lyapunov_test_function(lyap), x, v, scheme)
     W = lyap.W(x, v)
     shell = np.maximum(np.linalg.norm(x, axis=-1), np.linalg.norm(v, axis=-1)) >= grid_radius / 2
     ratio = -LW / W
@@ -541,10 +543,11 @@ def profile_property_report(profile: DistanceProfile, n_grid: int = 10_000,
     }
 
 
-def psi(pair: PairState, lyap) -> float:
-    """Base cost: clipped state distance times the weight sum."""
-    dist = float(np.linalg.norm(pair.z) + np.linalg.norm(pair.w))
-    return min(dist, 1.0) * float(lyap.W(pair.x, pair.v) + lyap.W(pair.xp, pair.vp))
+def psi(pair: PairState, lyap):
+    """Base cost: clipped state distance times the weight sum, over the
+    leading axes of ``pair``."""
+    dist = np.linalg.norm(pair.z, axis=-1) + np.linalg.norm(pair.w, axis=-1)
+    return np.minimum(dist, 1.0) * (lyap.W(pair.x, pair.v) + lyap.W(pair.xp, pair.vp))
 
 
 def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureSpec,

@@ -46,7 +46,7 @@ class SigmaNotIntegrable(LevyhamError):
 
 
 class QuadratureBudgetExceeded(LevyhamError):
-    """The quadrature scheme cannot meet its error target within the node budget."""
+    """A node table of the quadrature scheme would exceed the node budget."""
 
 
 class InsufficientDecay(LevyhamError):

@@ -24,6 +24,19 @@ n_save = 9
 seed = 3
 """
 
+# the paper's exponential well, whose force overflows on the Lipschitz ball
+DEGENERATE_CHAIN = """
+[model]
+potential = double_well_exp
+pot_c1 = 0.1
+pot_l = 1
+
+[sim]
+h = 0.01
+horizon = 2.0
+n_save = 5
+"""
+
 
 def write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
@@ -131,6 +144,24 @@ class TestExitCodes:
         path = write(tmp_path, "[model]\nalpha_damp = 0.0\nbeta = 0.0\n")
         code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["constants", "rate", "couple"])
+    def test_degenerate_chain_exits_two_after_outputs(self, tmp_path, capsys, command):
+        # the exponential well overflows the force on the Lipschitz ball, so
+        # the chain is flagged; every command that builds it writes its data
+        # and then exits 2, and rate's exit is not an InsufficientDecay one
+        path = write(tmp_path, DEGENERATE_CHAIN)
+        code = cli.main([command, "--config", path, "--replicas", "8", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        flags = "lipschitz_unbounded, degenerate_rate, profile_unavailable"
+        assert err == [f"degenerate constant chain: flags {flags}"]
+        outputs = json.loads((tmp_path / "run_manifest.json").read_text())["outputs"]
+        assert outputs and all(os.path.exists(p) for p in outputs)
+        if command == "rate":
+            payload = json.loads((tmp_path / "rate.json").read_text())
+            assert "error" not in payload and math.isfinite(payload["lambda_fit"])
+            assert (tmp_path / "decay_curve.csv").exists()
 
     def test_rate_zero_horizon_insufficient(self, tmp_path):
         path = write(tmp_path, "[sim]\nhorizon = 0.0\nn_save = 1\nn_replicas = 4\n")

@@ -86,22 +86,21 @@ ALPHA, ALPHA0, KAPPA = 1.0, 2.0, 0.25
 
 class TestApplyGenerator:
     def test_kills_constants(self, half_slice_levy, scheme):
-        val, err = gen.apply_generator(zero_force_system(), half_slice_levy, const_fn(),
-                                       np.array([0.3]), np.array([0.2]), scheme)
+        val = gen.apply_generator(zero_force_system(), half_slice_levy, const_fn(),
+                                  np.array([0.3]), np.array([0.2]), scheme)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_velocity_square_slice(self, half_slice_levy, scheme):
         # jump part = int u^2 nu(du) = 2/3 over the unit slice
-        val, err = gen.apply_generator(zero_force_system(), half_slice_levy, vsq_fn(),
-                                       np.array([0.0]), np.array([0.0]), scheme)
+        val = gen.apply_generator(zero_force_system(), half_slice_levy, vsq_fn(),
+                                  np.array([0.0]), np.array([0.0]), scheme)
         assert val == pytest.approx(2.0 / 3.0, rel=1e-10)
-        assert err < 1e-8
 
     def test_linear_symmetric_stable(self, scheme):
         spec = ms.LevyMeasureSpec(measure=ms.IsotropicStable(1.5, 1.0, 1), theta=1.0,
                                   slice_part=ms.SliceMeasure(1.0, 0.4, 1))
-        val, _ = gen.apply_generator(damping_system(), spec, linear_fn(3.0),
-                                     np.array([0.5]), np.array([2.0]), scheme)
+        val = gen.apply_generator(damping_system(), spec, linear_fn(3.0),
+                                  np.array([0.5]), np.array([2.0]), scheme)
         assert val == pytest.approx(-6.0, rel=1e-9)
 
     def test_linearity(self, half_slice_levy, scheme):
@@ -113,9 +112,9 @@ class TestApplyGenerator:
             grad_x=lambda xx, vv: 2.0 * f1.grad_x(xx, vv) - 3.0 * f2.grad_x(xx, vv),
             grad_v=lambda xx, vv: 2.0 * f1.grad_v(xx, vv) - 3.0 * f2.grad_v(xx, vv),
             hess_v=lambda xx, vv: 2.0 * f1.hess_v(xx, vv) - 3.0 * f2.hess_v(xx, vv))
-        lhs, _ = gen.apply_generator(sys_, half_slice_levy, combo, x, v, scheme)
-        a1, _ = gen.apply_generator(sys_, half_slice_levy, f1, x, v, scheme)
-        a2, _ = gen.apply_generator(sys_, half_slice_levy, f2, x, v, scheme)
+        lhs = gen.apply_generator(sys_, half_slice_levy, combo, x, v, scheme)
+        a1 = gen.apply_generator(sys_, half_slice_levy, f1, x, v, scheme)
+        a2 = gen.apply_generator(sys_, half_slice_levy, f2, x, v, scheme)
         assert lhs == pytest.approx(2.0 * a1 - 3.0 * a2, rel=1e-10, abs=1e-10)
 
     def test_grid_call_matches_points(self, benchmark_langevin, benchmark_levy,
@@ -129,16 +128,15 @@ class TestApplyGenerator:
         xs = md.ball_grid(20.0, 5, 1, include_origin=True)
         vs = md.ball_grid(20.0, 7, 1, include_origin=True)
         x, v = np.broadcast_arrays(xs[:, None, :], vs[None, :, :])
-        val, err = gen.apply_generator(system, benchmark_levy, f, x, v, scheme)
-        assert val.shape == err.shape == (5, 7)
+        val = gen.apply_generator(system, benchmark_levy, f, x, v, scheme)
+        assert val.shape == (5, 7)
         for i, j in np.ndindex(5, 7):
-            one_val, one_err = gen.apply_generator(system, benchmark_levy, f, xs[i][None],
-                                                   vs[j][None], scheme)
-            assert one_val.shape == one_err.shape == (1,)
-            assert one_val[0] == val[i, j] and one_err[0] == err[i, j]
-            point_val, point_err = gen.apply_generator(system, benchmark_levy, f, xs[i], vs[j],
-                                                       scheme)
-            assert isinstance(point_val, float) and isinstance(point_err, float)
+            one_val = gen.apply_generator(system, benchmark_levy, f, xs[i][None], vs[j][None],
+                                          scheme)
+            assert one_val.shape == (1,)
+            assert one_val[0] == val[i, j]
+            point_val = gen.apply_generator(system, benchmark_levy, f, xs[i], vs[j], scheme)
+            assert isinstance(point_val, float)
             assert point_val == pytest.approx(val[i, j], rel=8 * np.finfo(float).eps, abs=0.0)
 
     def test_derivative_validation(self, flat_lyap):
@@ -236,8 +234,8 @@ class TestClosedFormCrossValidation:
         # midpoint identity for linear profiles: only the drift part remains
         pair = PairState([0.7], [0.1], [-0.2], [0.5])
         h = gen.ProfilePairFn(LinearProfile(), ALPHA, ALPHA0)
-        full, _ = gen.apply_coupling_operator(h, pair, zero_force_system(),
-                                              half_slice_levy, ALPHA, KAPPA, scheme)
+        full = gen.apply_coupling_operator(h, pair, zero_force_system(),
+                                           half_slice_levy, ALPHA, KAPPA, scheme)
         closed = gen.coupling_profile_drift(LinearProfile(), pair, zero_force_system(),
                                             half_slice_levy, ALPHA, ALPHA0, KAPPA)
         assert full == pytest.approx(closed, rel=1e-10)
@@ -248,8 +246,8 @@ class TestClosedFormCrossValidation:
             pair = PairState(rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1), rng.normal(size=1))
             h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
-            full, _ = gen.apply_coupling_operator(h, pair, damping_system(),
-                                                  half_slice_levy, ALPHA, KAPPA, scheme)
+            full = gen.apply_coupling_operator(h, pair, damping_system(),
+                                               half_slice_levy, ALPHA, KAPPA, scheme)
             closed = gen.coupling_profile_drift(ConcaveProfile(), pair, damping_system(),
                                                 half_slice_levy, ALPHA, ALPHA0, KAPPA)
             worst = max(worst, abs(full - closed) / max(abs(closed), 1e-12))
@@ -295,7 +293,7 @@ class TestDegenerateGap:
         fn = gen.SeparablePairFn(bump(0.2), bump(-0.3))
         on_diagonal, near_diagonal = (
             gen.apply_coupling_operator(fn, pair, zero_force_system(), benchmark_levy, alpha,
-                                        kappa, scheme, drift_part=False)[0]
+                                        kappa, scheme, drift_part=False)
             for pair in (diagonal, tiny))
         assert on_diagonal == near_diagonal
 
@@ -333,9 +331,9 @@ class TestProductRule:
         pair = PairState([0.4], [0.1], [0.4], [0.1])
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
         g = tilt(flat_lyap, 0.05)
-        lhs, _ = gen.apply_coupling_operator(gen.ProductPairFn(h, g), pair,
-                                             damping_system(), half_slice_levy,
-                                             ALPHA, KAPPA, scheme)
+        lhs = gen.apply_coupling_operator(gen.ProductPairFn(h, g), pair,
+                                          damping_system(), half_slice_levy,
+                                          ALPHA, KAPPA, scheme)
         assert lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_tilt_degenerates(self, half_slice_levy, scheme, flat_lyap, rng):
@@ -365,13 +363,17 @@ class TestProductRule:
         eps = 0.05
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
         g = tilt(flat_lyap, eps)
-        for _ in range(15):
-            pair = PairState(rng.uniform(-4, 4, 1), rng.uniform(-4, 4, 1),
-                             rng.uniform(-4, 4, 1), rng.uniform(-4, 4, 1))
-            pi = gen.product_correction_term(pair, h, g, benchmark_levy,
-                                             ALPHA, KAPPA, scheme)
-            bound = gen.correction_bound(pair, h, flat_lyap, eps, c_star, eta)
-            assert abs(pi) <= bound + 1e-12
+        # 15 states, drawn state by state as (x, v, xp, vp), in one call per function
+        x, v, xp, vp = np.moveaxis(rng.uniform(-4, 4, (15, 4, 1)), 1, 0)
+        pair = PairState(x, v, xp, vp)
+        pi = gen.product_correction_term(pair, h, g, benchmark_levy, ALPHA, KAPPA, scheme)
+        bound = gen.correction_bound(pair, h, flat_lyap, eps, c_star, eta)
+        assert pi.shape == bound.shape == (15,)
+        assert np.all(np.abs(pi) <= bound + 1e-12)
+        for k in range(15):
+            row = PairState(x[k:k + 1], v[k:k + 1], xp[k:k + 1], vp[k:k + 1])
+            assert np.array_equal(bound[k:k + 1],
+                                  gen.correction_bound(row, h, flat_lyap, eps, c_star, eta))
 
 
 class TestContractionCheck:
@@ -385,6 +387,25 @@ class TestContractionCheck:
                                                alpha=ALPHA, kappa=KAPPA, scheme=scheme)
         assert chk.passed
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
+
+    def test_stack_matches_per_state_calls(self, benchmark_levy, scheme, flat_lyap, rng):
+        # one call on a (2, 4) stack, the diagonal among it, equals the calls
+        # on each state as a one-row stack, field by field
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        g = tilt(flat_lyap, 0.05)
+        x, v, xp, vp = rng.normal(0, 1.5, (4, 8, 1))
+        xp[0], vp[0] = x[0], v[0]
+        pair = PairState(*(a.reshape(2, 4, 1) for a in (x, v, xp, vp)))
+        args = (h, g, 0.1, damping_system(), benchmark_levy, ALPHA, KAPPA, scheme)
+        chk = gen.contraction_inequality_check(pair, *args)
+        fields = ("lhs", "rhs", "slack", "passed")
+        assert all(np.shape(getattr(chk, f)) == (2, 4) for f in fields)
+        assert chk.lhs.flat[0] == 0.0 and chk.passed.flat[0]
+        for k in range(8):
+            one = gen.contraction_inequality_check(
+                PairState(x[k:k + 1], v[k:k + 1], xp[k:k + 1], vp[k:k + 1]), *args)
+            for f in fields:
+                assert np.array_equal(getattr(chk, f).flat[k:k + 1], getattr(one, f)), (f, k)
 
 
 # ---------------------------------------------------------------------------
@@ -417,34 +438,6 @@ def _ref_pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes=None):
         nodes = gen.build_nodes_1d(levy_spec.measure, scheme or gen.QuadratureScheme(),
                                    breakpoints=bp)
     return shift, nodes
-
-
-def _ref_error_bound(nodes, sync_integrand, scale, hess):
-    mask = nodes.sync_mask
-    um = nodes.u[mask]
-    small = np.argsort(np.abs(um))[:4]
-    err_inner = 0.0
-    if small.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            curv = 2.0 * np.abs(sync_integrand[..., small]) / np.maximum(um[small] ** 2, 1e-300)
-        curv = np.max(curv, axis=-1)
-        err_inner = nodes.inner_moment2 * np.abs(curv - np.abs(hess))
-        err_inner += nodes.inner_moment3 * curv
-    err_tail = 0.0
-    if nodes.tail_mass > 0:
-        edge = np.argmax(np.abs(um))
-        err_tail = nodes.tail_mass * np.abs(sync_integrand[..., edge])
-    err_float = 1e-16 * (np.abs(scale) + 1.0) * float(np.sum(nodes.w[mask] * nodes.dens[mask]))
-    return err_inner + err_tail + err_float
-
-
-def _ref_modified_inner_error(levy_spec, s, nodes, plus_int, minus_int):
-    sl = levy_spec.slice_part
-    sup_dens = sl.c * max(s, 1e-6) ** (-1.0 - sl.theta0)
-    floor = float(np.min(np.abs(nodes.u)))
-    small = np.argsort(np.abs(nodes.u))[:2]
-    scale = max(float(np.max(np.abs(plus_int[small]))), float(np.max(np.abs(minus_int[small]))))
-    return sup_dens * 2.0 * floor * scale
 
 
 def ref_apply_coupling_operator(fn, pair, system, levy_spec, alpha, kappa, scheme=None,
@@ -486,15 +479,7 @@ def ref_apply_coupling_operator(fn, pair, system, levy_spec, alpha, kappa, schem
         minus_int = minus_vals - comp_v - np.where(ind_m, down @ gvp, 0.0)
         total += np.sum(nodes.w * nodes.dens * 0.5 * rho_minus * plus_int)
         total += np.sum(nodes.w * nodes.dens * 0.5 * rho_plus * minus_int)
-        err_mod = _ref_modified_inner_error(levy_spec, float(np.linalg.norm(shift)), nodes,
-                                            plus_int, minus_int)
-        err_mod += 0.5 * abs(hess) * nodes.inner_moment2 * float(
-            np.max((rho_minus + rho_plus)[~mask], initial=0.0))
-    else:
-        err_mod = 0.0
-
-    err = _ref_error_bound(nodes, sync_int, base, hess) + err_mod
-    return val + float(total), err
+    return val + float(total)
 
 
 def ref_product_correction_term(pair, h_fn, g_fn, levy_spec, alpha, kappa, scheme=None,
@@ -519,9 +504,10 @@ class OneRow:
     """A pair observable that evaluates a 0-d state as a one-row stack.
 
     A 0-d state takes numpy's scalar ``**`` and a stack its array ``**``;
-    the two differ in the last bit on some inputs, and the error bound
-    amplifies that through the cancellation at its smallest nodes. Through
-    this wrapper the oracle sees the values a stacked call sees.
+    the two differ in the last bit on some inputs, and the cancellation in
+    the synchronous integrand at the smallest nodes amplifies that to 3e-12
+    of the value's scale (100 stacks), over ``PARITY_RTOL``. Through this
+    wrapper the oracle sees the values a stacked call sees.
     """
 
     def __init__(self, fn):
@@ -557,12 +543,11 @@ PARITY_GAPS = (0.0, 0.75e-12, 0.03, -0.11, 0.2, -0.24, 0.9, 1.6, -2.5)
 # the stack matches the per-state oracle in the last bits only: rows of
 # different lengths are padded with zero-weight nodes, and the off-mask nodes
 # of the synchronous channel count with weight zero, so numpy's pairwise sums
-# group their terms differently. Over 100 random stacks the error bounds
-# differed by at most 4.4e-16 relative and the values by at most 1.6e-13
-# relative, the latter where drift and jump parts cancel to 1e-3 of their
-# size (0.8128 - 0.8121); against the larger of the value and its jump part
-# every value differed by under 1.5e-15. The tolerance is relative to that
-# scale.
+# group their terms differently. Over 100 random stacks the values differed
+# by at most 1.6e-13 relative, where drift and jump parts cancel to 1e-3 of
+# their size (0.8128 - 0.8121); against the larger of the value and its jump
+# part every value differed by under 1.5e-15. The tolerance is relative to
+# that scale.
 PARITY_RTOL = 1e-13
 
 
@@ -603,19 +588,18 @@ class TestBroadcastOperatorParity:
         centres = rng.normal(0, 1, (2, len(PARITY_GAPS)))
         args = (damping_system(), levy, ALPHA, KAPPA, scheme)
         for name, (fn, fn_at) in self.observables(benchmark_lyap, centres).items():
-            val, err = gen.apply_coupling_operator(fn, pair, *args)
-            assert val.shape == err.shape == (3, 3), name
+            val = gen.apply_coupling_operator(fn, pair, *args)
+            assert val.shape == (3, 3), name
             for k in range(len(PARITY_GAPS)):
                 ref_fn = OneRow(fn_at(k))
-                want, want_err = ref_apply_coupling_operator(ref_fn, state(pair, k), *args)
-                jump, _ = ref_apply_coupling_operator(ref_fn, state(pair, k), *args,
-                                                      drift_part=False)
+                want = ref_apply_coupling_operator(ref_fn, state(pair, k), *args)
+                jump = ref_apply_coupling_operator(ref_fn, state(pair, k), *args,
+                                                   drift_part=False)
                 tol = PARITY_RTOL * max(abs(want), abs(jump))
-                one, one_err = gen.apply_coupling_operator(fn_at(k), state(pair, k), *args)
-                assert np.ndim(one) == np.ndim(one_err) == 0
-                for got, got_err in ((val.flat[k], err.flat[k]), (one, one_err)):
+                one = gen.apply_coupling_operator(fn_at(k), state(pair, k), *args)
+                assert np.ndim(one) == 0
+                for got in (val.flat[k], one):
                     assert abs(got - want) <= tol, (name, k)
-                    assert got_err == pytest.approx(want_err, rel=PARITY_RTOL, abs=0.0), (name, k)
 
     @pytest.mark.parametrize("measure", sorted(PARITY_MEASURES))
     def test_correction_term_matches_per_state_oracle(self, measure, benchmark_lyap, scheme,
