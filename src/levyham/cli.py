@@ -3,14 +3,15 @@
 Subcommands::
 
     levyham constants   --config CFG --out DIR
-    levyham verify      --config CFG --out DIR --which {B1,F1,A2,f-props,operator-identities}
+    levyham verify      --config CFG --out DIR --which {B1,F1,A2,f-props,operator-identities} [--seed N]
     levyham rate        --config CFG --out DIR [--seed N] [--replicas N]
     levyham couple      --config CFG --out DIR [--seed N] [--replicas N]
     levyham equilibrium --config CFG --out DIR [--seed N] [--replicas N]
 
-Exit codes: 0 success, 1 usage/config error or a dimension the command does
-not implement, 2 completed with flags (degenerate constants, failed
-verification, insufficient decay, an ensemble with no surviving replica).
+Exit codes: 0 success, 1 usage/config error (an unknown flag included) or a
+dimension the command does not implement, 2 completed with flags (degenerate
+constants, failed verification, insufficient decay, an ensemble with no
+surviving replica).
 Outputs are bitwise-stable given (config, seed); the manifest additionally
 records wall-clock timings (for ``rate``, also per stage: ``constants_s``,
 ``ensemble_s``, ``decay_fit_s`` for the cost, fit and bootstrap, and
@@ -80,7 +81,7 @@ def _bundle_from(cfg: ExperimentConfig) -> cn.ConstantsBundle:
 # ---------------------------------------------------------------------------
 
 
-def cmd_constants(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -> int:
+def cmd_constants(cfg: ExperimentConfig, out: str, seed: int) -> int:
     manifest = RunManifest(cfg.config_hash(), seed, "constants")
     bundle = _bundle_from(cfg)
     rep = bundle.report
@@ -117,9 +118,10 @@ def _verify_b1(cfg, seed):
 
 def _verify_f1(cfg, seed):
     langevin = cfg.build_langevin()
-    setup = md.build_lyapunov(langevin, cfg.lyapunov["grid_radius"], cfg.levy["theta"])
-    rep = md.verify_gamma_drift(setup.lyap, langevin.system(a=cfg.model["a"], b=cfg.model["b"]),
-                                cfg.lyapunov["grid_radius"], cfg.lyapunov["grid_points"])
+    system = langevin.system(a=cfg.model["a"], b=cfg.model["b"])
+    setup = md.build_lyapunov(langevin, cfg.lyapunov["grid_radius"], cfg.levy["theta"], system)
+    rep = md.verify_gamma_drift(setup.lyap, system, cfg.lyapunov["grid_radius"],
+                                cfg.lyapunov["grid_points"])
     payload = {"choice": setup.choice.to_dict(), **rep}
     return payload, rep["passed"]
 
@@ -288,8 +290,8 @@ def cmd_equilibrium(cfg: ExperimentConfig, out: str, seed: int, replicas: int | 
 # ---------------------------------------------------------------------------
 
 
+# the commands that run ensembles, and so take --replicas
 _COMMANDS = {
-    "constants": cmd_constants,
     "rate": cmd_rate,
     "couple": cmd_couple,
     "equilibrium": cmd_equilibrium,
@@ -302,16 +304,21 @@ def main(argv=None) -> int:
         description="Coupled-pair simulation and contraction certification for "
                     "jump-driven Hamiltonian dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("constants", "verify", "rate", "couple", "equilibrium"):
+    for name in ("constants", "verify", *_COMMANDS):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI config path (defaults built in)")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--replicas", type=int, default=None, help="replica count override")
+        if name != "constants":
+            p.add_argument("--seed", type=int, default=None, help="master seed override")
+        if name in _COMMANDS:
+            p.add_argument("--replicas", type=int, default=None, help="replica count override")
         if name == "verify":
             p.add_argument("--which", required=True,
                            choices=sorted(_VERIFY), help="check suite to run")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
 
     try:
         cfg = load_config(args.config)
@@ -319,9 +326,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    seed = args.seed if args.seed is not None else cfg.sim["seed"]
+    seed = cfg.sim["seed"] if vars(args).get("seed") is None else args.seed
 
     try:
+        if args.command == "constants":
+            return cmd_constants(cfg, args.out, seed)
         if args.command == "verify":
             return cmd_verify(cfg, args.out, seed, args.which)
         return _COMMANDS[args.command](cfg, args.out, seed, args.replicas)

@@ -565,11 +565,11 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     """
     flags: list[str] = []
     notes: list[str] = []
-    setup = md.build_lyapunov(langevin, grid_radius, levy_spec.theta)
+    system = langevin.system(a=a, b=b)
+    setup = md.build_lyapunov(langevin, grid_radius, levy_spec.theta, system)
     if setup.source == "manual_fallback":
         notes.append("auto certificate unavailable: fell back to lam1=1")
     lyap = setup.lyap
-    system = langevin.system(a=a, b=b)
 
     c0_lyap, C0_lyap, fit_report = fit_lyapunov_drift(system, levy_spec, lyap,
                                                       grid_radius, n_grid, scheme)

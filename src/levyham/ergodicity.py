@@ -123,13 +123,16 @@ def fit_exponential_decay(times, means, ses, burn_in_frac: float = 0.1,
 
 
 def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, int]:
-    alive = [tr for tr in trajectories if not tr.blown_up]
-    n_blow = len(trajectories) - len(alive)
-    if not alive:
-        raise InsufficientDecay("every replica blew up")
-    stacked = PairState(*(np.stack([getattr(tr, c) for tr in alive])
+    # a flagged replica, or one whose cost is not finite at some snapshot (a
+    # weight that overflowed to inf), is dropped and counted as a blow-up
+    stacked = PairState(*(np.stack([getattr(tr, c) for tr in trajectories])
                           for c in ("x", "v", "xp", "vp")))
-    return ProductPairFn(hhat_fn, g_fn).value(stacked), n_blow
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = ProductPairFn(hhat_fn, g_fn).value(stacked)
+    keep = np.isfinite(vals).all(axis=-1) & ~np.array([tr.blown_up for tr in trajectories])
+    if not keep.any():
+        raise InsufficientDecay("every replica blew up")
+    return vals[keep], len(trajectories) - int(keep.sum())
 
 
 def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: PairState,

@@ -5,7 +5,8 @@ machinery works through a dominated sub-measure ``nu*`` from the slice
 family: density ``c * |z|^(-d - theta0)`` on the slab ``{0 < z_1 <= 1}``.
 For a shift ``x`` the overlap measure ``nu*_x = min(nu*, nu* shifted by x)``
 is finite whenever ``x != 0``; its total mass is the rate at which the
-coupled pair can be pushed together at displacement ``x``.
+coupled pair can be pushed together at displacement ``x``. Masses, moments
+and compensators are closed forms, and the sampler works, in every dimension.
 
 All measure objects are immutable and safe to share between workers.
 Sampling takes an explicit ``numpy.random.Generator``; there is no module
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import CutoffTooSmall, MomentFailure, NonPositiveRadius, ShiftIsZero
 
@@ -72,21 +73,6 @@ class MomentReport:
     divergent: bool = False
 
 
-def _slice_angular_fraction(dim: int, r: float) -> float:
-    # Fraction of the unit sphere with first coordinate in (0, min(1, 1/r)].
-    m = min(1.0, 1.0 / r) if r > 0 else 1.0
-    if dim == 1:
-        return 0.5 if r <= 1.0 else 0.0
-    if dim == 2:
-        return (math.pi / 2.0 - math.acos(m)) / math.pi
-    if dim == 3:
-        return m / 2.0
-    nu_exp = (dim - 3) / 2.0
-    num = integrate.quad(lambda t: (1.0 - t * t) ** nu_exp, 0.0, m)[0]
-    den = integrate.quad(lambda t: (1.0 - t * t) ** nu_exp, -1.0, 1.0)[0]
-    return num / den
-
-
 @dataclass(frozen=True)
 class SliceMeasure:
     """Measure with density ``c |z|^(-dim-theta0)`` on the slab ``0 < z_1 <= 1``.
@@ -94,6 +80,15 @@ class SliceMeasure:
     ``theta0`` in (0, 2) controls the small-jump singularity; the measure is
     infinite near zero but sigma-finite, and every annulus away from zero
     carries finite mass.
+
+    Masses, moments and the compensator are closed forms in every
+    dimension. In polar form the density is ``omega c r^(-1-theta0) A(r)``,
+    with ``omega`` the sphere area and ``A(r)`` the share of the unit sphere
+    whose first coordinate lies in ``(0, m]``, ``m = min(1, 1/r)``. Under the
+    uniform law ``e_1^2`` is Beta(1/2, k) with ``k = (dim - 1)/2``, so
+    ``A(r) = I_{m^2}(1/2, k) / 2`` (``special.betainc``): the half space's
+    1/2 inside the unit ball, and every radial integral an incomplete beta
+    function outside it.
     """
 
     c: float
@@ -130,71 +125,56 @@ class SliceMeasure:
         """Mass of ``{|u| > a}``."""
         return self.annulus_mass(a, math.inf)
 
+    def _tail_terms(self, r: float) -> tuple[float, float]:
+        # (r^-theta0 I_x(1/2, k), I_x((1+theta0)/2, k)) at x = min(1, r^-2); the
+        # mass above r is omega c (first - B((1+theta0)/2, k) / B(1/2, k) second) / (2 theta0)
+        if math.isinf(r):
+            return 0.0, 0.0
+        k, x = (self.dim - 1) / 2.0, 1.0 if r <= 1.0 else r ** -2.0
+        return (r ** -self.theta0 * special.betainc(0.5, k, x),
+                special.betainc((1.0 + self.theta0) / 2.0, k, x))
+
     def annulus_mass(self, a: float, b: float) -> float:
         """Mass of ``{a < |u| <= b}``."""
         if a < 0 or b < a:
             raise ValueError("need 0 <= a <= b")
+        if a == 0.0:
+            return math.inf if b > 0.0 else 0.0
         if self.dim == 1:
             hi = min(b, 1.0)
             if a >= hi:
                 return 0.0
-            lo = max(a, 1e-300)
-            return (self.c / self.theta0) * (lo ** -self.theta0 - hi ** -self.theta0)
-        omega = sphere_area(self.dim)
-
-        def radial(r):
-            return r ** (-1.0 - self.theta0) * _slice_angular_fraction(self.dim, r)
-
-        lo = max(a, 1e-300)
-        hi = b
-        if math.isinf(hi):
-            # split at 1 where the angular fraction starts decaying
-            head = integrate.quad(radial, lo, max(lo, 1.0))[0] if lo < 1.0 else 0.0
-            tail = integrate.quad(radial, max(lo, 1.0), math.inf)[0]
-            return omega * self.c * (head + tail)
-        return omega * self.c * integrate.quad(radial, lo, hi, points=[1.0] if lo < 1.0 < hi else None)[0]
+            return (self.c / self.theta0) * (a ** -self.theta0 - hi ** -self.theta0)
+        k = (self.dim - 1) / 2.0
+        ratio = special.beta((1.0 + self.theta0) / 2.0, k) / special.beta(0.5, k)
+        (pa, qa), (pb, qb) = self._tail_terms(a), self._tail_terms(b)
+        return sphere_area(self.dim) * self.c * (pa - pb - ratio * (qa - qb)) / (2.0 * self.theta0)
 
     def second_moment_within(self, rho: float) -> float:
         """Integral of ``|u|^2`` over ``{|u| <= rho}``."""
         if self.dim == 1:
             r = min(rho, 1.0)
             return self.c * r ** (2.0 - self.theta0) / (2.0 - self.theta0)
-        omega = sphere_area(self.dim)
-        val = integrate.quad(
-            lambda r: r ** (1.0 - self.theta0) * _slice_angular_fraction(self.dim, r),
-            0.0,
-            rho,
-            points=[1.0] if rho > 1.0 else None,
-        )[0]
-        return omega * self.c * val
+        val = 0.5 * min(rho, 1.0) ** (2.0 - self.theta0) / (2.0 - self.theta0)
+        if rho > 1.0:
+            k = (self.dim - 1) / 2.0
+            val += integrate.quad(
+                lambda r: r ** (1.0 - self.theta0) * 0.5 * special.betainc(0.5, k, r ** -2.0),
+                1.0, rho)[0]
+        return sphere_area(self.dim) * self.c * val
 
     def compensation_drift(self, delta: float) -> np.ndarray:
         """Minus the mean jump over ``{delta < |u| <= 1}`` (one-sided measure)."""
         if not 0.0 < delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
+        # the unit ball's slab is the half space, where E[e_1; e_1 > 0] = 1 / ((d-1) B(1/2, k))
+        scale = self.c if self.dim == 1 else sphere_area(self.dim) * self.c / (
+            (self.dim - 1) * special.beta(0.5, (self.dim - 1) / 2.0))
         out = np.zeros(self.dim)
-        if self.dim == 1:
-            if self.theta0 == 1.0:
-                out[0] = -self.c * math.log(1.0 / delta)
-            else:
-                out[0] = -self.c * (1.0 - delta ** (1.0 - self.theta0)) / (1.0 - self.theta0)
-            return out
-        omega = sphere_area(self.dim)
-
-        def mean_first(r):
-            # E[e_1 1{0 < e_1 <= min(1, 1/r)}] over the uniform sphere
-            m = min(1.0, 1.0 / r)
-            if self.dim == 2:
-                return (1.0 - math.sqrt(max(0.0, 1.0 - m * m))) / math.pi
-            if self.dim == 3:
-                return m * m / 4.0
-            nu_exp = (self.dim - 3) / 2.0
-            num = integrate.quad(lambda t: t * (1.0 - t * t) ** nu_exp, 0.0, m)[0]
-            den = integrate.quad(lambda t: (1.0 - t * t) ** nu_exp, -1.0, 1.0)[0]
-            return num / den
-
-        val = integrate.quad(lambda r: r ** -self.theta0 * mean_first(r), delta, 1.0)[0]
-        out[0] = -omega * self.c * val
+        if self.theta0 == 1.0:
+            out[0] = -scale * math.log(1.0 / delta)
+        else:
+            out[0] = -scale * (1.0 - delta ** (1.0 - self.theta0)) / (1.0 - self.theta0)
         return out
 
     def moment_pair(self, theta: float) -> MomentReport:
@@ -203,19 +183,18 @@ class SliceMeasure:
             val = self.c / (2.0 - self.theta0)
             # support lies in (0, 1]: both integrands reduce to |u|^2 there
             return MomentReport(val, val, False)
-        omega = sphere_area(self.dim)
+        k = (self.dim - 1) / 2.0
 
-        def radial(fn, lo, hi):
-            return omega * self.c * integrate.quad(
-                lambda r: fn(r) * r ** (self.dim - 1.0) * r ** (-self.dim - self.theta0)
-                * _slice_angular_fraction(self.dim, r),
-                lo,
-                hi,
-            )[0]
+        def beyond_one(p):
+            # integral of r^(p-1) A(r) over r > 1; p = 0 is the digamma limit
+            if p == 0.0:
+                return 0.25 * (special.digamma(0.5 + k) - special.digamma(0.5))
+            return (special.beta((1.0 - p) / 2.0, k) / special.beta(0.5, k) - 1.0) / (2.0 * p)
 
-        small = radial(lambda r: r * r, 0.0, 1.0) + radial(lambda r: 1.0, 1.0, math.inf)
-        theta_m = radial(lambda r: r * r, 0.0, 1.0) + radial(lambda r: r ** theta, 1.0, math.inf)
-        return MomentReport(small, theta_m, False)
+        # inside the unit ball both integrands are |u|^2 on the half space
+        scale, inner = sphere_area(self.dim) * self.c, 0.5 / (2.0 - self.theta0)
+        return MomentReport(scale * (inner + beyond_one(-self.theta0)),
+                            scale * (inner + beyond_one(theta - self.theta0)), False)
 
     # -- sampling ---------------------------------------------------------
 
@@ -230,15 +209,10 @@ class SliceMeasure:
             hi_p = hi ** -self.theta0
             r = (lo_p - u * (lo_p - hi_p)) ** (-1.0 / self.theta0)
             return r[:, None]
-        if self.dim > 3:
-            raise NotImplementedError("slice sampling supports dim <= 3")
         # rejection: isotropic radius proposal, accept when the direction
         # lands in the admissible cap (fraction A(r) <= A(a))
-        out = np.empty((n, self.dim))
-        filled = 0
-        hi = b
-        lo_p = a ** -self.theta0
-        hi_p = 0.0 if math.isinf(hi) else hi ** -self.theta0
+        out, filled = np.empty((n, self.dim)), 0
+        lo_p, hi_p = a ** -self.theta0, b ** -self.theta0
         while filled < n:
             m = max(4 * (n - filled), 64)
             u = rng.uniform(size=m)
@@ -492,33 +466,17 @@ def overlap_mass(slice_m: SliceMeasure, shift: np.ndarray) -> float:
 def overlap_mass_lower_bound(slice_m: SliceMeasure, s: float) -> float:
     """Infimum of the overlap mass over shifts with ``0 < |x| <= s``.
 
-    The mass decreases in ``|x|`` along any fixed direction (covered by a
-    property test). In d = 1 both directions agree, so this is the closed
-    form at ``|x| = s``; otherwise a direction x radius grid with one
-    refinement pass around the argmin guards the boundary value.
+    The mass decreases in ``|x|`` along any fixed direction (covered by
+    property tests in d = 1 and d = 2), so the infimum sits at ``|x| = s``:
+    the closed form in d = 1, where both directions agree, and otherwise the
+    minimum over 64 seeded directions.
     """
     if s <= 0:
         raise NonPositiveRadius(f"radius must be positive, got {s}")
     if slice_m.dim == 1:
         return overlap_mass(slice_m, [s])
-    n_dirs, n_radii = 64, 32
-    rng = np.random.default_rng(2024)
-    g = rng.standard_normal((n_dirs, slice_m.dim))
-    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    radii = np.linspace(s / n_radii, s, n_radii)
-    best = math.inf
-    best_at = (dirs[0], radii[-1])
-    for e in dirs:
-        for r in radii:
-            m = overlap_mass(slice_m, r * e)
-            if m < best:
-                best, best_at = m, (e, r)
-    # refine radially around the argmin
-    e, r = best_at
-    for r2 in np.linspace(max(r - s / n_radii, s * 1e-3), min(r + s / n_radii, s), 9):
-        m = overlap_mass(slice_m, r2 * e)
-        best = min(best, m)
-    return best
+    g = np.random.default_rng(2024).standard_normal((64, slice_m.dim))
+    return min(overlap_mass(slice_m, s * e) for e in g / np.linalg.norm(g, axis=1, keepdims=True))
 
 
 def fit_overlap_floor(slice_m: SliceMeasure, r0: float, n_grid: int = 64) -> tuple[float, float]:

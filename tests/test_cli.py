@@ -102,6 +102,20 @@ class TestExitCodes:
         code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["constants", "--seed", "5"],
+                                      ["constants", "--replicas", "8"],
+                                      ["verify", "--which", "B1", "--replicas", "8"],
+                                      ["rate", "--bogus"], []])
+    def test_bad_flag_is_one(self, tmp_path, capsys, argv):
+        # constants reads no seed or replica count, verify no replica count
+        assert cli.main(argv + ["--out", str(tmp_path)] if argv else argv) == 1
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_help_is_zero(self, capsys):
+        assert cli.main(["constants", "--help"]) == 0
+        assert "--seed" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("text", ["[levy]\nc = -1.0\n", "[sim]\nn_save = 0\n",
                                       "[model]\nalpha_damp = -1.0\n",
                                       "[levy]\nkind = stable\nalpha0 = 2.5\n"])
@@ -139,6 +153,13 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("text", ["[model]\nb = 2.0\n", "[model]\na = 0.5\n"])
+    def test_verify_f1_sizes_the_form_on_the_configured_system(self, tmp_path, text):
+        path = write(tmp_path, text)
+        code = cli.main(["verify", "--which", "F1", "--config", path, "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "verify_F1.json").read_text())
+        assert code == 0 and payload["passed"] and payload["worst_excess"] < 0
+
     def test_constants_degenerate_system_flagged(self, tmp_path):
         # zero damping and zero force weight kill the quadratic-form window
         path = write(tmp_path, "[model]\nalpha_damp = 0.0\nbeta = 0.0\n")
@@ -151,7 +172,8 @@ class TestExitCodes:
         # the chain is flagged; every command that builds it writes its data
         # and then exits 2, and rate's exit is not an InsufficientDecay one
         path = write(tmp_path, DEGENERATE_CHAIN)
-        code = cli.main([command, "--config", path, "--replicas", "8", "--out", str(tmp_path)])
+        replicas = [] if command == "constants" else ["--replicas", "8"]
+        code = cli.main([command, "--config", path, *replicas, "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         flags = "lipschitz_unbounded, degenerate_rate, profile_unavailable"

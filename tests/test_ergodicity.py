@@ -191,3 +191,18 @@ class TestStackedCost:
             for k in range(4):
                 one = PairState(tr.x[k], tr.v[k], tr.xp[k], tr.vp[k])
                 assert row[k] == pytest.approx(prod.value(one), rel=1e-15, abs=0.0)
+
+    def test_matrix_drops_non_finite_costs(self, benchmark_bundle, rng):
+        # a weight that overflows to inf leaves a non-finite cost that the
+        # blow-up screen never saw: the replica counts as a blow-up
+        times = np.linspace(0.0, 1.0, 4)
+        trs = [sim.PairTrajectory(times, *(rng.normal(size=(4, 1)) for _ in range(4)))
+               for _ in range(3)]
+        trs[1].x[2, 0] = 1e200
+        trs[2].v[3, 0] = np.nan
+        hhat, g = benchmark_bundle.monitor_fns()
+        vals, n_blow = erg._psi_tilde_matrix(trs, hhat, g)
+        assert n_blow == 2 and vals.shape == (1, 4) and np.all(np.isfinite(vals))
+        assert np.array_equal(vals, erg._psi_tilde_matrix(trs[:1], hhat, g)[0])
+        with pytest.raises(InsufficientDecay, match="every replica"):
+            erg._psi_tilde_matrix(trs[1:], hhat, g)

@@ -144,6 +144,14 @@ class TestOverlapMass:
         small = sl2.moment_pair(1.0).small_jump
         assert m1 <= 8.0 * small * min(1.0, math.hypot(0.3, 0.1)) ** -2
 
+    @pytest.mark.parametrize("angle", [0.0, 0.7, math.pi / 2, -2.4])
+    def test_two_dim_monotone_along_rays(self, angle):
+        # overlap_mass_lower_bound searches only |x| = s, which relies on this
+        sl2 = ms.SliceMeasure(c=1.0, theta0=0.5, dim=2)
+        e = np.array([math.cos(angle), math.sin(angle)])
+        masses = [ms.overlap_mass(sl2, r * e) for r in np.geomspace(0.02, 0.6, 6)]
+        assert all(a > b for a, b in zip(masses, masses[1:]))
+
     def test_three_dims_raise(self):
         sl3 = ms.SliceMeasure(c=1.0, theta0=0.5, dim=3)
         with pytest.raises(NotImplementedError, match="dim = 3"):
@@ -227,7 +235,119 @@ class TestMoments:
         assert st_m.mass_above(1.0) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
+def _slab_share(dim, r, power=0):
+    # E[e_1^power; 0 < e_1 <= min(1, 1/r)] for e uniform on the unit sphere:
+    # the arc angle in d = 2, Archimedes' m / 2 in d = 3, else a quadrature
+    # over the law of e_1, whose density is proportional to (1 - t^2)^((d-3)/2)
+    m = min(1.0, 1.0 / r)
+    if dim == 2:
+        return math.asin(m) / math.pi if power == 0 else (1.0 - math.sqrt(1.0 - m * m)) / math.pi
+    if dim == 3:
+        return m ** (power + 1) / (2.0 * (power + 1))
+    w = lambda t: (1.0 - t * t) ** ((dim - 3) / 2.0)  # noqa: E731
+    num = integrate.quad(lambda t: t ** power * w(t), 0.0, m, epsabs=0.0, epsrel=1e-12)[0]
+    return num / integrate.quad(w, -1.0, 1.0, epsabs=0.0, epsrel=1e-12)[0]
+
+
+def _radial_reference(sl, f, lo, hi, power=0):
+    # omega c * integral over (lo, hi] of f(r) r^(-1-theta0) E[e_1^power; slab at r]
+    omega = 2.0 * math.pi ** (sl.dim / 2.0) / math.gamma(sl.dim / 2.0)
+
+    def piece(a, b):
+        if a >= b:
+            return 0.0
+        return integrate.quad(
+            lambda r: f(r) * r ** (-1.0 - sl.theta0) * _slab_share(sl.dim, r, power),
+            a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    return omega * sl.c * (piece(lo, min(hi, 1.0)) + piece(max(lo, 1.0), hi))
+
+
+def _cartesian_mass_2d(sl, a, b):
+    # the density integrated over {0 < u_1 <= 1, a < |u| <= b} in Cartesian
+    # coordinates, u_2 of both signs
+    def inner(u1):
+        lo = math.sqrt(max(a * a - u1 * u1, 0.0))
+        hi = math.sqrt(b * b - u1 * u1) if math.isfinite(b) else math.inf
+        return integrate.quad(lambda u2: (u1 * u1 + u2 * u2) ** (-1.0 - sl.theta0 / 2.0),
+                              lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+
+    top = min(1.0, b)
+    return 2.0 * sl.c * integrate.quad(inner, 0.0, top, points=[a] if a < top else None,
+                                       epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+
+SLABS = [ms.SliceMeasure(1.3, theta0, dim) for dim in (2, 3, 4, 5) for theta0 in (0.3, 1.0, 1.5)]
+
+
+class TestSlabClosedForms:
+    """The incomplete-beta closed forms of the slab measure against quadrature references."""
+
+    @pytest.mark.parametrize("sl", SLABS, ids=repr)
+    def test_masses(self, sl):
+        one = lambda r: 1.0  # noqa: E731
+        for a in (0.05, 0.5, 1.0, 3.0):
+            assert sl.mass_above(a) == pytest.approx(
+                _radial_reference(sl, one, a, math.inf), rel=1e-8)
+        for a, b in ((0.05, 0.1), (0.3, 2.0), (1.0, 4.0), (2.0, 16.0)):
+            want = _radial_reference(sl, one, a, b)
+            assert sl.annulus_mass(a, b) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("theta0", [0.5, 1.5])
+    def test_mass_at_zero_is_infinite(self, dim, theta0):
+        sl = ms.SliceMeasure(1.0, theta0, dim)
+        assert sl.mass_above(0.0) == sl.annulus_mass(0.0, 0.5) == math.inf
+        assert sl.annulus_mass(0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("a, b", [(0.05, 0.5), (0.3, 2.0), (1.5, math.inf), (0.2, math.inf)])
+    def test_two_dim_masses_match_cartesian_integral(self, a, b):
+        for theta0 in (0.3, 1.5):
+            sl = ms.SliceMeasure(1.3, theta0, 2)
+            assert sl.annulus_mass(a, b) == pytest.approx(_cartesian_mass_2d(sl, a, b), rel=1e-8)
+
+    @pytest.mark.parametrize("sl", SLABS, ids=repr)
+    def test_moments(self, sl):
+        inner = _radial_reference(sl, lambda r: r * r, 0.0, 1.0)
+        small = inner + _radial_reference(sl, lambda r: 1.0, 1.0, math.inf)
+        # theta = theta0 is the digamma limit of the closed form
+        for theta in sorted({0.2, 0.7, 1.0, min(sl.theta0, 1.0)}):
+            rep = sl.moment_pair(theta)
+            theta_m = inner + _radial_reference(sl, lambda r: r ** theta, 1.0, math.inf)
+            assert rep.small_jump == pytest.approx(small, rel=1e-8)
+            assert rep.theta_moment == pytest.approx(theta_m, rel=1e-8)
+            assert not rep.divergent
+
+    @pytest.mark.parametrize("sl", SLABS, ids=repr)
+    def test_compensation_drift(self, sl):
+        for delta in (1e-3, 0.1, 0.9):
+            got = sl.compensation_drift(delta)
+            want = _radial_reference(sl, lambda r: r, delta, 1.0, power=1)
+            assert got[0] == pytest.approx(-want, rel=1e-10)
+            assert got.shape == (sl.dim,) and np.all(got[1:] == 0.0)
+
+    @pytest.mark.parametrize("sl", SLABS[:3], ids=repr)
+    def test_second_moment_within(self, sl):
+        for rho in (1e-6, 0.5, 1.0, 3.0):
+            want = _radial_reference(sl, lambda r: r * r, 0.0, rho)
+            assert sl.second_moment_within(rho) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
 class TestSampling:
+    def test_four_dim_marks_lie_in_the_slab_at_the_closed_form_rate(self):
+        sl4 = ms.SliceMeasure(1.0, 0.8, dim=4)
+        horizon, delta = 50.0, 0.05
+        batch = ms.sample_large_jumps(sl4, horizon, delta, np.random.default_rng(17))
+        first, norm = batch.marks[:, 0], np.linalg.norm(batch.marks, axis=1)
+        assert batch.marks.shape[1] == 4
+        assert np.all((first > 0.0) & (first <= 1.0)) and np.all(norm > delta)
+        expected = sl4.mass_above(delta) * horizon
+        assert abs(len(batch) - expected) <= 4.0 * math.sqrt(expected)
+        # the mark radii follow the normalised tail of the closed-form masses
+        tail = np.vectorize(sl4.mass_above)
+        res = stats.kstest(norm, lambda r: 1.0 - tail(r) / sl4.mass_above(delta))
+        assert res.statistic < 1.628 / math.sqrt(len(batch))
+
     def test_no_mass_above_support(self):
         rng = np.random.default_rng(0)
         batch = ms.sample_large_jumps(SL, 50.0, 1.0, rng)
