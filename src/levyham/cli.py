@@ -119,16 +119,19 @@ def _verify_b1(cfg, seed):
 def _verify_f1(cfg, seed):
     langevin = cfg.build_langevin()
     system = langevin.system(a=cfg.model["a"], b=cfg.model["b"])
-    setup = md.build_lyapunov(langevin, cfg.lyapunov["grid_radius"], cfg.levy["theta"], system)
-    rep = md.verify_gamma_drift(setup.lyap, system, cfg.lyapunov["grid_radius"],
-                                cfg.lyapunov["grid_points"])
+    radius, n = cfg.lyapunov["grid_radius"], cfg.lyapunov["grid_points"]
+    setup = md.build_lyapunov(langevin, system, radius, cfg.levy["theta"])
+    # C is sized within the grid radius: check out to twice it at the same spacing
+    rep = md.verify_gamma_drift(setup.lyap, system, 2.0 * radius, 2 * n - 1)
     payload = {"choice": setup.choice.to_dict(), **rep}
     return payload, rep["passed"]
 
 
 def _verify_a2(cfg, seed):
     levy = cfg.build_levy()
-    setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
+    langevin = cfg.build_langevin()
+    system = langevin.system(a=cfg.model["a"], b=cfg.model["b"])
+    setup = md.build_lyapunov(langevin, system, cfg.lyapunov["grid_radius"], levy.theta)
     eta, c_star, rep = md.verify_jump_regularity(setup.lyap, levy.slice_part,
                                                  cfg.lyapunov["grid_radius"])
     moments = levy.moments

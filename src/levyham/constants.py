@@ -566,7 +566,7 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     flags: list[str] = []
     notes: list[str] = []
     system = langevin.system(a=a, b=b)
-    setup = md.build_lyapunov(langevin, grid_radius, levy_spec.theta, system)
+    setup = md.build_lyapunov(langevin, system, grid_radius, levy_spec.theta)
     if setup.source == "manual_fallback":
         notes.append("auto certificate unavailable: fell back to lam1=1")
     lyap = setup.lyap

@@ -125,14 +125,14 @@ class SliceMeasure:
         """Mass of ``{|u| > a}``."""
         return self.annulus_mass(a, math.inf)
 
-    def _tail_terms(self, r: float) -> tuple[float, float]:
-        # (r^-theta0 I_x(1/2, k), I_x((1+theta0)/2, k)) at x = min(1, r^-2); the
-        # mass above r is omega c (first - B((1+theta0)/2, k) / B(1/2, k) second) / (2 theta0)
-        if math.isinf(r):
-            return 0.0, 0.0
-        k, x = (self.dim - 1) / 2.0, 1.0 if r <= 1.0 else r ** -2.0
-        return (r ** -self.theta0 * special.betainc(0.5, k, x),
-                special.betainc((1.0 + self.theta0) / 2.0, k, x))
+    def _slab_tail(self, r: float) -> float:
+        # dim >= 2 mass above r > 0: omega c (r^-t I_x(1/2, k) - B(q, k) / B(1/2, k)
+        # I_x(q, k)) / (2 t) with t = theta0, q = (1 + t)/2 and x = min(1, r^-2)
+        t, k, x = self.theta0, (self.dim - 1) / 2.0, 1.0 if r <= 1.0 else r ** -2.0
+        q = (1.0 + t) / 2.0
+        inner = (r ** -t * special.betainc(0.5, k, x)
+                 - special.beta(q, k) / special.beta(0.5, k) * special.betainc(q, k, x))
+        return sphere_area(self.dim) * self.c * inner / (2.0 * t)
 
     def annulus_mass(self, a: float, b: float) -> float:
         """Mass of ``{a < |u| <= b}``."""
@@ -145,10 +145,7 @@ class SliceMeasure:
             if a >= hi:
                 return 0.0
             return (self.c / self.theta0) * (a ** -self.theta0 - hi ** -self.theta0)
-        k = (self.dim - 1) / 2.0
-        ratio = special.beta((1.0 + self.theta0) / 2.0, k) / special.beta(0.5, k)
-        (pa, qa), (pb, qb) = self._tail_terms(a), self._tail_terms(b)
-        return sphere_area(self.dim) * self.c * (pa - pb - ratio * (qa - qb)) / (2.0 * self.theta0)
+        return self._slab_tail(a) - self._slab_tail(b)
 
     def second_moment_within(self, rho: float) -> float:
         """Integral of ``|u|^2`` over ``{|u| <= rho}``."""
@@ -186,9 +183,12 @@ class SliceMeasure:
         k = (self.dim - 1) / 2.0
 
         def beyond_one(p):
-            # integral of r^(p-1) A(r) over r > 1; p = 0 is the digamma limit
-            if p == 0.0:
-                return 0.25 * (special.digamma(0.5 + k) - special.digamma(0.5))
+            # integral of r^(p-1) A(r) over r > 1; near p = 0 the quotient cancels, so take
+            # the digamma limit and its first-order term (1e-10 relative either side)
+            if abs(p) < 1e-5:
+                lim = 0.25 * (special.digamma(0.5 + k) - special.digamma(0.5))
+                trigamma = special.polygamma(1, 0.5) - special.polygamma(1, 0.5 + k)
+                return lim + p * (lim * lim + trigamma / 16.0)
             return (special.beta((1.0 - p) / 2.0, k) / special.beta(0.5, k) - 1.0) / (2.0 * p)
 
         # inside the unit ball both integrands are |u|^2 on the half space

@@ -458,15 +458,15 @@ class QuadraticFormChoice:
 
 
 def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate,
-                          grid_radius: float = 20.0, n_grid: int = 61,
-                          system: HamiltonianSystemSpec | None = None) -> QuadraticFormChoice:
+                          system: HamiltonianSystemSpec, grid_radius: float = 20.0,
+                          n_grid: int = 61) -> QuadraticFormChoice:
     """Pick the cross weight, scale, and Young split of the quadratic form.
 
     Sets ``r0_cross = alpha_damp / 2`` and places ``r`` at the midpoint of
     the window where ``(r^2 + 2 beta lam4 - alpha r0)^2`` stays below
     ``4 beta (lam1 - lam2 lam4)(alpha - r0) r0``; the Young parameter is the
     geometric mean of its admissible interval, and the returned ``(c, C)``
-    are validated on the default grid for ``system`` (a = 0, b = 1 if None).
+    are validated on the default grid for ``system``.
     """
     alpha, beta = langevin.alpha_damp, langevin.beta
     lam_eff = cert.lam1 - cert.lam2 * cert.lam4
@@ -507,7 +507,7 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
     # validate on the grid and, if needed, raise C (conservative direction)
     v0 = build_position_weight(langevin, cert)
     lyap = LyapunovSpec(r=r, r0_cross=r0, theta=1.0, v0=v0, dim=langevin.dim)
-    worst = _grid_drift_excess(lyap, system or langevin.system(), v0, c, grid_radius, n_grid)
+    worst = _grid_drift_excess(lyap, system, v0, c, grid_radius, n_grid)
     big_c = max(big_c, 1.1 * max(worst, 0.0))
     return QuadraticFormChoice(r0, r, eps, c, big_c, (lo, hi))
 
@@ -521,11 +521,11 @@ class LyapunovSetup:
     lyap: LyapunovSpec
 
 
-def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0, theta: float = 1.0,
-                   system: HamiltonianSystemSpec | None = None) -> LyapunovSetup:
-    """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``system`` (a=0, b=1 if None)."""
+def build_lyapunov(langevin: KineticLangevinSpec, system: HamiltonianSystemSpec,
+                   grid_radius: float = 20.0, theta: float = 1.0) -> LyapunovSetup:
+    """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``system``."""
     cert, source = certificate_with_fallback(langevin.potential, langevin.dim, grid_radius)
-    choice = choose_quadratic_form(langevin, cert, grid_radius, system=system)
+    choice = choose_quadratic_form(langevin, cert, system, grid_radius)
     lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta,
                         v0=build_position_weight(langevin, cert), dim=langevin.dim,
                         drift_c=choice.c, drift_C=choice.C)

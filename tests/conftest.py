@@ -27,7 +27,7 @@ def benchmark_bundle(benchmark_langevin, benchmark_levy):
 
 @pytest.fixture(scope="session")
 def benchmark_lyap(benchmark_langevin):
-    return md.build_lyapunov(benchmark_langevin).lyap
+    return md.build_lyapunov(benchmark_langevin, benchmark_langevin.system()).lyap
 
 
 @pytest.fixture(scope="session")

@@ -153,12 +153,16 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 0
 
-    @pytest.mark.parametrize("text", ["[model]\nb = 2.0\n", "[model]\na = 0.5\n"])
-    def test_verify_f1_sizes_the_form_on_the_configured_system(self, tmp_path, text):
+    @pytest.mark.parametrize("text, passed", [("", True), ("[model]\nb = 2.0\n", False),
+                                              ("[model]\na = 0.5\n", False)])
+    def test_verify_f1_checks_beyond_the_sizing_ball(self, tmp_path, text, passed):
+        # C is sized on the configured system within the grid radius; for
+        # a != 0 or b != 1 the excess grows past it, so F1 must not pass there
         path = write(tmp_path, text)
         code = cli.main(["verify", "--which", "F1", "--config", path, "--out", str(tmp_path)])
         payload = json.loads((tmp_path / "verify_F1.json").read_text())
-        assert code == 0 and payload["passed"] and payload["worst_excess"] < 0
+        assert payload["passed"] is passed and code == (0 if passed else 2)
+        assert (payload["worst_excess"] < 0) is passed
 
     def test_constants_degenerate_system_flagged(self, tmp_path):
         # zero damping and zero force weight kill the quadratic-form window

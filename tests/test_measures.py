@@ -310,8 +310,11 @@ class TestSlabClosedForms:
     def test_moments(self, sl):
         inner = _radial_reference(sl, lambda r: r * r, 0.0, 1.0)
         small = inner + _radial_reference(sl, lambda r: 1.0, 1.0, math.inf)
-        # theta = theta0 is the digamma limit of the closed form
-        for theta in sorted({0.2, 0.7, 1.0, min(sl.theta0, 1.0)}):
+        # theta = theta0 is the digamma limit of the closed form; theta a
+        # rounding error away from theta0 must not lose digits to cancellation
+        t0 = min(sl.theta0, 1.0)
+        near = {t0 * (1.0 - 1e-12)} | ({t0 * (1.0 + 1e-12)} if t0 < 1.0 else set())
+        for theta in sorted({0.2, 0.7, 1.0, t0} | near):
             rep = sl.moment_pair(theta)
             theta_m = inner + _radial_reference(sl, lambda r: r ** theta, 1.0, math.inf)
             assert rep.small_jump == pytest.approx(small, rel=1e-8)
