@@ -8,8 +8,9 @@ Subcommands::
     levyham couple      --config CFG --out DIR [--seed N] [--replicas N]
     levyham equilibrium --config CFG --out DIR [--seed N] [--replicas N]
 
-Exit codes: 0 success, 1 usage/config error (an unknown flag included) or a
-dimension the command does not implement, 2 completed with flags (degenerate
+Exit codes: 0 success, 1 usage/config error (an unknown flag or an
+out-of-range --seed/--replicas included) or a dimension the command does
+not implement, 2 completed with flags (degenerate
 constants, failed verification, insufficient decay, an ensemble with no
 surviving replica).
 Outputs are bitwise-stable given (config, seed); the manifest additionally
@@ -68,8 +69,7 @@ def _bundle_from(cfg: ExperimentConfig) -> cn.ConstantsBundle:
     levy = cfg.build_levy()
     langevin = cfg.build_langevin()
     return cn.build_constants(
-        langevin, levy, a=cfg.model["a"], b=cfg.model["b"],
-        r0_jump=cfg.constants["r0_jump"],
+        langevin, levy, r0_jump=cfg.constants["r0_jump"],
         grid_radius=cfg.lyapunov["grid_radius"], n_grid=cfg.lyapunov["grid_points"],
         position_radius=cfg.constants["position_radius"],
         scheme=cfg.build_scheme(),
@@ -118,20 +118,17 @@ def _verify_b1(cfg, seed):
 
 def _verify_f1(cfg, seed):
     langevin = cfg.build_langevin()
-    system = langevin.system(a=cfg.model["a"], b=cfg.model["b"])
     radius, n = cfg.lyapunov["grid_radius"], cfg.lyapunov["grid_points"]
-    setup = md.build_lyapunov(langevin, system, radius, cfg.levy["theta"])
+    setup = md.build_lyapunov(langevin, radius, cfg.levy["theta"])
     # C is sized within the grid radius: check out to twice it at the same spacing
-    rep = md.verify_gamma_drift(setup.lyap, system, 2.0 * radius, 2 * n - 1)
+    rep = md.verify_gamma_drift(setup.lyap, langevin, 2.0 * radius, 2 * n - 1)
     payload = {"choice": setup.choice.to_dict(), **rep}
     return payload, rep["passed"]
 
 
 def _verify_a2(cfg, seed):
     levy = cfg.build_levy()
-    langevin = cfg.build_langevin()
-    system = langevin.system(a=cfg.model["a"], b=cfg.model["b"])
-    setup = md.build_lyapunov(langevin, system, cfg.lyapunov["grid_radius"], levy.theta)
+    setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
     eta, c_star, rep = md.verify_jump_regularity(setup.lyap, levy.slice_part,
                                                  cfg.lyapunov["grid_radius"])
     moments = levy.moments
@@ -152,10 +149,8 @@ def _verify_fprops(cfg, seed):
 
 
 def _verify_operator_identities(cfg, seed):
-    levy = cfg.build_levy()
-    if levy.dim != 1:
-        raise ConfigError("operator identities require dim == 1")
     bundle = _bundle_from(cfg)
+    levy = bundle.levy
     scheme = cfg.build_scheme()
     rng = np.random.default_rng(seed)
     alpha, kappa = bundle.report.alpha, bundle.report.kappa
@@ -267,13 +262,12 @@ def cmd_couple(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None)
 def cmd_equilibrium(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -> int:
     manifest = RunManifest(cfg.config_hash(), seed, "equilibrium")
     levy = cfg.build_levy()
-    langevin = cfg.build_langevin()
-    system = langevin.system(a=cfg.model["a"], b=cfg.model["b"])
     sim_cfg = cfg.build_sim(seed=seed, n_replicas=replicas)
     if sim_cfg.n_save < 3:
         raise ConfigError("equilibrium diagnostics need sim n_save >= 3")
     x0, v0, xp0, vp0 = cfg.initial_pair()
-    payload = erg.equilibrium_diagnostics(system, levy, sim_cfg, (x0, v0), (xp0, vp0))
+    payload = erg.equilibrium_diagnostics(cfg.build_langevin(), levy, sim_cfg, (x0, v0),
+                                          (xp0, vp0))
     threshold = cfg.constants["decay_threshold"]
     if threshold is not None:
         payload["threshold"] = threshold
@@ -325,11 +319,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        seed = cfg.sim["seed"] if vars(args).get("seed") is None else args.seed
+        cfg.build_sim(seed, vars(args).get("replicas"))  # the overrides' range checks
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    seed = cfg.sim["seed"] if vars(args).get("seed") is None else args.seed
 
     try:
         if args.command == "constants":

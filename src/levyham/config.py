@@ -153,7 +153,8 @@ class ExperimentConfig:
         if t["force"] != "damped_gradient":
             raise ConfigError(f"unknown force kind {t['force']!r}")
         return md.KineticLangevinSpec(alpha_damp=t["alpha_damp"], beta=t["beta"],
-                                      potential=self.build_potential(), dim=t["dim"])
+                                      potential=self.build_potential(), dim=t["dim"],
+                                      a=t["a"], b=t["b"])
 
     def build_scheme(self) -> QuadratureScheme:
         q = self.quadrature
@@ -162,11 +163,16 @@ class ExperimentConfig:
                                 nodes_per_panel=q["nodes_radial"])
 
     def build_sim(self, seed: int | None = None, n_replicas: int | None = None) -> SimConfig:
+        """The stepper settings, with optional seed and replica overrides; a value
+        out of range, override or not, is a ``[sim]`` ConfigError."""
         s = self.sim
-        return SimConfig(h=s["h"], delta=s["delta"], horizon=s["horizon"],
-                         n_replicas=n_replicas if n_replicas is not None else s["n_replicas"],
-                         seed=seed if seed is not None else s["seed"],
-                         n_save=s["n_save"])
+        try:
+            return SimConfig(h=s["h"], delta=s["delta"], horizon=s["horizon"],
+                             n_replicas=n_replicas if n_replicas is not None else s["n_replicas"],
+                             seed=seed if seed is not None else s["seed"],
+                             n_save=s["n_save"])
+        except ValueError as exc:
+            raise ConfigError(f"[sim] {exc}") from exc
 
     def initial_pair(self):
         s = self.sim
@@ -245,14 +251,12 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
 
 def _validate_physics(cfg: ExperimentConfig):
     # build each spec once: its constructor's range checks name the bad value
-    checks = (("levy", cfg.build_levy),
-              ("model", lambda: cfg.build_langevin().system(cfg.model["a"], cfg.model["b"])),
-              ("sim", cfg.build_sim))
-    for section, build in checks:
+    for section, build in (("levy", cfg.build_levy), ("model", cfg.build_langevin)):
         try:
             build()
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
+    cfg.build_sim()
     if cfg.constants["r0_jump"] <= 0:
         raise ConfigError("constants r0_jump must be positive")
     if cfg.levy["dim"] != cfg.model["dim"]:

@@ -436,7 +436,7 @@ class ConstantsReport:
 class ConstantsBundle:
     """Runtime companions of the report: specs, profile, and pair functionals."""
 
-    system: object
+    system: md.KineticLangevinSpec
     levy: object
     lyap: object
     profile: DistanceProfile
@@ -551,8 +551,7 @@ def psi(pair: PairState, lyap):
 
 
 def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureSpec,
-                    a: float = 0.0, b: float = 1.0, r0_jump: float = 0.5,
-                    grid_radius: float = 20.0, n_grid: int = 21,
+                    r0_jump: float = 0.5, grid_radius: float = 20.0, n_grid: int = 21,
                     position_radius: float | None = None,
                     scheme: gen.QuadratureScheme | None = None) -> ConstantsBundle:
     """Run the full pipeline for a damped-gradient system.
@@ -565,13 +564,13 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     """
     flags: list[str] = []
     notes: list[str] = []
-    system = langevin.system(a=a, b=b)
-    setup = md.build_lyapunov(langevin, system, grid_radius, levy_spec.theta)
+    a, b = langevin.a, langevin.b
+    setup = md.build_lyapunov(langevin, grid_radius, levy_spec.theta)
     if setup.source == "manual_fallback":
         notes.append("auto certificate unavailable: fell back to lam1=1")
     lyap = setup.lyap
 
-    c0_lyap, C0_lyap, fit_report = fit_lyapunov_drift(system, levy_spec, lyap,
+    c0_lyap, C0_lyap, fit_report = fit_lyapunov_drift(langevin, levy_spec, lyap,
                                                       grid_radius, n_grid, scheme)
     if c0_lyap <= 0:
         flags.append("weight_drift_fit_failed")
@@ -586,7 +585,7 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     geom = far_field_sublevel(c0_lyap, C0_lyap, c_star, eta, levy_spec.theta,
                               lyap.r, lyap.r0_cross)
     pos_radius = position_radius if position_radius is not None else max(geom.x_max, 1.0)
-    lam_star = compute_lipschitz(system, pos_radius)
+    lam_star = compute_lipschitz(langevin, pos_radius)
     if not math.isfinite(lam_star):
         flags.append("lipschitz_unbounded")
         lam_star = 0.0
@@ -652,7 +651,7 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
         monitor_alpha0 = min(alpha0, 2.0)
         fallback = True
 
-    return ConstantsBundle(system=system, levy=levy_spec, lyap=lyap, profile=profile,
+    return ConstantsBundle(system=langevin, levy=levy_spec, lyap=lyap, profile=profile,
                            clamped=ClampedProfile(profile, R0), report=report,
                            monitor_profile=monitor, monitor_eps=monitor_eps,
                            monitor_alpha0=monitor_alpha0, monitor_is_fallback=fallback)

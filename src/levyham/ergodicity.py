@@ -156,7 +156,8 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
 
     rng = np.random.default_rng(boot_seed)
     boots = []
-    for _ in range(n_boot):
+    # one surviving replica has no spread to resample: the CI collapses to the fit
+    for _ in range(n_boot if vals.shape[0] > 1 else 0):
         pick = rng.integers(0, vals.shape[0], vals.shape[0])
         bm = vals[pick].mean(axis=0)
         bs = vals[pick].std(axis=0, ddof=1) / math.sqrt(vals.shape[0])

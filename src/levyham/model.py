@@ -5,10 +5,13 @@ The dynamics are the degenerate pair
     dX = (a X + b V) dt
     dV = U(X, V) dt + dL
 
-with noise entering the velocity only. The damped-gradient special case
-``U(x, v) = -alpha_damp v - beta grad U0(x)`` covers kinetic Langevin
-dynamics; superquadratic double-well potentials are supported through a
-certificate of inner-product growth fitted on a radial grid.
+with noise entering the velocity only. ``KineticLangevinSpec`` is the whole
+system for the damped-gradient case ``U(x, v) = -alpha_damp v - beta grad
+U0(x)`` (kinetic Langevin dynamics), ``(a, b)`` included, and the one object
+the simulation, the verifiers and the constant chain read;
+``HamiltonianSystemSpec`` holds a general force. Superquadratic double-well
+potentials are supported through a certificate of inner-product growth fitted
+on a radial grid.
 
 Grid verification is a numeric certificate, not a proof: the inequalities
 are checked on balls of configurable radius, and fitted constants carry a
@@ -137,13 +140,21 @@ class CustomPotential:
 # ---------------------------------------------------------------------------
 
 
+def _check_coefficients(a: float, b: float):
+    if b <= 0:
+        raise ValueError(f"b must be positive, got {b}")
+    if a < 0:
+        raise ValueError(f"a must be non-negative, got {a}")
+
+
 @dataclass(frozen=True)
 class HamiltonianSystemSpec:
-    """Coefficients ``a >= 0``, ``b > 0`` and the velocity force ``U(x, v)``.
+    """Coefficients ``a >= 0``, ``b > 0`` and a general velocity force ``U(x, v)``.
 
     ``force`` maps position and velocity arrays of shape ``(..., dim)`` to the
     force at every leading index; both ensembles evaluate it once per Euler
-    window over all replicas (and both copies of the pair).
+    window over all replicas (and both copies of the pair). Readers of a system
+    use only ``a``, ``b``, ``force`` and ``dim``; ``KineticLangevinSpec`` has them too.
     """
 
     a: float
@@ -152,39 +163,42 @@ class HamiltonianSystemSpec:
     dim: int = 1
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.a < 0:
-            raise ValueError(f"a must be non-negative, got {self.a}")
+        _check_coefficients(self.a, self.b)
 
 
 @dataclass(frozen=True)
 class KineticLangevinSpec:
-    """Damped-gradient force: ``U(x, v) = -alpha_damp v - beta grad U0(x)``."""
+    """The damped-gradient system: ``U(x, v) = -alpha_damp v - beta grad U0(x)``
+    and the coefficients ``a >= 0``, ``b > 0`` of ``dX = (a X + b V) dt``."""
 
     alpha_damp: float
     beta: float
     potential: object
     dim: int = 1
+    a: float = 0.0
+    b: float = 1.0
 
     def __post_init__(self):
         if self.alpha_damp < 0 or self.beta < 0:
             raise ValueError("alpha_damp and beta must be non-negative")
+        _check_coefficients(self.a, self.b)
 
     def force(self, x, v):
         return -self.alpha_damp * np.asarray(v, dtype=float) - self.beta * self.potential.grad(x)
 
-    def system(self, a: float = 0.0, b: float = 1.0) -> HamiltonianSystemSpec:
-        return HamiltonianSystemSpec(a=a, b=b, force=self.force, dim=self.dim)
 
-
-def drift(spec: HamiltonianSystemSpec, x, v):
-    """Deterministic drift ``(a x + b v, U(x, v))`` with a finiteness guard."""
+def drift(spec: HamiltonianSystemSpec | KineticLangevinSpec, x, v):
+    """Deterministic drift ``(a x + b v, U(x, v))``; a force that is not finite
+    (overflow included) raises NonFiniteForce naming its first such point."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    u = np.asarray(spec.force(x, v), dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise NonFiniteForce(f"force not finite at x={x}, v={v}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.asarray(spec.force(x, v), dtype=float)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        k = tuple(np.argwhere(bad)[0][:-1])
+        raise NonFiniteForce(f"force not finite at x={np.broadcast_to(x, u.shape)[k]}, "
+                             f"v={np.broadcast_to(v, u.shape)[k]}")
     return spec.a * x + spec.b * v, u
 
 
@@ -433,7 +447,7 @@ class LyapunovSpec:
                 + t2 * (t2 - 1.0) * V ** (t2 - 2.0) * (g[..., :, None] * g[..., None, :]))
 
 
-def gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec, x, v):
+def gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec | KineticLangevinSpec, x, v):
     """``<grad_x V, ax+bv> + <grad_v V, U(x, v)>`` over leading axes."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -458,15 +472,14 @@ class QuadraticFormChoice:
 
 
 def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate,
-                          system: HamiltonianSystemSpec, grid_radius: float = 20.0,
-                          n_grid: int = 61) -> QuadraticFormChoice:
+                          grid_radius: float = 20.0, n_grid: int = 61) -> QuadraticFormChoice:
     """Pick the cross weight, scale, and Young split of the quadratic form.
 
     Sets ``r0_cross = alpha_damp / 2`` and places ``r`` at the midpoint of
     the window where ``(r^2 + 2 beta lam4 - alpha r0)^2`` stays below
     ``4 beta (lam1 - lam2 lam4)(alpha - r0) r0``; the Young parameter is the
     geometric mean of its admissible interval, and the returned ``(c, C)``
-    are validated on the default grid for ``system``.
+    are validated on the default grid for the system ``langevin``.
     """
     alpha, beta = langevin.alpha_damp, langevin.beta
     lam_eff = cert.lam1 - cert.lam2 * cert.lam4
@@ -507,7 +520,7 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
     # validate on the grid and, if needed, raise C (conservative direction)
     v0 = build_position_weight(langevin, cert)
     lyap = LyapunovSpec(r=r, r0_cross=r0, theta=1.0, v0=v0, dim=langevin.dim)
-    worst = _grid_drift_excess(lyap, system, v0, c, grid_radius, n_grid)
+    worst = _grid_drift_excess(lyap, langevin, v0, c, grid_radius, n_grid)
     big_c = max(big_c, 1.1 * max(worst, 0.0))
     return QuadraticFormChoice(r0, r, eps, c, big_c, (lo, hi))
 
@@ -521,11 +534,11 @@ class LyapunovSetup:
     lyap: LyapunovSpec
 
 
-def build_lyapunov(langevin: KineticLangevinSpec, system: HamiltonianSystemSpec,
-                   grid_radius: float = 20.0, theta: float = 1.0) -> LyapunovSetup:
-    """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``system``."""
+def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0,
+                   theta: float = 1.0) -> LyapunovSetup:
+    """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``langevin``."""
     cert, source = certificate_with_fallback(langevin.potential, langevin.dim, grid_radius)
-    choice = choose_quadratic_form(langevin, cert, system, grid_radius)
+    choice = choose_quadratic_form(langevin, cert, grid_radius)
     lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta,
                         v0=build_position_weight(langevin, cert), dim=langevin.dim,
                         drift_c=choice.c, drift_C=choice.C)
@@ -534,11 +547,13 @@ def build_lyapunov(langevin: KineticLangevinSpec, system: HamiltonianSystemSpec,
 
 def _grid_drift_excess(lyap, spec, v0, c, grid_radius, n_grid):
     x, v = grid_pairs(grid_radius, n_grid, spec.dim, include_origin=False)
+    # the drift first: it names a non-finite force before the weight can overflow
+    gamma = gamma_drift(lyap, spec, x, v)
     bound = c * (v0.value(x) + np.sum(x * x, axis=-1) + np.sum(v * v, axis=-1))
-    return float(np.max(gamma_drift(lyap, spec, x, v) + bound))
+    return float(np.max(gamma + bound))
 
 
-def verify_gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec,
+def verify_gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec | KineticLangevinSpec,
                        grid_radius: float = 20.0, n_grid: int = 61) -> dict:
     """Grid check of ``Gamma <= -c (V0 + |x|^2 + |v|^2) + C`` for the stored constants."""
     if lyap.drift_c is None or lyap.drift_C is None:
@@ -559,8 +574,7 @@ def _abs_increment_integral(lyap: LyapunovSpec, slice_m: SliceMeasure, x, v):
         u, w = log_gauss_panels(1e-12, 1.0, panels_per_decade=4, nodes_per_panel=12,
                                 breakpoints=breakpoints)
         vals = lyap.W(x[..., None, :], v[..., None, :] + u[:, None]) - np.expand_dims(base, -1)
-        dens = slice_m.c * u ** (-1.0 - slice_m.theta0)
-        return np.sum(np.abs(vals) * dens * w, axis=-1), u, vals
+        return np.sum(np.abs(vals) * slice_m.density(u[:, None]) * w, axis=-1), u, vals
 
     base = np.asarray(lyap.W(x, v))
     out, u, vals = integral(x, v, base)

@@ -68,6 +68,10 @@ class SimConfig:
             raise ValueError("h and delta must be positive, horizon non-negative")
         if self.n_save < 1:
             raise ValueError("need at least one snapshot")
+        if self.n_replicas < 1:
+            raise ValueError(f"n_replicas must be at least 1, got {self.n_replicas}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def save_times(self) -> np.ndarray:
         if self.horizon == 0.0 or self.n_save == 1:

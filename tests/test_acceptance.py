@@ -171,7 +171,7 @@ def test_criterion_06_weight_drift(bench):
 
 def test_criterion_07_marginal_law(bench):
     t0 = time.monotonic()
-    free = md.KineticLangevinSpec(0.0, 0.0, md.Quadratic(1.0), dim=1).system()
+    free = md.KineticLangevinSpec(0.0, 0.0, md.Quadratic(1.0), dim=1)
     cfg = sim.SimConfig(h=0.01, delta=1e-3, horizon=1.0, n_save=2, seed=707,
                         n_replicas=10_000)
     trs = sim.run_pair_ensemble(free, bench.levy, cfg,

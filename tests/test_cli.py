@@ -118,7 +118,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", ["[levy]\nc = -1.0\n", "[sim]\nn_save = 0\n",
                                       "[model]\nalpha_damp = -1.0\n",
-                                      "[levy]\nkind = stable\nalpha0 = 2.5\n"])
+                                      "[levy]\nkind = stable\nalpha0 = 2.5\n",
+                                      "[sim]\nn_replicas = 0\n", "[sim]\nseed = -4\n"])
     def test_out_of_range_value_is_one(self, tmp_path, capsys, text):
         path = write(tmp_path, text)
         code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
@@ -127,6 +128,15 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error")
         section = text.split("]")[0] + "]"
         assert section in err[0]
+
+    @pytest.mark.parametrize("argv", [["rate", "--replicas", "0"], ["couple", "--replicas", "-3"],
+                                      ["equilibrium", "--replicas", "0"], ["rate", "--seed", "-1"],
+                                      ["verify", "--which", "operator-identities", "--seed", "-1"]])
+    def test_out_of_range_override_is_one(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: [sim]")
+        assert not (tmp_path / "run_manifest.json").exists()
 
     def test_constants_benchmark(self, tmp_path):
         code = cli.main(["constants", "--out", str(tmp_path)])
@@ -164,6 +174,14 @@ class TestExitCodes:
         assert payload["passed"] is passed and code == (0 if passed else 2)
         assert (payload["worst_excess"] < 0) is passed
 
+    def test_verify_f1_overflowing_force_is_one_line(self, tmp_path, capsys):
+        # the exponential well's force overflows on F1's outer grid
+        path = write(tmp_path, DEGENERATE_CHAIN)
+        code = cli.main(["verify", "--which", "F1", "--config", path, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("NonFiniteForce: ")
+
     def test_constants_degenerate_system_flagged(self, tmp_path):
         # zero damping and zero force weight kill the quadratic-form window
         path = write(tmp_path, "[model]\nalpha_damp = 0.0\nbeta = 0.0\n")
@@ -198,6 +216,14 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["outputs"] == [str(tmp_path / "rate.json")]
 
+    def test_rate_one_replica_collapses_the_ci(self, tmp_path):
+        # one replica has no spread to bootstrap: the CI is the fit itself
+        path = write(tmp_path, QUICK)
+        assert cli.main(["rate", "--config", path, "--replicas", "1",
+                         "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "rate.json").read_text())
+        assert payload["ci_low"] == payload["ci_high"] == payload["lambda_fit"]
+
     def test_rate_quick_run(self, tmp_path):
         path = write(tmp_path, QUICK)
         code = cli.main(["rate", "--config", path, "--out", str(tmp_path)])
@@ -214,11 +240,14 @@ class TestExitCodes:
 
     def test_unsupported_dimension_is_one(self, tmp_path, capsys):
         path = write(tmp_path, "[levy]\ndim = 2\n[model]\ndim = 2\n")
-        for argv in (["rate", "--replicas", "2"], ["verify", "--which", "A2"]):
+        for argv in (["rate", "--replicas", "2"], ["couple", "--replicas", "2"], ["constants"],
+                     *(["verify", "--which", which]
+                       for which in ("A2", "f-props", "operator-identities"))):
             code = cli.main(argv + ["--config", path, "--out", str(tmp_path)])
             assert code == 1
-            err = capsys.readouterr().err
-            assert "dim" in err and len(err.strip().splitlines()) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("unsupported dimension (levy dim = 2, model dim = 2): ")
         for which in ("B1", "F1"):
             code = cli.main(["verify", "--which", which, "--config", path,
                              "--out", str(tmp_path)])

@@ -64,7 +64,7 @@ class TestLipschitz:
 
     def test_radius_monotone(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
-        sys_ = kl.system()
+        sys_ = kl
         vals = [cn.compute_lipschitz(sys_, r, n_pairs=2048, inflate=1.0)
                 for r in (2.0, 4.0, 8.0)]
         assert vals[0] <= vals[1] <= vals[2]

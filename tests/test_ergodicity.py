@@ -126,7 +126,7 @@ class TestEstimateDecay:
 
 class TestEquilibrium:
     def test_identical_runs_zero_distance(self, benchmark_levy, benchmark_langevin):
-        sys_ = benchmark_langevin.system()
+        sys_ = benchmark_langevin
         cfg = sim.SimConfig(h=0.05, delta=5e-3, horizon=3.0, n_save=7, seed=11,
                             n_replicas=30)
         out = erg.equilibrium_diagnostics(sys_, benchmark_levy, cfg,
@@ -145,7 +145,7 @@ class TestEquilibrium:
                                         ([3.0], [3.0]), ([3.0], [3.0]))
 
     def test_benchmark_probe(self, benchmark_levy, benchmark_langevin):
-        sys_ = benchmark_langevin.system()
+        sys_ = benchmark_langevin
         cfg = sim.SimConfig(h=0.02, delta=5e-3, horizon=40.0, n_save=21, seed=19,
                             n_replicas=300)
         out = erg.equilibrium_diagnostics(sys_, benchmark_levy, cfg,

@@ -123,7 +123,7 @@ class TestApplyGenerator:
         # same numpy array route (one leading axis) exactly; a float call at one
         # point evaluates W's power with numpy's scalar ** and may differ from
         # the array ** in the last bits, which the value carries as a few ulps
-        system = benchmark_langevin.system()
+        system = benchmark_langevin
         f = gen.lyapunov_test_function(benchmark_lyap)
         xs = md.ball_grid(20.0, 5, 1, include_origin=True)
         vs = md.ball_grid(20.0, 7, 1, include_origin=True)

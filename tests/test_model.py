@@ -23,20 +23,20 @@ def zero_potential():
 class TestDrift:
     def test_quadratic_hand_case(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
-        xdot, vdot = md.drift(kl.system(), np.array([1.0]), np.array([2.0]))
+        xdot, vdot = md.drift(kl, np.array([1.0]), np.array([2.0]))
         np.testing.assert_allclose(xdot, [2.0])
         np.testing.assert_allclose(vdot, [-3.0])
 
     def test_symmetric_origin(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
-        xdot, vdot = md.drift(kl.system(), np.zeros(1), np.zeros(1))
+        xdot, vdot = md.drift(kl, np.zeros(1), np.zeros(1))
         np.testing.assert_array_equal(xdot, [0.0])
         np.testing.assert_array_equal(vdot, [0.0])
 
     def test_double_well_gradient_hand_case(self):
         # d/dx [(1+x^2)^2 - 2 x^2] at 1: 4x(1+x^2) - 4x = 4
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
-        _, vdot = md.drift(kl.system(), np.array([1.0]), np.array([0.0]))
+        _, vdot = md.drift(kl, np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(vdot, [-4.0], rtol=1e-14)
 
     def test_non_finite_force(self):
@@ -154,15 +154,15 @@ class TestGammaDrift:
 
     def test_zero_at_origin(self):
         kl, ly = self._setup()
-        assert md.gamma_drift(ly, kl.system(), np.zeros(1), np.zeros(1)) == 0.0
+        assert md.gamma_drift(ly, kl, np.zeros(1), np.zeros(1)) == 0.0
 
     def test_hand_case(self):
         kl, ly = self._setup()
-        got = md.gamma_drift(ly, kl.system(), np.array([1.0]), np.array([0.0]))
+        got = md.gamma_drift(ly, kl, np.array([1.0]), np.array([0.0]))
         assert got == pytest.approx(-0.5, rel=1e-14)
 
     def test_grid_drift_excess_matches_points(self, benchmark_langevin, benchmark_lyap):
-        system = benchmark_langevin.system()
+        system = benchmark_langevin
         c = benchmark_lyap.drift_c
         xs = md.ball_grid(20.0, 61, 1)
         worst = max(md.gamma_drift(benchmark_lyap, system, x, v)
@@ -179,18 +179,18 @@ class TestGammaDrift:
     def test_grid_drift_bound(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
         cert = md.PotentialCertificate(lam1=1.0)
-        choice = md.choose_quadratic_form(kl, cert, kl.system())
+        choice = md.choose_quadratic_form(kl, cert)
         v0 = md.build_position_weight(kl, cert)
         ly = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=1.0, v0=v0,
                              dim=1, drift_c=choice.c, drift_C=choice.C)
-        rep = md.verify_gamma_drift(ly, kl.system())
+        rep = md.verify_gamma_drift(ly, kl)
         assert rep["passed"]
 
 
 class TestQuadraticFormChoice:
     def test_hand_window(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
-        choice = md.choose_quadratic_form(kl, md.PotentialCertificate(lam1=1.0), kl.system())
+        choice = md.choose_quadratic_form(kl, md.PotentialCertificate(lam1=1.0))
         assert choice.r0_cross == pytest.approx(0.5)
         lo, hi = choice.r_window
         assert lo == pytest.approx(0.5, rel=1e-12)
@@ -207,14 +207,14 @@ class TestQuadraticFormChoice:
         kl = md.KineticLangevinSpec(alpha, beta, md.Quadratic(1.0), dim=1)
         cert = md.PotentialCertificate(lam1=lam1, lam2=lam2, lam4=lam4)
         with pytest.raises(EmptyWindow):
-            md.choose_quadratic_form(kl, cert, kl.system())
+            md.choose_quadratic_form(kl, cert)
 
     def test_drift_constant_sized_on_the_given_system(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
         cert = md.auto_certificate(kl.potential)
-        wide = kl.system(b=2.0)
-        choice = md.choose_quadratic_form(kl, cert, wide)
-        assert choice.C > md.choose_quadratic_form(kl, cert, kl.system()).C
+        wide = md.KineticLangevinSpec(1.0, 1.0, kl.potential, dim=1, b=2.0)
+        choice = md.choose_quadratic_form(wide, cert)
+        assert choice.C > md.choose_quadratic_form(kl, cert).C
         ly = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=1.0,
                              v0=md.build_position_weight(kl, cert), dim=1,
                              drift_c=choice.c, drift_C=choice.C)
@@ -225,7 +225,7 @@ class TestQuadraticFormChoice:
     def test_young_split_positive(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
         cert = md.auto_certificate(kl.potential)
-        choice = md.choose_quadratic_form(kl, cert, kl.system())
+        choice = md.choose_quadratic_form(kl, cert)
         lam_eff = cert.lam1 - cert.lam2 * cert.lam4
         K = choice.r ** 2 + 2.0 * cert.lam4 - 0.5
         assert 1.0 - choice.r0_cross - choice.eps_young * K ** 2 / 4.0 > 0

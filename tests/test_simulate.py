@@ -39,7 +39,7 @@ def well_runaway_system():
 
 def free_scalar_system():
     # zero force built from a potential, as acceptance criterion 7 uses
-    return md.KineticLangevinSpec(0.0, 0.0, md.Quadratic(1.0), dim=1).system()
+    return md.KineticLangevinSpec(0.0, 0.0, md.Quadratic(1.0), dim=1)
 
 
 def density_at(levy, u):
@@ -181,7 +181,7 @@ class TestFloatWalkParity:
     @pytest.mark.parametrize("name", sorted(LEVIES))
     def test_window_bitwise_equal_to_reference(self, name, benchmark_langevin):
         levy = LEVIES[name]()
-        system = benchmark_langevin.system()
+        system = benchmark_langevin
         comp = levy.measure.compensation_drift(1e-3)
         rng = np.random.default_rng(sorted(LEVIES).index(name))
         branches = set()
@@ -278,14 +278,14 @@ class TestClassify:
 class TestPairSimulation:
     def test_diagonal_absorption(self, benchmark_levy, benchmark_langevin):
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=5, n_replicas=5)
-        for tr in sim.run_pair_ensemble(benchmark_langevin.system(), benchmark_levy, cfg,
+        for tr in sim.run_pair_ensemble(benchmark_langevin, benchmark_levy, cfg,
                                         PairState([1.3], [-0.4], [1.3], [-0.4]), 1.0, 0.25):
             assert np.array_equal(tr.x, tr.xp)
             assert np.array_equal(tr.v, tr.vp)
 
     def test_zero_horizon(self, benchmark_levy, benchmark_langevin):
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=0.0, n_save=1, seed=5)
-        tr, = sim.run_pair_ensemble(benchmark_langevin.system(), benchmark_levy, cfg,
+        tr, = sim.run_pair_ensemble(benchmark_langevin, benchmark_levy, cfg,
                                     PairState([1.0], [0.0], [0.0], [0.0]), 1.0, 0.25)
         assert len(tr.times) == 1
         np.testing.assert_array_equal(tr.x[0], [1.0])
@@ -298,7 +298,7 @@ class TestPairSimulation:
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=4.0, n_save=9, seed=21, n_replicas=10)
         for potential in (md.DoubleWellPoly(1.0, 2.0, 2.0), md.DoubleWellPoly(1.0, 2.0, 1.7),
                           md.DoubleWellExp(0.5, 1.1, 1.0)):
-            sys_ = md.KineticLangevinSpec(1.0, 1.0, potential, dim=1).system()
+            sys_ = md.KineticLangevinSpec(1.0, 1.0, potential, dim=1)
             pairs = sim.run_pair_ensemble(sys_, benchmark_levy, cfg,
                                           PairState([1.0], [0.5], [0.0], [0.0]), 1.0, 0.0)
             singles = sim.run_single_ensemble(sys_, benchmark_levy, cfg, [1.0], [0.5])
@@ -307,7 +307,7 @@ class TestPairSimulation:
                 assert np.array_equal(tr.v, single.v), potential
 
     def test_determinism(self, benchmark_levy, benchmark_langevin):
-        sys_ = benchmark_langevin.system()
+        sys_ = benchmark_langevin
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=33, n_replicas=3)
         p0 = PairState([2.0], [0.0], [-2.0], [0.0])
         a = sim.run_pair_ensemble(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
@@ -330,7 +330,7 @@ class TestPairSimulation:
 
     def test_role_reversal_statistics(self, benchmark_levy, benchmark_langevin):
         # swapping the copies changes paths but not the decay curve in law
-        sys_ = benchmark_langevin.system()
+        sys_ = benchmark_langevin
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=8.0, n_save=5, seed=77,
                             n_replicas=300)
         fwd = sim.run_pair_ensemble(sys_, benchmark_levy, cfg,
@@ -359,7 +359,7 @@ class TestPairSimulation:
         assert np.isnan(tr.x[-1, 0])
 
     def test_step_pair_is_one_window_of_the_ensemble(self, benchmark_levy, benchmark_langevin):
-        sys_ = benchmark_langevin.system()
+        sys_ = benchmark_langevin
         cfg = sim.SimConfig(h=0.2, delta=1e-3, horizon=0.2, n_save=2, seed=3, n_replicas=3)
         p0 = PairState([0.5], [0.2], [-0.5], [0.1])
         trs = sim.run_pair_ensemble(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
@@ -552,7 +552,7 @@ class TestPairKernelBeyondSlice:
         # heavy tails blow explicit Euler up on some seeds; both copies are
         # then flagged and NaN-filled alike
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=5, n_replicas=10)
-        for tr in sim.run_pair_ensemble(benchmark_langevin.system(), beyond_slice_levy, cfg,
+        for tr in sim.run_pair_ensemble(benchmark_langevin, beyond_slice_levy, cfg,
                                         PairState([1.3], [-0.4], [1.3], [-0.4]), 1.0, 0.25):
             assert np.array_equal(tr.x, tr.xp, equal_nan=True)
             assert np.array_equal(tr.v, tr.vp, equal_nan=True)
@@ -578,7 +578,7 @@ class TestPairBatch:
     def test_first_replicas_equal_a_smaller_run(self, benchmark_langevin):
         levy = BEYOND_SLICE["stable"]()
         cfg = sim.SimConfig(h=0.02, delta=1e-3, horizon=5.0, n_save=11, seed=3, n_replicas=12)
-        args = (benchmark_langevin.system(), levy)
+        args = (benchmark_langevin, levy)
         p0 = PairState([2.0], [0.0], [-2.0], [0.0])
         big = sim.run_pair_ensemble(*args, cfg, p0, 1.0, 0.25)
         small = sim.run_pair_ensemble(*args, dataclasses.replace(cfg, n_replicas=5), p0,
@@ -593,10 +593,10 @@ class TestPairBatch:
 SINGLE_BATCHES = {
     # (system, levy, x0, v0) factories; the second blows some replicas up
     "benchmark": lambda: (
-        md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1).system(),
+        md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1),
         ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 1), theta=1.0), [2.0], [0.0]),
     "stable-2d": lambda: (
-        md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=2).system(),
+        md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=2),
         ms.LevyMeasureSpec(ms.IsotropicStable(0.8, dim=2), theta=0.5), [1.0, -0.5], [0.0, 0.2]),
 }
 
