@@ -13,6 +13,11 @@ out-of-range --seed/--replicas included) or a dimension the command does
 not implement, 2 completed with flags (degenerate
 constants, failed verification, insufficient decay, an ensemble with no
 surviving replica).
+``main`` builds the run's ``RunManifest`` (out dir, config hash, seed, and
+the command, ``verify:<suite>`` for verify) and hands it to the command,
+which writes every data file through it. ``main`` writes
+``run_manifest.json`` once the command returns: a config or usage error,
+or an exception exit such as ``NonFiniteForce:``, leaves none.
 Outputs are bitwise-stable given (config, seed); the manifest additionally
 records wall-clock timings (for ``rate``, also per stage: ``constants_s``,
 ``ensemble_s``, ``decay_fit_s`` for the cost, fit and bootstrap, and
@@ -23,7 +28,7 @@ together, window by window.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 import time
@@ -40,20 +45,6 @@ from .errors import ConfigError, InsufficientDecay, LevyhamError
 from .pair import PairState
 
 __all__ = ["main"]
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-
-
-def _write_csv(path, header, columns):
-    rows = np.column_stack(columns)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _chain_exit(rep: cn.ConstantsReport) -> int:
@@ -81,24 +72,16 @@ def _bundle_from(cfg: ExperimentConfig) -> cn.ConstantsBundle:
 # ---------------------------------------------------------------------------
 
 
-def cmd_constants(cfg: ExperimentConfig, out: str, seed: int) -> int:
-    manifest = RunManifest(cfg.config_hash(), seed, "constants")
+def cmd_constants(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     bundle = _bundle_from(cfg)
     rep = bundle.report
-    payload = rep.to_dict()
-    payload["positivity_violations"] = rep.positivity_violations()
-    payload["monitor_is_fallback"] = bundle.monitor_is_fallback
-    path = os.path.join(out, "constants.json")
-    _write_json(path, payload)
-    manifest.outputs.append(path)
-
+    manifest.write_json("constants.json", {
+        **dataclasses.asdict(rep), "positivity_violations": rep.positivity_violations(),
+        "monitor_is_fallback": bundle.monitor_is_fallback})
     s_grid = np.geomspace(max(rep.R0 * 1e-9, 1e-12), 2.0 * rep.R0, 512)
-    path_csv = os.path.join(out, "profile_curve.csv")
-    _write_csv(path_csv, ["s", "f", "f_slope", "g"],
-               [s_grid, bundle.profile.value(s_grid), bundle.profile.slope(s_grid),
-                bundle.profile.g(s_grid)])
-    manifest.outputs.append(path_csv)
-    manifest.finish(os.path.join(out, "run_manifest.json"))
+    manifest.write_csv("profile_curve.csv", ["s", "f", "f_slope", "g"],
+                       [s_grid, bundle.profile.value(s_grid), bundle.profile.slope(s_grid),
+                        bundle.profile.g(s_grid)])
     return _chain_exit(rep)
 
 
@@ -109,10 +92,7 @@ def _verify_b1(cfg, seed):
     rep = md.verify_certificate(pot, cert, cfg.lyapunov["grid_radius"],
                                 cfg.lyapunov["grid_points"] * 10, langevin.dim,
                                 langevin.alpha_damp, langevin.beta)
-    payload = rep.to_dict()
-    payload["certificate"] = {k: getattr(cert, k) for k in
-                              ("lam1", "lam2", "lam3", "lam4", "lam5")}
-    payload["certificate_source"] = source
+    payload = {**dataclasses.asdict(rep), "certificate": cert, "certificate_source": source}
     return payload, rep.passed
 
 
@@ -122,8 +102,7 @@ def _verify_f1(cfg, seed):
     setup = md.build_lyapunov(langevin, radius, cfg.levy["theta"])
     # C is sized within the grid radius: check out to twice it at the same spacing
     rep = md.verify_gamma_drift(setup.lyap, langevin, 2.0 * radius, 2 * n - 1)
-    payload = {"choice": setup.choice.to_dict(), **rep}
-    return payload, rep["passed"]
+    return {"choice": setup.choice, **rep}, rep["passed"]
 
 
 def _verify_a2(cfg, seed):
@@ -186,57 +165,39 @@ _VERIFY = {
 }
 
 
-def cmd_verify(cfg: ExperimentConfig, out: str, seed: int, which: str) -> int:
-    if which not in _VERIFY:
-        raise ConfigError(f"unknown check suite {which!r}; choose from {sorted(_VERIFY)}")
-    manifest = RunManifest(cfg.config_hash(), seed, f"verify:{which}")
-    payload, passed = _VERIFY[which](cfg, seed)
-    payload["which"] = which
-    payload["passed"] = bool(passed)
-    path = os.path.join(out, f"verify_{which.replace('-', '_')}.json")
-    _write_json(path, payload)
-    manifest.outputs.append(path)
-    manifest.finish(os.path.join(out, "run_manifest.json"))
+def cmd_verify(cfg: ExperimentConfig, manifest: RunManifest, which: str) -> int:
+    payload, passed = _VERIFY[which](cfg, manifest.seed)
+    manifest.write_json(f"verify_{which.replace('-', '_')}.json",
+                        {**payload, "which": which, "passed": bool(passed)})
     return 0 if passed else 2
 
 
-def cmd_rate(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -> int:
-    manifest = RunManifest(cfg.config_hash(), seed, "rate")
+def cmd_rate(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | None) -> int:
     t0 = time.monotonic()
     bundle = _bundle_from(cfg)
     manifest.timings["constants_s"] = time.monotonic() - t0
-    sim_cfg = cfg.build_sim(seed=seed, n_replicas=replicas)
-    x0, v0, xp0, vp0 = cfg.initial_pair()
+    sim_cfg = cfg.build_sim(seed=manifest.seed, n_replicas=replicas)
     try:
-        report = erg.estimate_decay(bundle, sim_cfg, PairState(x0, v0, xp0, vp0))
+        report = erg.estimate_decay(bundle, sim_cfg, PairState(*cfg.initial_pair()))
     except InsufficientDecay as exc:
-        path = os.path.join(out, "rate.json")
-        _write_json(path, {"error": "InsufficientDecay", "detail": str(exc)})
-        manifest.outputs.append(path)
-        manifest.finish(os.path.join(out, "run_manifest.json"))
+        manifest.write_json("rate.json", {"error": "InsufficientDecay", "detail": str(exc)})
         return 2
-    manifest.timings.update(report.timings)
     t0 = time.monotonic()
-    path = os.path.join(out, "rate.json")
-    _write_json(path, report.to_dict())
-    manifest.outputs.append(path)
-    path_csv = os.path.join(out, "decay_curve.csv")
+    payload = dataclasses.asdict(report)
+    manifest.timings.update(payload.pop("timings"))
+    manifest.write_json("rate.json", payload)
     safe_log = np.where(report.means > 0, np.log(np.maximum(report.means, 1e-300)), np.nan)
-    _write_csv(path_csv, ["t", "mean", "se", "log_mean"],
-               [report.times, report.means, report.ses, safe_log])
-    manifest.outputs.append(path_csv)
+    manifest.write_csv("decay_curve.csv", ["t", "mean", "se", "log_mean"],
+                       [report.times, report.means, report.ses, safe_log])
     manifest.timings["io_s"] = time.monotonic() - t0
-    manifest.finish(os.path.join(out, "run_manifest.json"))
     return _chain_exit(bundle.report)
 
 
-def cmd_couple(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -> int:
-    manifest = RunManifest(cfg.config_hash(), seed, "couple")
+def cmd_couple(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | None) -> int:
     bundle = _bundle_from(cfg)
-    sim_cfg = cfg.build_sim(seed=seed, n_replicas=replicas)
-    x0, v0, xp0, vp0 = cfg.initial_pair()
+    sim_cfg = cfg.build_sim(seed=manifest.seed, n_replicas=replicas)
     trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, sim_cfg,
-                                         PairState(x0, v0, xp0, vp0),
+                                         PairState(*cfg.initial_pair()),
                                          bundle.report.alpha, bundle.report.kappa)
     hhat, gfn = bundle.monitor_fns()
     prod = gen.ProductPairFn(hhat, gfn)
@@ -252,17 +213,14 @@ def cmd_couple(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None)
         names += ["r", "psi_tilde"]
         cols += [path_state.r(bundle.report.alpha, bundle.monitor_alpha0),
                  prod.value(path_state)]
-        path = os.path.join(out, f"trajectory_{idx:04d}.csv")
-        _write_csv(path, names, cols)
-        manifest.outputs.append(path)
-    manifest.finish(os.path.join(out, "run_manifest.json"))
+        manifest.write_csv(f"trajectory_{idx:04d}.csv", names, cols)
     return _chain_exit(bundle.report)
 
 
-def cmd_equilibrium(cfg: ExperimentConfig, out: str, seed: int, replicas: int | None) -> int:
-    manifest = RunManifest(cfg.config_hash(), seed, "equilibrium")
+def cmd_equilibrium(cfg: ExperimentConfig, manifest: RunManifest,
+                    replicas: int | None) -> int:
     levy = cfg.build_levy()
-    sim_cfg = cfg.build_sim(seed=seed, n_replicas=replicas)
+    sim_cfg = cfg.build_sim(seed=manifest.seed, n_replicas=replicas)
     if sim_cfg.n_save < 3:
         raise ConfigError("equilibrium diagnostics need sim n_save >= 3")
     x0, v0, xp0, vp0 = cfg.initial_pair()
@@ -273,10 +231,7 @@ def cmd_equilibrium(cfg: ExperimentConfig, out: str, seed: int, replicas: int | 
         payload["threshold"] = threshold
         payload["within_threshold"] = bool(payload["cross_distance"] <= threshold
                                            and payload["stationarity_distance"] <= threshold)
-    path = os.path.join(out, "equilibrium.json")
-    _write_json(path, payload)
-    manifest.outputs.append(path)
-    manifest.finish(os.path.join(out, "run_manifest.json"))
+    manifest.write_json("equilibrium.json", payload)
     if threshold is not None and not payload["within_threshold"]:
         return 2
     return 0
@@ -325,13 +280,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
+    command = f"verify:{args.which}" if args.command == "verify" else args.command
+    manifest = RunManifest(cfg.config_hash(), seed, command, out=args.out)
 
     try:
         if args.command == "constants":
-            return cmd_constants(cfg, args.out, seed)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out, seed, args.which)
-        return _COMMANDS[args.command](cfg, args.out, seed, args.replicas)
+            code = cmd_constants(cfg, manifest)
+        elif args.command == "verify":
+            code = cmd_verify(cfg, manifest, args.which)
+        else:
+            code = _COMMANDS[args.command](cfg, manifest, args.replicas)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -342,6 +300,9 @@ def main(argv=None) -> int:
     except LevyhamError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    # only a command that returns leaves a manifest
+    manifest.finish()
+    return code
 
 
 if __name__ == "__main__":

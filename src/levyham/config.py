@@ -16,9 +16,11 @@ A config file has flat ``key = value`` tables, one nesting level::
 
 Unknown sections or keys are rejected with the offending line number, and
 so is a ``[levy]`` key that only the other ``kind`` reads.
-Every run emits a manifest with the config hash, seed, library versions,
-and produced files; data outputs are bitwise-stable for a fixed
-(config, seed) pair, while the manifest additionally records wall times.
+A run's ``RunManifest`` writes every file of the run: the data files (a
+JSON report serialises from its dataclass fields) and ``run_manifest.json``
+with the config hash, seed, library versions, timings and output list.
+Data outputs are bitwise-stable for a fixed (config, seed); only the
+manifest records wall times.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 import scipy
@@ -264,32 +267,67 @@ def _validate_physics(cfg: ExperimentConfig):
                           f"{cfg.model['dim']} must be equal")
 
 
+def _jsonable(obj):
+    # the dump's hook: a report dataclass becomes its fields, a numpy value a list or scalar
+    if is_dataclass(obj):
+        return asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+
+
+def _dump_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        fh.write("\n")
+
+
 @dataclass
 class RunManifest:
-    """Provenance record written next to every command's outputs."""
+    """Provenance record of one run, and the one writer of the run's files.
+
+    ``write_json`` and ``write_csv`` write a data file under ``out`` and
+    record its path; ``finish`` adds the total wall time and the library
+    versions and writes ``run_manifest.json`` next to them.
+    """
 
     config_hash: str
     seed: int
     command: str
+    out: str = "."
     versions: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     started: float = field(default_factory=time.monotonic)
 
-    def finish(self, path):
+    def _record(self, name: str) -> str:
+        path = os.path.join(self.out, name)
+        self.outputs.append(path)
+        return path
+
+    def write_json(self, name: str, payload) -> None:
+        _dump_json(self._record(name), payload)
+
+    def write_csv(self, name: str, header, columns) -> None:
+        """One row per entry of the equal-length ``columns``, each value as ``repr(float)``."""
+        rows = np.column_stack(columns)
+        with open(self._record(name), "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+    def finish(self) -> None:
         self.timings["total_s"] = time.monotonic() - self.started
         self.versions = {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "command": self.command,
-                "versions": self.versions,
-                "timings": self.timings,
-                "outputs": self.outputs,
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(os.path.join(self.out, "run_manifest.json"), {
+            "config_hash": self.config_hash,
+            "seed": self.seed,
+            "command": self.command,
+            "versions": self.versions,
+            "timings": self.timings,
+            "outputs": self.outputs,
+        })

@@ -122,11 +122,13 @@ class DistanceProfile:
     def _core_value(self, s):
         return self.c1 * np.asarray(s, dtype=float) + self._integral(s)
 
+    def _decay(self, s):
+        # exp(-B s^theta0), flushed to 0 below exp(-745)
+        expo = -self.rate_coef * np.asarray(s, dtype=float) ** self.theta0
+        return np.where(expo > -745.0, np.exp(np.maximum(expo, -745.0)), 0.0)
+
     def _core_slope(self, s):
-        s = np.asarray(s, dtype=float)
-        expo = -self.rate_coef * s ** self.theta0
-        decay = np.where(expo > -745.0, np.exp(np.maximum(expo, -745.0)), 0.0)
-        return self.c1 + decay
+        return self.c1 + self._decay(s)
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -149,10 +151,7 @@ class DistanceProfile:
         return core[()]
 
     def second(self, s):
-        s = np.asarray(s, dtype=float)
-        expo = -self.rate_coef * s ** self.theta0
-        decay = np.where(expo > -745.0, np.exp(np.maximum(expo, -745.0)), 0.0)
-        return -self.c2 * decay * self.g_slope(s)
+        return -self.c2 * self._decay(s) * self.g_slope(s)
 
 
 @dataclass(frozen=True)
@@ -424,12 +423,6 @@ class ConstantsReport:
             if not ok:
                 bad.append(name)
         return bad
-
-    def to_dict(self):
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k not in ("flags", "notes")}
-        d["flags"] = list(self.flags)
-        d["notes"] = list(self.notes)
-        return d
 
 
 @dataclass(frozen=True)

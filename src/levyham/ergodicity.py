@@ -49,29 +49,10 @@ class DecayReport:
     rate_certified: float
     log_rate_certified: float
     monitor_is_fallback: bool
+    lambda_fit_exceeds_certified: bool
     # seconds spent in the pair ensemble and in the cost, fit and bootstrap;
-    # not part of to_dict, the run manifest reports them
+    # the run manifest reports them, rate.json does not
     timings: dict = field(default_factory=dict, compare=False)
-
-    def to_dict(self):
-        return {
-            "times": self.times.tolist(),
-            "means": self.means.tolist(),
-            "ses": self.ses.tolist(),
-            "lambda_fit": self.lambda_fit,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_replicas": self.n_replicas,
-            "n_blowups": self.n_blowups,
-            "fit_start": self.fit_start,
-            "fit_stop": self.fit_stop,
-            "rate_certified": self.rate_certified,
-            "log_rate_certified": self.log_rate_certified,
-            "monitor_is_fallback": self.monitor_is_fallback,
-            "lambda_fit_exceeds_certified": bool(self.lambda_fit >= self.rate_certified),
-        }
 
 
 @dataclass(frozen=True)
@@ -177,6 +158,7 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
                        rate_certified=bundle.report.rate,
                        log_rate_certified=bundle.report.log_rate,
                        monitor_is_fallback=bundle.monitor_is_fallback,
+                       lambda_fit_exceeds_certified=bool(rate >= bundle.report.rate),
                        timings={"ensemble_s": t1 - t0, "decay_fit_s": time.monotonic() - t1})
 
 

@@ -517,7 +517,9 @@ class JumpBatch:
 
 
 def _annulus_edges(cutoff: float, top: float):
-    # dyadic edges 1, 1/2, 1/4, ... shared across cutoff refinements
+    # dyadic edges 1, 1/2, 1/4, ... shared across cutoff refinements: every
+    # (k, lo, hi) has hi > cutoff and 0 < lo < 1 with k <= 60, except the
+    # unbounded annulus (63, 1, inf) of a measure with support beyond 1
     edges = []
     k = 0
     while True:
@@ -525,7 +527,7 @@ def _annulus_edges(cutoff: float, top: float):
         lo = 2.0 ** -(k + 1)
         if hi <= cutoff:
             break
-        edges.append((k, max(lo, 0.0), hi))
+        edges.append((k, lo, hi))
         if lo <= cutoff or lo < _MIN_ANNULUS_EDGE:
             break
         k += 1
@@ -577,19 +579,15 @@ def sample_large_jumps(measure, horizon: float, cutoff: float,
         raise CutoffTooSmall(
             f"expected {expected:.3g} jumps above cutoff {cutoff:g}, budget {budget:.3g}"
         )
-    top = measure.support_radius()
     parts = []
-    for k, lo, hi in _annulus_edges(cutoff, top):
-        lo_eff = max(lo, 0.0)
-        if hi <= cutoff or lo_eff >= top:
-            continue
-        mass = measure.annulus_mass(lo_eff, min(hi, math.inf))
+    for k, lo, hi in _annulus_edges(cutoff, measure.support_radius()):
+        mass = measure.annulus_mass(lo, hi)
         if mass <= 0:
             continue
-        child = _spawned_child(rng, min(k, 64))
+        child = _spawned_child(rng, k)
         n = int(child.poisson(mass * horizon))
         t = child.uniform(0.0, horizon, size=n)
-        m = measure.sample_annulus(lo_eff, hi, n, child)
+        m = measure.sample_annulus(lo, hi, n, child)
         u = child.uniform(size=n)
         keep = np.linalg.norm(m, axis=1) > cutoff
         parts.append(JumpBatch(t[keep], m[keep], u[keep]))

@@ -247,15 +247,6 @@ class CertificateReport:
     damping_margin: float | None
     passed: bool
 
-    def to_dict(self):
-        return {
-            "growth_slack": self.growth_slack,
-            "lower_slack": self.lower_slack,
-            "product_ok": self.product_ok,
-            "damping_margin": self.damping_margin,
-            "passed": self.passed,
-        }
-
 
 def grid_pairs(radius: float, n: int, dim: int, include_origin: bool):
     """Every pair ``(x, v)`` of ``ball_grid`` points, as two arrays of shape ``(m, m, dim)``."""
@@ -466,10 +457,6 @@ class QuadraticFormChoice:
     C: float
     r_window: tuple
 
-    def to_dict(self):
-        return {"r0_cross": self.r0_cross, "r": self.r, "eps_young": self.eps_young,
-                "c": self.c, "C": self.C, "r_window": list(self.r_window)}
-
 
 def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate,
                           grid_radius: float = 20.0, n_grid: int = 61) -> QuadraticFormChoice:
@@ -506,11 +493,11 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
     c_v = alpha - r0 - eps * K ** 2 / 4.0
     c_x = beta * r0 * lam_eff - 1.0 / eps
     big_c = beta * r0 * (cert.lam3 + cert.lam2 * cert.lam5)
+    v0 = build_position_weight(langevin, cert)
     if cert.lam2 > 0:
         c = min(c_v, c_x, r0 * cert.lam2)
     else:
         # fold the position weight into |x|^2 on the probe grid
-        v0 = build_position_weight(langevin, cert)
         pts = ball_grid(grid_radius, n_grid, langevin.dim)
         mu = float(np.max(v0.value(pts) / np.maximum(np.sum(pts * pts, axis=-1), 1e-12)))
         c = min(c_v, c_x / (1.0 + mu))
@@ -518,7 +505,6 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
         raise EmptyWindow("drift coefficients collapsed to zero")
 
     # validate on the grid and, if needed, raise C (conservative direction)
-    v0 = build_position_weight(langevin, cert)
     lyap = LyapunovSpec(r=r, r0_cross=r0, theta=1.0, v0=v0, dim=langevin.dim)
     worst = _grid_drift_excess(lyap, langevin, v0, c, grid_radius, n_grid)
     big_c = max(big_c, 1.1 * max(worst, 0.0))

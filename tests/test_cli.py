@@ -181,6 +181,7 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("NonFiniteForce: ")
+        assert not (tmp_path / "run_manifest.json").exists()
 
     def test_constants_degenerate_system_flagged(self, tmp_path):
         # zero damping and zero force weight kill the quadratic-form window
@@ -277,6 +278,58 @@ class TestExitCodes:
             assert len(lines) == 1 and lines[0].startswith("config error:")
             assert f"[levy] dim = {levy_dim}" in lines[0]
             assert f"[model] dim = {model_dim}" in lines[0]
+
+
+VERIFY_SUITES = ("B1", "F1", "A2", "f-props", "operator-identities")
+
+
+class TestOutputs:
+    """The run manifest lists every data file, and each report's key set is pinned."""
+
+    @pytest.mark.parametrize("argv, command", [
+        (["constants"], "constants"),
+        *((["verify", "--which", which], f"verify:{which}") for which in VERIFY_SUITES),
+        (["rate", "--replicas", "8"], "rate"),
+        (["couple", "--replicas", "2"], "couple"),
+        (["equilibrium", "--replicas", "20"], "equilibrium"),
+    ])
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, argv, command):
+        path = write(tmp_path, QUICK)
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == command
+        written = sorted(set(os.listdir(out)) - {"run_manifest.json"})
+        assert written == sorted(os.path.basename(p) for p in manifest["outputs"])
+
+    def test_report_keys(self, tmp_path):
+        # a new report field is a deliberate edit of these sets
+        for argv in (["constants"], ["verify", "--which", "B1"], ["verify", "--which", "F1"]):
+            assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        constants = json.loads((tmp_path / "constants.json").read_text())
+        assert set(constants) == {
+            "C0_lyap", "R0", "S_star", "a", "alpha", "alpha0", "alpha0_provisional", "b",
+            "c0_lyap", "c0_sigma", "c1", "c2", "c_star_A2", "c_star_profile", "eps", "eta",
+            "flags", "k0", "kappa", "lambda0", "lambda_star_R0", "log_c1", "log_eps",
+            "log_rate", "monitor_is_fallback", "notes", "position_radius",
+            "positivity_violations", "r0_jump", "rate", "theta", "theta0"}
+        b1 = json.loads((tmp_path / "verify_B1.json").read_text())
+        assert set(b1) == {"certificate", "certificate_source", "damping_margin",
+                           "growth_slack", "lower_slack", "passed", "product_ok", "which"}
+        assert set(b1["certificate"]) == {"lam1", "lam2", "lam3", "lam4", "lam5"}
+        f1 = json.loads((tmp_path / "verify_F1.json").read_text())
+        assert set(f1["choice"]) == {"C", "c", "eps_young", "r", "r0_cross", "r_window"}
+
+    def test_rate_keys_hold_no_timings(self, tmp_path):
+        path = write(tmp_path, QUICK)
+        assert cli.main(["rate", "--config", path, "--replicas", "8",
+                         "--out", str(tmp_path)]) == 0
+        rate = json.loads((tmp_path / "rate.json").read_text())
+        assert set(rate) == {
+            "ci_high", "ci_low", "fit_start", "fit_stop", "intercept", "lambda_fit",
+            "lambda_fit_exceeds_certified", "log_rate_certified", "means",
+            "monitor_is_fallback", "n_blowups", "n_replicas", "r_squared", "rate_certified",
+            "ses", "times"}
 
 
 class TestLyapunovBuilder:
@@ -386,3 +439,4 @@ decay_threshold = 0.5
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("EmptyMeasure:")
         assert not (tmp_path / "equilibrium.json").exists()
+        assert not (tmp_path / "run_manifest.json").exists()
