@@ -294,8 +294,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NotImplementedError as exc:
-        print(f"unsupported dimension (levy dim = {cfg.levy['dim']}, "
-              f"model dim = {cfg.model['dim']}): {exc}", file=sys.stderr)
+        print(f"unsupported dimension (dim = {cfg.model['dim']}): {exc}", file=sys.stderr)
         return 1
     except LevyhamError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

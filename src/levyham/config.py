@@ -6,16 +6,16 @@ A config file has flat ``key = value`` tables, one nesting level::
     kind = slice
     c = 1.0
     theta0 = 0.4
-    dim = 1
     theta = 1.0
 
     [model]
-    force = damped_gradient
     potential = double_well_poly
+    dim = 1
     ...
 
-Unknown sections or keys are rejected with the offending line number, and
-so is a ``[levy]`` key that only the other ``kind`` reads.
+``[model] dim`` is the dimension of the system and of the noise. Unknown
+sections or keys are rejected with the offending line number, and so is a
+``[levy]`` key that only the other ``kind`` reads.
 A run's ``RunManifest`` writes every file of the run: the data files (a
 JSON report serialises from its dataclass fields) and ``run_manifest.json``
 with the config hash, seed, library versions, timings and output list.
@@ -52,7 +52,6 @@ SCHEMA = {
         "theta0": (float, 0.4),
         "alpha0": (float, 1.5),
         "scale": (float, 1.0),
-        "dim": (int, 1),
         "theta": (float, 1.0),
         "slice_c": (float, None),          # optional explicit coupling slice
         "slice_theta0": (float, None),
@@ -60,7 +59,6 @@ SCHEMA = {
     "model": {
         "a": (float, 0.0),
         "b": (float, 1.0),
-        "force": (str, "damped_gradient"),
         "alpha_damp": (float, 1.0),
         "beta": (float, 1.0),
         "potential": (str, "double_well_poly"),  # double_well_poly|double_well_exp|quadratic
@@ -68,7 +66,7 @@ SCHEMA = {
         "pot_c2": (float, 2.0),
         "pot_l": (float, 2.0),
         "pot_k": (float, 1.0),
-        "dim": (int, 1),
+        "dim": (int, 1),                   # the paper's d, shared by the noise
     },
     "lyapunov": {
         "grid_radius": (float, 20.0),
@@ -124,18 +122,18 @@ class ExperimentConfig:
     # -- builders ---------------------------------------------------------
 
     def build_levy(self) -> ms.LevyMeasureSpec:
-        t = self.levy
+        t, dim = self.levy, self.model["dim"]
         if t["kind"] == "slice":
-            measure = ms.SliceMeasure(c=t["c"], theta0=t["theta0"], dim=t["dim"])
+            measure = ms.SliceMeasure(c=t["c"], theta0=t["theta0"], dim=dim)
             slice_part = None
         elif t["kind"] == "stable":
-            measure = ms.IsotropicStable(alpha0=t["alpha0"], scale=t["scale"], dim=t["dim"])
+            measure = ms.IsotropicStable(alpha0=t["alpha0"], scale=t["scale"], dim=dim)
             slice_part = None
             if t["slice_c"] is not None or t["slice_theta0"] is not None:
                 slice_part = ms.SliceMeasure(
                     c=t["slice_c"] if t["slice_c"] is not None else t["scale"],
                     theta0=t["slice_theta0"] if t["slice_theta0"] is not None else t["alpha0"],
-                    dim=t["dim"])
+                    dim=dim)
         else:
             raise ConfigError(f"unknown levy kind {t['kind']!r}")
         return ms.LevyMeasureSpec(measure=measure, theta=t["theta"], slice_part=slice_part)
@@ -153,8 +151,6 @@ class ExperimentConfig:
 
     def build_langevin(self) -> md.KineticLangevinSpec:
         t = self.model
-        if t["force"] != "damped_gradient":
-            raise ConfigError(f"unknown force kind {t['force']!r}")
         return md.KineticLangevinSpec(alpha_damp=t["alpha_damp"], beta=t["beta"],
                                       potential=self.build_potential(), dim=t["dim"],
                                       a=t["a"], b=t["b"])
@@ -262,9 +258,6 @@ def _validate_physics(cfg: ExperimentConfig):
     cfg.build_sim()
     if cfg.constants["r0_jump"] <= 0:
         raise ConfigError("constants r0_jump must be positive")
-    if cfg.levy["dim"] != cfg.model["dim"]:
-        raise ConfigError(f"[levy] dim = {cfg.levy['dim']} and [model] dim = "
-                          f"{cfg.model['dim']} must be equal")
 
 
 def _jsonable(obj):

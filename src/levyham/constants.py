@@ -213,8 +213,9 @@ def far_field_sublevel(c0: float, C0: float, c_star: float, eta: float, theta: f
     """Solve the scalar balance and invert the quadratic-form sandwich.
 
     The balance ``2 C0 + 4 c_star (S/2)^eta = c0 S / 2`` bounds the weight
-    sum on the non-contractive set; the sandwich lower bound turns that into
-    position and velocity radii.
+    sum on the non-contractive set; the lower bound ``V >= 1 + (r^2 -
+    r0^2) (|x|^2 + |v|^2 / r^2) / 4`` of the quadratic form (``V0 >= 0``)
+    turns that into position and velocity radii.
     """
     if c0 <= 0:
         raise NoRoot("the weight-drift coefficient must be positive")

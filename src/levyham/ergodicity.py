@@ -198,20 +198,21 @@ def sliced_wasserstein(A: EmpiricalMeasure, B: EmpiricalMeasure, n_projections: 
 
 
 def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
-                            init_b: tuple, independent_streams: bool = True) -> dict:
+                            init_b: tuple) -> dict:
     """Empirical stationarity probe from two initial conditions.
 
-    Runs two single-process ensembles to the horizon, compares their
-    terminal clouds, and compares the mid-horizon and terminal clouds of the
-    first ensemble as a stationarity proxy; also tracks the fractional
-    velocity moment of order ``levy.theta`` across checkpoints (heavy tails
-    rule out variances).
+    Runs two single-process ensembles to the horizon on disjoint replica
+    streams (the second's replica ``k`` is stream ``n_replicas + k``),
+    compares their terminal clouds, and compares the mid-horizon and
+    terminal clouds of the first ensemble as a stationarity proxy; also
+    tracks the fractional velocity moment of order ``levy.theta`` across
+    checkpoints (heavy tails rule out variances).
     """
     if config.n_save < 3:
         raise ValueError("need at least three snapshots for the stationarity proxy")
     ens_a = sim.run_single_ensemble(system, levy, config, *init_a)
-    offset = config.n_replicas if independent_streams else 0
-    ens_b = sim.run_single_ensemble(system, levy, config, *init_b, replica_offset=offset)
+    ens_b = sim.run_single_ensemble(system, levy, config, *init_b,
+                                    replica_offset=config.n_replicas)
 
     def cloud(ens, k):
         rows = [np.concatenate([tr.x[k], tr.v[k]]) for tr in ens if not tr.blown_up]

@@ -36,7 +36,6 @@ are dimension-generic; coupled pair simulation is one-dimensional.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,22 +107,6 @@ class TestFunction:
     grad_v: object
     hess_v: object
 
-    def check_derivatives(self, x, v, step: float = 1e-6, rtol: float = 1e-5) -> bool:
-        """Finite-difference consistency probe of both gradients."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        ok = True
-        for idx in range(x.shape[-1]):
-            e = np.zeros_like(x)
-            e[..., idx] = step
-            fd = (self.value(x + e, v) - self.value(x - e, v)) / (2 * step)
-            an = np.asarray(self.grad_x(x, v))[..., idx]
-            ok &= bool(np.all(np.abs(fd - an) <= rtol * (1.0 + np.abs(an))))
-            fd = (self.value(x, v + e) - self.value(x, v - e)) / (2 * step)
-            an = np.asarray(self.grad_v(x, v))[..., idx]
-            ok &= bool(np.all(np.abs(fd - an) <= rtol * (1.0 + np.abs(an))))
-        return ok
-
 
 def lyapunov_test_function(lyap) -> TestFunction:
     """Wrap a Lyapunov weight as a TestFunction for the generator."""
@@ -178,24 +161,13 @@ class MeasureNodes:
         return self.u[..., None]
 
 
-def _side_support(measure) -> tuple[bool, float]:
-    # (two_sided, positive support radius)
-    if isinstance(measure, ms.SliceMeasure) and measure.dim == 1:
-        return False, 1.0
-    if isinstance(measure, ms.IsotropicStable):
-        return True, math.inf
-    if isinstance(measure, ms.SumMeasure):
-        sides = [_side_support(p) for p in measure.parts]
-        return any(s[0] for s in sides), max(s[1] for s in sides)
-    raise NotImplementedError(f"node tables support 1-d measures, got {type(measure).__name__}")
-
-
 def build_nodes_1d(measure, scheme: QuadratureScheme, breakpoints=()) -> MeasureNodes:
-    """Panel Gauss-Legendre table for a one-dimensional jump measure."""
+    """Panel Gauss-Legendre table for a one-dimensional jump measure: the
+    slice on ``(0, 1]``, a stable measure on both sides out to ``rho_out``."""
     if measure.dim != 1:
         raise NotImplementedError("operator quadrature implemented for dim == 1")
-    two_sided, sup = _side_support(measure)
-    hi = min(sup, scheme.rho_out)
+    two_sided = isinstance(measure, ms.IsotropicStable)
+    hi = min(measure.support_radius(), scheme.rho_out)
     bp = sorted({abs(b) for b in breakpoints if NODE_FLOOR < abs(b) < hi}
                 | {scheme.rho_in} | ({1.0} if hi > 1.0 else set()))
     x, w = log_gauss_panels(NODE_FLOOR, hi, scheme.panels_per_decade,

@@ -1,8 +1,11 @@
 """Jump measures, overlap quantities, and jump sampling.
 
-The driving noise is a pure-jump measure ``nu`` on R^d. The coupling
-machinery works through a dominated sub-measure ``nu*`` from the slice
-family: density ``c * |z|^(-d - theta0)`` on the slab ``{0 < z_1 <= 1}``.
+The driving noise is a pure-jump measure ``nu`` on R^d: a ``SliceMeasure``
+or an ``IsotropicStable`` measure. The coupling machinery works through a
+dominated sub-measure ``nu*`` from the slice family: density
+``c * |z|^(-d - theta0)`` on the slab ``{0 < z_1 <= 1}``. A measure strictly
+above the slab is a stable measure with an explicit, smaller ``slice_part``
+in its ``LevyMeasureSpec``.
 For a shift ``x`` the overlap measure ``nu*_x = min(nu*, nu* shifted by x)``
 is finite whenever ``x != 0``; its total mass is the rate at which the
 coupled pair can be pushed together at displacement ``x``. Masses, moments
@@ -27,7 +30,6 @@ __all__ = [
     "truncate",
     "SliceMeasure",
     "IsotropicStable",
-    "SumMeasure",
     "LevyMeasureSpec",
     "MomentReport",
     "JumpBatch",
@@ -295,59 +297,12 @@ class IsotropicStable:
         return r[:, None] * e
 
 
-@dataclass(frozen=True)
-class SumMeasure:
-    """Superposition of component jump measures (independent jump streams)."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("SumMeasure needs at least one component")
-        dims = {p.dim for p in self.parts}
-        if len(dims) != 1:
-            raise ValueError("all components must share the dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.parts[0].dim
-
-    def density(self, u):
-        return sum(p.density(u) for p in self.parts)
-
-    def support_radius(self):
-        return max(p.support_radius() for p in self.parts)
-
-    def mass_above(self, a):
-        return sum(p.mass_above(a) for p in self.parts)
-
-    def annulus_mass(self, a, b):
-        return sum(p.annulus_mass(a, b) for p in self.parts)
-
-    def second_moment_within(self, rho):
-        return sum(p.second_moment_within(rho) for p in self.parts)
-
-    def compensation_drift(self, delta):
-        return sum(p.compensation_drift(delta) for p in self.parts)
-
-    def moment_pair(self, theta):
-        reports = [p.moment_pair(theta) for p in self.parts]
-        div = any(r.divergent for r in reports)
-        return MomentReport(
-            sum(r.small_jump for r in reports),
-            math.inf if div else sum(r.theta_moment for r in reports),
-            div,
-        )
-
-
 def _default_slice_for(measure) -> SliceMeasure:
     if isinstance(measure, SliceMeasure):
         return measure
     if isinstance(measure, IsotropicStable):
         # slab restriction of the measure itself: dominated in every dimension
         return SliceMeasure(c=measure.scale, theta0=measure.alpha0, dim=measure.dim)
-    if isinstance(measure, SumMeasure):
-        return _default_slice_for(measure.parts[0])
     raise TypeError(f"no default coupling slice for {type(measure).__name__}")
 
 
@@ -536,16 +491,6 @@ def _annulus_edges(cutoff: float, top: float):
     return edges
 
 
-def _merged(batches: list, dim: int) -> JumpBatch:
-    # one time-ordered batch; equal times keep the order of ``batches``
-    if not batches:
-        return JumpBatch(np.empty(0), np.empty((0, dim)), np.empty(0))
-    times = np.concatenate([b.times for b in batches])
-    order = np.argsort(times, kind="stable")
-    return JumpBatch(times[order], np.concatenate([b.marks for b in batches])[order],
-                     np.concatenate([b.unif for b in batches])[order])
-
-
 def _spawned_child(rng: np.random.Generator, k: int) -> np.random.Generator:
     # child k of the next rng.spawn(...), built alone: same stream, spawn counter untouched
     seq = rng.bit_generator.seed_seq
@@ -562,24 +507,20 @@ def sample_large_jumps(measure, horizon: float, cutoff: float,
     i.i.d. from the normalised restriction. Sampling is organised on a fixed
     dyadic ladder of annuli, each with its own child stream, so that runs
     that differ only in the cutoff share every jump above the coarser cutoff.
-    Annulus (or ``SumMeasure`` part) ``k`` draws from child ``k`` of the next
-    ``rng.spawn``, built alone: the batch depends only on ``rng``'s seed
-    sequence, which is neither drawn from nor advanced.
+    Annulus ``k`` draws from child ``k`` of the next ``rng.spawn``, built
+    alone: the batch depends only on ``rng``'s seed sequence, which is
+    neither drawn from nor advanced.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if cutoff < _MIN_ANNULUS_EDGE:
         raise CutoffTooSmall(f"cutoff below the sampler floor {_MIN_ANNULUS_EDGE:g}")
-    if isinstance(measure, SumMeasure):
-        return _merged([sample_large_jumps(p, horizon, cutoff, _spawned_child(rng, i), budget)
-                        for i, p in enumerate(measure.parts)], measure.dim)
-
     expected = measure.mass_above(cutoff) * horizon
     if expected > budget:
         raise CutoffTooSmall(
             f"expected {expected:.3g} jumps above cutoff {cutoff:g}, budget {budget:.3g}"
         )
-    parts = []
+    parts = [(np.empty(0), np.empty((0, measure.dim)), np.empty(0))]
     for k, lo, hi in _annulus_edges(cutoff, measure.support_radius()):
         mass = measure.annulus_mass(lo, hi)
         if mass <= 0:
@@ -590,5 +531,8 @@ def sample_large_jumps(measure, horizon: float, cutoff: float,
         m = measure.sample_annulus(lo, hi, n, child)
         u = child.uniform(size=n)
         keep = np.linalg.norm(m, axis=1) > cutoff
-        parts.append(JumpBatch(t[keep], m[keep], u[keep]))
-    return _merged(parts, measure.dim)
+        parts.append((t[keep], m[keep], u[keep]))
+    # one time-ordered batch; equal times keep the annulus order
+    times, marks, unifs = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(times, kind="stable")
+    return JumpBatch(times[order], marks[order], unifs[order])

@@ -398,17 +398,6 @@ class LyapunovSpec:
     def W(self, x, v):
         return 1.0 + self.V(x, v) ** (self.theta / 2.0)
 
-    def sandwich_bounds(self, x, v):
-        """Two-sided bounds on V implied by the cross-term domination."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        sx = np.sum(x * x, axis=-1)
-        sv = np.sum(v * v, axis=-1)
-        base = 1.0 + self.v0.value(x)
-        lo = base + (self.r ** 2 - self.r0_cross ** 2) / 4.0 * (sx + sv / self.r ** 2)
-        hi = base + self.r ** 2 * sx + sv
-        return lo, hi
-
     def grad_x_V(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)

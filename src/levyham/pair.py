@@ -61,6 +61,3 @@ class PairState:
 
     def r(self, alpha: float, alpha0: float):
         return alpha0 * np.linalg.norm(self.z, axis=-1) + np.linalg.norm(self.q(alpha), axis=-1)
-
-    def is_diagonal(self) -> bool:
-        return bool(np.all(self.x == self.xp) and np.all(self.v == self.vp))

@@ -261,7 +261,8 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     kappa)`` the two copies form the pair and each window is a pair window.
     A replica with a copy whose position or velocity norm exceeds
     ``blowup_norm`` or is NaN is flagged and frozen; its later snapshots stay
-    NaN. The exact norm test runs only in windows where some component
+    NaN. A force that overflows or turns NaN warns nothing: the screen flags
+    its replica. The exact norm test runs only in windows where some component
     exceeds ``blowup_norm / (2 sqrt(d))`` (or 1e150) or is NaN, and once a
     replica is frozen.
     Returns the ``(copies, N, n_save, d)`` position and velocity paths, the
@@ -298,29 +299,31 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     # cap keeps the squares in the exact norm from overflowing
     all_alive, screen = True, min(0.5 * config.blowup_norm / math.sqrt(d), 1e150)
     lip = np.zeros(n)
-    for w, (save_idx, _, dt) in enumerate(plan):
-        lo, hi = bounds[w], bounds[w + 1]
-        x_start, v_start = x, v
-        if coupling is None:
-            x, v = step_single(system, (x, v), dt, marks[lo:hi], comp, rows[lo:hi])
-        else:
-            x, v = _pair_window(system, (x, v), dt, rows[lo:hi], marks[lo:hi, 0], unif[lo:hi],
-                                dens[lo:hi], *coupling, levy.slice_part, comp)
-        if not (all_alive and np.maximum.reduce(np.abs(x), None) <= screen
-                and np.maximum.reduce(np.abs(v), None) <= screen):
-            with np.errstate(over="ignore"):  # a norm that overflows or is NaN is a blow-up
+    # a force or state that overflows or turns NaN is left to the blow-up screen
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, (save_idx, _, dt) in enumerate(plan):
+            lo, hi = bounds[w], bounds[w + 1]
+            x_start, v_start = x, v
+            if coupling is None:
+                x, v = step_single(system, (x, v), dt, marks[lo:hi], comp, rows[lo:hi])
+            else:
+                x, v = _pair_window(system, (x, v), dt, rows[lo:hi], marks[lo:hi, 0], unif[lo:hi],
+                                    dens[lo:hi], *coupling, levy.slice_part, comp)
+            if not (all_alive and np.maximum.reduce(np.abs(x), None) <= screen
+                    and np.maximum.reduce(np.abs(v), None) <= screen):
+                # a norm that overflows or is NaN is a blow-up
                 alive &= ((_norm(x) <= config.blowup_norm)
                           & (_norm(v) <= config.blowup_norm)).all(axis=0)
-            x, v = np.where(alive[:, None], x, x_start), np.where(alive[:, None], v, v_start)
-            all_alive = bool(alive.all())
-        if saves[w]:
-            out_x[:, alive, save_idx], out_v[:, alive, save_idx] = x[:, alive], v[:, alive]
-            if coupling is not None:
-                # force gap at the window start over the state gap at its end
-                f = np.asarray(system.force(x_start, v_start), dtype=float)
-                gap = np.abs(x[0] - x[1]).sum(-1) + np.abs(v[0] - v[1]).sum(-1)
-                lip = np.maximum(lip, np.divide(np.abs(f[0] - f[1]).sum(-1), gap,
-                                                out=np.zeros(n), where=alive & (gap > 1e-9)))
+                x, v = np.where(alive[:, None], x, x_start), np.where(alive[:, None], v, v_start)
+                all_alive = bool(alive.all())
+            if saves[w]:
+                out_x[:, alive, save_idx], out_v[:, alive, save_idx] = x[:, alive], v[:, alive]
+                if coupling is not None:
+                    # force gap at the window start over the state gap at its end
+                    f = np.asarray(system.force(x_start, v_start), dtype=float)
+                    gap = np.abs(x[0] - x[1]).sum(-1) + np.abs(v[0] - v[1]).sum(-1)
+                    lip = np.maximum(lip, np.divide(np.abs(f[0] - f[1]).sum(-1), gap,
+                                                    out=np.zeros(n), where=alive & (gap > 1e-9)))
     return out_x, out_v, alive, lip
 
 

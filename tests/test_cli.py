@@ -9,7 +9,7 @@ import pytest
 
 from levyham import cli
 from levyham import model as md
-from levyham.config import load_config
+from levyham.config import SCHEMA, load_config
 from levyham.errors import ConfigError
 
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
@@ -44,7 +44,62 @@ def write(tmp_path, text, name="exp.cfg"):
     return str(p)
 
 
+# one other accepted value for every key the builders read, and the companion
+# keys of the same section that value needs; each must change what is built
+KNOBS = {
+    ("levy", "kind"): ("stable", {}),
+    ("levy", "c"): ("2.0", {}),
+    ("levy", "theta0"): ("0.6", {}),
+    ("levy", "alpha0"): ("1.2", {"kind": "stable"}),
+    ("levy", "scale"): ("2.0", {"kind": "stable"}),
+    ("levy", "theta"): ("0.5", {}),
+    ("levy", "slice_c"): ("0.5", {"kind": "stable"}),
+    ("levy", "slice_theta0"): ("1.2", {"kind": "stable"}),
+    ("model", "a"): ("0.5", {}),
+    ("model", "b"): ("2.0", {}),
+    ("model", "alpha_damp"): ("2.0", {}),
+    ("model", "beta"): ("2.0", {}),
+    ("model", "potential"): ("double_well_exp", {}),
+    ("model", "pot_c1"): ("0.5", {}),
+    ("model", "pot_c2"): ("3.0", {}),
+    ("model", "pot_l"): ("1.0", {}),
+    ("model", "pot_k"): ("2.0", {"potential": "quadratic"}),
+    ("model", "dim"): ("2", {}),
+    ("quadrature", "rho_in"): ("1e-5", {}),
+    ("quadrature", "rho_out"): ("1e5", {}),
+    ("quadrature", "nodes_radial"): ("8", {}),
+    ("quadrature", "panels_per_decade"): ("6", {}),
+    ("sim", "h"): ("0.01", {}),
+    ("sim", "delta"): ("1e-2", {}),
+    ("sim", "horizon"): ("5.0", {}),
+    ("sim", "n_replicas"): ("10", {}),
+    ("sim", "seed"): ("7", {}),
+    ("sim", "n_save"): ("11", {}),
+    ("sim", "x0"): ("1.0", {}),
+    ("sim", "v0"): ("1.0", {}),
+    ("sim", "x0_prime"): ("-1.0", {}),
+    ("sim", "v0_prime"): ("1.0", {}),
+}
+
+
+def built(section, settings):
+    # everything the builders make from a config that sets `settings` in `section`
+    cfg = load_config(text=f"[{section}]\n" + "".join(f"{k} = {v}\n"
+                                                     for k, v in settings.items()))
+    return repr((cfg.build_levy(), cfg.build_langevin(), cfg.build_scheme(), cfg.build_sim(),
+                 cfg.initial_pair()))
+
+
 class TestConfig:
+    @pytest.mark.parametrize("section, key", [(section, key) for section in
+                                              ("levy", "model", "quadrature", "sim")
+                                              for key in SCHEMA[section]])
+    def test_every_key_changes_what_is_built(self, section, key):
+        # a key with no other accepted value, or one no builder reads, is a dead knob
+        assert (section, key) in KNOBS, f"[{section}] {key} has no other value listed"
+        value, companions = KNOBS[section, key]
+        assert built(section, {**companions, key: value}) != built(section, companions)
+
     def test_defaults_load(self):
         cfg = load_config(text="")
         assert cfg.levy["kind"] == "slice"
@@ -240,7 +295,7 @@ class TestExitCodes:
         assert sum(timings[k] for k in stages) <= timings["total_s"]
 
     def test_unsupported_dimension_is_one(self, tmp_path, capsys):
-        path = write(tmp_path, "[levy]\ndim = 2\n[model]\ndim = 2\n")
+        path = write(tmp_path, "[model]\ndim = 2\n")
         for argv in (["rate", "--replicas", "2"], ["couple", "--replicas", "2"], ["constants"],
                      *(["verify", "--which", which]
                        for which in ("A2", "f-props", "operator-identities"))):
@@ -248,7 +303,7 @@ class TestExitCodes:
             assert code == 1
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1
-            assert err[0].startswith("unsupported dimension (levy dim = 2, model dim = 2): ")
+            assert err[0].startswith("unsupported dimension (dim = 2): ")
         for which in ("B1", "F1"):
             code = cli.main(["verify", "--which", which, "--config", path,
                              "--out", str(tmp_path)])
@@ -259,25 +314,23 @@ class TestExitCodes:
         ("slice", "slice_theta0", "0.3"), ("stable", "c", "1.0"), ("stable", "theta0", "0.4")])
     def test_key_of_the_other_kind_is_one_config_line(self, tmp_path, capsys, kind, key,
                                                       value):
-        path = write(tmp_path, f"[levy]\nkind = {kind}\ndim = 1\n{key} = {value}\n")
+        path = write(tmp_path, f"[levy]\nkind = {kind}\n{key} = {value}\n")
         code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
         assert code == 1
         lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: line 4:")
+        assert len(lines) == 1 and lines[0].startswith("config error: line 3:")
         assert f"[levy] {key}" in lines[0]
 
-    @pytest.mark.parametrize("levy_dim, model_dim", [(2, 1), (1, 2)])
-    def test_mismatched_dimensions_are_one_config_line(self, tmp_path, capsys,
-                                                       levy_dim, model_dim):
-        path = write(tmp_path, f"[levy]\ndim = {levy_dim}\n[model]\ndim = {model_dim}\n")
-        for argv in (["constants"], ["verify", "--which", "B1"], ["rate"], ["couple"],
-                     ["equilibrium"]):
-            code = cli.main(argv + ["--config", path, "--out", str(tmp_path)])
-            assert code == 1
-            lines = capsys.readouterr().err.strip().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("config error:")
-            assert f"[levy] dim = {levy_dim}" in lines[0]
-            assert f"[model] dim = {model_dim}" in lines[0]
+    @pytest.mark.parametrize("section, key, value", [
+        ("levy", "dim", "1"), ("model", "force", "damped_gradient")])
+    def test_levy_dim_and_model_force_are_unknown_keys(self, tmp_path, capsys, section, key,
+                                                       value):
+        # [model] dim is the noise's dim too, and the force is always damped_gradient
+        path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"config error: line 2: unknown key {key!r} in [{section}]"]
 
 
 VERIFY_SUITES = ("B1", "F1", "A2", "f-props", "operator-identities")

@@ -47,6 +47,20 @@ class TestFarField:
         with pytest.raises(NoRoot):
             cn.far_field_sublevel(0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_sublevel_set_lies_inside_the_radii(self, flat_lyap, benchmark_lyap, theta, rng):
+        # W + W' <= S* with W' >= 1 leaves V <= V_max = (S* - 2)^(2/theta) for
+        # one copy; the radii must hold every (x, v) of that sublevel set
+        for lyap in (flat_lyap, benchmark_lyap):
+            geom = cn.far_field_sublevel(2.0, 3.0, 0.0, 0.5, theta, lyap.r, lyap.r0_cross)
+            V_max = max(geom.S_star - 2.0, 1.0) ** (2.0 / theta)
+            x = rng.uniform(-1.2, 1.2, (100_000, 1)) * geom.x_max
+            v = rng.uniform(-1.2, 1.2, (100_000, 1)) * geom.v_max
+            inside = lyap.V(x, v) <= V_max
+            assert inside.sum() > 1000
+            assert np.all(np.abs(x[inside]) <= geom.x_max)
+            assert np.all(np.abs(v[inside]) <= geom.v_max)
+
 
 class TestLipschitz:
     def test_pure_damping_exact(self):
@@ -193,7 +207,7 @@ class TestCostFunctionals:
         for _ in range(50):
             pair = PairState(rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1), rng.normal(size=1))
-            if pair.is_diagonal():
+            if np.array_equal(pair.x, pair.xp) and np.array_equal(pair.v, pair.vp):
                 continue
             assert cn.psi(pair, flat_lyap) > 0
             assert cost.value(pair) > 0

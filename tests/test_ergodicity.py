@@ -125,15 +125,6 @@ class TestEstimateDecay:
 
 
 class TestEquilibrium:
-    def test_identical_runs_zero_distance(self, benchmark_levy, benchmark_langevin):
-        sys_ = benchmark_langevin
-        cfg = sim.SimConfig(h=0.05, delta=5e-3, horizon=3.0, n_save=7, seed=11,
-                            n_replicas=30)
-        out = erg.equilibrium_diagnostics(sys_, benchmark_levy, cfg,
-                                          ([0.5], [0.0]), ([0.5], [0.0]),
-                                          independent_streams=False)
-        assert out["cross_distance"] == 0.0
-
     def test_every_replica_blown_raises(self, benchmark_levy):
         # no survivor leaves no cloud to compare: fail, never report zero distances
         runaway = md.HamiltonianSystemSpec(

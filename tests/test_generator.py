@@ -139,10 +139,6 @@ class TestApplyGenerator:
             assert isinstance(point_val, float)
             assert point_val == pytest.approx(val[i, j], rel=8 * np.finfo(float).eps, abs=0.0)
 
-    def test_derivative_validation(self, flat_lyap):
-        tf = gen.lyapunov_test_function(flat_lyap)
-        assert tf.check_derivatives(np.array([0.7]), np.array([-0.9]))
-
 
 def fd_grads(fn, pair, step=1e-6):
     """Central differences of ``fn.value`` in x, v, xp and vp."""
@@ -533,8 +529,9 @@ class OneRow:
 PARITY_MEASURES = {
     "slice": lambda: ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 1), theta=1.0),
     "stable": lambda: ms.LevyMeasureSpec(ms.IsotropicStable(0.8), theta=0.5),
-    "slice+stable": lambda: ms.LevyMeasureSpec(
-        ms.SumMeasure((ms.SliceMeasure(1.0, 0.4, 1), ms.IsotropicStable(0.8))), theta=0.5),
+    # stable noise strictly above its slab sub-measure
+    "dominated": lambda: ms.LevyMeasureSpec(ms.IsotropicStable(0.8), theta=0.5,
+                                            slice_part=ms.SliceMeasure(1.0, 0.4, 1)),
 }
 
 # transformed gaps q: the diagonal, a degenerate gap, 0 < |q| < KAPPA (each
@@ -619,7 +616,7 @@ class TestBroadcastOperatorParity:
     def test_pads_are_inert(self, scheme, rng):
         # rows of different lengths: each state's row is its own table followed
         # by zero-weight copies of the last node
-        levy = PARITY_MEASURES["slice+stable"]()
+        levy = PARITY_MEASURES["dominated"]()
         pair = parity_stack(rng)
         nodes = gen.pair_nodes(pair, levy, ALPHA, KAPPA, scheme)
         assert nodes.u.shape[0] == len(PARITY_GAPS)

@@ -66,8 +66,9 @@ def assert_same_paths(a, b):
 
 BEYOND_SLICE = {
     "stable": lambda: ms.LevyMeasureSpec(ms.IsotropicStable(0.8), theta=0.5),
-    "slice+stable": lambda: ms.LevyMeasureSpec(
-        ms.SumMeasure((ms.SliceMeasure(1.0, 0.4, 1), ms.IsotropicStable(0.8))), theta=0.5),
+    # stable noise strictly above its slab sub-measure
+    "dominated": lambda: ms.LevyMeasureSpec(ms.IsotropicStable(0.8), theta=0.5,
+                                            slice_part=ms.SliceMeasure(1.0, 0.4, 1)),
 }
 
 
@@ -494,6 +495,21 @@ class TestBlowupScreen:
         if case == "nan-state":
             # flagged, not stepped on with NaN: the snapshots before are finite
             assert np.isfinite(tr.v[:flagged_at]).all() and np.isnan(tr.v[flagged_at:]).all()
+
+
+    def test_overflowing_force_is_flagged_without_warnings(self, benchmark_levy):
+        # explicit Euler at h = 0.05 drives some replicas of the exponential well
+        # to where its force overflows; the screen flags them, and no warning
+        # escapes the ensembles (tier-1 turns warnings into errors)
+        system = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellExp(0.1, 2.0, 1.0), dim=1)
+        cfg = sim.SimConfig(h=0.05, delta=1e-3, horizon=2.0, n_save=5, seed=99,
+                            n_replicas=50)
+        single = sim.run_single_ensemble(system, benchmark_levy, cfg, [2.0], [0.0])
+        pair = sim.run_pair_ensemble(system, benchmark_levy, cfg,
+                                     PairState([2.0], [0.0], [-2.0], [0.0]), 1.0, 0.25)
+        for trs in (single, pair):
+            assert 0 < sum(tr.blown_up for tr in trs) < len(trs)
+        assert all(math.isfinite(tr.stability_indicator) for tr in pair)
 
 
 class TestPairDimension:
