@@ -108,10 +108,10 @@ def _verify_f1(cfg, seed):
 def _verify_a2(cfg, seed):
     levy = cfg.build_levy()
     setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
-    eta, c_star, rep = md.verify_jump_regularity(setup.lyap, levy.slice_part,
-                                                 cfg.lyapunov["grid_radius"])
+    c_star, rep = md.verify_jump_regularity(setup.lyap, levy.slice_part,
+                                            cfg.lyapunov["grid_radius"])
     moments = levy.moments
-    payload = {"eta": eta, "c_star": c_star, "sup_ratio": rep["sup_ratio"],
+    payload = {"c_star": c_star, "sup_ratio": rep["sup_ratio"],
                "moment_small": moments.small_jump, "moment_theta": moments.theta_moment,
                "moment_divergent": moments.divergent}
     return payload, bool(c_star > 0 and not moments.divergent)

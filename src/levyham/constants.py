@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
-from scipy.stats import qmc
+from scipy import special
 
 from . import generator as gen
 from . import measures as ms
@@ -27,7 +26,6 @@ from .errors import NoRoot, SigmaNotIntegrable
 from .pair import PairState
 
 __all__ = [
-    "SigmaFn",
     "DistanceProfile",
     "ClampedProfile",
     "ConstantsReport",
@@ -35,10 +33,9 @@ __all__ = [
     "compute_alpha_alpha0",
     "compute_R0",
     "compute_lipschitz",
-    "build_sigma",
+    "activity_coef",
     "build_profile",
-    "compute_eps_log",
-    "rate_terms_log",
+    "tilt_and_rate_log",
     "fit_lyapunov_drift",
     "build_constants",
     "psi",
@@ -50,29 +47,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaFn:
-    """Power-law small-jump activity floor ``coef * s^exponent``."""
+def activity_coef(c0_sigma: float, theta0: float, alpha: float, kappa: float,
+                  R0: float) -> float:
+    """Coefficient of the rescaled activity floor ``coef * s^(1 - theta0)``.
 
-    coef: float
-    exponent: float
-
-    def __call__(self, s):
-        return self.coef * np.asarray(s, dtype=float) ** self.exponent
-
-
-def build_sigma(c0_sigma: float, theta0: float, alpha: float, kappa: float,
-                R0: float) -> SigmaFn:
-    """Rescale the activity floor ``c0 s^(1-theta0)`` by the modification cap.
-
-    The returned function is ``m/alpha * sigma(alpha m s)`` with
-    ``m = min(1, kappa/R0)``: non-decreasing and concave for theta0 in (0, 1).
+    The floor ``c0 s^(1-theta0)`` rescaled by the modification cap is
+    ``m/alpha * sigma(alpha m s)`` with ``m = min(1, kappa/R0)``:
+    non-decreasing and concave for theta0 in (0, 1).
     """
-    if not 0.0 < theta0 < 1.0:
-        raise SigmaNotIntegrable(f"activity exponent must lie in (0,1), got {theta0}")
     m = min(1.0, kappa / R0)
-    coef = c0_sigma * alpha ** -theta0 * m ** (2.0 - theta0)
-    return SigmaFn(coef, 1.0 - theta0)
+    return c0_sigma * alpha ** -theta0 * m ** (2.0 - theta0)
 
 
 @dataclass(frozen=True)
@@ -169,14 +153,14 @@ class ClampedProfile:
         return np.where(s >= self.clamp, 0.0, self.base.slope(np.minimum(s, self.clamp)))[()]
 
 
-def build_profile(sigma: SigmaFn, c_star_profile: float, k0: float, alpha0: float,
-                  R0: float, b: float, alpha: float) -> DistanceProfile:
-    """Assemble the concave profile from the activity floor and weights."""
-    theta0 = 1.0 - sigma.exponent
+def build_profile(sigma_coef: float, theta0: float, c_star_profile: float, k0: float,
+                  alpha0: float, R0: float, b: float, alpha: float) -> DistanceProfile:
+    """Assemble the concave profile from the activity floor
+    ``sigma_coef * s^(1 - theta0)`` and the weights."""
     if not 0.0 < theta0 < 1.0:
-        raise SigmaNotIntegrable("reciprocal activity floor is not integrable at zero")
+        raise SigmaNotIntegrable(f"activity exponent must lie in (0,1), got {theta0}")
     stretch = 1.0 + k0 * alpha0
-    g_coef = c_star_profile * stretch ** (1.0 - theta0) / (sigma.coef * theta0)
+    g_coef = c_star_profile * stretch ** (1.0 - theta0) / (sigma_coef * theta0)
     c2 = 1.5 * (1.0 - 1.0 / alpha0) * b * alpha * stretch
     cap = 2.0 * R0
     log_c1 = -c2 * g_coef * cap ** theta0
@@ -208,31 +192,23 @@ class FarFieldGeometry:
     v_max: float
 
 
-def far_field_sublevel(c0: float, C0: float, c_star: float, eta: float, theta: float,
+def far_field_sublevel(c0: float, C0: float, c_star: float, theta: float,
                        r_scale: float, r0_cross: float) -> FarFieldGeometry:
     """Solve the scalar balance and invert the quadratic-form sandwich.
 
-    The balance ``2 C0 + 4 c_star (S/2)^eta = c0 S / 2`` bounds the weight
-    sum on the non-contractive set; the lower bound ``V >= 1 + (r^2 -
-    r0^2) (|x|^2 + |v|^2 / r^2) / 4`` of the quadratic form (``V0 >= 0``)
-    turns that into position and velocity radii.
+    The balance ``2 C0 + 4 c_star (S/2)^(1/2) = c0 S / 2`` bounds the weight
+    sum on the non-contractive set. It is a quadratic in ``t = sqrt(S)``
+    with the positive root ``t = (2 sqrt(2) c_star + sqrt(8 c_star^2 +
+    4 c0 C0)) / c0``, so ``S* = max(4, t^2)``. The lower bound ``V >= 1 +
+    (r^2 - r0^2) (|x|^2 + |v|^2 / r^2) / 4`` of the quadratic form
+    (``V0 >= 0``) turns that into position and velocity radii.
     """
     if c0 <= 0:
         raise NoRoot("the weight-drift coefficient must be positive")
-
-    def bal(S):
-        return 2.0 * C0 + 4.0 * c_star * (S / 2.0) ** eta - c0 * S / 2.0
-
-    lo = 4.0
-    if bal(lo) <= 0.0:
-        S_star = lo
-    else:
-        hi = lo
-        while bal(hi) > 0.0:
-            hi *= 4.0
-            if hi > 1e300:
-                raise NoRoot("no finite balance point: the linear term never wins")
-        S_star = float(optimize.brentq(bal, lo, hi, xtol=1e-12, rtol=1e-12))
+    t = (2.0 * math.sqrt(2.0) * c_star + math.sqrt(8.0 * c_star ** 2 + 4.0 * c0 * C0)) / c0
+    S_star = max(4.0, t * t)
+    if not math.isfinite(S_star):
+        raise NoRoot("no finite balance point: the linear term never wins")
     V_max = max(S_star - 2.0, 1.0) ** (2.0 / theta)
     gap = r_scale ** 2 - r0_cross ** 2
     x_max = 2.0 * math.sqrt(max(V_max - 1.0, 0.0) / gap)
@@ -258,6 +234,8 @@ def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
     the argmax three times; the result is inflated 5% as a conservative
     over-estimate.
     """
+    from scipy.stats import qmc  # the only user of scipy.stats, which is slow to import
+
     d = system.dim
     sob = qmc.Sobol(4 * d, scramble=True, seed=777)
     pts = sob.random_base2(max(int(math.ceil(math.log2(max(n_pairs, 2)))), 1))
@@ -303,30 +281,26 @@ def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
     return best * inflate
 
 
-def compute_eps_log(log_c1: float, alpha0: float, b: float, alpha: float, C0: float,
-                    c_star: float, eta: float, c0: float) -> float:
-    """Log of the Lyapunov tilt weight (finite even when the value underflows)."""
+def tilt_and_rate_log(log_c1: float, alpha0: float, b: float, alpha: float, C0: float,
+                      c_star: float, c0: float) -> tuple[float, float]:
+    """Logs of the Lyapunov tilt weight and of the certified rate (finite
+    even when the values underflow).
+
+    The tilt is ``3 (1 - 1/alpha0) b alpha c1 / (16 (1 + c1) B)`` with the
+    bracket ``B = 2 C0 + c_star^2 / c0``; the rate is the smaller of the
+    weight-drift route ``c0 eps / (1 + 2 eps)`` and the profile route
+    ``2 B eps``.
+    """
     if alpha0 <= 1.0:
-        return -math.inf
+        return -math.inf, -math.inf
     c1 = math.exp(log_c1) if log_c1 > -745.0 else 0.0
-    bracket = 2.0 * C0
-    if c_star > 0.0:
-        bracket += (1.0 - eta) * (2.0 * c_star * (eta / c0) ** eta) ** (1.0 / (1.0 - eta))
-    return (math.log(3.0 * (1.0 - 1.0 / alpha0) * b * alpha / 16.0)
-            + log_c1 - math.log1p(c1) - math.log(bracket))
-
-
-def rate_terms_log(c0: float, log_eps: float, log_c1: float, alpha0: float, b: float,
-                   alpha: float) -> tuple[float, float]:
-    """Logs of the two candidate rates: weight-drift route and profile route."""
+    bracket = 2.0 * C0 + c_star ** 2 / c0
+    log_eps = (math.log(3.0 * (1.0 - 1.0 / alpha0) * b * alpha / 16.0)
+               + log_c1 - math.log1p(c1) - math.log(bracket))
     eps = math.exp(log_eps) if log_eps > -745.0 else 0.0
-    term1 = math.log(c0) + log_eps - math.log1p(2.0 * eps) if log_eps > -math.inf else -math.inf
-    if alpha0 <= 1.0:
-        return term1, -math.inf
-    c1 = math.exp(log_c1) if log_c1 > -745.0 else 0.0
-    term2 = (math.log(3.0 * (1.0 - 1.0 / alpha0) * b * alpha / 8.0)
-             + log_c1 - math.log1p(c1))
-    return term1, term2
+    log_rate = min(math.log(c0) + log_eps - math.log1p(2.0 * eps),
+                   log_eps + math.log(2.0 * bracket))
+    return log_eps, log_rate
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +366,8 @@ class ConstantsReport:
     S_star: float
     position_radius: float
     lambda_star_R0: float
-    alpha0_provisional: float
     eps: float
     log_eps: float
-    eta: float
     c_star_A2: float
     c0_lyap: float
     C0_lyap: float
@@ -551,9 +523,10 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     """Run the full pipeline for a damped-gradient system.
 
     Order: potential certificate, quadratic form, weight-drift fit, jump
-    regularity, activity floor, transform weights, far-field radius, force
-    Lipschitz bound, profile, tilt weight, rate. Only the position bound of
-    the sublevel set feeds the Lipschitz sampling unless ``position_radius``
+    regularity (exponent 1/2), activity floor, far-field sublevel set, force
+    Lipschitz bound, transform weights and modification cap, far-field
+    radius, profile, tilt weight and rate. Only the position bound of the
+    sublevel set feeds the Lipschitz sampling unless ``position_radius``
     overrides it.
     """
     flags: list[str] = []
@@ -570,13 +543,12 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
         flags.append("weight_drift_fit_failed")
         c0_lyap = 1e-6
 
-    eta, c_star, _ = md.verify_jump_regularity(lyap, levy_spec.slice_part, grid_radius)
+    c_star, _ = md.verify_jump_regularity(lyap, levy_spec.slice_part, grid_radius)
 
-    c0_sigma, theta0 = ms.fit_overlap_floor(levy_spec.slice_part, r0_jump)
-    alpha, alpha0_prov = compute_alpha_alpha0(a, b, 0.0)
-    kappa = r0_jump / (2.0 * alpha)
+    theta0 = levy_spec.slice_part.theta0
+    c0_sigma = ms.fit_overlap_floor(levy_spec.slice_part, r0_jump)
 
-    geom = far_field_sublevel(c0_lyap, C0_lyap, c_star, eta, levy_spec.theta,
+    geom = far_field_sublevel(c0_lyap, C0_lyap, c_star, levy_spec.theta,
                               lyap.r, lyap.r0_cross)
     pos_radius = position_radius if position_radius is not None else max(geom.x_max, 1.0)
     lam_star = compute_lipschitz(langevin, pos_radius)
@@ -586,6 +558,7 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     alpha, alpha0 = compute_alpha_alpha0(a, b, lam_star)
     if alpha0 <= 1.0:
         flags.append("degenerate_rate")
+    kappa = r0_jump / (2.0 * alpha)
     R0 = compute_R0(geom, alpha, alpha0, kappa)
 
     balpha = b * alpha
@@ -597,17 +570,16 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     else:
         k0, lambda0, c_star_profile = math.inf, math.inf, math.inf
 
-    sigma = build_sigma(c0_sigma, theta0, alpha, kappa, R0)
     if math.isfinite(c_star_profile):
-        profile = build_profile(sigma, c_star_profile, k0, alpha0, R0, b, alpha)
+        profile = build_profile(activity_coef(c0_sigma, theta0, alpha, kappa, R0), theta0,
+                                c_star_profile, k0, alpha0, R0, b, alpha)
     else:
         profile = DistanceProfile(log_c1=0.0, c2=1.0, g_coef=0.0, theta0=theta0, cap=2.0 * R0)
         flags.append("profile_unavailable")
 
-    log_eps = compute_eps_log(profile.log_c1, alpha0, b, alpha, C0_lyap, c_star, eta, c0_lyap)
+    log_eps, log_rate = tilt_and_rate_log(profile.log_c1, alpha0, b, alpha, C0_lyap, c_star,
+                                          c0_lyap)
     eps = math.exp(log_eps) if log_eps > -745.0 else 0.0
-    t1, t2 = rate_terms_log(c0_lyap, log_eps, profile.log_c1, alpha0, b, alpha)
-    log_rate = min(t1, t2)
     rate = math.exp(log_rate) if log_rate > -745.0 else 0.0
     if log_rate == -math.inf:
         flags.append("degenerate_rate")
@@ -622,9 +594,8 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
         r0_jump=r0_jump, c0_sigma=c0_sigma, theta0=theta0, k0=k0, lambda0=lambda0,
         c_star_profile=c_star_profile, c1=profile.c1, log_c1=profile.log_c1, c2=profile.c2,
         R0=R0, S_star=geom.S_star, position_radius=pos_radius, lambda_star_R0=lam_star,
-        alpha0_provisional=alpha0_prov, eps=eps, log_eps=log_eps, eta=eta, c_star_A2=c_star,
-        c0_lyap=c0_lyap, C0_lyap=C0_lyap, rate=rate, log_rate=log_rate,
-        flags=tuple(dict.fromkeys(flags)), notes=tuple(notes),
+        eps=eps, log_eps=log_eps, c_star_A2=c_star, c0_lyap=c0_lyap, C0_lyap=C0_lyap,
+        rate=rate, log_rate=log_rate, flags=tuple(dict.fromkeys(flags)), notes=tuple(notes),
     )
 
     # practical monitor: when the certified profile is numerically flat over
@@ -640,7 +611,7 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     if not (probe[1] > probe[0] > 0.0) or (probe[1] - probe[0]) <= 1e-12 * probe[1]:
         monitor = DistanceProfile(log_c1=0.0, c2=profile.c2, g_coef=0.0,
                                   theta0=theta0, cap=2.0 * R0)
-        m_log_eps = compute_eps_log(0.0, alpha0, b, alpha, C0_lyap, c_star, eta, c0_lyap)
+        m_log_eps = tilt_and_rate_log(0.0, alpha0, b, alpha, C0_lyap, c_star, c0_lyap)[0]
         monitor_eps = math.exp(m_log_eps) if m_log_eps > -745.0 else 0.0
         monitor_alpha0 = min(alpha0, 2.0)
         fallback = True

@@ -526,11 +526,12 @@ def product_correction_term(pair: PairState, h_fn, g_fn, levy_spec, alpha: float
     return np.reshape(pi, lead)[()]
 
 
-def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float, eta: float):
-    """Two-sided envelope for the product-rule cross term, over the leading
-    axes of ``pair``."""
+def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float):
+    """Two-sided envelope ``2 c_star eps H (W^(1/2) + W'^(1/2))`` for the
+    product-rule cross term, over the leading axes of ``pair``; ``c_star`` is
+    the jump-regularity constant of ``verify_jump_regularity``."""
     return (2.0 * c_star * eps * h_fn.value(pair)
-            * (lyap.W(pair.x, pair.v) ** eta + lyap.W(pair.xp, pair.vp) ** eta))
+            * (np.sqrt(lyap.W(pair.x, pair.v)) + np.sqrt(lyap.W(pair.xp, pair.vp))))
 
 
 def product_rule_residual(pair: PairState, h_fn, g_fn, system, levy_spec, alpha: float,

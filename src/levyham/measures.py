@@ -434,11 +434,12 @@ def overlap_mass_lower_bound(slice_m: SliceMeasure, s: float) -> float:
     return min(overlap_mass(slice_m, s * e) for e in g / np.linalg.norm(g, axis=1, keepdims=True))
 
 
-def fit_overlap_floor(slice_m: SliceMeasure, r0: float, n_grid: int = 64) -> tuple[float, float]:
-    """Fit ``c0`` with ``J(s) >= c0 s^(-theta0)`` on ``(0, r0]``.
+def fit_overlap_floor(slice_m: SliceMeasure, r0: float, n_grid: int = 64) -> float:
+    """Fit ``c0`` with ``J(s) >= c0 s^(-theta0)`` on ``(0, r0]``, ``theta0``
+    the slice's own exponent.
 
-    Returns ``(c0, theta0)``; ``c0`` is the grid minimum of ``J(s) s^theta0``
-    so the bound holds at every probed radius by construction.
+    ``c0`` is the grid minimum of ``J(s) s^theta0``, so the bound holds at
+    every probed radius by construction.
     """
     if r0 <= 0:
         raise NonPositiveRadius("r0 must be positive")
@@ -447,7 +448,7 @@ def fit_overlap_floor(slice_m: SliceMeasure, r0: float, n_grid: int = 64) -> tup
     c0 = float(min(vals))
     if c0 <= 0:
         raise MomentFailure("overlap floor fit produced a non-positive constant")
-    return c0, slice_m.theta0
+    return c0
 
 
 # ---------------------------------------------------------------------------

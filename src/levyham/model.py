@@ -447,9 +447,10 @@ class QuadraticFormChoice:
     r_window: tuple
 
 
-def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate,
+def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate, v0,
                           grid_radius: float = 20.0, n_grid: int = 61) -> QuadraticFormChoice:
-    """Pick the cross weight, scale, and Young split of the quadratic form.
+    """Pick the cross weight, scale, and Young split of the quadratic form
+    with the position weight ``v0 = build_position_weight(langevin, cert)``.
 
     Sets ``r0_cross = alpha_damp / 2`` and places ``r`` at the midpoint of
     the window where ``(r^2 + 2 beta lam4 - alpha r0)^2`` stays below
@@ -482,7 +483,6 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
     c_v = alpha - r0 - eps * K ** 2 / 4.0
     c_x = beta * r0 * lam_eff - 1.0 / eps
     big_c = beta * r0 * (cert.lam3 + cert.lam2 * cert.lam5)
-    v0 = build_position_weight(langevin, cert)
     if cert.lam2 > 0:
         c = min(c_v, c_x, r0 * cert.lam2)
     else:
@@ -513,10 +513,10 @@ def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0,
                    theta: float = 1.0) -> LyapunovSetup:
     """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``langevin``."""
     cert, source = certificate_with_fallback(langevin.potential, langevin.dim, grid_radius)
-    choice = choose_quadratic_form(langevin, cert, grid_radius)
-    lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta,
-                        v0=build_position_weight(langevin, cert), dim=langevin.dim,
-                        drift_c=choice.c, drift_C=choice.C)
+    v0 = build_position_weight(langevin, cert)
+    choice = choose_quadratic_form(langevin, cert, v0, grid_radius)
+    lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta, v0=v0,
+                        dim=langevin.dim, drift_c=choice.c, drift_C=choice.C)
     return LyapunovSetup(source, choice, lyap)
 
 
@@ -566,12 +566,13 @@ def verify_jump_regularity(lyap: LyapunovSpec, slice_m: SliceMeasure,
                            grid_radius: float = 20.0, n_grid: int = 9) -> tuple:
     """Fit ``c_star`` with integral |W(x, v+u) - W| nu*(du) <= c_star W^(1/2).
 
-    The exponent is pinned at 1/2; the returned constant is the grid
-    supremum of the ratio plus a 10% margin. The grid pairs every x with
-    every v of a ball grid of radius ``min(grid_radius, 10)`` and ``n_grid``
-    points per axis, and all its points are integrated in one broadcast
-    call. Raises when the half-moment of the slice diverges (requires
-    ``theta0 < theta / 2``).
+    Returns ``(c_star, report)``. The exponent 1/2 is a constant of the
+    chain: the far-field balance and the tilt weight are solved in closed
+    form for it. ``c_star`` is the grid supremum of the ratio plus a 10%
+    margin. The grid pairs every x with every v of a ball grid of radius
+    ``min(grid_radius, 10)`` and ``n_grid`` points per axis, and all its
+    points are integrated in one broadcast call. Raises when the
+    half-moment of the slice diverges (requires ``theta0 < theta / 2``).
     """
     if slice_m.theta0 >= lyap.theta / 2.0:
         raise MomentFailure(
@@ -579,13 +580,12 @@ def verify_jump_regularity(lyap: LyapunovSpec, slice_m: SliceMeasure,
         )
     if slice_m.dim != 1:
         raise NotImplementedError("jump regularity quadrature implemented for dim == 1")
-    eta = 0.5
     x, v = grid_pairs(min(grid_radius, 10.0), n_grid, lyap.dim, include_origin=True)
-    ratio = _abs_increment_integral(lyap, slice_m, x, v) / lyap.W(x, v) ** eta
+    ratio = _abs_increment_integral(lyap, slice_m, x, v) / lyap.W(x, v) ** 0.5
     k = np.unravel_index(np.argmax(ratio), ratio.shape)
     sup = float(ratio[k])
     c_star = 1.1 * sup
-    report = {"eta": eta, "sup_ratio": sup, "c_star": c_star,
+    report = {"sup_ratio": sup, "c_star": c_star,
               "argmax_x": x[k].tolist() if sup > 0.0 else None,
               "argmax_v": v[k].tolist() if sup > 0.0 else None}
-    return eta, c_star, report
+    return c_star, report

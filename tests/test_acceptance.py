@@ -98,7 +98,7 @@ def test_criterion_03_overlap_floor(bench):
     t0 = time.monotonic()
     sl = bench.levy.slice_part
     r0 = bench.report.r0_jump
-    c0, theta0 = ms.fit_overlap_floor(sl, r0)
+    c0, theta0 = ms.fit_overlap_floor(sl, r0), sl.theta0
     floor_ok = all(
         ms.overlap_mass_lower_bound(sl, float(s)) >= c0 * s ** -theta0 * (1 - 1e-9)
         for s in np.geomspace(1e-4 * r0, r0, 60))

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +323,14 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("config error: line 3:")
         assert f"[levy] {key}" in lines[0]
 
+    @pytest.mark.parametrize("text", ["[model]\nb = 2.0\n", "[model]\na = 0.5\n"])
+    def test_constants_without_a_balance_point_exits_2(self, tmp_path, capsys, text):
+        # the drift fit fails on these systems, so C0 = inf and S* has no finite root
+        path = write(tmp_path, text)
+        assert cli.main(["constants", "--config", path, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["NoRoot: no finite balance point: the linear term never wins"]
+
     @pytest.mark.parametrize("section, key, value", [
         ("levy", "dim", "1"), ("model", "force", "damped_gradient")])
     def test_levy_dim_and_model_force_are_unknown_keys(self, tmp_path, capsys, section, key,
@@ -357,12 +367,13 @@ class TestOutputs:
 
     def test_report_keys(self, tmp_path):
         # a new report field is a deliberate edit of these sets
-        for argv in (["constants"], ["verify", "--which", "B1"], ["verify", "--which", "F1"]):
+        for argv in (["constants"], ["verify", "--which", "B1"], ["verify", "--which", "F1"],
+                     ["verify", "--which", "A2"]):
             assert cli.main(argv + ["--out", str(tmp_path)]) == 0
         constants = json.loads((tmp_path / "constants.json").read_text())
         assert set(constants) == {
-            "C0_lyap", "R0", "S_star", "a", "alpha", "alpha0", "alpha0_provisional", "b",
-            "c0_lyap", "c0_sigma", "c1", "c2", "c_star_A2", "c_star_profile", "eps", "eta",
+            "C0_lyap", "R0", "S_star", "a", "alpha", "alpha0", "b",
+            "c0_lyap", "c0_sigma", "c1", "c2", "c_star_A2", "c_star_profile", "eps",
             "flags", "k0", "kappa", "lambda0", "lambda_star_R0", "log_c1", "log_eps",
             "log_rate", "monitor_is_fallback", "notes", "position_radius",
             "positivity_violations", "r0_jump", "rate", "theta", "theta0"}
@@ -372,6 +383,9 @@ class TestOutputs:
         assert set(b1["certificate"]) == {"lam1", "lam2", "lam3", "lam4", "lam5"}
         f1 = json.loads((tmp_path / "verify_F1.json").read_text())
         assert set(f1["choice"]) == {"C", "c", "eps_young", "r", "r0_cross", "r_window"}
+        a2 = json.loads((tmp_path / "verify_A2.json").read_text())
+        assert set(a2) == {"c_star", "moment_divergent", "moment_small", "moment_theta",
+                           "passed", "sup_ratio", "which"}
 
     def test_rate_keys_hold_no_timings(self, tmp_path):
         path = write(tmp_path, QUICK)
@@ -493,3 +507,16 @@ decay_threshold = 0.5
         assert len(err) == 1 and err[0].startswith("EmptyMeasure:")
         assert not (tmp_path / "equilibrium.json").exists()
         assert not (tmp_path / "run_manifest.json").exists()
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half a second to import; only the Lipschitz
+        # sampler needs it, and it imports it when it runs
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, levyham.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"

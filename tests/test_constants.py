@@ -9,8 +9,9 @@ from scipy import integrate
 
 from levyham import constants as cn
 from levyham import generator as gen
+from levyham import measures as ms
 from levyham import model as md
-from levyham.errors import NoRoot
+from levyham.errors import NoRoot, SigmaNotIntegrable
 from levyham.pair import PairState
 
 
@@ -28,31 +29,55 @@ class TestTransformWeights:
 
 class TestFarField:
     def test_linear_case(self):
-        geom = cn.far_field_sublevel(2.0, 3.0, 0.0, 0.5, 1.0, 1.0, 0.3)
+        geom = cn.far_field_sublevel(2.0, 3.0, 0.0, 1.0, 1.0, 0.3)
         assert geom.S_star == pytest.approx(6.0)
 
     def test_quadratic_balance_oracle(self):
         # 2 + 4 sqrt(S/2) = S/2 has the closed-form root S = 20 + 8 sqrt(6)
-        geom = cn.far_field_sublevel(1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.3)
+        geom = cn.far_field_sublevel(1.0, 1.0, 1.0, 1.0, 1.0, 0.3)
         assert geom.S_star == pytest.approx(20.0 + 8.0 * math.sqrt(6.0), rel=1e-10)
+
+    @pytest.mark.parametrize("c0", [1e-3, 0.2, 1.0, 30.0])
+    @pytest.mark.parametrize("C0", [1e-6, 0.5, 3.0, 1e4])
+    @pytest.mark.parametrize("c_star", [0.0, 1e-3, 1.0, 50.0])
+    def test_balance_point_solves_the_balance(self, c0, C0, c_star):
+        # S* is the root of 2 C0 + 4 c* sqrt(S/2) = c0 S / 2 above the floor 4;
+        # at the floor the linear term already wins at S = 4
+        S = cn.far_field_sublevel(c0, C0, c_star, 1.0, 1.0, 0.3).S_star
+        lhs, rhs = 2.0 * C0 + 4.0 * c_star * math.sqrt(S / 2.0), c0 * S / 2.0
+        if S == 4.0:
+            assert lhs <= rhs * (1.0 + 1e-12)
+        else:
+            assert S > 4.0
+            assert abs(lhs - rhs) <= 1e-12 * rhs
+
+    def test_balance_grid_reaches_the_floor(self):
+        assert cn.far_field_sublevel(30.0, 1e-6, 0.0, 1.0, 1.0, 0.3).S_star == 4.0
+        assert cn.far_field_sublevel(30.0, 1e-6, 1e-3, 1.0, 1.0, 0.3).S_star == 4.0
 
     def test_radius_monotone_in_C0(self):
         vals = []
         for C0 in (1.0, 2.0, 4.0):
-            geom = cn.far_field_sublevel(1.0, C0, 1.0, 0.5, 1.0, 1.0, 0.3)
+            geom = cn.far_field_sublevel(1.0, C0, 1.0, 1.0, 1.0, 0.3)
             vals.append(cn.compute_R0(geom, 1.0, 5.0, 0.25))
         assert vals[0] <= vals[1] <= vals[2]
 
-    def test_no_root_for_bad_drift(self):
+    @pytest.mark.parametrize("c0", [0.0, -1.0])
+    def test_no_root_for_bad_drift(self, c0):
         with pytest.raises(NoRoot):
-            cn.far_field_sublevel(0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.3)
+            cn.far_field_sublevel(c0, 1.0, 1.0, 1.0, 1.0, 0.3)
+
+    def test_no_root_after_a_failed_drift_fit(self):
+        # a failed weight-drift fit leaves C0 = inf: the balance has no finite root
+        with pytest.raises(NoRoot, match="no finite balance point"):
+            cn.far_field_sublevel(1e-6, math.inf, 1.0, 1.0, 1.0, 0.3)
 
     @pytest.mark.parametrize("theta", [1.0, 0.5])
     def test_sublevel_set_lies_inside_the_radii(self, flat_lyap, benchmark_lyap, theta, rng):
         # W + W' <= S* with W' >= 1 leaves V <= V_max = (S* - 2)^(2/theta) for
         # one copy; the radii must hold every (x, v) of that sublevel set
         for lyap in (flat_lyap, benchmark_lyap):
-            geom = cn.far_field_sublevel(2.0, 3.0, 0.0, 0.5, theta, lyap.r, lyap.r0_cross)
+            geom = cn.far_field_sublevel(2.0, 3.0, 0.0, theta, lyap.r, lyap.r0_cross)
             V_max = max(geom.S_star - 2.0, 1.0) ** (2.0 / theta)
             x = rng.uniform(-1.2, 1.2, (100_000, 1)) * geom.x_max
             v = rng.uniform(-1.2, 1.2, (100_000, 1)) * geom.v_max
@@ -96,23 +121,28 @@ class TestLipschitz:
 class TestSigmaAndProfile:
     def test_unit_scaling_branch(self):
         # kappa >= R0 leaves the activity floor unscaled
-        sig = cn.build_sigma(0.7, 0.4, 1.0, 12.0, 10.0)
+        coef = cn.activity_coef(0.7, 0.4, 1.0, 12.0, 10.0)
         s = np.linspace(0.01, 5, 50)
-        np.testing.assert_allclose(sig(s), 0.7 * s ** 0.6, rtol=1e-12)
+        np.testing.assert_allclose(coef * s ** 0.6, 0.7 * s ** 0.6, rtol=1e-12)
 
     def test_power_composition_hand_formula(self):
         c0, theta0, alpha, kappa, R0 = 0.6, 0.4, 2.0, 0.25, 10.0
         m = kappa / R0
-        sig = cn.build_sigma(c0, theta0, alpha, kappa, R0)
+        coef = cn.activity_coef(c0, theta0, alpha, kappa, R0)
         expected = (1.0 / alpha) * m * c0 * (alpha * m * 1.0) ** (1 - theta0)
-        assert sig(1.0) == pytest.approx(expected, rel=1e-12)
+        assert coef == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_concave(self):
-        sig = cn.build_sigma(0.6, 0.4, 1.0, 0.25, 10.0)
+        coef = cn.activity_coef(0.6, 0.4, 1.0, 0.25, 10.0)
         s = np.linspace(1e-4, 20.0, 200)
-        vals = sig(s)
+        vals = coef * s ** (1.0 - 0.4)
         assert np.all(np.diff(vals) > 0)
         assert np.all(np.diff(vals, 2) < 1e-12)
+
+    @pytest.mark.parametrize("theta0", [0.0, 1.0, 1.5])
+    def test_profile_needs_an_integrable_floor(self, theta0):
+        with pytest.raises(SigmaNotIntegrable):
+            cn.build_profile(0.5, theta0, 2.0, 1.0, 2.0, 10.0, 1.0, 1.0)
 
     def test_zero_reshaping_profile_is_linear(self):
         prof = cn.DistanceProfile(log_c1=0.0, c2=1.0, g_coef=0.0, theta0=0.4, cap=20.0)
@@ -157,30 +187,53 @@ class TestSigmaAndProfile:
 
 
 class TestTiltAndRate:
+    # arguments: log_c1, alpha0, b, alpha, C0, c_star, c0
+
     def test_tilt_hand_case(self):
-        log_eps = cn.compute_eps_log(0.0, 2.0, 1.0, 1.0, 0.5, 0.0, 0.5, 1.0)
+        log_eps, _ = cn.tilt_and_rate_log(0.0, 2.0, 1.0, 1.0, 0.5, 0.0, 1.0)
         assert math.exp(log_eps) == pytest.approx(3.0 / 64.0, rel=1e-12)
 
     def test_tilt_decreasing_in_C0(self):
-        vals = [cn.compute_eps_log(0.0, 2.0, 1.0, 1.0, C0, 0.5, 0.5, 1.0)
+        vals = [cn.tilt_and_rate_log(0.0, 2.0, 1.0, 1.0, C0, 0.5, 1.0)[0]
                 for C0 in (0.5, 1.0, 2.0)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_tilt_positive(self):
-        assert cn.compute_eps_log(-3.0, 1.5, 1.0, 0.5, 1.0, 2.0, 0.5, 0.2) > -math.inf
+        assert cn.tilt_and_rate_log(-3.0, 1.5, 1.0, 0.5, 1.0, 2.0, 0.2)[0] > -math.inf
+
+    @pytest.mark.parametrize("c_star, c0", [(0.5, 1.0), (2.0, 0.2), (1e-3, 30.0)])
+    def test_tilt_bracket_is_the_half_exponent_young_bound(self, c_star, c0):
+        # (1 - eta) (2 c* (eta / c0)^eta)^(1 / (1 - eta)) at eta = 1/2 is c*^2 / c0
+        eta = 0.5
+        young = (1.0 - eta) * (2.0 * c_star * (eta / c0) ** eta) ** (1.0 / (1.0 - eta))
+        bracket = 2.0 * 0.7 + young
+        log_eps, _ = cn.tilt_and_rate_log(-1.0, 3.0, 1.0, 2.0, 0.7, c_star, c0)
+        c1 = math.exp(-1.0)
+        want = 3.0 * (1.0 - 1.0 / 3.0) * 2.0 / 16.0 * c1 / (1.0 + c1) / bracket
+        assert math.exp(log_eps) == pytest.approx(want, rel=1e-12)
 
     def test_rate_first_term(self):
-        t1, _ = cn.rate_terms_log(1.0, 0.0, 0.0, 2.0, 1.0, 1.0)
-        assert math.exp(t1) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        # eps = 3/64 and bracket 1: c0 eps / (1 + 2 eps) = 3/70 < 2 eps = 3/32
+        _, log_rate = cn.tilt_and_rate_log(0.0, 2.0, 1.0, 1.0, 0.5, 0.0, 1.0)
+        assert math.exp(log_rate) == pytest.approx(3.0 / 70.0, rel=1e-12)
+
+    def test_rate_profile_route(self):
+        # a strong weight drift leaves the profile route 2 bracket eps =
+        # 3 (1 - 1/alpha0) b alpha c1 / (8 (1 + c1))
+        _, log_rate = cn.tilt_and_rate_log(-2.0, 4.0, 1.5, 0.5, 0.3, 0.4, 50.0)
+        c1 = math.exp(-2.0)
+        want = 3.0 * (1.0 - 1.0 / 4.0) * 1.5 * 0.5 / 8.0 * c1 / (1.0 + c1)
+        assert math.exp(log_rate) == pytest.approx(want, rel=1e-12)
 
     def test_rate_degenerate_weight(self):
-        _, t2 = cn.rate_terms_log(1.0, 0.0, 0.0, 1.0, 1.0, 1.0)
-        assert t2 == -math.inf
+        assert cn.tilt_and_rate_log(0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 1.0) == (-math.inf, -math.inf)
 
-    def test_rate_below_weight_drift(self):
-        for eps_log in (-2.0, 0.0, 3.0):
-            t1, _ = cn.rate_terms_log(0.7, eps_log, 0.0, 2.0, 1.0, 1.0)
-            assert math.exp(t1) < 0.7
+    @pytest.mark.parametrize("C0", [1e-3, 0.5, 50.0])
+    def test_rate_below_weight_drift(self, C0):
+        log_eps, log_rate = cn.tilt_and_rate_log(0.0, 2.0, 1.0, 1.0, C0, 0.5, 0.7)
+        eps = math.exp(log_eps)
+        assert math.exp(log_rate) < 0.7
+        assert math.exp(log_rate) <= 0.7 * eps / (1.0 + 2.0 * eps) * (1.0 + 1e-12)
 
 
 def psi_tilde_fn(profile, lyap, eps: float, alpha: float, alpha0: float):
@@ -265,7 +318,9 @@ class TestPipeline:
         rep = cn.profile_property_report(benchmark_bundle.profile)
         assert rep["passed"], rep["checks"]
 
-    def test_provisional_weight_recorded(self, benchmark_bundle):
-        rep = benchmark_bundle.report
-        assert rep.alpha0_provisional == 1.0
-        assert rep.alpha0 >= rep.alpha0_provisional
+    def test_slice_exponent_reaches_the_profile_exactly(self, benchmark_langevin):
+        levy = ms.LevyMeasureSpec(measure=ms.SliceMeasure(c=1.0, theta0=0.3, dim=1), theta=1.0)
+        bundle = cn.build_constants(benchmark_langevin, levy)
+        assert bundle.report.theta0 == 0.3
+        assert bundle.profile.theta0 == 0.3
+        assert bundle.monitor_profile.theta0 == 0.3

@@ -354,8 +354,8 @@ class TestProductRule:
             assert res <= 1e-6
 
     def test_correction_term_within_envelope(self, benchmark_levy, scheme, flat_lyap, rng):
-        eta, c_star, _ = md.verify_jump_regularity(flat_lyap, benchmark_levy.slice_part,
-                                                   grid_radius=8.0, n_grid=7)
+        c_star, _ = md.verify_jump_regularity(flat_lyap, benchmark_levy.slice_part,
+                                              grid_radius=8.0, n_grid=7)
         eps = 0.05
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
         g = tilt(flat_lyap, eps)
@@ -363,13 +363,13 @@ class TestProductRule:
         x, v, xp, vp = np.moveaxis(rng.uniform(-4, 4, (15, 4, 1)), 1, 0)
         pair = PairState(x, v, xp, vp)
         pi = gen.product_correction_term(pair, h, g, benchmark_levy, ALPHA, KAPPA, scheme)
-        bound = gen.correction_bound(pair, h, flat_lyap, eps, c_star, eta)
+        bound = gen.correction_bound(pair, h, flat_lyap, eps, c_star)
         assert pi.shape == bound.shape == (15,)
         assert np.all(np.abs(pi) <= bound + 1e-12)
         for k in range(15):
             row = PairState(x[k:k + 1], v[k:k + 1], xp[k:k + 1], vp[k:k + 1])
             assert np.array_equal(bound[k:k + 1],
-                                  gen.correction_bound(row, h, flat_lyap, eps, c_star, eta))
+                                  gen.correction_bound(row, h, flat_lyap, eps, c_star))
 
 
 class TestContractionCheck:

@@ -198,7 +198,7 @@ class TestOverlapFloor:
         assert ms.overlap_mass_lower_bound(SL, s) == min(grid)
 
     def test_floor_fit_bounds_everywhere(self):
-        c0, theta0 = ms.fit_overlap_floor(SL, 0.5)
+        c0, theta0 = ms.fit_overlap_floor(SL, 0.5), SL.theta0
         assert theta0 == 0.5
         for s in np.geomspace(5e-4, 0.5, 40):
             assert ms.overlap_mass_lower_bound(SL, float(s)) >= c0 * s ** -theta0 * (1 - 1e-9)
