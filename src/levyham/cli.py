@@ -49,8 +49,8 @@ __all__ = ["main"]
 
 def _chain_exit(rep: cn.ConstantsReport) -> int:
     # 2, after one stderr line naming the flags, when the constant chain is
-    # degenerate or a step of it failed; the data outputs are written first
-    if not any("degenerate" in f or "failed" in f for f in rep.flags):
+    # degenerate; the data outputs are written first
+    if not any("degenerate" in f for f in rep.flags):
         return 0
     print(f"degenerate constant chain: flags {', '.join(rep.flags)}", file=sys.stderr)
     return 2

@@ -540,8 +540,7 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     c0_lyap, C0_lyap, fit_report = fit_lyapunov_drift(langevin, levy_spec, lyap,
                                                       grid_radius, n_grid, scheme)
     if c0_lyap <= 0:
-        flags.append("weight_drift_fit_failed")
-        c0_lyap = 1e-6
+        raise NoRoot("no finite balance point: the weight-drift fit failed")
 
     c_star, _ = md.verify_jump_regularity(lyap, levy_spec.slice_part, grid_radius)
 

@@ -447,10 +447,9 @@ class QuadraticFormChoice:
     r_window: tuple
 
 
-def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate, v0,
+def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate,
                           grid_radius: float = 20.0, n_grid: int = 61) -> QuadraticFormChoice:
-    """Pick the cross weight, scale, and Young split of the quadratic form
-    with the position weight ``v0 = build_position_weight(langevin, cert)``.
+    """Pick the cross weight, scale, and Young split of the quadratic form.
 
     Sets ``r0_cross = alpha_damp / 2`` and places ``r`` at the midpoint of
     the window where ``(r^2 + 2 beta lam4 - alpha r0)^2`` stays below
@@ -483,6 +482,7 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
     c_v = alpha - r0 - eps * K ** 2 / 4.0
     c_x = beta * r0 * lam_eff - 1.0 / eps
     big_c = beta * r0 * (cert.lam3 + cert.lam2 * cert.lam5)
+    v0 = build_position_weight(langevin, cert)
     if cert.lam2 > 0:
         c = min(c_v, c_x, r0 * cert.lam2)
     else:
@@ -513,10 +513,10 @@ def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0,
                    theta: float = 1.0) -> LyapunovSetup:
     """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``langevin``."""
     cert, source = certificate_with_fallback(langevin.potential, langevin.dim, grid_radius)
-    v0 = build_position_weight(langevin, cert)
-    choice = choose_quadratic_form(langevin, cert, v0, grid_radius)
-    lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta, v0=v0,
-                        dim=langevin.dim, drift_c=choice.c, drift_C=choice.C)
+    choice = choose_quadratic_form(langevin, cert, grid_radius)
+    lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta,
+                        v0=build_position_weight(langevin, cert), dim=langevin.dim,
+                        drift_c=choice.c, drift_C=choice.C)
     return LyapunovSetup(source, choice, lyap)
 
 

@@ -325,11 +325,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", ["[model]\nb = 2.0\n", "[model]\na = 0.5\n"])
     def test_constants_without_a_balance_point_exits_2(self, tmp_path, capsys, text):
-        # the drift fit fails on these systems, so C0 = inf and S* has no finite root
+        # the drift fit fails on these systems, so the balance has no finite root
         path = write(tmp_path, text)
         assert cli.main(["constants", "--config", path, "--out", str(tmp_path)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
-        assert lines == ["NoRoot: no finite balance point: the linear term never wins"]
+        assert lines == ["NoRoot: no finite balance point: the weight-drift fit failed"]
+        assert not (tmp_path / "constants.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("levy", "dim", "1"), ("model", "force", "damped_gradient")])

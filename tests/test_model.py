@@ -170,8 +170,8 @@ class TestGammaDrift:
     def test_grid_drift_bound(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
         cert = md.PotentialCertificate(lam1=1.0)
+        choice = md.choose_quadratic_form(kl, cert)
         v0 = md.build_position_weight(kl, cert)
-        choice = md.choose_quadratic_form(kl, cert, v0)
         ly = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=1.0, v0=v0,
                              dim=1, drift_c=choice.c, drift_C=choice.C)
         rep = md.verify_gamma_drift(ly, kl)
@@ -181,8 +181,7 @@ class TestGammaDrift:
 class TestQuadraticFormChoice:
     def test_hand_window(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
-        cert = md.PotentialCertificate(lam1=1.0)
-        choice = md.choose_quadratic_form(kl, cert, md.build_position_weight(kl, cert))
+        choice = md.choose_quadratic_form(kl, md.PotentialCertificate(lam1=1.0))
         assert choice.r0_cross == pytest.approx(0.5)
         lo, hi = choice.r_window
         assert lo == pytest.approx(0.5, rel=1e-12)
@@ -199,37 +198,25 @@ class TestQuadraticFormChoice:
         kl = md.KineticLangevinSpec(alpha, beta, md.Quadratic(1.0), dim=1)
         cert = md.PotentialCertificate(lam1=lam1, lam2=lam2, lam4=lam4)
         with pytest.raises(EmptyWindow):
-            md.choose_quadratic_form(kl, cert, md.build_position_weight(kl, cert))
+            md.choose_quadratic_form(kl, cert)
 
     def test_drift_constant_sized_on_the_given_system(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
         cert = md.auto_certificate(kl.potential)
         wide = md.KineticLangevinSpec(1.0, 1.0, kl.potential, dim=1, b=2.0)
-        v0 = md.build_position_weight(kl, cert)
-        choice = md.choose_quadratic_form(wide, cert, v0)
-        assert choice.C > md.choose_quadratic_form(kl, cert, v0).C
-        ly = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=1.0, v0=v0, dim=1,
+        choice = md.choose_quadratic_form(wide, cert)
+        assert choice.C > md.choose_quadratic_form(kl, cert).C
+        ly = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=1.0,
+                             v0=md.build_position_weight(kl, cert), dim=1,
                              drift_c=choice.c, drift_C=choice.C)
         # C covers the sizing ball, not the far field beyond it
         assert md.verify_gamma_drift(ly, wide)["passed"]
         assert not md.verify_gamma_drift(ly, wide, 40.0, 121)["passed"]
 
-    def test_builder_makes_one_position_weight(self, benchmark_langevin, monkeypatch):
-        original, made = md.build_position_weight, []
-
-        def counting(langevin, cert):
-            made.append(original(langevin, cert))
-            return made[-1]
-
-        monkeypatch.setattr(md, "build_position_weight", counting)
-        setup = md.build_lyapunov(benchmark_langevin)
-        assert len(made) == 1
-        assert setup.lyap.v0 is made[0]
-
     def test_young_split_positive(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
         cert = md.auto_certificate(kl.potential)
-        choice = md.choose_quadratic_form(kl, cert, md.build_position_weight(kl, cert))
+        choice = md.choose_quadratic_form(kl, cert)
         lam_eff = cert.lam1 - cert.lam2 * cert.lam4
         K = choice.r ** 2 + 2.0 * cert.lam4 - 0.5
         assert 1.0 - choice.r0_cross - choice.eps_young * K ** 2 / 4.0 > 0
