@@ -15,9 +15,10 @@ constants, failed verification, insufficient decay, an ensemble with no
 surviving replica).
 ``main`` builds the run's ``RunManifest`` (out dir, config hash, seed, and
 the command, ``verify:<suite>`` for verify) and hands it to the command,
-which writes every data file through it. ``main`` writes
-``run_manifest.json`` once the command returns: a config or usage error,
-or an exception exit such as ``NonFiniteForce:``, leaves none.
+which writes every data file through it. ``main`` writes the command's
+record into ``run_manifest.json`` once the command returns, keeping the
+records of other commands in the same directory: a config or usage error,
+or an exception exit such as ``NonFiniteForce:``, writes none.
 Outputs are bitwise-stable given (config, seed); the manifest additionally
 records wall-clock timings (for ``rate``, also per stage: ``constants_s``,
 ``ensemble_s``, ``decay_fit_s`` for the cost, fit and bootstrap, and
@@ -101,17 +102,17 @@ def _verify_f1(cfg, seed):
     radius, n = cfg.lyapunov["grid_radius"], cfg.lyapunov["grid_points"]
     setup = md.build_lyapunov(langevin, radius, cfg.levy["theta"])
     # C is sized within the grid radius: check out to twice it at the same spacing
-    rep = md.verify_gamma_drift(setup.lyap, langevin, 2.0 * radius, 2 * n - 1)
+    rep = md.verify_gamma_drift(setup, langevin, 2.0 * radius, 2 * n - 1)
     return {"choice": setup.choice, **rep}, rep["passed"]
 
 
 def _verify_a2(cfg, seed):
     levy = cfg.build_levy()
     setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
-    c_star, rep = md.verify_jump_regularity(setup.lyap, levy.slice_part,
-                                            cfg.lyapunov["grid_radius"])
+    c_star, sup_ratio = md.verify_jump_regularity(setup.lyap, levy.slice_part,
+                                                  cfg.lyapunov["grid_radius"])
     moments = levy.moments
-    payload = {"c_star": c_star, "sup_ratio": rep["sup_ratio"],
+    payload = {"c_star": c_star, "sup_ratio": sup_ratio,
                "moment_small": moments.small_jump, "moment_theta": moments.theta_moment,
                "moment_divergent": moments.divergent}
     return payload, bool(c_star > 0 and not moments.divergent)

@@ -17,8 +17,9 @@ A config file has flat ``key = value`` tables, one nesting level::
 sections or keys are rejected with the offending line number, and so is a
 ``[levy]`` key that only the other ``kind`` reads.
 A run's ``RunManifest`` writes every file of the run: the data files (a
-JSON report serialises from its dataclass fields) and ``run_manifest.json``
-with the config hash, seed, library versions, timings and output list.
+JSON report serialises from its dataclass fields) and its record in
+``run_manifest.json`` (config hash, seed, library versions, timings and
+output list, keyed by the command).
 Data outputs are bitwise-stable for a fixed (config, seed); only the
 manifest records wall times.
 """
@@ -281,7 +282,10 @@ class RunManifest:
 
     ``write_json`` and ``write_csv`` write a data file under ``out`` and
     record its path; ``finish`` adds the total wall time and the library
-    versions and writes ``run_manifest.json`` next to them.
+    versions and writes the record into ``run_manifest.json`` next to them.
+    That file maps each command that finished in ``out`` (``constants``,
+    ``verify:F1``, ...) to its latest record, so commands sharing a directory
+    keep each other's provenance.
     """
 
     config_hash: str
@@ -316,11 +320,19 @@ class RunManifest:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         }
-        _dump_json(os.path.join(self.out, "run_manifest.json"), {
+        path = os.path.join(self.out, "run_manifest.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                records = json.load(fh)
+        except (FileNotFoundError, json.JSONDecodeError):
+            records = {}
+        if "config_hash" in records:  # a single-record manifest is replaced
+            records = {}
+        records[self.command] = {
             "config_hash": self.config_hash,
             "seed": self.seed,
-            "command": self.command,
             "versions": self.versions,
             "timings": self.timings,
             "outputs": self.outputs,
-        })
+        }
+        _dump_json(path, records)

@@ -309,33 +309,25 @@ def tilt_and_rate_log(log_c1: float, alpha0: float, b: float, alpha: float, C0: 
 
 
 def fit_lyapunov_drift(system, levy_spec, lyap, grid_radius: float = 20.0, n_grid: int = 21,
-                       scheme: gen.QuadratureScheme | None = None) -> tuple[float, float, dict]:
+                       scheme: gen.QuadratureScheme | None = None) -> tuple[float, float]:
     """Fit ``(c0, C0)`` with generator(W) <= -c0 W + C0 on the grid.
 
     ``c0`` is 90% of the worst drift-to-weight ratio on the outer shell;
-    ``C0`` then covers the full grid with a 10% margin, so the reported fit
-    satisfies the inequality on every probed point by construction. The
-    meaningful outputs are ``c0 > 0`` and the worst-point location. The
-    generator and the weight are evaluated on the whole ``(x, v)`` grid in
-    one broadcast call each.
+    ``C0`` then covers the full grid with a 10% margin, so the fit satisfies
+    the inequality on every probed point by construction. The generator and
+    the weight are evaluated on the whole ``(x, v)`` grid in one broadcast
+    call each. Raises NoRoot when the shell ratio is not positive: no
+    ``C0`` then bounds the drift, and the far-field balance has no root.
     """
     x, v = md.grid_pairs(grid_radius, n_grid, system.dim, include_origin=True)
     LW = gen.apply_generator(system, levy_spec, gen.lyapunov_test_function(lyap), x, v, scheme)
     W = lyap.W(x, v)
     shell = np.maximum(np.linalg.norm(x, axis=-1), np.linalg.norm(v, axis=-1)) >= grid_radius / 2
-    ratio = -LW / W
-    c0 = 0.9 * float(np.min(ratio[shell]))
-    report = {"shell_min_ratio": float(np.min(ratio[shell])),
-              "grid_radius": grid_radius, "n_grid": int(n_grid)}
+    c0 = 0.9 * float(np.min(-LW[shell] / W[shell]))
     if c0 <= 0.0:
-        report["failed"] = True
-        return 0.0, float("inf"), report
-    excess = LW + c0 * W
-    C0 = 1.1 * max(float(np.max(excess)), 1e-6)
-    iw, jw = np.unravel_index(np.argmax(excess), excess.shape)
-    report.update({"C0_argmax_x": x[iw, jw].tolist(), "C0_argmax_v": v[iw, jw].tolist(),
-                   "worst_excess_after": float(np.max(LW + c0 * W - C0))})
-    return c0, C0, report
+        raise NoRoot("no finite balance point: the weight-drift fit failed")
+    C0 = 1.1 * max(float(np.max(LW + c0 * W)), 1e-6)
+    return c0, C0
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +398,6 @@ class ConstantsBundle:
     levy: object
     lyap: object
     profile: DistanceProfile
-    clamped: ClampedProfile
     report: ConstantsReport
     monitor_profile: object = None
     monitor_eps: float = 0.0
@@ -414,7 +405,8 @@ class ConstantsBundle:
     monitor_is_fallback: bool = False
 
     def hhat_fn(self):
-        return gen.ProfilePairFn(self.clamped, self.report.alpha, self.report.alpha0)
+        prof = ClampedProfile(self.profile, self.report.R0)
+        return gen.ProfilePairFn(prof, self.report.alpha, self.report.alpha0)
 
     def g_fn(self):
         return self._tilt(self.report.eps)
@@ -537,11 +529,8 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
         notes.append("auto certificate unavailable: fell back to lam1=1")
     lyap = setup.lyap
 
-    c0_lyap, C0_lyap, fit_report = fit_lyapunov_drift(langevin, levy_spec, lyap,
-                                                      grid_radius, n_grid, scheme)
-    if c0_lyap <= 0:
-        raise NoRoot("no finite balance point: the weight-drift fit failed")
-
+    c0_lyap, C0_lyap = fit_lyapunov_drift(langevin, levy_spec, lyap, grid_radius, n_grid,
+                                          scheme)
     c_star, _ = md.verify_jump_regularity(lyap, levy_spec.slice_part, grid_radius)
 
     theta0 = levy_spec.slice_part.theta0
@@ -616,6 +605,6 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
         fallback = True
 
     return ConstantsBundle(system=langevin, levy=levy_spec, lyap=lyap, profile=profile,
-                           clamped=ClampedProfile(profile, R0), report=report,
+                           report=report,
                            monitor_profile=monitor, monitor_eps=monitor_eps,
                            monitor_alpha0=monitor_alpha0, monitor_is_fallback=fallback)

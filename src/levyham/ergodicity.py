@@ -24,7 +24,6 @@ from .pair import PairState
 
 __all__ = [
     "DecayReport",
-    "EmpiricalMeasure",
     "fit_exponential_decay",
     "estimate_decay",
     "sliced_wasserstein",
@@ -53,19 +52,6 @@ class DecayReport:
     # seconds spent in the pair ensemble and in the cost, fit and bootstrap;
     # the run manifest reports them, rate.json does not
     timings: dict = field(default_factory=dict, compare=False)
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniformly weighted sample cloud."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.size == 0:
-            raise EmptyMeasure("empirical measure needs at least one sample")
-        object.__setattr__(self, "samples", np.atleast_2d(samples))
 
 
 def fit_exponential_decay(times, means, ses, burn_in_frac: float = 0.1,
@@ -171,16 +157,19 @@ def _w1_sorted(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
-def sliced_wasserstein(A: EmpiricalMeasure, B: EmpiricalMeasure, n_projections: int = 64,
-                       seed: int = 0) -> float:
+def sliced_wasserstein(a, b, n_projections: int = 64, seed: int = 0) -> float:
     """Average one-dimensional transport distance over random projections.
 
-    Exact sorted-sample distance in one dimension; a projection average
+    ``a`` and ``b`` are uniformly weighted sample clouds, one sample per row
+    (a 1-d array is one sample); an empty cloud raises EmptyMeasure. Exact
+    sorted-sample distance in one dimension; a projection average
     otherwise. Unequal sample counts are subsampled (seeded) to the smaller
     count. A diagnostics surrogate: a pseudometric on sample clouds, not
     the certified contraction cost.
     """
-    a, b = A.samples, B.samples
+    a, b = (np.atleast_2d(np.asarray(s, dtype=float)) for s in (a, b))
+    if a.size == 0 or b.size == 0:
+        raise EmptyMeasure("a sample cloud needs at least one sample")
     if a.shape[1] != b.shape[1]:
         raise ValueError("sample dimensions differ")
     n = min(a.shape[0], b.shape[0])
@@ -216,20 +205,20 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
 
     def cloud(ens, k):
         rows = [np.concatenate([tr.x[k], tr.v[k]]) for tr in ens if not tr.blown_up]
-        return EmpiricalMeasure(np.reshape(rows, (-1, 2 * system.dim)))
+        return np.reshape(rows, (-1, 2 * system.dim))
 
     times = config.save_times()
     mid = len(times) // 2
     last = len(times) - 1
     cross = sliced_wasserstein(cloud(ens_a, last), cloud(ens_b, last), seed=config.seed)
     within = sliced_wasserstein(cloud(ens_a, mid), cloud(ens_a, last), seed=config.seed + 1)
-    # sampling noise floor: distance between two halves of one ensemble
-    terminal = cloud(ens_a, last).samples
+    # sampling noise floor: distance between two halves of one ensemble; with
+    # fewer than two samples per half there is none to report
+    terminal = cloud(ens_a, last)
     half = terminal.shape[0] // 2
-    noise_floor = 0.0
+    noise_floor = None
     if half >= 2:
-        noise_floor = sliced_wasserstein(EmpiricalMeasure(terminal[:half]),
-                                         EmpiricalMeasure(terminal[half:2 * half]),
+        noise_floor = sliced_wasserstein(terminal[:half], terminal[half:2 * half],
                                          seed=config.seed + 2)
     checkpoints = sorted({mid // 2, mid, (mid + last) // 2, last})
     moments = {}

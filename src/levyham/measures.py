@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import CutoffTooSmall, MomentFailure, NonPositiveRadius, ShiftIsZero
 
@@ -156,6 +156,8 @@ class SliceMeasure:
             return self.c * r ** (2.0 - self.theta0) / (2.0 - self.theta0)
         val = 0.5 * min(rho, 1.0) ** (2.0 - self.theta0) / (2.0 - self.theta0)
         if rho > 1.0:
+            from scipy import integrate  # slow to import (it loads scipy.optimize); d >= 2 only
+
             k = (self.dim - 1) / 2.0
             val += integrate.quad(
                 lambda r: r ** (1.0 - self.theta0) * 0.5 * special.betainc(0.5, k, r ** -2.0),
@@ -397,6 +399,8 @@ def overlap_mass(slice_m: SliceMeasure, shift: np.ndarray) -> float:
             return 0.0
         return (slice_m.c / slice_m.theta0) * (a ** -slice_m.theta0 - 1.0)
     if slice_m.dim == 2:
+        from scipy import integrate  # slow to import (it loads scipy.optimize); d = 2 only
+
         x1, x2 = float(shift[0]), float(shift[1])
         lo, hi = max(0.0, x1), min(1.0, 1.0 + x1)
         if lo >= hi:

@@ -21,7 +21,7 @@ are checked on balls of configurable radius, and fitted constants carry a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -369,8 +369,8 @@ class LyapunovSpec:
     """Norm-like weight ``W = 1 + V^(theta/2)`` built from a quadratic form.
 
     ``V = 1 + V0(x) + r^2 |x|^2 / 2 + |v|^2 / 2 + r0_cross <x, v>`` with
-    ``|r0_cross| < r`` so the cross term stays dominated. ``drift_c`` and
-    ``drift_C`` hold the fitted linear-drift constants, once known.
+    ``|r0_cross| < r`` so the cross term stays dominated. The drift
+    constants ``(c, C)`` of the form live in its ``QuadraticFormChoice``.
     """
 
     r: float
@@ -378,8 +378,6 @@ class LyapunovSpec:
     theta: float
     v0: object
     dim: int = 1
-    drift_c: float | None = None
-    drift_C: float | None = None
 
     def __post_init__(self):
         if abs(self.r0_cross) >= self.r:
@@ -448,14 +446,16 @@ class QuadraticFormChoice:
 
 
 def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate,
-                          grid_radius: float = 20.0, n_grid: int = 61) -> QuadraticFormChoice:
+                          grid_radius: float = 20.0,
+                          n_grid: int = 61) -> tuple[QuadraticFormChoice, LyapunovSpec]:
     """Pick the cross weight, scale, and Young split of the quadratic form.
 
     Sets ``r0_cross = alpha_damp / 2`` and places ``r`` at the midpoint of
     the window where ``(r^2 + 2 beta lam4 - alpha r0)^2`` stays below
     ``4 beta (lam1 - lam2 lam4)(alpha - r0) r0``; the Young parameter is the
-    geometric mean of its admissible interval, and the returned ``(c, C)``
-    are validated on the default grid for the system ``langevin``.
+    geometric mean of its admissible interval. Returns the choice, whose
+    ``(c, C)`` are validated on the default grid for the system ``langevin``,
+    and the weight they were validated on (``theta = 1``).
     """
     alpha, beta = langevin.alpha_damp, langevin.beta
     lam_eff = cert.lam1 - cert.lam2 * cert.lam4
@@ -482,22 +482,22 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
     c_v = alpha - r0 - eps * K ** 2 / 4.0
     c_x = beta * r0 * lam_eff - 1.0 / eps
     big_c = beta * r0 * (cert.lam3 + cert.lam2 * cert.lam5)
-    v0 = build_position_weight(langevin, cert)
+    lyap = LyapunovSpec(r=r, r0_cross=r0, theta=1.0, v0=build_position_weight(langevin, cert),
+                        dim=langevin.dim)
     if cert.lam2 > 0:
         c = min(c_v, c_x, r0 * cert.lam2)
     else:
         # fold the position weight into |x|^2 on the probe grid
         pts = ball_grid(grid_radius, n_grid, langevin.dim)
-        mu = float(np.max(v0.value(pts) / np.maximum(np.sum(pts * pts, axis=-1), 1e-12)))
+        mu = float(np.max(lyap.v0.value(pts) / np.maximum(np.sum(pts * pts, axis=-1), 1e-12)))
         c = min(c_v, c_x / (1.0 + mu))
     if c <= 0:
         raise EmptyWindow("drift coefficients collapsed to zero")
 
     # validate on the grid and, if needed, raise C (conservative direction)
-    lyap = LyapunovSpec(r=r, r0_cross=r0, theta=1.0, v0=v0, dim=langevin.dim)
-    worst = _grid_drift_excess(lyap, langevin, v0, c, grid_radius, n_grid)
+    worst = _grid_drift_excess(lyap, langevin, c, grid_radius, n_grid)
     big_c = max(big_c, 1.1 * max(worst, 0.0))
-    return QuadraticFormChoice(r0, r, eps, c, big_c, (lo, hi))
+    return QuadraticFormChoice(r0, r, eps, c, big_c, (lo, hi)), lyap
 
 
 @dataclass(frozen=True)
@@ -513,28 +513,25 @@ def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0,
                    theta: float = 1.0) -> LyapunovSetup:
     """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``langevin``."""
     cert, source = certificate_with_fallback(langevin.potential, langevin.dim, grid_radius)
-    choice = choose_quadratic_form(langevin, cert, grid_radius)
-    lyap = LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=theta,
-                        v0=build_position_weight(langevin, cert), dim=langevin.dim,
-                        drift_c=choice.c, drift_C=choice.C)
-    return LyapunovSetup(source, choice, lyap)
+    choice, lyap = choose_quadratic_form(langevin, cert, grid_radius)
+    return LyapunovSetup(source, choice, replace(lyap, theta=theta))
 
 
-def _grid_drift_excess(lyap, spec, v0, c, grid_radius, n_grid):
+def _grid_drift_excess(lyap, spec, c, grid_radius, n_grid):
     x, v = grid_pairs(grid_radius, n_grid, spec.dim, include_origin=False)
     # the drift first: it names a non-finite force before the weight can overflow
     gamma = gamma_drift(lyap, spec, x, v)
-    bound = c * (v0.value(x) + np.sum(x * x, axis=-1) + np.sum(v * v, axis=-1))
+    bound = c * (lyap.v0.value(x) + np.sum(x * x, axis=-1) + np.sum(v * v, axis=-1))
     return float(np.max(gamma + bound))
 
 
-def verify_gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec | KineticLangevinSpec,
+def verify_gamma_drift(setup: LyapunovSetup, spec: HamiltonianSystemSpec | KineticLangevinSpec,
                        grid_radius: float = 20.0, n_grid: int = 61) -> dict:
-    """Grid check of ``Gamma <= -c (V0 + |x|^2 + |v|^2) + C`` for the stored constants."""
-    if lyap.drift_c is None or lyap.drift_C is None:
-        raise ValueError("LyapunovSpec has no fitted drift constants")
-    worst = _grid_drift_excess(lyap, spec, lyap.v0, lyap.drift_c, grid_radius, n_grid)
-    return {"worst_excess": worst - lyap.drift_C, "passed": bool(worst <= lyap.drift_C + 1e-9)}
+    """Grid check of ``Gamma <= -c (V0 + |x|^2 + |v|^2) + C`` for the
+    constants ``(c, C)`` of ``setup.choice``."""
+    c, big_c = setup.choice.c, setup.choice.C
+    worst = _grid_drift_excess(setup.lyap, spec, c, grid_radius, n_grid)
+    return {"worst_excess": worst - big_c, "passed": bool(worst <= big_c + 1e-9)}
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +560,10 @@ def _abs_increment_integral(lyap: LyapunovSpec, slice_m: SliceMeasure, x, v):
 
 
 def verify_jump_regularity(lyap: LyapunovSpec, slice_m: SliceMeasure,
-                           grid_radius: float = 20.0, n_grid: int = 9) -> tuple:
+                           grid_radius: float = 20.0, n_grid: int = 9) -> tuple[float, float]:
     """Fit ``c_star`` with integral |W(x, v+u) - W| nu*(du) <= c_star W^(1/2).
 
-    Returns ``(c_star, report)``. The exponent 1/2 is a constant of the
+    Returns ``(c_star, sup_ratio)``. The exponent 1/2 is a constant of the
     chain: the far-field balance and the tilt weight are solved in closed
     form for it. ``c_star`` is the grid supremum of the ratio plus a 10%
     margin. The grid pairs every x with every v of a ball grid of radius
@@ -582,10 +579,5 @@ def verify_jump_regularity(lyap: LyapunovSpec, slice_m: SliceMeasure,
         raise NotImplementedError("jump regularity quadrature implemented for dim == 1")
     x, v = grid_pairs(min(grid_radius, 10.0), n_grid, lyap.dim, include_origin=True)
     ratio = _abs_increment_integral(lyap, slice_m, x, v) / lyap.W(x, v) ** 0.5
-    k = np.unravel_index(np.argmax(ratio), ratio.shape)
-    sup = float(ratio[k])
-    c_star = 1.1 * sup
-    report = {"sup_ratio": sup, "c_star": c_star,
-              "argmax_x": x[k].tolist() if sup > 0.0 else None,
-              "argmax_v": v[k].tolist() if sup > 0.0 else None}
-    return c_star, report
+    sup = float(np.max(ratio))
+    return 1.1 * sup, sup

@@ -26,8 +26,13 @@ def benchmark_bundle(benchmark_langevin, benchmark_levy):
 
 
 @pytest.fixture(scope="session")
-def benchmark_lyap(benchmark_langevin):
-    return md.build_lyapunov(benchmark_langevin).lyap
+def benchmark_setup(benchmark_langevin):
+    return md.build_lyapunov(benchmark_langevin)
+
+
+@pytest.fixture(scope="session")
+def benchmark_lyap(benchmark_setup):
+    return benchmark_setup.lyap
 
 
 @pytest.fixture(scope="session")

@@ -258,7 +258,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         flags = "lipschitz_unbounded, degenerate_rate, profile_unavailable"
         assert err == [f"degenerate constant chain: flags {flags}"]
-        outputs = json.loads((tmp_path / "run_manifest.json").read_text())["outputs"]
+        outputs = json.loads((tmp_path / "run_manifest.json").read_text())[command]["outputs"]
         assert outputs and all(os.path.exists(p) for p in outputs)
         if command == "rate":
             payload = json.loads((tmp_path / "rate.json").read_text())
@@ -272,7 +272,7 @@ class TestExitCodes:
         payload = json.loads((tmp_path / "rate.json").read_text())
         assert payload["error"] == "InsufficientDecay"
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        assert manifest["outputs"] == [str(tmp_path / "rate.json")]
+        assert manifest["rate"]["outputs"] == [str(tmp_path / "rate.json")]
 
     def test_rate_one_replica_collapses_the_ci(self, tmp_path):
         # one replica has no spread to bootstrap: the CI is the fit itself
@@ -290,7 +290,7 @@ class TestExitCodes:
         assert payload["lambda_fit"] > 0
         header = (tmp_path / "decay_curve.csv").read_text().splitlines()[0]
         assert header == "t,mean,se,log_mean"
-        timings = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]
+        timings = json.loads((tmp_path / "run_manifest.json").read_text())["rate"]["timings"]
         stages = ("constants_s", "ensemble_s", "decay_fit_s", "io_s")
         assert set(timings) == {*stages, "total_s"}
         assert all(timings[k] >= 0.0 for k in stages)
@@ -362,9 +362,24 @@ class TestOutputs:
         out = tmp_path / "out"
         assert cli.main(argv + ["--config", path, "--out", str(out)]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["command"] == command
+        assert set(manifest) == {command}
         written = sorted(set(os.listdir(out)) - {"run_manifest.json"})
-        assert written == sorted(os.path.basename(p) for p in manifest["outputs"])
+        assert written == sorted(os.path.basename(p) for p in manifest[command]["outputs"])
+
+    def test_commands_sharing_a_directory_keep_their_records(self, tmp_path):
+        # one record per command; a rerun replaces only its own record, and a
+        # manifest in the single-record layout is replaced
+        (tmp_path / "run_manifest.json").write_text(json.dumps(
+            {"config_hash": "0", "seed": 0, "command": "constants", "versions": {},
+             "timings": {}, "outputs": []}))
+        for which in ("B1", "A2", "B1"):
+            assert cli.main(["verify", "--which", which, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert set(manifest) == {"verify:B1", "verify:A2"}
+        for which in ("B1", "A2"):
+            record = manifest[f"verify:{which}"]
+            assert record["outputs"] == [str(tmp_path / f"verify_{which}.json")]
+            assert set(record) == {"config_hash", "seed", "versions", "timings", "outputs"}
 
     def test_report_keys(self, tmp_path):
         # a new report field is a deliberate edit of these sets
@@ -412,12 +427,13 @@ class TestLyapunovBuilder:
         path = write(tmp_path, text)
         used = {}
 
-        def spy(which, verifier):
-            def record(lyap, *args, **kwargs):
-                used[which] = lyap
-                return verifier(lyap, *args, **kwargs)
+        def spy(which, fn):
+            def record(first, *args, **kwargs):
+                used[which] = first
+                return fn(first, *args, **kwargs)
             return record
 
+        # F1 receives the whole set-up, A2 the weight
         monkeypatch.setattr(md, "verify_gamma_drift", spy("F1", md.verify_gamma_drift))
         monkeypatch.setattr(md, "verify_jump_regularity",
                             spy("A2", md.verify_jump_regularity))
@@ -427,11 +443,24 @@ class TestLyapunovBuilder:
         monkeypatch.undo()
         assert cli.main(["constants", "--config", path, "--out", str(tmp_path)]) == 0
 
+        built = []
+        build = md.build_lyapunov
+
+        def keep(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(md, "build_lyapunov", keep)
         bundle = cli._bundle_from(load_config(path))
-        fields = ("r", "r0_cross", "theta", "drift_c", "drift_C")
-        for which in ("F1", "A2"):
-            assert [getattr(used[which], f) for f in fields] == \
-                [getattr(bundle.lyap, f) for f in fields], which
+        monkeypatch.undo()
+        assert len(built) == 1 and built[0].lyap is bundle.lyap
+        fields = ("r", "r0_cross", "theta")
+        for lyap in (used["F1"].lyap, used["A2"]):
+            assert [getattr(lyap, f) for f in fields] == \
+                [getattr(bundle.lyap, f) for f in fields]
+        # the drift constants F1 checks are those of the chain's form choice
+        assert (used["F1"].choice.c, used["F1"].choice.C) == \
+            (built[0].choice.c, built[0].choice.C)
         b1 = json.loads((tmp_path / "verify_B1.json").read_text())
         assert b1["certificate_source"] == source
         notes = json.loads((tmp_path / "constants.json").read_text())["notes"]
@@ -484,6 +513,19 @@ class TestEquilibriumCmd:
         payload = json.loads((tmp_path / "equilibrium.json").read_text())
         assert "cross_distance" in payload and "stationarity_distance" in payload
 
+    def test_too_few_survivors_leave_no_noise_floor(self, tmp_path):
+        # the floor compares two halves of the terminal cloud; below two samples
+        # per half there is nothing to compare, and 0.0 would read as no noise
+        path = write(tmp_path, QUICK)
+        floors = []
+        for replicas in (3, 4):
+            out = tmp_path / str(replicas)
+            assert cli.main(["equilibrium", "--config", path, "--replicas", str(replicas),
+                             "--out", str(out)]) == 0
+            floors.append(json.loads((out / "equilibrium.json").read_text())["noise_floor"])
+        assert floors[0] is None
+        assert floors[1] > 0.0
+
     def test_every_replica_blown_exits_two(self, tmp_path, capsys):
         # a steep well that blows explicit Euler up at h = 0.01 on every replica
         path = write(tmp_path, """
@@ -511,13 +553,15 @@ decay_threshold = 0.5
 
 
 class TestStartup:
-    def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats costs about half a second to import; only the Lipschitz
-        # sampler needs it, and it imports it when it runs
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.optimize"])
+    def test_cli_import_leaves_slow_scipy_modules_out(self, module):
+        # each costs a large share of the import; only the Lipschitz sampler
+        # (scipy.stats) and the d >= 2 slice quadrature (scipy.integrate, which
+        # loads scipy.optimize) need them, and they import them when they run
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, levyham.cli; print('scipy.stats' in sys.modules)"
+        code = f"import sys, levyham.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "False"

@@ -299,9 +299,13 @@ class TestPipeline:
         rep = benchmark_bundle.report
         assert rep.c0_lyap >= 0.01
         assert math.isfinite(rep.C0_lyap)
-        c0, C0, info = cn.fit_lyapunov_drift(benchmark_bundle.system, benchmark_levy,
-                                             benchmark_bundle.lyap)
-        assert info["worst_excess_after"] <= 0.0
+        lyap = benchmark_bundle.lyap
+        c0, C0 = cn.fit_lyapunov_drift(benchmark_bundle.system, benchmark_levy, lyap)
+        # the fit holds on every point of its own grid
+        x, v = md.grid_pairs(20.0, 21, 1, include_origin=True)
+        LW = gen.apply_generator(benchmark_bundle.system, benchmark_levy,
+                                 gen.lyapunov_test_function(lyap), x, v)
+        assert float(np.max(LW + c0 * lyap.W(x, v) - C0)) <= 0.0
 
     def test_underflow_notes_present(self, benchmark_bundle):
         notes = benchmark_bundle.report.notes

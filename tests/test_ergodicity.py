@@ -46,20 +46,19 @@ class TestExponentialFit:
 
 class TestSlicedDistance:
     def test_identical_samples(self):
-        A = erg.EmpiricalMeasure(np.arange(10.0)[:, None])
+        A = np.arange(10.0)[:, None]
         assert erg.sliced_wasserstein(A, A) == 0.0
 
     def test_point_masses(self):
-        A = erg.EmpiricalMeasure(np.zeros((5, 1)))
-        B = erg.EmpiricalMeasure(np.ones((5, 1)))
+        A = np.zeros((5, 1))
+        B = np.ones((5, 1))
         assert erg.sliced_wasserstein(A, B) == pytest.approx(1.0)
 
     def test_translation_formula(self, rng):
         # translating a cloud by c moves each projection by <e, c>
         base = rng.normal(size=(200, 3))
         c = np.array([0.7, -0.2, 0.4])
-        A = erg.EmpiricalMeasure(base)
-        B = erg.EmpiricalMeasure(base + c)
+        A, B = base, base + c
         seed = 5
         got = erg.sliced_wasserstein(A, B, n_projections=128, seed=seed)
         rng2 = np.random.default_rng(seed)
@@ -69,30 +68,30 @@ class TestSlicedDistance:
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_symmetry_exact(self, rng):
-        A = erg.EmpiricalMeasure(rng.normal(size=(50, 2)))
-        B = erg.EmpiricalMeasure(rng.normal(size=(50, 2)) + 0.3)
+        A = rng.normal(size=(50, 2))
+        B = rng.normal(size=(50, 2)) + 0.3
         assert erg.sliced_wasserstein(A, B, seed=9) == erg.sliced_wasserstein(B, A, seed=9)
 
     def test_triangle_inequality(self, rng):
         for trial in range(5):
-            A, B, C = (erg.EmpiricalMeasure(rng.normal(loc=mu, size=(40, 2)))
-                       for mu in rng.normal(0, 1, 3))
+            A, B, C = (rng.normal(loc=mu, size=(40, 2)) for mu in rng.normal(0, 1, 3))
             dab = erg.sliced_wasserstein(A, B, seed=trial)
             dac = erg.sliced_wasserstein(A, C, seed=trial)
             dcb = erg.sliced_wasserstein(C, B, seed=trial)
             assert dab <= dac + dcb + 1e-12
 
     def test_subsampling_path(self, rng):
-        A = erg.EmpiricalMeasure(rng.normal(size=(64, 1)))
-        B = erg.EmpiricalMeasure(rng.normal(size=(100, 1)))
+        A = rng.normal(size=(64, 1))
+        B = rng.normal(size=(100, 1))
         assert erg.sliced_wasserstein(A, B, seed=0) >= 0.0
 
     def test_empty_measure(self):
+        one = np.zeros((3, 1))
         with pytest.raises(EmptyMeasure):
-            erg.EmpiricalMeasure(np.empty((0, 1)))
+            erg.sliced_wasserstein(np.empty((0, 1)), one)
         # np.atleast_2d turns an empty list into shape (1, 0): still no sample
         with pytest.raises(EmptyMeasure):
-            erg.EmpiricalMeasure([])
+            erg.sliced_wasserstein(one, [])
 
 
 class TestEstimateDecay:

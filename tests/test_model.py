@@ -152,36 +152,49 @@ class TestGammaDrift:
         got = md.gamma_drift(ly, kl, np.array([1.0]), np.array([0.0]))
         assert got == pytest.approx(-0.5, rel=1e-14)
 
-    def test_grid_drift_excess_matches_points(self, benchmark_langevin, benchmark_lyap):
+    def test_grid_drift_excess_matches_points(self, benchmark_langevin, benchmark_setup):
         system = benchmark_langevin
-        c = benchmark_lyap.drift_c
+        lyap, c = benchmark_setup.lyap, benchmark_setup.choice.c
         xs = md.ball_grid(20.0, 61, 1)
-        worst = max(md.gamma_drift(benchmark_lyap, system, x, v)
-                    + c * float(benchmark_lyap.v0.value(x) + x @ x + v @ v)
+        worst = max(md.gamma_drift(lyap, system, x, v)
+                    + c * float(lyap.v0.value(x) + x @ x + v @ v)
                     for x in xs for v in xs)
-        got = md._grid_drift_excess(benchmark_lyap, system, benchmark_lyap.v0, c, 20.0, 61)
+        got = md._grid_drift_excess(lyap, system, c, 20.0, 61)
         assert got == worst
 
     def test_grid_gamma_rejects_nonfinite_force(self, benchmark_lyap):
         system = md.HamiltonianSystemSpec(0.0, 1.0, lambda x, v: np.where(x > 5.0, np.inf, -v))
         with pytest.raises(NonFiniteForce):
-            md._grid_drift_excess(benchmark_lyap, system, benchmark_lyap.v0, 0.1, 20.0, 11)
+            md._grid_drift_excess(benchmark_lyap, system, 0.1, 20.0, 11)
 
     def test_grid_drift_bound(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
         cert = md.PotentialCertificate(lam1=1.0)
-        choice = md.choose_quadratic_form(kl, cert)
-        v0 = md.build_position_weight(kl, cert)
-        ly = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=1.0, v0=v0,
-                             dim=1, drift_c=choice.c, drift_C=choice.C)
-        rep = md.verify_gamma_drift(ly, kl)
+        choice, ly = md.choose_quadratic_form(kl, cert)
+        rep = md.verify_gamma_drift(md.LyapunovSetup("manual", choice, ly), kl)
         assert rep["passed"]
 
 
 class TestQuadraticFormChoice:
+    def test_build_lyapunov_builds_the_weight_once(self, benchmark_langevin, monkeypatch):
+        weights = []
+        build = md.build_position_weight
+
+        def count(*args):
+            weights.append(build(*args))
+            return weights[-1]
+
+        monkeypatch.setattr(md, "build_position_weight", count)
+        setup = md.build_lyapunov(benchmark_langevin, theta=0.5)
+        assert len(weights) == 1
+        # the weight the form choice validated at theta = 1, with the requested theta
+        assert setup.lyap.v0 is weights[0] and setup.lyap.theta == 0.5
+        assert (setup.lyap.r, setup.lyap.r0_cross) == (setup.choice.r, setup.choice.r0_cross)
+
     def test_hand_window(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
-        choice = md.choose_quadratic_form(kl, md.PotentialCertificate(lam1=1.0))
+        choice, ly = md.choose_quadratic_form(kl, md.PotentialCertificate(lam1=1.0))
+        assert (ly.r, ly.r0_cross, ly.theta) == (choice.r, choice.r0_cross, 1.0)
         assert choice.r0_cross == pytest.approx(0.5)
         lo, hi = choice.r_window
         assert lo == pytest.approx(0.5, rel=1e-12)
@@ -204,19 +217,17 @@ class TestQuadraticFormChoice:
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
         cert = md.auto_certificate(kl.potential)
         wide = md.KineticLangevinSpec(1.0, 1.0, kl.potential, dim=1, b=2.0)
-        choice = md.choose_quadratic_form(wide, cert)
-        assert choice.C > md.choose_quadratic_form(kl, cert).C
-        ly = md.LyapunovSpec(r=choice.r, r0_cross=choice.r0_cross, theta=1.0,
-                             v0=md.build_position_weight(kl, cert), dim=1,
-                             drift_c=choice.c, drift_C=choice.C)
+        choice, ly = md.choose_quadratic_form(wide, cert)
+        assert choice.C > md.choose_quadratic_form(kl, cert)[0].C
+        setup = md.LyapunovSetup("auto", choice, ly)
         # C covers the sizing ball, not the far field beyond it
-        assert md.verify_gamma_drift(ly, wide)["passed"]
-        assert not md.verify_gamma_drift(ly, wide, 40.0, 121)["passed"]
+        assert md.verify_gamma_drift(setup, wide)["passed"]
+        assert not md.verify_gamma_drift(setup, wide, 40.0, 121)["passed"]
 
     def test_young_split_positive(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
         cert = md.auto_certificate(kl.potential)
-        choice = md.choose_quadratic_form(kl, cert)
+        choice, _ = md.choose_quadratic_form(kl, cert)
         lam_eff = cert.lam1 - cert.lam2 * cert.lam4
         K = choice.r ** 2 + 2.0 * cert.lam4 - 0.5
         assert 1.0 - choice.r0_cross - choice.eps_young * K ** 2 / 4.0 > 0
@@ -232,15 +243,15 @@ class TestJumpRegularity:
 
     def test_fit_on_benchmark(self, benchmark_levy):
         ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=zero_potential(), dim=1)
-        c_star, rep = md.verify_jump_regularity(ly, benchmark_levy.slice_part,
-                                                grid_radius=8.0, n_grid=7)
+        c_star, sup_ratio = md.verify_jump_regularity(ly, benchmark_levy.slice_part,
+                                                      grid_radius=8.0, n_grid=7)
         assert c_star > 0 and math.isfinite(c_star)
-        assert rep["c_star"] == pytest.approx(1.1 * rep["sup_ratio"])
+        assert c_star == pytest.approx(1.1 * sup_ratio)
         # the exponent is 1/2: the supremum is taken against W^(1/2)
         x, v = md.grid_pairs(8.0, 7, 1, include_origin=True)
         ratio = (md._abs_increment_integral(ly, benchmark_levy.slice_part, x, v)
                  / np.sqrt(ly.W(x, v)))
-        assert rep["sup_ratio"] == pytest.approx(float(np.max(ratio)), rel=1e-12)
+        assert sup_ratio == pytest.approx(float(np.max(ratio)), rel=1e-12)
 
     def test_ratio_below_fit_on_fresh_points(self, benchmark_levy, rng):
         ly = md.LyapunovSpec(r=1.0, r0_cross=0.2, theta=1.0, v0=zero_potential(), dim=1)
