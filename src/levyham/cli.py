@@ -121,9 +121,7 @@ def _verify_a2(cfg, seed):
 def _verify_fprops(cfg, seed):
     bundle = _bundle_from(cfg)
     rep = cn.profile_property_report(bundle.profile)
-    live = cn.DistanceProfile(log_c1=-0.6 * 10 ** 0.4, c2=1.5, g_coef=0.4,
-                              theta0=0.4, cap=10.0)
-    rep_live = cn.profile_property_report(live)
+    rep_live = cn.profile_property_report(cn.REFERENCE_LIVE_PROFILE)
     payload = {"certified_profile": rep, "reference_live_profile": rep_live}
     return payload, bool(rep["passed"] and rep_live["passed"])
 

@@ -5,10 +5,10 @@ transform weights ``alpha, alpha0``, the modification cap ``kappa``, the
 far-field radius ``R0``, the local force Lipschitz bound, the concave
 distance profile ``f``, the Lyapunov tilt weight ``eps``, and the certified
 rate. The chain is evaluated conservatively (over-estimates everywhere), so
-for realistic models several constants underflow float64: those values are
-carried in log space alongside the (possibly zero) linear value, and the
-report flags every underflow. The certified rate is a lower bound on the
-true decay; Monte Carlo estimates typically sit many orders above it.
+for realistic models ``c1``, ``eps`` and the rate underflow float64: each is
+stored once, as its (always finite) logarithm, and code that needs the
+linear value converts where it uses it. The certified rate is a lower bound
+on the true decay; Monte Carlo estimates typically sit many orders above it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .pair import PairState
 
 __all__ = [
     "DistanceProfile",
+    "REFERENCE_LIVE_PROFILE",
     "ClampedProfile",
     "ConstantsReport",
     "ConstantsBundle",
@@ -67,8 +68,8 @@ class DistanceProfile:
     activity floor, so the integral has the closed lower-incomplete-gamma
     form used here (cross-checked against adaptive quadrature in the tests).
     ``c1 = exp(-c2 g(cap))`` can underflow; ``log_c1`` is always finite.
-    Beyond ``cap`` the profile continues by the bounded rational extension
-    ``f(cap) + f'(cap) (s - cap) / (1 + s - cap)``.
+    ``cap`` only sets ``c1``: the formula holds for every ``s >= 0``, and
+    ``ClampedProfile`` is the one rule past a radius.
     """
 
     log_c1: float
@@ -79,7 +80,7 @@ class DistanceProfile:
 
     @property
     def c1(self) -> float:
-        return math.exp(self.log_c1) if self.log_c1 > -745.0 else 0.0
+        return math.exp(self.log_c1)
 
     @property
     def rate_coef(self) -> float:
@@ -100,42 +101,28 @@ class DistanceProfile:
             return s.copy()
         a = 1.0 / self.theta0
         log_scale = -a * math.log(B) + math.lgamma(a) - math.log(self.theta0)
-        scale = math.exp(log_scale) if log_scale > -745.0 else 0.0
-        return scale * special.gammainc(a, B * np.maximum(s, 0.0) ** self.theta0)
-
-    def _core_value(self, s):
-        return self.c1 * np.asarray(s, dtype=float) + self._integral(s)
+        return math.exp(log_scale) * special.gammainc(a, B * np.maximum(s, 0.0) ** self.theta0)
 
     def _decay(self, s):
         # exp(-B s^theta0), flushed to 0 below exp(-745)
         expo = -self.rate_coef * np.asarray(s, dtype=float) ** self.theta0
         return np.where(expo > -745.0, np.exp(np.maximum(expo, -745.0)), 0.0)
 
-    def _core_slope(self, s):
-        return self.c1 + self._decay(s)
-
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        out = self._core_value(np.minimum(s, self.cap))
-        over = s > self.cap
-        if np.any(over):
-            f_cap = float(self._core_value(self.cap))
-            fp_cap = float(self._core_slope(self.cap))
-            ds = np.maximum(s - self.cap, 0.0)
-            out = np.where(over, f_cap + fp_cap * ds / (1.0 + ds), out)
-        return out[()]
+        return (self.c1 * s + self._integral(s))[()]
 
     def slope(self, s):
-        s = np.asarray(s, dtype=float)
-        core = self._core_slope(np.minimum(s, self.cap))
-        over = s > self.cap
-        if np.any(over):
-            fp_cap = float(self._core_slope(self.cap))
-            core = np.where(over, fp_cap / (1.0 + np.maximum(s - self.cap, 0.0)) ** 2, core)
-        return core[()]
+        return (self.c1 + self._decay(s))[()]
 
     def second(self, s):
         return -self.c2 * self._decay(s) * self.g_slope(s)
+
+
+# a constant chain small enough that the reshaping survives float64: the
+# certified profiles underflow, so this member keeps the profile checks live
+REFERENCE_LIVE_PROFILE = DistanceProfile(log_c1=-0.6 * 10 ** 0.4, c2=1.5, g_coef=0.4,
+                                         theta0=0.4, cap=10.0)
 
 
 @dataclass(frozen=True)
@@ -293,12 +280,10 @@ def tilt_and_rate_log(log_c1: float, alpha0: float, b: float, alpha: float, C0: 
     """
     if alpha0 <= 1.0:
         return -math.inf, -math.inf
-    c1 = math.exp(log_c1) if log_c1 > -745.0 else 0.0
     bracket = 2.0 * C0 + c_star ** 2 / c0
     log_eps = (math.log(3.0 * (1.0 - 1.0 / alpha0) * b * alpha / 16.0)
-               + log_c1 - math.log1p(c1) - math.log(bracket))
-    eps = math.exp(log_eps) if log_eps > -745.0 else 0.0
-    log_rate = min(math.log(c0) + log_eps - math.log1p(2.0 * eps),
+               + log_c1 - math.log1p(math.exp(log_c1)) - math.log(bracket))
+    log_rate = min(math.log(c0) + log_eps - math.log1p(2.0 * math.exp(log_eps)),
                    log_eps + math.log(2.0 * bracket))
     return log_eps, log_rate
 
@@ -337,7 +322,7 @@ def fit_lyapunov_drift(system, levy_spec, lyap, grid_radius: float = 20.0, n_gri
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Full constant chain with log-space escorts for underflow-prone entries."""
+    """Full constant chain; ``c1``, ``eps`` and the rate are held as logs only."""
 
     a: float
     b: float
@@ -351,25 +336,22 @@ class ConstantsReport:
     k0: float
     lambda0: float
     c_star_profile: float
-    c1: float
     log_c1: float
     c2: float
     R0: float
     S_star: float
     position_radius: float
     lambda_star_R0: float
-    eps: float
     log_eps: float
     c_star_A2: float
     c0_lyap: float
     C0_lyap: float
-    rate: float
     log_rate: float
     flags: tuple = ()
     notes: tuple = ()
 
     def positivity_violations(self) -> list[str]:
-        """Check the sign chain, reading underflowed entries in log space."""
+        """Check the sign chain, reading ``c1``, ``eps`` and the rate in log space."""
         bad = []
         checks = [
             ("alpha", self.alpha > 0),
@@ -377,7 +359,7 @@ class ConstantsReport:
             ("kappa", self.kappa > 0),
             ("k0", self.k0 > 0),
             ("c_star_profile", self.c_star_profile > 1.0),
-            ("c1", self.log_c1 > -math.inf and (self.c1 > 0 or self.log_c1 <= 0)),
+            ("c1", self.log_c1 > -math.inf),
             ("c1_upper", self.log_c1 <= 0.0),
             ("c2", self.c2 > 0),
             ("eps", self.log_eps > -math.inf),
@@ -409,7 +391,7 @@ class ConstantsBundle:
         return gen.ProfilePairFn(prof, self.report.alpha, self.report.alpha0)
 
     def g_fn(self):
-        return self._tilt(self.report.eps)
+        return self._tilt(math.exp(self.report.log_eps))
 
     def monitor_fns(self):
         prof = ClampedProfile(self.monitor_profile, self.report.R0)
@@ -558,53 +540,43 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     else:
         k0, lambda0, c_star_profile = math.inf, math.inf, math.inf
 
+    # the zero-reshaping member of the family (g == 0, so f(s) = 2 s)
+    linear = DistanceProfile(log_c1=0.0, c2=0.0, g_coef=0.0, theta0=theta0, cap=2.0 * R0)
     if math.isfinite(c_star_profile):
         profile = build_profile(activity_coef(c0_sigma, theta0, alpha, kappa, R0), theta0,
                                 c_star_profile, k0, alpha0, R0, b, alpha)
     else:
-        profile = DistanceProfile(log_c1=0.0, c2=1.0, g_coef=0.0, theta0=theta0, cap=2.0 * R0)
+        profile = linear
         flags.append("profile_unavailable")
 
     log_eps, log_rate = tilt_and_rate_log(profile.log_c1, alpha0, b, alpha, C0_lyap, c_star,
                                           c0_lyap)
-    eps = math.exp(log_eps) if log_eps > -745.0 else 0.0
-    rate = math.exp(log_rate) if log_rate > -745.0 else 0.0
     if log_rate == -math.inf:
         flags.append("degenerate_rate")
-
-    for name, lin, logv in (("c1", profile.c1, profile.log_c1), ("eps", eps, log_eps),
-                            ("rate", rate, log_rate)):
-        if lin == 0.0 and logv > -math.inf:
-            notes.append(f"float_underflow:{name}")
 
     report = ConstantsReport(
         a=a, b=b, theta=levy_spec.theta, alpha=alpha, alpha0=alpha0, kappa=kappa,
         r0_jump=r0_jump, c0_sigma=c0_sigma, theta0=theta0, k0=k0, lambda0=lambda0,
-        c_star_profile=c_star_profile, c1=profile.c1, log_c1=profile.log_c1, c2=profile.c2,
+        c_star_profile=c_star_profile, log_c1=profile.log_c1, c2=profile.c2,
         R0=R0, S_star=geom.S_star, position_radius=pos_radius, lambda_star_R0=lam_star,
-        eps=eps, log_eps=log_eps, c_star_A2=c_star, c0_lyap=c0_lyap, C0_lyap=C0_lyap,
-        rate=rate, log_rate=log_rate, flags=tuple(dict.fromkeys(flags)), notes=tuple(notes),
+        log_eps=log_eps, c_star_A2=c_star, c0_lyap=c0_lyap, C0_lyap=C0_lyap,
+        log_rate=log_rate, flags=tuple(dict.fromkeys(flags)), notes=tuple(notes),
     )
 
-    # practical monitor: when the certified profile is numerically flat over
-    # the reachable gap range, Monte Carlo monitoring falls back to the
-    # zero-reshaping member of the same family (g == 0, so f(s) = 2 s) and a
-    # minimal 2:1 position blend; the conservative transform weight collapses
-    # the blended gap onto the ringing position component otherwise
-    monitor = profile
-    monitor_eps = eps
-    monitor_alpha0 = alpha0
-    fallback = False
+    # practical monitor: when the certified profile is missing or numerically
+    # flat over the reachable gap range, Monte Carlo monitoring falls back to
+    # the linear member and a minimal 2:1 position blend; the conservative
+    # transform weight collapses the blended gap onto the ringing position
+    # component otherwise
     probe = profile.value(np.array([1e-3 * R0, R0]))
-    if not (probe[1] > probe[0] > 0.0) or (probe[1] - probe[0]) <= 1e-12 * probe[1]:
-        monitor = DistanceProfile(log_c1=0.0, c2=profile.c2, g_coef=0.0,
-                                  theta0=theta0, cap=2.0 * R0)
-        m_log_eps = tilt_and_rate_log(0.0, alpha0, b, alpha, C0_lyap, c_star, c0_lyap)[0]
-        monitor_eps = math.exp(m_log_eps) if m_log_eps > -745.0 else 0.0
-        monitor_alpha0 = min(alpha0, 2.0)
-        fallback = True
-
+    fallback = bool(profile is linear or not (probe[1] > probe[0] > 0.0)
+                    or (probe[1] - probe[0]) <= 1e-12 * probe[1])
+    if fallback:
+        monitor, monitor_alpha0 = linear, min(alpha0, 2.0)
+        monitor_log_eps = tilt_and_rate_log(0.0, alpha0, b, alpha, C0_lyap, c_star, c0_lyap)[0]
+    else:
+        monitor, monitor_alpha0, monitor_log_eps = profile, alpha0, log_eps
     return ConstantsBundle(system=langevin, levy=levy_spec, lyap=lyap, profile=profile,
-                           report=report,
-                           monitor_profile=monitor, monitor_eps=monitor_eps,
-                           monitor_alpha0=monitor_alpha0, monitor_is_fallback=fallback)
+                           report=report, monitor_profile=monitor,
+                           monitor_eps=math.exp(monitor_log_eps), monitor_alpha0=monitor_alpha0,
+                           monitor_is_fallback=fallback)

@@ -3,9 +3,10 @@
 The monitored functional is the tilted distance cost of the coupled pair
 (the quantity the contraction analysis controls); its ensemble mean is fit
 by weighted least squares on the log scale, with a replica bootstrap for
-the rate confidence interval. The certified rate from the constant chain is
-reported alongside as a lower-bound diagnostic, never asserted against the
-fit: conservative chains sit many orders below observed decay.
+the rate confidence interval. The log of the certified rate from the
+constant chain is reported alongside as a lower-bound diagnostic, never
+asserted against the fit: conservative chains sit many orders below observed
+decay, far below float range.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ class DecayReport:
     ci_high: float
     n_replicas: int
     n_blowups: int
+    # h times the largest force Lipschitz quotient seen, over the replicas
+    # that did not blow up
+    stability_indicator_max: float
     fit_start: int
     fit_stop: int
-    rate_certified: float
     log_rate_certified: float
     monitor_is_fallback: bool
     lambda_fit_exceeds_certified: bool
@@ -107,8 +110,9 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
     """Ensemble decay of the tilted distance cost, with a bootstrap CI.
 
     The monitored functional uses the bundle's monitor profile (identical to
-    the certified profile unless that one is numerically flat, in which case
-    the linear member of the family substitutes and the report says so).
+    the certified profile unless that one is missing or numerically flat, in
+    which case the linear member of the family substitutes and the report
+    says so).
     """
     t0 = time.monotonic()
     trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, config, pair0,
@@ -140,11 +144,13 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
     return DecayReport(times=times, means=means, ses=ses, lambda_fit=rate,
                        intercept=intercept, r_squared=r2, ci_low=float(lo), ci_high=float(hi),
                        n_replicas=config.n_replicas, n_blowups=n_blow,
+                       stability_indicator_max=max(tr.stability_indicator for tr in trajectories
+                                                   if not tr.blown_up),
                        fit_start=start, fit_stop=stop,
-                       rate_certified=bundle.report.rate,
                        log_rate_certified=bundle.report.log_rate,
                        monitor_is_fallback=bundle.monitor_is_fallback,
-                       lambda_fit_exceeds_certified=bool(rate >= bundle.report.rate),
+                       lambda_fit_exceeds_certified=bool(
+                           rate > 0 and math.log(rate) >= bundle.report.log_rate),
                        timings={"ensemble_s": t1 - t0, "decay_fit_s": time.monotonic() - t1})
 
 

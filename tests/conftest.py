@@ -48,9 +48,7 @@ def scheme():
 
 @pytest.fixture(scope="session")
 def live_profile():
-    # a constant chain small enough that the reshaping survives float64
-    return cn.DistanceProfile(log_c1=-0.6 * 10 ** 0.4, c2=1.5, g_coef=0.4,
-                              theta0=0.4, cap=10.0)
+    return cn.REFERENCE_LIVE_PROFILE
 
 
 @pytest.fixture()

@@ -41,8 +41,7 @@ class LiveProfile:
     """A numerically live member of the profile family for operator checks."""
 
     def __init__(self):
-        self._p = cn.DistanceProfile(log_c1=-0.6 * 10 ** 0.4, c2=1.5, g_coef=0.4,
-                                     theta0=0.4, cap=10.0)
+        self._p = cn.REFERENCE_LIVE_PROFILE
         self.cap = self._p.cap
 
     def value(self, s):
@@ -237,7 +236,7 @@ def test_criterion_10_contraction_spot_check(bench, scheme):
     rng = np.random.default_rng(1010)
     hhat = bench.hhat_fn()
     gfn = bench.g_fn()
-    rate = bench.report.rate
+    rate = math.exp(bench.report.log_rate)
     pos_r = bench.report.position_radius
     states = []
     for k in range(200):

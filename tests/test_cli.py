@@ -81,6 +81,11 @@ KNOBS = {
     ("sim", "v0"): ("1.0", {}),
     ("sim", "x0_prime"): ("-1.0", {}),
     ("sim", "v0_prime"): ("1.0", {}),
+    ("lyapunov", "grid_radius"): ("10.0", {}),
+    ("lyapunov", "grid_points"): ("7", {}),
+    ("constants", "r0_jump"): ("0.25", {}),
+    ("constants", "position_radius"): ("3.0", {}),
+    ("constants", "decay_threshold"): ("0.5", {}),
 }
 
 
@@ -92,15 +97,35 @@ def built(section, settings):
                  cfg.initial_pair()))
 
 
+# [lyapunov] and [constants] feed the constant chain, built here on a coarse
+# grid, and the verdict of a short equilibrium run
+CHAIN_BASE = {"lyapunov": {"grid_points": "5"},
+              "sim": {"h": "0.05", "horizon": "0.2", "n_save": "3", "n_replicas": "4"}}
+
+
+def chain_built(out, section, settings):
+    # the constant report and equilibrium.json of a config that sets `settings` in `section`
+    tables = {**CHAIN_BASE, section: {**CHAIN_BASE.get(section, {}), **settings}}
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in tables.items())
+    path = write(out.parent, text, f"{out.name}.cfg")
+    report = cli._bundle_from(load_config(path)).report
+    assert cli.main(["equilibrium", "--config", path, "--out", str(out)]) in (0, 2)
+    return repr(report) + (out / "equilibrium.json").read_text()
+
+
 class TestConfig:
-    @pytest.mark.parametrize("section, key", [(section, key) for section in
-                                              ("levy", "model", "quadrature", "sim")
+    @pytest.mark.parametrize("section, key", [(section, key) for section in SCHEMA
                                               for key in SCHEMA[section]])
-    def test_every_key_changes_what_is_built(self, section, key):
+    def test_every_key_changes_what_is_built(self, section, key, tmp_path):
         # a key with no other accepted value, or one no builder reads, is a dead knob
         assert (section, key) in KNOBS, f"[{section}] {key} has no other value listed"
         value, companions = KNOBS[section, key]
-        assert built(section, {**companions, key: value}) != built(section, companions)
+        if section in ("lyapunov", "constants"):
+            assert (chain_built(tmp_path / "changed", section, {**companions, key: value})
+                    != chain_built(tmp_path / "base", section, companions))
+        else:
+            assert built(section, {**companions, key: value}) != built(section, companions)
 
     def test_defaults_load(self):
         cfg = load_config(text="")
@@ -260,6 +285,10 @@ class TestExitCodes:
         assert err == [f"degenerate constant chain: flags {flags}"]
         outputs = json.loads((tmp_path / "run_manifest.json").read_text())[command]["outputs"]
         assert outputs and all(os.path.exists(p) for p in outputs)
+        if command != "couple":
+            # with no certified profile the monitor is the linear member f(s) = 2 s
+            report = json.loads((tmp_path / f"{command}.json").read_text())
+            assert report["monitor_is_fallback"] is True
         if command == "rate":
             payload = json.loads((tmp_path / "rate.json").read_text())
             assert "error" not in payload and math.isfinite(payload["lambda_fit"])
@@ -389,10 +418,10 @@ class TestOutputs:
         constants = json.loads((tmp_path / "constants.json").read_text())
         assert set(constants) == {
             "C0_lyap", "R0", "S_star", "a", "alpha", "alpha0", "b",
-            "c0_lyap", "c0_sigma", "c1", "c2", "c_star_A2", "c_star_profile", "eps",
+            "c0_lyap", "c0_sigma", "c2", "c_star_A2", "c_star_profile",
             "flags", "k0", "kappa", "lambda0", "lambda_star_R0", "log_c1", "log_eps",
             "log_rate", "monitor_is_fallback", "notes", "position_radius",
-            "positivity_violations", "r0_jump", "rate", "theta", "theta0"}
+            "positivity_violations", "r0_jump", "theta", "theta0"}
         b1 = json.loads((tmp_path / "verify_B1.json").read_text())
         assert set(b1) == {"certificate", "certificate_source", "damping_margin",
                            "growth_slack", "lower_slack", "passed", "product_ok", "which"}
@@ -411,8 +440,16 @@ class TestOutputs:
         assert set(rate) == {
             "ci_high", "ci_low", "fit_start", "fit_stop", "intercept", "lambda_fit",
             "lambda_fit_exceeds_certified", "log_rate_certified", "means",
-            "monitor_is_fallback", "n_blowups", "n_replicas", "r_squared", "rate_certified",
-            "ses", "times"}
+            "monitor_is_fallback", "n_blowups", "n_replicas", "r_squared", "ses",
+            "stability_indicator_max", "times"}
+
+    def test_stability_indicator_at_the_benchmark_settings(self, tmp_path):
+        # h times the largest force Lipschitz quotient between the copies, at
+        # the benchmark config with 25 replicas
+        assert cli.main(["rate", "--config", BENCHMARK_CFG, "--replicas", "25",
+                         "--out", str(tmp_path)]) == 0
+        indicator = json.loads((tmp_path / "rate.json").read_text())["stability_indicator_max"]
+        assert math.isfinite(indicator) and indicator > 0.0
 
 
 class TestLyapunovBuilder:
@@ -552,16 +589,38 @@ decay_threshold = 0.5
         assert not (tmp_path / "run_manifest.json").exists()
 
 
+SLOW_SCIPY = ["scipy.stats", "scipy.integrate", "scipy.optimize"]
+
+
+def loaded_after(code):
+    # the slow scipy modules in sys.modules once `code` has run in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code += f"\nprint(*sorted(set({SLOW_SCIPY!r}) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
 class TestStartup:
-    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.optimize"])
+    @pytest.mark.parametrize("module", SLOW_SCIPY)
     def test_cli_import_leaves_slow_scipy_modules_out(self, module):
         # each costs a large share of the import; only the Lipschitz sampler
         # (scipy.stats) and the d >= 2 slice quadrature (scipy.integrate, which
         # loads scipy.optimize) need them, and they import them when they run
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = f"import sys, levyham.cli; print({module!r} in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert module not in loaded_after("import sys, levyham.cli")
+
+    def test_equilibrium_leaves_slow_scipy_modules_out(self, tmp_path):
+        # equilibrium builds no constant chain, so none of them is needed: at
+        # the benchmark's short equilibrium settings they stay out of memory
+        with open(BENCHMARK_CFG, encoding="utf-8") as fh:
+            text = fh.read()
+        for old, new in (("h = 0.005 ", "h = 0.01 "), ("horizon = 20.0", "horizon = 1.0"),
+                         ("n_save = 41", "n_save = 3")):
+            assert old in text
+            text = text.replace(old, new)
+        argv = ["equilibrium", "--config", write(tmp_path, text), "--replicas", "100",
+                "--out", str(tmp_path)]
+        code = f"import sys, levyham.cli\nassert levyham.cli.main({argv!r}) == 0"
+        assert loaded_after(code) == []
