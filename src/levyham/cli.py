@@ -111,7 +111,7 @@ def _verify_a2(cfg, seed):
     setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
     c_star, sup_ratio = md.verify_jump_regularity(setup.lyap, levy.slice_part,
                                                   cfg.lyapunov["grid_radius"])
-    moments = levy.moments
+    moments = levy.measure.moment_pair(levy.theta)
     payload = {"c_star": c_star, "sup_ratio": sup_ratio,
                "moment_small": moments.small_jump, "moment_theta": moments.theta_moment,
                "moment_divergent": moments.divergent}
@@ -198,21 +198,15 @@ def cmd_couple(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | Non
     trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, sim_cfg,
                                          PairState(*cfg.initial_pair()),
                                          bundle.report.alpha, bundle.report.kappa)
-    hhat, gfn = bundle.monitor_fns()
-    prod = gen.ProductPairFn(hhat, gfn)
-    d = bundle.system.dim
+    prod = gen.ProductPairFn(*bundle.monitor_fns())
+    names = ["t", "x", "v", "xp", "vp", "r", "psi_tilde"]
+    # pair runs are one-dimensional (run_pair_ensemble raises otherwise)
     for idx, tr in enumerate(trajectories):
-        cols = [tr.times]
-        names = ["t"]
-        for label, arr in (("x", tr.x), ("v", tr.v), ("xp", tr.xp), ("vp", tr.vp)):
-            for k in range(d):
-                names.append(f"{label}{k}" if d > 1 else label)
-                cols.append(arr[:, k])
         path_state = PairState(tr.x, tr.v, tr.xp, tr.vp)
-        names += ["r", "psi_tilde"]
-        cols += [path_state.r(bundle.report.alpha, bundle.monitor_alpha0),
-                 prod.value(path_state)]
-        manifest.write_csv(f"trajectory_{idx:04d}.csv", names, cols)
+        manifest.write_csv(f"trajectory_{idx:04d}.csv", names,
+                           [tr.times, tr.x[:, 0], tr.v[:, 0], tr.xp[:, 0], tr.vp[:, 0],
+                            path_state.r(bundle.report.alpha, bundle.monitor_alpha0),
+                            prod.value(path_state)])
     return _chain_exit(bundle.report)
 
 

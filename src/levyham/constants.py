@@ -403,11 +403,11 @@ class ConstantsBundle:
         return gen.SeparablePairFn(w, w, eps, 1.0)
 
 
-def profile_property_report(profile: DistanceProfile, n_grid: int = 10_000,
-                            tol: float = 1e-8, seed: int = 20_24) -> dict:
-    """Property suite for a distance profile on an ``(s, delta)`` grid.
+def profile_property_report(profile: DistanceProfile) -> dict:
+    """Property suite for a distance profile on ``n_grid = 10_000`` seeded
+    random ``(s, delta)`` points.
 
-    Checks, with absolute tolerance ``tol``: the linear sandwich
+    Checks, with absolute tolerance ``tol = 1e-8``: the linear sandwich
     ``c1 s <= f(s) <= (1 + c1) s`` below the cap, the sign pattern of the
     first three derivatives (finite differences for the third), midpoint
     concavity ``f(s+d) + f(s-d) - 2 f(s) <= 0`` for ``d <= s``, its
@@ -415,7 +415,8 @@ def profile_property_report(profile: DistanceProfile, n_grid: int = 10_000,
     slope band ``f' in [c1, 1 + c1]``, the doubling bound ``f(2s) <= 2 f(s)``,
     and the closed-form reshaping slope against finite differences.
     """
-    rng = np.random.default_rng(seed)
+    n_grid, tol = 10_000, 1e-8
+    rng = np.random.default_rng(20_24)
     cap = profile.cap
     s = rng.uniform(1e-9 * cap, cap, n_grid)
     d = s * rng.uniform(0.0, 1.0, n_grid)

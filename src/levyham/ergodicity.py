@@ -45,7 +45,7 @@ class DecayReport:
     n_replicas: int
     n_blowups: int
     # h times the largest force Lipschitz quotient seen, over the replicas
-    # that did not blow up
+    # the cost keeps (those that did not blow up)
     stability_indicator_max: float
     fit_start: int
     fit_stop: int
@@ -57,20 +57,18 @@ class DecayReport:
     timings: dict = field(default_factory=dict, compare=False)
 
 
-def fit_exponential_decay(times, means, ses, burn_in_frac: float = 0.1,
-                          min_snr: float = 10.0) -> tuple[float, float, float, int, int]:
+def fit_exponential_decay(times, means, ses) -> tuple[float, float, float, int, int]:
     """Weighted log-linear fit of a decay curve.
 
-    Window: past the burn-in fraction of the horizon, mean positive, and
-    mean above ``min_snr`` times its standard error. Returns
+    Window: past the first tenth of the horizon (the burn-in), mean positive,
+    and mean above ten times its standard error. Returns
     ``(rate, intercept, r_squared, start, stop)``; the rate is the negated
     slope. Raises InsufficientDecay for windows shorter than three points.
     """
     times = np.asarray(times, dtype=float)
     means = np.asarray(means, dtype=float)
     ses = np.asarray(ses, dtype=float)
-    t_burn = burn_in_frac * times[-1]
-    ok = (times >= t_burn) & (means > 0.0) & (means > min_snr * ses)
+    ok = (times >= 0.1 * times[-1]) & (means > 0.0) & (means > 10.0 * ses)
     idx = np.nonzero(ok)[0]
     if idx.size < 3:
         raise InsufficientDecay(f"only {idx.size} usable points in the fit window")
@@ -92,9 +90,10 @@ def fit_exponential_decay(times, means, ses, burn_in_frac: float = 0.1,
     return float(-slope), float(intercept), float(r2), start, stop
 
 
-def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, int]:
-    # a flagged replica, or one whose cost is not finite at some snapshot (a
-    # weight that overflowed to inf), is dropped and counted as a blow-up
+def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, np.ndarray]:
+    # the costs of the replicas kept, and the mask that keeps them: a flagged
+    # replica, or one whose cost is not finite at some snapshot (a weight that
+    # overflowed to inf), is dropped and counted as a blow-up
     stacked = PairState(*(np.stack([getattr(tr, c) for tr in trajectories])
                           for c in ("x", "v", "xp", "vp")))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -102,11 +101,11 @@ def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, int]:
     keep = np.isfinite(vals).all(axis=-1) & ~np.array([tr.blown_up for tr in trajectories])
     if not keep.any():
         raise InsufficientDecay("every replica blew up")
-    return vals[keep], len(trajectories) - int(keep.sum())
+    return vals[keep], keep
 
 
 def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: PairState,
-                   n_boot: int = 200, boot_seed: int = 424242) -> DecayReport:
+                   n_boot: int = 200) -> DecayReport:
     """Ensemble decay of the tilted distance cost, with a bootstrap CI.
 
     The monitored functional uses the bundle's monitor profile (identical to
@@ -119,13 +118,13 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
                                          bundle.report.alpha, bundle.report.kappa)
     t1 = time.monotonic()
     hhat_fn, g_fn = bundle.monitor_fns()
-    vals, n_blow = _psi_tilde_matrix(trajectories, hhat_fn, g_fn)
+    vals, keep = _psi_tilde_matrix(trajectories, hhat_fn, g_fn)
     times = config.save_times()
     means = vals.mean(axis=0)
     ses = vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0]) if vals.shape[0] > 1 else np.zeros_like(means)
     rate, intercept, r2, start, stop = fit_exponential_decay(times, means, ses)
 
-    rng = np.random.default_rng(boot_seed)
+    rng = np.random.default_rng(424242)
     boots = []
     # one surviving replica has no spread to resample: the CI collapses to the fit
     for _ in range(n_boot if vals.shape[0] > 1 else 0):
@@ -143,9 +142,9 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
         lo = hi = rate
     return DecayReport(times=times, means=means, ses=ses, lambda_fit=rate,
                        intercept=intercept, r_squared=r2, ci_low=float(lo), ci_high=float(hi),
-                       n_replicas=config.n_replicas, n_blowups=n_blow,
-                       stability_indicator_max=max(tr.stability_indicator for tr in trajectories
-                                                   if not tr.blown_up),
+                       n_replicas=config.n_replicas, n_blowups=int((~keep).sum()),
+                       stability_indicator_max=max(tr.stability_indicator
+                                                   for tr, k in zip(trajectories, keep) if k),
                        fit_start=start, fit_stop=stop,
                        log_rate_certified=bundle.report.log_rate,
                        monitor_is_fallback=bundle.monitor_is_fallback,

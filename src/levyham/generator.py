@@ -109,13 +109,8 @@ class TestFunction:
 
 
 def lyapunov_test_function(lyap) -> TestFunction:
-    """Wrap a Lyapunov weight as a TestFunction for the generator."""
-    return TestFunction(
-        value=lambda x, v: lyap.W(x, v),
-        grad_x=lambda x, v: lyap.grad_x_W(x, v),
-        grad_v=lambda x, v: lyap.grad_v_W(x, v),
-        hess_v=lambda x, v: lyap.hess_v_W(x, v),
-    )
+    """The Lyapunov weight ``W`` and its derivatives as a TestFunction for the generator."""
+    return TestFunction(lyap.W, lyap.grad_x_W, lyap.grad_v_W, lyap.hess_v_W)
 
 
 def _velocity_bump(c) -> TestFunction:
@@ -279,8 +274,9 @@ class ProfilePairFn:
 class SeparablePairFn:
     """Separable observable ``offset + eps (f(x, v) + g(xp, vp))``.
 
-    With ``f = g = lyapunov_test_function(lyap)`` and offset 1 it is the
-    Lyapunov tilt ``1 + eps (W + W')``; with two velocity functions, eps 1
+    With ``f = g = lyapunov_test_function(lyap)``, which holds the weight's
+    own ``W``, ``grad_x_W``, ``grad_v_W`` and ``hess_v_W``, and offset 1 it is
+    the Lyapunov tilt ``1 + eps (W + W')``; with two velocity functions, eps 1
     and offset 0 it is the marginal identity's ``g(v) + h(vp)``.
     """
 

@@ -12,14 +12,14 @@ coupled pair can be pushed together at displacement ``x``. Masses, moments
 and compensators are closed forms, and the sampler works, in every dimension.
 
 All measure objects are immutable and safe to share between workers.
-Sampling takes an explicit ``numpy.random.Generator``; there is no module
-level random state.
+Jump sampling takes an explicit ``numpy.random.SeedSequence``; there is no
+module level random state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -315,7 +315,6 @@ class LevyMeasureSpec:
     measure: object
     theta: float = 1.0
     slice_part: SliceMeasure | None = None
-    moments: MomentReport = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
@@ -324,16 +323,15 @@ class LevyMeasureSpec:
             object.__setattr__(self, "slice_part", _default_slice_for(self.measure))
         if self.slice_part.dim != self.measure.dim:
             raise ValueError("slice dimension differs from the measure dimension")
-        object.__setattr__(self, "moments", self.measure.moment_pair(self.theta))
         self._check_domination()
 
     @property
     def dim(self) -> int:
         return self.measure.dim
 
-    def _check_domination(self, n: int = 512):
-        # probe nu >= nu* pointwise on a deterministic grid of the slab
-        rng = np.random.default_rng(0)
+    def _check_domination(self):
+        # probe nu >= nu* pointwise on a deterministic grid of the slab (n points for dim >= 2)
+        rng, n = np.random.default_rng(0), 512
         radii = np.geomspace(1e-6, 1.0, 32)
         if self.dim == 1:
             pts = radii[:, None]
@@ -438,16 +436,16 @@ def overlap_mass_lower_bound(slice_m: SliceMeasure, s: float) -> float:
     return min(overlap_mass(slice_m, s * e) for e in g / np.linalg.norm(g, axis=1, keepdims=True))
 
 
-def fit_overlap_floor(slice_m: SliceMeasure, r0: float, n_grid: int = 64) -> float:
+def fit_overlap_floor(slice_m: SliceMeasure, r0: float) -> float:
     """Fit ``c0`` with ``J(s) >= c0 s^(-theta0)`` on ``(0, r0]``, ``theta0``
     the slice's own exponent.
 
-    ``c0`` is the grid minimum of ``J(s) s^theta0``, so the bound holds at
-    every probed radius by construction.
+    ``c0`` is the minimum of ``J(s) s^theta0`` over 64 geometric radii in
+    ``[r0 / 1000, r0]``, so the bound holds at every probed radius by construction.
     """
     if r0 <= 0:
         raise NonPositiveRadius("r0 must be positive")
-    grid = np.geomspace(r0 * 1e-3, r0, n_grid)
+    grid = np.geomspace(r0 * 1e-3, r0, 64)
     vals = [overlap_mass_lower_bound(slice_m, float(s)) * s ** slice_m.theta0 for s in grid]
     c0 = float(min(vals))
     if c0 <= 0:
@@ -496,25 +494,18 @@ def _annulus_edges(cutoff: float, top: float):
     return edges
 
 
-def _spawned_child(rng: np.random.Generator, k: int) -> np.random.Generator:
-    # child k of the next rng.spawn(...), built alone: same stream, spawn counter untouched
-    seq = rng.bit_generator.seed_seq
-    key = seq.spawn_key + (seq.n_children_spawned + k,)
-    child = np.random.SeedSequence(seq.entropy, spawn_key=key, pool_size=seq.pool_size)
-    return np.random.Generator(type(rng.bit_generator)(child))
-
-
 def sample_large_jumps(measure, horizon: float, cutoff: float,
-                       rng: np.random.Generator, budget: float = 2e7) -> JumpBatch:
+                       seed: np.random.SeedSequence, budget: float = 2e7) -> JumpBatch:
     """Sample every jump with ``|u| > cutoff`` on ``[0, horizon]``.
 
     Jumps form a Poisson process with rate ``nu({|u| > cutoff})``; marks are
     i.i.d. from the normalised restriction. Sampling is organised on a fixed
     dyadic ladder of annuli, each with its own child stream, so that runs
     that differ only in the cutoff share every jump above the coarser cutoff.
-    Annulus ``k`` draws from child ``k`` of the next ``rng.spawn``, built
-    alone: the batch depends only on ``rng``'s seed sequence, which is
-    neither drawn from nor advanced.
+    Annulus ``k`` draws from ``SeedSequence(seed.entropy, spawn_key=
+    seed.spawn_key + (k,))``, the child ``seed.spawn(64)[k]`` of a seed that
+    has spawned none: the batch depends only on ``seed``'s entropy and spawn
+    key, and ``seed`` is not advanced.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -530,7 +521,8 @@ def sample_large_jumps(measure, horizon: float, cutoff: float,
         mass = measure.annulus_mass(lo, hi)
         if mass <= 0:
             continue
-        child = _spawned_child(rng, k)
+        child = np.random.default_rng(
+            np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (k,)))
         n = int(child.poisson(mass * horizon))
         t = child.uniform(0.0, horizon, size=n)
         m = measure.sample_annulus(lo, hi, n, child)

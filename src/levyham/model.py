@@ -39,13 +39,12 @@ __all__ = [
     "DoubleWellPoly",
     "DoubleWellExp",
     "Quadratic",
-    "CustomPotential",
     "HamiltonianSystemSpec",
     "KineticLangevinSpec",
     "PotentialCertificate",
     "CertificateReport",
+    "PositionWeight",
     "LyapunovSpec",
-    "build_position_weight",
     "drift",
     "verify_certificate",
     "auto_certificate",
@@ -119,20 +118,6 @@ class Quadratic:
 
     def grad(self, x):
         return self.k * np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
-class CustomPotential:
-    """User-supplied value/gradient pair."""
-
-    value_fn: object
-    grad_fn: object
-
-    def value(self, x):
-        return self.value_fn(np.asarray(x, dtype=float))
-
-    def grad(self, x):
-        return self.grad_fn(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +285,15 @@ def verify_certificate(potential, cert: PotentialCertificate, grid_radius: float
                              margin, bool(passed))
 
 
-def auto_certificate(potential, dim: int = 1, grid_radius: float = 20.0,
-                     n_grid: int = 401) -> PotentialCertificate:
+def auto_certificate(potential, dim: int = 1, grid_radius: float = 20.0) -> PotentialCertificate:
     """Fit a certificate for a superquadratic potential.
 
-    Requires ``U0(x)/|x|^2`` to keep growing on the probe grid; the fitted
-    constants use the half-rate construction ``lam1 = lam2 = c3/2`` with
-    ``lam4 = 0`` and the smallest grid-feasible offsets plus a 10% margin.
+    Requires ``U0(x)/|x|^2`` to keep growing on the probe grid, a ``ball_grid``
+    of 401 points; the fitted constants use the half-rate construction
+    ``lam1 = lam2 = c3/2`` with ``lam4 = 0`` and the smallest grid-feasible
+    offsets plus a 10% margin.
     """
-    pts = ball_grid(grid_radius, n_grid, dim)
+    pts = ball_grid(grid_radius, 401, dim)
     norms = np.linalg.norm(pts, axis=-1)
     u0 = potential.value(pts)
     ratio_outer = u0[norms >= grid_radius * 0.75] / norms[norms >= grid_radius * 0.75] ** 2
@@ -347,21 +332,23 @@ def certificate_with_fallback(potential, dim: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def build_position_weight(langevin: KineticLangevinSpec, cert: PotentialCertificate):
+@dataclass(frozen=True)
+class PositionWeight:
     """Non-negative position part ``beta (U0 + lam4 |x|^2 + lam5)`` with gradient."""
 
-    beta, lam4, lam5 = langevin.beta, cert.lam4, cert.lam5
-    pot = langevin.potential
+    beta: float
+    potential: object
+    lam4: float = 0.0
+    lam5: float = 0.0
 
-    def value(x):
+    def value(self, x):
         x = np.asarray(x, dtype=float)
-        return beta * (pot.value(x) + lam4 * np.sum(x * x, axis=-1) + lam5)
+        return self.beta * (self.potential.value(x) + self.lam4 * np.sum(x * x, axis=-1)
+                            + self.lam5)
 
-    def grad(x):
+    def grad(self, x):
         x = np.asarray(x, dtype=float)
-        return beta * (pot.grad(x) + 2.0 * lam4 * x)
-
-    return CustomPotential(value, grad)
+        return self.beta * (self.potential.grad(x) + 2.0 * self.lam4 * x)
 
 
 @dataclass(frozen=True)
@@ -369,7 +356,8 @@ class LyapunovSpec:
     """Norm-like weight ``W = 1 + V^(theta/2)`` built from a quadratic form.
 
     ``V = 1 + V0(x) + r^2 |x|^2 / 2 + |v|^2 / 2 + r0_cross <x, v>`` with
-    ``|r0_cross| < r`` so the cross term stays dominated. The drift
+    ``|r0_cross| < r`` so the cross term stays dominated; ``v0`` is ``V0``,
+    a ``PositionWeight`` or any potential with ``value`` and ``grad``. The drift
     constants ``(c, C)`` of the form live in its ``QuadraticFormChoice``.
     """
 
@@ -446,16 +434,16 @@ class QuadraticFormChoice:
 
 
 def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertificate,
-                          grid_radius: float = 20.0,
-                          n_grid: int = 61) -> tuple[QuadraticFormChoice, LyapunovSpec]:
+                          grid_radius: float = 20.0) -> tuple[QuadraticFormChoice, LyapunovSpec]:
     """Pick the cross weight, scale, and Young split of the quadratic form.
 
     Sets ``r0_cross = alpha_damp / 2`` and places ``r`` at the midpoint of
     the window where ``(r^2 + 2 beta lam4 - alpha r0)^2`` stays below
     ``4 beta (lam1 - lam2 lam4)(alpha - r0) r0``; the Young parameter is the
     geometric mean of its admissible interval. Returns the choice, whose
-    ``(c, C)`` are validated on the default grid for the system ``langevin``,
-    and the weight they were validated on (``theta = 1``).
+    ``(c, C)`` are validated for the system ``langevin`` on a grid of 61
+    points per axis (``verify_gamma_drift``'s default), and the weight they
+    were validated on (``theta = 1``).
     """
     alpha, beta = langevin.alpha_damp, langevin.beta
     lam_eff = cert.lam1 - cert.lam2 * cert.lam4
@@ -482,20 +470,20 @@ def choose_quadratic_form(langevin: KineticLangevinSpec, cert: PotentialCertific
     c_v = alpha - r0 - eps * K ** 2 / 4.0
     c_x = beta * r0 * lam_eff - 1.0 / eps
     big_c = beta * r0 * (cert.lam3 + cert.lam2 * cert.lam5)
-    lyap = LyapunovSpec(r=r, r0_cross=r0, theta=1.0, v0=build_position_weight(langevin, cert),
-                        dim=langevin.dim)
+    v0 = PositionWeight(beta, langevin.potential, cert.lam4, cert.lam5)
+    lyap = LyapunovSpec(r=r, r0_cross=r0, theta=1.0, v0=v0, dim=langevin.dim)
     if cert.lam2 > 0:
         c = min(c_v, c_x, r0 * cert.lam2)
     else:
         # fold the position weight into |x|^2 on the probe grid
-        pts = ball_grid(grid_radius, n_grid, langevin.dim)
+        pts = ball_grid(grid_radius, 61, langevin.dim)
         mu = float(np.max(lyap.v0.value(pts) / np.maximum(np.sum(pts * pts, axis=-1), 1e-12)))
         c = min(c_v, c_x / (1.0 + mu))
     if c <= 0:
         raise EmptyWindow("drift coefficients collapsed to zero")
 
     # validate on the grid and, if needed, raise C (conservative direction)
-    worst = _grid_drift_excess(lyap, langevin, c, grid_radius, n_grid)
+    worst = _grid_drift_excess(lyap, langevin, c, grid_radius, 61)
     big_c = max(big_c, 1.1 * max(worst, 0.0))
     return QuadraticFormChoice(r0, r, eps, c, big_c, (lo, hi)), lyap
 

@@ -19,9 +19,11 @@ channel masses agree in d = 1 by the reflection identity of the one-sided
 slice, so the term is exactly zero there; for d >= 2 it is non-zero and not
 implemented.
 
-Determinism: every replica owns a seed-sequence child of the master seed;
-jump times, marks, and classification uniforms all come from the jump
-stream, so runs that differ only in the step size share their noise
+Determinism: replica ``k`` owns the seed sequence ``replica_seed(seed, k)``,
+``SeedSequence(seed, spawn_key=(k,))``, and annulus ``j`` of its jumps draws
+from ``SeedSequence(seed, spawn_key=(k, j))``; no generator is built per
+replica. Jump times, marks, and classification uniforms all come from the jump
+streams, so runs that differ only in the step size share their noise
 realisation exactly, and runs that halve the cutoff keep every shared jump.
 Replicas of one batch never mix: replica ``k`` of a single-process batch
 equals a one-replica run at ``replica_offset = k``, and the first ``n``
@@ -42,7 +44,7 @@ __all__ = [
     "SimConfig",
     "SingleTrajectory",
     "PairTrajectory",
-    "replica_rng",
+    "replica_seed",
     "classify_jump",
     "step_single",
     "step_pair",
@@ -98,9 +100,9 @@ class PairTrajectory:
     stability_indicator: float = 0.0
 
 
-def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
-    """Independent, reproducible stream for one replica."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(replica,)))
+def replica_seed(master_seed: int, replica: int) -> np.random.SeedSequence:
+    """Independent, reproducible seed sequence of one replica's jump streams."""
+    return np.random.SeedSequence(master_seed, spawn_key=(replica,))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
 
     ``starts`` holds one ``(x0, v0)`` per copy, and the state is stepped as
     ``(copies, N, d)`` arrays. Replica ``r`` draws its jumps from
-    ``replica_rng(seed, r + replica_offset)``. With ``coupling = (alpha,
+    ``replica_seed(seed, r + replica_offset)``. With ``coupling = (alpha,
     kappa)`` the two copies form the pair and each window is a pair window.
     A replica with a copy whose position or velocity norm exceeds
     ``blowup_norm`` or is NaN is flagged and frozen; its later snapshots stay
@@ -267,7 +269,8 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     replica is frozen.
     Returns the ``(copies, N, n_save, d)`` position and velocity paths, the
     survivor mask and, per replica, the largest force Lipschitz quotient
-    between copies 0 and 1 seen at a save time (zeros for one copy).
+    between copies 0 and 1 at the start of a window that ends at a save time
+    (zeros for one copy).
     """
     times = config.save_times()
     n, d = config.n_replicas, system.dim
@@ -276,7 +279,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     saves = (np.abs(ends - times[[k for k, _, _ in plan]])
              < 1e-9 * max(times[-1], 1.0)).tolist()
     batches = [ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
-                                     replica_rng(config.seed, rep + replica_offset))
+                                     replica_seed(config.seed, rep + replica_offset))
                for rep in range(n) if times[-1] > 0]
     # a jump at t kicks the first window with t < end - 1e-15; sorted in
     # (window, replica, time) order, jumps past the last window are dropped
@@ -319,9 +322,10 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
             if saves[w]:
                 out_x[:, alive, save_idx], out_v[:, alive, save_idx] = x[:, alive], v[:, alive]
                 if coupling is not None:
-                    # force gap at the window start over the state gap at its end
+                    # force gap over state gap, both at the window start
                     f = np.asarray(system.force(x_start, v_start), dtype=float)
-                    gap = np.abs(x[0] - x[1]).sum(-1) + np.abs(v[0] - v[1]).sum(-1)
+                    gap = (np.abs(x_start[0] - x_start[1]).sum(-1)
+                           + np.abs(v_start[0] - v_start[1]).sum(-1))
                     lip = np.maximum(lip, np.divide(np.abs(f[0] - f[1]).sum(-1), gap,
                                                     out=np.zeros(n), where=alive & (gap > 1e-9)))
     return out_x, out_v, alive, lip
@@ -331,9 +335,10 @@ def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: 
                       kappa: float) -> list[PairTrajectory]:
     """All replicas of the coupled pair, stepped together window by window. Dim 1 only.
 
-    Replica ``k`` draws its jumps from ``replica_rng(seed, k)``. Its
+    Replica ``k`` draws its jumps from ``replica_seed(seed, k)``. Its
     ``stability_indicator`` is ``h`` times the largest force Lipschitz
-    quotient between the copies seen at a save time.
+    quotient between the copies, taken at the start of each window that ends
+    at a save time.
     """
     _require_one_dim(system, levy)
     xs, vs, alive, lip = _euler_windows(system, levy, config,
@@ -349,7 +354,7 @@ def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
                         replica_offset: int = 0) -> list[SingleTrajectory]:
     """All replicas of the single process, stepped together window by window.
 
-    Replica ``k`` draws its jumps from ``replica_rng(seed, k + replica_offset)``.
+    Replica ``k`` draws its jumps from ``replica_seed(seed, k + replica_offset)``.
     A replica whose position or velocity norm exceeds ``blowup_norm`` or is
     NaN is flagged and frozen; its later snapshots stay NaN.
     """

@@ -56,13 +56,6 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def zero_potential():
-    return md.CustomPotential(
-        lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-
-
 @pytest.fixture(scope="session")
 def flat_lyap():
-    return md.LyapunovSpec(r=1.0, r0_cross=0.3, theta=1.0, v0=zero_potential(), dim=1)
+    return md.LyapunovSpec(r=1.0, r0_cross=0.3, theta=1.0, v0=md.Quadratic(0.0), dim=1)

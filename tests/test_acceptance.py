@@ -53,7 +53,7 @@ class LiveProfile:
 
 def test_criterion_01_profile_suite(bench):
     t0 = time.monotonic()
-    rep = cn.profile_property_report(bench.profile, n_grid=10_000, tol=1e-8)
+    rep = cn.profile_property_report(bench.profile)
     s = np.geomspace(1e-9 * bench.profile.cap, bench.profile.cap, 2000)
     slope = bench.profile.slope(s)
     c1 = bench.profile.c1

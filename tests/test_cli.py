@@ -451,6 +451,21 @@ class TestOutputs:
         indicator = json.loads((tmp_path / "rate.json").read_text())["stability_indicator_max"]
         assert math.isfinite(indicator) and indicator > 0.0
 
+    def test_stability_indicator_stays_below_the_force_bound_with_jumps(self, tmp_path):
+        # h = 0.02 and delta = 1e-5 give about 4 jumps per window; a coupling
+        # jump that nearly merges the copies must not lift the quotient past
+        # h sup U0'' = 0.02 * 12 * 2^2 = 0.96 on the saved range |x| <= 2
+        with open(BENCHMARK_CFG, encoding="utf-8") as fh:
+            text = fh.read()
+        for old, new in (("h = 0.005", "h = 0.02"), ("delta = 1e-3", "delta = 1e-5"),
+                         ("n_save = 41", "n_save = 401")):
+            text = text.replace(old, new)
+        assert cli.main(["rate", "--config", write(tmp_path, text), "--seed", "0",
+                         "--replicas", "12", "--out", str(tmp_path)]) == 0
+        rate = json.loads((tmp_path / "rate.json").read_text())
+        # no replica is dropped, so the maximum covers all twelve
+        assert rate["n_blowups"] == 0 and 0.0 < rate["stability_indicator_max"] < 1.0
+
 
 class TestLyapunovBuilder:
     """Verify F1/A2 and the constant chain build one and the same Lyapunov weight."""

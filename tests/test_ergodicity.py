@@ -174,8 +174,8 @@ class TestStackedCost:
         trs = [sim.PairTrajectory(times, *(rng.normal(size=(4, 1)) for _ in range(4)),
                                   blown_up=blown) for blown in (False, True, False)]
         hhat, g = benchmark_bundle.monitor_fns()
-        vals, n_blow = erg._psi_tilde_matrix(trs, hhat, g)
-        assert n_blow == 1 and vals.shape == (2, 4)
+        vals, keep = erg._psi_tilde_matrix(trs, hhat, g)
+        assert keep.tolist() == [True, False, True] and vals.shape == (2, 4)
         prod = ProductPairFn(hhat, g)
         for row, tr in zip(vals, (trs[0], trs[2])):
             for k in range(4):
@@ -191,8 +191,9 @@ class TestStackedCost:
         trs[1].x[2, 0] = 1e200
         trs[2].v[3, 0] = np.nan
         hhat, g = benchmark_bundle.monitor_fns()
-        vals, n_blow = erg._psi_tilde_matrix(trs, hhat, g)
-        assert n_blow == 2 and vals.shape == (1, 4) and np.all(np.isfinite(vals))
+        vals, keep = erg._psi_tilde_matrix(trs, hhat, g)
+        assert keep.tolist() == [True, False, False] and vals.shape == (1, 4)
+        assert np.all(np.isfinite(vals))
         assert np.array_equal(vals, erg._psi_tilde_matrix(trs[:1], hhat, g)[0])
         with pytest.raises(InsufficientDecay, match="every replica"):
             erg._psi_tilde_matrix(trs[1:], hhat, g)

@@ -342,7 +342,7 @@ class TestSampling:
     def test_four_dim_marks_lie_in_the_slab_at_the_closed_form_rate(self):
         sl4 = ms.SliceMeasure(1.0, 0.8, dim=4)
         horizon, delta = 50.0, 0.05
-        batch = ms.sample_large_jumps(sl4, horizon, delta, np.random.default_rng(17))
+        batch = ms.sample_large_jumps(sl4, horizon, delta, np.random.SeedSequence(17))
         first, norm = batch.marks[:, 0], np.linalg.norm(batch.marks, axis=1)
         assert batch.marks.shape[1] == 4
         assert np.all((first > 0.0) & (first <= 1.0)) and np.all(norm > delta)
@@ -354,27 +354,26 @@ class TestSampling:
         assert res.statistic < 1.628 / math.sqrt(len(batch))
 
     def test_no_mass_above_support(self):
-        rng = np.random.default_rng(0)
-        batch = ms.sample_large_jumps(SL, 50.0, 1.0, rng)
+        batch = ms.sample_large_jumps(SL, 50.0, 1.0, np.random.SeedSequence(0))
         assert len(batch) == 0
 
     def test_rate_matches_mass(self):
         st_m = ms.IsotropicStable(alpha0=1.5, scale=1.0, dim=1)
         rate = st_m.mass_above(1.0)
         horizon = 2000.0
-        batch = ms.sample_large_jumps(st_m, horizon, 1.0, np.random.default_rng(7))
+        batch = ms.sample_large_jumps(st_m, horizon, 1.0, np.random.SeedSequence(7))
         expected = rate * horizon
         assert abs(len(batch) - expected) <= 3.0 * math.sqrt(expected)
 
     def test_slice_support_constraint(self):
-        batch = ms.sample_large_jumps(SL, 200.0, 0.25, np.random.default_rng(3))
+        batch = ms.sample_large_jumps(SL, 200.0, 0.25, np.random.SeedSequence(3))
         assert np.all((batch.marks > 0.25) & (batch.marks <= 1.0))
 
     def test_mark_distribution_ks(self):
         # empirical CDF of restricted marks vs the closed-form CDF
         delta, n_target = 0.25, 10_000
         horizon = n_target / SL.mass_above(delta)
-        batch = ms.sample_large_jumps(SL, horizon, delta, np.random.default_rng(11))
+        batch = ms.sample_large_jumps(SL, horizon, delta, np.random.SeedSequence(11))
         lo_p, hi_p = delta ** -0.5, 1.0
 
         def cdf(u):
@@ -385,15 +384,15 @@ class TestSampling:
         assert res.statistic < crit
 
     def test_deterministic_given_stream(self):
-        b1 = ms.sample_large_jumps(SL, 100.0, 0.1, np.random.default_rng(42))
-        b2 = ms.sample_large_jumps(SL, 100.0, 0.1, np.random.default_rng(42))
+        b1 = ms.sample_large_jumps(SL, 100.0, 0.1, np.random.SeedSequence(42))
+        b2 = ms.sample_large_jumps(SL, 100.0, 0.1, np.random.SeedSequence(42))
         np.testing.assert_array_equal(b1.times, b2.times)
         np.testing.assert_array_equal(b1.marks, b2.marks)
         np.testing.assert_array_equal(b1.unif, b2.unif)
 
     def test_cutoff_refinement_nested(self):
-        coarse = ms.sample_large_jumps(SL, 100.0, 1e-2, np.random.default_rng(9))
-        fine = ms.sample_large_jumps(SL, 100.0, 5e-3, np.random.default_rng(9))
+        coarse = ms.sample_large_jumps(SL, 100.0, 1e-2, np.random.SeedSequence(9))
+        fine = ms.sample_large_jumps(SL, 100.0, 5e-3, np.random.SeedSequence(9))
         keep = fine.marks[:, 0] > 1e-2
         np.testing.assert_array_equal(fine.times[keep], coarse.times)
         np.testing.assert_array_equal(fine.marks[keep], coarse.marks)
@@ -401,19 +400,7 @@ class TestSampling:
 
     def test_budget_guard(self):
         with pytest.raises(CutoffTooSmall):
-            ms.sample_large_jumps(SL, 1e9, 1e-6, np.random.default_rng(0), budget=1e5)
-
-
-def spawn_children():
-    # a sampler child rule that takes every generator's children from one real
-    # rng.spawn(65); the generator is kept so that its id stays unique
-    spawned = {}
-
-    def child(rng, k):
-        if id(rng) not in spawned:
-            spawned[id(rng)] = (rng, rng.spawn(65))
-        return spawned[id(rng)][1][k]
-    return child
+            ms.sample_large_jumps(SL, 1e9, 1e-6, np.random.SeedSequence(0), budget=1e5)
 
 
 SAMPLED = {
@@ -424,21 +411,20 @@ SAMPLED = {
 
 
 class TestSamplerStreams:
-    """Building only the used child streams changes no jump."""
+    """Annulus ``k`` draws from child ``k`` of the seed's spawn."""
 
-    @pytest.mark.parametrize("spawned_before", [0, 3])
+    @pytest.mark.parametrize("spawned_before", [0])
     @pytest.mark.parametrize("name", sorted(SAMPLED))
     def test_equal_to_spawn_construction(self, name, spawned_before, monkeypatch):
-        def fresh():
-            rng = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(4,)))
-            rng.spawn(spawned_before)
-            return rng
-
-        rng = fresh()
-        direct = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, rng)
-        assert rng.bit_generator.seed_seq.n_children_spawned == spawned_before
-        monkeypatch.setattr(ms, "_spawned_child", spawn_children())
-        spawned = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, fresh())
+        seed = np.random.SeedSequence(21, spawn_key=(4,))
+        direct = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, seed)
+        assert seed.n_children_spawned == spawned_before
+        # the (63, 1, inf) annulus of the stable measure needs child 63
+        children = seed.spawn(64)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda s: default_rng(children[s.spawn_key[-1]]))
+        spawned = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, seed)
         assert len(direct) > 100 and np.all(np.diff(direct.times) >= 0)
         np.testing.assert_array_equal(direct.times, spawned.times)
         np.testing.assert_array_equal(direct.marks, spawned.marks)

@@ -13,13 +13,6 @@ from levyham.errors import (EmptyWindow, GrowthTestFailed, InvalidCross,
                             MomentFailure, NonFiniteForce)
 
 
-def zero_potential():
-    return md.CustomPotential(
-        lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-
-
 class TestDrift:
     def test_quadratic_hand_case(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
@@ -70,9 +63,7 @@ class TestCertificates:
             md.auto_certificate(md.Quadratic(1.0))
 
     def test_concave_potential_fails(self):
-        neg = md.CustomPotential(lambda x: -np.sum(np.asarray(x) ** 2, axis=-1),
-                                 lambda x: -2.0 * np.asarray(x, dtype=float))
-        rep = md.verify_certificate(neg, md.PotentialCertificate(lam1=1.0),
+        rep = md.verify_certificate(md.Quadratic(-2.0), md.PotentialCertificate(lam1=1.0),
                                     alpha_damp=1.0, beta=1.0)
         assert not rep.passed
         assert rep.growth_slack < 0
@@ -88,22 +79,23 @@ class TestCertificates:
 
 class TestLyapunovWeight:
     def test_origin_value(self):
-        ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=zero_potential(), dim=1)
+        ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=md.Quadratic(0.0), dim=1)
         assert float(ly.W(np.zeros(1), np.zeros(1))) == pytest.approx(2.0)
 
     def test_hand_value_2d(self):
-        ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=zero_potential(), dim=2)
+        ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=md.Quadratic(0.0), dim=2)
         got = float(ly.W(np.zeros(2), np.array([2.0, 0.0])))
         assert got == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-14)
 
     def test_invalid_cross(self):
         with pytest.raises(InvalidCross):
-            md.LyapunovSpec(r=0.5, r0_cross=0.5, theta=1.0, v0=zero_potential(), dim=1)
+            md.LyapunovSpec(r=0.5, r0_cross=0.5, theta=1.0, v0=md.Quadratic(0.0), dim=1)
 
     def test_gradients_match_finite_differences(self):
         pot = md.DoubleWellPoly(1.0, 2.0, 2.0)
         kl = md.KineticLangevinSpec(1.0, 1.0, pot, dim=1)
-        v0 = md.build_position_weight(kl, md.auto_certificate(pot))
+        cert = md.auto_certificate(pot)
+        v0 = md.PositionWeight(kl.beta, pot, cert.lam4, cert.lam5)
         ly = md.LyapunovSpec(r=0.9, r0_cross=0.4, theta=1.0, v0=v0, dim=1)
         x, v = np.array([0.7]), np.array([-1.2])
         h = 1e-6
@@ -126,7 +118,7 @@ class TestLyapunovWeight:
             assert one[0, 0] == hess[i, j, 0, 0]
 
     def test_stacked_hessian_2d(self):
-        ly = md.LyapunovSpec(r=1.0, r0_cross=0.3, theta=1.0, v0=zero_potential(), dim=2)
+        ly = md.LyapunovSpec(r=1.0, r0_cross=0.3, theta=1.0, v0=md.Quadratic(0.0), dim=2)
         x = np.array([[0.5, -1.0], [2.0, 0.0]])
         v = np.array([[1.0, 2.0], [-0.5, 0.25]])
         hess = ly.hess_v_W(x, v)
@@ -139,7 +131,7 @@ class TestGammaDrift:
     def _setup(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
         cert = md.PotentialCertificate(lam1=1.0)
-        v0 = md.build_position_weight(kl, cert)
+        v0 = md.PositionWeight(kl.beta, kl.potential, cert.lam4, cert.lam5)
         ly = md.LyapunovSpec(r=0.9, r0_cross=0.5, theta=1.0, v0=v0, dim=1)
         return kl, ly
 
@@ -176,20 +168,16 @@ class TestGammaDrift:
 
 
 class TestQuadraticFormChoice:
-    def test_build_lyapunov_builds_the_weight_once(self, benchmark_langevin, monkeypatch):
-        weights = []
-        build = md.build_position_weight
-
-        def count(*args):
-            weights.append(build(*args))
-            return weights[-1]
-
-        monkeypatch.setattr(md, "build_position_weight", count)
+    def test_build_lyapunov_builds_the_weight_once(self, benchmark_langevin):
         setup = md.build_lyapunov(benchmark_langevin, theta=0.5)
-        assert len(weights) == 1
+        cert, _ = md.certificate_with_fallback(benchmark_langevin.potential)
         # the weight the form choice validated at theta = 1, with the requested theta
-        assert setup.lyap.v0 is weights[0] and setup.lyap.theta == 0.5
+        assert setup.lyap.v0 == md.PositionWeight(benchmark_langevin.beta,
+                                                  benchmark_langevin.potential,
+                                                  cert.lam4, cert.lam5)
+        assert setup.lyap.theta == 0.5
         assert (setup.lyap.r, setup.lyap.r0_cross) == (setup.choice.r, setup.choice.r0_cross)
+        assert md.build_lyapunov(benchmark_langevin, theta=0.5) == setup
 
     def test_hand_window(self):
         kl = md.KineticLangevinSpec(1.0, 1.0, md.Quadratic(1.0), dim=1)
@@ -242,7 +230,7 @@ class TestJumpRegularity:
         assert val == pytest.approx(1.0 / 0.1 + 1.0 / 0.6, rel=1e-9)
 
     def test_fit_on_benchmark(self, benchmark_levy):
-        ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=zero_potential(), dim=1)
+        ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=md.Quadratic(0.0), dim=1)
         c_star, sup_ratio = md.verify_jump_regularity(ly, benchmark_levy.slice_part,
                                                       grid_radius=8.0, n_grid=7)
         assert c_star > 0 and math.isfinite(c_star)
@@ -254,7 +242,7 @@ class TestJumpRegularity:
         assert sup_ratio == pytest.approx(float(np.max(ratio)), rel=1e-12)
 
     def test_ratio_below_fit_on_fresh_points(self, benchmark_levy, rng):
-        ly = md.LyapunovSpec(r=1.0, r0_cross=0.2, theta=1.0, v0=zero_potential(), dim=1)
+        ly = md.LyapunovSpec(r=1.0, r0_cross=0.2, theta=1.0, v0=md.Quadratic(0.0), dim=1)
         c_star, _ = md.verify_jump_regularity(ly, benchmark_levy.slice_part,
                                               grid_radius=8.0, n_grid=9)
         for _ in range(25):
@@ -281,13 +269,13 @@ class TestJumpRegularity:
             assert one == got[i, j]
 
     def test_exponent_hypothesis_guard(self):
-        ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=zero_potential(), dim=1)
+        ly = md.LyapunovSpec(r=1.0, r0_cross=0.0, theta=1.0, v0=md.Quadratic(0.0), dim=1)
         with pytest.raises(MomentFailure):
             md.verify_jump_regularity(ly, ms.SliceMeasure(c=1.0, theta0=0.6, dim=1))
 
     def test_increment_bound_two_scales(self, rng):
         # |W(x, v+u) - W(x, v)| <= c2 W^(1/2) (|u|^(theta/2) + |u|^theta)
-        ly = md.LyapunovSpec(r=1.0, r0_cross=0.3, theta=1.0, v0=zero_potential(), dim=1)
+        ly = md.LyapunovSpec(r=1.0, r0_cross=0.3, theta=1.0, v0=md.Quadratic(0.0), dim=1)
         fit_pts = rng.uniform(-10, 10, (500, 3))
         ratios = []
         for x, v, u in fit_pts:

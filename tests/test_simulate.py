@@ -366,7 +366,7 @@ class TestPairSimulation:
         trs = sim.run_pair_ensemble(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
         comp = benchmark_levy.measure.compensation_drift(1e-3)
         batches = [ms.sample_large_jumps(benchmark_levy.measure, 0.2, 1e-3,
-                                         sim.replica_rng(3, k)) for k in range(3)]
+                                         sim.replica_seed(3, k)) for k in range(3)]
         assert all(len(b) > 0 for b in batches)
         # unbatched: replica 0 alone
         st = sim.step_pair(sys_, benchmark_levy, p0, 0.2, list(batches[0].marks),
@@ -553,7 +553,7 @@ class TestPairKernelBeyondSlice:
         # 0 < u <= 1 the two modified channels trade equal mass (up to a
         # cutoff-edge term of order delta), off it every jump is synchronous
         batch = ms.sample_large_jumps(beyond_slice_levy.measure, 1000.0, 2e-2,
-                                      sim.replica_rng(505, 0))
+                                      sim.replica_seed(505, 0))
         u, l = batch.marks[:, 0], batch.unif
         den = beyond_slice_levy.measure.density(batch.marks)
         disp = np.array([sim.classify_jump(beyond_slice_levy, float(a), 0.4, 1.0, 0.25,
@@ -578,9 +578,9 @@ class TestPairKernelBeyondSlice:
         # cutoff keeps every coarser jump with its classification uniform
         for rep in range(3):
             coarse = ms.sample_large_jumps(beyond_slice_levy.measure, 5.0, 2e-2,
-                                           sim.replica_rng(11, rep))
+                                           sim.replica_seed(11, rep))
             fine = ms.sample_large_jumps(beyond_slice_levy.measure, 5.0, 1e-2,
-                                         sim.replica_rng(11, rep))
+                                         sim.replica_seed(11, rep))
             keep = np.abs(fine.marks[:, 0]) > 2e-2
             assert 0 < keep.sum() < len(fine)
             np.testing.assert_array_equal(fine.times[keep], coarse.times)
