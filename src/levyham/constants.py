@@ -13,6 +13,7 @@ on the true decay; Monte Carlo estimates typically sit many orders above it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -212,20 +213,62 @@ def compute_R0(geom: FarFieldGeometry, alpha: float, alpha0: float, kappa: float
     return float(np.ceil(r_sup + (1.0 + alpha) * kappa + 1.0))
 
 
+# Joe & Kuo (2008) direction numbers (s, a, m_1..m_s) for Sobol dimensions 2..8
+_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
+            (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)), (5, 2, (1, 1, 5, 5, 17)))
+_SOBOL_BITS = 30
+
+
+@functools.cache
+def _scrambled_sobol(dim: int, m: int, seed: int) -> np.ndarray:
+    """The first ``2**m`` points of the ``dim``-dimensional Sobol sequence
+    with Matousek's linear matrix scrambling plus a digital shift (read-only).
+
+    Bitwise equal to ``scipy.stats.qmc.Sobol(dim, scramble=True,
+    seed=seed).random_base2(m)``: the same 30-bit direction numbers, random
+    draws in the same order, and points in the same Gray-code order.
+    """
+    if dim > len(_JOE_KUO) + 1:
+        raise ValueError(f"Sobol direction numbers are tabulated up to dimension "
+                         f"{len(_JOE_KUO) + 1}, got {dim}")
+    bits = _SOBOL_BITS
+    sv = np.ones((dim, bits), dtype=np.int64)
+    for row, (s, a, init) in zip(sv[1:], _JOE_KUO):
+        row[:s] = init
+        for j in range(s, bits):
+            row[j] = row[j - s] ^ (row[j - s] << s)
+            for k in range(1, s):
+                row[j] ^= ((a >> (s - 1 - k)) & 1) * (row[j - k] << k)
+    msb = np.arange(bits - 1, -1, -1)            # shift of the k-th bit from the top
+    sv <<= msb
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ (1 << np.arange(bits))
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, range(bits), range(bits)] = 1
+    # scramble each direction number: its bits, top first, times the lower-triangular matrix
+    top_bits = (sv[:, :, None] >> msb) & 1
+    sv = ((top_bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << msb)
+    q = np.empty((1 << m, dim), dtype=np.int64)
+    q[0] = shift
+    for b in range(m):
+        q[1 << b:2 << b] = q[(1 << b) - 1::-1] ^ sv[:, b]
+    pts = q * 2.0 ** -bits
+    pts.flags.writeable = False
+    return pts
+
+
 def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
                       inflate: float = 1.05) -> float:
     """Sampled force Lipschitz quotient over a position ball.
 
-    Uses scrambled Sobol pairs (velocities on the same radius) plus
+    Uses scrambled Sobol pairs (velocities on the same radius; the points of
+    ``_scrambled_sobol``, equal to scipy's ``qmc.Sobol`` at seed 777) plus
     axis-aligned pairs (one coordinate gap zero), then shrinks the gap around
     the argmax three times; the result is inflated 5% as a conservative
     over-estimate.
     """
-    from scipy.stats import qmc  # the only user of scipy.stats, which is slow to import
-
     d = system.dim
-    sob = qmc.Sobol(4 * d, scramble=True, seed=777)
-    pts = sob.random_base2(max(int(math.ceil(math.log2(max(n_pairs, 2)))), 1))
+    pts = _scrambled_sobol(4 * d, max(int(math.ceil(math.log2(max(n_pairs, 2)))), 1), 777)
     n_pairs = pts.shape[0]
     x = (2 * pts[:, 0:d] - 1) * position_radius
     xp = (2 * pts[:, d:2 * d] - 1) * position_radius

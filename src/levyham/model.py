@@ -75,12 +75,12 @@ class DoubleWellPoly:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = np.add.reduce(x * x, axis=-1)
         return self.c1 * (1.0 + s) ** self.l - self.c2 * s
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = np.add.reduce(x * x, axis=-1)
         coef = 2.0 * self.c1 * self.l * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2
         return coef[..., None] * x
 
@@ -95,12 +95,12 @@ class DoubleWellExp:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = np.add.reduce(x * x, axis=-1)
         return self.c1 * np.exp((1.0 + s) ** self.l) - self.c2 * s
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = np.add.reduce(x * x, axis=-1)
         p = (1.0 + s) ** self.l
         coef = 2.0 * self.c1 * self.l * np.exp(p) * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2
         return coef[..., None] * x
@@ -114,7 +114,7 @@ class Quadratic:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * self.k * np.sum(x * x, axis=-1)
+        return 0.5 * self.k * np.add.reduce(x * x, axis=-1)
 
     def grad(self, x):
         return self.k * np.asarray(x, dtype=float)

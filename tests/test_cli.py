@@ -618,24 +618,42 @@ def loaded_after(code):
     return out.stdout.splitlines()[-1].split()
 
 
+def short_benchmark(tmp_path, n_save=3):
+    # configs/benchmark.cfg at h = 0.01, horizon 1 and n_save snapshots
+    with open(BENCHMARK_CFG, encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (("h = 0.005 ", "h = 0.01 "), ("horizon = 20.0", "horizon = 1.0"),
+                     ("n_save = 41", f"n_save = {n_save}")):
+        assert old in text
+        text = text.replace(old, new)
+    return write(tmp_path, text)
+
+
 class TestStartup:
     @pytest.mark.parametrize("module", SLOW_SCIPY)
     def test_cli_import_leaves_slow_scipy_modules_out(self, module):
-        # each costs a large share of the import; only the Lipschitz sampler
-        # (scipy.stats) and the d >= 2 slice quadrature (scipy.integrate, which
-        # loads scipy.optimize) need them, and they import them when they run
+        # each costs a large share of the import; only the d >= 2 slice
+        # quadrature (scipy.integrate, which loads scipy.optimize) needs any
+        # of them, and it imports them when it runs
         assert module not in loaded_after("import sys, levyham.cli")
 
+    def test_constants_leaves_slow_scipy_modules_out(self, tmp_path):
+        # the constant chain's Lipschitz sampler draws its Sobol points
+        # without scipy.stats
+        argv = ["constants", "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
+        code = f"import sys, levyham.cli\nassert levyham.cli.main({argv!r}) == 0"
+        assert loaded_after(code) == []
+
+    def test_rate_leaves_slow_scipy_modules_out(self, tmp_path):
+        # five snapshots leave the decay fit enough points at four replicas
+        argv = ["rate", "--config", short_benchmark(tmp_path, n_save=5), "--replicas", "4",
+                "--out", str(tmp_path)]
+        code = f"import sys, levyham.cli\nassert levyham.cli.main({argv!r}) == 0"
+        assert loaded_after(code) == []
+
     def test_equilibrium_leaves_slow_scipy_modules_out(self, tmp_path):
-        # equilibrium builds no constant chain, so none of them is needed: at
-        # the benchmark's short equilibrium settings they stay out of memory
-        with open(BENCHMARK_CFG, encoding="utf-8") as fh:
-            text = fh.read()
-        for old, new in (("h = 0.005 ", "h = 0.01 "), ("horizon = 20.0", "horizon = 1.0"),
-                         ("n_save = 41", "n_save = 3")):
-            assert old in text
-            text = text.replace(old, new)
-        argv = ["equilibrium", "--config", write(tmp_path, text), "--replicas", "100",
+        # at the benchmark's short equilibrium settings they stay out of memory
+        argv = ["equilibrium", "--config", short_benchmark(tmp_path), "--replicas", "100",
                 "--out", str(tmp_path)]
         code = f"import sys, levyham.cli\nassert levyham.cli.main({argv!r}) == 0"
         assert loaded_after(code) == []

@@ -87,6 +87,29 @@ class TestFarField:
             assert np.all(np.abs(v[inside]) <= geom.v_max)
 
 
+class TestScrambledSobol:
+    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("m", [1, 11, 17])
+    @pytest.mark.parametrize("seed", [777, 5])
+    def test_equals_scipy_bitwise(self, dim, m, seed):
+        from scipy.stats import qmc
+
+        want = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(m)
+        got = cn._scrambled_sobol(dim, m, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_read_only(self):
+        pts = cn._scrambled_sobol(4, 3, 777)
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+
+    def test_untabulated_dimension_raises(self):
+        with pytest.raises(ValueError, match="dimension"):
+            cn._scrambled_sobol(9, 3, 777)
+
+
 class TestLipschitz:
     def test_pure_damping_exact(self):
         sys_ = md.HamiltonianSystemSpec(0.0, 1.0,
