@@ -22,8 +22,9 @@ or an exception exit such as ``NonFiniteForce:``, writes none.
 Outputs are bitwise-stable given (config, seed); the manifest additionally
 records wall-clock timings (for ``rate``, also per stage: ``constants_s``,
 ``ensemble_s``, ``decay_fit_s`` for the cost, fit and bootstrap, and
-``io_s``). Every command runs in one process and steps its replicas
-together, window by window.
+``io_s``; for ``equilibrium``, ``ensembles_s`` for its two ensembles and
+``diagnostics_s`` for the distances and moments). Every command runs in one
+process and steps its replicas together, window by window.
 """
 
 from __future__ import annotations
@@ -219,6 +220,7 @@ def cmd_equilibrium(cfg: ExperimentConfig, manifest: RunManifest,
     x0, v0, xp0, vp0 = cfg.initial_pair()
     payload = erg.equilibrium_diagnostics(cfg.build_langevin(), levy, sim_cfg, (x0, v0),
                                           (xp0, vp0))
+    manifest.timings.update(payload.pop("timings"))
     threshold = cfg.constants["decay_threshold"]
     if threshold is not None:
         payload["threshold"] = threshold

@@ -208,7 +208,7 @@ class SliceMeasure:
             return np.empty((0, self.dim))
         if self.dim == 1:
             hi = min(b, 1.0)
-            u = rng.uniform(size=n)
+            u = rng.random(n)
             lo_p = a ** -self.theta0
             hi_p = hi ** -self.theta0
             r = (lo_p - u * (lo_p - hi_p)) ** (-1.0 / self.theta0)
@@ -219,7 +219,7 @@ class SliceMeasure:
         lo_p, hi_p = a ** -self.theta0, b ** -self.theta0
         while filled < n:
             m = max(4 * (n - filled), 64)
-            u = rng.uniform(size=m)
+            u = rng.random(m)
             r = (lo_p - u * (lo_p - hi_p)) ** (-1.0 / self.theta0)
             g = rng.standard_normal((m, self.dim))
             e = g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -287,7 +287,7 @@ class IsotropicStable:
     def sample_annulus(self, a: float, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
         if n == 0:
             return np.empty((0, self.dim))
-        u = rng.uniform(size=n)
+        u = rng.random(n)
         lo_p = a ** -self.alpha0
         hi_p = 0.0 if math.isinf(b) else b ** -self.alpha0
         r = (lo_p - u * (lo_p - hi_p)) ** (-1.0 / self.alpha0)
@@ -460,15 +460,18 @@ def fit_overlap_floor(slice_m: SliceMeasure, r0: float) -> float:
 
 @dataclass(frozen=True)
 class JumpBatch:
-    """Time-ordered jumps over a horizon: times, marks, and per-jump uniforms.
+    """Jumps of an ensemble over a horizon: times, marks, per-jump uniforms and rows.
 
-    The uniforms are drawn in the same stream as the marks so that cutoff
-    refinements keep shared jumps (and their classification draws) identical.
+    Jump ``i`` belongs to the replica at position ``rows[i]`` of the sampled
+    replicas; the batch is ordered by (row, time). The uniforms are drawn in
+    the same stream as the marks so that cutoff refinements keep shared jumps
+    (and their classification draws) identical.
     """
 
     times: np.ndarray
     marks: np.ndarray
     unif: np.ndarray
+    rows: np.ndarray
 
     def __len__(self):
         return self.times.shape[0]
@@ -494,18 +497,88 @@ def _annulus_edges(cutoff: float, top: float):
     return edges
 
 
-def sample_large_jumps(measure, horizon: float, cutoff: float,
-                       seed: np.random.SeedSequence, budget: float = 2e7) -> JumpBatch:
-    """Sample every jump with ``|u| > cutoff`` on ``[0, horizon]``.
+# numpy's SeedSequence hash (pool size 4) and PCG64 seeding constants
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Jumps form a Poisson process with rate ``nu({|u| > cutoff})``; marks are
-    i.i.d. from the normalised restriction. Sampling is organised on a fixed
-    dyadic ladder of annuli, each with its own child stream, so that runs
-    that differ only in the cutoff share every jump above the coarser cutoff.
-    Annulus ``k`` draws from ``SeedSequence(seed.entropy, spawn_key=
-    seed.spawn_key + (k,))``, the child ``seed.spawn(64)[k]`` of a seed that
-    has spawned none: the batch depends only on ``seed``'s entropy and spawn
-    key, and ``seed`` is not advanced.
+
+def _words(value) -> list:
+    # SeedSequence's little-endian 32-bit words of an integer or a sequence of them
+    if not isinstance(value, (int, np.integer)):
+        return [w for v in value for w in _words(v)]
+    value = int(value)
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    # SeedSequence's hashmix on ints or uint64 arrays: the mixed value and the next constant
+    nxt = const * mult & _M32
+    value = (value ^ const) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    out = (_MIX_L * x - _MIX_R * y) & _M32
+    return out ^ out >> 16
+
+
+def _pcg64_states(seed: np.random.SeedSequence, rows: np.ndarray, keys: np.ndarray):
+    """PCG64 ``(state, inc)`` of ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key
+    + (rows[i], keys[i]))`` for every ``i``, in one array pass of the hash.
+
+    Every spawn-key word sits past the first four entropy words (a spawn key
+    pads the entropy to the pool size), so the pool is shared up to the last
+    two words, each below 2^32.
+    """
+    if seed.pool_size != 4:
+        raise ValueError(f"need a seed sequence of pool size 4, got {seed.pool_size}")
+    if len(rows) and (rows.min() < 0 or rows.max() > _M32):
+        raise ValueError("replica indices must lie in [0, 2^32)")
+    words = _words(seed.entropy)
+    words += [0] * (4 - len(words)) + _words(seed.spawn_key)
+    const, pool = _INIT_A, []
+    for w in words[:4]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                h, const = _hashmix(pool[i], const)
+                pool[j] = _mix(pool[j], h)
+    for w in words[4:] + [rows.astype(np.uint64), keys.astype(np.uint64)]:
+        for j in range(4):
+            h, const = _hashmix(w, const)
+            pool[j] = _mix(pool[j], h)
+    # generate_state(4, uint64): eight 32-bit words, read as little-endian pairs
+    const, out = _INIT_B, []
+    for i in range(8):
+        h, const = _hashmix(pool[i % 4], const, _MULT_B)
+        out.append(h.tolist())
+    for a, b, c, d, e, f, g, h in zip(*out):
+        inc = ((e | f << 32) << 65 | (g | h << 32) << 1 | 1) & _M128
+        yield ((inc + ((a | b << 32) << 64 | c | d << 32)) * _PCG_MULT + inc) & _M128, inc
+
+
+def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.SeedSequence,
+                       replicas, budget: float = 2e7) -> JumpBatch:
+    """Sample every jump with ``|u| > cutoff`` on ``[0, horizon]``, for each replica.
+
+    Each replica's jumps form a Poisson process with rate ``nu({|u| >
+    cutoff})``; marks are i.i.d. from the normalised restriction. Sampling is
+    organised on a fixed dyadic ladder of annuli, each with its own stream, so
+    that runs that differ only in the cutoff share every jump above the
+    coarser cutoff. Annulus ``k`` of replica ``r`` in ``replicas`` draws from
+    the PCG64 stream of ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key
+    + (r, k))``, with ``0 <= r < 2^32``: its poisson count, the times, the
+    marks and the uniforms, in that order. Every stream is seeded in one
+    array pass and drawn through one reused generator, so a replica's jumps
+    depend on ``r`` alone, never on the other replicas, and ``seed`` is not
+    advanced. ``budget`` bounds one replica's expected jump count.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -516,20 +589,34 @@ def sample_large_jumps(measure, horizon: float, cutoff: float,
         raise CutoffTooSmall(
             f"expected {expected:.3g} jumps above cutoff {cutoff:g}, budget {budget:.3g}"
         )
-    parts = [(np.empty(0), np.empty((0, measure.dim)), np.empty(0))]
-    for k, lo, hi in _annulus_edges(cutoff, measure.support_radius()):
-        mass = measure.annulus_mass(lo, hi)
-        if mass <= 0:
-            continue
-        child = np.random.default_rng(
-            np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (k,)))
-        n = int(child.poisson(mass * horizon))
-        t = child.uniform(0.0, horizon, size=n)
-        m = measure.sample_annulus(lo, hi, n, child)
-        u = child.uniform(size=n)
-        keep = np.linalg.norm(m, axis=1) > cutoff
-        parts.append((t[keep], m[keep], u[keep]))
-    # one time-ordered batch; equal times keep the annulus order
+    annuli = [(k, lo, hi, mass * horizon)
+              for k, lo, hi in _annulus_edges(cutoff, measure.support_radius())
+              if (mass := measure.annulus_mass(lo, hi)) > 0]
+    reps = np.asarray(replicas, dtype=np.int64)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    counts, parts = [], [(np.empty(0), np.empty((0, measure.dim)), np.empty(0))]
+    states = _pcg64_states(seed, np.repeat(reps, len(annuli)),
+                           np.tile(np.array([a[0] for a in annuli], dtype=np.int64), len(reps)))
+    for (state, inc), (_, lo, hi, lam) in zip(states, annuli * len(reps)):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        n = int(gen.poisson(lam))
+        counts.append(n)
+        if n:  # an empty annulus draws nothing more
+            # gen.random(n) * horizon and gen.random(n) are, bit for bit, the
+            # draws of gen.uniform(0.0, horizon, n) and gen.uniform(size=n)
+            parts.append((gen.random(n) * horizon, measure.sample_annulus(lo, hi, n, gen),
+                          gen.random(n)))
     times, marks, unifs = (np.concatenate(col) for col in zip(*parts))
-    order = np.argsort(times, kind="stable")
-    return JumpBatch(times[order], marks[order], unifs[order])
+    rows = np.repeat(np.arange(len(reps)),
+                     np.array(counts, dtype=np.int64).reshape(len(reps), len(annuli)).sum(axis=1))
+    keep = np.linalg.norm(marks, axis=1) > cutoff
+    times, marks, unifs, rows = times[keep], marks[keep], unifs[keep], rows[keep]
+    # each replica's jumps in time order; equal times keep the annulus order
+    bounds = np.searchsorted(rows, np.arange(len(reps) + 1)).tolist()
+    order = np.arange(len(times))
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a > 1:
+            order[a:b] = a + np.argsort(times[a:b], kind="stable")
+    return JumpBatch(times[order], marks[order], unifs[order], rows)

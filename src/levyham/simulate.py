@@ -19,10 +19,11 @@ channel masses agree in d = 1 by the reflection identity of the one-sided
 slice, so the term is exactly zero there; for d >= 2 it is non-zero and not
 implemented.
 
-Determinism: replica ``k`` owns the seed sequence ``replica_seed(seed, k)``,
-``SeedSequence(seed, spawn_key=(k,))``, and annulus ``j`` of its jumps draws
-from ``SeedSequence(seed, spawn_key=(k, j))``; no generator is built per
-replica. Jump times, marks, and classification uniforms all come from the jump
+Determinism: annulus ``j`` of replica ``k``'s jumps draws from the PCG64
+stream of ``SeedSequence(seed, spawn_key=(k, j))``. One sampler call per
+ensemble seeds every stream in one array pass and draws them through one
+reused generator; no seed sequence or generator is built per replica or per
+annulus. Jump times, marks, and classification uniforms all come from the jump
 streams, so runs that differ only in the step size share their noise
 realisation exactly, and runs that halve the cutoff keep every shared jump.
 Replicas of one batch never mix: replica ``k`` of a single-process batch
@@ -44,7 +45,6 @@ __all__ = [
     "SimConfig",
     "SingleTrajectory",
     "PairTrajectory",
-    "replica_seed",
     "classify_jump",
     "step_single",
     "step_pair",
@@ -98,11 +98,6 @@ class PairTrajectory:
     vp: np.ndarray
     blown_up: bool = False
     stability_indicator: float = 0.0
-
-
-def replica_seed(master_seed: int, replica: int) -> np.random.SeedSequence:
-    """Independent, reproducible seed sequence of one replica's jump streams."""
-    return np.random.SeedSequence(master_seed, spawn_key=(replica,))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +253,10 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     """The Euler window loop of both ensembles.
 
     ``starts`` holds one ``(x0, v0)`` per copy, and the state is stepped as
-    ``(copies, N, d)`` arrays. Replica ``r`` draws its jumps from
-    ``replica_seed(seed, r + replica_offset)``. With ``coupling = (alpha,
-    kappa)`` the two copies form the pair and each window is a pair window.
+    ``(copies, N, d)`` arrays. Row ``r`` draws the jumps of sampler replica
+    ``r + replica_offset``, from one sampler call for the whole ensemble.
+    With ``coupling = (alpha, kappa)`` the two copies form the pair and each
+    window is a pair window.
     A replica with a copy whose position or velocity norm exceeds
     ``blowup_norm`` or is NaN is flagged and frozen; its later snapshots stay
     NaN. A force that overflows or turns NaN warns nothing: the screen flags
@@ -278,17 +274,14 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     ends = np.array([t0 + dt for _, t0, dt in plan])
     saves = (np.abs(ends - times[[k for k, _, _ in plan]])
              < 1e-9 * max(times[-1], 1.0)).tolist()
-    batches = [ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
-                                     replica_seed(config.seed, rep + replica_offset))
-               for rep in range(n) if times[-1] > 0]
+    jumps = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
+                                  np.random.SeedSequence(config.seed),
+                                  range(replica_offset, replica_offset + n))
     # a jump at t kicks the first window with t < end - 1e-15; sorted in
     # (window, replica, time) order, jumps past the last window are dropped
-    jump_times = np.concatenate([b.times for b in batches] + [np.empty(0)])
-    wins = np.searchsorted(ends - 1e-15, jump_times, side="right")
+    wins = np.searchsorted(ends - 1e-15, jumps.times, side="right")
     order = np.argsort(wins, kind="stable")
-    rows = np.repeat(np.arange(len(batches)), [len(b) for b in batches])[order]
-    marks = np.concatenate([b.marks for b in batches] + [np.empty((0, d))])[order]
-    unif = np.concatenate([b.unif for b in batches] + [np.empty(0)])[order]
+    rows, marks, unif = jumps.rows[order], jumps.marks[order], jumps.unif[order]
     bounds = np.searchsorted(wins[order], np.arange(len(plan) + 1)).tolist()
     comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
     if coupling is not None:
@@ -335,7 +328,7 @@ def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: 
                       kappa: float) -> list[PairTrajectory]:
     """All replicas of the coupled pair, stepped together window by window. Dim 1 only.
 
-    Replica ``k`` draws its jumps from ``replica_seed(seed, k)``. Its
+    Replica ``k`` draws its jumps from the streams ``(k, j)`` of the seed. Its
     ``stability_indicator`` is ``h`` times the largest force Lipschitz
     quotient between the copies, taken at the start of each window that ends
     at a save time.
@@ -354,7 +347,7 @@ def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
                         replica_offset: int = 0) -> list[SingleTrajectory]:
     """All replicas of the single process, stepped together window by window.
 
-    Replica ``k`` draws its jumps from ``replica_seed(seed, k + replica_offset)``.
+    Replica ``k`` draws its jumps from the streams ``(k + replica_offset, j)`` of the seed.
     A replica whose position or velocity norm exceeds ``blowup_norm`` or is
     NaN is flagged and frozen; its later snapshots stay NaN.
     """

@@ -564,6 +564,12 @@ class TestEquilibriumCmd:
         assert code == 0
         payload = json.loads((tmp_path / "equilibrium.json").read_text())
         assert "cross_distance" in payload and "stationarity_distance" in payload
+        assert "timings" not in payload
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        timings, stages = manifest["equilibrium"]["timings"], ("ensembles_s", "diagnostics_s")
+        assert set(timings) == {*stages, "total_s"}
+        assert all(timings[k] >= 0.0 for k in stages)
+        assert sum(timings[k] for k in stages) <= timings["total_s"]
 
     def test_too_few_survivors_leave_no_noise_floor(self, tmp_path):
         # the floor compares two halves of the terminal cloud; below two samples

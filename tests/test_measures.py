@@ -342,7 +342,7 @@ class TestSampling:
     def test_four_dim_marks_lie_in_the_slab_at_the_closed_form_rate(self):
         sl4 = ms.SliceMeasure(1.0, 0.8, dim=4)
         horizon, delta = 50.0, 0.05
-        batch = ms.sample_large_jumps(sl4, horizon, delta, np.random.SeedSequence(17))
+        batch = ms.sample_large_jumps(sl4, horizon, delta, np.random.SeedSequence(17), [0])
         first, norm = batch.marks[:, 0], np.linalg.norm(batch.marks, axis=1)
         assert batch.marks.shape[1] == 4
         assert np.all((first > 0.0) & (first <= 1.0)) and np.all(norm > delta)
@@ -354,26 +354,26 @@ class TestSampling:
         assert res.statistic < 1.628 / math.sqrt(len(batch))
 
     def test_no_mass_above_support(self):
-        batch = ms.sample_large_jumps(SL, 50.0, 1.0, np.random.SeedSequence(0))
+        batch = ms.sample_large_jumps(SL, 50.0, 1.0, np.random.SeedSequence(0), [0])
         assert len(batch) == 0
 
     def test_rate_matches_mass(self):
         st_m = ms.IsotropicStable(alpha0=1.5, scale=1.0, dim=1)
         rate = st_m.mass_above(1.0)
         horizon = 2000.0
-        batch = ms.sample_large_jumps(st_m, horizon, 1.0, np.random.SeedSequence(7))
+        batch = ms.sample_large_jumps(st_m, horizon, 1.0, np.random.SeedSequence(7), [0])
         expected = rate * horizon
         assert abs(len(batch) - expected) <= 3.0 * math.sqrt(expected)
 
     def test_slice_support_constraint(self):
-        batch = ms.sample_large_jumps(SL, 200.0, 0.25, np.random.SeedSequence(3))
+        batch = ms.sample_large_jumps(SL, 200.0, 0.25, np.random.SeedSequence(3), [0])
         assert np.all((batch.marks > 0.25) & (batch.marks <= 1.0))
 
     def test_mark_distribution_ks(self):
         # empirical CDF of restricted marks vs the closed-form CDF
         delta, n_target = 0.25, 10_000
         horizon = n_target / SL.mass_above(delta)
-        batch = ms.sample_large_jumps(SL, horizon, delta, np.random.SeedSequence(11))
+        batch = ms.sample_large_jumps(SL, horizon, delta, np.random.SeedSequence(11), [0])
         lo_p, hi_p = delta ** -0.5, 1.0
 
         def cdf(u):
@@ -384,15 +384,15 @@ class TestSampling:
         assert res.statistic < crit
 
     def test_deterministic_given_stream(self):
-        b1 = ms.sample_large_jumps(SL, 100.0, 0.1, np.random.SeedSequence(42))
-        b2 = ms.sample_large_jumps(SL, 100.0, 0.1, np.random.SeedSequence(42))
+        b1 = ms.sample_large_jumps(SL, 100.0, 0.1, np.random.SeedSequence(42), [0])
+        b2 = ms.sample_large_jumps(SL, 100.0, 0.1, np.random.SeedSequence(42), [0])
         np.testing.assert_array_equal(b1.times, b2.times)
         np.testing.assert_array_equal(b1.marks, b2.marks)
         np.testing.assert_array_equal(b1.unif, b2.unif)
 
     def test_cutoff_refinement_nested(self):
-        coarse = ms.sample_large_jumps(SL, 100.0, 1e-2, np.random.SeedSequence(9))
-        fine = ms.sample_large_jumps(SL, 100.0, 5e-3, np.random.SeedSequence(9))
+        coarse = ms.sample_large_jumps(SL, 100.0, 1e-2, np.random.SeedSequence(9), [0])
+        fine = ms.sample_large_jumps(SL, 100.0, 5e-3, np.random.SeedSequence(9), [0])
         keep = fine.marks[:, 0] > 1e-2
         np.testing.assert_array_equal(fine.times[keep], coarse.times)
         np.testing.assert_array_equal(fine.marks[keep], coarse.marks)
@@ -400,35 +400,119 @@ class TestSampling:
 
     def test_budget_guard(self):
         with pytest.raises(CutoffTooSmall):
-            ms.sample_large_jumps(SL, 1e9, 1e-6, np.random.SeedSequence(0), budget=1e5)
+            ms.sample_large_jumps(SL, 1e9, 1e-6, np.random.SeedSequence(0), [0], budget=1e5)
 
 
 SAMPLED = {
     "slice": ms.SliceMeasure(1.0, 0.4, 1),
+    # the rejection sampler, which draws a varying number of normals per annulus
+    "slice-2d": ms.SliceMeasure(1.0, 0.7, 2),
     # two-sided, and with the unbounded annulus (63, 1, inf)
     "stable": ms.IsotropicStable(0.8),
 }
 
 
+def per_annulus_batch(measure, horizon, cutoff, seed, r):
+    # one replica's jumps with one generator built per annulus from
+    # SeedSequence(entropy, spawn_key=spawn_key + (r, k)), the stream the
+    # sampler must reproduce
+    parts = [(np.empty(0), np.empty((0, measure.dim)), np.empty(0))]
+    for k, lo, hi in ms._annulus_edges(cutoff, measure.support_radius()):
+        mass = measure.annulus_mass(lo, hi)
+        if mass <= 0:
+            continue
+        child = np.random.default_rng(
+            np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (r, k)))
+        n = int(child.poisson(mass * horizon))
+        t = child.uniform(0.0, horizon, size=n)
+        m = measure.sample_annulus(lo, hi, n, child)
+        u = child.uniform(size=n)
+        keep = np.linalg.norm(m, axis=1) > cutoff
+        parts.append((t[keep], m[keep], u[keep]))
+    times, marks, unifs = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(times, kind="stable")
+    return times[order], marks[order], unifs[order]
+
+
+def assert_same_jumps(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rows_of(batch, row):
+    sel = batch.rows == row
+    return batch.times[sel], batch.marks[sel], batch.unif[sel]
+
+
 class TestSamplerStreams:
-    """Annulus ``k`` draws from child ``k`` of the seed's spawn."""
+    """Annulus ``k`` of replica ``r`` draws from ``SeedSequence(seed, spawn_key=(r, k))``."""
+
+    @pytest.mark.parametrize("entropy", [0, 3, 99, 2**32 - 1, 2**40 + 17, 2**130])
+    @pytest.mark.parametrize("spawn_key", [(), (4,), (2**33 + 1, 0)])
+    def test_hashed_states_equal_numpy(self, entropy, spawn_key):
+        seed = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        rows = np.array([0, 1, 2, 31, 1000, 2**31 + 5, 2**32 - 1, 5], dtype=np.int64)
+        keys = np.array([0, 63, 1, 9, 17, 63, 0, 60], dtype=np.int64)
+        for (state, inc), r, k in zip(ms._pcg64_states(seed, rows, keys), rows, keys):
+            want = np.random.PCG64(np.random.SeedSequence(
+                entropy, spawn_key=spawn_key + (int(r), int(k)))).state["state"]
+            assert (state, inc) == (want["state"], want["inc"])
+
+    @pytest.mark.parametrize("row", [-1, 2**32])
+    def test_replica_index_outside_one_word_raises(self, row):
+        with pytest.raises(ValueError):
+            ms.sample_large_jumps(SL, 1.0, 0.1, np.random.SeedSequence(0), [0, row])
 
     @pytest.mark.parametrize("spawned_before", [0])
     @pytest.mark.parametrize("name", sorted(SAMPLED))
-    def test_equal_to_spawn_construction(self, name, spawned_before, monkeypatch):
+    def test_equal_to_spawn_construction(self, name, spawned_before):
         seed = np.random.SeedSequence(21, spawn_key=(4,))
-        direct = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, seed)
+        replicas = [0, 3, 1, 2**31 + 5]
+        batch = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, seed, replicas)
         assert seed.n_children_spawned == spawned_before
-        # the (63, 1, inf) annulus of the stable measure needs child 63
-        children = seed.spawn(64)
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda s: default_rng(children[s.spawn_key[-1]]))
-        spawned = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, seed)
-        assert len(direct) > 100 and np.all(np.diff(direct.times) >= 0)
-        np.testing.assert_array_equal(direct.times, spawned.times)
-        np.testing.assert_array_equal(direct.marks, spawned.marks)
-        np.testing.assert_array_equal(direct.unif, spawned.unif)
+        assert len(batch) > 100 and np.all(np.diff(batch.rows) >= 0)
+        for i, r in enumerate(replicas):
+            got = rows_of(batch, i)
+            assert np.all(np.diff(got[0]) >= 0)
+            assert_same_jumps(got, per_annulus_batch(SAMPLED[name], 20.0, 1e-3, seed, r))
+        if name == "stable":
+            assert np.any(np.abs(batch.marks) > 1.0)  # annulus 63 sampled
+
+
+class TestSamplerBatches:
+    """A replica's jumps depend on its index alone, and cutoff refinements nest per row."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_one_call_equals_one_replica_calls(self, name):
+        seed = np.random.SeedSequence(8)
+        batch = ms.sample_large_jumps(SAMPLED[name], 3.0, 1e-2, seed, range(6))
+        for r in range(6):
+            solo = ms.sample_large_jumps(SAMPLED[name], 3.0, 1e-2, seed, [r])
+            assert np.all(solo.rows == 0)
+            assert_same_jumps(rows_of(batch, r), (solo.times, solo.marks, solo.unif))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_offset_range_equals_matching_rows(self, name):
+        seed = np.random.SeedSequence(8)
+        big = ms.sample_large_jumps(SAMPLED[name], 3.0, 1e-2, seed, range(10))
+        part = ms.sample_large_jumps(SAMPLED[name], 3.0, 1e-2, seed, range(4, 7))
+        for i in range(3):
+            assert_same_jumps(rows_of(part, i), rows_of(big, 4 + i))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_halving_the_cutoff_keeps_every_row_s_jumps(self, name):
+        seed = np.random.SeedSequence(13)
+        coarse = ms.sample_large_jumps(SAMPLED[name], 3.0, 2e-2, seed, range(5))
+        fine = ms.sample_large_jumps(SAMPLED[name], 3.0, 1e-2, seed, range(5))
+        for r in range(5):
+            t, m, u = rows_of(fine, r)
+            keep = np.linalg.norm(m, axis=1) > 2e-2
+            assert keep.sum() < len(t)
+            assert_same_jumps((t[keep], m[keep], u[keep]), rows_of(coarse, r))
+
+    def test_empty_ensemble(self):
+        batch = ms.sample_large_jumps(SL, 3.0, 1e-2, np.random.SeedSequence(0), [])
+        assert len(batch) == 0 and batch.marks.shape == (0, 1) and batch.rows.shape == (0,)
 
 
 class TestLevySpec:

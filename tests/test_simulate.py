@@ -366,7 +366,7 @@ class TestPairSimulation:
         trs = sim.run_pair_ensemble(sys_, benchmark_levy, cfg, p0, 1.0, 0.25)
         comp = benchmark_levy.measure.compensation_drift(1e-3)
         batches = [ms.sample_large_jumps(benchmark_levy.measure, 0.2, 1e-3,
-                                         sim.replica_seed(3, k)) for k in range(3)]
+                                         np.random.SeedSequence(3), [k]) for k in range(3)]
         assert all(len(b) > 0 for b in batches)
         # unbatched: replica 0 alone
         st = sim.step_pair(sys_, benchmark_levy, p0, 0.2, list(batches[0].marks),
@@ -392,7 +392,8 @@ class TestPairSimulation:
         # positions frozen at the window start
         cfg = sim.SimConfig(h=0.1, delta=1e-2, horizon=0.1, n_save=2, seed=1)
         u, l = [0.4, 0.5], [0.01, 0.01]
-        batch = ms.JumpBatch(np.array([0.02, 0.05]), np.array([[u[0]], [u[1]]]), np.array(l))
+        batch = ms.JumpBatch(np.array([0.02, 0.05]), np.array([[u[0]], [u[1]]]), np.array(l),
+                             np.zeros(2, dtype=int))
         monkeypatch.setattr(ms, "sample_large_jumps", lambda *args: batch)
         tr, = sim.run_pair_ensemble(free_scalar_system(), benchmark_levy, cfg,
                                     PairState([0.0], [0.0], [-0.3], [0.0]), 1.0, 0.25)
@@ -478,7 +479,7 @@ class TestBlowupScreen:
         system = force(d)
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=0.5, n_save=11, seed=1,
                             blowup_norm=norm)
-        batch = ms.JumpBatch(np.empty(0), np.empty((0, d)), np.empty(0))
+        batch = ms.JumpBatch(np.empty(0), np.empty((0, d)), np.empty(0), np.empty(0, dtype=int))
         monkeypatch.setattr(ms, "sample_large_jumps", lambda *args: batch)
         if kind == "pair-1d":
             tr, = sim.run_pair_ensemble(system, levy, cfg, PairState(x0, v0, [0.0], [0.0]),
@@ -553,7 +554,7 @@ class TestPairKernelBeyondSlice:
         # 0 < u <= 1 the two modified channels trade equal mass (up to a
         # cutoff-edge term of order delta), off it every jump is synchronous
         batch = ms.sample_large_jumps(beyond_slice_levy.measure, 1000.0, 2e-2,
-                                      sim.replica_seed(505, 0))
+                                      np.random.SeedSequence(505), [0])
         u, l = batch.marks[:, 0], batch.unif
         den = beyond_slice_levy.measure.density(batch.marks)
         disp = np.array([sim.classify_jump(beyond_slice_levy, float(a), 0.4, 1.0, 0.25,
@@ -578,9 +579,9 @@ class TestPairKernelBeyondSlice:
         # cutoff keeps every coarser jump with its classification uniform
         for rep in range(3):
             coarse = ms.sample_large_jumps(beyond_slice_levy.measure, 5.0, 2e-2,
-                                           sim.replica_seed(11, rep))
+                                           np.random.SeedSequence(11), [rep])
             fine = ms.sample_large_jumps(beyond_slice_levy.measure, 5.0, 1e-2,
-                                         sim.replica_seed(11, rep))
+                                         np.random.SeedSequence(11), [rep])
             keep = np.abs(fine.marks[:, 0]) > 2e-2
             assert 0 < keep.sum() < len(fine)
             np.testing.assert_array_equal(fine.times[keep], coarse.times)
@@ -638,13 +639,16 @@ class TestSingleBatch:
         ends = [t0 + dt for _, t0, dt in sim._window_plan(cfg.save_times(), cfg.h)]
         times = np.array([ends[0] - 2e-15, ends[0], ends[1] - 1e-15, ends[2] - 1e-16])
         batch = ms.JumpBatch(times, np.array([[0.5], [0.25], [0.125], [0.0625]]),
-                             np.full(4, 0.5))
+                             np.full(4, 0.5), np.zeros(4, dtype=int))
         monkeypatch.setattr(ms, "sample_large_jumps", lambda *args: batch)
         single, = sim.run_single_ensemble(free_system(), benchmark_levy, cfg, [0.0], [0.0])
         pair, = sim.run_pair_ensemble(free_scalar_system(), benchmark_levy, cfg,
                                       PairState([0.0], [0.0], [0.0], [0.0]), 1.0, 0.0)
         np.testing.assert_array_equal(single.x, pair.x)
         np.testing.assert_array_equal(single.v, pair.v)
+        # the injected kicks arrived: one per window, the last jump dropped
+        drift = benchmark_levy.measure.compensation_drift(cfg.delta)[0] * cfg.save_times()
+        np.testing.assert_allclose(single.v[:, 0] - drift, [0.0, 0.5, 0.75, 0.875], atol=1e-12)
 
     def test_mixed_blowups_leave_survivors_alone(self, benchmark_levy):
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=5.0, n_save=11, seed=2, n_replicas=20,
