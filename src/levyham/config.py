@@ -181,11 +181,12 @@ class ExperimentConfig:
         return mk(s["x0"]), mk(s["v0"]), mk(s["x0_prime"]), mk(s["v0_prime"])
 
 
-def _coerce(raw: str, typ, section: str, key: str, line: int):
+def _coerce(raw: str, typ, section: str, key: str, text: str):
     try:
         return typ(raw.strip())
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}", line=line) from exc
+        raise ConfigError(f"[{section}] {key}: {exc}",
+                          line=_line_of(text, section, key) or 0) from exc
 
 
 def _line_of(text: str, section: str, key: str | None) -> int | None:
@@ -239,8 +240,7 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
         table = {}
         for key, (typ, default) in keys.items():
             if parser.has_option(section, key):
-                table[key] = _coerce(parser.get(section, key), typ, section, key,
-                                     _line_of(text, section, key) or 0)
+                table[key] = _coerce(parser.get(section, key), typ, section, key, text)
             else:
                 table[key] = default
         tables[section] = table

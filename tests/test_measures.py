@@ -412,10 +412,10 @@ SAMPLED = {
 }
 
 
-def per_annulus_batch(measure, horizon, cutoff, seed, r):
+def per_annulus_batch(measure, horizon, cutoff, seed, r, counts=None):
     # one replica's jumps with one generator built per annulus from
     # SeedSequence(entropy, spawn_key=spawn_key + (r, k)), the stream the
-    # sampler must reproduce
+    # sampler must reproduce; each annulus's (poisson mean, count) goes to counts
     parts = [(np.empty(0), np.empty((0, measure.dim)), np.empty(0))]
     for k, lo, hi in ms._annulus_edges(cutoff, measure.support_radius()):
         mass = measure.annulus_mass(lo, hi)
@@ -424,6 +424,8 @@ def per_annulus_batch(measure, horizon, cutoff, seed, r):
         child = np.random.default_rng(
             np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (r, k)))
         n = int(child.poisson(mass * horizon))
+        if counts is not None:
+            counts.append((mass * horizon, n))
         t = child.uniform(0.0, horizon, size=n)
         m = measure.sample_annulus(lo, hi, n, child)
         u = child.uniform(size=n)
@@ -464,17 +466,45 @@ class TestSamplerStreams:
             ms.sample_large_jumps(SL, 1.0, 0.1, np.random.SeedSequence(0), [0, row])
 
     @pytest.mark.parametrize("spawned_before", [0])
-    @pytest.mark.parametrize("name", sorted(SAMPLED))
-    def test_equal_to_spawn_construction(self, name, spawned_before):
+    @pytest.mark.parametrize("name,horizon,cutoff", [
+        *(pytest.param(name, 20.0, 1e-3, id=name) for name in sorted(SAMPLED)),
+        # the 1-d slice's marks are one array transform over the ensemble: short
+        # horizons leave annuli with no or one jump, long ones and small cutoffs
+        # annuli with poisson means of 10 or more (numpy's other poisson branch)
+        ("slice", 1.0, 1e-3), ("slice", 1.0, 1e-5), ("slice", 20.0, 1e-5),
+    ])
+    def test_equal_to_spawn_construction(self, name, horizon, cutoff, spawned_before,
+                                         monkeypatch):
         seed = np.random.SeedSequence(21, spawn_key=(4,))
         replicas = [0, 3, 1, 2**31 + 5]
-        batch = ms.sample_large_jumps(SAMPLED[name], 20.0, 1e-3, seed, replicas)
+        built = []
+
+        def counted(cls):
+            real = getattr(np.random, cls)
+
+            def build(*args, **kwargs):
+                built.append(cls)
+                return real(*args, **kwargs)
+            return build
+
+        for cls in ("SeedSequence", "Generator", "PCG64"):
+            monkeypatch.setattr(np.random, cls, counted(cls))
+        batch = ms.sample_large_jumps(SAMPLED[name], horizon, cutoff, seed, replicas)
+        monkeypatch.undo()
+        # one reused generator for every stream, and no seed sequence built
+        assert sorted(built) == ["Generator", "PCG64"]
         assert seed.n_children_spawned == spawned_before
         assert len(batch) > 100 and np.all(np.diff(batch.rows) >= 0)
+        counts = []
         for i, r in enumerate(replicas):
             got = rows_of(batch, i)
             assert np.all(np.diff(got[0]) >= 0)
-            assert_same_jumps(got, per_annulus_batch(SAMPLED[name], 20.0, 1e-3, seed, r))
+            assert_same_jumps(got, per_annulus_batch(SAMPLED[name], horizon, cutoff, seed, r,
+                                                     counts))
+        if horizon == 1.0:
+            assert {0, 1} <= {n for _, n in counts}
+        if cutoff == 1e-5:
+            assert max(lam for lam, _ in counts) >= 10.0
         if name == "stable":
             assert np.any(np.abs(batch.marks) > 1.0)  # annulus 63 sampled
 
