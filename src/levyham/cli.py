@@ -22,10 +22,9 @@ or an exception exit such as ``NonFiniteForce:``, writes none.
 Outputs are bitwise-stable given (config, seed); the manifest additionally
 records wall-clock timings (for ``rate``, also per stage: ``constants_s``,
 ``ensemble_s``, ``decay_fit_s`` for the cost, fit and bootstrap, and
-``io_s``; for ``equilibrium``, ``ensembles_s`` for the one batch of its two
-ensembles and ``diagnostics_s`` for the distances and moments). Every
-command runs in one process and steps its replicas together, window by
-window.
+``io_s``; for ``equilibrium``, ``ensembles_s`` for its two ensembles and
+``diagnostics_s`` for the distances and moments). Every command runs in one
+process and steps its replicas together, window by window.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -195,42 +195,32 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
                             init_b: tuple) -> dict:
     """Empirical stationarity probe from two initial conditions.
 
-    Runs ensembles A (from ``init_a``) and B (from ``init_b``) of
-    ``n_replicas`` single-process replicas each to the horizon, as one batch
-    of ``2 n_replicas``: A's replica ``k`` is stream ``k`` and B's is stream
-    ``n_replicas + k``. A replica's path depends on its stream and start
-    alone, so the batch equals two separate ensembles bit for bit. Compares
-    the terminal clouds of A and B, and the mid-horizon and terminal clouds
-    of A as a stationarity proxy; also tracks A's fractional velocity moment
-    of order ``levy.theta`` across checkpoints (heavy tails rule out
-    variances). ``timings`` holds the wall time of the batch
-    (``ensembles_s``) and of the comparisons (``diagnostics_s``).
+    Runs two single-process ensembles to the horizon on disjoint replica
+    streams (the second's replica ``k`` is stream ``n_replicas + k``),
+    compares their terminal clouds, and compares the mid-horizon and
+    terminal clouds of the first ensemble as a stationarity proxy; also
+    tracks the fractional velocity moment of order ``levy.theta`` across
+    checkpoints (heavy tails rule out variances). ``timings`` holds the wall
+    time of the two ensembles (``ensembles_s``) and of the comparisons
+    (``diagnostics_s``).
     """
     if config.n_save < 3:
         raise ValueError("need at least three snapshots for the stationarity proxy")
     t0 = time.monotonic()
-    n = config.n_replicas
-    x0, v0 = (np.repeat(np.array([a, b], dtype=float).reshape(2, system.dim), n, axis=0)
-              for a, b in zip(init_a, init_b))
-    batch = sim.run_single_ensemble(system, levy, replace(config, n_replicas=2 * n), x0, v0)
+    ens_a = sim.run_single_ensemble(system, levy, config, *init_a)
+    ens_b = sim.run_single_ensemble(system, levy, config, *init_b,
+                                    replica_offset=config.n_replicas)
     t1 = time.monotonic()
-    out = _compare_ensembles(batch[:n], batch[n:], levy.theta, config.seed)
-    out["timings"] = {"ensembles_s": t1 - t0, "diagnostics_s": time.monotonic() - t1}
-    return out
-
-
-def _compare_ensembles(ens_a, ens_b, theta: float, seed: int) -> dict:
-    # the equilibrium distances and moments of two single-process ensembles
-    times, dim = ens_a[0].times, ens_a[0].x.shape[-1]
 
     def cloud(ens, k):
         rows = [np.concatenate([tr.x[k], tr.v[k]]) for tr in ens if not tr.blown_up]
-        return np.reshape(rows, (-1, 2 * dim))
+        return np.reshape(rows, (-1, 2 * system.dim))
 
+    times = config.save_times()
     mid = len(times) // 2
     last = len(times) - 1
-    cross = sliced_wasserstein(cloud(ens_a, last), cloud(ens_b, last), seed=seed)
-    within = sliced_wasserstein(cloud(ens_a, mid), cloud(ens_a, last), seed=seed + 1)
+    cross = sliced_wasserstein(cloud(ens_a, last), cloud(ens_b, last), seed=config.seed)
+    within = sliced_wasserstein(cloud(ens_a, mid), cloud(ens_a, last), seed=config.seed + 1)
     # sampling noise floor: distance between two halves of one ensemble; with
     # fewer than two samples per half there is none to report
     terminal = cloud(ens_a, last)
@@ -238,12 +228,12 @@ def _compare_ensembles(ens_a, ens_b, theta: float, seed: int) -> dict:
     noise_floor = None
     if half >= 2:
         noise_floor = sliced_wasserstein(terminal[:half], terminal[half:2 * half],
-                                         seed=seed + 2)
+                                         seed=config.seed + 2)
     checkpoints = sorted({mid // 2, mid, (mid + last) // 2, last})
     moments = {}
     for k in checkpoints:
         vs = np.array([np.linalg.norm(tr.v[k]) for tr in ens_a if not tr.blown_up])
-        moments[float(times[k])] = float(np.mean(vs ** theta))
+        moments[float(times[k])] = float(np.mean(vs ** levy.theta))
     blow = sum(tr.blown_up for tr in ens_a) + sum(tr.blown_up for tr in ens_b)
     return {
         "cross_distance": cross,
@@ -252,4 +242,5 @@ def _compare_ensembles(ens_a, ens_b, theta: float, seed: int) -> dict:
         "velocity_moment_theta": moments,
         "n_blowups": int(blow),
         "horizon": float(times[last]),
+        "timings": {"ensembles_s": t1 - t0, "diagnostics_s": time.monotonic() - t1},
     }

@@ -61,12 +61,6 @@ def truncate(x: np.ndarray, kappa: float) -> np.ndarray:
     return x * (kappa / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), kappa))
 
 
-def _inverse_power(u, lo_p, hi_p, theta: float):
-    # inverse CDF of the radial density r^(-1-theta) on an annulus a < r <= b, from
-    # uniforms u and the edges' powers lo_p = a^-theta and hi_p = b^-theta
-    return (lo_p - u * (lo_p - hi_p)) ** (-1.0 / theta)
-
-
 @dataclass(frozen=True)
 class MomentReport:
     """Values of the two moment integrals of a jump measure.
@@ -208,23 +202,36 @@ class SliceMeasure:
 
     # -- sampling ---------------------------------------------------------
 
-    def _edge_powers(self, a: float, b: float) -> tuple:
-        # the d = 1 inverse CDF's edges a^-theta0 and min(b, 1)^-theta0, as Python floats
-        return a ** -self.theta0, min(b, 1.0) ** -self.theta0
+    @property
+    def batches_marks(self) -> bool:
+        """Whether ``sample_annulus`` draws one ``random(n)`` block and returns
+        ``batch_marks`` of it (d = 1), so a sampler may transform the
+        uniforms of many annuli in one call."""
+        return self.dim == 1
+
+    def batch_marks(self, u: np.ndarray, edges, which: np.ndarray) -> np.ndarray:
+        """d = 1 marks from inverse-CDF uniforms ``u``, uniform ``i`` on the
+        annulus ``edges[which[i]]`` (``(a, b)`` pairs)."""
+        # each annulus's edge powers once, as Python floats: 0-d and array ``**``
+        # can differ in the last bit
+        powers = np.array([(a ** -self.theta0, min(b, 1.0) ** -self.theta0) for a, b in edges])
+        lo_p, hi_p = powers.reshape(-1, 2)[which].T
+        return ((lo_p - u * (lo_p - hi_p)) ** (-1.0 / self.theta0))[:, None]
 
     def sample_annulus(self, a: float, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` i.i.d. marks from the measure restricted to ``a < |u| <= b``."""
         if n == 0:
             return np.empty((0, self.dim))
         if self.dim == 1:
-            return _inverse_power(rng.random(n), *self._edge_powers(a, b), self.theta0)[:, None]
+            return self.batch_marks(rng.random(n), [(a, b)], np.zeros(n, dtype=np.intp))
         # rejection: isotropic radius proposal, accept when the direction
         # lands in the admissible cap (fraction A(r) <= A(a))
         out, filled = np.empty((n, self.dim)), 0
         lo_p, hi_p = a ** -self.theta0, b ** -self.theta0
         while filled < n:
             m = max(4 * (n - filled), 64)
-            r = _inverse_power(rng.random(m), lo_p, hi_p, self.theta0)
+            u = rng.random(m)
+            r = (lo_p - u * (lo_p - hi_p)) ** (-1.0 / self.theta0)
             g = rng.standard_normal((m, self.dim))
             e = g / np.linalg.norm(g, axis=1, keepdims=True)
             first = r * e[:, 0]
@@ -246,6 +253,8 @@ class IsotropicStable:
     alpha0: float
     scale: float = 1.0
     dim: int = 1
+
+    batches_marks = False  # sample_annulus draws signs or directions too
 
     def __post_init__(self):
         if not 0.0 < self.alpha0 < 2.0:
@@ -291,8 +300,10 @@ class IsotropicStable:
     def sample_annulus(self, a: float, b: float, n: int, rng: np.random.Generator) -> np.ndarray:
         if n == 0:
             return np.empty((0, self.dim))
+        u = rng.random(n)
+        lo_p = a ** -self.alpha0
         hi_p = 0.0 if math.isinf(b) else b ** -self.alpha0
-        r = _inverse_power(rng.random(n), a ** -self.alpha0, hi_p, self.alpha0)
+        r = (lo_p - u * (lo_p - hi_p)) ** (-1.0 / self.alpha0)
         if self.dim == 1:
             sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
             return (r * sign)[:, None]
@@ -500,7 +511,7 @@ def _annulus_edges(cutoff: float, top: float):
 
 
 # numpy's SeedSequence hash (pool size 4) and PCG64 seeding constants
-_M32 = 0xFFFFFFFF
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -531,8 +542,7 @@ def _mix(x, y):
 
 def _pcg64_states(seed: np.random.SeedSequence, rows: np.ndarray, keys: np.ndarray):
     """PCG64 ``(state, inc)`` of ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key
-    + (rows[i], keys[i]))`` for every ``i``, in one array pass of the hash and
-    of the 128-bit seeding step.
+    + (rows[i], keys[i]))`` for every ``i``, in one array pass of the hash.
 
     Every spawn-key word sits past the first four entropy words (a spawn key
     pads the entropy to the pool size), so the pool is shared up to the last
@@ -557,39 +567,14 @@ def _pcg64_states(seed: np.random.SeedSequence, rows: np.ndarray, keys: np.ndarr
         for j in range(4):
             h, const = _hashmix(w, const)
             pool[j] = _mix(pool[j], h)
-    # generate_state(4, uint64): eight 32-bit words a..h, read as the 64-bit words
-    # ab = a | b << 32, cd, ef and gh; PCG64 takes initstate = ab << 64 | cd and
-    # inc = (ef << 64 | gh) << 1 | 1
+    # generate_state(4, uint64): eight 32-bit words, read as little-endian pairs
     const, out = _INIT_B, []
     for i in range(8):
         h, const = _hashmix(pool[i % 4], const, _MULT_B)
-        out.append(h)
-    a, b, c, d, e, f, g, h = out
-    # state = ((inc + initstate) * _PCG_MULT + inc) mod 2^128, on 32-bit limbs
-    # (least significant first) whose sums and products fit in uint64
-    inc = [g << 1 & _M32 | 1, (h << 1 | g >> 31) & _M32, (e << 1 | h >> 31) & _M32,
-           (f << 1 | e >> 31) & _M32]
-    x = _carry([i + s for i, s in zip(inc, (c, d, a, b))])
-    state = list(inc)
-    for i in range(4):
-        for j in range(4 - i):
-            p = x[i] * np.uint64(_PCG_MULT >> 32 * j & _M32)
-            state[i + j] = state[i + j] + (p & _M32)
-            if i + j < 3:
-                state[i + j + 1] = state[i + j + 1] + (p >> 32)
-    s0, s1, s2, s3 = _carry(state)
-    halves = (s0 | s1 << 32, s2 | s3 << 32, inc[0] | inc[1] << 32, inc[2] | inc[3] << 32)
-    for s_lo, s_hi, i_lo, i_hi in zip(*(w.tolist() for w in halves)):
-        yield s_hi << 64 | s_lo, i_hi << 64 | i_lo
-
-
-def _carry(limbs: list) -> list:
-    # 32-bit limbs with each carry moved up; the carry out of the top limb is dropped
-    for k in range(3):
-        limbs[k + 1] = limbs[k + 1] + (limbs[k] >> 32)
-        limbs[k] = limbs[k] & _M32
-    limbs[3] = limbs[3] & _M32
-    return limbs
+        out.append(h.tolist())
+    for a, b, c, d, e, f, g, h in zip(*out):
+        inc = ((e | f << 32) << 65 | (g | h << 32) << 1 | 1) & _M128
+        yield ((inc + ((a | b << 32) << 64 | c | d << 32)) * _PCG_MULT + inc) & _M128, inc
 
 
 def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.SeedSequence,
@@ -606,11 +591,12 @@ def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.S
     marks and the uniforms, in that order. Every stream is seeded in one
     array pass and drawn through one reused generator, so a replica's jumps
     depend on ``r`` alone, never on the other replicas, and ``seed`` is not
-    advanced. On the 1-d slice a stream's three uniform blocks are one
-    ``random(3n)`` draw, and the marks of every stream are one array
-    transform of their uniforms after the loop, bit for bit the marks
-    ``sample_annulus`` draws; other measures call ``sample_annulus`` per
-    stream. ``budget`` bounds one replica's expected jump count.
+    advanced. For a measure that ``batches_marks`` (the 1-d slice) a
+    stream's three uniform blocks are one ``random(3n)`` draw, and one
+    ``batch_marks`` call after the loop turns every stream's mark uniforms
+    into marks, bit for bit those ``sample_annulus`` draws; other measures
+    call ``sample_annulus`` per stream. ``budget`` bounds one replica's
+    expected jump count.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -625,8 +611,7 @@ def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.S
               for k, lo, hi in _annulus_edges(cutoff, measure.support_radius())
               if (mass := measure.annulus_mass(lo, hi)) > 0]
     reps = np.asarray(replicas, dtype=np.int64)
-    # the 1-d slice's marks are one array transform of their uniforms, done once after the loop
-    slice_1d = isinstance(measure, SliceMeasure) and measure.dim == 1
+    batched = measure.batches_marks
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     counts, draws = [], []
@@ -640,23 +625,21 @@ def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.S
         if not n:  # an empty annulus draws nothing more
             continue
         # gen.random(n) * horizon and gen.random(n) are, bit for bit, the
-        # draws of gen.uniform(0.0, horizon, n) and gen.uniform(size=n); on the
-        # 1-d slice the annulus sampler draws one random(n) between them, so
-        # one random(3n) holds all three blocks
-        if slice_1d:
+        # draws of gen.uniform(0.0, horizon, n) and gen.uniform(size=n); a
+        # batching measure's sample_annulus draws one random(n) between them,
+        # so one random(3n) holds all three blocks
+        if batched:
             draws.append(gen.random(3 * n).reshape(3, n))
         else:
             draws.append((gen.random(n) * horizon, measure.sample_annulus(lo, hi, n, gen),
                           gen.random(n)))
-    if slice_1d:
+    if batched:
         times, u, unifs = np.concatenate([np.empty((3, 0)), *draws], axis=1)
         del draws  # free the per-stream blocks before the ensemble-wide temporaries
         times *= horizon
-        # every stream's edge powers, in (replica, annulus) order, repeated per jump
-        edges = np.tile(np.array([measure._edge_powers(lo, hi) for _, lo, hi, _ in annuli])
-                        .reshape(-1, 2), (len(reps), 1))
-        marks = _inverse_power(u, *np.repeat(edges, counts, axis=0).T, measure.theta0)[:, None]
-        del u  # so the filter below frees the uniform blocks
+        which = np.repeat(np.tile(np.arange(len(annuli)), len(reps)), counts)
+        marks = measure.batch_marks(u, [(lo, hi) for _, lo, hi, _ in annuli], which)
+        del u, which  # so the filter below frees the uniform blocks
     else:
         times, marks, unifs = (np.concatenate(col) for col in zip(
             (np.empty(0), np.empty((0, measure.dim)), np.empty(0)), *draws))

@@ -27,10 +27,8 @@ annulus. Jump times, marks, and classification uniforms all come from the jump
 streams, so runs that differ only in the step size share their noise
 realisation exactly, and runs that halve the cutoff keep every shared jump.
 Replicas of one batch never mix: replica ``k`` of a single-process batch
-equals a one-replica run at ``replica_offset = k`` from the same start,
-whatever the other replicas' starts, and the first ``n`` replicas of a pair
-ensemble equal an ``n``-replica run, blow-ups included. So the equilibrium
-probe runs both of its ensembles as one single-process batch.
+equals a one-replica run at ``replica_offset = k``, and the first ``n``
+replicas of a pair ensemble equal an ``n``-replica run, blow-ups included.
 """
 
 from __future__ import annotations
@@ -254,11 +252,9 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
                    coupling=None):
     """The Euler window loop of both ensembles.
 
-    ``starts`` holds one ``(x0, v0)`` per copy, each of shape ``(d,)`` (one
-    start for every replica) or ``(N, d)`` (row ``r`` starts replica ``r``),
-    and the state is stepped as ``(copies, N, d)`` arrays. Row ``r`` draws the
-    jumps of sampler replica ``r + replica_offset``, from one sampler call for
-    the whole ensemble.
+    ``starts`` holds one ``(x0, v0)`` per copy, and the state is stepped as
+    ``(copies, N, d)`` arrays. Row ``r`` draws the jumps of sampler replica
+    ``r + replica_offset``, from one sampler call for the whole ensemble.
     With ``coupling = (alpha, kappa)`` the two copies form the pair and each
     window is a pair window.
     A replica with a copy whose position or velocity norm exceeds
@@ -290,8 +286,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
     if coupling is not None:
         dens = levy.measure.density(marks)
-    x, v = (np.broadcast_to(np.asarray([s[i] for s in starts], dtype=float)
-                            .reshape(len(starts), -1, d), (len(starts), n, d)).copy()
+    x, v = (np.repeat(np.asarray([s[i] for s in starts], dtype=float)[:, None], n, axis=1)
             for i in (0, 1))
     out_x, out_v = np.full((2, len(starts), n, len(times), d), np.nan)
     out_x[:, :, 0], out_v[:, :, 0] = x, v
@@ -352,9 +347,7 @@ def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
                         replica_offset: int = 0) -> list[SingleTrajectory]:
     """All replicas of the single process, stepped together window by window.
 
-    ``x0`` and ``v0`` have shape ``(d,)``, shared by every replica, or
-    ``(n_replicas, d)``, one start per replica. Replica ``k`` draws its jumps
-    from the streams ``(k + replica_offset, j)`` of the seed.
+    Replica ``k`` draws its jumps from the streams ``(k + replica_offset, j)`` of the seed.
     A replica whose position or velocity norm exceeds ``blowup_norm`` or is
     NaN is flagged and frozen; its later snapshots stay NaN.
     """

@@ -427,7 +427,12 @@ def per_annulus_batch(measure, horizon, cutoff, seed, r, counts=None):
         if counts is not None:
             counts.append((mass * horizon, n))
         t = child.uniform(0.0, horizon, size=n)
-        m = measure.sample_annulus(lo, hi, n, child)
+        if isinstance(measure, ms.SliceMeasure) and measure.dim == 1:
+            # the 1-d inverse CDF with Python-float edge powers, apart from batch_marks
+            lo_p, hi_p = lo ** -measure.theta0, min(hi, 1.0) ** -measure.theta0
+            m = ((lo_p - child.random(n) * (lo_p - hi_p)) ** (-1.0 / measure.theta0))[:, None]
+        else:
+            m = measure.sample_annulus(lo, hi, n, child)
         u = child.uniform(size=n)
         keep = np.linalg.norm(m, axis=1) > cutoff
         parts.append((t[keep], m[keep], u[keep]))
