@@ -80,9 +80,9 @@ class DoubleWellPoly:
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.add.reduce(x * x, axis=-1)
-        coef = 2.0 * self.c1 * self.l * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2
-        return coef[..., None] * x
+        # |x|^2 on a kept trailing axis: one component's square is its own sum
+        s = x * x if x.shape[-1] == 1 else np.add.reduce(x * x, axis=-1, keepdims=True)
+        return (2.0 * self.c1 * self.l * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2) * x
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,10 @@ class DoubleWellExp:
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.add.reduce(x * x, axis=-1)
+        s = x * x if x.shape[-1] == 1 else np.add.reduce(x * x, axis=-1, keepdims=True)
         p = (1.0 + s) ** self.l
-        coef = 2.0 * self.c1 * self.l * np.exp(p) * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2
-        return coef[..., None] * x
+        return (2.0 * self.c1 * self.l * np.exp(p) * (1.0 + s) ** (self.l - 1.0)
+                - 2.0 * self.c2) * x
 
 
 @dataclass(frozen=True)

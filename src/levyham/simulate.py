@@ -3,11 +3,12 @@
 Time stepping is explicit Euler for the drift; jumps above the cutoff are
 injected raw at their sampled times, with the compensated small-jump region
 replaced by its mean drift. Both ensembles run through one window loop that
-steps all replicas together as ``(copies, N, d)`` arrays: one copy per
-replica for the single process, whose windows go through ``step_single``,
-and two for the coupled pair. A pair window walks the window's jumps of the
-first copy on Python floats, in (replica, time) order, through the
-overlap-ratio thinning rule, and displaces the second copy's velocity by
+steps all replicas together as one ``(2, copies, N, d)`` array (positions,
+then velocities): one copy per replica for the single process and two for
+the coupled pair. One window body serves both, and ``step_single`` and
+``step_pair`` too. A pair window walks the window's jumps of the first copy
+on Python floats, in (replica, time) order, through the overlap-ratio
+thinning rule, and displaces the second copy's velocity by
 ``+/- alpha (q)_kappa`` accordingly, using the left-limit transformed gap
 (positions frozen at the window start, velocity gap updated jump by jump);
 both copies then take one array drift step with one force evaluation.
@@ -34,6 +35,7 @@ replicas of a pair ensemble equal an ``n``-replica run, blow-ups included.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,38 +107,43 @@ class PairTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _thin(rows, marks, unifs, dens, z, v, vp, alpha: float, kappa: float, slab) -> tuple:
-    # The thinning rule of classify_jump over one window's jumps, on Python
-    # floats. The jumps come grouped by replica, each replica's in time order;
-    # jump i kicks replica rows[i], whose position gap and velocities at the
-    # window start are z[i], v[i], vp[i], and is classified at that replica's
-    # left-limit gap. A ratio min(q*(u), q*(w)) / den of the slice density q*
-    # sits at the larger point, as q* decreases on the slab (0, 1]. Returns the
-    # replicas jumped and their velocities after their last jump.
+def _thin(rows, marks, unifs, dens, x, xp, v, vp, alpha: float, kappa: float, slab) -> tuple:
+    # The thinning rule of classify_jump over one window's jumps (at least
+    # one), on Python floats. The jumps come grouped by replica, each replica's in time order;
+    # jump i kicks replica rows[i], whose positions and velocities at the
+    # window start are x[i], xp[i], v[i], vp[i], and is classified at that
+    # replica's left-limit gap. A ratio min(q*(u), q*(w)) / den of the slice
+    # density q* sits at the larger point, as q* decreases on the slab (0, 1];
+    # max, min and abs are conditional expressions giving the same floats.
+    # Returns the replicas jumped and their velocities after their last jump.
     c, e = slab.c, -1.0 - slab.theta0
     jumped, v_end, vp_end = [], [], []
-    for r, u, l, den, zr, vr, vpr in zip(rows, marks, unifs, dens, z, v, vp):
-        if jumped and jumped[-1] == r:  # carry the gap the replica's last jump left
-            vr, vpr = v_end.pop(), vp_end.pop()
-        else:
+    last, vn, vpn = -1, 0.0, 0.0
+    for r, u, l, den, xr, xpr, vr, vpr in zip(rows, marks, unifs, dens, x, xp, v, vp):
+        if r == last:  # carry the gap the replica's last jump left
+            vr, vpr = vn, vpn
+        else:  # a new replica: keep where the previous one ended (junk for the first)
+            last = r
             jumped.append(r)
-        q = zr + (vr - vpr) / alpha
-        aq = abs(q)
+            v_end.append(vn)
+            vp_end.append(vpn)
+        q = (xr - xpr) + (vr - vpr) / alpha
+        aq = q if q >= 0.0 else -q
         if aq <= DEGENERATE_GAP:
             d = u
         else:
             shift = alpha * (q if aq <= kappa else q * (kappa / aq))
             on = 0.0 < u <= 1.0 and den > 0.0
             d = u + shift
-            rho_m = min(c * max(u, d) ** e / den, 1.0) if on and 0.0 < d <= 1.0 else 0.0
+            rho_m = c * (d if d > u else u) ** e / den if on and 0.0 < d <= 1.0 else 0.0
+            rho_m = 1.0 if rho_m > 1.0 else rho_m
             if not l <= 0.5 * rho_m:
                 d = u - shift
-                rho_p = min(c * max(u, d) ** e / den, 1.0) if on and 0.0 < d <= 1.0 else 0.0
-                if not l <= 0.5 * (rho_m + rho_p):
+                rho_p = c * (d if d > u else u) ** e / den if on and 0.0 < d <= 1.0 else 0.0
+                if not l <= 0.5 * (rho_m + (1.0 if rho_p > 1.0 else rho_p)):
                     d = u
-        v_end.append(vr + u)
-        vp_end.append(vpr + d)
-    return jumped, v_end, vp_end
+        vn, vpn = vr + u, vpr + d
+    return jumped, v_end[1:] + [vn], vp_end[1:] + [vpn]
 
 
 def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float,
@@ -151,14 +158,36 @@ def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float
     the synchronous branch. This is the pair window's rule applied to one
     jump at position gap ``Q`` and zero velocities.
     """
-    _, _, vp = _thin([0], [u], [l], [den], [Q], [0.0], [0.0], alpha, kappa, levy.slice_part)
+    _, _, vp = _thin([0], [u], [l], [den], [Q], [0.0], [0.0], [0.0], alpha, kappa,
+                     levy.slice_part)
     return vp[0]
 
 
-def _drift(system, x, v, v_kicked, dt: float, comp: np.ndarray) -> tuple:
-    # the Euler drift from the window start (x, v), added to the kicked velocities
+def _window(system, state: np.ndarray, dt: float, comp: np.ndarray, rows, marks,
+            walk: tuple = ()) -> tuple:
+    # One Euler window of the state (2, ..., d), positions then velocities, from
+    # the window start. Mark i kicks the velocity in flat row rows[i], in the
+    # order given. With walk = (unifs, dens, alpha, kappa, slab) the state is
+    # the pair (2, 2, N, 1): the marks, grouped by replica, kick the first copy
+    # and the thinning walk the second. Returns the state and the start force.
+    x, v = state
     force = np.asarray(system.force(x, v), dtype=float)
-    return x + (system.a * x + system.b * v) * dt, v_kicked + (force + comp) * dt
+    rate = np.empty_like(state)
+    np.add(system.a * x, system.b * v, rate[0])
+    np.add(force, comp, rate[1])
+    base = state
+    if len(rows):
+        base = state.copy()
+        if not walk:
+            np.add.at(base[1].reshape(-1, state.shape[-1]), rows, marks)
+        else:
+            gx, gv = state[..., 0].take(rows, axis=2).tolist()  # one gather
+            unifs, dens, *rule = walk
+            jumped, v_end, vp_end = _thin(rows.tolist(), marks.tolist(), unifs.tolist(),
+                                          dens.tolist(), *gx, *gv, *rule)
+            # C order: flat index r of the velocities is (0, r, 0), N + r is (1, r, 0)
+            base[1].put(jumped + [r + state.shape[2] for r in jumped], v_end + vp_end)
+    return base + rate * dt, force
 
 
 def step_single(system, state: tuple, dt: float, jumps, comp: np.ndarray,
@@ -170,13 +199,11 @@ def step_single(system, state: tuple, dt: float, jumps, comp: np.ndarray,
     ``rows[i]`` (row 0 of an unbatched state by default). Each row receives
     its marks one by one, in the order given.
     """
-    x, v = state
-    v_new = np.array(v, dtype=float)
-    marks = np.asarray(jumps, dtype=float).reshape(-1, v_new.shape[-1])
-    if len(marks):
-        np.add.at(v_new.reshape(-1, marks.shape[1]),
-                  np.zeros(len(marks), dtype=int) if rows is None else rows, marks)
-    return _drift(system, x, v, v_new, dt, comp)
+    stacked = np.array(state, dtype=float)
+    marks = np.asarray(jumps, dtype=float).reshape(-1, stacked.shape[-1])
+    new, _ = _window(system, stacked, dt, comp,
+                     np.zeros(len(marks), dtype=int) if rows is None else rows, marks)
+    return new[0], new[1]
 
 
 def _require_one_dim(system, levy):
@@ -184,26 +211,6 @@ def _require_one_dim(system, levy):
         raise NotImplementedError(
             f"coupled pair runs are implemented for dim 1 only, got system dim {system.dim} "
             f"and noise dim {levy.dim} (the modified-channel compensator is missing in dim >= 2)")
-
-
-def _pair_window(system, state: tuple, dt: float, rows: np.ndarray, marks: np.ndarray,
-                 unifs: np.ndarray, dens: np.ndarray, alpha: float, kappa: float, slab,
-                 comp: np.ndarray) -> tuple:
-    # one window of the pair state (x, v), each of shape (2, N, 1) with the copy
-    # axis first; jump i kicks replica rows[i] with mark marks[i], uniform
-    # unifs[i] and driving density dens[i], grouped by replica and each
-    # replica's in time order, and is classified with positions frozen at the
-    # window start
-    x, v = state
-    v_kicked = v
-    if len(rows):
-        xs, vs = x.take(rows, axis=1)[..., 0], v.take(rows, axis=1)[..., 0]
-        jumped, v_end, vp_end = _thin(rows.tolist(), marks.tolist(), unifs.tolist(),
-                                      dens.tolist(), (xs[0] - xs[1]).tolist(), *vs.tolist(),
-                                      alpha, kappa, slab)
-        v_kicked = v.copy()  # C order: flat index r is (0, r, 0), N + r is (1, r, 0)
-        v_kicked.put(jumped + [r + v.shape[1] for r in jumped], v_end + vp_end)
-    return _drift(system, x, v, v_kicked, dt, comp)
 
 
 def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
@@ -217,15 +224,15 @@ def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
     is not checked here.
     """
     _require_one_dim(system, levy)
-    x, v = (np.stack([a.reshape(-1, 1), b.reshape(-1, 1)])
-            for a, b in ((pair.x, pair.xp), (pair.v, pair.vp)))
+    state = np.stack([a.reshape(-1, 1) for a in (pair.x, pair.xp, pair.v, pair.vp)])
     marks = np.asarray(jumps, dtype=float).reshape(-1, 1)
     rows = np.zeros(len(marks), dtype=int) if rows is None else np.asarray(rows, dtype=int)
     order = np.argsort(rows, kind="stable")
-    x, v = _pair_window(system, (x, v), dt, rows[order], marks[order, 0],
-                        np.asarray(unifs, dtype=float)[order], levy.measure.density(marks)[order],
-                        alpha, kappa, levy.slice_part, comp)
-    return PairState(*(a.reshape(pair.x.shape) for a in (x[0], v[0], x[1], v[1])))
+    new, _ = _window(system, state.reshape(2, 2, -1, 1), dt, comp, rows[order],
+                     marks[order, 0], (np.asarray(unifs, dtype=float)[order],
+                                       levy.measure.density(marks)[order], alpha, kappa,
+                                       levy.slice_part))
+    return PairState(*(a.reshape(pair.x.shape) for a in (*new[:, 0], *new[:, 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +255,15 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
-def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int = 0,
-                   coupling=None):
+def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
+                   replica_offset: int = 0, coupling=None):
     """The Euler window loop of both ensembles.
 
     ``starts`` holds one ``(x0, v0)`` per copy, and the state is stepped as
-    ``(copies, N, d)`` arrays. Row ``r`` draws the jumps of sampler replica
-    ``r + replica_offset``, from one sampler call for the whole ensemble.
+    one ``(2, copies, N, d)`` array, positions then velocities. Row ``r``
+    draws the jumps of sampler replica ``r + replica_offset``, from one
+    sampler call for the whole ensemble, whose seconds go to
+    ``timings["sampling_s"]``.
     With ``coupling = (alpha, kappa)`` the two copies form the pair and each
     window is a pair window.
     A replica with a copy whose position or velocity norm exceeds
@@ -274,9 +283,11 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     ends = np.array([t0 + dt for _, t0, dt in plan])
     saves = (np.abs(ends - times[[k for k, _, _ in plan]])
              < 1e-9 * max(times[-1], 1.0)).tolist()
+    t0 = time.monotonic()
     jumps = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
                                   np.random.SeedSequence(config.seed),
                                   range(replica_offset, replica_offset + n))
+    timings["sampling_s"] = time.monotonic() - t0
     # a jump at t kicks the first window with t < end - 1e-15; sorted in
     # (window, replica, time) order, jumps past the last window are dropped
     wins = np.searchsorted(ends - 1e-15, jumps.times, side="right")
@@ -285,57 +296,54 @@ def _euler_windows(system, levy, config: SimConfig, starts, replica_offset: int 
     bounds = np.searchsorted(wins[order], np.arange(len(plan) + 1)).tolist()
     comp = np.asarray(levy.measure.compensation_drift(config.delta), dtype=float)
     if coupling is not None:
-        dens = levy.measure.density(marks)
-    x, v = (np.repeat(np.asarray([s[i] for s in starts], dtype=float)[:, None], n, axis=1)
-            for i in (0, 1))
-    out_x, out_v = np.full((2, len(starts), n, len(times), d), np.nan)
-    out_x[:, :, 0], out_v[:, :, 0] = x, v
+        marks, dens = marks[:, 0], levy.measure.density(marks)
+    state = np.repeat(np.asarray([[s[i] for s in starts] for i in (0, 1)],
+                                 dtype=float)[:, :, None], n, axis=2)
+    out = np.full((2, len(starts), n, len(times), d), np.nan)
+    out[:, :, :, 0] = state
     alive = np.ones(n, dtype=bool)
     # components within `screen` keep every norm below blowup_norm / 2, and the
     # cap keeps the squares in the exact norm from overflowing
     all_alive, screen = True, min(0.5 * config.blowup_norm / math.sqrt(d), 1e150)
     lip = np.zeros(n)
+    walk = ()
     # a force or state that overflows or turns NaN is left to the blow-up screen
     with np.errstate(over="ignore", invalid="ignore"):
         for w, (save_idx, _, dt) in enumerate(plan):
             lo, hi = bounds[w], bounds[w + 1]
-            x_start, v_start = x, v
-            if coupling is None:
-                x, v = step_single(system, (x, v), dt, marks[lo:hi], comp, rows[lo:hi])
-            else:
-                x, v = _pair_window(system, (x, v), dt, rows[lo:hi], marks[lo:hi, 0], unif[lo:hi],
-                                    dens[lo:hi], *coupling, levy.slice_part, comp)
-            if not (all_alive and np.maximum.reduce(np.abs(x), None) <= screen
-                    and np.maximum.reduce(np.abs(v), None) <= screen):
+            if coupling is not None:
+                walk = (unif[lo:hi], dens[lo:hi], *coupling, levy.slice_part)
+            start = state
+            state, force = _window(system, state, dt, comp, rows[lo:hi], marks[lo:hi], walk)
+            if not (all_alive and np.maximum.reduce(np.abs(state), None) <= screen):
                 # a norm that overflows or is NaN is a blow-up
-                alive &= ((_norm(x) <= config.blowup_norm)
-                          & (_norm(v) <= config.blowup_norm)).all(axis=0)
-                x, v = np.where(alive[:, None], x, x_start), np.where(alive[:, None], v, v_start)
+                alive &= (_norm(state) <= config.blowup_norm).all(axis=(0, 1))
+                state = np.where(alive[:, None], state, start)
                 all_alive = bool(alive.all())
             if saves[w]:
-                out_x[:, alive, save_idx], out_v[:, alive, save_idx] = x[:, alive], v[:, alive]
+                out[:, :, alive, save_idx] = state[:, :, alive]
                 if coupling is not None:
-                    # force gap over state gap, both at the window start
-                    f = np.asarray(system.force(x_start, v_start), dtype=float)
-                    gap = (np.abs(x_start[0] - x_start[1]).sum(-1)
-                           + np.abs(v_start[0] - v_start[1]).sum(-1))
-                    lip = np.maximum(lip, np.divide(np.abs(f[0] - f[1]).sum(-1), gap,
+                    # force gap over state gap, x part plus v part, both at the window start
+                    gap = np.add(*np.abs(start[:, 0] - start[:, 1]).sum(-1))
+                    lip = np.maximum(lip, np.divide(np.abs(force[0] - force[1]).sum(-1), gap,
                                                     out=np.zeros(n), where=alive & (gap > 1e-9)))
-    return out_x, out_v, alive, lip
+    return out[0], out[1], alive, lip
 
 
 def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: float,
-                      kappa: float) -> list[PairTrajectory]:
+                      kappa: float, timings: dict | None = None) -> list[PairTrajectory]:
     """All replicas of the coupled pair, stepped together window by window. Dim 1 only.
 
     Replica ``k`` draws its jumps from the streams ``(k, j)`` of the seed. Its
     ``stability_indicator`` is ``h`` times the largest force Lipschitz
     quotient between the copies, taken at the start of each window that ends
-    at a save time.
+    at a save time. A ``timings`` dict receives ``sampling_s``, the seconds
+    spent drawing the jumps.
     """
     _require_one_dim(system, levy)
     xs, vs, alive, lip = _euler_windows(system, levy, config,
                                         ((pair0.x, pair0.v), (pair0.xp, pair0.vp)),
+                                        {} if timings is None else timings,
                                         coupling=(alpha, kappa))
     times = config.save_times()
     return [PairTrajectory(times, xs[0, k], vs[0, k], xs[1, k], vs[1, k],
@@ -351,7 +359,7 @@ def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
     A replica whose position or velocity norm exceeds ``blowup_norm`` or is
     NaN is flagged and frozen; its later snapshots stay NaN.
     """
-    xs, vs, alive, _ = _euler_windows(system, levy, config, ((x0, v0),), replica_offset)
+    xs, vs, alive, _ = _euler_windows(system, levy, config, ((x0, v0),), {}, replica_offset)
     times = config.save_times()
     return [SingleTrajectory(times, xs[0, k], vs[0, k], blown_up=not alive[k])
             for k in range(config.n_replicas)]

@@ -320,7 +320,7 @@ class TestExitCodes:
         header = (tmp_path / "decay_curve.csv").read_text().splitlines()[0]
         assert header == "t,mean,se,log_mean"
         timings = json.loads((tmp_path / "run_manifest.json").read_text())["rate"]["timings"]
-        stages = ("constants_s", "ensemble_s", "decay_fit_s", "io_s")
+        stages = ("constants_s", "sampling_s", "stepping_s", "decay_fit_s", "io_s")
         assert set(timings) == {*stages, "total_s"}
         assert all(timings[k] >= 0.0 for k in stages)
         assert sum(timings[k] for k in stages) <= timings["total_s"]

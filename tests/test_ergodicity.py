@@ -1,6 +1,7 @@
 """Decay fitting, sliced transport distance, equilibrium diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,117 @@ class TestExponentialFit:
         t = np.linspace(0.0, 10.0, 11)
         with pytest.raises(InsufficientDecay):
             erg.fit_exponential_decay(t, np.zeros(11), np.zeros(11))
+
+
+def lstsq_fit(times, means, ses):
+    # the earlier fit, one np.linalg.lstsq solve per curve, kept as the oracle
+    ok = (times >= 0.1 * times[-1]) & (means > 0.0) & (means > 10.0 * ses)
+    idx = np.nonzero(ok)[0]
+    if idx.size < 3:
+        raise InsufficientDecay(f"only {idx.size} usable points in the fit window")
+    t, y = times[idx], np.log(means[idx])
+    wgt = 1.0 / np.where(ses[idx] > 0, ses[idx] / means[idx], 1.0) ** 2
+    A = np.vstack([np.ones_like(t), t]).T
+    sol, *_ = np.linalg.lstsq(A * np.sqrt(wgt)[:, None], y * np.sqrt(wgt), rcond=None)
+    ybar = np.average(y, weights=wgt)
+    ss_res, ss_tot = np.sum(wgt * (y - A @ sol) ** 2), np.sum(wgt * (y - ybar) ** 2)
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return -sol[1], sol[0], r2, int(idx[0]), int(idx[-1]) + 1
+
+
+def loop_ci(vals, times, n_boot=200):
+    # the earlier bootstrap: one resample, mean, spread and fit per iteration
+    rng, n, boots = np.random.default_rng(424242), vals.shape[0], []
+    for _ in range(n_boot):
+        pick = rng.integers(0, n, n)
+        try:
+            boots.append(lstsq_fit(times, vals[pick].mean(axis=0),
+                                   vals[pick].std(axis=0, ddof=1) / math.sqrt(n))[0])
+        except InsufficientDecay:
+            continue
+    return np.percentile(boots, [2.5, 97.5])
+
+
+def decaying_costs(rng, n, n_save, horizon=20.0):
+    # replica costs that decay at spread rates from spread amplitudes
+    times = np.linspace(0.0, horizon, n_save)
+    vals = (rng.lognormal(0.0, 0.3, (n, 1)) * np.exp(-rng.uniform(0.2, 0.6, (n, 1)) * times)
+            * (1.0 + 0.3 * rng.uniform(size=(n, n_save))))
+    return times, vals
+
+
+class TestFitOracle:
+    """The closed-form fit and count-matrix bootstrap against the earlier lstsq loop."""
+
+    @staticmethod
+    def assert_same_fit(times, means, ses):
+        try:
+            want = lstsq_fit(times, means, ses)
+        except InsufficientDecay as exc:
+            with pytest.raises(InsufficientDecay, match=str(exc)):
+                erg.fit_exponential_decay(times, means, ses)
+            return False
+        got = erg.fit_exponential_decay(times, means, ses)
+        assert got[3:] == want[3:]
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert got[2] == pytest.approx(want[2], rel=1e-12)
+        # intercept = ybar - slope * tbar cancels, so its error floor is
+        # absolute: about 1e-16 of |slope * tbar|, whatever the intercept
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12)
+        return True
+
+    def test_random_curves(self, rng):
+        fitted = 0
+        for _ in range(300):
+            n_save = int(rng.integers(4, 60))
+            times = np.linspace(0.0, rng.uniform(1.0, 30.0), n_save)
+            means = (rng.uniform(0.5, 20.0) * np.exp(-rng.uniform(0.05, 2.0) * times)
+                     * (1.0 + 0.05 * rng.normal(size=n_save)))
+            ses = np.abs(rng.normal(size=n_save)) * means * rng.choice([0.0, 0.01, 0.1, 0.3])
+            fitted += self.assert_same_fit(times, means, ses)
+        assert 100 < fitted < 300  # both branches seen
+
+    def test_edge_windows(self):
+        times = np.linspace(0.0, 10.0, 11)
+        means = 3.0 * np.exp(-0.8 * times)
+        ses = 0.01 * means
+        holes = ses.copy()
+        holes[[3, 5, 6]] = means[[3, 5, 6]]  # mean under ten ses: left out of the window
+        three = ses.copy()
+        three[4:] = means[4:]  # exactly three usable points, t = 1, 2, 3
+        two = ses.copy()
+        two[3:] = means[3:]
+        cases = [(ses, True), (holes, True), (three, True), (np.zeros(11), True), (two, False)]
+        for s, fits in cases:
+            assert self.assert_same_fit(times, means, s) == fits
+        assert erg.fit_exponential_decay(times, means, holes)[3:] == (1, 11)
+        assert erg.fit_exponential_decay(times, means, three)[3:] == (1, 4)
+        # rows fitted together are fitted alone; a row under three points is flagged
+        usable, *rows = erg._fit_rows(times, np.tile(means, (5, 1)),
+                                      np.stack([s for s, _ in cases]))
+        assert usable.tolist() == [10, 7, 3, 10, 2]
+        for k, (s, _) in enumerate(cases[:4]):
+            assert tuple(a[k] for a in rows) == erg.fit_exponential_decay(times, means, s)
+
+    @pytest.mark.parametrize("n", [25, 300])
+    def test_ci_equals_the_resampling_loop(self, rng, n):
+        times, vals = decaying_costs(rng, n, 41)
+        means = vals.mean(axis=0)
+        got = np.percentile(erg._bootstrap_rates(vals, means, times, 200), [2.5, 97.5])
+        assert got == pytest.approx(loop_ci(vals, times), rel=1e-12)
+
+    def test_ci_memory_stays_near_the_cost_matrix(self, rng):
+        # resampled copies of the costs would need n_boot * vals.nbytes = 1.28 GB
+        times, vals = decaying_costs(rng, 2000, 401)
+        means = vals.mean(axis=0)
+        tracemalloc.start()
+        try:
+            erg._bootstrap_rates(vals, means, times, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        counts_nbytes = 200 * 2000 * 8
+        assert peak <= 3 * (vals.nbytes + counts_nbytes)
 
 
 class TestSlicedDistance:

@@ -176,8 +176,60 @@ def random_window(rng, n_rep: int, n_jumps: int):
     return PairState(x, v, xp, vp), marks, unif, rows
 
 
+def edge_window(alpha: float, kappa: float, l: float):
+    """Pair states and one window of jumps on the rule's float edges.
+
+    Every replica but the last takes one jump at a transformed gap set
+    exactly (``alpha`` a power of two): ``|q|`` equal to ``kappa``, ``u +/-
+    shift`` landing exactly on 0.0 and on 1.0, and a NaN gap of each sign.
+    The last replica takes twelve jumps, interleaved with the others. Every
+    single jump has classification uniform ``l``.
+    """
+    q = 0.25 / alpha  # shift = alpha * q = 0.25 whenever |q| <= kappa
+    # (q = x - xp with equal velocities, u): the gap and the mark
+    cases = [(kappa, 0.6), (-kappa, 0.6), (q, 0.75), (-q, 0.25), (q, 0.25), (-q, 0.75),
+             (np.nan, 0.5), (-np.nan, 0.5), (np.copysign(np.nan, -1.0), 0.5)]
+    rng = np.random.default_rng(int(l * 100))
+    n = len(cases) + 1
+    xp = np.zeros((n, 1))
+    x = np.array([[g] for g, _ in cases] + [[0.1]])
+    v = rng.normal(size=(n, 1))
+    vp = v.copy()
+    vp[-1] += 0.05
+    many = 12
+    rows = np.concatenate([np.arange(n - 1), np.full(many, n - 1)])
+    marks = np.concatenate([[u for _, u in cases], rng.uniform(0.0, 1.0, many)])
+    unif = np.concatenate([np.full(n - 1, l), rng.uniform(size=many)])
+    shuffle = rng.permutation(len(rows))  # the window's jumps arrive interleaved
+    return PairState(x, v, xp, vp), marks[shuffle], unif[shuffle], rows[shuffle]
+
+
 class TestFloatWalkParity:
     """The pair window's float walk against the earlier per-jump implementation."""
+
+    @pytest.mark.parametrize("alpha, kappa", [(1.0, 0.25), (1.0, 0.5), (2.0, 0.25), (0.5, 1.0)])
+    @pytest.mark.parametrize("l", [0.0, 0.2, 0.45, 0.7, 0.99])
+    def test_edges_bitwise_equal_to_reference(self, alpha, kappa, l, benchmark_levy,
+                                              benchmark_langevin):
+        # the landing points are exact: u + shift and u - shift hit 0.0 and 1.0
+        assert 0.75 + 0.25 == 1.0 and 0.25 - 0.25 == 0.0 and 0.25 + -0.25 == 0.0
+        assert 0.75 - -0.25 == 1.0
+        pair, marks, unif, rows = edge_window(alpha, kappa, l)
+        assert np.count_nonzero(rows == rows.max()) >= 10
+        q = pair.q(alpha)[:, 0]
+        assert np.abs(q[:2]).tolist() == [kappa, kappa]
+        assert np.isnan(q[6:9]).all() and len({np.signbit(g) for g in pair.x[6:9, 0]}) == 2
+        comp = benchmark_levy.measure.compensation_drift(1e-3)
+        args = (benchmark_langevin, benchmark_levy, pair, 0.01, marks, unif, alpha, kappa, comp,
+                rows)
+        with np.errstate(invalid="ignore"):
+            got, want = sim.step_pair(*args), ref_step_pair(*args)
+        for f in ("x", "v", "xp", "vp"):
+            # a NaN's sign bit carries nothing: CPython's float multiply takes
+            # it from either NaN operand, depending on whether the interpreter
+            # has specialized the instruction yet
+            a, b = (np.where(np.isnan(getattr(s, f)), np.nan, getattr(s, f)) for s in (got, want))
+            assert a.tobytes() == b.tobytes(), f
 
     @pytest.mark.parametrize("name", sorted(LEVIES))
     def test_window_bitwise_equal_to_reference(self, name, benchmark_langevin):
