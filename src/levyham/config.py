@@ -250,10 +250,14 @@ def load_config(path: str | None = None, text: str | None = None) -> ExperimentC
 
 
 def _validate_physics(cfg: ExperimentConfig):
-    # build each spec once: its constructor's range checks name the bad value
-    for section, build in (("levy", cfg.build_levy), ("model", cfg.build_langevin)):
+    # build each spec once: its constructor's range checks name the bad value,
+    # and the noise's compensation drift checks the cutoff it is taken at
+    specs = {}
+    for section, build in (("levy", cfg.build_levy), ("model", cfg.build_langevin),
+                           ("sim", lambda: specs["levy"].measure.compensation_drift(
+                               cfg.sim["delta"]))):
         try:
-            build()
+            specs[section] = build()
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
     cfg.build_sim()

@@ -1,17 +1,16 @@
-"""System specifications, potentials, certificates, and drift verifiers.
+"""The system specification, potentials, certificates, and drift verifiers.
 
 The dynamics are the degenerate pair
 
     dX = (a X + b V) dt
     dV = U(X, V) dt + dL
 
-with noise entering the velocity only. ``KineticLangevinSpec`` is the whole
-system for the damped-gradient case ``U(x, v) = -alpha_damp v - beta grad
-U0(x)`` (kinetic Langevin dynamics), ``(a, b)`` included, and the one object
-the simulation, the verifiers and the constant chain read;
-``HamiltonianSystemSpec`` holds a general force. Superquadratic double-well
-potentials are supported through a certificate of inner-product growth fitted
-on a radial grid.
+with noise entering the velocity only. ``KineticLangevinSpec`` is the system:
+the damped-gradient case ``U(x, v) = -alpha_damp v - beta grad U0(x)``
+(kinetic Langevin dynamics), ``(a, b)`` included, and the one object the
+simulation, the verifiers and the constant chain read. Superquadratic
+double-well potentials are supported through a certificate of inner-product
+growth fitted on a radial grid.
 
 Grid verification is a numeric certificate, not a proof: the inequalities
 are checked on balls of configurable radius, and fitted constants carry a
@@ -39,7 +38,6 @@ __all__ = [
     "DoubleWellPoly",
     "DoubleWellExp",
     "Quadratic",
-    "HamiltonianSystemSpec",
     "KineticLangevinSpec",
     "PotentialCertificate",
     "CertificateReport",
@@ -121,40 +119,19 @@ class Quadratic:
 
 
 # ---------------------------------------------------------------------------
-# system specs
+# the system
 # ---------------------------------------------------------------------------
-
-
-def _check_coefficients(a: float, b: float):
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b}")
-    if a < 0:
-        raise ValueError(f"a must be non-negative, got {a}")
-
-
-@dataclass(frozen=True)
-class HamiltonianSystemSpec:
-    """Coefficients ``a >= 0``, ``b > 0`` and a general velocity force ``U(x, v)``.
-
-    ``force`` maps position and velocity arrays of shape ``(..., dim)`` to the
-    force at every leading index; both ensembles evaluate it once per Euler
-    window over all replicas (and both copies of the pair). Readers of a system
-    use only ``a``, ``b``, ``force`` and ``dim``; ``KineticLangevinSpec`` has them too.
-    """
-
-    a: float
-    b: float
-    force: object
-    dim: int = 1
-
-    def __post_init__(self):
-        _check_coefficients(self.a, self.b)
 
 
 @dataclass(frozen=True)
 class KineticLangevinSpec:
     """The damped-gradient system: ``U(x, v) = -alpha_damp v - beta grad U0(x)``
-    and the coefficients ``a >= 0``, ``b > 0`` of ``dX = (a X + b V) dt``."""
+    and the coefficients ``a >= 0``, ``b > 0`` of ``dX = (a X + b V) dt``.
+
+    ``force`` maps position and velocity arrays of shape ``(..., dim)`` to the
+    force at every leading index. The simulation and the drift verifiers read
+    only ``a``, ``b``, ``force`` and ``dim``.
+    """
 
     alpha_damp: float
     beta: float
@@ -166,13 +143,16 @@ class KineticLangevinSpec:
     def __post_init__(self):
         if self.alpha_damp < 0 or self.beta < 0:
             raise ValueError("alpha_damp and beta must be non-negative")
-        _check_coefficients(self.a, self.b)
+        if self.b <= 0:
+            raise ValueError(f"b must be positive, got {self.b}")
+        if self.a < 0:
+            raise ValueError(f"a must be non-negative, got {self.a}")
 
     def force(self, x, v):
         return -self.alpha_damp * np.asarray(v, dtype=float) - self.beta * self.potential.grad(x)
 
 
-def drift(spec: HamiltonianSystemSpec | KineticLangevinSpec, x, v):
+def drift(spec: KineticLangevinSpec, x, v):
     """Deterministic drift ``(a x + b v, U(x, v))``; a force that is not finite
     (overflow included) raises NonFiniteForce naming its first such point."""
     x = np.asarray(x, dtype=float)
@@ -413,7 +393,7 @@ class LyapunovSpec:
                 + t2 * (t2 - 1.0) * V ** (t2 - 2.0) * (g[..., :, None] * g[..., None, :]))
 
 
-def gamma_drift(lyap: LyapunovSpec, spec: HamiltonianSystemSpec | KineticLangevinSpec, x, v):
+def gamma_drift(lyap: LyapunovSpec, spec: KineticLangevinSpec, x, v):
     """``<grad_x V, ax+bv> + <grad_v V, U(x, v)>`` over leading axes."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -499,8 +479,16 @@ class LyapunovSetup:
 
 def build_lyapunov(langevin: KineticLangevinSpec, grid_radius: float = 20.0,
                    theta: float = 1.0) -> LyapunovSetup:
-    """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``langevin``."""
+    """Weight ``W = 1 + V^(theta/2)``, drift constants sized on ``langevin``; a fallback
+    certificate that fails ``verify_certificate`` raises GrowthTestFailed."""
     cert, source = certificate_with_fallback(langevin.potential, langevin.dim, grid_radius)
+    if source == "manual_fallback":
+        rep = verify_certificate(langevin.potential, cert, grid_radius, dim=langevin.dim,
+                                 alpha_damp=langevin.alpha_damp, beta=langevin.beta)
+        if not rep.passed:
+            raise GrowthTestFailed(
+                f"the fallback certificate lam1 = 1 fails its grid check: growth_slack "
+                f"{rep.growth_slack:g}, lower_slack {rep.lower_slack:g}")
     choice, lyap = choose_quadratic_form(langevin, cert, grid_radius)
     return LyapunovSetup(source, choice, replace(lyap, theta=theta))
 
@@ -513,7 +501,7 @@ def _grid_drift_excess(lyap, spec, c, grid_radius, n_grid):
     return float(np.max(gamma + bound))
 
 
-def verify_gamma_drift(setup: LyapunovSetup, spec: HamiltonianSystemSpec | KineticLangevinSpec,
+def verify_gamma_drift(setup: LyapunovSetup, spec: KineticLangevinSpec,
                        grid_radius: float = 20.0, n_grid: int = 61) -> dict:
     """Grid check of ``Gamma <= -c (V0 + |x|^2 + |v|^2) + C`` for the
     constants ``(c, C)`` of ``setup.choice``."""

@@ -11,16 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["log_gauss_panels", "insert_breakpoints"]
-
-
-def insert_breakpoints(edges: np.ndarray, breakpoints) -> np.ndarray:
-    """Merge breakpoints into a sorted edge array, keeping the outer limits."""
-    lo, hi = edges[0], edges[-1]
-    extra = [b for b in breakpoints if lo < b < hi]
-    if not extra:
-        return edges
-    return np.unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
+__all__ = ["log_gauss_panels"]
 
 
 @lru_cache(maxsize=None)
@@ -36,14 +27,17 @@ def log_gauss_panels(lo: float, hi: float, panels_per_decade: int = 4,
                      nodes_per_panel: int = 12, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on log-spaced panels covering ``(lo, hi]``.
 
-    ``lo`` must be positive. Returns flat arrays ``(x, w)`` ordered by x.
+    ``lo`` must be positive; ``breakpoints`` strictly inside ``(lo, hi)``
+    become extra panel edges. Returns flat arrays ``(x, w)`` ordered by x.
     """
     if not 0.0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     decades = np.log10(hi / lo)
     n_panels = max(int(np.ceil(decades * panels_per_decade)), 1)
     edges = np.geomspace(lo, hi, n_panels + 1)
-    edges = insert_breakpoints(edges, breakpoints)
+    extra = [b for b in breakpoints if lo < b < hi]
+    if extra:
+        edges = np.unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
     gx, gw = _gauss_legendre(nodes_per_panel)
     a = edges[:-1]
     b = edges[1:]

@@ -5,13 +5,13 @@ injected raw at their sampled times, with the compensated small-jump region
 replaced by its mean drift. Both ensembles run through one window loop that
 steps all replicas together as one ``(2, copies, N, d)`` array (positions,
 then velocities): one copy per replica for the single process and two for
-the coupled pair. One window body serves both, and ``step_single`` and
-``step_pair`` too. A pair window walks the window's jumps of the first copy
-on Python floats, in (replica, time) order, through the overlap-ratio
-thinning rule, and displaces the second copy's velocity by
-``+/- alpha (q)_kappa`` accordingly, using the left-limit transformed gap
-(positions frozen at the window start, velocity gap updated jump by jump);
-both copies then take one array drift step with one force evaluation.
+the coupled pair. One window body serves both, and ``step_pair``, the
+public one-window step. A pair window walks the window's jumps of the first
+copy on Python floats, in (replica, time) order, through the overlap-ratio
+thinning rule, and displaces the second copy's velocity by ``+/- alpha
+(q)_kappa`` accordingly, using the left-limit transformed gap (positions
+frozen at the window start, velocity gap updated jump by jump); both copies
+then take one array drift step with one force evaluation.
 
 Pair runs are one-dimensional: ``step_pair`` and ``run_pair_ensemble`` raise
 NotImplementedError for any other system or noise dimension. The modified
@@ -47,8 +47,6 @@ __all__ = [
     "SimConfig",
     "SingleTrajectory",
     "PairTrajectory",
-    "classify_jump",
-    "step_single",
     "step_pair",
     "run_pair_ensemble",
     "run_single_ensemble",
@@ -103,19 +101,25 @@ class PairTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# jump classification and steppers
+# jump classification and the pair step
 # ---------------------------------------------------------------------------
 
 
 def _thin(rows, marks, unifs, dens, x, xp, v, vp, alpha: float, kappa: float, slab) -> tuple:
-    # The thinning rule of classify_jump over one window's jumps (at least
-    # one), on Python floats. The jumps come grouped by replica, each replica's in time order;
-    # jump i kicks replica rows[i], whose positions and velocities at the
-    # window start are x[i], xp[i], v[i], vp[i], and is classified at that
-    # replica's left-limit gap. A ratio min(q*(u), q*(w)) / den of the slice
-    # density q* sits at the larger point, as q* decreases on the slab (0, 1];
-    # max, min and abs are conditional expressions giving the same floats.
-    # Returns the replicas jumped and their velocities after their last jump.
+    # The thinning rule over one window's jumps (at least one), on Python
+    # floats. A jump u of the first copy at transformed gap q displaces the
+    # second copy by u + alpha (q)_kappa with probability rho(-shift, u)/2, by
+    # u - alpha (q)_kappa with probability rho(shift, u)/2, else by u; its
+    # uniform l picks the branch, and den, the driving density at u, is both
+    # ratios' denominator. A degenerate gap (|q| <= DEGENERATE_GAP, as in the
+    # pair operator) is synchronous. The jumps come grouped by replica, each
+    # in time order; jump i kicks replica rows[i], whose positions and
+    # velocities at the window start are x[i], xp[i], v[i], vp[i], and is
+    # classified at that replica's left-limit gap. A ratio min(q*(u), q*(w)) /
+    # den of the slice density q* sits at the larger point, as q* decreases on
+    # the slab (0, 1]; max, min and abs are conditional expressions giving the
+    # same floats. Returns the replicas jumped and their velocities after
+    # their last jump.
     c, e = slab.c, -1.0 - slab.theta0
     jumped, v_end, vp_end = [], [], []
     last, vn, vpn = -1, 0.0, 0.0
@@ -146,23 +150,6 @@ def _thin(rows, marks, unifs, dens, x, xp, v, vp, alpha: float, kappa: float, sl
     return jumped, v_end[1:] + [vn], vp_end[1:] + [vpn]
 
 
-def classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float,
-                  den: float) -> float:
-    """Displacement received by the second copy for a jump ``u`` of the first.
-
-    Branches: ``u + alpha (Q)_kappa`` with probability ``rho(-shift, u)/2``,
-    ``u - alpha (Q)_kappa`` with probability ``rho(shift, u)/2``, else ``u``.
-    ``den`` is the driving measure's density at ``u``, the denominator of
-    both thinning ratios. A degenerate transformed gap (``|Q| <=
-    DEGENERATE_GAP``, the rule the pair operator uses too) short-circuits to
-    the synchronous branch. This is the pair window's rule applied to one
-    jump at position gap ``Q`` and zero velocities.
-    """
-    _, _, vp = _thin([0], [u], [l], [den], [Q], [0.0], [0.0], [0.0], alpha, kappa,
-                     levy.slice_part)
-    return vp[0]
-
-
 def _window(system, state: np.ndarray, dt: float, comp: np.ndarray, rows, marks,
             walk: tuple = ()) -> tuple:
     # One Euler window of the state (2, ..., d), positions then velocities, from
@@ -188,22 +175,6 @@ def _window(system, state: np.ndarray, dt: float, comp: np.ndarray, rows, marks,
             # C order: flat index r of the velocities is (0, r, 0), N + r is (1, r, 0)
             base[1].put(jumped + [r + state.shape[2] for r in jumped], v_end + vp_end)
     return base + rate * dt, force
-
-
-def step_single(system, state: tuple, dt: float, jumps, comp: np.ndarray,
-                rows=None) -> tuple:
-    """One Euler window over leading axes: drift from the start state, plus the window's jumps.
-
-    ``state`` is ``(x, v)`` of shape ``(..., d)``. ``jumps`` holds the
-    window's marks; mark ``i`` kicks the velocity in flat leading-axis row
-    ``rows[i]`` (row 0 of an unbatched state by default). Each row receives
-    its marks one by one, in the order given.
-    """
-    stacked = np.array(state, dtype=float)
-    marks = np.asarray(jumps, dtype=float).reshape(-1, stacked.shape[-1])
-    new, _ = _window(system, stacked, dt, comp,
-                     np.zeros(len(marks), dtype=int) if rows is None else rows, marks)
-    return new[0], new[1]
 
 
 def _require_one_dim(system, levy):

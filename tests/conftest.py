@@ -1,5 +1,7 @@
 """Shared fixtures: the double-well slice-noise benchmark and cheap helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,41 @@ from levyham import constants as cn
 from levyham import generator as gen
 from levyham import measures as ms
 from levyham import model as md
+from levyham import simulate as sim
+from levyham.pair import PairState
+
+
+@dataclasses.dataclass(frozen=True)
+class ForceSystem:
+    """A system with a general force ``U(x, v)`` of arrays ``(..., dim)``.
+
+    The simulation kernel and the drift verifiers read only ``a``, ``b``,
+    ``force`` and ``dim``, so this stands in for ``KineticLangevinSpec``.
+    """
+
+    force: object
+    dim: int = 1
+    a: float = 0.0
+    b: float = 1.0
+
+
+ZERO_FORCE = ForceSystem(lambda x, v: np.zeros_like(np.asarray(v, dtype=float)))
+
+
+def displacements(levy, u, Q, alpha, kappa, l):
+    """The second copy's displacement for each jump ``u`` of the first, classified
+    with uniform ``l`` at transformed gap ``Q`` (arrays broadcast together).
+
+    Each jump runs as its own replica of one ``step_pair`` window from
+    ``(x, xp, v, vp) = (Q, 0, 0, 0)`` under zero force with no compensation
+    drift; the second copy's velocity after the window is then the
+    displacement bit for bit.
+    """
+    u, Q, l = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (u, Q, l)))
+    zero = np.zeros((u.size, 1))
+    out = sim.step_pair(ZERO_FORCE, levy, PairState(Q.reshape(-1, 1), zero, zero, zero), 0.01,
+                        u.ravel(), l.ravel(), alpha, kappa, np.zeros(1), np.arange(u.size))
+    return out.vp.reshape(u.shape)[()]
 
 
 @pytest.fixture(scope="session")

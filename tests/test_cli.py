@@ -171,6 +171,10 @@ class TestConfig:
         cfg = load_config(write(tmp_path, "[quadrature]\npanels_per_decade = 6\n", "new.cfg"))
         assert cfg.build_scheme().panels_per_decade == 6
 
+    def test_stable_noise_takes_any_positive_cutoff(self):
+        # its compensation drift is zero, so no cutoff bound applies (slice: (0, 1])
+        assert load_config(text="[levy]\nkind = stable\n[sim]\ndelta = 2\n").sim["delta"] == 2
+
     def test_stable_kind_with_certificate(self):
         cfg = load_config(text="[levy]\nkind = stable\nalpha0 = 1.5\n"
                                "slice_c = 1.0\nslice_theta0 = 0.4\n")
@@ -201,7 +205,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", ["[levy]\nc = -1.0\n", "[sim]\nn_save = 0\n",
                                       "[model]\nalpha_damp = -1.0\n",
                                       "[levy]\nkind = stable\nalpha0 = 2.5\n",
-                                      "[sim]\nn_replicas = 0\n", "[sim]\nseed = -4\n"])
+                                      "[sim]\nn_replicas = 0\n", "[sim]\nseed = -4\n",
+                                      "[sim]\ndelta = 2\n"])
     def test_out_of_range_value_is_one(self, tmp_path, capsys, text):
         path = write(tmp_path, text)
         code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
@@ -244,6 +249,20 @@ class TestExitCodes:
         code = cli.main(["verify", "--which", "B1", "--config", path,
                          "--out", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [["constants"], ["rate"], ["couple"],
+                                      ["verify", "--which", "F1"], ["verify", "--which", "A2"]])
+    @pytest.mark.parametrize("text", ["[model]\npotential = quadratic\npot_k = 0.5\n",
+                                      "[model]\npot_l = 1.1\n"])
+    def test_failing_fallback_certificate_is_one_line(self, tmp_path, capsys, argv, text):
+        # the growth test fails, and the lam1 = 1 fallback fails its grid check;
+        # at pot_k = 1 it passes (TestLyapunovBuilder builds on it)
+        path = write(tmp_path, text)
+        assert cli.main(argv + ["--config", path, "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("GrowthTestFailed: ")
+        assert "growth_slack" in lines[0]
+        assert os.listdir(tmp_path) == ["exp.cfg"]
 
     @pytest.mark.parametrize("text, passed", [("", True), ("[model]\nb = 2.0\n", False),
                                               ("[model]\na = 0.5\n", False)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import ForceSystem
 from levyham import constants as cn
 from levyham import generator as gen
 from levyham import measures as ms
@@ -112,15 +113,12 @@ class TestScrambledSobol:
 
 class TestLipschitz:
     def test_pure_damping_exact(self):
-        sys_ = md.HamiltonianSystemSpec(0.0, 1.0,
-                                        lambda x, v: -np.asarray(v, dtype=float), dim=1)
+        sys_ = ForceSystem(lambda x, v: -np.asarray(v, dtype=float))
         assert cn.compute_lipschitz(sys_, 5.0, n_pairs=4096, inflate=1.0) \
             == pytest.approx(1.0, rel=1e-9)
 
     def test_damping_plus_position(self):
-        sys_ = md.HamiltonianSystemSpec(
-            0.0, 1.0,
-            lambda x, v: -np.asarray(v, dtype=float) - np.asarray(x, dtype=float), dim=1)
+        sys_ = ForceSystem(lambda x, v: -np.asarray(v, dtype=float) - np.asarray(x, dtype=float))
         lam = cn.compute_lipschitz(sys_, 5.0, n_pairs=4096, inflate=1.0)
         assert 1.0 - 1e-9 <= lam <= math.sqrt(2.0) + 1e-9
 

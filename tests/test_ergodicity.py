@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import ForceSystem
 from levyham import ergodicity as erg
-from levyham import model as md
 from levyham import simulate as sim
 from levyham.errors import EmptyMeasure, InsufficientDecay
 from levyham.generator import ProductPairFn
@@ -239,7 +239,7 @@ class TestEquilibrium:
     def test_second_half_blowup_counted_once(self, benchmark_levy):
         # force x**3 - 4x - 3v: from x = 1.9 one of B's replicas is kicked past
         # the unstable point x = 2 and runs away; A settles in the well at 0
-        system = md.HamiltonianSystemSpec(0.0, 1.0, lambda x, v: x ** 3 - 4.0 * x - 3.0 * v)
+        system = ForceSystem(lambda x, v: x ** 3 - 4.0 * x - 3.0 * v)
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=5.0, n_save=5, seed=1, n_replicas=8,
                             blowup_norm=1e6)
         ens_b = sim.run_single_ensemble(system, benchmark_levy, cfg, [1.9], [0.0],
@@ -258,8 +258,7 @@ class TestEquilibrium:
 
     def test_every_replica_blown_raises(self, benchmark_levy):
         # no survivor leaves no cloud to compare: fail, never report zero distances
-        runaway = md.HamiltonianSystemSpec(
-            0.0, 1.0, lambda x, v: np.asarray(x, dtype=float) ** 3, dim=1)
+        runaway = ForceSystem(lambda x, v: np.asarray(x, dtype=float) ** 3)
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=30.0, n_save=7, seed=2,
                             n_replicas=4, blowup_norm=1e6)
         with pytest.raises(EmptyMeasure):

@@ -5,21 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ZERO_FORCE, ForceSystem, displacements
 from levyham import generator as gen
 from levyham import measures as ms
 from levyham import model as md
-from levyham import simulate as sim
 from levyham.pair import PairState, gap_is_degenerate
 
 
 def zero_force_system():
-    return md.HamiltonianSystemSpec(
-        0.0, 1.0, lambda x, v: np.zeros_like(np.asarray(v, dtype=float)), dim=1)
+    return ZERO_FORCE
 
 
 def damping_system():
-    return md.HamiltonianSystemSpec(
-        0.0, 1.0, lambda x, v: -np.asarray(v, dtype=float), dim=1)
+    return ForceSystem(lambda x, v: -np.asarray(v, dtype=float))
 
 
 def const_fn():
@@ -284,8 +282,7 @@ class TestDegenerateGap:
         q = float(tiny.q(alpha)[0])
         assert q == 0.75e-12
         for u in (0.05, 0.5):
-            den = benchmark_levy.measure.density(np.array([u]))
-            assert sim.classify_jump(benchmark_levy, u, q, alpha, kappa, 0.0, den) == u
+            assert displacements(benchmark_levy, u, q, alpha, kappa, 0.0) == u
         fn = gen.SeparablePairFn(bump(0.2), bump(-0.3))
         on_diagonal, near_diagonal = (
             gen.apply_coupling_operator(fn, pair, zero_force_system(), benchmark_levy, alpha,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import ForceSystem
 from levyham import measures as ms
 from levyham import model as md
 from levyham.quadtools import log_gauss_panels
@@ -33,7 +34,7 @@ class TestDrift:
         np.testing.assert_allclose(vdot, [-4.0], rtol=1e-14)
 
     def test_non_finite_force(self):
-        bad = md.HamiltonianSystemSpec(0.0, 1.0, lambda x, v: np.array([np.nan]), dim=1)
+        bad = ForceSystem(lambda x, v: np.array([np.nan]))
         with pytest.raises(NonFiniteForce):
             md.drift(bad, np.zeros(1), np.zeros(1))
 
@@ -155,7 +156,7 @@ class TestGammaDrift:
         assert got == worst
 
     def test_grid_gamma_rejects_nonfinite_force(self, benchmark_lyap):
-        system = md.HamiltonianSystemSpec(0.0, 1.0, lambda x, v: np.where(x > 5.0, np.inf, -v))
+        system = ForceSystem(lambda x, v: np.where(x > 5.0, np.inf, -v))
         with pytest.raises(NonFiniteForce):
             md._grid_drift_excess(benchmark_lyap, system, 0.1, 20.0, 11)
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import ZERO_FORCE, ForceSystem, displacements
 from levyham import measures as ms
 from levyham import model as md
 from levyham import simulate as sim
@@ -14,18 +16,15 @@ from levyham.pair import PairState, gap_is_degenerate
 
 
 def free_system():
-    return md.HamiltonianSystemSpec(
-        0.0, 1.0, lambda x, v: np.zeros_like(np.asarray(v, dtype=float)), dim=1)
+    return ZERO_FORCE
 
 
 def damping_system():
-    return md.HamiltonianSystemSpec(
-        0.0, 1.0, lambda x, v: -np.asarray(v, dtype=float), dim=1)
+    return ForceSystem(lambda x, v: -np.asarray(v, dtype=float))
 
 
 def runaway_system():
-    return md.HamiltonianSystemSpec(
-        0.0, 1.0, lambda x, v: np.asarray(x, dtype=float) ** 3, dim=1)
+    return ForceSystem(lambda x, v: np.asarray(x, dtype=float) ** 3)
 
 
 def well_runaway_system():
@@ -34,7 +33,7 @@ def well_runaway_system():
     def force(x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
         return x ** 3 - 4.0 * x - 3.0 * v
-    return md.HamiltonianSystemSpec(0.0, 1.0, force, dim=1)
+    return ForceSystem(force)
 
 
 def free_scalar_system():
@@ -42,9 +41,21 @@ def free_scalar_system():
     return md.KineticLangevinSpec(0.0, 0.0, md.Quadratic(1.0), dim=1)
 
 
-def density_at(levy, u):
-    # the driving measure's density at one scalar mark
-    return float(levy.measure.density(np.array([u])))
+def constant_density(levy, den):
+    # the noise with its slab but driving density den at every mark: reaches
+    # the den <= 0 guard of the rule on the slab
+    measure = types.SimpleNamespace(density=lambda marks: np.full(len(marks), den))
+    return types.SimpleNamespace(dim=1, measure=measure, slice_part=levy.slice_part)
+
+
+def single_window(system, state: tuple, dt: float, marks, comp: np.ndarray, rows=None) -> tuple:
+    # one window of the single-process kernel: mark i kicks flat leading-axis
+    # row rows[i] (row 0 by default) of the state (x, v) of shape (..., d)
+    stacked = np.array(state, dtype=float)
+    marks = np.asarray(marks, dtype=float).reshape(-1, stacked.shape[-1])
+    (x, v), _ = sim._window(system, stacked, dt, comp,
+                            np.zeros(len(marks), dtype=int) if rows is None else rows, marks)
+    return x, v
 
 
 def solo_runs(system, levy, cfg, x0, v0, replica_offset=0):
@@ -246,10 +257,11 @@ class TestFloatWalkParity:
             for f in ("x", "v", "xp", "vp"):
                 assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), (trial, f)
             dens = levy.measure.density(marks[:, None])
-            for u, l, den, q in zip(marks, unif, dens, pair.q(alpha)[rows, 0]):
-                d = ref_classify_jump(levy, float(u), float(q), alpha, kappa, float(l), float(den))
-                assert sim.classify_jump(levy, float(u), float(q), alpha, kappa, float(l),
-                                         float(den)) == d
+            q = pair.q(alpha)[rows, 0]
+            disp = displacements(levy, marks, q, alpha, kappa, unif)
+            for u, l, den, qi, d in zip(marks, unif, dens, q, disp):
+                assert d == ref_classify_jump(levy, float(u), float(qi), alpha, kappa, float(l),
+                                              float(den))
                 branches.add("sync" if d == u else "plus" if d > u else "minus")
         assert branches == {"sync", "plus", "minus"}
 
@@ -257,46 +269,58 @@ class TestFloatWalkParity:
         # rho = 0 off the slab and where den <= 0, and l = 0.0 still passes
         # l <= 0.5 * rho
         for u, den in ((-0.5, 0.0), (1.5, 0.0), (0.5, 0.0), (0.5, -1.0)):
+            levy = constant_density(benchmark_levy, den)
             for l, want in ((0.0, u + 0.1), (1e-300, u)):
-                assert sim.classify_jump(benchmark_levy, u, 0.1, 1.0, 0.25, l, den) == want
+                assert displacements(levy, u, 0.1, 1.0, 0.25, l) == want
                 assert ref_classify_jump(benchmark_levy, u, 0.1, 1.0, 0.25, l, den) == want
 
 
 class TestStepSingle:
+    """The single-process window body against the per-window oracle."""
+
     def test_pure_transport(self):
-        x, v = sim.step_single(free_system(), (np.array([1.0]), np.array([2.0])),
-                               0.5, [], np.zeros(1))
+        state = (np.array([1.0]), np.array([2.0]))
+        x, v = single_window(free_system(), state, 0.5, [], np.zeros(1))
         np.testing.assert_allclose(x, [2.0])
         np.testing.assert_allclose(v, [2.0])
+        for got, want in zip((x, v), ref_step_single(free_system(), state, 0.5, [], np.zeros(1))):
+            np.testing.assert_array_equal(got, want)
 
     def test_jump_adds_exactly(self):
-        x, v = sim.step_single(free_system(), (np.zeros(1), np.zeros(1)),
-                               0.1, [np.array([0.7])], np.zeros(1))
+        x, v = single_window(free_system(), (np.zeros(1), np.zeros(1)),
+                             0.1, [np.array([0.7])], np.zeros(1))
         np.testing.assert_array_equal(v, [0.7])
 
     def test_hand_euler(self):
-        x, v = sim.step_single(damping_system(), (np.array([1.0]), np.array([2.0])),
-                               0.1, [], np.zeros(1))
+        state = (np.array([1.0]), np.array([2.0]))
+        x, v = single_window(damping_system(), state, 0.1, [], np.zeros(1))
         np.testing.assert_allclose(x, [1.2])
         np.testing.assert_allclose(v, [1.8])
+        for got, want in zip((x, v), ref_step_single(damping_system(), state, 0.1, [],
+                                                     np.zeros(1))):
+            np.testing.assert_array_equal(got, want)
 
     def test_rows_step_like_unbatched_states(self):
-        # one batched window equals each row stepped alone with its own marks
+        # one batched window equals each row stepped alone with its own marks,
+        # and the oracle's window, bit for bit
         xs, vs = np.array([[1.0], [-0.5], [2.0]]), np.array([[0.3], [0.0], [-1.0]])
         rows, marks = np.array([2, 0, 2, 2]), np.array([[0.7], [0.1], [-0.2], [0.05]])
         comp = np.array([0.4])
-        x, v = sim.step_single(damping_system(), (xs, vs), 0.1, marks, comp, rows)
+        x, v = single_window(damping_system(), (xs, vs), 0.1, marks, comp, rows)
+        ref_x, ref_v = ref_step_single(damping_system(), (xs, vs), 0.1, marks, comp, rows)
+        np.testing.assert_array_equal(x, ref_x)
+        np.testing.assert_array_equal(v, ref_v)
         for k in range(3):
-            xk, vk = sim.step_single(damping_system(), (xs[k], vs[k]), 0.1,
-                                     marks[rows == k], comp)
+            xk, vk = single_window(damping_system(), (xs[k], vs[k]), 0.1, marks[rows == k], comp)
             np.testing.assert_array_equal(x[k], xk)
             np.testing.assert_array_equal(v[k], vk)
 
 
 class TestClassify:
+    """The thinning rule, one jump per replica of a ``step_pair`` window."""
+
     def test_zero_gap_synchronous(self, benchmark_levy):
-        assert sim.classify_jump(benchmark_levy, 0.5, 0.0, 1.0, 0.25, 0.0,
-                                 density_at(benchmark_levy, 0.5)) == 0.5
+        assert displacements(benchmark_levy, 0.5, 0.0, 1.0, 0.25, 0.0) == 0.5
 
     def test_certain_first_branch(self, benchmark_levy):
         # negative gap makes the first thinning probability one on (|s|, 1]
@@ -305,8 +329,7 @@ class TestClassify:
         u = 0.5
         rho_m = float(ms.overlap_ratio(benchmark_levy, -shift, np.array([u])))
         assert rho_m == 1.0
-        out = sim.classify_jump(benchmark_levy, u, Q, 1.0, 0.25, 0.3,
-                                density_at(benchmark_levy, u))
+        out = displacements(benchmark_levy, u, Q, 1.0, 0.25, 0.3)
         np.testing.assert_allclose(out, u + float(shift[0]))
 
     def test_branch_frequencies(self, benchmark_levy):
@@ -318,9 +341,7 @@ class TestClassify:
         p_minus = 0.5 * float(ms.overlap_ratio(benchmark_levy, np.array([s]), np.array([u])))
         n = 100_000
         ls = np.random.default_rng(17).uniform(size=n)
-        den = density_at(benchmark_levy, u)
-        outs = np.array([sim.classify_jump(benchmark_levy, u, Q, alpha, kappa, float(l), den)
-                         for l in ls])
+        outs = displacements(benchmark_levy, u, Q, alpha, kappa, ls)
         f_plus = np.mean(np.isclose(outs, 0.5 + s))
         f_minus = np.mean(np.isclose(outs, 0.5 - s))
         f_sync = np.mean(np.isclose(outs, 0.5))
@@ -449,13 +470,12 @@ class TestPairSimulation:
         monkeypatch.setattr(ms, "sample_large_jumps", lambda *args: batch)
         tr, = sim.run_pair_ensemble(free_scalar_system(), benchmark_levy, cfg,
                                     PairState([0.0], [0.0], [-0.3], [0.0]), 1.0, 0.25)
-        den = [density_at(benchmark_levy, a) for a in u]
         q1 = 0.0 - (-0.3)
-        d1 = sim.classify_jump(benchmark_levy, u[0], q1, 1.0, 0.25, l[0], den[0])
+        d1 = displacements(benchmark_levy, u[0], q1, 1.0, 0.25, l[0])
         assert d1 == u[0] + 0.25  # the +shift branch at the truncated shift kappa
         q2 = q1 + (u[0] - d1) / 1.0
-        d2 = sim.classify_jump(benchmark_levy, u[1], q2, 1.0, 0.25, l[1], den[1])
-        assert d2 != sim.classify_jump(benchmark_levy, u[1], q1, 1.0, 0.25, l[1], den[1])
+        d2 = displacements(benchmark_levy, u[1], q2, 1.0, 0.25, l[1])
+        assert d2 != displacements(benchmark_levy, u[1], q1, 1.0, 0.25, l[1])
         comp = benchmark_levy.measure.compensation_drift(1e-2)
         np.testing.assert_array_equal(tr.v[1], (0.0 + u[0] + u[1]) + comp * 0.1)
         np.testing.assert_array_equal(tr.vp[1], (0.0 + d1 + d2) + comp * 0.1)
@@ -475,15 +495,13 @@ class TestSingleBlowup:
 
 
 def zero_force_system(dim):
-    return md.HamiltonianSystemSpec(
-        0.0, 1.0, lambda x, v: np.zeros_like(np.asarray(v, dtype=float)), dim=dim)
+    return ForceSystem(ZERO_FORCE.force, dim)
 
 
 def nan_force_system(dim):
     # zero force that turns NaN once a position passes 10
-    return md.HamiltonianSystemSpec(
-        0.0, 1.0, lambda x, v: np.where(np.asarray(x, dtype=float) > 10.0, np.nan, 0.0),
-        dim=dim)
+    return ForceSystem(lambda x, v: np.where(np.asarray(x, dtype=float) > 10.0, np.nan, 0.0),
+                       dim)
 
 
 def exact_blowup_path(system, levy, cfg, x0, v0):
@@ -496,7 +514,7 @@ def exact_blowup_path(system, levy, cfg, x0, v0):
     xs, vs = np.full((2, cfg.n_save, len(x)), np.nan)
     xs[0], vs[0] = x, v
     for k, (_, _, dt) in enumerate(sim._window_plan(cfg.save_times(), cfg.h), start=1):
-        x, v = sim.step_single(system, (x, v), dt, [], comp)
+        x, v = ref_step_single(system, (x, v), dt, [], comp)
         with np.errstate(over="ignore"):  # an overflowing or NaN norm is a blow-up
             if not (np.linalg.norm(x) <= cfg.blowup_norm and np.linalg.norm(v) <= cfg.blowup_norm):
                 return xs, vs, True, k
@@ -568,8 +586,7 @@ class TestBlowupScreen:
 class TestPairDimension:
     def test_pair_runs_raise_outside_dim_one(self):
         levy2 = ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 2), theta=1.0)
-        sys2 = md.HamiltonianSystemSpec(
-            0.0, 1.0, lambda x, v: -np.asarray(v, dtype=float), dim=2)
+        sys2 = ForceSystem(damping_system().force, dim=2)
         cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=1.0, n_save=3, seed=1, n_replicas=4)
         p0 = PairState([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(NotImplementedError, match="system dim 2"):
@@ -608,9 +625,7 @@ class TestPairKernelBeyondSlice:
         batch = ms.sample_large_jumps(beyond_slice_levy.measure, 1000.0, 2e-2,
                                       np.random.SeedSequence(505), [0])
         u, l = batch.marks[:, 0], batch.unif
-        den = beyond_slice_levy.measure.density(batch.marks)
-        disp = np.array([sim.classify_jump(beyond_slice_levy, float(a), 0.4, 1.0, 0.25,
-                                           float(b), float(c)) for a, b, c in zip(u, l, den)])
+        disp = displacements(beyond_slice_levy, u, 0.4, 1.0, 0.25, l)
         slab = (u > 0.0) & (u <= 1.0)
         np.testing.assert_array_equal(disp[~slab], u[~slab])
         assert np.mean(disp[slab] != u[slab]) > 0.02  # the coupling acted
