@@ -217,6 +217,9 @@ def compute_R0(geom: FarFieldGeometry, alpha: float, alpha0: float, kappa: float
 _JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)), (3, 2, (1, 1, 1)),
             (4, 1, (1, 1, 3, 3)), (4, 4, (1, 3, 5, 13)), (5, 2, (1, 1, 5, 5, 17)))
 _SOBOL_BITS = 30
+# rows of Sobol pairs per force evaluation in compute_lipschitz; bounds its
+# temporaries without moving its result
+_LIPSCHITZ_BLOCK = 16_384
 
 
 @functools.cache
@@ -265,21 +268,18 @@ def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
     ``_scrambled_sobol``, equal to scipy's ``qmc.Sobol`` at seed 777) plus
     axis-aligned pairs (one coordinate gap zero), then shrinks the gap around
     the argmax three times; the result is inflated 5% as a conservative
-    over-estimate.
+    over-estimate. The pairs are evaluated in blocks of ``_LIPSCHITZ_BLOCK``
+    rows with a running first argmax, so the result does not depend on the
+    block size.
     """
     d = system.dim
     pts = _scrambled_sobol(4 * d, max(int(math.ceil(math.log2(max(n_pairs, 2)))), 1), 777)
     n_pairs = pts.shape[0]
-    x = (2 * pts[:, 0:d] - 1) * position_radius
-    xp = (2 * pts[:, d:2 * d] - 1) * position_radius
-    v = (2 * pts[:, 2 * d:3 * d] - 1) * position_radius
-    vp = (2 * pts[:, 3 * d:4 * d] - 1) * position_radius
-    # axis-aligned pairs reach the one-sided suprema exactly
     k = max(n_pairs // 10, 1)
-    x = np.vstack([x, x[:k], x[:k]])
-    xp = np.vstack([xp, x[:k], xp[:k]])          # block 1: zero position gap
-    v = np.vstack([v, v[:k], v[:k]])
-    vp = np.vstack([vp, vp[:k], v[:k]])          # block 2: zero velocity gap
+    # (rows, column groups of x, v, xp, vp): the Sobol pairs, then the
+    # axis-aligned pairs on the first k rows, which reach the one-sided
+    # suprema exactly (zero position gap, then zero velocity gap)
+    sections = ((n_pairs, (0, 2, 1, 3)), (k, (0, 2, 0, 3)), (k, (0, 2, 1, 2)))
 
     def quotient(x, v, xp, vp):
         # a force that overflows on the ball gives an inf quotient, which the
@@ -293,12 +293,18 @@ def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
         out[good] = num[good] / gap[good]
         return out
 
-    qs = quotient(x, v, xp, vp)
-    if not np.all(np.isfinite(qs)):
-        return math.inf
-    best = float(np.max(qs))
-    i = int(np.argmax(qs))
-    bx, bv, bxp, bvp = x[i], v[i], xp[i], vp[i]
+    best = -math.inf
+    for rows, groups in sections:
+        for lo in range(0, rows, _LIPSCHITZ_BLOCK):
+            block = pts[lo:min(lo + _LIPSCHITZ_BLOCK, rows)]
+            pair = [(2 * block[:, g * d:(g + 1) * d] - 1) * position_radius for g in groups]
+            qs = quotient(*pair)
+            if not np.all(np.isfinite(qs)):
+                return math.inf
+            i = int(np.argmax(qs))
+            if qs[i] > best:
+                best = float(qs[i])
+                bx, bv, bxp, bvp = (c[i] for c in pair)
     for _ in range(3):
         mid_x, mid_v = 0.5 * (bx + bxp), 0.5 * (bv + bvp)
         shrink = [(bx, bv, mid_x + 0.5 * (bxp - mid_x), mid_v + 0.5 * (bvp - mid_v)),
@@ -466,13 +472,14 @@ def profile_property_report(profile: DistanceProfile) -> dict:
     f = profile.value
     c1 = profile.c1
 
-    sandwich_lo = float(np.min(f(s) - c1 * s))
-    sandwich_hi = float(np.max(f(s) - (1.0 + c1) * s))
+    fs = f(s)
+    sandwich_lo = float(np.min(fs - c1 * s))
+    sandwich_hi = float(np.max(fs - (1.0 + c1) * s))
     slope = profile.slope(s)
     slope_lo = float(np.min(slope - c1))
     slope_hi = float(np.max(slope - (1.0 + c1)))
 
-    mid = f(s + d) + f(s - d) - 2.0 * f(s)
+    mid = f(s + d) + f(s - d) - 2.0 * fs
     concave_worst = float(np.max(mid))
     half = s <= cap / 2.0
     sharp_worst = float(np.max(mid[half] - profile.second(s[half]) * d[half] ** 2)) \
@@ -482,14 +489,14 @@ def profile_property_report(profile: DistanceProfile) -> dict:
     # 1% relative step keeps cancellation noise below the curvature signal
     sg = np.geomspace(1e-6 * cap, cap / 1.03, 512)
     hstep = 0.01 * sg
-    fp = (f(sg + hstep) - f(sg - hstep)) / (2 * hstep)
-    fpp = (f(sg + hstep) - 2 * f(sg) + f(sg - hstep)) / hstep ** 2
-    f3 = (f(sg + 2 * hstep) - 2 * f(sg + hstep) + 2 * f(sg - hstep) - f(sg - 2 * hstep)) \
+    f_up, f_dn = f(sg + hstep), f(sg - hstep)
+    fp = (f_up - f_dn) / (2 * hstep)
+    fpp = (f_up - 2 * f(sg) + f_dn) / hstep ** 2
+    f3 = (f(sg + 2 * hstep) - 2 * f_up + 2 * f_dn - f(sg - 2 * hstep)) \
         / (2 * hstep ** 3)
     scale3 = np.maximum(np.abs(f3), 1.0)
 
-    dbl = s <= cap / 2.0
-    doubling_worst = float(np.max(f(2 * s[dbl]) - 2 * f(s[dbl]))) if dbl.any() else 0.0
+    doubling_worst = float(np.max(f(2 * s[half]) - 2 * fs[half])) if half.any() else 0.0
 
     # g' = reshaping coefficient over the activity floor, finite differences
     geom = np.geomspace(1e-4 * cap, 0.9 * cap, 128)

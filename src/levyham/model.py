@@ -80,7 +80,9 @@ class DoubleWellPoly:
         x = np.asarray(x, dtype=float)
         # |x|^2 on a kept trailing axis: one component's square is its own sum
         s = x * x if x.shape[-1] == 1 else np.add.reduce(x * x, axis=-1, keepdims=True)
-        return (2.0 * self.c1 * self.l * (1.0 + s) ** (self.l - 1.0) - 2.0 * self.c2) * x
+        # at l = 2 the power is ** 1.0, which returns its base bit for bit
+        growth = 1.0 + s if self.l == 2.0 else (1.0 + s) ** (self.l - 1.0)
+        return (2.0 * self.c1 * self.l * growth - 2.0 * self.c2) * x
 
 
 @dataclass(frozen=True)

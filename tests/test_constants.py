@@ -1,13 +1,14 @@
 """Constant chain: scalar formulas, distance profiles, cost functionals."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import ForceSystem
+from conftest import ForceSystem, ref_compute_lipschitz
 from levyham import constants as cn
 from levyham import generator as gen
 from levyham import measures as ms
@@ -128,6 +129,54 @@ class TestLipschitz:
         vals = [cn.compute_lipschitz(sys_, r, n_pairs=2048, inflate=1.0)
                 for r in (2.0, 4.0, 8.0)]
         assert vals[0] <= vals[1] <= vals[2]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("pot", [md.DoubleWellPoly(1.0, 2.0, 2.0), md.DoubleWellPoly(1.0, 2.0, 1.5),
+                                     md.DoubleWellPoly(1.0, 2.0, 1.3), md.DoubleWellExp(0.1, 2.0, 0.3),
+                                     md.DoubleWellExp(0.1, 2.0, 0.5), md.DoubleWellExp(0.1, 2.0, 1.0),
+                                     md.Quadratic(1.0)], ids=repr)
+    def test_blocked_equals_one_shot_oracle(self, pot, dim):
+        # bit for bit, inf against inf where the exponential well overflows
+        kl = md.KineticLangevinSpec(1.0, 1.0, pot, dim=dim)
+        for radius in (3.0, 7.5, 50.0, 266.03):
+            assert cn.compute_lipschitz(kl, radius) == ref_compute_lipschitz(kl, radius)
+
+    @pytest.mark.parametrize("block", [1000, 4096, 5000])
+    def test_block_size_does_not_move_the_result(self, monkeypatch, block):
+        # these sizes put block edges inside both axis-aligned blocks (13107 rows)
+        monkeypatch.setattr(cn, "_LIPSCHITZ_BLOCK", block)
+        for pot, dim in ((md.DoubleWellPoly(1.0, 2.0, 2.0), 1), (md.DoubleWellPoly(1.0, 2.0, 1.5), 2)):
+            kl = md.KineticLangevinSpec(1.0, 1.0, pot, dim=dim)
+            assert cn.compute_lipschitz(kl, 7.5) == ref_compute_lipschitz(kl, 7.5)
+
+    def test_tied_quotients_refine_from_the_first_argmax(self, monkeypatch):
+        # under pure damping every zero-position-gap pair has quotient 1, the
+        # maximum; the shrink refinement must start from the first of them
+        monkeypatch.setattr(cn, "_LIPSCHITZ_BLOCK", 5000)
+        starts = {}
+        for name, fn in (("blocked", cn.compute_lipschitz), ("oracle", ref_compute_lipschitz)):
+            calls = []
+
+            def force(x, v):
+                if x.shape[0] == 1:
+                    calls.append((x.tobytes(), v.tobytes()))
+                return -np.asarray(v, dtype=float)
+
+            assert fn(ForceSystem(force, dim=2), 5.0, inflate=1.0) == 1.0
+            starts[name] = calls
+        assert len(starts["blocked"]) == 12
+        assert starts["blocked"] == starts["oracle"]
+
+    def test_peak_memory_bounded(self, benchmark_langevin):
+        # the one-shot sampler peaked at 12.7 MB at this radius
+        cn.compute_lipschitz(benchmark_langevin, 266.03)   # warms the Sobol table
+        tracemalloc.start()
+        try:
+            cn.compute_lipschitz(benchmark_langevin, 266.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_overflowing_force_flagged_without_warnings(self, benchmark_levy):
         # the exponential well overflows the force on the sampled ball; the

@@ -33,6 +33,21 @@ class TestDrift:
         _, vdot = md.drift(kl, np.array([1.0]), np.array([0.0]))
         np.testing.assert_allclose(vdot, [-4.0], rtol=1e-14)
 
+    def test_double_well_l2_gradient_equals_power_form(self):
+        # at l = 2 the gradient skips (1 + s) ** 1.0; the power form must
+        # agree bit for bit, NaN payloads and signed zeros included
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308])
+        rng = np.random.default_rng(7)
+        pot = md.DoubleWellPoly(1.3, 2.0, 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = np.concatenate([edge, 1.0 + edge * edge, rng.lognormal(sigma=5.0, size=10 ** 6)])
+            assert (base ** 1.0).tobytes() == base.tobytes()
+            for x in (rng.normal(scale=3.0, size=(1000, 1)), rng.normal(size=(2, 2, 25, 1)),
+                      rng.normal(size=(500, 3)), edge[:, None]):
+                s = np.add.reduce(x * x, axis=-1, keepdims=True)
+                want = (2.0 * pot.c1 * pot.l * (1.0 + s) ** (pot.l - 1.0) - 2.0 * pot.c2) * x
+                assert pot.grad(x).tobytes() == want.tobytes()
+
     def test_non_finite_force(self):
         bad = ForceSystem(lambda x, v: np.array([np.nan]))
         with pytest.raises(NonFiniteForce):
