@@ -130,25 +130,20 @@ def _verify_fprops(cfg, seed):
 
 def _verify_operator_identities(cfg, seed):
     bundle = _bundle_from(cfg)
-    levy = bundle.levy
-    scheme = cfg.build_scheme()
     rng = np.random.default_rng(seed)
-    alpha, kappa = bundle.report.alpha, bundle.report.kappa
     states, centres = [], []
     for _ in range(20):
         states.append(rng.normal(0, 1, size=(4, 1)))
         centres.append((rng.normal(), rng.normal()))
     x, xp, v, vp = np.stack(states, axis=1)
-    pair = PairState(x, v, xp, vp)
     c_g, c_h = np.transpose(centres)
-    args = (bundle.system, levy, alpha, kappa)
-    nodes = gen.pair_nodes(pair, levy, alpha, kappa, scheme)
-    marg = gen.marginal_identity_residual(pair, gen._velocity_bump(c_g),
-                                          gen._velocity_bump(c_h), *args, nodes=nodes)
+    quad = gen.pair_quadrature(PairState(x, v, xp, vp), bundle.system, bundle.levy,
+                               bundle.report.alpha, bundle.report.kappa, cfg.build_scheme())
+    marg = gen.marginal_identity_residual(gen.velocity_bump(c_g), gen.velocity_bump(c_h), quad)
     # where the certified eps underflows to 0 (as on the benchmark) its product
     # rule holds by construction; the monitor pair keeps the cross term live
-    prod = gen.product_rule_residual(pair, bundle.hhat_fn(), bundle.g_fn(), *args, nodes=nodes)
-    monitor = gen.product_rule_residual(pair, *bundle.monitor_fns(), *args, nodes=nodes)
+    prod = gen.product_rule_residual(bundle.hhat_fn(), bundle.g_fn(), quad)
+    monitor = gen.product_rule_residual(*bundle.monitor_fns(), quad)
     payload = {"marginal_residual_max": float(np.max(marg)),
                "product_rule_residual_max": float(np.max(prod)),
                "monitor_product_rule_residual_max": float(np.max(monitor))}

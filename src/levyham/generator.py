@@ -18,13 +18,16 @@ broadcast over leading axes: ``value(pair)``, ``grads(pair)`` (the tuple
 derivative along the synchronous move ``(v, vp) -> (v + u, vp + u)``. Three
 observables implement it: the distance ``ProfilePairFn``, the separable
 ``SeparablePairFn`` (the Lyapunov tilt, and the marginal identity's
-``g(v) + h(vp)``) and ``ProductPairFn``. The operator and the identity
-checks take a ``PairState`` with leading axes and evaluate every state in
-one call. Each state keeps its own node table, with breakpoints at its
-coupling shift; ``pair_nodes`` stacks the tables into rows of one length.
+``g(v) + h(vp)``) and ``ProductPairFn``. ``pair_quadrature`` takes a
+``PairState`` with leading axes and builds, once, the half of the operator
+that no observable enters: the node rows, the coupling shifts, the
+thinning weights and the drift. Each state keeps its own node table, with
+breakpoints at its coupling shift, padded into rows of one length. The
+operator and the identity checks take that ``PairQuadrature`` and evaluate
+every state in one call.
 
 Identity checks (marginal consistency, product rule) evaluate both sides on
-one shared node table so the residual isolates algebra rather than
+one shared quadrature so the residual isolates algebra rather than
 quadrature; cross-validation of the closed-form profile drift uses genuinely
 different evaluation points and is the real discretisation test.
 
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import measures as ms
 from .errors import QuadratureBudgetExceeded
-from .pair import DEGENERATE_GAP, PairState, gap_is_degenerate
+from .pair import DEGENERATE_GAP, PairState
 from .quadtools import log_gauss_panels
 
 __all__ = [
@@ -52,10 +55,12 @@ __all__ = [
     "build_nodes_1d",
     "apply_generator",
     "lyapunov_test_function",
+    "velocity_bump",
     "ProfilePairFn",
     "SeparablePairFn",
     "ProductPairFn",
-    "pair_nodes",
+    "PairQuadrature",
+    "pair_quadrature",
     "apply_coupling_operator",
     "coupling_profile_drift",
     "marginal_identity_residual",
@@ -113,7 +118,7 @@ def lyapunov_test_function(lyap) -> TestFunction:
     return TestFunction(lyap.W, lyap.grad_x_W, lyap.grad_v_W, lyap.hess_v_W)
 
 
-def _velocity_bump(c) -> TestFunction:
+def velocity_bump(c) -> TestFunction:
     """The velocity bump ``exp(-|v - c|^2)`` in d = 1. An array of centres
     gives each state along the leading axes of ``v`` its own centre."""
     c = np.asarray(c, dtype=float)
@@ -142,7 +147,7 @@ class MeasureNodes:
     integrand is only counted there, while ``inner_moment2`` carries the
     measure's second moment below ``rho_in`` for the analytic inner term.
     The modified channels run over every node. A stacked table
-    (``pair_nodes``) has one row per pair state.
+    (``pair_quadrature``) has one row per pair state.
     """
 
     u: np.ndarray          # (..., n) signed positions
@@ -326,28 +331,34 @@ class ProductPairFn:
 # ---------------------------------------------------------------------------
 
 
-def _stack(pair: PairState) -> tuple[PairState, tuple]:
-    # the states as one (S, d) stack, and their leading shape: results over
-    # the stack are reshaped to it, a 0-d value for one state
-    lead = pair.x.shape[:-1]
-    return PairState(*(a.reshape(-1, pair.dim) for a in (pair.x, pair.v, pair.xp, pair.vp))), lead
+@dataclass(frozen=True)
+class PairQuadrature:
+    """The part of the pair operator that does not depend on the observable.
 
+    Built by ``pair_quadrature`` for one stack of states and applied to any
+    number of observables. ``pair`` holds the states as one ``(S, d)``
+    stack, their leading axes flattened in C order; ``lead`` is that leading
+    shape, which every result takes back (0-d for one state). ``nodes`` has
+    one padded row per state. The thinning weights ``rho(-shift, u)`` and
+    ``rho(shift, u)`` of the two modified channels are zero at states that
+    are not ``live`` (a degenerate gap).
+    """
 
-def _live(pair: PairState, alpha: float) -> np.ndarray:
-    # states whose transformed gap is not degenerate: only they feed the
-    # modified channels
-    return ~gap_is_degenerate(np.linalg.norm(pair.q(alpha), axis=-1))
+    pair: PairState
+    lead: tuple
+    nodes: MeasureNodes
+    shift: np.ndarray      # (S, d) coupling shift alpha (q)_kappa
+    live: np.ndarray       # (S,) bool: the gap |q| is not degenerate
+    rho_minus: np.ndarray  # (S, n) rho(-shift, u)
+    rho_plus: np.ndarray   # (S, n) rho(shift, u)
+    xdot: np.ndarray       # (S, d) position velocities of both copies
+    xpdot: np.ndarray
+    force: np.ndarray      # (S, d) forces on both copies
+    force_p: np.ndarray
 
-
-def _branch_weights(levy_spec, shift: np.ndarray, live: np.ndarray, u_pts: np.ndarray):
-    # thinning probabilities of the two modified channels over (S, n) nodes,
-    # zero at states with a degenerate gap
-    if not live.any():
-        zeros = np.zeros(u_pts.shape[:-1])
-        return zeros, zeros
-    s, on = shift[:, None, :], live[:, None]
-    return (np.where(on, ms.overlap_ratio(levy_spec, -s, u_pts), 0.0),
-            np.where(on, ms.overlap_ratio(levy_spec, s, u_pts), 0.0))
+    def shaped(self, a):
+        # a value over the stack, reshaped to the leading shape of the states
+        return np.reshape(a, self.lead)[()]
 
 
 def _shifted(pair: PairState, dv: np.ndarray, dvp: np.ndarray) -> PairState:
@@ -356,10 +367,9 @@ def _shifted(pair: PairState, dv: np.ndarray, dvp: np.ndarray) -> PairState:
                                           pair.xp[:, None], pair.vp[:, None] + dvp))
 
 
-def pair_nodes(pair: PairState, levy_spec, alpha: float, kappa: float,
-               scheme: QuadratureScheme | None = None) -> MeasureNodes:
-    """The pair operator's node table: one row per state of ``pair``, the
-    leading axes flattened in C order.
+def pair_quadrature(pair: PairState, system, levy_spec, alpha: float, kappa: float,
+                    scheme: QuadratureScheme | None = None) -> PairQuadrature:
+    """The pair operator's quadrature at every state of ``pair``.
 
     Each state gets the 1-d table with breakpoints where its shifted channels
     change shape (none at a degenerate gap, where every jump is synchronous).
@@ -368,12 +378,14 @@ def pair_nodes(pair: PairState, levy_spec, alpha: float, kappa: float,
     Shorter rows are padded by repeating their last node with weight zero,
     so a pad adds nothing to any sum.
     """
-    pair, _ = _stack(pair)
+    lead = pair.x.shape[:-1]
+    pair = PairState(*(a.reshape(-1, pair.dim) for a in (pair.x, pair.v, pair.xp, pair.vp)))
     scheme = scheme or QuadratureScheme()
-    shifts = np.linalg.norm(coupling_shift(pair, alpha, kappa), axis=-1).tolist()
+    shift = coupling_shift(pair, alpha, kappa)
+    live = ~(np.linalg.norm(pair.q(alpha), axis=-1) <= DEGENERATE_GAP)
     built, rows = {}, []
-    for s, live in zip(shifts, _live(pair, alpha).tolist()):
-        bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s)) if live else ()
+    for s, on in zip(np.linalg.norm(shift, axis=-1).tolist(), live.tolist()):
+        bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s)) if on else ()
         if bp not in built:
             built[bp] = build_nodes_1d(levy_spec.measure, scheme, breakpoints=bp)
         rows.append(built[bp])
@@ -381,7 +393,17 @@ def pair_nodes(pair: PairState, levy_spec, alpha: float, kappa: float,
     u, w, dens, mask = (np.stack([np.pad(getattr(t, k), (0, n - t.u.size), mode=m) for t in rows])
                         for k, m in (("u", "edge"), ("w", "constant"), ("dens", "edge"),
                                      ("sync_mask", "edge")))
-    return dataclasses.replace(rows[0], u=u, w=w, dens=dens, sync_mask=mask)
+    nodes = dataclasses.replace(rows[0], u=u, w=w, dens=dens, sync_mask=mask)
+    rho_minus = rho_plus = np.zeros(u.shape)
+    if live.any():
+        s, on = shift[:, None, :], live[:, None]
+        rho_minus = np.where(on, ms.overlap_ratio(levy_spec, -s, nodes.points), 0.0)
+        rho_plus = np.where(on, ms.overlap_ratio(levy_spec, s, nodes.points), 0.0)
+    return PairQuadrature(pair, lead, nodes, shift, live, rho_minus, rho_plus,
+                          system.a * pair.x + system.b * pair.v,
+                          system.a * pair.xp + system.b * pair.vp,
+                          np.asarray(system.force(pair.x, pair.v), dtype=float),
+                          np.asarray(system.force(pair.xp, pair.vp), dtype=float))
 
 
 def coupling_shift(pair: PairState, alpha: float, kappa: float) -> np.ndarray:
@@ -389,53 +411,42 @@ def coupling_shift(pair: PairState, alpha: float, kappa: float) -> np.ndarray:
     return alpha * ms.truncate(pair.q(alpha), kappa)
 
 
-def apply_coupling_operator(fn, pair: PairState, system, levy_spec, alpha: float,
-                            kappa: float, scheme: QuadratureScheme | None = None,
-                            nodes: MeasureNodes | None = None, drift_part: bool = True):
+def apply_coupling_operator(fn, quad: PairQuadrature, drift_part: bool = True):
     """Full pair operator on a pair observable: drift plus three jump channels.
 
-    ``pair`` may carry leading axes; returns the value over them, 0-d for one
-    state. ``nodes`` is a ``pair_nodes`` table of the same states, built when
-    not given. Pass ``drift_part=False`` for the pure jump component (used by
-    the marginal identity).
+    Returns the value at every state of ``quad``, over their leading axes.
+    Pass ``drift_part=False`` for the pure jump component (used by the
+    marginal identity).
     """
-    pair, lead = _stack(pair)
-    nodes = nodes or pair_nodes(pair, levy_spec, alpha, kappa, scheme)
-    shift, live = coupling_shift(pair, alpha, kappa), _live(pair, alpha)
+    pair, nodes = quad.pair, quad.nodes
     base = np.asarray(fn.value(pair), dtype=float)[:, None]
     gx, gv, gxp, gvp = (np.asarray(g, dtype=float) for g in fn.grads(pair))
     val = 0.0
     if drift_part:
-        xdot = system.a * pair.x + system.b * pair.v
-        xpdot = system.a * pair.xp + system.b * pair.vp
-        u1 = np.asarray(system.force(pair.x, pair.v), dtype=float)
-        u2 = np.asarray(system.force(pair.xp, pair.vp), dtype=float)
-        val = (np.sum(gx * xdot, axis=-1) + np.sum(gxp * xpdot, axis=-1)
-               + np.sum(gv * u1, axis=-1) + np.sum(gvp * u2, axis=-1))
+        val = (np.sum(gx * quad.xdot, axis=-1) + np.sum(gxp * quad.xpdot, axis=-1)
+               + np.sum(gv * quad.force, axis=-1) + np.sum(gvp * quad.force_p, axis=-1))
 
     du = nodes.points
     wd = nodes.w * nodes.dens
     ind = np.abs(nodes.u) <= 1.0
     comp_v = np.where(ind, nodes.u * gv[:, :1], 0.0)
     comp_both = comp_v + np.where(ind, nodes.u * gvp[:, :1], 0.0)
-
-    rho_minus, rho_plus = _branch_weights(levy_spec, shift, live, du)
-    sync_w = 1.0 - 0.5 * rho_minus - 0.5 * rho_plus
+    sync_w = 1.0 - 0.5 * quad.rho_minus - 0.5 * quad.rho_plus
 
     # synchronous channel: counted outside the Taylor zone, analytic inside
     sync_int = fn.value(_shifted(pair, du, du)) - base - comp_both
     total = np.sum(_sync_nodes(nodes)[1] * sync_w * sync_int, axis=-1)
     total += 0.5 * np.asarray(fn.sync_hess(pair), dtype=float) * nodes.inner_moment2
 
-    if live.any():
-        up, down = du + shift[:, None], du - shift[:, None]
+    if quad.live.any():
+        up, down = du + quad.shift[:, None], du - quad.shift[:, None]
         plus_int = (fn.value(_shifted(pair, du, up)) - base - comp_v - np.where(
             np.linalg.norm(up, axis=-1) <= 1.0, np.sum(up * gvp[:, None], axis=-1), 0.0))
         minus_int = (fn.value(_shifted(pair, du, down)) - base - comp_v - np.where(
             np.linalg.norm(down, axis=-1) <= 1.0, np.sum(down * gvp[:, None], axis=-1), 0.0))
-        total += np.sum(wd * 0.5 * rho_minus * plus_int, axis=-1)
-        total += np.sum(wd * 0.5 * rho_plus * minus_int, axis=-1)
-    return np.reshape(val + total, lead)[()]
+        total += np.sum(wd * 0.5 * quad.rho_minus * plus_int, axis=-1)
+        total += np.sum(wd * 0.5 * quad.rho_plus * minus_int, axis=-1)
+    return quad.shaped(val + total)
 
 
 def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: float,
@@ -445,7 +456,7 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
     Drift part through the left slope of the profile; jump part through the
     symmetric second difference of the profile times the overlap mass at the
     current displacement. Degenerate gaps use their one-sided limits, with
-    the convention that a degenerate transformed gap (``gap_is_degenerate``)
+    the convention that a degenerate transformed gap (``|q| <= DEGENERATE_GAP``)
     disables the modified channels entirely.
     """
     z = pair.z
@@ -453,7 +464,7 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
     q = pair.q(alpha)
     nz = float(np.linalg.norm(z))
     nq = float(np.linalg.norm(q))
-    if nz <= DEGENERATE_GAP and gap_is_degenerate(nq):
+    if nz <= DEGENERATE_GAP and nq <= DEGENERATE_GAP:
         return 0.0
     r = alpha0 * nz + nq
     fp = float(profile.slope(r))
@@ -468,7 +479,7 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
         zterm = alpha0 * (a - b * alpha) * nz + (b * alpha * alpha0 / nz) * float(z @ q)
     else:
         zterm = alpha0 * float(np.linalg.norm(zdot))
-    if gap_is_degenerate(nq):
+    if nq <= DEGENERATE_GAP:
         return fp * (zterm + float(np.linalg.norm(qdot)))
     value = fp * (zterm + float(q @ qdot) / nq)
 
@@ -484,42 +495,32 @@ def coupling_profile_drift(profile, pair: PairState, system, levy_spec, alpha: f
 # ---------------------------------------------------------------------------
 
 
-def marginal_identity_residual(pair: PairState, g: TestFunction, h: TestFunction, system,
-                               levy_spec, alpha: float, kappa: float,
-                               scheme: QuadratureScheme | None = None,
-                               nodes: MeasureNodes | None = None):
+def marginal_identity_residual(g: TestFunction, h: TestFunction, quad: PairQuadrature):
     """Absolute gap between the pair jump operator on ``g(x, v) + h(xp, vp)``
-    and the sum of single-process jump generators, on shared nodes, over the
-    leading axes of ``pair``."""
-    pair, lead = _stack(pair)
-    nodes = nodes or pair_nodes(pair, levy_spec, alpha, kappa, scheme)
-    lhs = apply_coupling_operator(SeparablePairFn(g, h), pair, system, levy_spec, alpha,
-                                  kappa, nodes=nodes, drift_part=False)
+    and the sum of single-process jump generators, on shared nodes, at every
+    state of ``quad``."""
+    pair, nodes = quad.pair, quad.nodes
+    lhs = apply_coupling_operator(SeparablePairFn(g, h), quad, drift_part=False)
     rhs = _jump_sum(g, pair.x, pair.v, nodes) + _jump_sum(h, pair.xp, pair.vp, nodes)
-    return np.reshape(np.abs(lhs - rhs), lead)[()]
+    return np.abs(lhs - quad.shaped(rhs))
 
 
-def product_correction_term(pair: PairState, h_fn, g_fn, levy_spec, alpha: float,
-                            kappa: float, scheme: QuadratureScheme | None = None,
-                            nodes: MeasureNodes | None = None):
-    """Cross term of the product rule: both channels of jump covariation,
-    over the leading axes of ``pair`` (zero at a degenerate gap)."""
-    pair, lead = _stack(pair)
-    nodes = nodes or pair_nodes(pair, levy_spec, alpha, kappa, scheme)
-    shift = coupling_shift(pair, alpha, kappa)
+def product_correction_term(h_fn, g_fn, quad: PairQuadrature):
+    """Cross term of the product rule: both channels of jump covariation, at
+    every state of ``quad`` (zero at a degenerate gap)."""
+    pair, nodes = quad.pair, quad.nodes
     du = nodes.points
-    rho_minus, rho_plus = _branch_weights(levy_spec, shift, _live(pair, alpha), du)
     hb = np.asarray(h_fn.value(pair), dtype=float)[:, None]
     gb = np.asarray(g_fn.value(pair), dtype=float)[:, None]
-    s = shift[:, None]
+    s = quad.shift[:, None]
     plus, minus = _shifted(pair, du, du + s), _shifted(pair, du, du - s)
     dh_p = h_fn.value(plus) - hb
     dg_p = g_fn.value(plus) - gb
     dh_m = h_fn.value(minus) - hb
     dg_m = g_fn.value(minus) - gb
-    pi = np.sum(nodes.w * nodes.dens * 0.5 * (rho_minus * dh_p * dg_p + rho_plus * dh_m * dg_m),
-                axis=-1)
-    return np.reshape(pi, lead)[()]
+    pi = np.sum(nodes.w * nodes.dens * 0.5 * (quad.rho_minus * dh_p * dg_p
+                                              + quad.rho_plus * dh_m * dg_m), axis=-1)
+    return quad.shaped(pi)
 
 
 def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float):
@@ -530,18 +531,14 @@ def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float):
             * (np.sqrt(lyap.W(pair.x, pair.v)) + np.sqrt(lyap.W(pair.xp, pair.vp))))
 
 
-def product_rule_residual(pair: PairState, h_fn, g_fn, system, levy_spec, alpha: float,
-                          kappa: float, scheme: QuadratureScheme | None = None,
-                          nodes: MeasureNodes | None = None):
-    """Relative gap of ``L(HG) = H LG + G LH + Pi`` on shared nodes, over
-    the leading axes of ``pair``."""
-    nodes = nodes or pair_nodes(pair, levy_spec, alpha, kappa, scheme)
-    args = (system, levy_spec, alpha, kappa)
-    lhs = apply_coupling_operator(ProductPairFn(h_fn, g_fn), pair, *args, nodes=nodes)
-    lh = apply_coupling_operator(h_fn, pair, *args, nodes=nodes)
-    lg = apply_coupling_operator(g_fn, pair, *args, nodes=nodes)
-    pi = product_correction_term(pair, h_fn, g_fn, levy_spec, alpha, kappa, nodes=nodes)
-    rhs = h_fn.value(pair) * lg + g_fn.value(pair) * lh + pi
+def product_rule_residual(h_fn, g_fn, quad: PairQuadrature):
+    """Relative gap of ``L(HG) = H LG + G LH + Pi`` on shared nodes, at every
+    state of ``quad``."""
+    lhs = apply_coupling_operator(ProductPairFn(h_fn, g_fn), quad)
+    lh = apply_coupling_operator(h_fn, quad)
+    lg = apply_coupling_operator(g_fn, quad)
+    pi = product_correction_term(h_fn, g_fn, quad)
+    rhs = quad.shaped(h_fn.value(quad.pair)) * lg + quad.shaped(g_fn.value(quad.pair)) * lh + pi
     return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
 
 
@@ -556,18 +553,17 @@ class ContractionCheck:
     passed: np.ndarray
 
 
-def contraction_inequality_check(pair: PairState, hhat_fn, g_fn, rate: float, system,
-                                 levy_spec, alpha: float, kappa: float,
-                                 scheme: QuadratureScheme | None = None) -> ContractionCheck:
+def contraction_inequality_check(hhat_fn, g_fn, rate: float,
+                                 quad: PairQuadrature) -> ContractionCheck:
     """Spot check ``L(HG) <= -rate * HG`` with 5% slack at every state of
-    ``pair``, in one operator call.
+    ``quad``, in one operator call.
 
     The slack is 5% of the larger side; no quadrature error enters, as the
     operator returns values only. Constants are inputs; a failure is
     reported, not raised.
     """
     prod = ProductPairFn(hhat_fn, g_fn)
-    lhs = apply_coupling_operator(prod, pair, system, levy_spec, alpha, kappa, scheme)
-    rhs = -rate * prod.value(pair)
+    lhs = apply_coupling_operator(prod, quad)
+    rhs = -rate * quad.shaped(prod.value(quad.pair))
     slack = 0.05 * np.maximum(np.abs(lhs), np.abs(rhs))
     return ContractionCheck(lhs, rhs, slack, lhs <= rhs + slack + 1e-30)

@@ -14,19 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PairState", "DEGENERATE_GAP", "gap_is_degenerate"]
+__all__ = ["PairState", "DEGENERATE_GAP"]
 
 # Gap norms (the transformed gap |q|, and |z|) at or below this count as zero.
+# At a degenerate gap |q| every jump is synchronous: the simulator copies the
+# jump and the pair operator drops its two modified channels.
 DEGENERATE_GAP = 1e-12
-
-
-def gap_is_degenerate(q_norm) -> bool:
-    """Whether the coupling treats the transformed gap ``|q|`` as zero.
-
-    At a degenerate gap every jump is synchronous: the simulator copies the
-    jump and the pair operator drops its two modified channels.
-    """
-    return q_norm <= DEGENERATE_GAP
 
 
 @dataclass(frozen=True)

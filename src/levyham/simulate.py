@@ -212,13 +212,15 @@ def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
 
 
 def _window_plan(save_times: np.ndarray, h: float):
-    # windows that tile [0, T] hitting every save time exactly
+    # windows (save, start, length) that tile [0, T] hitting every save time
+    # exactly; the window that closes interval k has save = k + 1, the
+    # snapshot it ends at, and every other window save = 0
     for k in range(len(save_times) - 1):
         t0, t1 = save_times[k], save_times[k + 1]
         n_sub = max(int(math.ceil((t1 - t0) / h - 1e-9)), 1)
         dt = (t1 - t0) / n_sub
         for j in range(n_sub):
-            yield k + 1, t0 + j * dt, dt
+            yield (k + 1 if j == n_sub - 1 else 0), t0 + j * dt, dt
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
@@ -252,8 +254,6 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     n, d = config.n_replicas, system.dim
     plan = list(_window_plan(times, config.h))
     ends = np.array([t0 + dt for _, t0, dt in plan])
-    saves = (np.abs(ends - times[[k for k, _, _ in plan]])
-             < 1e-9 * max(times[-1], 1.0)).tolist()
     t0 = time.monotonic()
     jumps = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
                                   np.random.SeedSequence(config.seed),
@@ -291,7 +291,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
                 alive &= (_norm(state) <= config.blowup_norm).all(axis=(0, 1))
                 state = np.where(alive[:, None], state, start)
                 all_alive = bool(alive.all())
-            if saves[w]:
+            if save_idx:
                 out[:, :, alive, save_idx] = state[:, :, alive]
                 if coupling is not None:
                     # force gap over state gap, x part plus v part, both at the window start

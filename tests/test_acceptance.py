@@ -124,11 +124,10 @@ def test_criterion_04_operator_identities(bench, scheme):
     x, xp, v, vp = np.stack(states, axis=1)
     pair = PairState(x, v, xp, vp)
     c_g, c_h = np.transpose(centres)
+    quad = gen.pair_quadrature(pair, bench.system, bench.levy, alpha, kappa, scheme)
     worst_marg = float(np.max(gen.marginal_identity_residual(
-        pair, gen._velocity_bump(c_g), gen._velocity_bump(c_h),
-        bench.system, bench.levy, alpha, kappa, scheme)))
-    worst_prod = float(np.max(gen.product_rule_residual(
-        pair, hfn, gfn, bench.system, bench.levy, alpha, kappa, scheme)))
+        gen.velocity_bump(c_g), gen.velocity_bump(c_h), quad)))
+    worst_prod = float(np.max(gen.product_rule_residual(hfn, gfn, quad)))
     elapsed = time.monotonic() - t0
     _report(4, "operator identities",
             worst_marg <= 1e-4 and worst_prod <= 1e-6 and elapsed < 120.0,
@@ -145,8 +144,8 @@ def test_criterion_05_closed_form_cross_validation(bench, scheme):
         pair = PairState(rng.normal(0, 1, 1), rng.normal(0, 1, 1),
                          rng.normal(0, 1, 1), rng.normal(0, 1, 1))
         hfn = gen.ProfilePairFn(live, alpha, 2.0)
-        full = gen.apply_coupling_operator(hfn, pair, bench.system, bench.levy,
-                                           alpha, kappa, scheme)
+        full = gen.apply_coupling_operator(hfn, gen.pair_quadrature(
+            pair, bench.system, bench.levy, alpha, kappa, scheme))
         closed = gen.coupling_profile_drift(live, pair, bench.system, bench.levy,
                                             alpha, 2.0, kappa)
         worst = max(worst, abs(full - closed) / max(abs(closed), 1e-12))
@@ -253,8 +252,8 @@ def test_criterion_10_contraction_spot_check(bench, scheme):
             vp = rng.uniform(-5, 5, 1)
         states.append((x, v, xp, vp))
     pair = PairState(*np.stack(states, axis=1))
-    chk = gen.contraction_inequality_check(pair, hhat, gfn, rate, bench.system, bench.levy,
-                                           bench.report.alpha, bench.report.kappa, scheme)
+    chk = gen.contraction_inequality_check(hhat, gfn, rate, gen.pair_quadrature(
+        pair, bench.system, bench.levy, bench.report.alpha, bench.report.kappa, scheme))
     failures = np.flatnonzero(~chk.passed)
     for k in failures[:5]:
         print(f"  spot-check failure at x={pair.x[k]} v={pair.v[k]} "

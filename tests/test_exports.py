@@ -45,3 +45,26 @@ def test_every_public_name_has_a_caller_in_src():
     assert sorted(defined - used - KEPT_WITHOUT_CALLER) == []
     # the exceptions stay exact: each is defined, and leaves the set once called
     assert sorted(KEPT_WITHOUT_CALLER - (defined - used)) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # src/ reaches another module only through its public names: no
+    # `from module import _name`, and no `_name` read off an imported name
+    found = []
+    for path in sorted(pathlib.Path(levyham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+                found += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names
+                          if isinstance(node, ast.ImportFrom) and _private(a.name)]
+        found += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in imported and _private(node.attr)]
+    assert found == []

@@ -9,7 +9,7 @@ from conftest import ZERO_FORCE, ForceSystem, displacements
 from levyham import generator as gen
 from levyham import measures as ms
 from levyham import model as md
-from levyham.pair import PairState, gap_is_degenerate
+from levyham.pair import DEGENERATE_GAP, PairState
 
 
 def zero_force_system():
@@ -45,7 +45,7 @@ def linear_fn(c):
         hess_v=lambda x, v: np.zeros((1, 1)))
 
 
-bump = gen._velocity_bump
+bump = gen.velocity_bump
 
 
 class ConcaveProfile:
@@ -62,6 +62,18 @@ class ConcaveProfile:
         s = np.asarray(s, dtype=float)
         out = 1.0 / (1.0 + s) ** 2
         return out if out.ndim else float(out)
+
+
+class PowerProfile:
+    """Concave profile f(s) = s^0.7. At one point ``s`` is a numpy scalar,
+    whose ``**`` differs from the array ``**`` in the last bit on about 5%
+    of arguments."""
+
+    def value(self, s):
+        return s ** 0.7
+
+    def slope(self, s):
+        return 0.7 * s ** -0.3
 
 
 class LinearProfile:
@@ -228,8 +240,8 @@ class TestClosedFormCrossValidation:
         # midpoint identity for linear profiles: only the drift part remains
         pair = PairState([0.7], [0.1], [-0.2], [0.5])
         h = gen.ProfilePairFn(LinearProfile(), ALPHA, ALPHA0)
-        full = gen.apply_coupling_operator(h, pair, zero_force_system(),
-                                           half_slice_levy, ALPHA, KAPPA, scheme)
+        full = gen.apply_coupling_operator(h, gen.pair_quadrature(
+            pair, zero_force_system(), half_slice_levy, ALPHA, KAPPA, scheme))
         closed = gen.coupling_profile_drift(LinearProfile(), pair, zero_force_system(),
                                             half_slice_levy, ALPHA, ALPHA0, KAPPA)
         assert full == pytest.approx(closed, rel=1e-10)
@@ -240,8 +252,8 @@ class TestClosedFormCrossValidation:
             pair = PairState(rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1), rng.normal(size=1))
             h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
-            full = gen.apply_coupling_operator(h, pair, damping_system(),
-                                               half_slice_levy, ALPHA, KAPPA, scheme)
+            full = gen.apply_coupling_operator(h, gen.pair_quadrature(
+                pair, damping_system(), half_slice_levy, ALPHA, KAPPA, scheme))
             closed = gen.coupling_profile_drift(ConcaveProfile(), pair, damping_system(),
                                                 half_slice_levy, ALPHA, ALPHA0, KAPPA)
             worst = max(worst, abs(full - closed) / max(abs(closed), 1e-12))
@@ -285,8 +297,8 @@ class TestDegenerateGap:
             assert displacements(benchmark_levy, u, q, alpha, kappa, 0.0) == u
         fn = gen.SeparablePairFn(bump(0.2), bump(-0.3))
         on_diagonal, near_diagonal = (
-            gen.apply_coupling_operator(fn, pair, zero_force_system(), benchmark_levy, alpha,
-                                        kappa, scheme, drift_part=False)
+            gen.apply_coupling_operator(fn, gen.pair_quadrature(
+                pair, zero_force_system(), benchmark_levy, alpha, kappa, scheme), drift_part=False)
             for pair in (diagonal, tiny))
         assert on_diagonal == near_diagonal
 
@@ -294,16 +306,14 @@ class TestDegenerateGap:
 class TestMarginalIdentity:
     def test_constants_give_zero(self, half_slice_levy, scheme):
         pair = PairState([0.5], [0.1], [-0.3], [0.9])
-        res = gen.marginal_identity_residual(pair, const_fn(), const_fn(),
-                                             zero_force_system(), half_slice_levy,
-                                             ALPHA, KAPPA, scheme)
+        res = gen.marginal_identity_residual(const_fn(), const_fn(), gen.pair_quadrature(
+            pair, zero_force_system(), half_slice_levy, ALPHA, KAPPA, scheme))
         assert res == pytest.approx(0.0, abs=1e-14)
 
     def test_synchronous_regime(self, half_slice_levy, scheme):
         pair = PairState([0.5], [0.1], [0.5], [0.1])
-        res = gen.marginal_identity_residual(pair, bump(0.2), bump(-0.4),
-                                             zero_force_system(), half_slice_levy,
-                                             ALPHA, KAPPA, scheme)
+        res = gen.marginal_identity_residual(bump(0.2), bump(-0.4), gen.pair_quadrature(
+            pair, zero_force_system(), half_slice_levy, ALPHA, KAPPA, scheme))
         assert res <= 1e-10
 
     def test_twenty_random_configurations(self, half_slice_levy, scheme, rng):
@@ -312,10 +322,9 @@ class TestMarginalIdentity:
         for k in range(20):
             spec = half_slice_levy if k % 2 == 0 else stable
             x, xp, v, vp = rng.normal(0, 1, (4, 1))
-            res = gen.marginal_identity_residual(PairState(x, v, xp, vp),
-                                                 bump(float(rng.normal())),
-                                                 bump(float(rng.normal())),
-                                                 damping_system(), spec, ALPHA, KAPPA, scheme)
+            g, h = bump(float(rng.normal())), bump(float(rng.normal()))
+            res = gen.marginal_identity_residual(g, h, gen.pair_quadrature(
+                PairState(x, v, xp, vp), damping_system(), spec, ALPHA, KAPPA, scheme))
             assert res <= 1e-4
 
 
@@ -324,9 +333,8 @@ class TestProductRule:
         pair = PairState([0.4], [0.1], [0.4], [0.1])
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
         g = tilt(flat_lyap, 0.05)
-        lhs = gen.apply_coupling_operator(gen.ProductPairFn(h, g), pair,
-                                          damping_system(), half_slice_levy,
-                                          ALPHA, KAPPA, scheme)
+        lhs = gen.apply_coupling_operator(gen.ProductPairFn(h, g), gen.pair_quadrature(
+            pair, damping_system(), half_slice_levy, ALPHA, KAPPA, scheme))
         assert lhs == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_tilt_degenerates(self, half_slice_levy, scheme, flat_lyap, rng):
@@ -334,10 +342,9 @@ class TestProductRule:
                          rng.normal(size=1), rng.normal(size=1))
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
         g0 = tilt(flat_lyap, 0.0)
-        pi = gen.product_correction_term(pair, h, g0, half_slice_levy, ALPHA, KAPPA, scheme)
-        assert pi == 0.0
-        res = gen.product_rule_residual(pair, h, g0, damping_system(), half_slice_levy,
-                                        ALPHA, KAPPA, scheme)
+        quad = gen.pair_quadrature(pair, damping_system(), half_slice_levy, ALPHA, KAPPA, scheme)
+        assert gen.product_correction_term(h, g0, quad) == 0.0
+        res = gen.product_rule_residual(h, g0, quad)
         assert res <= 1e-10
 
     def test_twenty_random_states(self, half_slice_levy, scheme, flat_lyap, rng):
@@ -346,8 +353,8 @@ class TestProductRule:
         for _ in range(20):
             pair = PairState(rng.normal(size=1), rng.normal(size=1),
                              rng.normal(size=1), rng.normal(size=1))
-            res = gen.product_rule_residual(pair, h, g, damping_system(),
-                                            half_slice_levy, ALPHA, KAPPA, scheme)
+            res = gen.product_rule_residual(h, g, gen.pair_quadrature(
+                pair, damping_system(), half_slice_levy, ALPHA, KAPPA, scheme))
             assert res <= 1e-6
 
     def test_correction_term_within_envelope(self, benchmark_levy, scheme, flat_lyap, rng):
@@ -359,7 +366,8 @@ class TestProductRule:
         # 15 states, drawn state by state as (x, v, xp, vp), in one call per function
         x, v, xp, vp = np.moveaxis(rng.uniform(-4, 4, (15, 4, 1)), 1, 0)
         pair = PairState(x, v, xp, vp)
-        pi = gen.product_correction_term(pair, h, g, benchmark_levy, ALPHA, KAPPA, scheme)
+        pi = gen.product_correction_term(h, g, gen.pair_quadrature(
+            pair, damping_system(), benchmark_levy, ALPHA, KAPPA, scheme))
         bound = gen.correction_bound(pair, h, flat_lyap, eps, c_star)
         assert pi.shape == bound.shape == (15,)
         assert np.all(np.abs(pi) <= bound + 1e-12)
@@ -374,10 +382,8 @@ class TestContractionCheck:
         pair = PairState([1.0], [0.5], [1.0], [0.5])
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
         g = tilt(flat_lyap, 0.05)
-        chk = gen.contraction_inequality_check(pair, h, g, rate=0.1,
-                                               system=damping_system(),
-                                               levy_spec=half_slice_levy,
-                                               alpha=ALPHA, kappa=KAPPA, scheme=scheme)
+        chk = gen.contraction_inequality_check(h, g, 0.1, gen.pair_quadrature(
+            pair, damping_system(), half_slice_levy, ALPHA, KAPPA, scheme))
         assert chk.passed
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
 
@@ -389,14 +395,14 @@ class TestContractionCheck:
         x, v, xp, vp = rng.normal(0, 1.5, (4, 8, 1))
         xp[0], vp[0] = x[0], v[0]
         pair = PairState(*(a.reshape(2, 4, 1) for a in (x, v, xp, vp)))
-        args = (h, g, 0.1, damping_system(), benchmark_levy, ALPHA, KAPPA, scheme)
-        chk = gen.contraction_inequality_check(pair, *args)
+        args = (damping_system(), benchmark_levy, ALPHA, KAPPA, scheme)
+        chk = gen.contraction_inequality_check(h, g, 0.1, gen.pair_quadrature(pair, *args))
         fields = ("lhs", "rhs", "slack", "passed")
         assert all(np.shape(getattr(chk, f)) == (2, 4) for f in fields)
         assert chk.lhs.flat[0] == 0.0 and chk.passed.flat[0]
         for k in range(8):
-            one = gen.contraction_inequality_check(
-                PairState(x[k:k + 1], v[k:k + 1], xp[k:k + 1], vp[k:k + 1]), *args)
+            one = gen.contraction_inequality_check(h, g, 0.1, gen.pair_quadrature(
+                PairState(x[k:k + 1], v[k:k + 1], xp[k:k + 1], vp[k:k + 1]), *args))
             for f in fields:
                 assert np.array_equal(getattr(chk, f).flat[k:k + 1], getattr(one, f)), (f, k)
 
@@ -421,7 +427,7 @@ def _ref_shifted(pair, dv, dvp):
 
 def _ref_pair_nodes(pair, levy_spec, alpha, kappa, scheme, nodes=None):
     shift = None
-    if not gap_is_degenerate(float(np.linalg.norm(pair.q(alpha)))):
+    if not float(np.linalg.norm(pair.q(alpha))) <= DEGENERATE_GAP:
         shift = gen.coupling_shift(pair, alpha, kappa)
     if nodes is None:
         bp = ()
@@ -553,7 +559,7 @@ def parity_stack(rng):
     xp[0], vp[0] = x[0], v[0]
     pair = PairState(*(a.reshape(3, 3, 1) for a in (x, v, xp, vp)))
     gaps = np.linalg.norm(pair.q(ALPHA), axis=-1).ravel()
-    assert gaps[0] == 0.0 and gap_is_degenerate(gaps[1])
+    assert gaps[0] == 0.0 and gaps[1] <= DEGENERATE_GAP
     assert np.all((gaps[2:6] > 0) & (gaps[2:6] < KAPPA)) and np.all(gaps[6:] > KAPPA)
     return pair
 
@@ -582,7 +588,7 @@ class TestBroadcastOperatorParity:
         centres = rng.normal(0, 1, (2, len(PARITY_GAPS)))
         args = (damping_system(), levy, ALPHA, KAPPA, scheme)
         for name, (fn, fn_at) in self.observables(benchmark_lyap, centres).items():
-            val = gen.apply_coupling_operator(fn, pair, *args)
+            val = gen.apply_coupling_operator(fn, gen.pair_quadrature(pair, *args))
             assert val.shape == (3, 3), name
             for k in range(len(PARITY_GAPS)):
                 ref_fn = OneRow(fn_at(k))
@@ -590,7 +596,8 @@ class TestBroadcastOperatorParity:
                 jump = ref_apply_coupling_operator(ref_fn, state(pair, k), *args,
                                                    drift_part=False)
                 tol = PARITY_RTOL * max(abs(want), abs(jump))
-                one = gen.apply_coupling_operator(fn_at(k), state(pair, k), *args)
+                one = gen.apply_coupling_operator(fn_at(k), gen.pair_quadrature(state(pair, k),
+                                                                                *args))
                 assert np.ndim(one) == 0
                 for got in (val.flat[k], one):
                     assert abs(got - want) <= tol, (name, k)
@@ -602,7 +609,8 @@ class TestBroadcastOperatorParity:
         pair = parity_stack(rng)
         h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
         g = tilt(benchmark_lyap, 0.07)
-        pi = gen.product_correction_term(pair, h, g, levy, ALPHA, KAPPA, scheme)
+        pi = gen.product_correction_term(h, g, gen.pair_quadrature(
+            pair, damping_system(), levy, ALPHA, KAPPA, scheme))
         assert pi.shape == (3, 3)
         for k in range(len(PARITY_GAPS)):
             want = ref_product_correction_term(state(pair, k), OneRow(h), OneRow(g), levy,
@@ -615,7 +623,7 @@ class TestBroadcastOperatorParity:
         # by zero-weight copies of the last node
         levy = PARITY_MEASURES["dominated"]()
         pair = parity_stack(rng)
-        nodes = gen.pair_nodes(pair, levy, ALPHA, KAPPA, scheme)
+        nodes = gen.pair_quadrature(pair, damping_system(), levy, ALPHA, KAPPA, scheme).nodes
         assert nodes.u.shape[0] == len(PARITY_GAPS)
         sizes = set()
         for k in range(len(PARITY_GAPS)):
@@ -626,3 +634,80 @@ class TestBroadcastOperatorParity:
             assert np.array_equal(row[0][:n], own.u) and np.array_equal(row[1][:n], own.w)
             assert np.all(row[0][n:] == own.u[-1]) and np.all(row[1][n:] == 0.0)
         assert len(sizes) > 1
+
+
+def quadrature_arrays(quad):
+    """Every array a PairQuadrature holds, in field order."""
+    return [*(getattr(quad.pair, k) for k in ("x", "v", "xp", "vp")),
+            *(getattr(quad.nodes, k) for k in ("u", "w", "dens", "sync_mask")),
+            quad.shift, quad.live, quad.rho_minus, quad.rho_plus, quad.xdot, quad.xpdot,
+            quad.force, quad.force_p]
+
+
+class TestPairQuadrature:
+    """One quadrature, built once per stack of states, serves every observable."""
+
+    @pytest.mark.parametrize("measure", sorted(PARITY_MEASURES))
+    def test_shared_quadrature_equals_a_fresh_one_per_call(self, measure, benchmark_lyap,
+                                                           scheme, rng):
+        levy = PARITY_MEASURES[measure]()
+        pair = parity_stack(rng)
+        args = (pair, damping_system(), levy, ALPHA, KAPPA, scheme)
+        shared = gen.pair_quadrature(*args)
+        before = [a.copy() for a in quadrature_arrays(shared)]
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        g = tilt(benchmark_lyap, 0.07)
+        fns = {"profile": h, "separable": gen.SeparablePairFn(bump(0.3), bump(-0.5)),
+               "product": gen.ProductPairFn(h, g)}
+        for name, fn in fns.items():
+            for drift_part in (True, False):
+                got = gen.apply_coupling_operator(fn, shared, drift_part)
+                want = gen.apply_coupling_operator(fn, gen.pair_quadrature(*args), drift_part)
+                assert got.shape == (3, 3) and np.array_equal(got, want), (name, drift_part)
+        assert np.array_equal(gen.product_correction_term(h, g, shared),
+                              gen.product_correction_term(h, g, gen.pair_quadrature(*args)))
+        # no call writes into the quadrature
+        for a, b in zip(quadrature_arrays(shared), before):
+            assert np.array_equal(a, b)
+
+    def test_degenerate_stack_is_synchronous_only(self, benchmark_lyap, scheme, rng):
+        # gaps |q| at or below DEGENERATE_GAP: no state is live, both
+        # thinning weights vanish, and each value is the oracle's with only
+        # the synchronous channel (its shift is None)
+        levy = PARITY_MEASURES["dominated"]()
+        gaps = np.array([0.0, 0.75e-12, -0.5e-12, DEGENERATE_GAP])[:, None]
+        v = rng.normal(0, 1.5, gaps.shape)
+        pair = PairState(gaps, v, np.zeros_like(gaps), v)
+        assert np.array_equal(pair.q(ALPHA), gaps)
+        args = (damping_system(), levy, ALPHA, KAPPA, scheme)
+        quad = gen.pair_quadrature(pair, *args)
+        assert not quad.live.any()
+        assert not quad.rho_minus.any() and not quad.rho_plus.any()
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        g = tilt(benchmark_lyap, 0.07)
+        for fn in (g, gen.SeparablePairFn(bump(0.3), bump(-0.5)), gen.ProductPairFn(h, g)):
+            val = gen.apply_coupling_operator(fn, quad)
+            for k in range(len(gaps)):
+                want = ref_apply_coupling_operator(OneRow(fn), state(pair, k), *args)
+                jump = ref_apply_coupling_operator(OneRow(fn), state(pair, k), *args,
+                                                   drift_part=False)
+                assert abs(val[k] - want) <= PARITY_RTOL * max(abs(want), abs(jump)), k
+        assert np.all(gen.product_correction_term(h, g, quad) == 0.0)
+
+    def test_one_state_takes_the_stacked_route(self, benchmark_lyap, scheme, rng):
+        # a 0-d state is evaluated as a one-row stack on both sides of the
+        # product rule and the contraction check, so its values equal the
+        # one-row call bit for bit (numpy's scalar ** is never taken)
+        h = gen.ProfilePairFn(PowerProfile(), ALPHA, ALPHA0)
+        g = tilt(benchmark_lyap, 0.07)
+        args = (damping_system(), PARITY_MEASURES["slice"](), ALPHA, KAPPA, scheme)
+        for _ in range(40):
+            parts = rng.normal(0, 1.5, (4, 1))
+            point = gen.pair_quadrature(PairState(*parts), *args)
+            row = gen.pair_quadrature(PairState(*parts[:, None]), *args)
+            assert point.lead == () and row.lead == (1,)
+            res = gen.product_rule_residual(h, g, point)
+            assert np.ndim(res) == 0 and res == gen.product_rule_residual(h, g, row)[0]
+            one, stacked = (gen.contraction_inequality_check(h, g, 0.1, q) for q in (point, row))
+            for f in ("lhs", "rhs", "slack", "passed"):
+                assert np.ndim(getattr(one, f)) == 0 and getattr(one, f) == getattr(stacked, f)[0]

@@ -12,7 +12,7 @@ from conftest import ZERO_FORCE, ForceSystem, displacements
 from levyham import measures as ms
 from levyham import model as md
 from levyham import simulate as sim
-from levyham.pair import PairState, gap_is_degenerate
+from levyham.pair import DEGENERATE_GAP, PairState
 
 
 def free_system():
@@ -107,7 +107,7 @@ def _ratio_1d(sl, shift: float, u: float, den: float) -> float:
 def ref_classify_jump(levy, u: float, Q: float, alpha: float, kappa: float, l: float,
                       den: float) -> float:
     aq = abs(Q)
-    if gap_is_degenerate(aq):
+    if aq <= DEGENERATE_GAP:
         return u
     shift = alpha * (Q if aq <= kappa else Q * (kappa / aq))
     rho_m = _ratio_1d(levy.slice_part, -shift, u, den)
@@ -740,6 +740,11 @@ class TestSingleBatch:
 class TestWindows:
     def test_plan_hits_save_times(self):
         times = np.linspace(0.0, 1.0, 5)
-        ends = [t0 + dt for _, t0, dt in sim._window_plan(times, 0.075)]
+        plan = list(sim._window_plan(times, 0.075))
+        ends = [t0 + dt for _, t0, dt in plan]
         for t in times[1:]:
             assert any(abs(e - t) < 1e-12 for e in ends)
+        # exactly the window that closes interval k saves, as snapshot k + 1
+        saves = [(k, e) for (k, _, _), e in zip(plan, ends) if k]
+        assert [k for k, _ in saves] == [1, 2, 3, 4]
+        assert all(abs(e - times[k]) < 1e-12 for k, e in saves)
