@@ -23,9 +23,11 @@ Outputs are bitwise-stable given (config, seed); the manifest additionally
 records wall-clock timings (for ``rate``, also per stage: ``constants_s``,
 ``sampling_s`` for the pair ensemble's jumps, ``stepping_s`` for the rest of
 it, ``decay_fit_s`` for the cost, fit and bootstrap, and ``io_s``; for
-``equilibrium``, ``ensembles_s`` for its two ensembles and ``diagnostics_s``
-for the distances and moments). Every command runs in one process and steps
-its replicas together, window by window.
+``couple``, ``sampling_s`` and ``stepping_s`` for its pair ensemble; for
+``equilibrium``, ``sampling_s`` and ``stepping_s`` summed over its two
+ensembles, and ``diagnostics_s`` for the distances and moments). Every
+command runs in one process and steps its replicas together, window by
+window.
 """
 
 from __future__ import annotations
@@ -192,9 +194,12 @@ def cmd_rate(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | None)
 def cmd_couple(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | None) -> int:
     bundle = _bundle_from(cfg)
     sim_cfg = cfg.build_sim(seed=manifest.seed, n_replicas=replicas)
+    t0 = time.monotonic()
     trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, sim_cfg,
                                          PairState(*cfg.initial_pair()),
-                                         bundle.report.alpha, bundle.report.kappa)
+                                         bundle.report.alpha, bundle.report.kappa,
+                                         manifest.timings)
+    manifest.timings["stepping_s"] = time.monotonic() - t0 - manifest.timings["sampling_s"]
     prod = gen.ProductPairFn(*bundle.monitor_fns())
     names = ["t", "x", "v", "xp", "vp", "r", "psi_tilde"]
     # pair runs are one-dimensional (run_pair_ensemble raises otherwise)

@@ -18,6 +18,8 @@ module level random state.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -511,10 +513,11 @@ def _annulus_edges(cutoff: float, top: float):
 
 
 # numpy's SeedSequence hash (pool size 4) and PCG64 seeding constants
-_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_LIMBS = tuple(_PCG_MULT >> s & _M32 for s in (0, 32, 64, 96))
 
 
 def _words(value) -> list:
@@ -540,9 +543,20 @@ def _mix(x, y):
     return out ^ out >> 16
 
 
-def _pcg64_states(seed: np.random.SeedSequence, rows: np.ndarray, keys: np.ndarray):
-    """PCG64 ``(state, inc)`` of ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key
-    + (rows[i], keys[i]))`` for every ``i``, in one array pass of the hash.
+def _carry(cols: list) -> list:
+    # the 32-bit limbs, low first, of sum(cols[k] << 32 k) mod 2^128
+    out, carry = [], 0
+    for col in cols:
+        carry = carry + col
+        out.append(carry & _M32)
+        carry = carry >> 32
+    return out
+
+
+def _pcg64_states(seed: np.random.SeedSequence, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """PCG64 state of ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (rows[i],
+    keys[i]))`` for every ``i``, in one array pass of the hash: row ``i`` holds the
+    state's low and high 64-bit words, then the increment's.
 
     Every spawn-key word sits past the first four entropy words (a spawn key
     pads the entropy to the pool size), so the pool is shared up to the last
@@ -567,14 +581,63 @@ def _pcg64_states(seed: np.random.SeedSequence, rows: np.ndarray, keys: np.ndarr
         for j in range(4):
             h, const = _hashmix(w, const)
             pool[j] = _mix(pool[j], h)
-    # generate_state(4, uint64): eight 32-bit words, read as little-endian pairs
+    # generate_state(4, uint64) as eight 32-bit words a..h: initstate is a|b<<32
+    # (high) and c|d<<32 (low), initseq likewise e..h
     const, out = _INIT_B, []
     for i in range(8):
         h, const = _hashmix(pool[i % 4], const, _MULT_B)
-        out.append(h.tolist())
-    for a, b, c, d, e, f, g, h in zip(*out):
-        inc = ((e | f << 32) << 65 | (g | h << 32) << 1 | 1) & _M128
-        yield ((inc + ((a | b << 32) << 64 | c | d << 32)) * _PCG_MULT + inc) & _M128, inc
+        out.append(h)
+    a, b, c, d, e, f, g, h = out
+    # PCG64 seeding on 32-bit limbs, low first: inc = initseq << 1 | 1 and
+    # state = (inc + initstate) * _PCG_MULT + inc, all mod 2^128
+    inc = [g << 1 & _M32 | 1, (h << 1 | g >> 31) & _M32,
+           (e << 1 | h >> 31) & _M32, (f << 1 | e >> 31) & _M32]
+    s = _carry([inc[0] + c, inc[1] + d, inc[2] + a, inc[3] + b])
+    # column k takes the low halves of the limb products with i + j = k and
+    # the high halves of those with i + j = k - 1: at most eight terms below
+    # 2^32 each, so no column overflows 64 bits
+    cols = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            p = s[i] * _PCG_MULT_LIMBS[j]
+            cols[i + j] = cols[i + j] + (p & _M32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
+    state = _carry(cols)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32,
+                     inc[0] | inc[1] << 32, inc[2] | inc[3] << 32], axis=-1)
+
+
+class _PCG64Raw(ctypes.Structure):
+    # numpy's pcg64_state, the struct PCG64.ctypes.state_address points to;
+    # pcg_state holds the state and increment, each a 128-bit pcg128_t
+    _fields_ = [("pcg_state", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+
+def _raw_state(bitgen: np.random.PCG64):
+    # the generator's state struct and a uint64 view of its four state words;
+    # both are valid only while bitgen lives
+    raw = _PCG64Raw.from_address(bitgen.ctypes.state_address)
+    return raw, np.frombuffer(raw.pcg_state.contents, dtype=np.uint64)
+
+
+@functools.cache
+def _state_word_order() -> tuple:
+    """The column order that puts ``_pcg64_states``'s words in PCG64's raw layout.
+
+    A native little-endian 128-bit integer stores its low word first; builds
+    that emulate 128-bit arithmetic (MSVC) store ``{high, low}``. One state
+    set through the public setter and read back raw tells which.
+    """
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": 1 << 64 | 2, "inc": 3 << 64 | 5},
+                    "has_uint32": 0, "uinteger": 0}
+    got = _raw_state(bitgen)[1].tolist()
+    for order in ((0, 1, 2, 3), (1, 0, 3, 2)):
+        if got == [(2, 1, 5, 3)[i] for i in order]:
+            return order
+    raise RuntimeError(f"unrecognised PCG64 state layout in numpy {np.__version__}: {got}")
 
 
 def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.SeedSequence,
@@ -588,15 +651,18 @@ def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.S
     coarser cutoff. Annulus ``k`` of replica ``r`` in ``replicas`` draws from
     the PCG64 stream of ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key
     + (r, k))``, with ``0 <= r < 2^32``: its poisson count, the times, the
-    marks and the uniforms, in that order. Every stream is seeded in one
-    array pass and drawn through one reused generator, so a replica's jumps
-    depend on ``r`` alone, never on the other replicas, and ``seed`` is not
-    advanced. For a measure that ``batches_marks`` (the 1-d slice) a
-    stream's three uniform blocks are one ``random(3n)`` draw, and one
-    ``batch_marks`` call after the loop turns every stream's mark uniforms
-    into marks, bit for bit those ``sample_annulus`` draws; other measures
-    call ``sample_annulus`` per stream. ``budget`` bounds one replica's
-    expected jump count.
+    marks and the uniforms, in that order. Every stream's state is computed
+    in one array pass and drawn through one reused generator, so a replica's
+    jumps depend on ``r`` alone, never on the other replicas, and ``seed`` is
+    not advanced. Each stream's four state words are written in place through
+    a view of the generator's raw state, which also clears its buffered
+    32-bit half, as numpy's state setter does; whether a 128-bit word sits
+    low or high half first is probed once per process. For a measure that
+    ``batches_marks`` (the 1-d slice) a stream's three uniform blocks are one
+    ``random(3n)`` draw, and one ``batch_marks`` call after the loop turns
+    every stream's mark uniforms into marks, bit for bit those
+    ``sample_annulus`` draws; other measures call ``sample_annulus`` per
+    stream. ``budget`` bounds one replica's expected jump count.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -614,12 +680,14 @@ def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.S
     batched = measure.batches_marks
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
+    raw, words = _raw_state(bitgen)
     counts, draws = [], []
     states = _pcg64_states(seed, np.repeat(reps, len(annuli)),
                            np.tile(np.array([a[0] for a in annuli], dtype=np.int64), len(reps)))
-    for (state, inc), (_, lo, hi, lam) in zip(states, annuli * len(reps)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    for state, (_, lo, hi, lam) in zip(states[:, _state_word_order()], annuli * len(reps)):
+        # what the public state setter writes: the words, and no buffered 32-bit half
+        words[:] = state
+        raw.has_uint32 = raw.uinteger = 0
         n = int(gen.poisson(lam))
         counts.append(n)
         if not n:  # an empty annulus draws nothing more

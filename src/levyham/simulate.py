@@ -235,7 +235,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     ``starts`` holds one ``(x0, v0)`` per copy, and the state is stepped as
     one ``(2, copies, N, d)`` array, positions then velocities. Row ``r``
     draws the jumps of sampler replica ``r + replica_offset``, from one
-    sampler call for the whole ensemble, whose seconds go to
+    sampler call for the whole ensemble, whose seconds are added to
     ``timings["sampling_s"]``.
     With ``coupling = (alpha, kappa)`` the two copies form the pair and each
     window is a pair window.
@@ -258,7 +258,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     jumps = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
                                   np.random.SeedSequence(config.seed),
                                   range(replica_offset, replica_offset + n))
-    timings["sampling_s"] = time.monotonic() - t0
+    timings["sampling_s"] = timings.get("sampling_s", 0.0) + time.monotonic() - t0
     # a jump at t kicks the first window with t < end - 1e-15; sorted in
     # (window, replica, time) order, jumps past the last window are dropped
     wins = np.searchsorted(ends - 1e-15, jumps.times, side="right")
@@ -308,8 +308,8 @@ def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: 
     Replica ``k`` draws its jumps from the streams ``(k, j)`` of the seed. Its
     ``stability_indicator`` is ``h`` times the largest force Lipschitz
     quotient between the copies, taken at the start of each window that ends
-    at a save time. A ``timings`` dict receives ``sampling_s``, the seconds
-    spent drawing the jumps.
+    at a save time. A ``timings`` dict gets the seconds spent drawing the
+    jumps added to its ``sampling_s``.
     """
     _require_one_dim(system, levy)
     xs, vs, alive, lip = _euler_windows(system, levy, config,
@@ -322,15 +322,17 @@ def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: 
             for k in range(config.n_replicas)]
 
 
-def run_single_ensemble(system, levy, config: SimConfig, x0, v0,
-                        replica_offset: int = 0) -> list[SingleTrajectory]:
+def run_single_ensemble(system, levy, config: SimConfig, x0, v0, replica_offset: int = 0,
+                        timings: dict | None = None) -> list[SingleTrajectory]:
     """All replicas of the single process, stepped together window by window.
 
     Replica ``k`` draws its jumps from the streams ``(k + replica_offset, j)`` of the seed.
     A replica whose position or velocity norm exceeds ``blowup_norm`` or is
-    NaN is flagged and frozen; its later snapshots stay NaN.
+    NaN is flagged and frozen; its later snapshots stay NaN. A ``timings``
+    dict gets the seconds spent drawing the jumps added to its ``sampling_s``.
     """
-    xs, vs, alive, _ = _euler_windows(system, levy, config, ((x0, v0),), {}, replica_offset)
+    xs, vs, alive, _ = _euler_windows(system, levy, config, ((x0, v0),),
+                                      {} if timings is None else timings, replica_offset)
     times = config.save_times()
     return [SingleTrajectory(times, xs[0, k], vs[0, k], blown_up=not alive[k])
             for k in range(config.n_replicas)]

@@ -574,6 +574,16 @@ class TestCouple:
         assert first[0] == 0.0
         assert first[-1] > 0  # off-diagonal start has positive cost
 
+    def test_manifest_splits_sampling_from_stepping(self, tmp_path):
+        path = write(tmp_path, QUICK)
+        assert cli.main(["couple", "--config", path, "--replicas", "2",
+                         "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        timings, stages = manifest["couple"]["timings"], ("sampling_s", "stepping_s")
+        assert set(timings) == {*stages, "total_s"}
+        assert all(timings[k] >= 0.0 for k in stages)
+        assert sum(timings[k] for k in stages) <= timings["total_s"]
+
 
 class TestEquilibriumCmd:
     def test_quick_run(self, tmp_path):
@@ -585,7 +595,8 @@ class TestEquilibriumCmd:
         assert "cross_distance" in payload and "stationarity_distance" in payload
         assert "timings" not in payload
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-        timings, stages = manifest["equilibrium"]["timings"], ("ensembles_s", "diagnostics_s")
+        timings = manifest["equilibrium"]["timings"]
+        stages = ("sampling_s", "stepping_s", "diagnostics_s")
         assert set(timings) == {*stages, "total_s"}
         assert all(timings[k] >= 0.0 for k in stages)
         assert sum(timings[k] for k in stages) <= timings["total_s"]

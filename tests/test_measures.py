@@ -1,6 +1,7 @@
 """Measure layer: truncation, overlap quantities, moments, and jump sampling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -441,6 +442,20 @@ def per_annulus_batch(measure, horizon, cutoff, seed, r, counts=None):
     return times[order], marks[order], unifs[order]
 
 
+class OddWordStable(ms.IsotropicStable):
+    """A 1-d stable measure whose marks take an odd count of 32-bit draws.
+
+    Each stream that samples marks then leaves a buffered 32-bit half in
+    PCG64's state, which the next stream must not read.
+    """
+
+    def sample_annulus(self, a, b, n, rng):
+        words = rng.integers(0, 2**32, size=2 * n + 1, dtype=np.uint32)
+        hi = min(b, 2.0 * a)
+        r = a + (hi - a) * (words[:n] + 0.5) / 2.0**32
+        return (r * np.where(words[n:2 * n] & 1, 1.0, -1.0))[:, None]
+
+
 def assert_same_jumps(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -460,10 +475,12 @@ class TestSamplerStreams:
         seed = np.random.SeedSequence(entropy, spawn_key=spawn_key)
         rows = np.array([0, 1, 2, 31, 1000, 2**31 + 5, 2**32 - 1, 5], dtype=np.int64)
         keys = np.array([0, 63, 1, 9, 17, 63, 0, 60], dtype=np.int64)
-        for (state, inc), r, k in zip(ms._pcg64_states(seed, rows, keys), rows, keys):
+        states = ms._pcg64_states(seed, rows, keys)
+        assert states.shape == (len(rows), 4) and states.dtype == np.uint64
+        for (s_lo, s_hi, i_lo, i_hi), r, k in zip(states.tolist(), rows, keys):
             want = np.random.PCG64(np.random.SeedSequence(
                 entropy, spawn_key=spawn_key + (int(r), int(k)))).state["state"]
-            assert (state, inc) == (want["state"], want["inc"])
+            assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == (want["state"], want["inc"])
 
     @pytest.mark.parametrize("row", [-1, 2**32])
     def test_replica_index_outside_one_word_raises(self, row):
@@ -492,6 +509,7 @@ class TestSamplerStreams:
                 return real(*args, **kwargs)
             return build
 
+        ms._state_word_order()  # once per process, with a generator of its own
         for cls in ("SeedSequence", "Generator", "PCG64"):
             monkeypatch.setattr(np.random, cls, counted(cls))
         batch = ms.sample_large_jumps(SAMPLED[name], horizon, cutoff, seed, replicas)
@@ -512,6 +530,61 @@ class TestSamplerStreams:
             assert max(lam for lam, _ in counts) >= 10.0
         if name == "stable":
             assert np.any(np.abs(batch.marks) > 1.0)  # annulus 63 sampled
+
+    def test_raw_write_reads_back_through_the_getter(self):
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        raw, words = ms._raw_state(bitgen)
+        order = list(ms._state_word_order())
+        rng = np.random.default_rng(7)
+        for state, inc in rng.integers(0, 2**64, size=(50, 2, 2), dtype=np.uint64).tolist():
+            gen.integers(0, 2**32, 3, dtype=np.uint32)  # leaves a buffered 32-bit half
+            assert bitgen.state["has_uint32"] == 1
+            words[:] = np.array([*state, *inc], dtype=np.uint64)[order]
+            raw.has_uint32 = raw.uinteger = 0
+            want = {"state": state[1] << 64 | state[0], "inc": inc[1] << 64 | inc[0]}
+            assert bitgen.state == {"bit_generator": "PCG64", "state": want,
+                                    "has_uint32": 0, "uinteger": 0}
+            # and the stream draws as one set through the public setter; an even
+            # count, so the next round starts with no buffered half
+            ref = np.random.PCG64(0)
+            ref.state = bitgen.state
+            assert (gen.integers(0, 2**32, 4, dtype=np.uint32).tolist()
+                    == np.random.Generator(ref).integers(0, 2**32, 4, dtype=np.uint32).tolist())
+
+    @pytest.mark.skipif(sys.platform == "win32" or sys.byteorder != "little",
+                        reason="MSVC and big-endian builds store the high word first")
+    def test_word_order_probe_reads_this_build(self):
+        # a native little-endian __uint128_t stores its low word first
+        assert ms._state_word_order() == (0, 1, 2, 3)
+
+    def test_streams_set_without_the_state_setter(self, monkeypatch):
+        ms._state_word_order()  # the setter's one caller, once per process
+
+        class NoSetter(np.random.PCG64):
+            @property
+            def state(self):
+                return super().state
+
+            @state.setter
+            def state(self, value):
+                raise AssertionError("a stream set through the public setter")
+
+        monkeypatch.setattr(np.random, "PCG64", NoSetter)
+        assert len(ms.sample_large_jumps(SAMPLED["stable"], 3.0, 1e-2,
+                                         np.random.SeedSequence(3), range(4))) > 0
+
+    def test_buffered_half_does_not_leak_into_the_next_stream(self):
+        measure = OddWordStable(0.8)
+        seed = np.random.SeedSequence(17, spawn_key=(1,))
+        replicas = [0, 5, 2**32 - 1]
+        batch = ms.sample_large_jumps(measure, 3.0, 1e-2, seed, replicas)
+        counts = []
+        for i, r in enumerate(replicas):
+            assert_same_jumps(rows_of(batch, i),
+                              per_annulus_batch(measure, 3.0, 1e-2, seed, r, counts))
+        # consecutive streams with marks, each leaving a buffered half
+        assert sum(n > 0 for _, n in counts) > 10
 
 
 class TestSamplerBatches:

@@ -699,6 +699,14 @@ class TestSingleBatch:
         if case == "stable-2d":
             assert 0 < sum(tr.blown_up for tr in batch) < len(batch)
 
+    def test_timings_add_the_sampler_seconds(self, benchmark_levy, benchmark_langevin):
+        # equilibrium sums its two ensembles' sampling seconds in one dict
+        cfg = sim.SimConfig(h=0.02, delta=1e-2, horizon=1.0, n_save=3, seed=4, n_replicas=3)
+        timings = {"sampling_s": 1.0}
+        sim.run_single_ensemble(benchmark_langevin, benchmark_levy, cfg, [1.0], [0.0],
+                                timings=timings)
+        assert set(timings) == {"sampling_s"} and timings["sampling_s"] > 1.0
+
     def test_window_rule_matches_pair_path_at_window_ends(self, benchmark_levy, monkeypatch):
         # jumps within 1e-15 of a window end kick the next window (or none after
         # the last), as in the pair path; its first copy is the single path at kappa 0
