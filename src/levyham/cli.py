@@ -20,7 +20,10 @@ record into ``run_manifest.json`` once the command returns, keeping the
 records of other commands in the same directory: a config or usage error,
 or an exception exit such as ``NonFiniteForce:``, writes none.
 Outputs are bitwise-stable given (config, seed); the manifest additionally
-records wall-clock timings (for ``rate``, also per stage: ``constants_s``,
+records wall-clock timings (for ``constants``, also per stage: ``chain_s``
+for the constant chain and ``io_s``; for ``verify``, ``suite_s`` for the
+suite, plus ``chain_s`` for the two suites that build the chain, ``f-props``
+and ``operator-identities``; for ``rate``, ``constants_s``,
 ``sampling_s`` for the pair ensemble's jumps, ``stepping_s`` for the rest of
 it, ``decay_fit_s`` for the cost, fit and bootstrap, and ``io_s``; for
 ``couple``, ``sampling_s`` and ``stepping_s`` for its pair ensemble; for
@@ -72,13 +75,23 @@ def _bundle_from(cfg: ExperimentConfig) -> cn.ConstantsBundle:
     )
 
 
+def _timed_bundle(cfg: ExperimentConfig, timings: dict,
+                  stage: str = "chain_s") -> cn.ConstantsBundle:
+    # _bundle_from, its seconds recorded as timings[stage]
+    t0 = time.monotonic()
+    bundle = _bundle_from(cfg)
+    timings[stage] = time.monotonic() - t0
+    return bundle
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_constants(cfg: ExperimentConfig, manifest: RunManifest) -> int:
-    bundle = _bundle_from(cfg)
+    bundle = _timed_bundle(cfg, manifest.timings)
+    t0 = time.monotonic()
     rep = bundle.report
     manifest.write_json("constants.json", {
         **dataclasses.asdict(rep), "positivity_violations": rep.positivity_violations(),
@@ -87,10 +100,11 @@ def cmd_constants(cfg: ExperimentConfig, manifest: RunManifest) -> int:
     manifest.write_csv("profile_curve.csv", ["s", "f", "f_slope", "g"],
                        [s_grid, bundle.profile.value(s_grid), bundle.profile.slope(s_grid),
                         bundle.profile.g(s_grid)])
+    manifest.timings["io_s"] = time.monotonic() - t0
     return _chain_exit(rep)
 
 
-def _verify_b1(cfg, seed):
+def _verify_b1(cfg, manifest):
     langevin = cfg.build_langevin()
     pot = langevin.potential
     cert, source = md.certificate_with_fallback(pot, langevin.dim, cfg.lyapunov["grid_radius"])
@@ -101,7 +115,7 @@ def _verify_b1(cfg, seed):
     return payload, rep.passed
 
 
-def _verify_f1(cfg, seed):
+def _verify_f1(cfg, manifest):
     langevin = cfg.build_langevin()
     radius, n = cfg.lyapunov["grid_radius"], cfg.lyapunov["grid_points"]
     setup = md.build_lyapunov(langevin, radius, cfg.levy["theta"])
@@ -110,7 +124,7 @@ def _verify_f1(cfg, seed):
     return {"choice": setup.choice, **rep}, rep["passed"]
 
 
-def _verify_a2(cfg, seed):
+def _verify_a2(cfg, manifest):
     levy = cfg.build_levy()
     setup = md.build_lyapunov(cfg.build_langevin(), cfg.lyapunov["grid_radius"], levy.theta)
     c_star, sup_ratio = md.verify_jump_regularity(setup.lyap, levy.slice_part,
@@ -122,17 +136,17 @@ def _verify_a2(cfg, seed):
     return payload, bool(c_star > 0 and not moments.divergent)
 
 
-def _verify_fprops(cfg, seed):
-    bundle = _bundle_from(cfg)
+def _verify_fprops(cfg, manifest):
+    bundle = _timed_bundle(cfg, manifest.timings)
     rep = cn.profile_property_report(bundle.profile)
     rep_live = cn.profile_property_report(cn.REFERENCE_LIVE_PROFILE)
     payload = {"certified_profile": rep, "reference_live_profile": rep_live}
     return payload, bool(rep["passed"] and rep_live["passed"])
 
 
-def _verify_operator_identities(cfg, seed):
-    bundle = _bundle_from(cfg)
-    rng = np.random.default_rng(seed)
+def _verify_operator_identities(cfg, manifest):
+    bundle = _timed_bundle(cfg, manifest.timings)
+    rng = np.random.default_rng(manifest.seed)
     states, centres = [], []
     for _ in range(20):
         states.append(rng.normal(0, 1, size=(4, 1)))
@@ -164,16 +178,17 @@ _VERIFY = {
 
 
 def cmd_verify(cfg: ExperimentConfig, manifest: RunManifest, which: str) -> int:
-    payload, passed = _VERIFY[which](cfg, manifest.seed)
+    t0 = time.monotonic()
+    payload, passed = _VERIFY[which](cfg, manifest)
+    # the suite's own seconds; a suite that builds the constant chain records it as chain_s
+    manifest.timings["suite_s"] = time.monotonic() - t0 - manifest.timings.get("chain_s", 0.0)
     manifest.write_json(f"verify_{which.replace('-', '_')}.json",
                         {**payload, "which": which, "passed": bool(passed)})
     return 0 if passed else 2
 
 
 def cmd_rate(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | None) -> int:
-    t0 = time.monotonic()
-    bundle = _bundle_from(cfg)
-    manifest.timings["constants_s"] = time.monotonic() - t0
+    bundle = _timed_bundle(cfg, manifest.timings, "constants_s")
     sim_cfg = cfg.build_sim(seed=manifest.seed, n_replicas=replicas)
     try:
         report = erg.estimate_decay(bundle, sim_cfg, PairState(*cfg.initial_pair()))

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import generator as gen
 from . import measures as ms
@@ -61,6 +60,31 @@ def activity_coef(c0_sigma: float, theta0: float, alpha: float, kappa: float,
     return c0_sigma * alpha ** -theta0 * m ** (2.0 - theta0)
 
 
+@functools.cache
+def _gammainc_saturation(a: float) -> float:
+    """Smallest ``x >= 2 max(a - 1, 0) + 1`` with ``2 x^(a-1) e^-x / Gamma(a) < e^-40``.
+
+    On that half line the expression bounds ``Q(a, x) = 1 - P(a, x)``, and it
+    falls with ``x``: from ``X(a)`` on, ``P(a, x)`` lies within ``e^-40`` of 1,
+    far inside the half ulp below 1, where ``gammainc`` returns exactly 1.0.
+    """
+    def log_bound(x):
+        return math.log(2.0) + (a - 1.0) * math.log(x) - x - math.lgamma(a)
+
+    lo = hi = 2.0 * max(a - 1.0, 0.0) + 1.0
+    if log_bound(hi) < -40.0:
+        return hi
+    while log_bound(hi) >= -40.0:
+        lo, hi = hi, 2.0 * hi
+    # bisect down to adjacent floats: log_bound(lo) >= -40 > log_bound(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if log_bound(mid) < -40.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @dataclass(frozen=True)
 class DistanceProfile:
     """Concave distance reshaping ``f(s) = c1 s + int_0^s exp(-c2 g(l)) dl``.
@@ -71,6 +95,15 @@ class DistanceProfile:
     ``c1 = exp(-c2 g(cap))`` can underflow; ``log_c1`` is always finite.
     ``cap`` only sets ``c1``: the formula holds for every ``s >= 0``, and
     ``ClampedProfile`` is the one rule past a radius.
+
+    The certified profiles are saturated: with ``a = 1/theta0`` and
+    ``x = B s^theta0``, the factor ``P(a, x)`` is 1 at every gap evaluated.
+    For ``x >= 2 max(a - 1, 0) + 1`` the tail obeys
+    ``Q(a, x) <= 2 x^(a-1) e^-x / Gamma(a)``; once that bound is below
+    ``e^-40`` (at ``x >= X(a)``, ``_gammainc_saturation``) ``P`` rounds to
+    1.0, which is what ``gammainc`` returns there. A stack whose every ``x``
+    is saturated therefore skips ``scipy.special`` (and its import) and gets
+    the same bits; any other stack goes through ``gammainc``.
     """
 
     log_c1: float
@@ -102,7 +135,12 @@ class DistanceProfile:
             return s.copy()
         a = 1.0 / self.theta0
         log_scale = -a * math.log(B) + math.lgamma(a) - math.log(self.theta0)
-        return math.exp(log_scale) * special.gammainc(a, B * np.maximum(s, 0.0) ** self.theta0)
+        x = B * np.maximum(s, 0.0) ** self.theta0
+        if np.all(x >= _gammainc_saturation(a)):
+            return math.exp(log_scale) * np.ones_like(x)
+        from scipy import special  # slow to import; only unsaturated profiles need it
+
+        return math.exp(log_scale) * special.gammainc(a, x)
 
     def _decay(self, s):
         # exp(-B s^theta0), flushed to 0 below exp(-745)

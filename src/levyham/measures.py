@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import CutoffTooSmall, MomentFailure, NonPositiveRadius, ShiftIsZero
 
@@ -92,7 +91,8 @@ class SliceMeasure:
     uniform law ``e_1^2`` is Beta(1/2, k) with ``k = (dim - 1)/2``, so
     ``A(r) = I_{m^2}(1/2, k) / 2`` (``special.betainc``): the half space's
     1/2 inside the unit ball, and every radial integral an incomplete beta
-    function outside it.
+    function outside it. These d >= 2 formulas import ``scipy.special`` on
+    first use, so d = 1 runs never load it.
     """
 
     c: float
@@ -132,6 +132,8 @@ class SliceMeasure:
     def _slab_tail(self, r: float) -> float:
         # dim >= 2 mass above r > 0: omega c (r^-t I_x(1/2, k) - B(q, k) / B(1/2, k)
         # I_x(q, k)) / (2 t) with t = theta0, q = (1 + t)/2 and x = min(1, r^-2)
+        from scipy import special  # slow to import; d >= 2 only
+
         t, k, x = self.theta0, (self.dim - 1) / 2.0, 1.0 if r <= 1.0 else r ** -2.0
         q = (1.0 + t) / 2.0
         inner = (r ** -t * special.betainc(0.5, k, x)
@@ -158,7 +160,8 @@ class SliceMeasure:
             return self.c * r ** (2.0 - self.theta0) / (2.0 - self.theta0)
         val = 0.5 * min(rho, 1.0) ** (2.0 - self.theta0) / (2.0 - self.theta0)
         if rho > 1.0:
-            from scipy import integrate  # slow to import (it loads scipy.optimize); d >= 2 only
+            # slow to import (integrate loads scipy.optimize); d >= 2 only
+            from scipy import integrate, special
 
             k = (self.dim - 1) / 2.0
             val += integrate.quad(
@@ -171,8 +174,13 @@ class SliceMeasure:
         if not 0.0 < delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         # the unit ball's slab is the half space, where E[e_1; e_1 > 0] = 1 / ((d-1) B(1/2, k))
-        scale = self.c if self.dim == 1 else sphere_area(self.dim) * self.c / (
-            (self.dim - 1) * special.beta(0.5, (self.dim - 1) / 2.0))
+        if self.dim == 1:
+            scale = self.c
+        else:
+            from scipy import special  # slow to import; d >= 2 only
+
+            scale = sphere_area(self.dim) * self.c / (
+                (self.dim - 1) * special.beta(0.5, (self.dim - 1) / 2.0))
         out = np.zeros(self.dim)
         if self.theta0 == 1.0:
             out[0] = -scale * math.log(1.0 / delta)
@@ -186,6 +194,8 @@ class SliceMeasure:
             val = self.c / (2.0 - self.theta0)
             # support lies in (0, 1]: both integrands reduce to |u|^2 there
             return MomentReport(val, val, False)
+        from scipy import special  # slow to import; d >= 2 only
+
         k = (self.dim - 1) / 2.0
 
         def beyond_one(p):

@@ -414,6 +414,20 @@ class TestOutputs:
         written = sorted(set(os.listdir(out)) - {"run_manifest.json"})
         assert written == sorted(os.path.basename(p) for p in manifest[command]["outputs"])
 
+    @pytest.mark.parametrize("argv, command, stages", [
+        (["constants"], "constants", ("chain_s", "io_s")),
+        *((["verify", "--which", which], f"verify:{which}",
+           ("chain_s", "suite_s") if which in ("f-props", "operator-identities")
+           else ("suite_s",)) for which in VERIFY_SUITES),
+    ])
+    def test_manifest_splits_the_chain_from_the_rest(self, tmp_path, argv, command, stages):
+        path = write(tmp_path, QUICK)
+        assert cli.main(argv + ["--config", path, "--out", str(tmp_path)]) == 0
+        timings = json.loads((tmp_path / "run_manifest.json").read_text())[command]["timings"]
+        assert set(timings) == {*stages, "total_s"}
+        assert all(timings[k] >= 0.0 for k in stages)
+        assert sum(timings[k] for k in stages) <= timings["total_s"]
+
     def test_commands_sharing_a_directory_keep_their_records(self, tmp_path):
         # one record per command; a rerun replaces only its own record, and a
         # manifest in the single-record layout is replaced
@@ -640,18 +654,25 @@ decay_threshold = 0.5
         assert not (tmp_path / "run_manifest.json").exists()
 
 
+# modules each worth a large share of the start-up: scipy.special pulls in
+# scipy's array-API layer, and with it numpy.f2py
 SLOW_SCIPY = ["scipy.stats", "scipy.integrate", "scipy.optimize"]
+SPECIAL = ["numpy.f2py", "scipy.special"]
 
 
-def loaded_after(code):
-    # the slow scipy modules in sys.modules once `code` has run in a fresh interpreter
+def loaded_after(code, modules):
+    # those of `modules` in sys.modules once `code` has run in a fresh interpreter
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code += f"\nprint(*sorted(set({SLOW_SCIPY!r}) & set(sys.modules)))"
+    code += f"\nprint(*sorted(set({modules!r}) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     return out.stdout.splitlines()[-1].split()
+
+
+def run_code(argv):
+    return f"import sys, levyham.cli\nassert levyham.cli.main({argv!r}) == 0"
 
 
 def short_benchmark(tmp_path, n_save=3):
@@ -666,30 +687,41 @@ def short_benchmark(tmp_path, n_save=3):
 
 
 class TestStartup:
-    @pytest.mark.parametrize("module", SLOW_SCIPY)
+    @pytest.mark.parametrize("module", SLOW_SCIPY + SPECIAL)
     def test_cli_import_leaves_slow_scipy_modules_out(self, module):
-        # each costs a large share of the import; only the d >= 2 slice
-        # quadrature (scipy.integrate, which loads scipy.optimize) needs any
-        # of them, and it imports them when it runs
-        assert module not in loaded_after("import sys, levyham.cli")
+        # only the d >= 2 slice formulas and an unsaturated distance profile
+        # need any of them, and they import them when they run
+        assert module not in loaded_after("import sys, levyham.cli", [module])
 
     def test_constants_leaves_slow_scipy_modules_out(self, tmp_path):
         # the constant chain's Lipschitz sampler draws its Sobol points
-        # without scipy.stats
+        # without scipy.stats, and its certified profile is saturated
         argv = ["constants", "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
-        code = f"import sys, levyham.cli\nassert levyham.cli.main({argv!r}) == 0"
-        assert loaded_after(code) == []
+        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
+
+    @pytest.mark.parametrize("which", ["B1", "F1", "A2", "operator-identities"])
+    def test_verify_leaves_slow_scipy_modules_out(self, tmp_path, which):
+        argv = ["verify", "--which", which, "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
+        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
+
+    def test_verify_fprops_loads_scipy_special(self, tmp_path):
+        # REFERENCE_LIVE_PROFILE is unsaturated on purpose, so its values need
+        # gammainc; a live profile that stops needing it shows up here
+        argv = ["verify", "--which", "f-props", "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
+        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == SPECIAL
 
     def test_rate_leaves_slow_scipy_modules_out(self, tmp_path):
         # five snapshots leave the decay fit enough points at four replicas
         argv = ["rate", "--config", short_benchmark(tmp_path, n_save=5), "--replicas", "4",
                 "--out", str(tmp_path)]
-        code = f"import sys, levyham.cli\nassert levyham.cli.main({argv!r}) == 0"
-        assert loaded_after(code) == []
+        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
+
+    def test_couple_leaves_slow_scipy_modules_out(self, tmp_path):
+        argv = ["couple", "--config", BENCHMARK_CFG, "--replicas", "1", "--out", str(tmp_path)]
+        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
 
     def test_equilibrium_leaves_slow_scipy_modules_out(self, tmp_path):
         # at the benchmark's short equilibrium settings they stay out of memory
         argv = ["equilibrium", "--config", short_benchmark(tmp_path), "--replicas", "100",
                 "--out", str(tmp_path)]
-        code = f"import sys, levyham.cli\nassert levyham.cli.main({argv!r}) == 0"
-        assert loaded_after(code) == []
+        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []

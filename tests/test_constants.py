@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import ForceSystem, ref_compute_lipschitz
 from levyham import constants as cn
@@ -250,6 +250,114 @@ class TestSigmaAndProfile:
     def test_doubling_bound(self, live_profile):
         s = np.linspace(1e-6, live_profile.cap / 2, 300)
         assert np.all(live_profile.value(2 * s) <= 2 * live_profile.value(s) + 1e-12)
+
+
+def gammainc_integral(prof, s):
+    # the closed form DistanceProfile._integral evaluates, always through gammainc
+    s = np.asarray(s, dtype=float)
+    a, B = 1.0 / prof.theta0, prof.rate_coef
+    log_scale = -a * math.log(B) + math.lgamma(a) - math.log(prof.theta0)
+    return math.exp(log_scale) * special.gammainc(a, B * np.maximum(s, 0.0) ** prof.theta0)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+
+class TestSaturatedIntegral:
+    # _integral skips gammainc where every x = B s^theta0 is at least X(a); the
+    # values must stay gammainc's, bit for bit
+    THETA0 = np.linspace(0.05, 1.99, 12)
+
+    @staticmethod
+    def profile(theta0):
+        return cn.DistanceProfile(log_c1=-1.0, c2=1.5, g_coef=0.4, theta0=float(theta0),
+                                  cap=10.0)
+
+    @staticmethod
+    def gaps(prof, x):
+        # gaps s whose x = B s^theta0 lies within a few ulps of x
+        return (np.asarray(x, dtype=float) / prof.rate_coef) ** (1.0 / prof.theta0)
+
+    def first_saturated_gap(self, prof, big):
+        # the smallest float gap whose x is at least big
+        def x(s):
+            return prof.rate_coef * s ** prof.theta0
+
+        s = float(self.gaps(prof, big))
+        while x(s) < big:
+            s = np.nextafter(s, np.inf)
+        while x(np.nextafter(s, 0.0)) >= big:
+            s = np.nextafter(s, 0.0)
+        return s
+
+    @pytest.fixture()
+    def gammainc_calls(self, monkeypatch):
+        calls, real = [], special.gammainc
+
+        def spy(a, x):
+            calls.append(a)
+            return real(a, x)
+
+        monkeypatch.setattr(special, "gammainc", spy)
+        return calls
+
+    @pytest.mark.parametrize("theta0", THETA0)
+    def test_saturated_stacks_equal_gammainc(self, theta0, gammainc_calls):
+        prof = self.profile(theta0)
+        big = cn._gammainc_saturation(1.0 / prof.theta0)
+        first = self.first_saturated_gap(prof, big)
+        ulps = first + np.arange(8) * np.spacing(first)
+        ulps = ulps[prof.rate_coef * ulps ** prof.theta0 >= big]  # s^theta0 is not monotone in ulps
+        cases = [np.float64(first), ulps,
+                 self.gaps(prof, big * (1.0 + 1e-12)), self.gaps(prof, big * 2.0),
+                 np.append(self.gaps(prof, big * 1e6), [1e150, np.inf]),
+                 self.gaps(prof, np.geomspace(big * 1.5, big * 1e3, 4).reshape(2, 2))]
+        for s in cases:
+            assert np.all(prof.rate_coef * s ** prof.theta0 >= big)
+            assert_same_bits(prof._integral(s), gammainc_integral(prof, s))
+        assert len(gammainc_calls) == len(cases)  # the reference's calls only
+
+    @pytest.mark.parametrize("theta0", THETA0)
+    def test_unsaturated_stacks_go_through_gammainc(self, theta0, gammainc_calls):
+        prof = self.profile(theta0)
+        big = cn._gammainc_saturation(1.0 / prof.theta0)
+        first = self.first_saturated_gap(prof, big)
+        below = np.nextafter(first, 0.0)
+        mixed = np.array([first, self.gaps(prof, big * 0.5), first * 4.0])
+        cases = [below, np.array([below, first]), self.gaps(prof, big * (1.0 - 1e-12)), mixed]
+        for s in cases:
+            assert_same_bits(prof._integral(s), gammainc_integral(prof, s))
+        assert len(gammainc_calls) == 2 * len(cases)  # _integral's and the reference's
+
+    @pytest.mark.parametrize("s", [0.0, 1e30, np.inf, np.nan, np.empty(0), np.empty((0, 3)),
+                                   np.array([1e30, np.nan])], ids=repr)
+    def test_scalar_empty_and_nan_inputs(self, s):
+        prof = self.profile(0.4)
+        assert_same_bits(prof._integral(s), gammainc_integral(prof, s))
+
+    @pytest.mark.parametrize("theta0", THETA0)
+    def test_gammainc_is_one_from_the_saturation_point(self, theta0):
+        # pins what the shortcut relies on: a scipy whose gammainc stops
+        # returning exactly 1.0 here fails this first
+        a = 1.0 / theta0
+        big = cn._gammainc_saturation(a)
+        x = np.concatenate([big + np.arange(64) * np.spacing(big),
+                            big * (1.0 + np.geomspace(1e-15, 1e6, 4000)), [np.inf]])
+        assert np.all(special.gammainc(a, x) == 1.0)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 20.0])
+    def test_saturation_point_is_the_first_below_the_bound(self, a):
+        big = cn._gammainc_saturation(a)
+
+        def log_bound(x):
+            return math.log(2.0) + (a - 1.0) * math.log(x) - x - math.lgamma(a)
+
+        start = 2.0 * max(a - 1.0, 0.0) + 1.0
+        assert big > start and log_bound(big) < -40.0
+        assert log_bound(np.nextafter(big, 0.0)) >= -40.0
 
 
 class TestTiltAndRate:

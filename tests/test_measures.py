@@ -1,6 +1,8 @@
 """Measure layer: truncation, overlap quantities, moments, and jump sampling."""
 
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -337,6 +339,25 @@ class TestSlabClosedForms:
         for rho in (1e-6, 0.5, 1.0, 3.0):
             want = _radial_reference(sl, lambda r: r * r, 0.0, rho)
             assert sl.second_moment_within(rho) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("method, arg", [("mass_above", 0.5), ("second_moment_within", 2.0),
+                                             ("compensation_drift", 1e-3), ("moment_pair", 1.0)])
+    def test_formulas_import_scipy_special_on_first_use(self, dim, method, arg):
+        # each d >= 2 formula imports scipy.special itself: run cold, in a fresh
+        # interpreter that has not loaded it, it gives the in-process value
+        text = "repr(out.tolist() if isinstance(out, np.ndarray) else out)"
+        code = (f"import sys\nimport numpy as np\nfrom levyham import measures as ms\n"
+                f"assert 'scipy.special' not in sys.modules\n"
+                f"out = ms.SliceMeasure(1.0, 0.4, dim={dim}).{method}({arg!r})\n"
+                f"assert 'scipy.special' in sys.modules\nprint({text})")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ms.__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cold = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+        out = getattr(ms.SliceMeasure(1.0, 0.4, dim=dim), method)(arg)
+        assert cold == eval(text, {"np": np, "out": out})
 
 
 class TestSampling:
