@@ -64,19 +64,18 @@ def activity_coef(c0_sigma: float, theta0: float, alpha: float, kappa: float,
 def _gammainc_saturation(a: float) -> float:
     """Smallest ``x >= 2 max(a - 1, 0) + 1`` with ``2 x^(a-1) e^-x / Gamma(a) < e^-40``.
 
-    On that half line the expression bounds ``Q(a, x) = 1 - P(a, x)``, and it
-    falls with ``x``: from ``X(a)`` on, ``P(a, x)`` lies within ``e^-40`` of 1,
-    far inside the half ulp below 1, where ``gammainc`` returns exactly 1.0.
+    On that half line the expression bounds ``Q(a, x) = 1 - P(a, x)`` and
+    falls with ``x``, so from the returned point on ``P(a, x)`` lies within
+    ``e^-40`` of 1, far inside the half ulp below 1, where ``gammainc``
+    returns exactly 1.0 (pinned in the tests).
     """
     def log_bound(x):
         return math.log(2.0) + (a - 1.0) * math.log(x) - x - math.lgamma(a)
 
     lo = hi = 2.0 * max(a - 1.0, 0.0) + 1.0
-    if log_bound(hi) < -40.0:
-        return hi
     while log_bound(hi) >= -40.0:
         lo, hi = hi, 2.0 * hi
-    # bisect down to adjacent floats: log_bound(lo) >= -40 > log_bound(hi)
+    # bisect down to adjacent floats: log_bound(lo) >= -40 > log_bound(hi), or lo == hi
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if log_bound(mid) < -40.0:
             hi = mid
