@@ -31,11 +31,11 @@ import hashlib
 import json
 import os
 import platform
+import sys
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
-import scipy
 
 from . import measures as ms
 from . import model as md
@@ -289,7 +289,8 @@ class RunManifest:
     versions and writes the record into ``run_manifest.json`` next to them.
     That file maps each command that finished in ``out`` (``constants``,
     ``verify:F1``, ...) to its latest record, so commands sharing a directory
-    keep each other's provenance.
+    keep each other's provenance. The scipy version is read from the loaded
+    module, and is ``null`` when the run never imported scipy.
     """
 
     config_hash: str
@@ -319,10 +320,11 @@ class RunManifest:
 
     def finish(self) -> None:
         self.timings["total_s"] = time.monotonic() - self.started
+        scipy = sys.modules.get("scipy")
         self.versions = {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy.__version__ if scipy else None,
         }
         path = os.path.join(self.out, "run_manifest.json")
         try:

@@ -411,6 +411,20 @@ def coupling_shift(pair: PairState, alpha: float, kappa: float) -> np.ndarray:
     return alpha * ms.truncate(pair.q(alpha), kappa)
 
 
+def _jumped_values(fns, quad: PairQuadrature, signs) -> list:
+    # each observable's values on the (S, n) stack of jumped states of each
+    # channel in ``signs``: 0 the synchronous one, +1 and -1 the modified ones
+    # whose second velocity jumps by u +/- the coupling shift
+    du, vals = quad.nodes.points, [[] for _ in fns]
+    for sign in signs:
+        dvp = du if sign == 0 else du + quad.shift[:, None] if sign > 0 else du - quad.shift[:, None]
+        states = _shifted(quad.pair, du, dvp)
+        for out, fn in zip(vals, fns):
+            out.append(fn.value(states))
+        del states  # so one channel's stack lives at a time
+    return vals
+
+
 def apply_coupling_operator(fn, quad: PairQuadrature, drift_part: bool = True):
     """Full pair operator on a pair observable: drift plus three jump channels.
 
@@ -418,6 +432,14 @@ def apply_coupling_operator(fn, quad: PairQuadrature, drift_part: bool = True):
     Pass ``drift_part=False`` for the pure jump component (used by the
     marginal identity).
     """
+    (jumped,) = _jumped_values((fn,), quad, (0, 1, -1) if quad.live.any() else (0,))
+    return _coupling_operator(fn, quad, jumped.__getitem__, drift_part)
+
+
+def _coupling_operator(fn, quad: PairQuadrature, jumped, drift_part: bool = True):
+    # the operator from fn at the states and ``jumped(k)``, its values on the
+    # synchronous (0), +shift (1) and -shift (2) stacks; 1 and 2 are read only
+    # if a state is live
     pair, nodes = quad.pair, quad.nodes
     base = np.asarray(fn.value(pair), dtype=float)[:, None]
     gx, gv, gxp, gvp = (np.asarray(g, dtype=float) for g in fn.grads(pair))
@@ -434,15 +456,15 @@ def apply_coupling_operator(fn, quad: PairQuadrature, drift_part: bool = True):
     sync_w = 1.0 - 0.5 * quad.rho_minus - 0.5 * quad.rho_plus
 
     # synchronous channel: counted outside the Taylor zone, analytic inside
-    sync_int = fn.value(_shifted(pair, du, du)) - base - comp_both
+    sync_int = jumped(0) - base - comp_both
     total = np.sum(_sync_nodes(nodes)[1] * sync_w * sync_int, axis=-1)
     total += 0.5 * np.asarray(fn.sync_hess(pair), dtype=float) * nodes.inner_moment2
 
     if quad.live.any():
         up, down = du + quad.shift[:, None], du - quad.shift[:, None]
-        plus_int = (fn.value(_shifted(pair, du, up)) - base - comp_v - np.where(
+        plus_int = (jumped(1) - base - comp_v - np.where(
             np.linalg.norm(up, axis=-1) <= 1.0, np.sum(up * gvp[:, None], axis=-1), 0.0))
-        minus_int = (fn.value(_shifted(pair, du, down)) - base - comp_v - np.where(
+        minus_int = (jumped(2) - base - comp_v - np.where(
             np.linalg.norm(down, axis=-1) <= 1.0, np.sum(down * gvp[:, None], axis=-1), 0.0))
         total += np.sum(wd * 0.5 * quad.rho_minus * plus_int, axis=-1)
         total += np.sum(wd * 0.5 * quad.rho_plus * minus_int, axis=-1)
@@ -508,16 +530,18 @@ def marginal_identity_residual(g: TestFunction, h: TestFunction, quad: PairQuadr
 def product_correction_term(h_fn, g_fn, quad: PairQuadrature):
     """Cross term of the product rule: both channels of jump covariation, at
     every state of ``quad`` (zero at a degenerate gap)."""
+    return _correction_term(h_fn, g_fn, quad, *_jumped_values((h_fn, g_fn), quad, (1, -1)))
+
+
+def _correction_term(h_fn, g_fn, quad: PairQuadrature, hs, gs):
+    # the cross term from the values of h and g on the +shift and -shift stacks
     pair, nodes = quad.pair, quad.nodes
-    du = nodes.points
     hb = np.asarray(h_fn.value(pair), dtype=float)[:, None]
     gb = np.asarray(g_fn.value(pair), dtype=float)[:, None]
-    s = quad.shift[:, None]
-    plus, minus = _shifted(pair, du, du + s), _shifted(pair, du, du - s)
-    dh_p = h_fn.value(plus) - hb
-    dg_p = g_fn.value(plus) - gb
-    dh_m = h_fn.value(minus) - hb
-    dg_m = g_fn.value(minus) - gb
+    dh_p = hs[0] - hb
+    dg_p = gs[0] - gb
+    dh_m = hs[1] - hb
+    dg_m = gs[1] - gb
     pi = np.sum(nodes.w * nodes.dens * 0.5 * (quad.rho_minus * dh_p * dg_p
                                               + quad.rho_plus * dh_m * dg_m), axis=-1)
     return quad.shaped(pi)
@@ -533,11 +557,14 @@ def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float):
 
 def product_rule_residual(h_fn, g_fn, quad: PairQuadrature):
     """Relative gap of ``L(HG) = H LG + G LH + Pi`` on shared nodes, at every
-    state of ``quad``."""
-    lhs = apply_coupling_operator(ProductPairFn(h_fn, g_fn), quad)
-    lh = apply_coupling_operator(h_fn, quad)
-    lg = apply_coupling_operator(g_fn, quad)
-    pi = product_correction_term(h_fn, g_fn, quad)
+    state of ``quad``; ``H`` and ``G`` are evaluated once on each channel's
+    stack of jumped states, and all four terms are formed from those values."""
+    hs, gs = _jumped_values((h_fn, g_fn), quad, (0, 1, -1))
+    # HG's values are formed per channel as the operator reads them, not held all at once
+    lhs = _coupling_operator(ProductPairFn(h_fn, g_fn), quad, lambda k: hs[k] * gs[k])
+    lh = _coupling_operator(h_fn, quad, hs.__getitem__)
+    lg = _coupling_operator(g_fn, quad, gs.__getitem__)
+    pi = _correction_term(h_fn, g_fn, quad, hs[1:], gs[1:])
     rhs = quad.shaped(h_fn.value(quad.pair)) * lg + quad.shaped(g_fn.value(quad.pair)) * lh + pi
     return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
 

@@ -356,11 +356,11 @@ class LevyMeasureSpec:
 
     def _check_domination(self):
         # probe nu >= nu* pointwise on a deterministic grid of the slab (n points for dim >= 2)
-        rng, n = np.random.default_rng(0), 512
         radii = np.geomspace(1e-6, 1.0, 32)
         if self.dim == 1:
             pts = radii[:, None]
         else:
+            rng, n = np.random.default_rng(0), 512
             g = rng.standard_normal((n, self.dim))
             e = g / np.linalg.norm(g, axis=1, keepdims=True)
             e[:, 0] = np.abs(e[:, 0])

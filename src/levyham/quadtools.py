@@ -37,7 +37,9 @@ def log_gauss_panels(lo: float, hi: float, panels_per_decade: int = 4,
     edges = np.geomspace(lo, hi, n_panels + 1)
     extra = [b for b in breakpoints if lo < b < hi]
     if extra:
-        edges = np.unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
+        # np.unique's own steps on 1-d floats, without the numpy.ma import it costs
+        edges = np.sort(np.concatenate([edges, np.asarray(extra, dtype=float)]))
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     gx, gw = _gauss_legendre(nodes_per_panel)
     a = edges[:-1]
     b = edges[1:]

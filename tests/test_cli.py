@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 
 from levyham import cli
 from levyham import model as md
-from levyham.config import SCHEMA, load_config
+from levyham.config import SCHEMA, RunManifest, load_config
 from levyham.errors import ConfigError
 
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
@@ -428,6 +429,13 @@ class TestOutputs:
         assert all(timings[k] >= 0.0 for k in stages)
         assert sum(timings[k] for k in stages) <= timings["total_s"]
 
+    def test_manifest_records_the_loaded_scipy(self, tmp_path):
+        import scipy
+
+        RunManifest("0", 0, "constants", out=str(tmp_path)).finish()
+        record = json.loads((tmp_path / "run_manifest.json").read_text())["constants"]
+        assert record["versions"]["scipy"] == scipy.__version__
+
     def test_commands_sharing_a_directory_keep_their_records(self, tmp_path):
         # one record per command; a rerun replaces only its own record, and a
         # manifest in the single-record layout is replaced
@@ -698,6 +706,14 @@ class TestStartup:
         # without scipy.stats, and its certified profile is saturated
         argv = ["constants", "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
         assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
+
+    def test_constants_never_imports_scipy(self, tmp_path):
+        # nor does its manifest: a run that never loaded scipy records its version as null
+        argv = ["constants", "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
+        assert loaded_after(run_code(argv), ["scipy"]) == []
+        record = json.loads((tmp_path / "run_manifest.json").read_text())["constants"]
+        assert record["versions"] == {"python": platform.python_version(),
+                                      "numpy": np.__version__, "scipy": None}
 
     @pytest.mark.parametrize("which", ["B1", "F1", "A2", "operator-identities"])
     def test_verify_leaves_slow_scipy_modules_out(self, tmp_path, which):

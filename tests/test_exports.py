@@ -17,6 +17,9 @@ KEPT_WITHOUT_CALLER = {
     # for a verify suite that evaluates them (ROADMAP item 1); ContractionCheck
     # is not listed, as contraction_inequality_check builds it
     "psi", "correction_bound", "contraction_inequality_check", "coupling_profile_drift",
+    # the product rule's cross term alone, next to correction_bound, its envelope;
+    # product_rule_residual forms it from the jumped values it shares with L(HG)
+    "product_correction_term",
     # the one public window step; the benchmark's self-test reads it
     "step_pair",
 }

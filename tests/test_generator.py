@@ -1,6 +1,7 @@
 """Operator quadrature: generator values, identity checks, cross-validation."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -711,3 +712,93 @@ class TestPairQuadrature:
             one, stacked = (gen.contraction_inequality_check(h, g, 0.1, q) for q in (point, row))
             for f in ("lhs", "rhs", "slack", "passed"):
                 assert np.ndim(getattr(one, f)) == 0 and getattr(one, f) == getattr(stacked, f)[0]
+
+
+def ref_product_rule_residual(h_fn, g_fn, quad):
+    """The product rule as four operator calls, each building its own jumped stacks."""
+    lhs = gen.apply_coupling_operator(gen.ProductPairFn(h_fn, g_fn), quad)
+    lh = gen.apply_coupling_operator(h_fn, quad)
+    lg = gen.apply_coupling_operator(g_fn, quad)
+    pi = gen.product_correction_term(h_fn, g_fn, quad)
+    rhs = quad.shaped(h_fn.value(quad.pair)) * lg + quad.shaped(g_fn.value(quad.pair)) * lh + pi
+    return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
+
+
+class CountingFn:
+    """A pair observable that counts its ``value`` calls on stacks of jumped
+    states, those with a node axis."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def value(self, pair):
+        self.calls += pair.x.ndim == 3
+        return self.fn.value(pair)
+
+    def grads(self, pair):
+        return self.fn.grads(pair)
+
+    def sync_hess(self, pair):
+        return self.fn.sync_hess(pair)
+
+
+class StackSpy:
+    """Wraps ``generator._shifted`` to record how many jumped stacks it built
+    and the most that were alive at once, counted as each new one is built."""
+
+    def __init__(self, monkeypatch):
+        self.refs, self.most_alive = [], 0
+        build = gen._shifted
+
+        def spy(pair, dv, dvp):
+            alive = sum(ref() is not None for ref in self.refs) + 1
+            self.most_alive = max(self.most_alive, alive)
+            out = build(pair, dv, dvp)
+            self.refs.append(weakref.ref(out.vp))
+            return out
+
+        monkeypatch.setattr(gen, "_shifted", spy)
+
+
+def degenerate_stack(rng):
+    """Four states whose gaps |q| are at or below DEGENERATE_GAP, as a (4,) stack."""
+    gaps = np.array([0.0, 0.75e-12, -0.5e-12, DEGENERATE_GAP])[:, None]
+    v = rng.normal(0, 1.5, gaps.shape)
+    return PairState(gaps, v, np.zeros_like(gaps), v)
+
+
+class TestProductRuleOnePass:
+    """The product rule evaluates H and G once per jump channel."""
+
+    @pytest.mark.parametrize("stack", ["live", "degenerate"])
+    @pytest.mark.parametrize("measure", ["slice", "stable"])
+    def test_equals_the_four_call_composition(self, measure, stack, benchmark_lyap, scheme,
+                                              rng):
+        levy = PARITY_MEASURES[measure]()
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        for g in (tilt(benchmark_lyap, 0.07), gen.SeparablePairFn(bump(0.3), bump(-0.5))):
+            for _ in range(3):
+                pair = parity_stack(rng) if stack == "live" else degenerate_stack(rng)
+                quad = gen.pair_quadrature(pair, damping_system(), levy, ALPHA, KAPPA, scheme)
+                assert quad.live.any() == (stack == "live")
+                got = gen.product_rule_residual(h, g, quad)
+                want = ref_product_rule_residual(h, g, quad)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stack", ["live", "degenerate"])
+    def test_one_value_call_and_one_live_stack_per_channel(self, stack, benchmark_lyap, scheme,
+                                                           rng, monkeypatch):
+        pair = parity_stack(rng) if stack == "live" else degenerate_stack(rng)
+        quad = gen.pair_quadrature(pair, damping_system(), PARITY_MEASURES["dominated"](),
+                                   ALPHA, KAPPA, scheme)
+        h = CountingFn(gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0))
+        g = CountingFn(tilt(benchmark_lyap, 0.07))
+        # the operator builds the modified channels only where a state is live
+        channels = 3 if stack == "live" else 1
+        for call, built, g_calls in ((lambda: gen.product_rule_residual(h, g, quad), 3, 3),
+                                     (lambda: gen.apply_coupling_operator(h, quad), channels, 0),
+                                     (lambda: gen.product_correction_term(h, g, quad), 2, 2)):
+            h.calls = g.calls = 0
+            spy = StackSpy(monkeypatch)
+            call()
+            assert (len(spy.refs), spy.most_alive, h.calls, g.calls) == (built, 1, built, g_calls)

@@ -1,5 +1,6 @@
 """Measure layer: truncation, overlap quantities, moments, and jump sampling."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -660,6 +661,36 @@ class TestLevySpec:
         with pytest.raises(ValueError):
             ms.LevyMeasureSpec(measure=st_m, theta=1.0,
                                slice_part=ms.SliceMeasure(c=5.0, theta0=0.4, dim=1))
+
+    # the probe points of _check_domination, recorded at the driving measure's density
+    PROBE_POINTS = {
+        1: ((32, 1), "3644723a2c98ff7072e295f7bea614bcc9c2e6c525c60fb4eb246f75b3a023df"),
+        2: ((512, 2), "ae06e537ed05c90263d087dfba86b7d3c00e261df921e1f6b5e57f4ab759b50b"),
+        3: ((512, 3), "e1507dcb38ad83f6cd18fc48eb95cb3caf651a36b2127944817a26a71f881cd7"),
+    }
+
+    @pytest.mark.parametrize("dim", sorted(PROBE_POINTS))
+    def test_domination_probe_points_are_pinned(self, dim):
+        seen = []
+
+        class Recording(ms.IsotropicStable):
+            def density(self, u):
+                seen.append(np.array(u, dtype=float))
+                return super().density(u)
+
+        ms.LevyMeasureSpec(measure=Recording(alpha0=1.5, scale=1.0, dim=dim), theta=1.0)
+        (pts,) = seen
+        shape, digest = self.PROBE_POINTS[dim]
+        assert pts.shape == shape
+        assert hashlib.sha256(np.ascontiguousarray(pts, dtype="<f8").tobytes()).hexdigest() \
+            == digest
+
+    def test_one_dimensional_probe_draws_nothing(self, monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("the d = 1 probe is a fixed grid")
+
+        monkeypatch.setattr(ms.np.random, "default_rng", no_rng)
+        ms.LevyMeasureSpec(measure=ms.IsotropicStable(alpha0=1.5, scale=1.0, dim=1), theta=1.0)
 
     def test_valid_sub_slice_accepted(self):
         st_m = ms.IsotropicStable(alpha0=1.5, scale=1.0, dim=1)
