@@ -23,7 +23,7 @@ from . import generator as gen
 from . import measures as ms
 from . import model as md
 from .errors import NoRoot, SigmaNotIntegrable
-from .pair import PairState
+from .pair import PairState, row_norm
 
 __all__ = [
     "DistanceProfile",
@@ -323,12 +323,8 @@ def compute_lipschitz(system, position_radius: float, n_pairs: int = 100_000,
         # caller reports as an unbounded constant
         with np.errstate(over="ignore", invalid="ignore"):
             du = np.asarray(system.force(x, v), dtype=float) - np.asarray(system.force(xp, vp), dtype=float)
-            gap = np.linalg.norm(x - xp, axis=-1) + np.linalg.norm(v - vp, axis=-1)
-            num = np.linalg.norm(du, axis=-1)
-        good = gap > 1e-12
-        out = np.zeros_like(gap)
-        out[good] = num[good] / gap[good]
-        return out
+            gap = row_norm(x - xp) + row_norm(v - vp)
+            return np.divide(row_norm(du), gap, out=np.zeros_like(gap), where=gap > 1e-12)
 
     best = -math.inf
     for rows, groups in sections:
@@ -393,7 +389,7 @@ def fit_lyapunov_drift(system, levy_spec, lyap, grid_radius: float = 20.0, n_gri
     x, v = md.grid_pairs(grid_radius, n_grid, system.dim, include_origin=True)
     LW = gen.apply_generator(system, levy_spec, gen.lyapunov_test_function(lyap), x, v, scheme)
     W = lyap.W(x, v)
-    shell = np.maximum(np.linalg.norm(x, axis=-1), np.linalg.norm(v, axis=-1)) >= grid_radius / 2
+    shell = np.maximum(row_norm(x), row_norm(v)) >= grid_radius / 2
     c0 = 0.9 * float(np.min(-LW[shell] / W[shell]))
     if c0 <= 0.0:
         raise NoRoot("no finite balance point: the weight-drift fit failed")

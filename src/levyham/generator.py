@@ -45,7 +45,7 @@ import numpy as np
 
 from . import measures as ms
 from .errors import QuadratureBudgetExceeded
-from .pair import DEGENERATE_GAP, PairState
+from .pair import DEGENERATE_GAP, PairState, row_norm
 from .quadtools import log_gauss_panels
 
 __all__ = [
@@ -210,12 +210,12 @@ def apply_generator(system, levy_spec, f: TestFunction, x, v,
 
 def _jump_sum(f: TestFunction, x, v, nodes: MeasureNodes):
     # compensated velocity-jump integral of f, broadcast over leading axes (a
-    # stacked table's rows over the states)
+    # stacked table's rows over the states). The position keeps a length-1
+    # node axis, so terms of x alone run once per state; a value without the
+    # node axis (a function of x alone) is broadcast by the subtraction below
     um, wd = _sync_nodes(nodes)
     base = np.asarray(f.value(x, v), dtype=float)
-    shifted_v = v[..., None, :] + um[..., None]
-    shifted = np.asarray(f.value(np.broadcast_to(x[..., None, :], shifted_v.shape), shifted_v),
-                         dtype=float)
+    shifted = np.asarray(f.value(x[..., None, :], v[..., None, :] + um[..., None]), dtype=float)
     gv = np.asarray(f.grad_v(x, v), dtype=float)[..., 0]
     comp = np.where(np.abs(um) <= 1.0, gv[..., None] * um, 0.0)
     jump = np.sum(wd * (shifted - base[..., None] - comp), axis=-1)
@@ -244,7 +244,7 @@ def _hess(f: TestFunction, x, v):
 
 def _unit(vec: np.ndarray) -> np.ndarray:
     # vec / |vec| over the leading axes, zero at degenerate norms
-    n = np.linalg.norm(vec, axis=-1, keepdims=True)
+    n = row_norm(vec, keepdims=True)
     return np.divide(vec, n, out=np.zeros_like(vec), where=n > DEGENERATE_GAP)
 
 
@@ -314,16 +314,26 @@ class ProductPairFn:
         return self.left.value(pair) * self.right.value(pair)
 
     def grads(self, pair):
-        lv, rv = (np.asarray(f.value(pair))[..., None] for f in (self.left, self.right))
-        return tuple(lv * rg + rv * lg
-                     for lg, rg in zip(self.left.grads(pair), self.right.grads(pair)))
+        return _local(self, pair)[1]
 
     def sync_hess(self, pair):
-        lv, rv = self.left.value(pair), self.right.value(pair)
-        _, lgv, _, lgvp = self.left.grads(pair)
-        _, rgv, _, rgvp = self.right.grads(pair)
-        return (lv * self.right.sync_hess(pair) + rv * self.left.sync_hess(pair)
-                + 2.0 * (lgv + lgvp)[..., 0] * (rgv + rgvp)[..., 0])
+        return _local(self, pair)[2]
+
+
+def _local(fn, pair):
+    # fn's value, grads and sync_hess at the states; a product evaluates each
+    # factor once
+    if isinstance(fn, ProductPairFn):
+        return _product_local(_local(fn.left, pair), _local(fn.right, pair))
+    return fn.value(pair), fn.grads(pair), fn.sync_hess(pair)
+
+
+def _product_local(left, right):
+    # the product's value, grads and sync_hess from its factors' own
+    (lv, lg, lh), (rv, rg, rh) = left, right
+    lvx, rvx = np.asarray(lv)[..., None], np.asarray(rv)[..., None]
+    return (lv * rv, tuple(lvx * r + rvx * l for l, r in zip(lg, rg)),
+            lv * rh + rv * lh + 2.0 * (lg[1] + lg[3])[..., 0] * (rg[1] + rg[3])[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +392,20 @@ def pair_quadrature(pair: PairState, system, levy_spec, alpha: float, kappa: flo
     pair = PairState(*(a.reshape(-1, pair.dim) for a in (pair.x, pair.v, pair.xp, pair.vp)))
     scheme = scheme or QuadratureScheme()
     shift = coupling_shift(pair, alpha, kappa)
-    live = ~(np.linalg.norm(pair.q(alpha), axis=-1) <= DEGENERATE_GAP)
-    built, rows = {}, []
-    for s, on in zip(np.linalg.norm(shift, axis=-1).tolist(), live.tolist()):
-        bp = (s, 1.0 - s, 1.0 + s, abs(1.0 - s)) if on else ()
-        if bp not in built:
-            built[bp] = build_nodes_1d(levy_spec.measure, scheme, breakpoints=bp)
-        rows.append(built[bp])
-    n = max(t.u.size for t in rows)
-    u, w, dens, mask = (np.stack([np.pad(getattr(t, k), (0, n - t.u.size), mode=m) for t in rows])
-                        for k, m in (("u", "edge"), ("w", "constant"), ("dens", "edge"),
-                                     ("sync_mask", "edge")))
-    nodes = dataclasses.replace(rows[0], u=u, w=w, dens=dens, sync_mask=mask)
+    live = ~(row_norm(pair.q(alpha)) <= DEGENERATE_GAP)
+    users = {}  # breakpoints -> the states whose table they make
+    for i, (s, on) in enumerate(zip(row_norm(shift).tolist(), live.tolist())):
+        users.setdefault((s, 1.0 - s, 1.0 + s, abs(1.0 - s)) if on else (), []).append(i)
+    built = {bp: build_nodes_1d(levy_spec.measure, scheme, breakpoints=bp) for bp in users}
+    n = max(t.u.size for t in built.values())
+    u, w, dens, mask = (np.empty((len(live), n), dtype=t) for t in (float, float, float, bool))
+    for bp, t in built.items():
+        rows, k = users[bp], t.u.size
+        for table, row, pad in ((u, t.u, t.u[-1]), (w, t.w, 0.0), (dens, t.dens, t.dens[-1]),
+                                (mask, t.sync_mask, t.sync_mask[-1])):
+            table[rows, :k] = row
+            table[rows, k:] = pad
+    nodes = dataclasses.replace(next(iter(built.values())), u=u, w=w, dens=dens, sync_mask=mask)
     rho_minus = rho_plus = np.zeros(u.shape)
     if live.any():
         s, on = shift[:, None, :], live[:, None]
@@ -433,16 +445,17 @@ def apply_coupling_operator(fn, quad: PairQuadrature, drift_part: bool = True):
     marginal identity).
     """
     (jumped,) = _jumped_values((fn,), quad, (0, 1, -1) if quad.live.any() else (0,))
-    return _coupling_operator(fn, quad, jumped.__getitem__, drift_part)
+    return _coupling_operator(quad, _local(fn, quad.pair), jumped.__getitem__, drift_part)
 
 
-def _coupling_operator(fn, quad: PairQuadrature, jumped, drift_part: bool = True):
-    # the operator from fn at the states and ``jumped(k)``, its values on the
-    # synchronous (0), +shift (1) and -shift (2) stacks; 1 and 2 are read only
-    # if a state is live
-    pair, nodes = quad.pair, quad.nodes
-    base = np.asarray(fn.value(pair), dtype=float)[:, None]
-    gx, gv, gxp, gvp = (np.asarray(g, dtype=float) for g in fn.grads(pair))
+def _coupling_operator(quad: PairQuadrature, local, jumped, drift_part: bool = True):
+    # the operator from an observable's ``local`` value, grads and sync_hess at
+    # the states and ``jumped(k)``, its values on the synchronous (0), +shift
+    # (1) and -shift (2) stacks; 1 and 2 are read only if a state is live
+    nodes = quad.nodes
+    value, grads, hess = local
+    base = np.asarray(value, dtype=float)[:, None]
+    gx, gv, gxp, gvp = (np.asarray(g, dtype=float) for g in grads)
     val = 0.0
     if drift_part:
         val = (np.sum(gx * quad.xdot, axis=-1) + np.sum(gxp * quad.xpdot, axis=-1)
@@ -458,14 +471,14 @@ def _coupling_operator(fn, quad: PairQuadrature, jumped, drift_part: bool = True
     # synchronous channel: counted outside the Taylor zone, analytic inside
     sync_int = jumped(0) - base - comp_both
     total = np.sum(_sync_nodes(nodes)[1] * sync_w * sync_int, axis=-1)
-    total += 0.5 * np.asarray(fn.sync_hess(pair), dtype=float) * nodes.inner_moment2
+    total += 0.5 * np.asarray(hess, dtype=float) * nodes.inner_moment2
 
     if quad.live.any():
         up, down = du + quad.shift[:, None], du - quad.shift[:, None]
         plus_int = (jumped(1) - base - comp_v - np.where(
-            np.linalg.norm(up, axis=-1) <= 1.0, np.sum(up * gvp[:, None], axis=-1), 0.0))
+            row_norm(up) <= 1.0, np.sum(up * gvp[:, None], axis=-1), 0.0))
         minus_int = (jumped(2) - base - comp_v - np.where(
-            np.linalg.norm(down, axis=-1) <= 1.0, np.sum(down * gvp[:, None], axis=-1), 0.0))
+            row_norm(down) <= 1.0, np.sum(down * gvp[:, None], axis=-1), 0.0))
         total += np.sum(wd * 0.5 * quad.rho_minus * plus_int, axis=-1)
         total += np.sum(wd * 0.5 * quad.rho_plus * minus_int, axis=-1)
     return quad.shaped(val + total)
@@ -530,14 +543,16 @@ def marginal_identity_residual(g: TestFunction, h: TestFunction, quad: PairQuadr
 def product_correction_term(h_fn, g_fn, quad: PairQuadrature):
     """Cross term of the product rule: both channels of jump covariation, at
     every state of ``quad`` (zero at a degenerate gap)."""
-    return _correction_term(h_fn, g_fn, quad, *_jumped_values((h_fn, g_fn), quad, (1, -1)))
+    return _correction_term(quad, h_fn.value(quad.pair), g_fn.value(quad.pair),
+                            *_jumped_values((h_fn, g_fn), quad, (1, -1)))
 
 
-def _correction_term(h_fn, g_fn, quad: PairQuadrature, hs, gs):
-    # the cross term from the values of h and g on the +shift and -shift stacks
-    pair, nodes = quad.pair, quad.nodes
-    hb = np.asarray(h_fn.value(pair), dtype=float)[:, None]
-    gb = np.asarray(g_fn.value(pair), dtype=float)[:, None]
+def _correction_term(quad: PairQuadrature, h, g, hs, gs):
+    # the cross term from the values of h and g at the states and on the
+    # +shift and -shift stacks
+    nodes = quad.nodes
+    hb = np.asarray(h, dtype=float)[:, None]
+    gb = np.asarray(g, dtype=float)[:, None]
     dh_p = hs[0] - hb
     dg_p = gs[0] - gb
     dh_m = hs[1] - hb
@@ -557,15 +572,17 @@ def correction_bound(pair: PairState, h_fn, lyap, eps: float, c_star: float):
 
 def product_rule_residual(h_fn, g_fn, quad: PairQuadrature):
     """Relative gap of ``L(HG) = H LG + G LH + Pi`` on shared nodes, at every
-    state of ``quad``; ``H`` and ``G`` are evaluated once on each channel's
-    stack of jumped states, and all four terms are formed from those values."""
+    state of ``quad``; ``H`` and ``G`` are evaluated once at the states and
+    once on each channel's stack of jumped states, and all four terms are
+    formed from those values."""
+    hl, gl = _local(h_fn, quad.pair), _local(g_fn, quad.pair)
     hs, gs = _jumped_values((h_fn, g_fn), quad, (0, 1, -1))
     # HG's values are formed per channel as the operator reads them, not held all at once
-    lhs = _coupling_operator(ProductPairFn(h_fn, g_fn), quad, lambda k: hs[k] * gs[k])
-    lh = _coupling_operator(h_fn, quad, hs.__getitem__)
-    lg = _coupling_operator(g_fn, quad, gs.__getitem__)
-    pi = _correction_term(h_fn, g_fn, quad, hs[1:], gs[1:])
-    rhs = quad.shaped(h_fn.value(quad.pair)) * lg + quad.shaped(g_fn.value(quad.pair)) * lh + pi
+    lhs = _coupling_operator(quad, _product_local(hl, gl), lambda k: hs[k] * gs[k])
+    lh = _coupling_operator(quad, hl, hs.__getitem__)
+    lg = _coupling_operator(quad, gl, gs.__getitem__)
+    pi = _correction_term(quad, hl[0], gl[0], hs[1:], gs[1:])
+    rhs = quad.shaped(hl[0]) * lg + quad.shaped(gl[0]) * lh + pi
     return np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
 
 

@@ -650,6 +650,24 @@ def _state_word_order() -> tuple:
     raise RuntimeError(f"unrecognised PCG64 state layout in numpy {np.__version__}: {got}")
 
 
+# peak memory of a pair ensemble per sampled jump: the growth of its peak RSS
+# with the horizon (2000 replicas of configs/benchmark.cfg at horizons 20-80)
+JUMP_BYTES = 108
+
+
+def _fitting_cutoff(measure, rate: float, cutoff: float) -> float:
+    # the smallest cutoff above ``cutoff`` with mass_above <= rate, rounded up
+    # to three significant digits; mass_above decreases in the cutoff
+    lo, hi = cutoff, 2.0 * cutoff
+    while measure.mass_above(hi) > rate:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if measure.mass_above(mid) > rate else (lo, mid)
+    step = 10.0 ** (math.floor(math.log10(hi)) - 2)
+    return math.ceil(hi / step) * step
+
+
 def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.SeedSequence,
                        replicas, budget: float = 2e7) -> JumpBatch:
     """Sample every jump with ``|u| > cutoff`` on ``[0, horizon]``, for each replica.
@@ -672,17 +690,21 @@ def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.S
     ``random(3n)`` draw, and one ``batch_marks`` call after the loop turns
     every stream's mark uniforms into marks, bit for bit those
     ``sample_annulus`` draws; other measures call ``sample_annulus`` per
-    stream. ``budget`` bounds one replica's expected jump count.
+    stream. ``budget`` bounds the whole ensemble's expected jump count, and
+    is checked before any draw.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if cutoff < _MIN_ANNULUS_EDGE:
         raise CutoffTooSmall(f"cutoff below the sampler floor {_MIN_ANNULUS_EDGE:g}")
-    expected = measure.mass_above(cutoff) * horizon
+    n_reps = len(replicas)
+    expected = n_reps * measure.mass_above(cutoff) * horizon
     if expected > budget:
+        fits = _fitting_cutoff(measure, budget / (n_reps * horizon), cutoff)
         raise CutoffTooSmall(
-            f"expected {expected:.3g} jumps above cutoff {cutoff:g}, budget {budget:.3g}"
-        )
+            f"expected {expected:.3g} jumps above cutoff {cutoff:g} over {n_reps} replicas "
+            f"(about {expected * JUMP_BYTES / 1e9:.3g} GB at {JUMP_BYTES} bytes per jump), "
+            f"budget {budget:.3g} jumps; the smallest cutoff that fits is {fits:.3g}")
     annuli = [(k, lo, hi, mass * horizon)
               for k, lo, hi in _annulus_edges(cutoff, measure.support_radius())
               if (mass := measure.annulus_mass(lo, hi)) > 0]

@@ -14,12 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PairState", "DEGENERATE_GAP"]
+__all__ = ["PairState", "DEGENERATE_GAP", "row_norm"]
 
 # Gap norms (the transformed gap |q|, and |z|) at or below this count as zero.
 # At a degenerate gap |q| every jump is synchronous: the simulator copies the
 # jump and the pair operator drops its two modified channels.
 DEGENERATE_GAP = 1e-12
+
+
+def row_norm(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)``; one component is its own ``abs``.
+
+    For one component this is bit for bit the norm while ``|a|`` lies in
+    about [1e-150, 1e150], where the square neither underflows nor
+    overflows; outside that range ``abs`` is exact where the norm is not.
+    """
+    if a.shape[-1] == 1:
+        return np.abs(a if keepdims else a[..., 0])
+    return np.linalg.norm(a, axis=-1, keepdims=keepdims)
 
 
 @dataclass(frozen=True)
@@ -53,4 +65,4 @@ class PairState:
         return self.z + self.w / alpha
 
     def r(self, alpha: float, alpha0: float):
-        return alpha0 * np.linalg.norm(self.z, axis=-1) + np.linalg.norm(self.q(alpha), axis=-1)
+        return alpha0 * row_norm(self.z) + row_norm(self.q(alpha))

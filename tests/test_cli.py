@@ -6,11 +6,13 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from levyham import cli
+from levyham import measures as ms
 from levyham import model as md
 from levyham.config import SCHEMA, RunManifest, load_config
 from levyham.errors import ConfigError
@@ -38,6 +40,17 @@ pot_l = 1
 h = 0.01
 horizon = 2.0
 n_save = 5
+"""
+
+
+# stable noise above the benchmark's slab (ROADMAP item 21)
+STABLE = """
+[levy]
+kind = stable
+alpha0 = 1.5
+slice_c = 1.0
+slice_theta0 = 0.4
+theta = 1.0
 """
 
 
@@ -313,6 +326,27 @@ class TestExitCodes:
             payload = json.loads((tmp_path / "rate.json").read_text())
             assert "error" not in payload and math.isfinite(payload["lambda_fit"])
             assert (tmp_path / "decay_curve.csv").exists()
+
+    def test_stable_overrun_exits_two_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # alpha0 = 1.5 at cutoff 1e-3: 200 replicas over horizon 20 expect
+        # 1.7e8 jumps, about 18 GB; the run stops with one line and the
+        # smallest cutoff that fits, having allocated no jump arrays. A
+        # sampler that got as far as its stream states would fail here
+        # rather than try to allocate them
+        monkeypatch.setattr(ms, "_pcg64_states", None)
+        path = write(tmp_path, STABLE)
+        tracemalloc.start()
+        try:
+            code = cli.main(["rate", "--config", path, "--replicas", "200",
+                             "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("CutoffTooSmall: expected 1.69e+08 jumps ")
+        assert "GB at 108 bytes per jump" in err[0] and err[0].endswith("fits is 0.00415")
+        assert peak < 64e6
 
     def test_rate_zero_horizon_insufficient(self, tmp_path):
         path = write(tmp_path, "[sim]\nhorizon = 0.0\nn_save = 1\nn_replicas = 4\n")

@@ -132,6 +132,7 @@ class TestLipschitz:
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("pot", [md.DoubleWellPoly(1.0, 2.0, 2.0), md.DoubleWellPoly(1.0, 2.0, 1.5),
+                                     md.DoubleWellPoly(1.0, 2.0, 2.7),
                                      md.DoubleWellPoly(1.0, 2.0, 1.3), md.DoubleWellExp(0.1, 2.0, 0.3),
                                      md.DoubleWellExp(0.1, 2.0, 0.5), md.DoubleWellExp(0.1, 2.0, 1.0),
                                      md.Quadratic(1.0)], ids=repr)

@@ -1,5 +1,6 @@
 """Operator quadrature: generator values, identity checks, cross-validation."""
 
+import collections
 import math
 import weakref
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import ZERO_FORCE, ForceSystem, displacements
+from levyham import constants as cn
 from levyham import generator as gen
 from levyham import measures as ms
 from levyham import model as md
+from levyham.errors import GrowthTestFailed, NoRoot
 from levyham.pair import DEGENERATE_GAP, PairState
 
 
@@ -671,6 +674,26 @@ class TestPairQuadrature:
         for a, b in zip(quadrature_arrays(shared), before):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("measure", sorted(PARITY_MEASURES))
+    def test_padded_tables_equal_the_pad_construction(self, measure, scheme, rng):
+        # tables of several lengths, some shared by more than one state (the
+        # gaps |q| >= KAPPA share one shift, the degenerate gaps no shift):
+        # each row is its state's table, edge-padded and with zero weight
+        levy = PARITY_MEASURES[measure]()
+        pair = parity_stack(rng)
+        nodes = gen.pair_quadrature(pair, damping_system(), levy, ALPHA, KAPPA, scheme).nodes
+        rows = [_ref_pair_nodes(state(pair, k), levy, ALPHA, KAPPA, scheme)[1]
+                for k in range(len(PARITY_GAPS))]
+        n = max(t.u.size for t in rows)
+        for key, mode in (("u", "edge"), ("w", "constant"), ("dens", "edge"),
+                          ("sync_mask", "edge")):
+            want = np.stack([np.pad(getattr(t, key), (0, n - t.u.size), mode=mode) for t in rows])
+            got = getattr(nodes, key)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            assert got.tobytes() == want.tobytes(), key
+        assert nodes.inner_moment2 == rows[0].inner_moment2
+        assert len({t.u.size for t in rows}) > 1
+
     def test_degenerate_stack_is_synchronous_only(self, benchmark_lyap, scheme, rng):
         # gaps |q| at or below DEGENERATE_GAP: no state is live, both
         # thinning weights vanish, and each value is the oracle's with only
@@ -726,19 +749,25 @@ def ref_product_rule_residual(h_fn, g_fn, quad):
 
 class CountingFn:
     """A pair observable that counts its ``value`` calls on stacks of jumped
-    states, those with a node axis."""
+    states, those with a node axis, in ``calls``, and its ``value``, ``grads``
+    and ``sync_hess`` calls at the states themselves in ``at_states``."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.at_states = fn, 0, collections.Counter()
 
     def value(self, pair):
-        self.calls += pair.x.ndim == 3
+        if pair.x.ndim == 3:
+            self.calls += 1
+        else:
+            self.at_states["value"] += 1
         return self.fn.value(pair)
 
     def grads(self, pair):
+        self.at_states["grads"] += 1
         return self.fn.grads(pair)
 
     def sync_hess(self, pair):
+        self.at_states["sync_hess"] += 1
         return self.fn.sync_hess(pair)
 
 
@@ -802,3 +831,143 @@ class TestProductRuleOnePass:
             spy = StackSpy(monkeypatch)
             call()
             assert (len(spy.refs), spy.most_alive, h.calls, g.calls) == (built, 1, built, g_calls)
+
+    @pytest.mark.parametrize("stack", ["live", "degenerate"])
+    def test_one_evaluation_at_the_states(self, stack, benchmark_lyap, scheme, rng):
+        # value, grads and sync_hess of H and G once each at the unjumped
+        # states, in the product rule and in the operator on the product
+        pair = parity_stack(rng) if stack == "live" else degenerate_stack(rng)
+        quad = gen.pair_quadrature(pair, damping_system(), PARITY_MEASURES["dominated"](),
+                                   ALPHA, KAPPA, scheme)
+        h = CountingFn(gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0))
+        g = CountingFn(tilt(benchmark_lyap, 0.07))
+        once = {"value": 1, "grads": 1, "sync_hess": 1}
+        for call in (lambda: gen.product_rule_residual(h, g, quad),
+                     lambda: gen.apply_coupling_operator(gen.ProductPairFn(h, g), quad)):
+            h.at_states.clear()
+            g.at_states.clear()
+            call()
+            assert h.at_states == g.at_states == once
+
+
+def ref_product_grads(left, right, pair):
+    """``ProductPairFn.grads`` from each factor's own calls."""
+    lv, rv = (np.asarray(f.value(pair))[..., None] for f in (left, right))
+    return tuple(lv * rg + rv * lg for lg, rg in zip(left.grads(pair), right.grads(pair)))
+
+
+def ref_product_sync_hess(left, right, pair):
+    """``ProductPairFn.sync_hess`` from each factor's own calls."""
+    lv, rv = left.value(pair), right.value(pair)
+    _, lgv, _, lgvp = left.grads(pair)
+    _, rgv, _, rgvp = right.grads(pair)
+    return (lv * right.sync_hess(pair) + rv * left.sync_hess(pair)
+            + 2.0 * (lgv + lgvp)[..., 0] * (rgv + rgvp)[..., 0])
+
+
+class TestProductDerivatives:
+    def test_equal_the_factor_formulas_bit_for_bit(self, benchmark_lyap, rng):
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        g = tilt(benchmark_lyap, 0.07)
+        bumps = gen.SeparablePairFn(bump(0.3), bump(-0.5))
+        parts = rng.normal(0, 1.5, (4, 7, 1))
+        for left, right in ((h, g), (g, bumps), (gen.ProductPairFn(h, g), bumps)):
+            fn = gen.ProductPairFn(left, right)
+            for pair in (PairState(*parts), PairState(*parts[:, 0])):
+                got, want = fn.grads(pair), ref_product_grads(left, right, pair)
+                assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                           for a, b in zip(got, want))
+                assert (np.asarray(fn.sync_hess(pair)).tobytes()
+                        == np.asarray(ref_product_sync_hess(left, right, pair)).tobytes())
+
+
+def ref_jump_sum(f, x, v, nodes):
+    """``generator._jump_sum`` with the position broadcast to every node
+    before ``f.value``, so position terms run once per node."""
+    um, wd = gen._sync_nodes(nodes)
+    base = np.asarray(f.value(x, v), dtype=float)
+    shifted_v = v[..., None, :] + um[..., None]
+    shifted = np.asarray(f.value(np.broadcast_to(x[..., None, :], shifted_v.shape), shifted_v),
+                         dtype=float)
+    gv = np.asarray(f.grad_v(x, v), dtype=float)[..., 0]
+    comp = np.where(np.abs(um) <= 1.0, gv[..., None] * um, 0.0)
+    jump = np.sum(wd * (shifted - base[..., None] - comp), axis=-1)
+    return jump + 0.5 * gen._hess(f, x, v) * nodes.inner_moment2
+
+
+# potentials whose weights take numpy's non-integer ** and exp, with the grid
+# radius on which their weight stays finite
+JUMP_SUM_POTENTIALS = {
+    "poly_l1.5": (md.DoubleWellPoly(1.0, 2.0, 1.5), 20.0),
+    "poly_l2.7": (md.DoubleWellPoly(1.0, 2.0, 2.7), 20.0),
+    "exp_l1": (md.DoubleWellExp(0.1, 2.0, 1.0), 4.0),
+    "exp_l0.3": (md.DoubleWellExp(0.1, 2.0, 0.3), 20.0),
+    "quadratic": (md.Quadratic(1.0), 20.0),
+}
+
+
+def position_only_fn():
+    """A test function of the position alone: its value has no node axis."""
+    return gen.TestFunction(
+        value=lambda x, v: np.sum(np.asarray(x, dtype=float) ** 3, axis=-1),
+        grad_x=lambda x, v: 3.0 * np.asarray(x, dtype=float) ** 2,
+        grad_v=lambda x, v: np.zeros_like(np.asarray(v, dtype=float)),
+        hess_v=lambda x, v: np.zeros(np.shape(x)[:-1]))
+
+
+class TestJumpSumOncePerState:
+    """Position terms evaluated once per state equal the broadcast oracle bit for bit."""
+
+    def weights(self, name):
+        pot, radius = JUMP_SUM_POTENTIALS[name]
+        # the shifts lam4 = c2 and lam5 = 1 keep the position weight positive
+        lyap = md.LyapunovSpec(r=1.0, r0_cross=0.3, theta=0.7,
+                               v0=md.PositionWeight(1.0, pot, 2.0, 1.0), dim=1)
+        return lyap, radius
+
+    @pytest.mark.parametrize("name", sorted(JUMP_SUM_POTENTIALS))
+    def test_grid_and_stacked_tables(self, name, scheme, rng):
+        lyap, radius = self.weights(name)
+        x, v = md.grid_pairs(radius, 21, 1, include_origin=True)
+        for f in (gen.lyapunov_test_function(lyap), position_only_fn()):
+            for measure in ("slice", "stable"):
+                nodes = gen.build_nodes_1d(PARITY_MEASURES[measure]().measure, scheme)
+                got, want = gen._jump_sum(f, x, v, nodes), ref_jump_sum(f, x, v, nodes)
+                assert got.shape == want.shape == (21, 21)
+                assert got.tobytes() == want.tobytes(), (name, measure)
+            # one padded row per state, as the marginal identity reads them
+            quad = gen.pair_quadrature(parity_stack(rng), damping_system(),
+                                       PARITY_MEASURES["dominated"](), ALPHA, KAPPA, scheme)
+            for p_x, p_v in ((quad.pair.x, quad.pair.v), (quad.pair.xp, quad.pair.vp)):
+                got, want = (fn(f, p_x * radius / 4, p_v, quad.nodes)
+                             for fn in (gen._jump_sum, ref_jump_sum))
+                assert got.shape == (9,) and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("name", sorted(JUMP_SUM_POTENTIALS))
+    def test_generator_and_drift_fit(self, name, benchmark_levy, monkeypatch):
+        # the grid generator and the drift fit on the system of the potential,
+        # with the weight above and, where the potential certifies, the
+        # chain's own; a failed fit is compared by its exception
+        pot, radius = JUMP_SUM_POTENTIALS[name]
+        system = md.KineticLangevinSpec(1.0, 1.0, pot, dim=1)
+        weights = [self.weights(name)[0]]
+        try:
+            weights.append(md.build_lyapunov(system, grid_radius=radius).lyap)
+        except GrowthTestFailed:
+            assert name == "exp_l0.3"
+        x, v = md.grid_pairs(radius, 21, 1, include_origin=True)
+
+        def run():
+            out = []
+            for lyap in weights:
+                f = gen.lyapunov_test_function(lyap)
+                out.append(gen.apply_generator(system, benchmark_levy, f, x, v).tobytes())
+                try:
+                    out.append(cn.fit_lyapunov_drift(system, benchmark_levy, lyap, radius))
+                except NoRoot as exc:
+                    out.append(repr(exc))
+            return out
+
+        got = run()
+        monkeypatch.setattr(gen, "_jump_sum", ref_jump_sum)
+        assert got == run()

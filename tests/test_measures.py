@@ -1,6 +1,7 @@
 """Measure layer: truncation, overlap quantities, moments, and jump sampling."""
 
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -424,6 +425,55 @@ class TestSampling:
     def test_budget_guard(self):
         with pytest.raises(CutoffTooSmall):
             ms.sample_large_jumps(SL, 1e9, 1e-6, np.random.SeedSequence(0), [0], budget=1e5)
+
+
+class TestEnsembleBudget:
+    """The budget bounds the whole ensemble's expected jump count, before any draw."""
+
+    STABLE = ms.IsotropicStable(1.5)
+
+    def test_replicas_count_against_the_budget(self, monkeypatch):
+        # one replica's 8.4e5 expected jumps fit the 2e7 budget; 200 replicas'
+        # 1.7e8 do not, and the sampler stops before computing a stream state
+        monkeypatch.setattr(ms, "_pcg64_states", None)
+        assert self.STABLE.mass_above(1e-3) * 20.0 < 2e7
+        with pytest.raises(CutoffTooSmall) as err:
+            ms.sample_large_jumps(self.STABLE, 20.0, 1e-3, np.random.SeedSequence(0), range(200))
+        expected = 200 * self.STABLE.mass_above(1e-3) * 20.0
+        gb = expected * ms.JUMP_BYTES / 1e9
+        assert str(err.value) == (
+            f"expected {expected:.3g} jumps above cutoff 0.001 over 200 replicas "
+            f"(about {gb:.3g} GB at {ms.JUMP_BYTES} bytes per jump), budget 2e+07 jumps; "
+            f"the smallest cutoff that fits is 0.00415")
+
+    @pytest.mark.parametrize("measure, horizon, cutoff, n, budget", [
+        (STABLE, 20.0, 1e-3, 200, 2e7), (STABLE, 3.0, 1e-4, 7, 1e3), (SL, 50.0, 1e-6, 40, 1e5),
+        (ms.SliceMeasure(2.0, 1.3, 1), 10.0, 1e-8, 1000, 2e7)])
+    def test_the_named_cutoff_is_the_smallest_that_fits(self, measure, horizon, cutoff, n,
+                                                         budget, monkeypatch):
+        monkeypatch.setattr(ms, "_pcg64_states", None)  # no stream state, so no draw
+        with pytest.raises(CutoffTooSmall, match="smallest cutoff that fits") as err:
+            ms.sample_large_jumps(measure, horizon, cutoff, np.random.SeedSequence(0), range(n),
+                                  budget=budget)
+        named = float(str(err.value).rsplit(" ", 1)[1])
+        # the named cutoff fits, and one unit less in its third digit does not
+        assert n * measure.mass_above(named) * horizon <= budget
+        below = named - 10.0 ** (math.floor(math.log10(named)) - 2)
+        assert n * measure.mass_above(below) * horizon > budget
+
+    def test_an_ensemble_inside_the_budget_samples(self):
+        batch = ms.sample_large_jumps(self.STABLE, 1.0, 0.05, np.random.SeedSequence(0), range(3),
+                                      budget=3 * self.STABLE.mass_above(0.05))
+        assert len(batch) > 0
+
+    def test_long_runs_stay_far_inside_the_default_budget(self):
+        # acceptance criterion 9 (2000 replicas over horizon 20 at cutoffs
+        # 1e-3 and 5e-4) and the benchmark's rate-jumpy ensemble (12 replicas,
+        # cutoff 1e-5) expect at most 2.0e6 jumps, a tenth of the budget
+        budget = inspect.signature(ms.sample_large_jumps).parameters["budget"].default
+        slice_m = ms.SliceMeasure(1.0, 0.4, 1)
+        for n, cutoff in ((2000, 1e-3), (2000, 5e-4), (12, 1e-5)):
+            assert n * slice_m.mass_above(cutoff) * 20.0 <= budget / 8
 
 
 SAMPLED = {
