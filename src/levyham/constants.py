@@ -22,7 +22,7 @@ import numpy as np
 from . import generator as gen
 from . import measures as ms
 from . import model as md
-from .errors import NoRoot, SigmaNotIntegrable
+from .errors import MomentFailure, NoRoot, SigmaNotIntegrable
 from .pair import PairState, row_norm
 
 __all__ = [
@@ -60,28 +60,56 @@ def activity_coef(c0_sigma: float, theta0: float, alpha: float, kappa: float,
     return c0_sigma * alpha ** -theta0 * m ** (2.0 - theta0)
 
 
-@functools.cache
-def _gammainc_saturation(a: float) -> float:
-    """Smallest ``x >= 2 max(a - 1, 0) + 1`` with ``2 x^(a-1) e^-x / Gamma(a) < e^-40``.
+def _gammainc(a: float, x):
+    """Regularised lower incomplete gamma ``P(a, x)``, ``a > 0``, elementwise over ``x >= 0``.
 
-    On that half line the expression bounds ``Q(a, x) = 1 - P(a, x)`` and
-    falls with ``x``, so from the returned point on ``P(a, x)`` lies within
-    ``e^-40`` of 1, far inside the half ulp below 1, where ``gammainc``
-    returns exactly 1.0 (pinned in the tests).
+    A power series below ``x = a + 1`` and a modified-Lentz continued fraction for
+    ``Q = 1 - P`` above (DiDonato & Morris 1986), both times ``exp(a ln x - x - lgamma(a))``.
+    ``P`` is 0.0 at 0, NaN at NaN, and exactly 1.0 at +inf and wherever ``Q < e^-40``.
     """
-    def log_bound(x):
-        return math.log(2.0) + (a - 1.0) * math.log(x) - x - math.lgamma(a)
+    flat = np.asarray(x, dtype=float).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):  # at 0 and +inf, which stay as set
+        pre = np.exp(a * np.log(flat) - flat - math.lgamma(a))
+    out = np.sign(flat)  # 0.0 at 0, NaN at NaN, 1.0 at +inf and where Q underflows
+    low, high = (flat > 0.0) & (flat < a + 1.0), (flat >= a + 1.0) & (pre > 0.0)
+    out[low] = pre[low] * _gammainc_series(a, flat[low])
+    out[high] = 1.0 - pre[high] * _gammainc_fraction(a, flat[high])
+    return out.reshape(np.shape(x))
 
-    lo = hi = 2.0 * max(a - 1.0, 0.0) + 1.0
-    while log_bound(hi) >= -40.0:
-        lo, hi = hi, 2.0 * hi
-    # bisect down to adjacent floats: log_bound(lo) >= -40 > log_bound(hi), or lo == hi
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if log_bound(mid) < -40.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+def _gammainc_series(a: float, x, max_terms: int = 10_000):
+    # sum_n x^n / (a (a+1) ... (a+n)) by Horner in x / top, with the terms t_n of the largest
+    # x up to the first that leaves its sum unchanged: the relative tail grows with x
+    top = float(x.max(initial=0.0))
+    terms = [total := 1.0 / a]
+    while total + (t := terms[-1] * top / (a + len(terms))) != total:
+        if len(terms) == max_terms:
+            raise RuntimeError(f"incomplete gamma series did not converge at a = {a}, x = {top}")
+        terms.append(t)
+        total += t
+    u, out = x / top, np.full_like(x, terms.pop())
+    for t in reversed(terms):
+        out *= u
+        out += t
+    return out
+
+
+def _gammainc_fraction(a: float, x, max_terms: int = 10_000):
+    # modified Lentz for Q's 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))), each x to an ulp
+    b = x + 1.0 - a
+    c, d = np.full_like(x, 1e300), 1.0 / b
+    h, out, idx = d.copy(), np.empty_like(x), np.arange(x.size)
+    for i in range(1, max_terms):
+        if not idx.size:
+            return out
+        an, b = -i * (i - a), b + 2.0
+        d, c = (np.where(np.abs(v) < 1e-300, 1e-300, v) for v in (an * d + b, b + an / c))
+        d = 1.0 / d
+        h *= c * d
+        done = np.abs(c * d - 1.0) <= np.finfo(float).eps
+        out[idx[done]] = h[done]
+        idx, b, c, d, h = (v[~done] for v in (idx, b, c, d, h))
+    raise RuntimeError(f"incomplete gamma fraction did not converge at a = {a}")
 
 
 @dataclass(frozen=True)
@@ -96,13 +124,9 @@ class DistanceProfile:
     ``ClampedProfile`` is the one rule past a radius.
 
     The certified profiles are saturated: with ``a = 1/theta0`` and
-    ``x = B s^theta0``, the factor ``P(a, x)`` is 1 at every gap evaluated.
-    For ``x >= 2 max(a - 1, 0) + 1`` the tail obeys
-    ``Q(a, x) <= 2 x^(a-1) e^-x / Gamma(a)``; once that bound is below
-    ``e^-40`` (at ``x >= X(a)``, ``_gammainc_saturation``) ``P`` rounds to
-    1.0, which is what ``gammainc`` returns there. A stack whose every ``x``
-    is saturated therefore skips ``scipy.special`` (and its import) and gets
-    the same bits; any other stack goes through ``gammainc``.
+    ``x = B s^theta0``, the factor ``P(a, x)`` is exactly 1.0 at every gap
+    evaluated. ``_gammainc`` supplies ``P`` in numpy, so no profile loads
+    scipy.
     """
 
     log_c1: float
@@ -134,12 +158,7 @@ class DistanceProfile:
             return s.copy()
         a = 1.0 / self.theta0
         log_scale = -a * math.log(B) + math.lgamma(a) - math.log(self.theta0)
-        x = B * np.maximum(s, 0.0) ** self.theta0
-        if np.all(x >= _gammainc_saturation(a)):
-            return math.exp(log_scale) * np.ones_like(x)
-        from scipy import special  # slow to import; only unsaturated profiles need it
-
-        return math.exp(log_scale) * special.gammainc(a, x)
+        return math.exp(log_scale) * _gammainc(a, B * np.maximum(s, 0.0) ** self.theta0)
 
     def _decay(self, s):
         # exp(-B s^theta0), flushed to 0 below exp(-745)
@@ -580,13 +599,16 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
                     scheme: gen.QuadratureScheme | None = None) -> ConstantsBundle:
     """Run the full pipeline for a damped-gradient system.
 
-    Order: potential certificate, quadratic form, weight-drift fit, jump
-    regularity (exponent 1/2), activity floor, far-field sublevel set, force
-    Lipschitz bound, transform weights and modification cap, far-field
-    radius, profile, tilt weight and rate. Only the position bound of the
-    sublevel set feeds the Lipschitz sampling unless ``position_radius``
-    overrides it.
+    Order: theta-moment check, potential certificate, quadratic form,
+    weight-drift fit, jump regularity (exponent 1/2), activity floor,
+    far-field sublevel set, force Lipschitz bound, transform weights and
+    modification cap, far-field radius, profile, tilt weight and rate. Only
+    the position bound of the sublevel set feeds the Lipschitz sampling
+    unless ``position_radius`` overrides it.
     """
+    if levy_spec.measure.moment_pair(levy_spec.theta).divergent:
+        raise MomentFailure(f"the moment int |u|^2 ^ |u|^theta of {levy_spec.measure} "
+                            f"diverges at theta = {levy_spec.theta}")
     flags: list[str] = []
     notes: list[str] = []
     a, b = langevin.a, langevin.b

@@ -747,10 +747,13 @@ def sample_large_jumps(measure, horizon: float, cutoff: float, seed: np.random.S
                      np.array(counts, dtype=np.int64).reshape(len(reps), len(annuli)).sum(axis=1))
     keep = np.linalg.norm(marks, axis=1) > cutoff
     times, marks, unifs, rows = times[keep], marks[keep], unifs[keep], rows[keep]
-    # each replica's jumps in time order; equal times keep the annulus order
+    # each replica's jumps in time order; a tie takes the stable sort, so it keeps the annulus order
     bounds = np.searchsorted(rows, np.arange(len(reps) + 1)).tolist()
     order = np.arange(len(times))
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a > 1:
-            order[a:b] = a + np.argsort(times[a:b], kind="stable")
+    for kind in (None, "stable"):
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a > 1:
+                order[a:b] = a + np.argsort(times[a:b], kind=kind)
+        if not np.any((np.diff(times[order]) == 0.0) & (np.diff(rows) == 0)):
+            break
     return JumpBatch(times[order], marks[order], unifs[order], rows)

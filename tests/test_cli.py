@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from levyham import cli
+from levyham import constants as cn
 from levyham import measures as ms
 from levyham import model as md
 from levyham.config import SCHEMA, RunManifest, load_config
@@ -326,6 +327,34 @@ class TestExitCodes:
             payload = json.loads((tmp_path / "rate.json").read_text())
             assert "error" not in payload and math.isfinite(payload["lambda_fit"])
             assert (tmp_path / "decay_curve.csv").exists()
+
+    def test_divergent_theta_moment_exits_two_before_the_drift_fit(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # alpha0 = 0.8 at theta = 1: the theta-moment of the stable measure is
+        # infinite, which the weight-drift fit would report as a missing root
+        def no_fit(*args):
+            raise AssertionError("the drift fit ran")
+
+        monkeypatch.setattr(cn, "fit_lyapunov_drift", no_fit)
+        path = write(tmp_path, STABLE.replace("alpha0 = 1.5", "alpha0 = 0.8"))
+        assert cli.main(["constants", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("MomentFailure: ")
+        assert "alpha0=0.8" in err[0] and err[0].endswith("diverges at theta = 1.0")
+
+    @pytest.mark.parametrize("radius,code", [(20.0, 2), (80.0, 0)])
+    def test_readme_stable_example_needs_the_wider_grid(self, tmp_path, capsys, radius, code):
+        # alpha0 = 0.8, theta = 0.5: on the radius-20 grid the shell's smallest
+        # -LW/W is negative (-0.243 at (0, -10)), so the drift fit finds no
+        # balance point; at radius 80 it is +0.057 and the chain runs
+        text = (STABLE.replace("alpha0 = 1.5", "alpha0 = 0.8")
+                .replace("slice_theta0 = 0.4", "slice_theta0 = 0.2")
+                .replace("theta = 1.0", "theta = 0.5")
+                + f"[lyapunov]\ngrid_radius = {radius}\n")
+        path = write(tmp_path, text)
+        assert cli.main(["constants", "--config", path, "--out", str(tmp_path)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("NoRoot: no finite balance point")
 
     def test_stable_overrun_exits_two_before_sampling(self, tmp_path, capsys, monkeypatch):
         # alpha0 = 1.5 at cutoff 1e-3: 200 replicas over horizon 20 expect
@@ -731,47 +760,25 @@ def short_benchmark(tmp_path, n_save=3):
 class TestStartup:
     @pytest.mark.parametrize("module", SLOW_SCIPY + SPECIAL)
     def test_cli_import_leaves_slow_scipy_modules_out(self, module):
-        # only the d >= 2 slice formulas and an unsaturated distance profile
-        # need any of them, and they import them when they run
+        # only the d >= 2 slice formulas need any of them, and they import
+        # them when they run
         assert module not in loaded_after("import sys, levyham.cli", [module])
 
-    def test_constants_leaves_slow_scipy_modules_out(self, tmp_path):
-        # the constant chain's Lipschitz sampler draws its Sobol points
-        # without scipy.stats, and its certified profile is saturated
-        argv = ["constants", "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
-        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
-
-    def test_constants_never_imports_scipy(self, tmp_path):
-        # nor does its manifest: a run that never loaded scipy records its version as null
-        argv = ["constants", "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
-        assert loaded_after(run_code(argv), ["scipy"]) == []
-        record = json.loads((tmp_path / "run_manifest.json").read_text())["constants"]
+    @pytest.mark.parametrize("command", [
+        "constants", "verify:B1", "verify:F1", "verify:A2", "verify:f-props",
+        "verify:operator-identities", "rate", "couple", "equilibrium"])
+    def test_d1_command_never_imports_scipy(self, tmp_path, command):
+        # nor does its manifest: a run that never loaded scipy records its
+        # version as null. The distance profile's incomplete gamma is numpy's,
+        # and the Lipschitz sampler draws its Sobol points without scipy.stats
+        name, _, which = command.partition(":")
+        # five snapshots leave rate's decay fit enough points at four replicas
+        n_save, extra = {"rate": (5, ["--replicas", "4"]), "couple": (None, ["--replicas", "1"]),
+                         "equilibrium": (3, ["--replicas", "100"])}.get(name, (None, []))
+        config = BENCHMARK_CFG if n_save is None else short_benchmark(tmp_path, n_save)
+        argv = [name, *(["--which", which] if which else []), "--config", config, *extra,
+                "--out", str(tmp_path)]
+        assert loaded_after(run_code(argv), ["scipy"] + SLOW_SCIPY + SPECIAL) == []
+        record = json.loads((tmp_path / "run_manifest.json").read_text())[command]
         assert record["versions"] == {"python": platform.python_version(),
                                       "numpy": np.__version__, "scipy": None}
-
-    @pytest.mark.parametrize("which", ["B1", "F1", "A2", "operator-identities"])
-    def test_verify_leaves_slow_scipy_modules_out(self, tmp_path, which):
-        argv = ["verify", "--which", which, "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
-        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
-
-    def test_verify_fprops_loads_scipy_special(self, tmp_path):
-        # REFERENCE_LIVE_PROFILE is unsaturated on purpose, so its values need
-        # gammainc; a live profile that stops needing it shows up here
-        argv = ["verify", "--which", "f-props", "--config", BENCHMARK_CFG, "--out", str(tmp_path)]
-        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == SPECIAL
-
-    def test_rate_leaves_slow_scipy_modules_out(self, tmp_path):
-        # five snapshots leave the decay fit enough points at four replicas
-        argv = ["rate", "--config", short_benchmark(tmp_path, n_save=5), "--replicas", "4",
-                "--out", str(tmp_path)]
-        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
-
-    def test_couple_leaves_slow_scipy_modules_out(self, tmp_path):
-        argv = ["couple", "--config", BENCHMARK_CFG, "--replicas", "1", "--out", str(tmp_path)]
-        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []
-
-    def test_equilibrium_leaves_slow_scipy_modules_out(self, tmp_path):
-        # at the benchmark's short equilibrium settings they stay out of memory
-        argv = ["equilibrium", "--config", short_benchmark(tmp_path), "--replicas", "100",
-                "--out", str(tmp_path)]
-        assert loaded_after(run_code(argv), SLOW_SCIPY + SPECIAL) == []

@@ -267,10 +267,127 @@ def assert_same_bits(got, want):
                                   np.asarray(want).view(np.uint64))
 
 
-class TestSaturatedIntegral:
-    # _integral skips gammainc where every x = B s^theta0 is at least X(a); the
-    # values must stay gammainc's, bit for bit
+def saturation_point(a):
+    """Smallest ``x >= 2 max(a - 1, 0) + 1`` with ``2 x^(a-1) e^-x / Gamma(a) < e^-40``.
+
+    On that half line the expression bounds ``Q(a, x) = 1 - P(a, x)`` and
+    falls with ``x``, so from the returned point on ``P(a, x)`` lies within
+    ``e^-40`` of 1, far inside the half ulp below 1.
+    """
+    def log_bound(x):
+        return math.log(2.0) + (a - 1.0) * math.log(x) - x - math.lgamma(a)
+
+    lo = hi = 2.0 * max(a - 1.0, 0.0) + 1.0
+    while log_bound(hi) >= -40.0:
+        lo, hi = hi, 2.0 * hi
+    # bisect down to adjacent floats: log_bound(lo) >= -40 > log_bound(hi), or lo == hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if log_bound(mid) < -40.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def assert_within_gammainc_bound(got, want):
+    # relative 1e-13 where scipy's value is at least 1e-290, absolute 1e-300
+    # below, where scipy flushes subnormals to 0. Both evaluate the prefactor
+    # exp(a ln x - x - lgamma(a)), and one ulp of an exponent past 450 in
+    # magnitude is already 1e-13 relative, so there the bound is two ulps of
+    # ln P: at x = 1.86e-61, a = 4.09 scipy is 1.3e-13 off the exact value
+    big = want >= 1e-290
+    logs = np.abs(np.log(np.where(big, want, 1.0)))
+    rel_bound = np.maximum(1e-13, 2.0 * np.finfo(float).eps * logs)
+    assert np.all(np.abs(got[big] - want[big]) <= rel_bound[big] * want[big])
+    assert np.all(np.abs(got[~big] - want[~big]) <= 1e-300)
+
+
+@pytest.fixture()
+def gammainc_calls(monkeypatch):
+    calls, real = [], special.gammainc
+
+    def spy(a, x):
+        calls.append(a)
+        return real(a, x)
+
+    monkeypatch.setattr(special, "gammainc", spy)
+    return calls
+
+
+class TestGammainc:
+    # the numpy P(a, x) of DistanceProfile._integral against scipy's gammainc
     THETA0 = np.linspace(0.05, 1.99, 12)
+    LIVE_THETA0 = np.linspace(0.05, 0.99, 20)
+
+    @staticmethod
+    def grid(a, seed):
+        # zero, both sides of the branch switch at a + 1, random and dense
+        # arguments, and a geometric sweep through the series' deep tail
+        switch = a + 1.0
+        near = switch + np.arange(-4, 5) * np.spacing(switch)
+        rng = np.random.default_rng(seed)
+        return np.concatenate([[0.0], near, switch * (1.0 + np.array([-1e-9, 1e-9])),
+                               rng.uniform(0.0, 3.0 * a + 50.0, 4000),
+                               np.linspace(0.0, 3.0 * a + 50.0, 4001),
+                               np.geomspace(1e-300, 1e3, 2000)])
+
+    @pytest.mark.parametrize("theta0", np.concatenate([THETA0, LIVE_THETA0]))
+    def test_within_bound_of_scipy(self, theta0):
+        a = 1.0 / theta0
+        x = self.grid(a, seed=int(1e4 * theta0))
+        assert_within_gammainc_bound(cn._gammainc(a, x), special.gammainc(a, x))
+
+    @pytest.mark.parametrize("theta0", THETA0)
+    def test_non_decreasing_on_sorted_grids(self, theta0):
+        # grids coarse against the rounding noise of the prefactor, which
+        # can reorder arguments a few ulps apart
+        a = 1.0 / theta0
+        rng = np.random.default_rng(7)
+        for x in (np.sort(rng.uniform(0.0, 3.0 * a + 50.0, 20_000)),
+                  np.linspace(0.0, 3.0 * a + 50.0, 20_001),
+                  np.geomspace(1e-300, 1e3, 5000),
+                  a + 1.0 + np.linspace(-1e-6, 1e-6, 2001)):
+            assert np.all(np.diff(cn._gammainc(a, x)) >= 0.0)
+
+    @pytest.mark.parametrize("theta0", np.concatenate([THETA0, LIVE_THETA0]))
+    def test_exactly_one_from_the_saturation_point(self, theta0):
+        # what keeps saturated stacks bitwise equal to scipy's gammainc, which
+        # returns 1.0 here too
+        a = 1.0 / theta0
+        big = saturation_point(a)
+        x = np.concatenate([big + np.arange(64) * np.spacing(big),
+                            big * (1.0 + np.geomspace(1e-15, 1e6, 4000)), [1e300, np.inf]])
+        assert np.all(cn._gammainc(a, x) == 1.0)
+        assert np.all(special.gammainc(a, x) == 1.0)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 20.0])
+    def test_saturation_point_is_the_first_below_the_bound(self, a):
+        big = saturation_point(a)
+
+        def log_bound(x):
+            return math.log(2.0) + (a - 1.0) * math.log(x) - x - math.lgamma(a)
+
+        start = 2.0 * max(a - 1.0, 0.0) + 1.0
+        assert big > start and log_bound(big) < -40.0
+        assert log_bound(np.nextafter(big, 0.0)) >= -40.0
+
+    def test_exact_values_and_shapes(self):
+        got = cn._gammainc(2.5, np.array([[0.0, np.inf], [np.nan, 1e300]]))
+        assert got.shape == (2, 2) and got[0, 0] == 0.0 and got[0, 1] == 1.0
+        assert np.isnan(got[1, 0]) and got[1, 1] == 1.0
+        assert cn._gammainc(2.5, np.empty((0, 3))).shape == (0, 3)
+        assert cn._gammainc(2.5, 1.0).shape == ()
+
+    @pytest.mark.parametrize("branch", [cn._gammainc_series, cn._gammainc_fraction])
+    def test_iteration_cap_raises(self, branch):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            branch(2.5, np.array([3.0]), max_terms=3)
+
+
+class TestSaturatedIntegral:
+    # the certified profiles are saturated: there _integral must stay
+    # gammainc's, bit for bit, and elsewhere within the kernel's bound
+    THETA0 = TestGammainc.THETA0
 
     @staticmethod
     def profile(theta0):
@@ -294,21 +411,10 @@ class TestSaturatedIntegral:
             s = np.nextafter(s, 0.0)
         return s
 
-    @pytest.fixture()
-    def gammainc_calls(self, monkeypatch):
-        calls, real = [], special.gammainc
-
-        def spy(a, x):
-            calls.append(a)
-            return real(a, x)
-
-        monkeypatch.setattr(special, "gammainc", spy)
-        return calls
-
     @pytest.mark.parametrize("theta0", THETA0)
     def test_saturated_stacks_equal_gammainc(self, theta0, gammainc_calls):
         prof = self.profile(theta0)
-        big = cn._gammainc_saturation(1.0 / prof.theta0)
+        big = saturation_point(1.0 / prof.theta0)
         first = self.first_saturated_gap(prof, big)
         ulps = first + np.arange(8) * np.spacing(first)
         ulps = ulps[prof.rate_coef * ulps ** prof.theta0 >= big]  # s^theta0 is not monotone in ulps
@@ -322,43 +428,26 @@ class TestSaturatedIntegral:
         assert len(gammainc_calls) == len(cases)  # the reference's calls only
 
     @pytest.mark.parametrize("theta0", THETA0)
-    def test_unsaturated_stacks_go_through_gammainc(self, theta0, gammainc_calls):
+    def test_unsaturated_stacks_match_gammainc(self, theta0, gammainc_calls):
         prof = self.profile(theta0)
-        big = cn._gammainc_saturation(1.0 / prof.theta0)
+        big = saturation_point(1.0 / prof.theta0)
         first = self.first_saturated_gap(prof, big)
         below = np.nextafter(first, 0.0)
         mixed = np.array([first, self.gaps(prof, big * 0.5), first * 4.0])
-        cases = [below, np.array([below, first]), self.gaps(prof, big * (1.0 - 1e-12)), mixed]
+        cases = [np.array([below]), np.array([below, first]),
+                 np.array([self.gaps(prof, big * (1.0 - 1e-12))]), mixed,
+                 np.geomspace(1e-12, first, 500)]
+        scale = gammainc_integral(prof, np.inf)  # the integral's limit, where P = 1
         for s in cases:
-            assert_same_bits(prof._integral(s), gammainc_integral(prof, s))
-        assert len(gammainc_calls) == 2 * len(cases)  # _integral's and the reference's
+            assert_within_gammainc_bound(prof._integral(s) / scale,
+                                         gammainc_integral(prof, s) / scale)
+        assert len(gammainc_calls) == len(cases) + 1  # the reference's calls only
 
     @pytest.mark.parametrize("s", [0.0, 1e30, np.inf, np.nan, np.empty(0), np.empty((0, 3)),
                                    np.array([1e30, np.nan])], ids=repr)
     def test_scalar_empty_and_nan_inputs(self, s):
         prof = self.profile(0.4)
         assert_same_bits(prof._integral(s), gammainc_integral(prof, s))
-
-    @pytest.mark.parametrize("theta0", THETA0)
-    def test_gammainc_is_one_from_the_saturation_point(self, theta0):
-        # pins what the shortcut relies on: a scipy whose gammainc stops
-        # returning exactly 1.0 here fails this first
-        a = 1.0 / theta0
-        big = cn._gammainc_saturation(a)
-        x = np.concatenate([big + np.arange(64) * np.spacing(big),
-                            big * (1.0 + np.geomspace(1e-15, 1e6, 4000)), [np.inf]])
-        assert np.all(special.gammainc(a, x) == 1.0)
-
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 20.0])
-    def test_saturation_point_is_the_first_below_the_bound(self, a):
-        big = cn._gammainc_saturation(a)
-
-        def log_bound(x):
-            return math.log(2.0) + (a - 1.0) * math.log(x) - x - math.lgamma(a)
-
-        start = 2.0 * max(a - 1.0, 0.0) + 1.0
-        assert big > start and log_bound(big) < -40.0
-        assert log_bound(np.nextafter(big, 0.0)) >= -40.0
 
 
 class TestTiltAndRate:

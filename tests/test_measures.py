@@ -690,6 +690,38 @@ class TestSamplerBatches:
             assert keep.sum() < len(t)
             assert_same_jumps((t[keep], m[keep], u[keep]), rows_of(coarse, r))
 
+    @staticmethod
+    def stably_sorted(*args):
+        # the batch as a stable sort of each replica's times orders it
+        real = np.argsort
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "argsort", lambda a, kind=None: real(a, kind="stable"))
+            return ms.sample_large_jumps(*args)
+
+    @pytest.mark.parametrize("replicas,cutoff,horizon", [
+        (12, 1e-5, 20.0), (25, 1e-3, 20.0), (2000, 1e-3, 20.0), (100, 1e-3, 1.0)],
+        ids=["rate-jumpy", "rate-bench", "2000-replicas", "equilibrium-short"])
+    def test_equal_to_the_stable_sort(self, replicas, cutoff, horizon):
+        args = (SAMPLED["slice"], horizon, cutoff, np.random.SeedSequence(99), range(replicas))
+        batch = ms.sample_large_jumps(*args)
+        want = self.stably_sorted(*args)
+        assert_same_jumps((batch.times, batch.marks, batch.unif, batch.rows),
+                          (want.times, want.marks, want.unif, want.rows))
+
+    def test_tied_times_keep_the_annulus_order(self, monkeypatch):
+        class Coarse(np.random.Generator):
+            # uniforms on a grid of 1/64, so a replica's jump times tie
+            def random(self, size=None):
+                return np.floor(super().random(size) * 64.0) / 64.0
+
+        monkeypatch.setattr(np.random, "Generator", Coarse)
+        args = (SAMPLED["slice"], 3.0, 1e-2, np.random.SeedSequence(5), range(4))
+        batch = ms.sample_large_jumps(*args)
+        assert np.sum((np.diff(batch.times) == 0.0) & (np.diff(batch.rows) == 0)) > 10
+        want = self.stably_sorted(*args)
+        assert_same_jumps((batch.times, batch.marks, batch.unif, batch.rows),
+                          (want.times, want.marks, want.unif, want.rows))
+
     def test_empty_ensemble(self):
         batch = ms.sample_large_jumps(SL, 3.0, 1e-2, np.random.SeedSequence(0), [])
         assert len(batch) == 0 and batch.marks.shape == (0, 1) and batch.rows.shape == (0,)
