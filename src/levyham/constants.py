@@ -47,6 +47,8 @@ __all__ = [
 # sigma, g, f
 # ---------------------------------------------------------------------------
 
+_GAMMAINC_MAX_TERMS = 10_000  # terms either branch of _gammainc takes before it raises
+
 
 def activity_coef(c0_sigma: float, theta0: float, alpha: float, kappa: float,
                   R0: float) -> float:
@@ -77,13 +79,13 @@ def _gammainc(a: float, x):
     return out.reshape(np.shape(x))
 
 
-def _gammainc_series(a: float, x, max_terms: int = 10_000):
+def _gammainc_series(a: float, x):
     # sum_n x^n / (a (a+1) ... (a+n)) by Horner in x / top, with the terms t_n of the largest
     # x up to the first that leaves its sum unchanged: the relative tail grows with x
     top = float(x.max(initial=0.0))
     terms = [total := 1.0 / a]
     while total + (t := terms[-1] * top / (a + len(terms))) != total:
-        if len(terms) == max_terms:
+        if len(terms) == _GAMMAINC_MAX_TERMS:
             raise RuntimeError(f"incomplete gamma series did not converge at a = {a}, x = {top}")
         terms.append(t)
         total += t
@@ -94,14 +96,12 @@ def _gammainc_series(a: float, x, max_terms: int = 10_000):
     return out
 
 
-def _gammainc_fraction(a: float, x, max_terms: int = 10_000):
+def _gammainc_fraction(a: float, x):
     # modified Lentz for Q's 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...))), each x to an ulp
     b = x + 1.0 - a
     c, d = np.full_like(x, 1e300), 1.0 / b
     h, out, idx = d.copy(), np.empty_like(x), np.arange(x.size)
-    for i in range(1, max_terms):
-        if not idx.size:
-            return out
+    for i in range(1, _GAMMAINC_MAX_TERMS + 1):
         an, b = -i * (i - a), b + 2.0
         d, c = (np.where(np.abs(v) < 1e-300, 1e-300, v) for v in (an * d + b, b + an / c))
         d = 1.0 / d
@@ -109,6 +109,8 @@ def _gammainc_fraction(a: float, x, max_terms: int = 10_000):
         done = np.abs(c * d - 1.0) <= np.finfo(float).eps
         out[idx[done]] = h[done]
         idx, b, c, d, h = (v[~done] for v in (idx, b, c, d, h))
+        if not idx.size:
+            return out
     raise RuntimeError(f"incomplete gamma fraction did not converge at a = {a}")
 
 

@@ -1,5 +1,6 @@
 """Constant chain: scalar formulas, distance profiles, cost functionals."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -378,10 +379,37 @@ class TestGammainc:
         assert cn._gammainc(2.5, np.empty((0, 3))).shape == (0, 3)
         assert cn._gammainc(2.5, 1.0).shape == ()
 
-    @pytest.mark.parametrize("branch", [cn._gammainc_series, cn._gammainc_fraction])
-    def test_iteration_cap_raises(self, branch):
+    @staticmethod
+    def series_terms(a, x):
+        # terms of P's series summed at x: up to the first that leaves the sum unchanged
+        n, t, total = 1, 1.0 / a, 1.0 / a
+        while total + (t := t * x / (a + n)) != total:
+            n, total = n + 1, total + t
+        return n
+
+    @staticmethod
+    def fraction_steps(a, x):
+        # modified-Lentz steps of Q's fraction at x until the factor is within an ulp of 1
+        b, c, d = x + 1.0 - a, 1e300, 1.0 / (x + 1.0 - a)
+        for i in itertools.count(1):
+            an, b = -i * (i - a), b + 2.0
+            d, c = (v if abs(v) >= 1e-300 else 1e-300 for v in (an * d + b, b + an / c))
+            d = 1.0 / d
+            if abs(c * d - 1.0) <= np.finfo(float).eps:
+                return i
+
+    @pytest.mark.parametrize("branch,x,needed", [
+        (cn._gammainc_series, [0.5, 2.0, 3.0], series_terms),
+        (cn._gammainc_fraction, [3.5, 6.0, 40.0], fraction_steps)], ids=["series", "fraction"])
+    def test_iteration_cap(self, monkeypatch, branch, x, needed):
+        # a cap of n terms admits a stack whose slowest element needs exactly n, and raises below
+        a, x = 2.5, np.array(x)
+        want, n = branch(a, x), max(needed.__func__(a, v) for v in x)
+        monkeypatch.setattr(cn, "_GAMMAINC_MAX_TERMS", n)
+        assert np.array_equal(branch(a, x), want)
+        monkeypatch.setattr(cn, "_GAMMAINC_MAX_TERMS", n - 1)
         with pytest.raises(RuntimeError, match="did not converge"):
-            branch(2.5, np.array([3.0]), max_terms=3)
+            branch(a, x)
 
 
 class TestSaturatedIntegral:
