@@ -210,20 +210,18 @@ def cmd_couple(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | Non
     bundle = _bundle_from(cfg)
     sim_cfg = cfg.build_sim(seed=manifest.seed, n_replicas=replicas)
     t0 = time.monotonic()
-    trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, sim_cfg,
-                                         PairState(*cfg.initial_pair()),
-                                         bundle.report.alpha, bundle.report.kappa,
-                                         manifest.timings)
+    ens = sim.run_pair_ensemble(bundle.system, bundle.levy, sim_cfg,
+                                PairState(*cfg.initial_pair()),
+                                bundle.report.alpha, bundle.report.kappa, manifest.timings)
     manifest.timings["stepping_s"] = time.monotonic() - t0 - manifest.timings["sampling_s"]
-    prod = gen.ProductPairFn(*bundle.monitor_fns())
-    names = ["t", "x", "v", "xp", "vp", "r", "psi_tilde"]
-    # pair runs are one-dimensional (run_pair_ensemble raises otherwise)
-    for idx, tr in enumerate(trajectories):
-        path_state = PairState(tr.x, tr.v, tr.xp, tr.vp)
-        manifest.write_csv(f"trajectory_{idx:04d}.csv", names,
-                           [tr.times, tr.x[:, 0], tr.v[:, 0], tr.xp[:, 0], tr.vp[:, 0],
-                            path_state.r(bundle.report.alpha, bundle.monitor_alpha0),
-                            prod.value(path_state)])
+    # every replica's columns as one (N, 7, n_save) stack; pair runs are one-dimensional
+    columns = np.stack([np.broadcast_to(ens.times, ens.x.shape[:-1]), ens.x[..., 0],
+                        ens.v[..., 0], ens.xp[..., 0], ens.vp[..., 0],
+                        ens.pair.r(bundle.report.alpha, bundle.monitor_alpha0),
+                        gen.ProductPairFn(*bundle.monitor_fns()).value(ens.pair)], axis=1)
+    for idx, replica in enumerate(columns):
+        manifest.write_csv(f"trajectory_{idx:04d}.csv",
+                           ["t", "x", "v", "xp", "vp", "r", "psi_tilde"], replica)
     return _chain_exit(bundle.report)
 
 

@@ -80,16 +80,17 @@ def _gammainc(a: float, x):
 
 
 def _gammainc_series(a: float, x):
-    # sum_n x^n / (a (a+1) ... (a+n)) by Horner in x / top, with the terms t_n of the largest
-    # x up to the first that leaves its sum unchanged: the relative tail grows with x
-    top = float(x.max(initial=0.0))
+    # sum_n x^n / (a (a+1) ... (a+n)) by Horner in x / edge, with the terms t_n at the branch
+    # edge = a + 1 up to the first that leaves its sum unchanged: the relative tail grows with
+    # x, so these terms serve every x < edge, and each element's value is its own
+    edge = a + 1.0
     terms = [total := 1.0 / a]
-    while total + (t := terms[-1] * top / (a + len(terms))) != total:
+    while total + (t := terms[-1] * edge / (a + len(terms))) != total:
         if len(terms) == _GAMMAINC_MAX_TERMS:
-            raise RuntimeError(f"incomplete gamma series did not converge at a = {a}, x = {top}")
+            raise RuntimeError(f"incomplete gamma series did not converge at a = {a}")
         terms.append(t)
         total += t
-    u, out = x / top, np.full_like(x, terms.pop())
+    u, out = x / edge, np.full_like(x, terms.pop())
     for t in reversed(terms):
         out *= u
         out += t

@@ -96,15 +96,13 @@ def fit_exponential_decay(times, means, ses) -> tuple[float, float, float, int, 
     return tuple(a[0].item() for a in fit)
 
 
-def _psi_tilde_matrix(trajectories, hhat_fn, g_fn) -> tuple[np.ndarray, np.ndarray]:
+def _psi_tilde_matrix(ens: sim.Ensemble, hhat_fn, g_fn) -> tuple[np.ndarray, np.ndarray]:
     # the costs of the replicas kept, and the mask that keeps them: a flagged
     # replica, or one whose cost is not finite at some snapshot (a weight that
     # overflowed to inf), is dropped and counted as a blow-up
-    stacked = PairState(*(np.stack([getattr(tr, c) for tr in trajectories])
-                          for c in ("x", "v", "xp", "vp")))
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = ProductPairFn(hhat_fn, g_fn).value(stacked)
-    keep = np.isfinite(vals).all(axis=-1) & ~np.array([tr.blown_up for tr in trajectories])
+        vals = ProductPairFn(hhat_fn, g_fn).value(ens.pair)
+    keep = np.isfinite(vals).all(axis=-1) & ~ens.blown_up
     if not keep.any():
         raise InsufficientDecay("every replica blew up")
     return vals[keep], keep
@@ -137,13 +135,13 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
     says so).
     """
     t0, timings = time.monotonic(), {}
-    trajectories = sim.run_pair_ensemble(bundle.system, bundle.levy, config, pair0,
-                                         bundle.report.alpha, bundle.report.kappa, timings)
+    ens = sim.run_pair_ensemble(bundle.system, bundle.levy, config, pair0,
+                                bundle.report.alpha, bundle.report.kappa, timings)
     t1 = time.monotonic()
     timings["stepping_s"] = t1 - t0 - timings["sampling_s"]
     hhat_fn, g_fn = bundle.monitor_fns()
-    vals, keep = _psi_tilde_matrix(trajectories, hhat_fn, g_fn)
-    times = config.save_times()
+    vals, keep = _psi_tilde_matrix(ens, hhat_fn, g_fn)
+    times = ens.times
     means = vals.mean(axis=0)
     ses = vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0]) if vals.shape[0] > 1 else np.zeros_like(means)
     rate, intercept, r2, start, stop = fit_exponential_decay(times, means, ses)
@@ -152,9 +150,8 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
     lo, hi = np.percentile(boots, [2.5, 97.5]) if len(boots) else (rate, rate)
     return DecayReport(times=times, means=means, ses=ses, lambda_fit=rate,
                        intercept=intercept, r_squared=r2, ci_low=float(lo), ci_high=float(hi),
-                       n_replicas=config.n_replicas, n_blowups=int((~keep).sum()),
-                       stability_indicator_max=max(tr.stability_indicator
-                                                   for tr, k in zip(trajectories, keep) if k),
+                       n_replicas=len(ens), n_blowups=int((~keep).sum()),
+                       stability_indicator_max=float(ens.stability_indicator[keep].max()),
                        fit_start=start, fit_stop=stop,
                        log_rate_certified=bundle.report.log_rate,
                        monitor_is_fallback=bundle.monitor_is_fallback,
@@ -225,10 +222,10 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
     timings["stepping_s"] = t1 - t0 - timings["sampling_s"]
 
     def cloud(ens, k):
-        rows = [np.concatenate([tr.x[k], tr.v[k]]) for tr in ens if not tr.blown_up]
-        return np.reshape(rows, (-1, 2 * system.dim))
+        ok = ~ens.blown_up
+        return np.concatenate([ens.x[ok, k], ens.v[ok, k]], axis=-1)
 
-    times = config.save_times()
+    times = ens_a.times
     mid = len(times) // 2
     last = len(times) - 1
     cross = sliced_wasserstein(cloud(ens_a, last), cloud(ens_b, last), seed=config.seed)
@@ -244,15 +241,14 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
     checkpoints = sorted({mid // 2, mid, (mid + last) // 2, last})
     moments = {}
     for k in checkpoints:
-        vs = np.array([np.linalg.norm(tr.v[k]) for tr in ens_a if not tr.blown_up])
+        vs = np.linalg.norm(ens_a.v[~ens_a.blown_up, k], axis=-1)
         moments[float(times[k])] = float(np.mean(vs ** levy.theta))
-    blow = sum(tr.blown_up for tr in ens_a) + sum(tr.blown_up for tr in ens_b)
     return {
         "cross_distance": cross,
         "stationarity_distance": within,
         "noise_floor": noise_floor,
         "velocity_moment_theta": moments,
-        "n_blowups": int(blow),
+        "n_blowups": int(ens_a.blown_up.sum() + ens_b.blown_up.sum()),
         "horizon": float(times[last]),
         "timings": {**timings, "diagnostics_s": time.monotonic() - t1},
     }

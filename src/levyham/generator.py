@@ -607,7 +607,9 @@ def contraction_inequality_check(hhat_fn, g_fn, rate: float,
     reported, not raised.
     """
     prod = ProductPairFn(hhat_fn, g_fn)
-    lhs = apply_coupling_operator(prod, quad)
-    rhs = -rate * quad.shaped(prod.value(quad.pair))
+    local = _local(prod, quad.pair)  # H and G once at the states, for both sides
+    (jumped,) = _jumped_values((prod,), quad, (0, 1, -1) if quad.live.any() else (0,))
+    lhs = _coupling_operator(quad, local, jumped.__getitem__)
+    rhs = -rate * quad.shaped(local[0])
     slack = 0.05 * np.maximum(np.abs(lhs), np.abs(rhs))
     return ContractionCheck(lhs, rhs, slack, lhs <= rhs + slack + 1e-30)

@@ -30,13 +30,16 @@ realisation exactly, and runs that halve the cutoff keep every shared jump.
 Replicas of one batch never mix: replica ``k`` of a single-process batch
 equals a one-replica run at ``replica_offset = k``, and the first ``n``
 replicas of a pair ensemble equal an ``n``-replica run, blow-ups included.
+
+Both ensembles return one ``Ensemble``, every replica's saved path stacked
+as ``(N, n_save, d)`` arrays; ``ens[k]`` is replica ``k``, ``ens[mask]`` a subset.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,8 +48,7 @@ from .pair import DEGENERATE_GAP, PairState
 
 __all__ = [
     "SimConfig",
-    "SingleTrajectory",
-    "PairTrajectory",
+    "Ensemble",
     "step_pair",
     "run_pair_ensemble",
     "run_single_ensemble",
@@ -82,22 +84,35 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SingleTrajectory:
+class Ensemble:
+    """Every replica's saved path, stacked: ``x``, ``v`` and the pair's second
+    copy ``xp``, ``vp`` (None for the single process) are ``(N, n_save, d)``,
+    ``blown_up`` and ``stability_indicator`` (zeros for the single process)
+    ``(N,)``. ``ens[k]`` is replica ``k``, its fields without the replica
+    axis, and ``ens[mask]`` or ``ens[a:b]`` the sub-ensemble of those rows."""
+
     times: np.ndarray
     x: np.ndarray
     v: np.ndarray
-    blown_up: bool = False
+    blown_up: np.ndarray
+    stability_indicator: np.ndarray
+    xp: np.ndarray | None = None
+    vp: np.ndarray | None = None
 
+    def __len__(self) -> int:
+        return len(self.blown_up)
 
-@dataclass(frozen=True)
-class PairTrajectory:
-    times: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    xp: np.ndarray
-    vp: np.ndarray
-    blown_up: bool = False
-    stability_indicator: float = 0.0
+    def __getitem__(self, rows) -> Ensemble:
+        return replace(self, **{
+            f: getattr(self, f)[rows] for f in ("x", "v", "blown_up", "stability_indicator",
+                                                "xp", "vp") if getattr(self, f) is not None})
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @property
+    def pair(self) -> PairState:
+        return PairState(self.x, self.v, self.xp, self.vp)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +244,7 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 
 def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
-                   replica_offset: int = 0, coupling=None):
+                   replica_offset: int = 0, coupling=None) -> Ensemble:
     """The Euler window loop of both ensembles.
 
     ``starts`` holds one ``(x0, v0)`` per copy, and the state is stepped as
@@ -245,10 +260,6 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     its replica. The exact norm test runs only in windows where some component
     exceeds ``blowup_norm / (2 sqrt(d))`` (or 1e150) or is NaN, and once a
     replica is frozen.
-    Returns the ``(copies, N, n_save, d)`` position and velocity paths, the
-    survivor mask and, per replica, the largest force Lipschitz quotient
-    between copies 0 and 1 at the start of a window that ends at a save time
-    (zeros for one copy).
     """
     times = config.save_times()
     n, d = config.n_replicas, system.dim
@@ -298,11 +309,12 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
                     gap = np.add(*np.abs(start[:, 0] - start[:, 1]).sum(-1))
                     lip = np.maximum(lip, np.divide(np.abs(force[0] - force[1]).sum(-1), gap,
                                                     out=np.zeros(n), where=alive & (gap > 1e-9)))
-    return out[0], out[1], alive, lip
+    pair = {"xp": out[0, 1], "vp": out[1, 1]} if coupling is not None else {}
+    return Ensemble(times, out[0, 0], out[1, 0], ~alive, lip * config.h, **pair)
 
 
 def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: float,
-                      kappa: float, timings: dict | None = None) -> list[PairTrajectory]:
+                      kappa: float, timings: dict | None = None) -> Ensemble:
     """All replicas of the coupled pair, stepped together window by window. Dim 1 only.
 
     Replica ``k`` draws its jumps from the streams ``(k, j)`` of the seed. Its
@@ -312,18 +324,12 @@ def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: 
     jumps added to its ``sampling_s``.
     """
     _require_one_dim(system, levy)
-    xs, vs, alive, lip = _euler_windows(system, levy, config,
-                                        ((pair0.x, pair0.v), (pair0.xp, pair0.vp)),
-                                        {} if timings is None else timings,
-                                        coupling=(alpha, kappa))
-    times = config.save_times()
-    return [PairTrajectory(times, xs[0, k], vs[0, k], xs[1, k], vs[1, k],
-                           blown_up=not alive[k], stability_indicator=float(lip[k]) * config.h)
-            for k in range(config.n_replicas)]
+    return _euler_windows(system, levy, config, ((pair0.x, pair0.v), (pair0.xp, pair0.vp)),
+                          {} if timings is None else timings, coupling=(alpha, kappa))
 
 
 def run_single_ensemble(system, levy, config: SimConfig, x0, v0, replica_offset: int = 0,
-                        timings: dict | None = None) -> list[SingleTrajectory]:
+                        timings: dict | None = None) -> Ensemble:
     """All replicas of the single process, stepped together window by window.
 
     Replica ``k`` draws its jumps from the streams ``(k + replica_offset, j)`` of the seed.
@@ -331,8 +337,5 @@ def run_single_ensemble(system, levy, config: SimConfig, x0, v0, replica_offset:
     NaN is flagged and frozen; its later snapshots stay NaN. A ``timings``
     dict gets the seconds spent drawing the jumps added to its ``sampling_s``.
     """
-    xs, vs, alive, _ = _euler_windows(system, levy, config, ((x0, v0),),
-                                      {} if timings is None else timings, replica_offset)
-    times = config.save_times()
-    return [SingleTrajectory(times, xs[0, k], vs[0, k], blown_up=not alive[k])
-            for k in range(config.n_replicas)]
+    return _euler_windows(system, levy, config, ((x0, v0),),
+                          {} if timings is None else timings, replica_offset)

@@ -399,17 +399,37 @@ class TestGammainc:
                 return i
 
     @pytest.mark.parametrize("branch,x,needed", [
-        (cn._gammainc_series, [0.5, 2.0, 3.0], series_terms),
-        (cn._gammainc_fraction, [3.5, 6.0, 40.0], fraction_steps)], ids=["series", "fraction"])
+        # the series takes the terms of its branch edge a + 1 at every x below it
+        (cn._gammainc_series, [0.5, 2.0, 3.0], lambda a, x: TestGammainc.series_terms(a, a + 1.0)),
+        (cn._gammainc_fraction, [3.5, 6.0, 40.0],
+         lambda a, x: max(TestGammainc.fraction_steps(a, v) for v in x))],
+        ids=["series", "fraction"])
     def test_iteration_cap(self, monkeypatch, branch, x, needed):
-        # a cap of n terms admits a stack whose slowest element needs exactly n, and raises below
+        # a cap of n terms admits a stack that needs exactly n, and raises below
         a, x = 2.5, np.array(x)
-        want, n = branch(a, x), max(needed.__func__(a, v) for v in x)
+        want, n = branch(a, x), needed(a, x)
         monkeypatch.setattr(cn, "_GAMMAINC_MAX_TERMS", n)
         assert np.array_equal(branch(a, x), want)
         monkeypatch.setattr(cn, "_GAMMAINC_MAX_TERMS", n - 1)
         with pytest.raises(RuntimeError, match="did not converge"):
             branch(a, x)
+
+
+    @pytest.mark.parametrize("theta0", [0.05, 0.4, 0.99, 1.5])
+    def test_stacked_values_equal_one_element_calls(self, theta0):
+        # an element's value does not depend on the stack it comes in, on either branch
+        a = 1.0 / theta0
+        rng = np.random.default_rng(int(1e4 * theta0))
+        x = np.concatenate([rng.uniform(0.0, a + 1.0, 300), rng.uniform(a + 1.0, 3.0 * a + 50.0, 100)])
+        one = np.concatenate([cn._gammainc(a, x[i:i + 1]) for i in range(x.size)])
+        assert np.array_equal(cn._gammainc(a, x), one)
+
+    def test_live_profile_stack_equals_one_gap_calls(self):
+        # one-element arrays, as a 0-d gap takes numpy's scalar power, not its array loop
+        s = np.random.default_rng(5).uniform(0.0, 12.0, 500)
+        prof = cn.REFERENCE_LIVE_PROFILE
+        one = np.concatenate([prof.value(s[i:i + 1]) for i in range(s.size)])
+        assert np.array_equal(prof.value(s), one)
 
 
 class TestSaturatedIntegral:

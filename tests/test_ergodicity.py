@@ -300,10 +300,16 @@ class TestStackedCost:
                 assert r[i, k] == one.r(alpha, alpha0)
                 assert psi[i, k] == pytest.approx(prod.value(one), rel=1e-15, abs=0.0)
 
+    @staticmethod
+    def stacked(rng, blown_up):
+        # a pair ensemble of 4 snapshots per replica, built from stacked arrays
+        n = len(blown_up)
+        x, v, xp, vp = (rng.normal(size=(n, 4, 1)) for _ in range(4))
+        return sim.Ensemble(np.linspace(0.0, 1.0, 4), x, v, np.array(blown_up), np.zeros(n),
+                            xp, vp)
+
     def test_matrix_skips_blown_runs(self, benchmark_bundle, rng):
-        times = np.linspace(0.0, 1.0, 4)
-        trs = [sim.PairTrajectory(times, *(rng.normal(size=(4, 1)) for _ in range(4)),
-                                  blown_up=blown) for blown in (False, True, False)]
+        trs = self.stacked(rng, [False, True, False])
         hhat, g = benchmark_bundle.monitor_fns()
         vals, keep = erg._psi_tilde_matrix(trs, hhat, g)
         assert keep.tolist() == [True, False, True] and vals.shape == (2, 4)
@@ -316,11 +322,9 @@ class TestStackedCost:
     def test_matrix_drops_non_finite_costs(self, benchmark_bundle, rng):
         # a weight that overflows to inf leaves a non-finite cost that the
         # blow-up screen never saw: the replica counts as a blow-up
-        times = np.linspace(0.0, 1.0, 4)
-        trs = [sim.PairTrajectory(times, *(rng.normal(size=(4, 1)) for _ in range(4)))
-               for _ in range(3)]
-        trs[1].x[2, 0] = 1e200
-        trs[2].v[3, 0] = np.nan
+        trs = self.stacked(rng, [False, False, False])
+        trs.x[1, 2, 0] = 1e200
+        trs.v[2, 3, 0] = np.nan
         hhat, g = benchmark_bundle.monitor_fns()
         vals, keep = erg._psi_tilde_matrix(trs, hhat, g)
         assert keep.tolist() == [True, False, False] and vals.shape == (1, 4)

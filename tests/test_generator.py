@@ -843,11 +843,26 @@ class TestProductRuleOnePass:
         g = CountingFn(tilt(benchmark_lyap, 0.07))
         once = {"value": 1, "grads": 1, "sync_hess": 1}
         for call in (lambda: gen.product_rule_residual(h, g, quad),
-                     lambda: gen.apply_coupling_operator(gen.ProductPairFn(h, g), quad)):
+                     lambda: gen.apply_coupling_operator(gen.ProductPairFn(h, g), quad),
+                     lambda: gen.contraction_inequality_check(h, g, 0.1, quad)):
             h.at_states.clear()
             g.at_states.clear()
             call()
             assert h.at_states == g.at_states == once
+
+    @pytest.mark.parametrize("stack", ["live", "degenerate"])
+    def test_contraction_check_equals_its_two_call_form(self, stack, benchmark_lyap, scheme,
+                                                        rng):
+        # both sides read HG's one evaluation at the states: the operator call and the
+        # value call it replaces give the same sides bit for bit
+        pair = parity_stack(rng) if stack == "live" else degenerate_stack(rng)
+        quad = gen.pair_quadrature(pair, damping_system(), PARITY_MEASURES["dominated"](),
+                                   ALPHA, KAPPA, scheme)
+        h = gen.ProfilePairFn(ConcaveProfile(), ALPHA, ALPHA0)
+        prod = gen.ProductPairFn(h, tilt(benchmark_lyap, 0.07))
+        chk = gen.contraction_inequality_check(prod.left, prod.right, 0.1, quad)
+        assert chk.lhs.tobytes() == gen.apply_coupling_operator(prod, quad).tobytes()
+        assert chk.rhs.tobytes() == (-0.1 * quad.shaped(prod.value(quad.pair))).tobytes()
 
 
 def ref_product_grads(left, right, pair):

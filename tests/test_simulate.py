@@ -745,6 +745,40 @@ class TestSingleBatch:
             assert np.array_equal(ref.v, tr.v, equal_nan=True)
 
 
+class TestEnsembleValue:
+    # benchmarks/child.py::_ensemble_counter reads the result of both ensembles
+    # as len(result) replicas and tr.blown_up per replica it iterates: a break
+    # here breaks the traced benchmark's counters
+    @pytest.mark.parametrize("kind", ["single", "pair"])
+    def test_stacked_value_contract(self, benchmark_levy, kind):
+        cfg = sim.SimConfig(h=0.05, delta=1e-2, horizon=5.0, n_save=11, seed=2, n_replicas=20,
+                            blowup_norm=1e6)
+        if kind == "single":
+            ens = sim.run_single_ensemble(well_runaway_system(), benchmark_levy, cfg, [2.0], [0.0])
+        else:
+            ens = sim.run_pair_ensemble(well_runaway_system(), benchmark_levy, cfg,
+                                        PairState([2.0], [0.0], [1.0], [0.0]), 1.0, 0.25)
+        assert len(ens) == cfg.n_replicas and ens.x.shape == (cfg.n_replicas, cfg.n_save, 1)
+        assert [bool(tr.blown_up) for tr in ens] == ens.blown_up.tolist()
+        assert 0 < ens.blown_up.sum() < len(ens)
+        assert (ens.stability_indicator > 0).any() == (kind == "pair")
+        paths = ("x", "v") if kind == "single" else ("x", "v", "xp", "vp")
+        for k in (0, 7, cfg.n_replicas - 1):
+            assert ens[k].x.shape == (cfg.n_save, 1) and ens[k].blown_up == ens.blown_up[k]
+            assert all(np.array_equal(getattr(ens[k], f), getattr(ens, f)[k], equal_nan=True)
+                       for f in paths)
+        mask = ~ens.blown_up
+        sub = ens[mask]
+        assert len(sub) == mask.sum() and not sub.blown_up.any()
+        assert np.array_equal(sub.times, ens.times)
+        for f in (*paths, "stability_indicator"):
+            assert np.array_equal(getattr(sub, f), getattr(ens, f)[mask])
+        if kind == "pair":
+            assert np.array_equal(ens.pair.z, ens.x - ens.xp, equal_nan=True)
+        else:
+            assert ens.xp is None and sub.vp is None
+
+
 class TestWindows:
     def test_plan_hits_save_times(self):
         times = np.linspace(0.0, 1.0, 5)
