@@ -312,11 +312,10 @@ class RunManifest:
 
     def write_csv(self, name: str, header, columns) -> None:
         """One row per entry of the equal-length ``columns``, each value as ``repr(float)``."""
-        rows = np.column_stack(columns)
+        rows = np.column_stack(columns).astype(float, copy=False).tolist()
         with open(self._record(name), "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write("\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows])
+                     + "\n")
 
     def finish(self) -> None:
         self.timings["total_s"] = time.monotonic() - self.started

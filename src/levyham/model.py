@@ -151,7 +151,10 @@ class KineticLangevinSpec:
             raise ValueError(f"a must be non-negative, got {self.a}")
 
     def force(self, x, v):
-        return -self.alpha_damp * np.asarray(v, dtype=float) - self.beta * self.potential.grad(x)
+        grad = self.potential.grad(x)
+        # 1.0 * grad is grad bit for bit
+        return -self.alpha_damp * np.asarray(v, dtype=float) - (
+            grad if self.beta == 1.0 else self.beta * grad)
 
 
 def drift(spec: KineticLangevinSpec, x, v):

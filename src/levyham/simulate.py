@@ -175,7 +175,12 @@ def _window(system, state: np.ndarray, dt: float, comp: np.ndarray, rows, marks,
     x, v = state
     force = np.asarray(system.force(x, v), dtype=float)
     rate = np.empty_like(state)
-    np.add(system.a * x, system.b * v, rate[0])
+    # a x is +/-0 for a finite x at a = 0, and x + dt (+/-0 + b v) is then
+    # x + dt b v bit for bit, signed zeros included; the loop starts every
+    # window from a finite state, as frozen replicas restart from their last one
+    np.multiply(system.b, v, rate[0])
+    if system.a:
+        np.add(system.a * x, rate[0], rate[0])
     np.add(force, comp, rate[1])
     base = state
     if len(rows):
@@ -257,9 +262,11 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     A replica with a copy whose position or velocity norm exceeds
     ``blowup_norm`` or is NaN is flagged and frozen; its later snapshots stay
     NaN. A force that overflows or turns NaN warns nothing: the screen flags
-    its replica. The exact norm test runs only in windows where some component
-    exceeds ``blowup_norm / (2 sqrt(d))`` (or 1e150) or is NaN, and once a
-    replica is frozen.
+    its replica. The exact norm test runs only in windows where the sum of the
+    squares of all components exceeds the square of ``blowup_norm / (2
+    sqrt(d))`` (or 1e150) or is NaN, and once a replica is frozen. A pair run
+    records the copies' state and force gaps at the start of each save window,
+    and builds the stability indicator from them after the loop.
     """
     times = config.save_times()
     n, d = config.n_replicas, system.dim
@@ -284,10 +291,17 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     out = np.full((2, len(starts), n, len(times), d), np.nan)
     out[:, :, :, 0] = state
     alive = np.ones(n, dtype=bool)
-    # components within `screen` keep every norm below blowup_norm / 2, and the
-    # cap keeps the squares in the exact norm from overflowing
+    # a sum of squares within screen**2 keeps every component within `screen`,
+    # so every norm below blowup_norm / 2, and the cap keeps the squares in
+    # the exact norm from overflowing; NaN, inf and overflow fail it, and a
+    # failure only runs the exact norm test, which alone sets the flags
     all_alive, screen = True, min(0.5 * config.blowup_norm / math.sqrt(d), 1e150)
-    lip = np.zeros(n)
+    screen_sq = screen * screen
+    # a pair run's copy gaps at the start of each save window, and its survivors
+    if coupling is not None:
+        state_gap = np.empty((len(times) - 1, 2, n, d))
+        force_gap = np.empty((len(times) - 1, n, d))
+        save_alive = np.empty((len(times) - 1, n), dtype=bool)
     walk = ()
     # a force or state that overflows or turns NaN is left to the blow-up screen
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,18 +311,29 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
                 walk = (unif[lo:hi], dens[lo:hi], *coupling, levy.slice_part)
             start = state
             state, force = _window(system, state, dt, comp, rows[lo:hi], marks[lo:hi], walk)
-            if not (all_alive and np.maximum.reduce(np.abs(state), None) <= screen):
+            if not (all_alive and np.vdot(state, state) <= screen_sq):
                 # a norm that overflows or is NaN is a blow-up
                 alive &= (_norm(state) <= config.blowup_norm).all(axis=(0, 1))
                 state = np.where(alive[:, None], state, start)
                 all_alive = bool(alive.all())
             if save_idx:
-                out[:, :, alive, save_idx] = state[:, :, alive]
+                if all_alive:
+                    out[:, :, :, save_idx] = state
+                else:
+                    out[:, :, alive, save_idx] = state[:, :, alive]
                 if coupling is not None:
-                    # force gap over state gap, x part plus v part, both at the window start
-                    gap = np.add(*np.abs(start[:, 0] - start[:, 1]).sum(-1))
-                    lip = np.maximum(lip, np.divide(np.abs(force[0] - force[1]).sum(-1), gap,
-                                                    out=np.zeros(n), where=alive & (gap > 1e-9)))
+                    np.subtract(start[:, 0], start[:, 1], state_gap[save_idx - 1])
+                    np.subtract(force[0], force[1], force_gap[save_idx - 1])
+                    save_alive[save_idx - 1] = alive
+    lip = np.zeros(n)
+    if coupling is not None:
+        # the largest force gap over state gap, x part plus v part, both at the
+        # start of a save window, over the replicas alive at its end
+        gap = np.abs(state_gap).sum(-1)
+        gap = gap[:, 0] + gap[:, 1]
+        quot = np.divide(np.abs(force_gap).sum(-1), gap, out=np.zeros_like(gap),
+                         where=save_alive & (gap > 1e-9))
+        lip = np.maximum.reduce(quot, axis=0, initial=0.0)
     pair = {"xp": out[0, 1], "vp": out[1, 1]} if coupling is not None else {}
     return Ensemble(times, out[0, 0], out[1, 0], ~alive, lip * config.h, **pair)
 

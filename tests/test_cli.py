@@ -499,6 +499,14 @@ class TestOutputs:
         record = json.loads((tmp_path / "run_manifest.json").read_text())["constants"]
         assert record["versions"]["scipy"] == scipy.__version__
 
+    def test_csv_rows_are_float_reprs(self, tmp_path):
+        manifest = RunManifest("0", 0, "couple", out=str(tmp_path))
+        manifest.write_csv("a.csv", ["t", "y"], [np.array([0.0, 0.5, 1.0, 2.0]),
+                                                 np.array([np.nan, np.inf, -0.0, 1e-300])])
+        manifest.write_csv("b.csv", ["n"], [np.array([3, -1])])
+        assert (tmp_path / "a.csv").read_bytes() == b"t,y\n0.0,nan\n0.5,inf\n1.0,-0.0\n2.0,1e-300\n"
+        assert (tmp_path / "b.csv").read_bytes() == b"n\n3.0\n-1.0\n"
+
     def test_commands_sharing_a_directory_keep_their_records(self, tmp_path):
         # one record per command; a rerun replaces only its own record, and a
         # manifest in the single-record layout is replaced

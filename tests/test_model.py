@@ -48,6 +48,18 @@ class TestDrift:
                 want = (2.0 * pot.c1 * pot.l * (1.0 + s) ** (pot.l - 1.0) - 2.0 * pot.c2) * x
                 assert pot.grad(x).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("beta", [1.0, 0.7])
+    def test_force_equals_its_formula(self, beta):
+        # at beta = 1 the force skips the multiply 1.0 * grad, which moves no bit
+        kl = md.KineticLangevinSpec(0.9, beta, md.DoubleWellPoly(1.0, 2.0, 2.0), dim=1)
+        rng = np.random.default_rng(5)
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e200, -1e200])
+        x = np.concatenate([edge, rng.normal(scale=3.0, size=200)])[:, None]
+        v = np.concatenate([edge[::-1], rng.normal(size=200)])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = -kl.alpha_damp * v - beta * kl.potential.grad(x)
+            assert kl.force(x, v).tobytes() == want.tobytes()
+
     def test_non_finite_force(self):
         bad = ForceSystem(lambda x, v: np.array([np.nan]))
         with pytest.raises(NonFiniteForce):

@@ -168,6 +168,21 @@ def ref_step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
 LEVIES = {"slice": lambda: ms.LevyMeasureSpec(ms.SliceMeasure(1.0, 0.4, 1), theta=1.0),
           **BEYOND_SLICE}
 
+# the window drops a x at a = 0 and the force 1.0 * grad at beta = 1: the
+# benchmark system takes both shortcuts, the scaled one neither
+SYSTEMS = {
+    "benchmark": lambda: md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellPoly(1.0, 2.0, 2.0)),
+    "scaled": lambda: md.KineticLangevinSpec(1.0, 0.7, md.DoubleWellPoly(1.0, 2.0, 2.0),
+                                             a=0.5, b=2.0),
+}
+
+
+def signed_zero_rows(pair: PairState) -> PairState:
+    # rows 0-2 of both copies at (x, v) = (-0, -0), (-0, +0), (+0, -0)
+    x, v = pair.x.copy(), pair.v.copy()
+    x[:3, 0], v[:3, 0] = [-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]
+    return PairState(x, v, x.copy(), v.copy())
+
 
 def random_window(rng, n_rep: int, n_jumps: int):
     """Pair states and one window of jumps that reach every branch of the rule.
@@ -242,20 +257,25 @@ class TestFloatWalkParity:
             a, b = (np.where(np.isnan(getattr(s, f)), np.nan, getattr(s, f)) for s in (got, want))
             assert a.tobytes() == b.tobytes(), f
 
-    @pytest.mark.parametrize("name", sorted(LEVIES))
-    def test_window_bitwise_equal_to_reference(self, name, benchmark_langevin):
+    @pytest.mark.parametrize("name, system_name", [
+        pytest.param(n, s, id=n if s == "benchmark" else f"{n}-{s}")
+        for n in sorted(LEVIES) for s in sorted(SYSTEMS)])
+    def test_window_bitwise_equal_to_reference(self, name, system_name):
         levy = LEVIES[name]()
-        system = benchmark_langevin
+        system = SYSTEMS[system_name]()
         comp = levy.measure.compensation_drift(1e-3)
         rng = np.random.default_rng(sorted(LEVIES).index(name))
-        branches = set()
+        branches, zeros = set(), set()
         for trial in range(60):
             alpha, kappa = [(1.0, 0.25), (2.5, 0.7), (0.3, 0.1)][trial % 3]
             pair, marks, unif, rows = random_window(rng, 6, 20)
+            if trial % 4 == 3:
+                pair = signed_zero_rows(pair)
             got = sim.step_pair(system, levy, pair, 0.01, marks, unif, alpha, kappa, comp, rows)
             want = ref_step_pair(system, levy, pair, 0.01, marks, unif, alpha, kappa, comp, rows)
             for f in ("x", "v", "xp", "vp"):
                 assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), (trial, f)
+            zeros.update(np.signbit(got.x[got.x == 0.0]).tolist())
             dens = levy.measure.density(marks[:, None])
             q = pair.q(alpha)[rows, 0]
             disp = displacements(levy, marks, q, alpha, kappa, unif)
@@ -264,6 +284,8 @@ class TestFloatWalkParity:
                                               float(den))
                 branches.add("sync" if d == u else "plus" if d > u else "minus")
         assert branches == {"sync", "plus", "minus"}
+        if system.a == 0.0:  # -0.0 + -0.0 keeps its sign, and -0.0 + 0.0 is 0.0
+            assert zeros == {True, False}
 
     def test_zero_uniform_takes_the_plus_branch_at_zero_ratio(self, benchmark_levy):
         # rho = 0 off the slab and where den <= 0, and l = 0.0 still passes
@@ -299,6 +321,25 @@ class TestStepSingle:
         for got, want in zip((x, v), ref_step_single(damping_system(), state, 0.1, [],
                                                      np.zeros(1))):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+    def test_windows_bitwise_equal_to_reference(self, system_name):
+        # random states with signed zeros, jumps and a drift correction: the
+        # window's bytes are the reference Euler step's
+        system = SYSTEMS[system_name]()
+        rng = np.random.default_rng(3)
+        comp = np.array([0.4])
+        for trial in range(20):
+            xs, vs = rng.normal(scale=2.0, size=(2, 8, 1))
+            xs[:3, 0], vs[:3, 0] = [-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]
+            rows = rng.integers(0, 8, 10)
+            marks = rng.uniform(-1.0, 1.0, (10, 1))
+            got = single_window(system, (xs, vs), 0.01, marks, comp, rows)
+            want = ref_step_single(system, (xs, vs), 0.01, marks, comp, rows)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), trial
+            if system.a == 0.0:
+                assert got[0][:3, 0].tobytes() == np.array([-0.0, 0.0, 0.0]).tobytes()
 
     def test_rows_step_like_unbatched_states(self):
         # one batched window equals each row stepped alone with its own marks,
@@ -531,6 +572,10 @@ BLOWUP_CASES = {
                         ([707095.0, 707095.0], [100.0, 100.0]), 3),
     "norm-overflows": (1e300, zero_force_system, ([1e200], [0.0]),
                        ([1e200, 0.0], [0.0, 0.0]), 1),
+    # every component stays below the screen, the sum of the squares above
+    # its square: the exact test runs and flags nothing
+    "squares-above-screen": (1e6, zero_force_system, ([2.85e5], [4.2e5]),
+                             ([3e5, 3e5], [1e5, 1e5]), None),
     # the force turns NaN in window 4, which the rule flags like a blow-up
     "nan-state": (1e6, nan_force_system, ([0.0], [100.0]), ([0.0, 0.0], [100.0, 0.0]), 4),
 }
@@ -561,8 +606,14 @@ class TestBlowupScreen:
                                             flagged_at)
         assert np.array_equal(tr.x, xs, equal_nan=True)
         assert np.array_equal(tr.v, vs, equal_nan=True)
+        screen = 0.5 * norm / math.sqrt(d)
         if case == "component-above-screen":
-            assert np.all(np.abs(tr.x) > 0.5 * norm / math.sqrt(d))
+            assert np.all(np.abs(tr.x) > screen)
+        if case == "squares-above-screen":
+            parts = [tr.x, tr.v] + ([tr.xp, tr.vp] if kind == "pair-1d" else [])
+            squares = sum(np.add.reduce(p * p, axis=-1) for p in parts)
+            assert all(np.all(np.abs(p) < screen) for p in parts)
+            assert np.all(squares > screen * screen)
         if case == "nan-state":
             # flagged, not stepped on with NaN: the snapshots before are finite
             assert np.isfinite(tr.v[:flagged_at]).all() and np.isnan(tr.v[flagged_at:]).all()
@@ -581,6 +632,42 @@ class TestBlowupScreen:
         for trs in (single, pair):
             assert 0 < sum(tr.blown_up for tr in trs) < len(trs)
         assert all(math.isfinite(tr.stability_indicator) for tr in pair)
+
+    def test_stability_indicator_equals_the_per_save_formula(self, benchmark_levy):
+        # h times the largest force gap over state gap at the start of each
+        # window that ends at a save, over the replicas alive at its end: one
+        # pass per save window of a reference run, against the loop's stacked one
+        system = md.KineticLangevinSpec(1.0, 1.0, md.DoubleWellExp(0.1, 2.0, 1.0), dim=1)
+        cfg = sim.SimConfig(h=0.05, delta=1e-3, horizon=2.0, n_save=5, seed=99,
+                            n_replicas=50)
+        pair0 = PairState([2.0], [0.0], [-2.0], [0.0])
+        ens = sim.run_pair_ensemble(system, benchmark_levy, cfg, pair0, 1.0, 0.25)
+        assert 0 < ens.blown_up.sum() < len(ens)
+        seen = []
+        window = sim._window
+
+        def spy(system, state, dt, comp, rows, marks, walk=()):
+            new, force = window(system, state, dt, comp, rows, marks, walk)
+            seen.append((state, force))
+            return new, force
+
+        plan = list(sim._window_plan(cfg.save_times(), cfg.h))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_window", spy)
+            again = sim.run_pair_ensemble(system, benchmark_levy, cfg, pair0, 1.0, 0.25)
+        assert len(seen) == len(plan)
+        want = np.zeros(len(ens))
+        for (save, _, _), (start, force) in zip(plan, seen):
+            if not save:
+                continue
+            # alive at the save: its snapshot there is finite
+            alive = np.isfinite(ens.x[:, save, 0])
+            gap = np.abs(start[0, 0] - start[0, 1])[:, 0] + np.abs(start[1, 0] - start[1, 1])[:, 0]
+            for k in np.nonzero(alive & (gap > 1e-9))[0]:
+                want[k] = max(want[k], abs(force[0, k, 0] - force[1, k, 0]) / gap[k])
+        assert (want > 0).sum() > len(ens) // 2
+        assert ens.stability_indicator.tobytes() == (want * cfg.h).tobytes()
+        assert again.stability_indicator.tobytes() == ens.stability_indicator.tobytes()
 
 
 class TestPairDimension:
