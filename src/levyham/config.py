@@ -314,8 +314,8 @@ class RunManifest:
         """One row per entry of the equal-length ``columns``, each value as ``repr(float)``."""
         rows = np.column_stack(columns).astype(float, copy=False).tolist()
         with open(self._record(name), "w", encoding="utf-8") as fh:
-            fh.write("\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows])
-                     + "\n")
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
     def finish(self) -> None:
         self.timings["total_s"] = time.monotonic() - self.started

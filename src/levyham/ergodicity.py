@@ -165,13 +165,8 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
 # ---------------------------------------------------------------------------
 
 
-def _w1_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the sorted-sample distance of each pair of rows (of the last axis)
-    return np.mean(np.abs(np.sort(a) - np.sort(b)), axis=-1)
-
-
-# values per block of stacked projections in sliced_wasserstein
-_SW_BLOCK = 8192
+def _w1_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
 def sliced_wasserstein(a, b, n_projections: int = 64, seed: int = 0) -> float:
@@ -197,16 +192,10 @@ def sliced_wasserstein(a, b, n_projections: int = 64, seed: int = 0) -> float:
         b = b[rng.choice(b.shape[0], n, replace=False)]
     k = a.shape[1]
     if k == 1:
-        return float(_w1_sorted(a[:, 0], b[:, 0]))
+        return _w1_sorted(a[:, 0], b[:, 0])
     g = rng.standard_normal((n_projections, k))
     dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    # one stacked row per projection a @ e (dirs @ a.T rounds some of them
-    # differently), in blocks of about _SW_BLOCK values: a block stays in
-    # cache, where one stack of every projection of a large cloud does not
-    step = max(_SW_BLOCK // n, 1)
-    return float(np.mean(np.concatenate([
-        _w1_sorted(*(np.stack([c @ e for e in dirs[i:i + step]]) for c in (a, b)))
-        for i in range(0, n_projections, step)])))
+    return float(np.mean([_w1_sorted(a @ e, b @ e) for e in dirs]))
 
 
 def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,

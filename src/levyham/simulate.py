@@ -177,7 +177,8 @@ def _window(system, state: np.ndarray, dt: float, comp: np.ndarray, rows, marks,
     rate = np.empty_like(state)
     # a x is +/-0 for a finite x at a = 0, and x + dt (+/-0 + b v) is then
     # x + dt b v bit for bit, signed zeros included; the loop starts every
-    # window from a finite state, as frozen replicas restart from their last one
+    # window from a finite state, as frozen replicas restart from their last
+    # one, and only step_pair can pass an infinite x, which stays infinite
     np.multiply(system.b, v, rate[0])
     if system.a:
         np.add(system.a * x, rate[0], rate[0])
@@ -212,7 +213,9 @@ def step_pair(system, levy, pair: PairState, dt: float, jumps, unifs,
     classification uniform ``unifs[i]``, kicks the first copy in flat
     leading-axis row ``rows[i]`` (row 0 of an unbatched state by default);
     each row's marks are classified and applied in the order given. Blow-up
-    is not checked here.
+    is not checked here. At ``a = 0`` the position moves by ``b v dt`` alone,
+    with no ``a x`` term: an infinite position stays infinite, where
+    ``0 * inf`` would make it NaN.
     """
     _require_one_dim(system, levy)
     state = np.stack([a.reshape(-1, 1) for a in (pair.x, pair.xp, pair.v, pair.vp)])
@@ -264,9 +267,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     NaN. A force that overflows or turns NaN warns nothing: the screen flags
     its replica. The exact norm test runs only in windows where the sum of the
     squares of all components exceeds the square of ``blowup_norm / (2
-    sqrt(d))`` (or 1e150) or is NaN, and once a replica is frozen. A pair run
-    records the copies' state and force gaps at the start of each save window,
-    and builds the stability indicator from them after the loop.
+    sqrt(d))`` (or 1e150) or is NaN, and once a replica is frozen.
     """
     times = config.save_times()
     n, d = config.n_replicas, system.dim
@@ -297,11 +298,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     # failure only runs the exact norm test, which alone sets the flags
     all_alive, screen = True, min(0.5 * config.blowup_norm / math.sqrt(d), 1e150)
     screen_sq = screen * screen
-    # a pair run's copy gaps at the start of each save window, and its survivors
-    if coupling is not None:
-        state_gap = np.empty((len(times) - 1, 2, n, d))
-        force_gap = np.empty((len(times) - 1, n, d))
-        save_alive = np.empty((len(times) - 1, n), dtype=bool)
+    lip = np.zeros(n)
     walk = ()
     # a force or state that overflows or turns NaN is left to the blow-up screen
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,23 +314,12 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
                 state = np.where(alive[:, None], state, start)
                 all_alive = bool(alive.all())
             if save_idx:
-                if all_alive:
-                    out[:, :, :, save_idx] = state
-                else:
-                    out[:, :, alive, save_idx] = state[:, :, alive]
+                out[:, :, alive, save_idx] = state[:, :, alive]
                 if coupling is not None:
-                    np.subtract(start[:, 0], start[:, 1], state_gap[save_idx - 1])
-                    np.subtract(force[0], force[1], force_gap[save_idx - 1])
-                    save_alive[save_idx - 1] = alive
-    lip = np.zeros(n)
-    if coupling is not None:
-        # the largest force gap over state gap, x part plus v part, both at the
-        # start of a save window, over the replicas alive at its end
-        gap = np.abs(state_gap).sum(-1)
-        gap = gap[:, 0] + gap[:, 1]
-        quot = np.divide(np.abs(force_gap).sum(-1), gap, out=np.zeros_like(gap),
-                         where=save_alive & (gap > 1e-9))
-        lip = np.maximum.reduce(quot, axis=0, initial=0.0)
+                    # force gap over state gap, x part plus v part, both at the window start
+                    gap = np.add(*np.abs(start[:, 0] - start[:, 1]).sum(-1))
+                    lip = np.maximum(lip, np.divide(np.abs(force[0] - force[1]).sum(-1), gap,
+                                                    out=np.zeros(n), where=alive & (gap > 1e-9)))
     pair = {"xp": out[0, 1], "vp": out[1, 1]} if coupling is not None else {}
     return Ensemble(times, out[0, 0], out[1, 0], ~alive, lip * config.h, **pair)
 

@@ -287,6 +287,20 @@ class TestFloatWalkParity:
         if system.a == 0.0:  # -0.0 + -0.0 keeps its sign, and -0.0 + 0.0 is 0.0
             assert zeros == {True, False}
 
+    def test_infinite_position_moves_by_b_v_alone_at_a_zero(self, benchmark_levy):
+        # no a x term at a = 0: an infinite position stays infinite (0 * inf
+        # would be NaN) and a NaN one stays NaN, in both copies
+        system = SYSTEMS["benchmark"]()
+        x = np.array([[np.inf], [-np.inf], [np.nan], [-0.0]])
+        v = np.array([[0.5], [-0.5], [0.5], [0.0]])
+        pair = PairState(x, v, x[::-1].copy(), v[::-1].copy())
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = sim.step_pair(system, benchmark_levy, pair, 0.01, np.zeros(0), np.zeros(0),
+                                1.0, 0.25, np.zeros(1))
+        assert got.x.tobytes() == (x + 0.01 * v).tobytes()
+        assert got.xp.tobytes() == (pair.xp + 0.01 * pair.vp).tobytes()
+        assert np.array_equal(got.x[:, 0], [np.inf, -np.inf, np.nan, -0.0], equal_nan=True)
+
     def test_zero_uniform_takes_the_plus_branch_at_zero_ratio(self, benchmark_levy):
         # rho = 0 off the slab and where den <= 0, and l = 0.0 still passes
         # l <= 0.5 * rho
