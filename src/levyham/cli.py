@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -56,9 +57,9 @@ __all__ = ["main"]
 
 
 def _chain_exit(rep: cn.ConstantsReport) -> int:
-    # 2, after one stderr line naming the flags, when the constant chain is
-    # degenerate; the data outputs are written first
-    if not any("degenerate" in f for f in rep.flags):
+    # 2, after one stderr line naming the flags, when the constant chain
+    # certifies no rate; the data outputs are written first
+    if rep.log_rate != -math.inf:
         return 0
     print(f"degenerate constant chain: flags {', '.join(rep.flags)}", file=sys.stderr)
     return 2
@@ -70,7 +71,6 @@ def _bundle_from(cfg: ExperimentConfig) -> cn.ConstantsBundle:
     return cn.build_constants(
         langevin, levy, r0_jump=cfg.constants["r0_jump"],
         grid_radius=cfg.lyapunov["grid_radius"], n_grid=cfg.lyapunov["grid_points"],
-        position_radius=cfg.constants["position_radius"],
         scheme=cfg.build_scheme(),
     )
 
@@ -158,8 +158,8 @@ def _verify_operator_identities(cfg, manifest):
     marg = gen.marginal_identity_residual(gen.velocity_bump(c_g), gen.velocity_bump(c_h), quad)
     # where the certified eps underflows to 0 (as on the benchmark) its product
     # rule holds by construction; the monitor pair keeps the cross term live
-    prod = gen.product_rule_residual(bundle.hhat_fn(), bundle.g_fn(), quad)
-    monitor = gen.product_rule_residual(*bundle.monitor_fns(), quad)
+    prod = gen.product_rule_residual(bundle.cost.left, bundle.cost.right, quad)
+    monitor = gen.product_rule_residual(bundle.monitor.left, bundle.monitor.right, quad)
     payload = {"marginal_residual_max": float(np.max(marg)),
                "product_rule_residual_max": float(np.max(prod)),
                "monitor_product_rule_residual_max": float(np.max(monitor))}
@@ -191,14 +191,13 @@ def cmd_rate(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | None)
     bundle = _timed_bundle(cfg, manifest.timings, "constants_s")
     sim_cfg = cfg.build_sim(seed=manifest.seed, n_replicas=replicas)
     try:
-        report = erg.estimate_decay(bundle, sim_cfg, PairState(*cfg.initial_pair()))
+        report = erg.estimate_decay(bundle, sim_cfg, PairState(*cfg.initial_pair()),
+                                    timings=manifest.timings)
     except InsufficientDecay as exc:
         manifest.write_json("rate.json", {"error": "InsufficientDecay", "detail": str(exc)})
         return 2
     t0 = time.monotonic()
-    payload = dataclasses.asdict(report)
-    manifest.timings.update(payload.pop("timings"))
-    manifest.write_json("rate.json", payload)
+    manifest.write_json("rate.json", report)
     safe_log = np.where(report.means > 0, np.log(np.maximum(report.means, 1e-300)), np.nan)
     manifest.write_csv("decay_curve.csv", ["t", "mean", "se", "log_mean"],
                        [report.times, report.means, report.ses, safe_log])
@@ -209,16 +208,17 @@ def cmd_rate(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | None)
 def cmd_couple(cfg: ExperimentConfig, manifest: RunManifest, replicas: int | None) -> int:
     bundle = _bundle_from(cfg)
     sim_cfg = cfg.build_sim(seed=manifest.seed, n_replicas=replicas)
-    t0 = time.monotonic()
     ens = sim.run_pair_ensemble(bundle.system, bundle.levy, sim_cfg,
                                 PairState(*cfg.initial_pair()),
                                 bundle.report.alpha, bundle.report.kappa, manifest.timings)
-    manifest.timings["stepping_s"] = time.monotonic() - t0 - manifest.timings["sampling_s"]
+    # a monitor weight that overflows at a finite state leaves its psi_tilde NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = bundle.monitor.value(ens.pair)
     # every replica's columns as one (N, 7, n_save) stack; pair runs are one-dimensional
     columns = np.stack([np.broadcast_to(ens.times, ens.x.shape[:-1]), ens.x[..., 0],
                         ens.v[..., 0], ens.xp[..., 0], ens.vp[..., 0],
-                        ens.pair.r(bundle.report.alpha, bundle.monitor_alpha0),
-                        gen.ProductPairFn(*bundle.monitor_fns()).value(ens.pair)], axis=1)
+                        ens.pair.r(bundle.report.alpha, bundle.monitor.left.alpha0), cost],
+                       axis=1)
     for idx, replica in enumerate(columns):
         manifest.write_csv(f"trajectory_{idx:04d}.csv",
                            ["t", "x", "v", "xp", "vp", "r", "psi_tilde"], replica)
@@ -233,8 +233,7 @@ def cmd_equilibrium(cfg: ExperimentConfig, manifest: RunManifest,
         raise ConfigError("equilibrium diagnostics need sim n_save >= 3")
     x0, v0, xp0, vp0 = cfg.initial_pair()
     payload = erg.equilibrium_diagnostics(cfg.build_langevin(), levy, sim_cfg, (x0, v0),
-                                          (xp0, vp0))
-    manifest.timings.update(payload.pop("timings"))
+                                          (xp0, vp0), manifest.timings)
     threshold = cfg.constants["decay_threshold"]
     if threshold is not None:
         payload["threshold"] = threshold

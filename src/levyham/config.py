@@ -93,7 +93,6 @@ SCHEMA = {
     },
     "constants": {
         "r0_jump": (float, 0.5),
-        "position_radius": (float, None),
         "decay_threshold": (float, None),   # equilibrium diagnostics threshold
     },
 }

@@ -478,33 +478,19 @@ class ConstantsReport:
 
 @dataclass(frozen=True)
 class ConstantsBundle:
-    """Runtime companions of the report: specs, profile, and pair functionals."""
+    """Runtime companions of the report: specs, profile, and the pair costs
+    ``cost`` (the certified ``Psi~``, clamped profile pair times Lyapunov tilt)
+    and ``monitor``, the one Monte Carlo runs evaluate (``cost`` unless the
+    fallback engaged)."""
 
     system: md.KineticLangevinSpec
     levy: object
     lyap: object
     profile: DistanceProfile
     report: ConstantsReport
-    monitor_profile: object = None
-    monitor_eps: float = 0.0
-    monitor_alpha0: float = 0.0
+    cost: gen.ProductPairFn
+    monitor: gen.ProductPairFn
     monitor_is_fallback: bool = False
-
-    def hhat_fn(self):
-        prof = ClampedProfile(self.profile, self.report.R0)
-        return gen.ProfilePairFn(prof, self.report.alpha, self.report.alpha0)
-
-    def g_fn(self):
-        return self._tilt(math.exp(self.report.log_eps))
-
-    def monitor_fns(self):
-        prof = ClampedProfile(self.monitor_profile, self.report.R0)
-        return (gen.ProfilePairFn(prof, self.report.alpha, self.monitor_alpha0),
-                self._tilt(self.monitor_eps))
-
-    def _tilt(self, eps):
-        w = gen.lyapunov_test_function(self.lyap)
-        return gen.SeparablePairFn(w, w, eps, 1.0)
 
 
 def profile_property_report(profile: DistanceProfile) -> dict:
@@ -598,21 +584,21 @@ def psi(pair: PairState, lyap):
 
 def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureSpec,
                     r0_jump: float = 0.5, grid_radius: float = 20.0, n_grid: int = 21,
-                    position_radius: float | None = None,
                     scheme: gen.QuadratureScheme | None = None) -> ConstantsBundle:
     """Run the full pipeline for a damped-gradient system.
 
     Order: theta-moment check, potential certificate, quadratic form,
     weight-drift fit, jump regularity (exponent 1/2), activity floor,
-    far-field sublevel set, force Lipschitz bound, transform weights and
-    modification cap, far-field radius, profile, tilt weight and rate. Only
-    the position bound of the sublevel set feeds the Lipschitz sampling
-    unless ``position_radius`` overrides it.
+    far-field sublevel set, force Lipschitz bound on its position ball
+    ``max(x_max, 1)``, transform weights and modification cap, far-field
+    radius, profile, tilt weight and rate. The chain certifies a rate only
+    when the Lipschitz bound is finite and ``alpha0 > 1``; otherwise ``k0``,
+    ``lambda0`` and ``c_star_profile`` are infinite, the profile is the
+    linear member and ``log_eps = log_rate = -inf``.
     """
     if levy_spec.measure.moment_pair(levy_spec.theta).divergent:
         raise MomentFailure(f"the moment int |u|^2 ^ |u|^theta of {levy_spec.measure} "
                             f"diverges at theta = {levy_spec.theta}")
-    flags: list[str] = []
     notes: list[str] = []
     a, b = langevin.a, langevin.b
     setup = md.build_lyapunov(langevin, grid_radius, levy_spec.theta)
@@ -629,39 +615,36 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
 
     geom = far_field_sublevel(c0_lyap, C0_lyap, c_star, levy_spec.theta,
                               lyap.r, lyap.r0_cross)
-    pos_radius = position_radius if position_radius is not None else max(geom.x_max, 1.0)
+    pos_radius = max(geom.x_max, 1.0)
     lam_star = compute_lipschitz(langevin, pos_radius)
-    if not math.isfinite(lam_star):
-        flags.append("lipschitz_unbounded")
+    bounded = math.isfinite(lam_star)
+    if not bounded:  # reported as 0, and the chain certifies nothing
         lam_star = 0.0
     alpha, alpha0 = compute_alpha_alpha0(a, b, lam_star)
-    if alpha0 <= 1.0:
-        flags.append("degenerate_rate")
     kappa = r0_jump / (2.0 * alpha)
     R0 = compute_R0(geom, alpha, alpha0, kappa)
 
-    balpha = b * alpha
-    if alpha0 > 1.0:
+    # the zero-reshaping member of the family (g == 0, so f(s) = 2 s)
+    linear = DistanceProfile(log_c1=0.0, c2=0.0, g_coef=0.0, theta0=theta0, cap=2.0 * R0)
+    # a finite lam_star is at least about alpha_damp, so alpha0 = 1 leaves
+    # 16 lam_star / b below an ulp of 1: degenerate, not divided by alpha0 - 1
+    if bounded and alpha0 > 1.0:
+        balpha = b * alpha
         k0 = (8.0 * (lam_star + balpha * (1.0 + alpha0) + 0.75 * (1.0 - 1.0 / alpha0) * balpha)
               / ((alpha0 - 1.0) * balpha))
         lambda0 = (k0 * a + balpha) * (1.0 + alpha0) + lam_star * (1.0 + (1.0 + 1.0 / alpha) * k0)
         c_star_profile = 1.0 + 8.0 * lambda0 / (3.0 * (1.0 - 1.0 / alpha0) * balpha)
-    else:
-        k0, lambda0, c_star_profile = math.inf, math.inf, math.inf
-
-    # the zero-reshaping member of the family (g == 0, so f(s) = 2 s)
-    linear = DistanceProfile(log_c1=0.0, c2=0.0, g_coef=0.0, theta0=theta0, cap=2.0 * R0)
-    if math.isfinite(c_star_profile):
         profile = build_profile(activity_coef(c0_sigma, theta0, alpha, kappa, R0), theta0,
                                 c_star_profile, k0, alpha0, R0, b, alpha)
+        log_eps, log_rate = tilt_and_rate_log(profile.log_c1, alpha0, b, alpha, C0_lyap,
+                                              c_star, c0_lyap)
+        flags = ["degenerate_rate"] if log_rate == -math.inf else []
     else:
+        k0 = lambda0 = c_star_profile = math.inf
         profile = linear
-        flags.append("profile_unavailable")
-
-    log_eps, log_rate = tilt_and_rate_log(profile.log_c1, alpha0, b, alpha, C0_lyap, c_star,
-                                          c0_lyap)
-    if log_rate == -math.inf:
-        flags.append("degenerate_rate")
+        log_eps = log_rate = -math.inf
+        flags = ([] if bounded else ["lipschitz_unbounded"]) + ["degenerate_rate",
+                                                                "profile_unavailable"]
 
     report = ConstantsReport(
         a=a, b=b, theta=levy_spec.theta, alpha=alpha, alpha0=alpha0, kappa=kappa,
@@ -669,8 +652,14 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
         c_star_profile=c_star_profile, log_c1=profile.log_c1, c2=profile.c2,
         R0=R0, S_star=geom.S_star, position_radius=pos_radius, lambda_star_R0=lam_star,
         log_eps=log_eps, c_star_A2=c_star, c0_lyap=c0_lyap, C0_lyap=C0_lyap,
-        log_rate=log_rate, flags=tuple(dict.fromkeys(flags)), notes=tuple(notes),
+        log_rate=log_rate, flags=tuple(flags), notes=tuple(notes),
     )
+
+    w = gen.lyapunov_test_function(lyap)
+
+    def pair_cost(prof, prof_alpha0, prof_log_eps):
+        return gen.ProductPairFn(gen.ProfilePairFn(ClampedProfile(prof, R0), alpha, prof_alpha0),
+                                 gen.SeparablePairFn(w, w, math.exp(prof_log_eps), 1.0))
 
     # practical monitor: when the certified profile is missing or numerically
     # flat over the reachable gap range, Monte Carlo monitoring falls back to
@@ -680,12 +669,11 @@ def build_constants(langevin: md.KineticLangevinSpec, levy_spec: ms.LevyMeasureS
     probe = profile.value(np.array([1e-3 * R0, R0]))
     fallback = bool(profile is linear or not (probe[1] > probe[0] > 0.0)
                     or (probe[1] - probe[0]) <= 1e-12 * probe[1])
+    cost = pair_cost(profile, alpha0, log_eps)
+    monitor = cost
     if fallback:
-        monitor, monitor_alpha0 = linear, min(alpha0, 2.0)
-        monitor_log_eps = tilt_and_rate_log(0.0, alpha0, b, alpha, C0_lyap, c_star, c0_lyap)[0]
-    else:
-        monitor, monitor_alpha0, monitor_log_eps = profile, alpha0, log_eps
+        monitor = pair_cost(linear, min(alpha0, 2.0),
+                            tilt_and_rate_log(0.0, alpha0, b, alpha, C0_lyap, c_star, c0_lyap)[0])
     return ConstantsBundle(system=langevin, levy=levy_spec, lyap=lyap, profile=profile,
-                           report=report, monitor_profile=monitor,
-                           monitor_eps=math.exp(monitor_log_eps), monitor_alpha0=monitor_alpha0,
+                           report=report, cost=cost, monitor=monitor,
                            monitor_is_fallback=fallback)

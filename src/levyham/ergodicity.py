@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants as cn
 from . import simulate as sim
 from .errors import EmptyMeasure, InsufficientDecay
-from .generator import ProductPairFn
 from .pair import PairState
 
 __all__ = [
@@ -54,10 +53,6 @@ class DecayReport:
     log_rate_certified: float
     monitor_is_fallback: bool
     lambda_fit_exceeds_certified: bool
-    # seconds spent drawing the pair ensemble's jumps, in the rest of the
-    # ensemble, and in the cost, fit and bootstrap; the run manifest reports
-    # them, rate.json does not
-    timings: dict = field(default_factory=dict, compare=False)
 
 
 def _fit_rows(times, means, ses) -> tuple:
@@ -96,12 +91,12 @@ def fit_exponential_decay(times, means, ses) -> tuple[float, float, float, int, 
     return tuple(a[0].item() for a in fit)
 
 
-def _psi_tilde_matrix(ens: sim.Ensemble, hhat_fn, g_fn) -> tuple[np.ndarray, np.ndarray]:
+def _psi_tilde_matrix(ens: sim.Ensemble, cost) -> tuple[np.ndarray, np.ndarray]:
     # the costs of the replicas kept, and the mask that keeps them: a flagged
     # replica, or one whose cost is not finite at some snapshot (a weight that
     # overflowed to inf), is dropped and counted as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = ProductPairFn(hhat_fn, g_fn).value(ens.pair)
+        vals = cost.value(ens.pair)
     keep = np.isfinite(vals).all(axis=-1) & ~ens.blown_up
     if not keep.any():
         raise InsufficientDecay("every replica blew up")
@@ -126,21 +121,20 @@ def _bootstrap_rates(vals, means, times, n_boot: int) -> np.ndarray:
 
 
 def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: PairState,
-                   n_boot: int = 200) -> DecayReport:
+                   n_boot: int = 200, timings: dict | None = None) -> DecayReport:
     """Ensemble decay of the tilted distance cost, with a bootstrap CI.
 
-    The monitored functional uses the bundle's monitor profile (identical to
-    the certified profile unless that one is missing or numerically flat, in
-    which case the linear member of the family substitutes and the report
-    says so).
+    The monitored functional is the bundle's ``monitor`` (the certified cost
+    unless its profile is missing or numerically flat, in which case the
+    linear member of the family substitutes and the report says so). A
+    ``timings`` dict gets the ensemble's ``sampling_s`` and ``stepping_s``
+    added, and the cost, fit and bootstrap seconds as ``decay_fit_s``.
     """
-    t0, timings = time.monotonic(), {}
+    timings = {} if timings is None else timings
     ens = sim.run_pair_ensemble(bundle.system, bundle.levy, config, pair0,
                                 bundle.report.alpha, bundle.report.kappa, timings)
     t1 = time.monotonic()
-    timings["stepping_s"] = t1 - t0 - timings["sampling_s"]
-    hhat_fn, g_fn = bundle.monitor_fns()
-    vals, keep = _psi_tilde_matrix(ens, hhat_fn, g_fn)
+    vals, keep = _psi_tilde_matrix(ens, bundle.monitor)
     times = ens.times
     means = vals.mean(axis=0)
     ses = vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0]) if vals.shape[0] > 1 else np.zeros_like(means)
@@ -148,6 +142,7 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
     # one surviving replica has no spread to resample: the CI collapses to the fit
     boots = _bootstrap_rates(vals, means, times, n_boot) if vals.shape[0] > 1 and n_boot else []
     lo, hi = np.percentile(boots, [2.5, 97.5]) if len(boots) else (rate, rate)
+    timings["decay_fit_s"] = time.monotonic() - t1
     return DecayReport(times=times, means=means, ses=ses, lambda_fit=rate,
                        intercept=intercept, r_squared=r2, ci_low=float(lo), ci_high=float(hi),
                        n_replicas=len(ens), n_blowups=int((~keep).sum()),
@@ -156,8 +151,7 @@ def estimate_decay(bundle: cn.ConstantsBundle, config: sim.SimConfig, pair0: Pai
                        log_rate_certified=bundle.report.log_rate,
                        monitor_is_fallback=bundle.monitor_is_fallback,
                        lambda_fit_exceeds_certified=bool(
-                           rate > 0 and math.log(rate) >= bundle.report.log_rate),
-                       timings={**timings, "decay_fit_s": time.monotonic() - t1})
+                           rate > 0 and math.log(rate) >= bundle.report.log_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +193,7 @@ def sliced_wasserstein(a, b, n_projections: int = 64, seed: int = 0) -> float:
 
 
 def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
-                            init_b: tuple) -> dict:
+                            init_b: tuple, timings: dict | None = None) -> dict:
     """Empirical stationarity probe from two initial conditions.
 
     Runs two single-process ensembles to the horizon on disjoint replica
@@ -207,19 +201,18 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
     compares their terminal clouds, and compares the mid-horizon and
     terminal clouds of the first ensemble as a stationarity proxy; also
     tracks the fractional velocity moment of order ``levy.theta`` across
-    checkpoints (heavy tails rule out variances). ``timings`` holds the wall
-    time the two ensembles spent drawing their jumps (``sampling_s``) and
-    the rest of theirs (``stepping_s``), and that of the comparisons
-    (``diagnostics_s``).
+    checkpoints (heavy tails rule out variances). A ``timings`` dict gets
+    the wall time the two ensembles spent drawing their jumps (``sampling_s``)
+    and the rest of theirs (``stepping_s``) added, and that of the
+    comparisons as ``diagnostics_s``.
     """
     if config.n_save < 3:
         raise ValueError("need at least three snapshots for the stationarity proxy")
-    t0, timings = time.monotonic(), {}
+    timings = {} if timings is None else timings
     ens_a = sim.run_single_ensemble(system, levy, config, *init_a, timings=timings)
     ens_b = sim.run_single_ensemble(system, levy, config, *init_b,
                                     replica_offset=config.n_replicas, timings=timings)
     t1 = time.monotonic()
-    timings["stepping_s"] = t1 - t0 - timings["sampling_s"]
 
     def cloud(ens, k):
         ok = ~ens.blown_up
@@ -243,6 +236,7 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
     for k in checkpoints:
         vs = np.linalg.norm(ens_a.v[~ens_a.blown_up, k], axis=-1)
         moments[float(times[k])] = float(np.mean(vs ** levy.theta))
+    timings["diagnostics_s"] = time.monotonic() - t1
     return {
         "cross_distance": cross,
         "stationarity_distance": within,
@@ -250,5 +244,4 @@ def equilibrium_diagnostics(system, levy, config: sim.SimConfig, init_a: tuple,
         "velocity_moment_theta": moments,
         "n_blowups": int(ens_a.blown_up.sum() + ens_b.blown_up.sum()),
         "horizon": float(times[last]),
-        "timings": {**timings, "diagnostics_s": time.monotonic() - t1},
     }

@@ -259,7 +259,8 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     one ``(2, copies, N, d)`` array, positions then velocities. Row ``r``
     draws the jumps of sampler replica ``r + replica_offset``, from one
     sampler call for the whole ensemble, whose seconds are added to
-    ``timings["sampling_s"]``.
+    ``timings["sampling_s"]``; the seconds of the rest are added to
+    ``timings["stepping_s"]``.
     With ``coupling = (alpha, kappa)`` the two copies form the pair and each
     window is a pair window.
     A replica with a copy whose position or velocity norm exceeds
@@ -277,7 +278,8 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
     jumps = ms.sample_large_jumps(levy.measure, float(times[-1]), config.delta,
                                   np.random.SeedSequence(config.seed),
                                   range(replica_offset, replica_offset + n))
-    timings["sampling_s"] = timings.get("sampling_s", 0.0) + time.monotonic() - t0
+    t1 = time.monotonic()
+    timings["sampling_s"] = timings.get("sampling_s", 0.0) + t1 - t0
     # a jump at t kicks the first window with t < end - 1e-15; sorted in
     # (window, replica, time) order, jumps past the last window are dropped
     wins = np.searchsorted(ends - 1e-15, jumps.times, side="right")
@@ -321,6 +323,7 @@ def _euler_windows(system, levy, config: SimConfig, starts, timings: dict,
                     lip = np.maximum(lip, np.divide(np.abs(force[0] - force[1]).sum(-1), gap,
                                                     out=np.zeros(n), where=alive & (gap > 1e-9)))
     pair = {"xp": out[0, 1], "vp": out[1, 1]} if coupling is not None else {}
+    timings["stepping_s"] = timings.get("stepping_s", 0.0) + time.monotonic() - t1
     return Ensemble(times, out[0, 0], out[1, 0], ~alive, lip * config.h, **pair)
 
 
@@ -332,7 +335,7 @@ def run_pair_ensemble(system, levy, config: SimConfig, pair0: PairState, alpha: 
     ``stability_indicator`` is ``h`` times the largest force Lipschitz
     quotient between the copies, taken at the start of each window that ends
     at a save time. A ``timings`` dict gets the seconds spent drawing the
-    jumps added to its ``sampling_s``.
+    jumps added to its ``sampling_s``, and those of the rest to its ``stepping_s``.
     """
     _require_one_dim(system, levy)
     return _euler_windows(system, levy, config, ((pair0.x, pair0.v), (pair0.xp, pair0.vp)),
@@ -346,7 +349,8 @@ def run_single_ensemble(system, levy, config: SimConfig, x0, v0, replica_offset:
     Replica ``k`` draws its jumps from the streams ``(k + replica_offset, j)`` of the seed.
     A replica whose position or velocity norm exceeds ``blowup_norm`` or is
     NaN is flagged and frozen; its later snapshots stay NaN. A ``timings``
-    dict gets the seconds spent drawing the jumps added to its ``sampling_s``.
+    dict gets the seconds spent drawing the jumps added to its ``sampling_s``,
+    and those of the rest to its ``stepping_s``.
     """
     return _euler_windows(system, levy, config, ((x0, v0),),
                           {} if timings is None else timings, replica_offset)

@@ -115,8 +115,7 @@ def test_criterion_04_operator_identities(bench, scheme):
     alpha, kappa = bench.report.alpha, bench.report.kappa
     live = LiveProfile()
     hfn = gen.ProfilePairFn(live, alpha, 2.0)
-    w = gen.lyapunov_test_function(bench.lyap)
-    gfn = gen.SeparablePairFn(w, w, bench.monitor_eps, 1.0)
+    gfn = bench.monitor.right
     states, centres = [], []
     for _ in range(20):
         states.append(rng.normal(0, 1, (4, 1)))
@@ -233,8 +232,7 @@ def test_criterion_09_contraction(bench):
 def test_criterion_10_contraction_spot_check(bench, scheme):
     t0 = time.monotonic()
     rng = np.random.default_rng(1010)
-    hhat = bench.hhat_fn()
-    gfn = bench.g_fn()
+    hhat, gfn = bench.cost.left, bench.cost.right
     rate = math.exp(bench.report.log_rate)
     pos_r = bench.report.position_radius
     states = []

@@ -19,6 +19,8 @@ from levyham.config import SCHEMA, RunManifest, load_config
 from levyham.errors import ConfigError
 
 BENCHMARK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark.cfg")
+BENCHMARK_REFERENCE = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                                   "reference.json")
 
 QUICK = """
 [sim]
@@ -99,7 +101,6 @@ KNOBS = {
     ("lyapunov", "grid_radius"): ("10.0", {}),
     ("lyapunov", "grid_points"): ("7", {}),
     ("constants", "r0_jump"): ("0.25", {}),
-    ("constants", "position_radius"): ("3.0", {}),
     ("constants", "decay_threshold"): ("0.5", {}),
 }
 
@@ -249,6 +250,21 @@ class TestExitCodes:
         assert (tmp_path / "profile_curve.csv").exists()
         assert (tmp_path / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("variant, old, new", [
+        ("base", "", ""),
+        ("quadratic", "potential = double_well_poly", "potential = quadratic"),
+        ("theta0-0.3", "theta0 = 0.4", "theta0 = 0.3")])
+    def test_certified_rate_matches_the_benchmark_reference(self, variant, old, new):
+        # the benchmark's certify configs, at its own relative tolerance: a
+        # drift in the constant chain shows here, not only in a benchmark run
+        with open(BENCHMARK_CFG, encoding="utf-8") as fh:
+            text = fh.read()
+        assert old in text
+        with open(BENCHMARK_REFERENCE, encoding="utf-8") as fh:
+            want = json.load(fh)["certify"]["log_rate"][variant]
+        got = cli._bundle_from(load_config(text=text.replace(old, new))).report.log_rate
+        assert abs(got - want) <= 1e-9 * abs(want)
+
     def test_verify_broken_certificate_fails(self, tmp_path):
         # a potential too shallow for the default unit growth constant
         path = write(tmp_path, "[model]\npotential = quadratic\npot_k = 0.5\n")
@@ -305,12 +321,15 @@ class TestExitCodes:
         code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["constants", "rate", "couple"])
-    def test_degenerate_chain_exits_two_after_outputs(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, a", [
+        (command, a) for a in ("0.0", "0.25") for command in ("constants", "rate", "couple")],
+        ids=["constants", "rate", "couple", "constants-a0.25", "rate-a0.25", "couple-a0.25"])
+    def test_degenerate_chain_exits_two_after_outputs(self, tmp_path, capsys, command, a):
         # the exponential well overflows the force on the Lipschitz ball, so
-        # the chain is flagged; every command that builds it writes its data
-        # and then exits 2, and rate's exit is not an InsufficientDecay one
-        path = write(tmp_path, DEGENERATE_CHAIN)
+        # the chain certifies nothing at any a; every command that builds it
+        # writes its data and then exits 2, and rate's exit is not an
+        # InsufficientDecay one
+        path = write(tmp_path, DEGENERATE_CHAIN.replace("[model]\n", f"[model]\na = {a}\n"))
         replicas = [] if command == "constants" else ["--replicas", "8"]
         code = cli.main([command, "--config", path, *replicas, "--out", str(tmp_path)])
         assert code == 2
@@ -323,6 +342,8 @@ class TestExitCodes:
             # with no certified profile the monitor is the linear member f(s) = 2 s
             report = json.loads((tmp_path / f"{command}.json").read_text())
             assert report["monitor_is_fallback"] is True
+        if command == "constants":
+            assert report["log_rate"] == -math.inf
         if command == "rate":
             payload = json.loads((tmp_path / "rate.json").read_text())
             assert "error" not in payload and math.isfinite(payload["lambda_fit"])
@@ -445,10 +466,12 @@ class TestExitCodes:
         assert not (tmp_path / "constants.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [
-        ("levy", "dim", "1"), ("model", "force", "damped_gradient")])
+        ("levy", "dim", "1"), ("model", "force", "damped_gradient"),
+        ("constants", "position_radius", "3.0")])
     def test_levy_dim_and_model_force_are_unknown_keys(self, tmp_path, capsys, section, key,
                                                        value):
-        # [model] dim is the noise's dim too, and the force is always damped_gradient
+        # [model] dim is the noise's dim too, the force is always damped_gradient,
+        # and the Lipschitz ball is always the one the constant chain works out
         path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
         code = cli.main(["constants", "--config", path, "--out", str(tmp_path)])
         assert code == 1
@@ -666,6 +689,19 @@ class TestCouple:
         first = np.array([float(tok) for tok in lines[1].split(",")])
         assert first[0] == 0.0
         assert first[-1] > 0  # off-diagonal start has positive cost
+
+    def test_overflowing_cost_is_nan_without_warnings(self, tmp_path):
+        # on the exponential well the monitor weight overflows at some finite
+        # states below blowup_norm: their psi_tilde is NaN, and no numpy
+        # warning is raised (warnings are errors here)
+        text = DEGENERATE_CHAIN.replace("h = 0.01", "h = 0.05").replace("n_save = 5",
+                                                                        "seed = 99")
+        path = write(tmp_path, text)
+        assert cli.main(["couple", "--config", path, "--replicas", "30",
+                         "--out", str(tmp_path)]) == 2
+        rows = np.concatenate([np.loadtxt(tmp_path / f"trajectory_{idx:04d}.csv",
+                                          delimiter=",", skiprows=1) for idx in range(30)])
+        assert np.any(np.isnan(rows[:, 6]) & np.isfinite(rows[:, 1:5]).all(axis=1))
 
     def test_manifest_splits_sampling_from_stepping(self, tmp_path):
         path = write(tmp_path, QUICK)

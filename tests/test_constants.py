@@ -628,10 +628,32 @@ class TestPipeline:
 
     def test_monitor_fallback_engaged(self, benchmark_bundle):
         assert benchmark_bundle.monitor_is_fallback
-        assert benchmark_bundle.monitor_eps > 0.0
-        hhat, gfn = benchmark_bundle.monitor_fns()
+        assert benchmark_bundle.monitor.right.eps > 0.0
         pair = PairState([1.0], [0.0], [-1.0], [0.0])
-        assert gen.ProductPairFn(hhat, gfn).value(pair) > 0
+        assert benchmark_bundle.monitor.value(pair) > 0
+
+    def test_costs_are_built_from_the_report(self, benchmark_bundle):
+        # the certified cost reads the report's profile and eps; the fallback
+        # monitor, the linear member at a 2:1 blend and the eps of log c1 = 0
+        bundle, rep = benchmark_bundle, benchmark_bundle.report
+        assert bundle.cost.left.profile.base is bundle.profile
+        assert bundle.cost.left.alpha0 == rep.alpha0
+        assert bundle.cost.right.eps == math.exp(rep.log_eps)
+        assert bundle.monitor.left.alpha0 == 2.0
+        log_eps = cn.tilt_and_rate_log(0.0, rep.alpha0, rep.b, rep.alpha, rep.C0_lyap,
+                                       rep.c_star_A2, rep.c0_lyap)[0]
+        assert bundle.monitor.right.eps == math.exp(log_eps)
+
+    def test_alpha0_of_one_is_degenerate(self, benchmark_langevin, benchmark_levy,
+                                         monkeypatch):
+        # a finite Lipschitz bound of 1e-20 at a = 0, b = 1 rounds alpha0 to
+        # 1: no rate is certified, and nothing divides by alpha0 - 1
+        monkeypatch.setattr(cn, "compute_lipschitz", lambda *args: 1e-20)
+        rep = cn.build_constants(benchmark_langevin, benchmark_levy).report
+        assert rep.alpha0 == 1.0 and rep.lambda_star_R0 == 1e-20
+        assert rep.flags == ("degenerate_rate", "profile_unavailable")
+        assert rep.log_rate == rep.log_eps == -math.inf
+        assert rep.k0 == rep.lambda0 == rep.c_star_profile == math.inf
 
     def test_profile_suite_on_certified_chain(self, benchmark_bundle):
         rep = cn.profile_property_report(benchmark_bundle.profile)
@@ -642,4 +664,4 @@ class TestPipeline:
         bundle = cn.build_constants(benchmark_langevin, levy)
         assert bundle.report.theta0 == 0.3
         assert bundle.profile.theta0 == 0.3
-        assert bundle.monitor_profile.theta0 == 0.3
+        assert bundle.monitor.left.profile.base.theta0 == 0.3

@@ -10,7 +10,6 @@ from conftest import ForceSystem
 from levyham import ergodicity as erg
 from levyham import simulate as sim
 from levyham.errors import EmptyMeasure, InsufficientDecay
-from levyham.generator import ProductPairFn
 from levyham.pair import PairState
 
 
@@ -247,7 +246,6 @@ class TestEquilibrium:
         assert [tr.blown_up for tr in ens_b].count(True) == 1
         got = erg.equilibrium_diagnostics(system, benchmark_levy, cfg, ([0.0], [0.0]),
                                           ([1.9], [0.0]))
-        got.pop("timings")
         assert got["n_blowups"] == 1
         # A's clouds do not depend on what B does
         calm = erg.equilibrium_diagnostics(system, benchmark_levy, cfg, ([0.0], [0.0]),
@@ -285,9 +283,8 @@ class TestStackedCost:
     """One cost evaluation over stacked snapshots equals the per-state values."""
 
     def test_stacked_matches_per_state(self, benchmark_bundle, rng):
-        hhat, g = benchmark_bundle.monitor_fns()
-        prod = ProductPairFn(hhat, g)
-        alpha, alpha0 = benchmark_bundle.report.alpha, benchmark_bundle.monitor_alpha0
+        prod = benchmark_bundle.monitor
+        alpha, alpha0 = benchmark_bundle.report.alpha, prod.left.alpha0
         arrs = [rng.normal(0.0, 2.0, (6, 9, 1)) for _ in range(4)]
         arrs[2][0], arrs[3][0] = arrs[0][0], arrs[1][0]  # one replica on the diagonal
         stacked = PairState(*arrs)
@@ -310,10 +307,9 @@ class TestStackedCost:
 
     def test_matrix_skips_blown_runs(self, benchmark_bundle, rng):
         trs = self.stacked(rng, [False, True, False])
-        hhat, g = benchmark_bundle.monitor_fns()
-        vals, keep = erg._psi_tilde_matrix(trs, hhat, g)
+        prod = benchmark_bundle.monitor
+        vals, keep = erg._psi_tilde_matrix(trs, prod)
         assert keep.tolist() == [True, False, True] and vals.shape == (2, 4)
-        prod = ProductPairFn(hhat, g)
         for row, tr in zip(vals, (trs[0], trs[2])):
             for k in range(4):
                 one = PairState(tr.x[k], tr.v[k], tr.xp[k], tr.vp[k])
@@ -325,10 +321,10 @@ class TestStackedCost:
         trs = self.stacked(rng, [False, False, False])
         trs.x[1, 2, 0] = 1e200
         trs.v[2, 3, 0] = np.nan
-        hhat, g = benchmark_bundle.monitor_fns()
-        vals, keep = erg._psi_tilde_matrix(trs, hhat, g)
+        cost = benchmark_bundle.monitor
+        vals, keep = erg._psi_tilde_matrix(trs, cost)
         assert keep.tolist() == [True, False, False] and vals.shape == (1, 4)
         assert np.all(np.isfinite(vals))
-        assert np.array_equal(vals, erg._psi_tilde_matrix(trs[:1], hhat, g)[0])
+        assert np.array_equal(vals, erg._psi_tilde_matrix(trs[:1], cost)[0])
         with pytest.raises(InsufficientDecay, match="every replica"):
-            erg._psi_tilde_matrix(trs[1:], hhat, g)
+            erg._psi_tilde_matrix(trs[1:], cost)

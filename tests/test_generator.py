@@ -208,8 +208,8 @@ class TestPairObservables:
         # call at one 0-d point evaluates W's power with numpy's scalar ** and
         # may differ from the array ** in the last bits
         fns = self.observables(benchmark_lyap)
-        monitor, monitor_tilt = benchmark_bundle.monitor_fns()
-        fns.update(monitor=monitor, monitor_product=gen.ProductPairFn(monitor, monitor_tilt))
+        fns.update(monitor=benchmark_bundle.monitor.left,
+                   monitor_product=benchmark_bundle.monitor)
         parts = rng.normal(0, 1.5, (4, 7, 1))
         stacked = PairState(*parts)
         for name, fn in fns.items():

@@ -801,12 +801,13 @@ class TestSingleBatch:
             assert 0 < sum(tr.blown_up for tr in batch) < len(batch)
 
     def test_timings_add_the_sampler_seconds(self, benchmark_levy, benchmark_langevin):
-        # equilibrium sums its two ensembles' sampling seconds in one dict
+        # equilibrium sums its two ensembles' sampling and stepping seconds in one dict
         cfg = sim.SimConfig(h=0.02, delta=1e-2, horizon=1.0, n_save=3, seed=4, n_replicas=3)
-        timings = {"sampling_s": 1.0}
+        timings = {"sampling_s": 1.0, "stepping_s": 1.0}
         sim.run_single_ensemble(benchmark_langevin, benchmark_levy, cfg, [1.0], [0.0],
                                 timings=timings)
-        assert set(timings) == {"sampling_s"} and timings["sampling_s"] > 1.0
+        assert set(timings) == {"sampling_s", "stepping_s"}
+        assert timings["sampling_s"] > 1.0 and timings["stepping_s"] > 1.0
 
     def test_window_rule_matches_pair_path_at_window_ends(self, benchmark_levy, monkeypatch):
         # jumps within 1e-15 of a window end kick the next window (or none after
